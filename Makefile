@@ -17,7 +17,7 @@ E2E_STORE_DIR ?= /tmp/comet-e2e-store
 # failure.
 E2E_ARTIFACT_DIR ?= /tmp/comet-e2e-artifacts
 
-.PHONY: build test test-race test-e2e test-cluster verify-store examples bench bench-smoke bench-check bench-baseline fuzz-smoke lint vet staticcheck fmt fmt-check
+.PHONY: build test perfbench-test test-race test-e2e test-cluster verify-store examples bench bench-smoke bench-check bench-baseline fuzz-smoke lint vet staticcheck fmt fmt-check
 
 build:
 	$(GO) build $(LDFLAGS) ./...
@@ -30,6 +30,11 @@ examples:
 
 test:
 	$(GO) test ./...
+
+# perfbench is a nested module (it replaces this one with ../), so the
+# root `go test ./...` skips it; vet and test it on its own.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 test-race:
 	$(GO) test -race ./...
@@ -94,15 +99,16 @@ bench-check:
 bench-baseline:
 	$(GO) run ./cmd/comet-bench -wire -json-out BENCH_baseline.json
 
-# Brief native fuzzing of the frame scanner, the binary decoder, and the
-# JSON wire types, starting from the committed corpus in
-# internal/wire/testdata/fuzz. One -fuzz pattern per invocation: go test
+# Brief native fuzzing of the frame scanner, the binary decoder, the JSON
+# wire types, the x86 machine-code decoder and the Intel-syntax text
+# parser, starting from the committed corpus in internal/wire/testdata/fuzz. One -fuzz pattern per invocation: go test
 # rejects multiple fuzz targets in a single fuzzing run.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeBinary$$' -fuzztime=30s ./internal/wire
 	$(GO) test -run='^$$' -fuzz='^FuzzScanFrames$$' -fuzztime=30s ./internal/wire
 	$(GO) test -run='^$$' -fuzz='^FuzzWireJSON$$' -fuzztime=30s ./internal/wire
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeX86$$' -fuzztime=30s ./internal/x86/decode
+	$(GO) test -run='^$$' -fuzz='^FuzzParseX86Text$$' -fuzztime=30s ./internal/x86
 
 lint: fmt-check vet staticcheck
 

@@ -102,6 +102,7 @@ func BenchmarkPerturbSample(b *testing.B) {
 		b.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = p.Sample(rng, nil)
@@ -132,6 +133,7 @@ func BenchmarkHardwareSimPredict(b *testing.B) {
 func BenchmarkAnalyticalPredict(b *testing.B) {
 	block := comet.MustParseBlock(motivating)
 	model := comet.NewAnalyticalModel(comet.Haswell)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = model.Predict(block)
@@ -258,6 +260,7 @@ func BenchmarkDependencyGraph(b *testing.B) {
 		div rcx
 		mov rdx, rcx
 		imul rax, rcx`)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := comet.BuildDependencyGraph(block); err != nil {

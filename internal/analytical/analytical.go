@@ -69,11 +69,15 @@ func (m *Model) CostEta(n int) float64 { return float64(n) / 4 }
 
 // Predict implements costmodel.Model: C(β) per eq. 8. Invalid blocks cost 0.
 func (m *Model) Predict(b *x86.BasicBlock) float64 {
-	cost, _, err := m.evaluate(b)
+	// Blocks of up to 16 instructions and 64 edges evaluate without a
+	// heap allocation; larger ones grow the buffers.
+	var inst [16]float64
+	var edges [64]deps.Edge
+	ev, err := m.evaluate(b, inst[:0], edges[:0])
 	if err != nil {
 		return 0
 	}
-	return cost
+	return ev.cost
 }
 
 // PredictBatch implements costmodel.BatchModel by parallel fan-out; the
@@ -85,44 +89,63 @@ func (m *Model) PredictBatch(blocks []*x86.BasicBlock) []float64 {
 // GroundTruth returns GT(β): every feature of ˆP whose cost equals C(β)
 // (eq. 9). The set may contain several equally-critical features.
 func (m *Model) GroundTruth(b *x86.BasicBlock) (features.Set, error) {
-	_, gt, err := m.evaluate(b)
-	return gt, err
-}
-
-// evaluate computes C(β) and the argmax feature set in one pass.
-func (m *Model) evaluate(b *x86.BasicBlock) (float64, features.Set, error) {
-	g, err := deps.Build(b, m.depOpts)
+	ev, err := m.evaluate(b, nil, nil)
 	if err != nil {
-		return 0, nil, err
-	}
-	all := features.Extract(g)
-
-	cost := func(f features.Feature) float64 {
-		switch f.Kind {
-		case features.KindInstr:
-			return m.CostInst(b.Instructions[f.Index])
-		case features.KindDep:
-			return m.CostDep(f.Hazard, b.Instructions[f.Src], b.Instructions[f.Dst])
-		case features.KindCount:
-			return m.CostEta(f.Count)
-		}
-		return 0
-	}
-
-	max := 0.0
-	for _, f := range all {
-		if c := cost(f); c > max {
-			max = c
-		}
+		return nil, err
 	}
 	var gt features.Set
 	const tie = 1e-9
-	for _, f := range all {
-		if cost(f) >= max-tie {
+	for _, f := range features.Extract(&deps.Graph{Block: b, Edges: ev.edges}) {
+		if m.featureCost(ev, f) >= ev.cost-tie {
 			gt = append(gt, f)
 		}
 	}
-	return max, gt, nil
+	return gt, nil
+}
+
+// evaluation is one pass of C over a block: each instruction's cost_inst,
+// the dependency edges, and C(β) itself.
+type evaluation struct {
+	inst  []float64 // cost_inst per instruction
+	edges []deps.Edge
+	cost  float64
+}
+
+// evaluate computes C(β) = max(cost_η, max_i cost_inst, max_RAW cost_dep),
+// costing each instruction once and appending into the given buffers.
+// WAR and WAW edges cost 0 and never raise the maximum.
+func (m *Model) evaluate(b *x86.BasicBlock, inst []float64, edges []deps.Edge) (evaluation, error) {
+	edges, err := deps.AppendEdges(edges, b, m.depOpts)
+	if err != nil {
+		return evaluation{}, err
+	}
+	cost := m.CostEta(b.Len())
+	for _, in := range b.Instructions {
+		c := m.CostInst(in)
+		inst = append(inst, c)
+		cost = max(cost, c)
+	}
+	for _, e := range edges {
+		if e.Hazard == deps.RAW {
+			cost = max(cost, inst[e.Src]+inst[e.Dst])
+		}
+	}
+	return evaluation{inst: inst, edges: edges, cost: cost}, nil
+}
+
+// featureCost is FeatureCost over the evaluated instruction costs.
+func (m *Model) featureCost(ev evaluation, f features.Feature) float64 {
+	switch f.Kind {
+	case features.KindInstr:
+		return ev.inst[f.Index]
+	case features.KindDep:
+		if f.Hazard == deps.RAW {
+			return ev.inst[f.Src] + ev.inst[f.Dst]
+		}
+	case features.KindCount:
+		return m.CostEta(f.Count)
+	}
+	return 0
 }
 
 // FeatureCost exposes the per-feature cost, used by tests and the

@@ -2,10 +2,13 @@ package analytical
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
+	"github.com/comet-explain/comet/internal/bhive"
 	"github.com/comet-explain/comet/internal/deps"
 	"github.com/comet-explain/comet/internal/features"
+	"github.com/comet-explain/comet/internal/perturb"
 	"github.com/comet-explain/comet/internal/x86"
 )
 
@@ -158,5 +161,60 @@ func TestPredictInvalidBlockZero(t *testing.T) {
 	m := New(x86.Haswell)
 	if got := m.Predict(&x86.BasicBlock{}); got != 0 {
 		t.Errorf("invalid block cost = %v, want 0", got)
+	}
+	valid := x86.MustParseBlock("div rcx\nadd rax, rbx").Instructions
+	for name, b := range map[string]*x86.BasicBlock{
+		"unknown opcode": x86.NewBlock(valid[0], x86.Instruction{Opcode: "bogus"}),
+		"no matching form": x86.NewBlock(valid[0], x86.Instruction{Opcode: "add",
+			Operands: []x86.Operand{x86.NewImm(1, x86.Size8), x86.NewImm(2, x86.Size8)}}),
+	} {
+		if got := m.Predict(b); got != 0 {
+			t.Errorf("%s: C(β) = %v, want 0", name, got)
+		}
+		if _, err := m.GroundTruth(b); err == nil {
+			t.Errorf("%s: GroundTruth accepted an invalid block", name)
+		}
+	}
+}
+
+// TestPredictPropertyPerturbedBlocks checks the one-pass evaluation
+// against eq. 8 and eq. 9 written out over ˆP, on Γ draws of bhive
+// blocks (deletions, opcode replacements and renamed operands included):
+// C(β) is the maximum feature cost, and every ground-truth feature costs
+// C(β), up to GroundTruth's tie tolerance.
+func TestPredictPropertyPerturbedBlocks(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, arch := range x86.Arches() {
+		m := New(arch)
+		for _, d := range bhive.Generate(bhive.Config{N: 40, MinInstrs: 1, MaxInstrs: 12, Seed: 9, SkipLabels: true}) {
+			p, err := perturb.New(d.Block, perturb.DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := 0; k < 10; k++ {
+				b := p.Sample(rng, nil).Block
+				all, err := features.ExtractFromBlock(b, deps.Options{})
+				if err != nil {
+					t.Fatalf("%q: %v", b, err)
+				}
+				want := 0.0
+				for _, f := range all {
+					want = max(want, m.FeatureCost(b, f))
+				}
+				pred := m.Predict(b)
+				if pred != want {
+					t.Fatalf("%v %q: C(β) = %v, max feature cost %v", arch, b, pred, want)
+				}
+				gt, err := m.GroundTruth(b)
+				if err != nil || len(gt) == 0 {
+					t.Fatalf("%v %q: GroundTruth = %v, %v", arch, b, gt, err)
+				}
+				for _, f := range gt {
+					if c := m.FeatureCost(b, f); math.Abs(c-pred) > 1e-9 {
+						t.Fatalf("%v %q: GT feature %v costs %v, C(β) = %v", arch, b, f, c, pred)
+					}
+				}
+			}
+		}
 	}
 }

@@ -13,8 +13,10 @@
 package deps
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"github.com/comet-explain/comet/internal/x86"
 )
@@ -121,78 +123,96 @@ type Access struct {
 // combining explicit operands (with per-form access), address-component
 // register reads, implicit register accesses, stack effects, and flags.
 func AccessOf(inst x86.Instruction, opts Options) (Access, error) {
-	spec, ok := inst.Spec()
-	if !ok {
-		return Access{}, fmt.Errorf("deps: unknown opcode %q", inst.Opcode)
-	}
-	form := spec.MatchForm(inst.Operands)
-	if form == nil {
-		return Access{}, fmt.Errorf("deps: %s does not match any form", inst)
-	}
-
 	var acc Access
-	read := func(l Loc) { acc.Reads = append(acc.Reads, l) }
-	write := func(l Loc) { acc.Writes = append(acc.Writes, l) }
-
-	for i, op := range inst.Operands {
-		t := form.Ops[i]
-		switch op.Kind {
-		case x86.KindReg:
-			if t.Access&x86.AccR != 0 {
-				read(regLoc(op.Reg.Family))
-			}
-			if t.Access&x86.AccW != 0 {
-				write(regLoc(op.Reg.Family))
-			}
-		case x86.KindMem:
-			for _, fam := range op.Mem.Regs() {
-				read(regLoc(fam))
-			}
-			if t.Access&x86.AccR != 0 {
-				read(memLoc(op.Mem))
-			}
-			if t.Access&x86.AccW != 0 {
-				write(memLoc(op.Mem))
-			}
-		case x86.KindAddr:
-			for _, fam := range op.Mem.Regs() {
-				read(regLoc(fam))
-			}
-		case x86.KindImm:
-			// no locations
+	err := visitAccesses(inst, opts, func(l Loc, write bool) {
+		if write {
+			acc.Writes = append(acc.Writes, l)
+		} else {
+			acc.Reads = append(acc.Reads, l)
 		}
-	}
-	for _, fam := range spec.ImplicitReads {
-		read(regLoc(fam))
-	}
-	for _, fam := range spec.ImplicitWrites {
-		write(regLoc(fam))
-	}
-	if spec.StackRead {
-		read(Loc{Kind: LocStack})
-	}
-	if spec.StackWrite {
-		write(Loc{Kind: LocStack})
-	}
-	if opts.TrackFlags {
-		if spec.ReadsFlags {
-			read(Loc{Kind: LocFlags})
-		}
-		if spec.WritesFlags {
-			write(Loc{Kind: LocFlags})
-		}
+	})
+	if err != nil {
+		return Access{}, err
 	}
 	acc.Reads = dedupeLocs(acc.Reads)
 	acc.Writes = dedupeLocs(acc.Writes)
 	return acc, nil
 }
 
+// visitAccesses calls visit for every location inst reads or writes, in
+// operand order, then implicit registers, stack and flags. A location may
+// be visited more than once.
+func visitAccesses(inst x86.Instruction, opts Options, visit func(l Loc, write bool)) error {
+	spec, ok := inst.Spec()
+	if !ok {
+		return fmt.Errorf("deps: unknown opcode %q", inst.Opcode)
+	}
+	form := spec.MatchForm(inst.Operands)
+	if form == nil {
+		return fmt.Errorf("deps: %s does not match any form", inst)
+	}
+	addrRegs := func(m x86.MemRef) {
+		if !m.Base.IsZero() {
+			visit(regLoc(m.Base.Family), false)
+		}
+		if !m.Index.IsZero() {
+			visit(regLoc(m.Index.Family), false)
+		}
+	}
+	for i, op := range inst.Operands {
+		access := form.Ops[i].Access
+		switch op.Kind {
+		case x86.KindReg:
+			if access&x86.AccR != 0 {
+				visit(regLoc(op.Reg.Family), false)
+			}
+			if access&x86.AccW != 0 {
+				visit(regLoc(op.Reg.Family), true)
+			}
+		case x86.KindMem:
+			addrRegs(op.Mem)
+			if access&(x86.AccR|x86.AccW) != 0 {
+				l := memLoc(op.Mem)
+				if access&x86.AccR != 0 {
+					visit(l, false)
+				}
+				if access&x86.AccW != 0 {
+					visit(l, true)
+				}
+			}
+		case x86.KindAddr:
+			addrRegs(op.Mem)
+		case x86.KindImm:
+			// no locations
+		}
+	}
+	for _, fam := range spec.ImplicitReads {
+		visit(regLoc(fam), false)
+	}
+	for _, fam := range spec.ImplicitWrites {
+		visit(regLoc(fam), true)
+	}
+	if spec.StackRead {
+		visit(Loc{Kind: LocStack}, false)
+	}
+	if spec.StackWrite {
+		visit(Loc{Kind: LocStack}, true)
+	}
+	if opts.TrackFlags {
+		if spec.ReadsFlags {
+			visit(Loc{Kind: LocFlags}, false)
+		}
+		if spec.WritesFlags {
+			visit(Loc{Kind: LocFlags}, true)
+		}
+	}
+	return nil
+}
+
 func dedupeLocs(ls []Loc) []Loc {
-	seen := make(map[Loc]bool, len(ls))
 	out := ls[:0]
 	for _, l := range ls {
-		if !seen[l] {
-			seen[l] = true
+		if !slices.Contains(out, l) {
 			out = append(out, l)
 		}
 	}
@@ -201,55 +221,75 @@ func dedupeLocs(ls []Loc) []Loc {
 
 // Build constructs the dependency multigraph of a block.
 func Build(b *x86.BasicBlock, opts Options) (*Graph, error) {
-	accs := make([]Access, b.Len())
-	for i, inst := range b.Instructions {
-		a, err := AccessOf(inst, opts)
-		if err != nil {
-			return nil, fmt.Errorf("instruction %d: %w", i+1, err)
-		}
-		accs[i] = a
+	var buf [64]Edge
+	edges, err := AppendEdges(buf[:0], b, opts)
+	if err != nil {
+		return nil, err
 	}
+	g := &Graph{Block: b}
+	if len(edges) > 0 {
+		g.Edges = slices.Clone(edges)
+	}
+	return g, nil
+}
 
-	// Group accesses by location.
-	byLoc := make(map[Loc][]locEvent)
-	order := make([]Loc, 0)
-	touch := func(l Loc, idx int, isWrite bool) {
-		evs := byLoc[l]
-		if len(evs) == 0 || evs[len(evs)-1].idx != idx {
-			if len(evs) == 0 {
-				order = append(order, l)
+// AppendEdges appends the block's dependency edges to dst in Build's
+// order and returns the extended slice. Blocks are small and the engine
+// builds a graph per perturbation draw, so the work happens in
+// stack-backed buffers with linear scans: beyond growing dst, the only
+// allocations are one key per memory operand.
+func AppendEdges(dst []Edge, b *x86.BasicBlock, opts Options) ([]Edge, error) {
+	var touchBuf [64]touch
+	var locBuf [32]Loc
+	touches, locs := touchBuf[:0], locBuf[:0]
+	for i, inst := range b.Instructions {
+		err := visitAccesses(inst, opts, func(l Loc, write bool) {
+			touches = append(touches, touch{loc: l, idx: i, write: write})
+			if !slices.Contains(locs, l) {
+				locs = append(locs, l)
 			}
-			evs = append(evs, locEvent{idx: idx})
-		}
-		if isWrite {
-			evs[len(evs)-1].wrts = true
-		} else {
-			evs[len(evs)-1].reads = true
-		}
-		byLoc[l] = evs
-	}
-	for i, a := range accs {
-		for _, l := range a.Reads {
-			touch(l, i, false)
-		}
-		for _, l := range a.Writes {
-			touch(l, i, true)
+		})
+		if err != nil {
+			return dst, fmt.Errorf("instruction %d: %w", i+1, err)
 		}
 	}
 	// Deterministic location order for reproducible edge lists.
-	sort.Slice(order, func(i, j int) bool { return locLess(order[i], order[j]) })
+	slices.SortFunc(locs, locCmp)
 
-	g := &Graph{Block: b}
-	for _, loc := range order {
-		evs := byLoc[loc]
+	start := len(dst)
+	var evBuf [32]locEvent
+	for _, loc := range locs {
+		// The location's accesses in instruction order, one event per
+		// instruction.
+		evs := evBuf[:0]
+		for _, t := range touches {
+			if t.loc != loc {
+				continue
+			}
+			if len(evs) == 0 || evs[len(evs)-1].idx != t.idx {
+				evs = append(evs, locEvent{idx: t.idx})
+			}
+			if t.write {
+				evs[len(evs)-1].wrts = true
+			} else {
+				evs[len(evs)-1].reads = true
+			}
+		}
 		if opts.LastWriterOnly {
-			g.buildKillBased(loc, evs)
+			dst = appendKillBased(dst, loc, evs)
 		} else {
-			g.buildAllPairs(loc, evs)
+			dst = appendAllPairs(dst, loc, evs)
 		}
 	}
-	sort.Slice(g.Edges, func(i, j int) bool { return edgeLess(g.Edges[i], g.Edges[j]) })
-	return g, nil
+	slices.SortFunc(dst[start:], edgeCmp)
+	return dst, nil
+}
+
+// touch records that instruction idx reads or writes location loc.
+type touch struct {
+	loc   Loc
+	idx   int
+	write bool
 }
 
 // locEvent records that one instruction reads and/or writes a location.
@@ -258,40 +298,42 @@ type locEvent struct {
 	reads, wrts bool
 }
 
-func (g *Graph) buildAllPairs(loc Loc, evs []locEvent) {
+func appendAllPairs(edges []Edge, loc Loc, evs []locEvent) []Edge {
 	for i := 0; i < len(evs); i++ {
 		for j := i + 1; j < len(evs); j++ {
 			a, b := evs[i], evs[j]
 			if a.wrts && b.reads {
-				g.Edges = append(g.Edges, Edge{Src: a.idx, Dst: b.idx, Hazard: RAW, Loc: loc})
+				edges = append(edges, Edge{Src: a.idx, Dst: b.idx, Hazard: RAW, Loc: loc})
 			}
 			if a.reads && b.wrts {
-				g.Edges = append(g.Edges, Edge{Src: a.idx, Dst: b.idx, Hazard: WAR, Loc: loc})
+				edges = append(edges, Edge{Src: a.idx, Dst: b.idx, Hazard: WAR, Loc: loc})
 			}
 			if a.wrts && b.wrts {
-				g.Edges = append(g.Edges, Edge{Src: a.idx, Dst: b.idx, Hazard: WAW, Loc: loc})
+				edges = append(edges, Edge{Src: a.idx, Dst: b.idx, Hazard: WAW, Loc: loc})
 			}
 		}
 	}
+	return edges
 }
 
-func (g *Graph) buildKillBased(loc Loc, evs []locEvent) {
+func appendKillBased(edges []Edge, loc Loc, evs []locEvent) []Edge {
 	lastWriter := -1
-	var readersSinceWrite []int
+	var readerBuf [32]int
+	readersSinceWrite := readerBuf[:0]
 	for _, ev := range evs {
 		if ev.reads {
 			if lastWriter >= 0 {
-				g.Edges = append(g.Edges, Edge{Src: lastWriter, Dst: ev.idx, Hazard: RAW, Loc: loc})
+				edges = append(edges, Edge{Src: lastWriter, Dst: ev.idx, Hazard: RAW, Loc: loc})
 			}
 		}
 		if ev.wrts {
 			for _, r := range readersSinceWrite {
 				if r != ev.idx {
-					g.Edges = append(g.Edges, Edge{Src: r, Dst: ev.idx, Hazard: WAR, Loc: loc})
+					edges = append(edges, Edge{Src: r, Dst: ev.idx, Hazard: WAR, Loc: loc})
 				}
 			}
 			if lastWriter >= 0 {
-				g.Edges = append(g.Edges, Edge{Src: lastWriter, Dst: ev.idx, Hazard: WAW, Loc: loc})
+				edges = append(edges, Edge{Src: lastWriter, Dst: ev.idx, Hazard: WAW, Loc: loc})
 			}
 			lastWriter = ev.idx
 			readersSinceWrite = readersSinceWrite[:0]
@@ -300,29 +342,30 @@ func (g *Graph) buildKillBased(loc Loc, evs []locEvent) {
 			readersSinceWrite = append(readersSinceWrite, ev.idx)
 		}
 	}
+	return edges
 }
 
-func locLess(a, b Loc) bool {
-	if a.Kind != b.Kind {
-		return a.Kind < b.Kind
+func locCmp(a, b Loc) int {
+	if c := cmp.Compare(a.Kind, b.Kind); c != 0 {
+		return c
 	}
-	if a.Fam != b.Fam {
-		return a.Fam < b.Fam
+	if c := cmp.Compare(a.Fam, b.Fam); c != 0 {
+		return c
 	}
-	return a.Mem < b.Mem
+	return strings.Compare(a.Mem, b.Mem)
 }
 
-func edgeLess(a, b Edge) bool {
-	if a.Src != b.Src {
-		return a.Src < b.Src
+func edgeCmp(a, b Edge) int {
+	if c := cmp.Compare(a.Src, b.Src); c != 0 {
+		return c
 	}
-	if a.Dst != b.Dst {
-		return a.Dst < b.Dst
+	if c := cmp.Compare(a.Dst, b.Dst); c != 0 {
+		return c
 	}
-	if a.Hazard != b.Hazard {
-		return a.Hazard < b.Hazard
+	if c := cmp.Compare(a.Hazard, b.Hazard); c != 0 {
+		return c
 	}
-	return locLess(a.Loc, b.Loc)
+	return locCmp(a.Loc, b.Loc)
 }
 
 // HasEdge reports whether the graph contains an edge with the given

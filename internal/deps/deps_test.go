@@ -291,3 +291,26 @@ func TestDeterministicEdgeOrder(t *testing.T) {
 		}
 	}
 }
+
+func TestAppendEdgesKeepsPrefix(t *testing.T) {
+	for _, opts := range []Options{{}, {LastWriterOnly: true}, {TrackFlags: true}} {
+		b := x86.MustParseBlock("mov qword ptr [rdi + 8], rax\nadd rax, qword ptr [rdi + 8]\npush rax\npop rbx\nimul rbx, rax")
+		g, err := Build(b, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prefix := Edge{Src: 9, Dst: 1, Hazard: WAW}
+		got, err := AppendEdges([]Edge{prefix}, b, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 1+len(g.Edges) || got[0] != prefix {
+			t.Fatalf("%+v: AppendEdges = %v, want %v after the prefix", opts, got, g.Edges)
+		}
+		for i, e := range g.Edges {
+			if got[1+i] != e {
+				t.Fatalf("%+v: edge %d = %v, Build has %v", opts, i, got[1+i], e)
+			}
+		}
+	}
+}

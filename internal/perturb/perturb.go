@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"github.com/comet-explain/comet/internal/deps"
@@ -81,16 +82,26 @@ func (r Result) Graph(opts deps.Options) (*deps.Graph, error) {
 	return deps.Build(r.Block, opts)
 }
 
-// Perturber samples perturbations of one fixed basic block.
+// Perturber samples perturbations of one fixed basic block. Everything a
+// draw needs to know about the original (immutable) block is computed once
+// at New, so a draw allocates only the perturbed block itself.
 type Perturber struct {
 	cfg   Config
 	block *x86.BasicBlock
 	graph *deps.Graph
 	feats features.Set
-	// used is the set of register families the original (immutable) block
-	// touches, computed once at New: freshFamily consults it on every
-	// rename, and recomputing it per draw dominated Sample's allocations.
-	used map[x86.RegFamily]bool
+	// used is the bit set (1<<family) of register families the block
+	// touches; freshFamily consults it on every rename.
+	used uint64
+	// Per original instruction i: its matched form, its opcode
+	// replacement candidates, and the offset of its operands in the flat
+	// per-operand tables (opStart[len] is the total operand count).
+	forms   []*x86.Form
+	cands   [][]string
+	opStart []int
+	// memKeys holds MemRef.LocKey of every memory operand ("" for other
+	// operands), indexed by opStart[i]+operand.
+	memKeys []string
 }
 
 // New prepares a perturber for the block.
@@ -104,7 +115,32 @@ func New(b *x86.BasicBlock, cfg Config) (*Perturber, error) {
 	}
 	p := &Perturber{cfg: cfg, block: b, graph: g, feats: features.Extract(g)}
 	p.used = p.computeUsedFamilies()
+	p.opStart = make([]int, 0, b.Len()+1)
+	for _, inst := range b.Instructions {
+		form, err := inst.Form()
+		if err != nil {
+			return nil, err
+		}
+		p.forms = append(p.forms, form)
+		p.cands = append(p.cands, x86.ReplacementCandidates(inst))
+		p.opStart = append(p.opStart, len(p.memKeys))
+		for _, o := range inst.Operands {
+			key := ""
+			if o.Kind == x86.KindMem {
+				key = o.Mem.LocKey()
+			}
+			p.memKeys = append(p.memKeys, key)
+		}
+	}
+	p.opStart = append(p.opStart, len(p.memKeys))
 	return p, nil
+}
+
+// depKey identifies a dependency feature: edges with the same endpoints
+// and hazard are one feature, whatever location carries them.
+type depKey struct {
+	src, dst int
+	hazard   deps.Hazard
 }
 
 // scratch holds Sample's per-draw working state. Draws are hot — a single
@@ -115,18 +151,16 @@ func New(b *x86.BasicBlock, cfg Config) (*Perturber, error) {
 type scratch struct {
 	opcodeLocked  []bool
 	deleted       []bool
-	preservedDeps map[string]bool // Key of preserved dep features
+	preservedDeps []depKey
 	lockedSlots   map[slot]bool
 	toBreak       []deps.Edge
-	slots         []slot // carrierSlots result buffer
+	slots         []slot        // carrierSlots result buffer
+	savedOps      []x86.Operand // renameSlots' undo buffer
 }
 
 var scratchPool = sync.Pool{
 	New: func() any {
-		return &scratch{
-			preservedDeps: make(map[string]bool, 8),
-			lockedSlots:   make(map[slot]bool, 16),
-		}
+		return &scratch{lockedSlots: make(map[slot]bool, 16)}
 	},
 }
 
@@ -145,7 +179,7 @@ func getScratch(n int) *scratch {
 		sc.opcodeLocked[i] = false
 		sc.deleted[i] = false
 	}
-	clear(sc.preservedDeps)
+	sc.preservedDeps = sc.preservedDeps[:0]
 	clear(sc.lockedSlots)
 	sc.toBreak = sc.toBreak[:0]
 	return sc
@@ -180,16 +214,20 @@ type slot struct {
 // Sample draws one perturbation retaining the features in preserve.
 // The rng must not be shared across goroutines.
 func (p *Perturber) Sample(rng *rand.Rand, preserve features.Set) Result {
+	// Copy the block: every operand goes into one backing slice, each
+	// instruction's share capped so it cannot grow into its neighbour's.
 	insts := make([]x86.Instruction, p.block.Len())
+	ops := make([]x86.Operand, p.opStart[len(insts)])
 	for i, inst := range p.block.Instructions {
-		insts[i] = inst.Clone()
+		lo, hi := p.opStart[i], p.opStart[i+1]
+		copy(ops[lo:hi], inst.Operands)
+		insts[i] = x86.Instruction{Opcode: inst.Opcode, Operands: ops[lo:hi:hi]}
 	}
 
 	sc := getScratch(len(insts))
 	defer scratchPool.Put(sc)
 	preserveEta := false
 	opcodeLocked := sc.opcodeLocked
-	preservedDeps := sc.preservedDeps
 	for _, f := range preserve {
 		switch f.Kind {
 		case features.KindCount:
@@ -199,7 +237,7 @@ func (p *Perturber) Sample(rng *rand.Rand, preserve features.Set) Result {
 				opcodeLocked[f.Index] = true
 			}
 		case features.KindDep:
-			preservedDeps[f.Key()] = true
+			sc.preservedDeps = append(sc.preservedDeps, depKey{f.Src, f.Dst, f.Hazard})
 			// Γ preserves the opcodes of the instructions at the ends of
 			// every preserved dependency (Section 5.2).
 			if f.Src < len(insts) {
@@ -216,8 +254,7 @@ func (p *Perturber) Sample(rng *rand.Rand, preserve features.Set) Result {
 	// that carry a preserved feature are always locked.
 	lockedSlots := sc.lockedSlots
 	for _, e := range p.graph.Edges {
-		key := features.Feature{Kind: features.KindDep, Src: e.Src, Dst: e.Dst, Hazard: e.Hazard}.Key()
-		if preservedDeps[key] {
+		if slices.Contains(sc.preservedDeps, depKey{e.Src, e.Dst, e.Hazard}) {
 			p.lockEdgeSlots(sc, e, lockedSlots)
 			continue
 		}
@@ -259,8 +296,8 @@ func (p *Perturber) Sample(rng *rand.Rand, preserve features.Set) Result {
 		p.breakEdge(sc, rng, insts, e, lockedSlots)
 	}
 
-	// Assemble the surviving instructions and the index mapping.
-	var out []x86.Instruction
+	// Compact the survivors in place and build the index mapping.
+	out := insts[:0]
 	mapping := make([]int, len(insts))
 	for i := range insts {
 		if deleted[i] {
@@ -277,7 +314,9 @@ func (p *Perturber) Sample(rng *rand.Rand, preserve features.Set) Result {
 // (retaining when none exists, e.g. lea). Under the WholeInstruction scheme
 // it additionally renames the instruction's unlocked register operands.
 func (p *Perturber) replaceOpcode(rng *rand.Rand, insts []x86.Instruction, i int, locked map[slot]bool) {
-	cands := x86.ReplacementCandidates(insts[i])
+	// Vertex perturbation runs before any operand rename, so insts[i] is
+	// still the original instruction and its candidates are precomputed.
+	cands := p.cands[i]
 	if len(cands) > 0 {
 		insts[i].Opcode = cands[rng.Intn(len(cands))]
 	}
@@ -292,7 +331,7 @@ func (p *Perturber) replaceOpcode(rng *rand.Rand, insts []x86.Instruction, i int
 		}
 		old := insts[i].Operands[op].Reg
 		insts[i].Operands[op].Reg = p.randomRegLike(rng, o.Reg)
-		if insts[i].Validate() != nil {
+		if !valid(insts[i]) {
 			insts[i].Operands[op].Reg = old // e.g. shift counts must stay cl
 		}
 	}
@@ -325,15 +364,7 @@ func (p *Perturber) lockEdgeSlots(sc *scratch, e deps.Edge, locked map[slot]bool
 // is appended into sc's slot buffer and is valid until the next
 // carrierSlots call on the same scratch.
 func (p *Perturber) carrierSlots(sc *scratch, e deps.Edge, idx int) []slot {
-	inst := p.block.Instructions[idx]
-	spec, ok := inst.Spec()
-	if !ok {
-		return nil
-	}
-	form := spec.MatchForm(inst.Operands)
-	if form == nil {
-		return nil
-	}
+	inst, form := p.block.Instructions[idx], p.forms[idx]
 	wantWrite := false
 	switch e.Hazard {
 	case deps.RAW:
@@ -372,8 +403,8 @@ func (p *Perturber) carrierSlots(sc *scratch, e deps.Edge, idx int) []slot {
 			}
 		}
 	case deps.LocMem:
-		for i, o := range inst.Operands {
-			if o.Kind == x86.KindMem && o.Mem.LocKey() == e.Loc.Mem {
+		for i, key := range p.memKeys[p.opStart[idx]:p.opStart[idx+1]] {
+			if key == e.Loc.Mem {
 				slots = append(slots, slot{idx, i, partMemWhole})
 			}
 		}
@@ -408,7 +439,7 @@ func (p *Perturber) breakEdge(sc *scratch, rng *rand.Rand, insts []x86.Instructi
 		if anyLocked {
 			continue
 		}
-		if p.renameSlots(rng, insts, slots, e.Loc) {
+		if p.renameSlots(sc, rng, insts, slots, e.Loc) {
 			// Renamed slots must not be re-renamed by later breaks, or a
 			// subsequent rename could recreate a broken dependency.
 			for _, s := range slots {
@@ -422,9 +453,9 @@ func (p *Perturber) breakEdge(sc *scratch, rng *rand.Rand, insts []x86.Instructi
 // renameSlots rewrites all given slots (which belong to one instruction and
 // one location) to a fresh register family or displaced address, keeping
 // the instruction valid. Reports whether the rename was applied.
-func (p *Perturber) renameSlots(rng *rand.Rand, insts []x86.Instruction, slots []slot, loc deps.Loc) bool {
+func (p *Perturber) renameSlots(sc *scratch, rng *rand.Rand, insts []x86.Instruction, slots []slot, loc deps.Loc) bool {
 	idx := slots[0].inst
-	saved := insts[idx].Clone()
+	sc.savedOps = append(sc.savedOps[:0], insts[idx].Operands...)
 
 	switch loc.Kind {
 	case deps.LocReg:
@@ -466,11 +497,18 @@ func (p *Perturber) renameSlots(rng *rand.Rand, insts []x86.Instruction, slots [
 		return false
 	}
 
-	if insts[idx].Validate() != nil {
-		insts[idx] = saved // e.g. renaming a RequireReg operand
+	if !valid(insts[idx]) {
+		copy(insts[idx].Operands, sc.savedOps) // e.g. renaming a RequireReg operand
 		return false
 	}
 	return true
+}
+
+// valid reports whether inst matches a form of its opcode (Validate
+// without building an error).
+func valid(inst x86.Instruction) bool {
+	spec, ok := inst.Spec()
+	return ok && spec.MatchForm(inst.Operands) != nil
 }
 
 // freshFamily picks a register family of the same bank as old that no
@@ -478,21 +516,22 @@ func (p *Perturber) renameSlots(rng *rand.Rand, insts []x86.Instruction, slots [
 // broken and no new one is created. Falls back to any family other than
 // old's when every family is in use. RSP is never chosen.
 func (p *Perturber) freshFamily(rng *rand.Rand, old x86.Reg) x86.RegFamily {
-	var pool []x86.RegFamily
-	if old.IsGP() {
-		pool = x86.GPFamilies()
-	} else if old.IsVec() {
-		pool = x86.VecFamilies()
-	} else {
+	var lo x86.RegFamily
+	switch {
+	case old.IsGP():
+		lo = x86.FamRAX
+	case old.IsVec():
+		lo = x86.FamXMM0
+	default:
 		return x86.FamNone
 	}
-	used := p.used
-	var unused, others []x86.RegFamily
-	for _, f := range pool {
+	var unusedBuf, othersBuf [bankSize]x86.RegFamily
+	unused, others := unusedBuf[:0], othersBuf[:0]
+	for f := lo; f < lo+bankSize; f++ {
 		if f == x86.FamRSP || f == old.Family {
 			continue
 		}
-		if used[f] {
+		if p.used&(1<<f) != 0 {
 			others = append(others, f)
 		} else {
 			unused = append(unused, f)
@@ -507,17 +546,19 @@ func (p *Perturber) freshFamily(rng *rand.Rand, old x86.Reg) x86.RegFamily {
 	return x86.FamNone
 }
 
+// bankSize is the number of families in each register bank (x86.GPFamilies
+// and x86.VecFamilies, in family order).
+const bankSize = 16
+
 // randomRegLike returns a random register with old's bank and width
 // (for the WholeInstruction ablation scheme).
 func (p *Perturber) randomRegLike(rng *rand.Rand, old x86.Reg) x86.Reg {
-	var pool []x86.RegFamily
+	lo := x86.FamXMM0
 	if old.IsGP() {
-		pool = x86.GPFamilies()
-	} else {
-		pool = x86.VecFamilies()
+		lo = x86.FamRAX
 	}
 	for {
-		f := pool[rng.Intn(len(pool))]
+		f := lo + x86.RegFamily(rng.Intn(bankSize))
 		if f != x86.FamRSP {
 			return x86.Reg{Family: f, Size: old.Size}
 		}
@@ -526,29 +567,29 @@ func (p *Perturber) randomRegLike(rng *rand.Rand, old x86.Reg) x86.Reg {
 
 // computeUsedFamilies walks the original block once at New; the result is
 // immutable for the Perturber's lifetime (Sample never mutates the
-// original block, only clones).
-func (p *Perturber) computeUsedFamilies() map[x86.RegFamily]bool {
-	used := make(map[x86.RegFamily]bool)
+// original block, only copies).
+func (p *Perturber) computeUsedFamilies() uint64 {
+	var used uint64
 	for _, inst := range p.block.Instructions {
 		for _, o := range inst.Operands {
 			switch o.Kind {
 			case x86.KindReg:
-				used[o.Reg.Family] = true
+				used |= 1 << o.Reg.Family
 			case x86.KindMem, x86.KindAddr:
 				if !o.Mem.Base.IsZero() {
-					used[o.Mem.Base.Family] = true
+					used |= 1 << o.Mem.Base.Family
 				}
 				if !o.Mem.Index.IsZero() {
-					used[o.Mem.Index.Family] = true
+					used |= 1 << o.Mem.Index.Family
 				}
 			}
 		}
 		if spec, ok := inst.Spec(); ok {
 			for _, f := range spec.ImplicitReads {
-				used[f] = true
+				used |= 1 << f
 			}
 			for _, f := range spec.ImplicitWrites {
-				used[f] = true
+				used |= 1 << f
 			}
 		}
 	}
@@ -564,7 +605,7 @@ func (p *Perturber) computeUsedFamilies() map[x86.RegFamily]bool {
 func (p *Perturber) SpaceSize(preserve features.Set) float64 {
 	preserveEta := false
 	locked := make([]bool, p.block.Len())
-	preservedDeps := make(map[string]bool)
+	var preservedDeps []depKey
 	for _, f := range preserve {
 		switch f.Kind {
 		case features.KindCount:
@@ -572,17 +613,17 @@ func (p *Perturber) SpaceSize(preserve features.Set) float64 {
 		case features.KindInstr:
 			locked[f.Index] = true
 		case features.KindDep:
-			preservedDeps[f.Key()] = true
+			preservedDeps = append(preservedDeps, depKey{f.Src, f.Dst, f.Hazard})
 			locked[f.Src] = true
 			locked[f.Dst] = true
 		}
 	}
 	log10 := 0.0
-	for i, inst := range p.block.Instructions {
+	for i := range p.block.Instructions {
 		if locked[i] {
 			continue
 		}
-		choices := 1 + len(x86.ReplacementCandidates(inst))
+		choices := 1 + len(p.cands[i])
 		if !preserveEta {
 			choices++
 		}
@@ -597,8 +638,7 @@ func (p *Perturber) SpaceSize(preserve features.Set) float64 {
 	defer scratchPool.Put(sc)
 	lockedSlots := make(map[slot]bool)
 	for _, e := range p.graph.Edges {
-		key := features.Feature{Kind: features.KindDep, Src: e.Src, Dst: e.Dst, Hazard: e.Hazard}.Key()
-		if preservedDeps[key] {
+		if slices.Contains(preservedDeps, depKey{e.Src, e.Dst, e.Hazard}) {
 			p.lockEdgeSlots(sc, e, lockedSlots)
 		}
 	}

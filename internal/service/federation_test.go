@@ -160,7 +160,7 @@ func TestQualityTelemetryPerSpec(t *testing.T) {
 		`comet_explanation_coverage_count{spec="uica@hsw"} ` + fmt.Sprint(n),
 		`comet_explanation_queries_count{spec="uica@hsw"} ` + fmt.Sprint(n),
 		`comet_explanation_quality_samples_total{spec="uica@hsw"} ` + fmt.Sprint(n),
-		`comet_explanation_epsilon_violations_total{spec="uica@hsw"} `,
+		`comet_explanation_uncertified_total{spec="uica@hsw"} `,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q", want)

@@ -93,7 +93,7 @@ type job struct {
 	qPrecisionMin float64
 	qCoverageSum  float64
 	qQueries      int64
-	qViolations   int
+	qUncertified  int
 	qCount        int
 }
 
@@ -118,7 +118,7 @@ func (j *job) appendResult(res wire.CorpusResult, worker string) {
 		j.qCoverageSum += e.Coverage
 		j.qQueries += int64(e.Queries)
 		if !e.Certified {
-			j.qViolations++
+			j.qUncertified++
 		}
 		j.qCount++
 	}
@@ -435,7 +435,7 @@ func (m *jobManager) run(j *job) {
 	defer func() {
 		j.mu.Lock()
 		state, done, failed := j.state, j.done, j.failed
-		qCount, qViolations, qQueries := j.qCount, j.qViolations, j.qQueries
+		qCount, qUncertified, qQueries := j.qCount, j.qUncertified, j.qQueries
 		qPrecSum, qPrecMin, qCovSum := j.qPrecisionSum, j.qPrecisionMin, j.qCoverageSum
 		j.mu.Unlock()
 		span.Set("state", state)
@@ -461,7 +461,7 @@ func (m *jobManager) run(j *job) {
 					slog.Float64("precision_min", qPrecMin),
 					slog.Float64("coverage_mean", qCovSum/float64(qCount)),
 					slog.Int64("queries_total", qQueries),
-					slog.Int("epsilon_violations", qViolations))
+					slog.Int("uncertified", qUncertified))
 			}
 			m.log.LogAttrs(context.Background(), slog.LevelInfo, "job finished", attrs...)
 		}

@@ -135,11 +135,11 @@ type qualityStats struct {
 	precision histogram // achieved Prec(F), fraction
 	coverage  histogram // achieved Cov(F), fraction of the coverage pool
 	queries   histogram // perturbations (cost-model queries) per explanation
-	// violations counts explanations whose KL lower bound failed to clear
-	// the 1−δ precision threshold (Certified == false); the ε-violation
-	// rate is violations / count.
-	violations atomic.Uint64
-	count      atomic.Uint64
+	// uncertified counts explanations whose KL lower bound failed to
+	// clear the 1−δ precision threshold (Certified == false); the
+	// uncertified rate is uncertified / count.
+	uncertified atomic.Uint64
+	count       atomic.Uint64
 }
 
 // Fraction buckets for precision/coverage in [0, 1]; the top buckets are
@@ -167,7 +167,7 @@ func (m *metrics) observeQuality(spec string, precision, coverage float64, queri
 	q.queries.observe(float64(queries))
 	q.count.Add(1)
 	if !certified {
-		q.violations.Add(1)
+		q.uncertified.Add(1)
 	}
 }
 
@@ -201,10 +201,10 @@ func (m *metrics) renderQuality(sb *strings.Builder) {
 	for _, spec := range specs {
 		stats(spec).queries.render(sb, "comet_explanation_queries", fmt.Sprintf("spec=%q", spec))
 	}
-	sb.WriteString("# HELP comet_explanation_epsilon_violations_total Computed explanations whose precision bound failed certification (Certified=false), by model spec.\n")
-	sb.WriteString("# TYPE comet_explanation_epsilon_violations_total counter\n")
+	sb.WriteString("# HELP comet_explanation_uncertified_total Computed explanations whose precision bound failed certification (Certified=false), by model spec.\n")
+	sb.WriteString("# TYPE comet_explanation_uncertified_total counter\n")
 	for _, spec := range specs {
-		fmt.Fprintf(sb, "comet_explanation_epsilon_violations_total{spec=%q} %d\n", spec, stats(spec).violations.Load())
+		fmt.Fprintf(sb, "comet_explanation_uncertified_total{spec=%q} %d\n", spec, stats(spec).uncertified.Load())
 	}
 	sb.WriteString("# HELP comet_explanation_quality_samples_total Computed explanations feeding the quality histograms, by model spec.\n")
 	sb.WriteString("# TYPE comet_explanation_quality_samples_total counter\n")

@@ -232,18 +232,18 @@ func TestMetricsExpositionWellFormed(t *testing.T) {
 
 	// The families this PR's satellites promise must actually be there.
 	for family, typ := range map[string]string{
-		"comet_requests_total":                       "counter",
-		"comet_request_seconds":                      "histogram",
-		"comet_explanation_seconds":                  "histogram",
-		"comet_explanation_precision":                "histogram",
-		"comet_explanation_coverage":                 "histogram",
-		"comet_explanation_queries":                  "histogram",
-		"comet_explanation_epsilon_violations_total": "counter",
-		"comet_explanation_quality_samples_total":    "counter",
-		"comet_build_info":                           "gauge",
-		"comet_goroutines":                           "gauge",
-		"comet_heap_bytes":                           "gauge",
-		"comet_gc_pause_seconds_total":               "gauge",
+		"comet_requests_total":                    "counter",
+		"comet_request_seconds":                   "histogram",
+		"comet_explanation_seconds":               "histogram",
+		"comet_explanation_precision":             "histogram",
+		"comet_explanation_coverage":              "histogram",
+		"comet_explanation_queries":               "histogram",
+		"comet_explanation_uncertified_total":     "counter",
+		"comet_explanation_quality_samples_total": "counter",
+		"comet_build_info":                        "gauge",
+		"comet_goroutines":                        "gauge",
+		"comet_heap_bytes":                        "gauge",
+		"comet_gc_pause_seconds_total":            "gauge",
 	} {
 		if types[family] != typ {
 			t.Errorf("family %s: declared type %q, want %q", family, types[family], typ)

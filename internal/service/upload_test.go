@@ -161,6 +161,9 @@ func TestCorpusUploadMatchesJSONCorpus(t *testing.T) {
 	if len(jsonResults) != len(upResults) {
 		t.Fatalf("result counts differ: json %d, upload %d", len(jsonResults), len(upResults))
 	}
+	// Jobs report results in completion order; each carries its block
+	// index for reassembly in input order.
+	jsonResults, upResults = byIndex(t, jsonResults), byIndex(t, upResults)
 	for i := range jsonResults {
 		a, b := jsonResults[i], upResults[i]
 		if a.Explanation == nil || b.Explanation == nil {
@@ -175,6 +178,22 @@ func TestCorpusUploadMatchesJSONCorpus(t *testing.T) {
 			t.Errorf("block %d explanations differ:\n json %s\nupload %s", i, aj, bj)
 		}
 	}
+}
+
+// byIndex reassembles a job's results in input order, failing unless
+// every block index appears exactly once.
+func byIndex(t *testing.T, results []wire.CorpusResult) []wire.CorpusResult {
+	t.Helper()
+	out := make([]wire.CorpusResult, len(results))
+	seen := make([]bool, len(results))
+	for _, r := range results {
+		if r.Index < 0 || r.Index >= len(out) || seen[r.Index] {
+			t.Fatalf("result index %d out of range or repeated (%d results)", r.Index, len(results))
+		}
+		seen[r.Index] = true
+		out[r.Index] = r
+	}
+	return out
 }
 
 // TestCorpusUploadTooLarge: bodies over MaxUploadBytes are refused with

@@ -1,9 +1,6 @@
 package x86
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Instruction is one decoded assembly instruction.
 type Instruction struct {
@@ -13,14 +10,22 @@ type Instruction struct {
 
 // String renders the instruction in Intel syntax.
 func (inst Instruction) String() string {
-	if len(inst.Operands) == 0 {
-		return inst.Opcode
-	}
-	parts := make([]string, len(inst.Operands))
+	var buf [128]byte
+	return string(inst.AppendText(buf[:0]))
+}
+
+// AppendText appends String's text ("add rcx, rax") to dst.
+func (inst Instruction) AppendText(dst []byte) []byte {
+	dst = append(dst, inst.Opcode...)
 	for i, o := range inst.Operands {
-		parts[i] = o.String()
+		if i == 0 {
+			dst = append(dst, ' ')
+		} else {
+			dst = append(dst, ", "...)
+		}
+		dst = o.AppendText(dst)
 	}
-	return inst.Opcode + " " + strings.Join(parts, ", ")
+	return dst
 }
 
 // Spec returns the instruction's opcode specification.
@@ -69,14 +74,19 @@ func (b *BasicBlock) Len() int { return len(b.Instructions) }
 
 // String renders the block, one instruction per line.
 func (b *BasicBlock) String() string {
-	var sb strings.Builder
+	var buf [512]byte
+	return string(b.AppendText(buf[:0]))
+}
+
+// AppendText appends String's text to dst.
+func (b *BasicBlock) AppendText(dst []byte) []byte {
 	for i, inst := range b.Instructions {
 		if i > 0 {
-			sb.WriteByte('\n')
+			dst = append(dst, '\n')
 		}
-		sb.WriteString(inst.String())
+		dst = inst.AppendText(dst)
 	}
-	return sb.String()
+	return dst
 }
 
 // Validate checks every instruction in the block.

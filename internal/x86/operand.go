@@ -2,7 +2,7 @@ package x86
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 )
 
 // OperandKind classifies an instruction operand.
@@ -50,41 +50,63 @@ type MemRef struct {
 // exactly when their keys are equal (syntactic aliasing, as in the paper's
 // multigraph construction).
 func (m MemRef) LocKey() string {
-	var b strings.Builder
-	b.WriteByte('[')
+	var buf [48]byte
+	dst := append(buf[:0], '[')
 	if !m.Base.IsZero() {
-		b.WriteString(FamilyName(m.Base.Family))
+		dst = append(dst, FamilyName(m.Base.Family)...)
 	}
 	if !m.Index.IsZero() {
-		fmt.Fprintf(&b, "+%s*%d", FamilyName(m.Index.Family), m.Scale)
+		dst = append(dst, '+')
+		dst = append(dst, FamilyName(m.Index.Family)...)
+		dst = append(dst, '*')
+		dst = strconv.AppendInt(dst, int64(m.Scale), 10)
 	}
-	fmt.Fprintf(&b, "%+d]", m.Disp)
-	return b.String()
+	if m.Disp >= 0 {
+		dst = append(dst, '+')
+	}
+	dst = strconv.AppendInt(dst, m.Disp, 10)
+	return string(append(dst, ']'))
 }
 
 // String renders the bracketed addressing expression in Intel syntax.
 func (m MemRef) String() string {
-	var parts []string
+	var buf [48]byte
+	return string(m.AppendText(buf[:0]))
+}
+
+// AppendText appends String's text ("[rbp + rax*4 - 8]") to dst.
+func (m MemRef) AppendText(dst []byte) []byte {
+	dst = append(dst, '[')
+	empty := true
 	if !m.Base.IsZero() {
-		parts = append(parts, m.Base.String())
+		dst = append(dst, m.Base.String()...)
+		empty = false
 	}
 	if !m.Index.IsZero() {
-		if m.Scale > 1 {
-			parts = append(parts, fmt.Sprintf("%s*%d", m.Index, m.Scale))
-		} else {
-			parts = append(parts, m.Index.String())
+		if !empty {
+			dst = append(dst, " + "...)
 		}
+		dst = append(dst, m.Index.String()...)
+		if m.Scale > 1 {
+			dst = append(dst, '*')
+			dst = strconv.AppendInt(dst, int64(m.Scale), 10)
+		}
+		empty = false
 	}
-	expr := strings.Join(parts, " + ")
 	switch {
 	case m.Disp < 0:
-		expr = fmt.Sprintf("%s - %d", expr, -m.Disp)
-	case m.Disp > 0 && expr != "":
-		expr = fmt.Sprintf("%s + %d", expr, m.Disp)
-	case expr == "":
-		expr = fmt.Sprintf("%d", m.Disp)
+		// -m.Disp wraps for math.MinInt64, which renders as
+		// " - -9223372036854775808"; the parser reads that back as the
+		// same displacement.
+		dst = append(dst, " - "...)
+		dst = strconv.AppendInt(dst, -m.Disp, 10)
+	case m.Disp > 0 && !empty:
+		dst = append(dst, " + "...)
+		dst = strconv.AppendInt(dst, m.Disp, 10)
+	case empty:
+		dst = strconv.AppendInt(dst, m.Disp, 10)
 	}
-	return "[" + expr + "]"
+	return append(dst, ']')
 }
 
 // Regs returns the register families the address expression reads.
@@ -146,21 +168,31 @@ var qualifierSize = map[string]int{
 
 // String renders the operand in Intel syntax.
 func (o Operand) String() string {
+	var buf [64]byte
+	return string(o.AppendText(buf[:0]))
+}
+
+// AppendText appends String's text to dst.
+func (o Operand) AppendText(dst []byte) []byte {
 	switch o.Kind {
 	case KindReg:
-		return o.Reg.String()
+		return append(dst, o.Reg.String()...)
 	case KindImm:
-		return fmt.Sprintf("%d", o.Imm)
+		return strconv.AppendInt(dst, o.Imm, 10)
 	case KindMem:
-		q, ok := sizeQualifier[o.Size]
-		if !ok {
-			q = fmt.Sprintf("size%d ptr", o.Size)
+		if q, ok := sizeQualifier[o.Size]; ok {
+			dst = append(dst, q...)
+		} else {
+			dst = append(dst, "size"...)
+			dst = strconv.AppendInt(dst, int64(o.Size), 10)
+			dst = append(dst, " ptr"...)
 		}
-		return q + " " + o.Mem.String()
+		dst = append(dst, ' ')
+		return o.Mem.AppendText(dst)
 	case KindAddr:
-		return o.Mem.String()
+		return o.Mem.AppendText(dst)
 	}
-	return "<bad operand>"
+	return append(dst, "<bad operand>"...)
 }
 
 // Equal reports structural equality of two operands.

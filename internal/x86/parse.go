@@ -215,6 +215,11 @@ func parseMemRef(s string) (MemRef, error) {
 		}
 		m.Disp += v
 	}
+	if m.Base.IsZero() && m.Scale == 1 {
+		// "[rcx*1]" renders as "[rcx]"; parse both to the same operand so
+		// a block and its canonical text never differ.
+		m.Base, m.Index, m.Scale = m.Index, Reg{}, 0
+	}
 	return m, nil
 }
 

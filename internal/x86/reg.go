@@ -89,7 +89,7 @@ func (r Reg) IsGP() bool { return r.Family >= FamRAX && r.Family <= FamR15 }
 // IsVec reports whether r is an SSE/AVX vector register.
 func (r Reg) IsVec() bool { return r.Family >= FamXMM0 && r.Family <= FamXMM15 }
 
-var gpNames = map[RegFamily][4]string{
+var gpNames = [FamR15 + 1][4]string{
 	// order: 64, 32, 16, 8-bit names
 	FamRAX: {"rax", "eax", "ax", "al"},
 	FamRBX: {"rbx", "ebx", "bx", "bl"},
@@ -141,29 +141,39 @@ func (r Reg) String() string {
 		n := int(r.Family - FamXMM0)
 		switch r.Size {
 		case Size128:
-			return fmt.Sprintf("xmm%d", n)
+			return xmmNames[n]
 		case Size256:
-			return fmt.Sprintf("ymm%d", n)
+			return ymmNames[n]
 		}
 		return fmt.Sprintf("<bad vec size %d>", r.Size)
 	}
 	return fmt.Sprintf("<bad reg %d/%d>", r.Family, r.Size)
 }
 
+// xmmNames and ymmNames are the vector register names by family offset.
+var xmmNames, ymmNames = vecNames("xmm"), vecNames("ymm")
+
+func vecNames(prefix string) (names [16]string) {
+	for i := range names {
+		names[i] = fmt.Sprintf("%s%d", prefix, i)
+	}
+	return names
+}
+
 var regByName = buildRegByName()
 
 func buildRegByName() map[string]Reg {
 	m := make(map[string]Reg)
-	for fam, names := range gpNames {
-		for i, name := range names {
+	for fam := FamRAX; fam <= FamR15; fam++ {
+		for i, name := range gpNames[fam] {
 			size := []int{Size64, Size32, Size16, Size8}[i]
 			m[name] = Reg{Family: fam, Size: size}
 		}
 	}
 	for i := 0; i < 16; i++ {
 		fam := FamXMM0 + RegFamily(i)
-		m[fmt.Sprintf("xmm%d", i)] = Reg{Family: fam, Size: Size128}
-		m[fmt.Sprintf("ymm%d", i)] = Reg{Family: fam, Size: Size256}
+		m[xmmNames[i]] = Reg{Family: fam, Size: Size128}
+		m[ymmNames[i]] = Reg{Family: fam, Size: Size256}
 	}
 	return m
 }
@@ -205,7 +215,7 @@ func FamilyName(f RegFamily) string {
 	case f >= FamRAX && f <= FamR15:
 		return gpNames[f][0]
 	case f >= FamXMM0 && f <= FamXMM15:
-		return fmt.Sprintf("xmm%d", int(f-FamXMM0))
+		return xmmNames[f-FamXMM0]
 	}
 	return fmt.Sprintf("<fam %d>", int(f))
 }
