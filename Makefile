@@ -100,8 +100,8 @@ bench-baseline:
 	$(GO) run ./cmd/comet-bench -wire -json-out BENCH_baseline.json
 
 # Brief native fuzzing of the frame scanner, the binary decoder, the JSON
-# wire types, the x86 machine-code decoder and the Intel-syntax text
-# parser, starting from the committed corpus in internal/wire/testdata/fuzz. One -fuzz pattern per invocation: go test
+# wire types, the x86 machine-code decoder, the Intel-syntax text parser
+# and the model-spec grammar, starting from the committed corpus in internal/wire/testdata/fuzz. One -fuzz pattern per invocation: go test
 # rejects multiple fuzz targets in a single fuzzing run.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeBinary$$' -fuzztime=30s ./internal/wire
@@ -109,6 +109,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzWireJSON$$' -fuzztime=30s ./internal/wire
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeX86$$' -fuzztime=30s ./internal/x86/decode
 	$(GO) test -run='^$$' -fuzz='^FuzzParseX86Text$$' -fuzztime=30s ./internal/x86
+	$(GO) test -run='^$$' -fuzz='^FuzzParseModelSpec$$' -fuzztime=30s .
 
 lint: fmt-check vet staticcheck
 

@@ -16,7 +16,6 @@ package obs
 import (
 	"encoding/json"
 	"io"
-	"sync"
 	"time"
 )
 
@@ -78,11 +77,7 @@ type FlightRecord struct {
 // FlightRecorder is the bounded ring. The zero size is sized up to a
 // minimum; a nil recorder records nothing (so wiring is optional).
 type FlightRecorder struct {
-	mu   sync.Mutex
-	buf  []FlightRecord
-	next int
-	full bool
-	seq  uint64 // total records ever written (dump metadata)
+	ring[FlightRecord]
 }
 
 // NewFlightRecorder builds a recorder holding size records (minimum 64).
@@ -90,7 +85,7 @@ func NewFlightRecorder(size int) *FlightRecorder {
 	if size < 64 {
 		size = 64
 	}
-	return &FlightRecorder{buf: make([]FlightRecord, size)}
+	return &FlightRecorder{newRing[FlightRecord](size)}
 }
 
 // Record appends one record, overwriting the oldest when full. It is a
@@ -103,14 +98,7 @@ func (f *FlightRecorder) Record(rec FlightRecord) {
 	if rec.When == 0 {
 		rec.When = time.Now().UnixNano()
 	}
-	f.mu.Lock()
-	f.buf[f.next] = rec
-	f.next++
-	f.seq++
-	if f.next == len(f.buf) {
-		f.next, f.full = 0, true
-	}
-	f.mu.Unlock()
+	f.add(rec)
 }
 
 // Snapshot returns the ring contents oldest-first, plus the total number
@@ -120,14 +108,7 @@ func (f *FlightRecorder) Snapshot() ([]FlightRecord, uint64) {
 	if f == nil {
 		return nil, 0
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if !f.full {
-		return append([]FlightRecord(nil), f.buf[:f.next]...), f.seq
-	}
-	out := make([]FlightRecord, 0, len(f.buf))
-	out = append(out, f.buf[f.next:]...)
-	return append(out, f.buf[:f.next]...), f.seq
+	return f.snapshot()
 }
 
 // flightJSON is the dump form of one record; expensive encodings (hex

@@ -18,6 +18,7 @@ package obs
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -210,11 +211,7 @@ type OutlierTrace struct {
 // OutlierRing is the bounded buffer of committed outlier traces, one per
 // slow/5xx request, newest overwriting oldest.
 type OutlierRing struct {
-	mu   sync.Mutex
-	buf  []OutlierTrace
-	next int
-	full bool
-	seq  uint64 // total outliers ever committed
+	ring[OutlierTrace]
 }
 
 // NewOutlierRing builds a ring holding size outlier traces (minimum 16).
@@ -222,7 +219,7 @@ func NewOutlierRing(size int) *OutlierRing {
 	if size < 16 {
 		size = 16
 	}
-	return &OutlierRing{buf: make([]OutlierTrace, size)}
+	return &OutlierRing{newRing[OutlierTrace](size)}
 }
 
 // Add commits one outlier trace.
@@ -230,14 +227,7 @@ func (r *OutlierRing) Add(t OutlierTrace) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
-	r.buf[r.next] = t
-	r.next++
-	r.seq++
-	if r.next == len(r.buf) {
-		r.next, r.full = 0, true
-	}
-	r.mu.Unlock()
+	r.add(t)
 }
 
 // Snapshot returns the retained outliers newest-first, plus the total
@@ -246,26 +236,7 @@ func (r *OutlierRing) Snapshot() ([]OutlierTrace, uint64) {
 	if r == nil {
 		return nil, 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := r.next
-	if r.full {
-		n = len(r.buf)
-	}
-	out := make([]OutlierTrace, 0, n)
-	for i := 1; i <= n; i++ { // walk backwards from the write cursor
-		out = append(out, r.buf[(r.next-i+len(r.buf))%len(r.buf)])
-	}
-	return out, r.seq
-}
-
-// Written reports the total outliers ever committed — the counter behind
-// the history's outlier-rate series.
-func (r *OutlierRing) Written() uint64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.seq
+	out, written := r.snapshot()
+	slices.Reverse(out)
+	return out, written
 }

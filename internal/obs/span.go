@@ -28,7 +28,7 @@ func NewTracer(ringSize int, sampleN uint64) *Tracer {
 	if ringSize < 64 {
 		ringSize = 64
 	}
-	return &Tracer{ring: newRing(ringSize), sampleN: sampleN}
+	return &Tracer{ring: &Ring{newRing[SpanRecord](ringSize)}, sampleN: sampleN}
 }
 
 // Enabled reports whether the tracer records anything at all.
@@ -160,7 +160,7 @@ type Span struct {
 	mu    sync.Mutex
 	attrs []attr
 	ended bool
-	end   time.Time // buffered spans: set by End, read at commit
+	end   time.Time // set by End
 }
 
 type attr struct{ key, value string }
@@ -223,43 +223,20 @@ func (s *Span) End() {
 	if s == nil || s.expired() {
 		return
 	}
-	end := time.Now()
-	if s.buf != nil {
-		s.mu.Lock()
-		if !s.ended {
-			s.ended = true
-			s.end = end
-		}
-		s.mu.Unlock()
-		return
-	}
 	s.mu.Lock()
-	if s.ended {
-		s.mu.Unlock()
-		return
-	}
-	s.ended = true
-	var attrs map[string]string
-	if len(s.attrs) > 0 {
-		attrs = make(map[string]string, len(s.attrs))
-		for _, a := range s.attrs {
-			attrs[a.key] = a.value
-		}
+	first := !s.ended
+	if first {
+		s.ended, s.end = true, time.Now()
 	}
 	s.mu.Unlock()
-	s.tracer.ring.add(SpanRecord{
-		TraceID:    s.trace.String(),
-		SpanID:     s.id.String(),
-		ParentID:   parentString(s.parent),
-		Name:       s.name,
-		Start:      s.start,
-		DurationUS: end.Sub(s.start).Microseconds(),
-		Attrs:      attrs,
-	})
+	if first && s.buf == nil {
+		s.tracer.ring.add(s.record(s.end))
+	}
 }
 
-// record converts a buffered span to its SpanRecord at commit time. A
-// span still open is reported with its duration up to now.
+// record converts a span to its SpanRecord: at End for a ring span, at
+// commit time for a buffered one. A span still open is reported with its
+// duration up to now.
 func (s *Span) record(now time.Time) SpanRecord {
 	s.mu.Lock()
 	end := s.end
@@ -320,48 +297,22 @@ type TraceSummary struct {
 // Ring is a bounded buffer of finished spans. Old spans are overwritten;
 // a trace that outlives the ring simply loses its oldest spans.
 type Ring struct {
-	mu   sync.Mutex
-	buf  []SpanRecord
-	next int // write cursor
-	full bool
+	ring[SpanRecord]
 }
 
-func newRing(size int) *Ring {
-	return &Ring{buf: make([]SpanRecord, size)}
-}
-
-func (r *Ring) add(rec SpanRecord) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.buf[r.next] = rec
-	r.next++
-	if r.next == len(r.buf) {
-		r.next, r.full = 0, true
-	}
-	r.mu.Unlock()
-}
-
-// snapshot returns the ring contents oldest-first.
-func (r *Ring) snapshot() []SpanRecord {
+// spans returns the ring contents oldest-first.
+func (r *Ring) spans() []SpanRecord {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.full {
-		return append([]SpanRecord(nil), r.buf[:r.next]...)
-	}
-	out := make([]SpanRecord, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	return append(out, r.buf[:r.next]...)
+	out, _ := r.snapshot()
+	return out
 }
 
 // Traces lists the traces currently in the ring, most recent first,
 // capped at limit (0 means no cap).
 func (r *Ring) Traces(limit int) []TraceSummary {
-	spans := r.snapshot()
+	spans := r.spans()
 	byTrace := make(map[string]*TraceSummary)
 	lastEnd := make(map[string]time.Time)
 	var order []string // trace IDs by first (oldest) appearance
@@ -397,7 +348,7 @@ func (r *Ring) Traces(limit int) []TraceSummary {
 // first, with ties broken by span ID for deterministic output.
 func (r *Ring) Trace(id string) []SpanRecord {
 	var out []SpanRecord
-	for _, sp := range r.snapshot() {
+	for _, sp := range r.spans() {
 		if sp.TraceID == id {
 			out = append(out, sp)
 		}

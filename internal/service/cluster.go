@@ -12,8 +12,10 @@ package service
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"sort"
+	"strings"
 	"time"
 
 	"github.com/comet-explain/comet/internal/cluster"
@@ -203,38 +205,25 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.coordinator.Status())
 }
 
-// clusterGauges renders the comet_cluster_* metrics (coordinator mode
-// only).
-func (s *Server) clusterGauges() []gauge {
-	if s.coordinator == nil {
-		return nil
-	}
-	st := s.coordinator.Status()
+// renderClusterWorkers writes comet_cluster_workers: the pool's workers
+// counted by state (coordinator mode only).
+func renderClusterWorkers(sb *strings.Builder, workers []wire.ClusterWorker) {
 	byState := map[string]int{}
-	for _, w := range st.Workers {
+	for _, w := range workers {
 		byState[w.State]++
 	}
-	out := []gauge{
-		{name: "comet_cluster_leases_dispatched_total", value: float64(st.LeasesDispatched)},
-		{name: "comet_cluster_leases_released_total", value: float64(st.LeasesReleased)},
-		{name: "comet_cluster_straggler_dispatches_total", value: float64(st.StragglerDispatches)},
-		{name: "comet_cluster_worker_deaths_total", value: float64(st.WorkerDeaths)},
-		{name: "comet_cluster_blocks_done_total", value: float64(st.BlocksDone)},
-		{name: "comet_cluster_shard_errors_total", value: float64(st.ShardErrors)},
+	if len(byState) == 0 {
+		return
 	}
 	states := make([]string, 0, len(byState))
 	for state := range byState {
 		states = append(states, state)
 	}
 	sort.Strings(states)
+	writeFamily(sb, "comet_cluster_workers")
 	for _, state := range states {
-		out = append(out, gauge{
-			name:   "comet_cluster_workers",
-			labels: `state="` + state + `"`,
-			value:  float64(byState[state]),
-		})
+		fmt.Fprintf(sb, "comet_cluster_workers{state=%q} %d\n", state, byState[state])
 	}
-	return out
 }
 
 // runCluster executes a corpus job through the cluster scheduler,

@@ -25,7 +25,6 @@ package service
 
 import (
 	"net/http"
-	"runtime"
 	"time"
 
 	"github.com/comet-explain/comet/internal/obs"
@@ -35,7 +34,8 @@ import (
 // the mux (and therefore every route's stats slot) is built.
 func (s *Server) registerHistory() {
 	h := s.history
-	for _, rs := range s.metrics.routeList() {
+	routes := s.metrics.routeList()
+	for _, rs := range routes {
 		rs := rs
 		prefix := "route." + rs.name
 		h.Rate(prefix+".rps", func() float64 { return float64(rs.latency.count.Load()) })
@@ -64,19 +64,33 @@ func (s *Server) registerHistory() {
 		func() uint64 { return s.metrics.resultStoreHits.Load() },
 		func() uint64 { return explainRoute.latency.count.Load() },
 	))
-	h.Gauge("queue.explain_waiting", func() float64 { return float64(s.explainWaiting.Load()) })
-	h.Gauge("queue.explain_inflight", func() float64 { return float64(len(s.explainSlots)) })
-	h.Gauge("queue.jobs", func() float64 { return float64(s.jobs.queued.Load()) })
-	h.Gauge("jobs.running", func() float64 { return float64(s.jobs.running.Load()) })
-	h.Gauge("runtime.goroutines", func() float64 { return float64(runtime.NumGoroutine()) })
-	h.Gauge("runtime.heap_bytes", func() float64 {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return float64(ms.HeapAlloc)
+	for i := range metricTable {
+		d := &metricTable[i]
+		if d.history == "" {
+			continue
+		}
+		// One scrape per series, reused: the sampler goroutine is its
+		// only caller.
+		sc := &scrape{Server: s}
+		read := func() float64 {
+			sc.memRead = false
+			v, _ := d.read(sc)
+			return v
+		}
+		if d.kind == kindCounter {
+			h.Rate(d.history, read)
+		} else {
+			h.Gauge(d.history, read)
+		}
+	}
+	// Every outlier commit ticks its route's slow counter.
+	h.Rate("outliers.rps", func() float64 {
+		var n uint64
+		for _, rs := range routes {
+			n += rs.slow.Load()
+		}
+		return float64(n)
 	})
-	h.Rate("explain.computed_rps", func() float64 { return float64(s.metrics.explanations.Load()) })
-	h.Rate("explain.coalesced_rps", func() float64 { return float64(s.metrics.coalesced.Load()) })
-	h.Rate("outliers.rps", func() float64 { return float64(s.outliers.Written()) })
 
 	// Per-spec quality series appear as specs do: the hook re-offers every
 	// known spec each tick, and registration is idempotent (first wins).

@@ -658,12 +658,3 @@ func (m *jobManager) shutdown(ctx context.Context) error {
 		return ctx.Err()
 	}
 }
-
-// gauges reports queue and job-state metrics.
-func (m *jobManager) gauges() []gauge {
-	return []gauge{
-		{name: "comet_job_queue_depth", value: float64(m.queued.Load())},
-		{name: "comet_jobs_running", value: float64(m.running.Load())},
-		{name: "comet_jobs_finished", value: float64(m.history.len())},
-	}
-}

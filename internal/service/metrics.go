@@ -13,9 +13,8 @@ import (
 // (route, status), per-route latency histograms, per-spec explanation
 // latency histograms, and service-level counters (coalesced requests,
 // result-store hits). Everything renders in the Prometheus text
-// exposition format on GET /metrics; gauges sourced from live structures
-// (queue depth, cache stats, job states, runtime) are appended by the
-// server at render time.
+// exposition format on GET /metrics, with HELP and TYPE from metricTable,
+// which also declares every unlabelled family and its reader.
 //
 // The request hot path is allocation- and lock-free: routes are
 // registered once at mux wiring time, each holding a fixed array of
@@ -186,51 +185,37 @@ func (m *metrics) renderQuality(sb *strings.Builder) {
 		v, _ := m.specQuality.Load(spec)
 		return v.(*qualityStats)
 	}
-	sb.WriteString("# HELP comet_explanation_precision Achieved precision Prec(F) of computed explanations, by model spec.\n")
-	sb.WriteString("# TYPE comet_explanation_precision histogram\n")
+	writeFamily(sb, "comet_explanation_precision")
 	for _, spec := range specs {
 		stats(spec).precision.render(sb, "comet_explanation_precision", fmt.Sprintf("spec=%q", spec))
 	}
-	sb.WriteString("# HELP comet_explanation_coverage Achieved coverage Cov(F) of computed explanations (fraction of the coverage pool), by model spec.\n")
-	sb.WriteString("# TYPE comet_explanation_coverage histogram\n")
+	writeFamily(sb, "comet_explanation_coverage")
 	for _, spec := range specs {
 		stats(spec).coverage.render(sb, "comet_explanation_coverage", fmt.Sprintf("spec=%q", spec))
 	}
-	sb.WriteString("# HELP comet_explanation_queries Cost-model queries (perturbations) issued per computed explanation, by model spec.\n")
-	sb.WriteString("# TYPE comet_explanation_queries histogram\n")
+	writeFamily(sb, "comet_explanation_queries")
 	for _, spec := range specs {
 		stats(spec).queries.render(sb, "comet_explanation_queries", fmt.Sprintf("spec=%q", spec))
 	}
-	sb.WriteString("# HELP comet_explanation_uncertified_total Computed explanations whose precision bound failed certification (Certified=false), by model spec.\n")
-	sb.WriteString("# TYPE comet_explanation_uncertified_total counter\n")
+	writeFamily(sb, "comet_explanation_uncertified_total")
 	for _, spec := range specs {
 		fmt.Fprintf(sb, "comet_explanation_uncertified_total{spec=%q} %d\n", spec, stats(spec).uncertified.Load())
 	}
-	sb.WriteString("# HELP comet_explanation_quality_samples_total Computed explanations feeding the quality histograms, by model spec.\n")
-	sb.WriteString("# TYPE comet_explanation_quality_samples_total counter\n")
+	writeFamily(sb, "comet_explanation_quality_samples_total")
 	for _, spec := range specs {
 		fmt.Fprintf(sb, "comet_explanation_quality_samples_total{spec=%q} %d\n", spec, stats(spec).count.Load())
 	}
 }
 
-// gauge is one extra sample appended by the server at render time.
-type gauge struct {
-	name   string
-	labels string // rendered label set, "" or `model="uica",arch="hsw"`
-	value  float64
-}
-
-// render writes the exposition text. Extra gauges come from the server
-// (queue depth, prediction-cache stats, job states, store sizes,
-// runtime).
-func (m *metrics) render(sb *strings.Builder, extra []gauge) {
+// render writes the labelled request and per-spec families; the
+// unlabelled ones come from metricTable.
+func (m *metrics) render(sb *strings.Builder) {
 	m.mu.Lock()
 	routes := append([]*routeStats(nil), m.routes...)
 	m.mu.Unlock()
 	sort.Slice(routes, func(i, j int) bool { return routes[i].name < routes[j].name })
 
-	sb.WriteString("# HELP comet_requests_total HTTP requests served, by route and status code.\n")
-	sb.WriteString("# TYPE comet_requests_total counter\n")
+	writeFamily(sb, "comet_requests_total")
 	for _, rs := range routes {
 		for i := range rs.codes {
 			if n := rs.codes[i].Load(); n > 0 {
@@ -239,16 +224,14 @@ func (m *metrics) render(sb *strings.Builder, extra []gauge) {
 		}
 	}
 
-	sb.WriteString("# HELP comet_slow_requests_total Requests committed to the outlier trace ring (latency over the slow threshold, or status >= 500), by route.\n")
-	sb.WriteString("# TYPE comet_slow_requests_total counter\n")
+	writeFamily(sb, "comet_slow_requests_total")
 	for _, rs := range routes {
 		if n := rs.slow.Load(); n > 0 {
 			fmt.Fprintf(sb, "comet_slow_requests_total{route=%q} %d\n", rs.name, n)
 		}
 	}
 
-	sb.WriteString("# HELP comet_request_seconds Request latency, by route.\n")
-	sb.WriteString("# TYPE comet_request_seconds histogram\n")
+	writeFamily(sb, "comet_request_seconds")
 	for _, rs := range routes {
 		if rs.latency.count.Load() > 0 {
 			rs.latency.render(sb, "comet_request_seconds", fmt.Sprintf("route=%q", rs.name))
@@ -262,8 +245,7 @@ func (m *metrics) render(sb *strings.Builder, extra []gauge) {
 	})
 	if len(specs) > 0 {
 		sort.Strings(specs)
-		sb.WriteString("# HELP comet_explanation_seconds Computed-explanation wall time, by model spec (cache hits excluded).\n")
-		sb.WriteString("# TYPE comet_explanation_seconds histogram\n")
+		writeFamily(sb, "comet_explanation_seconds")
 		for _, spec := range specs {
 			v, _ := m.specLatency.Load(spec)
 			v.(*histogram).render(sb, "comet_explanation_seconds", fmt.Sprintf("spec=%q", spec))
@@ -271,81 +253,6 @@ func (m *metrics) render(sb *strings.Builder, extra []gauge) {
 	}
 
 	m.renderQuality(sb)
-
-	fmt.Fprintf(sb, "# HELP comet_explain_coalesced_total Explain requests coalesced onto an identical in-flight computation.\n")
-	fmt.Fprintf(sb, "# TYPE comet_explain_coalesced_total counter\n")
-	fmt.Fprintf(sb, "comet_explain_coalesced_total %d\n", m.coalesced.Load())
-	fmt.Fprintf(sb, "# HELP comet_result_store_hits_total Explain requests served from the explanation result store.\n")
-	fmt.Fprintf(sb, "# TYPE comet_result_store_hits_total counter\n")
-	fmt.Fprintf(sb, "comet_result_store_hits_total %d\n", m.resultStoreHits.Load())
-	fmt.Fprintf(sb, "# HELP comet_explanations_computed_total Explanations actually computed (not coalesced or cached).\n")
-	fmt.Fprintf(sb, "# TYPE comet_explanations_computed_total counter\n")
-	fmt.Fprintf(sb, "comet_explanations_computed_total %d\n", m.explanations.Load())
-	fmt.Fprintf(sb, "# HELP comet_predictions_served_total Blocks predicted through POST /v1/predict.\n")
-	fmt.Fprintf(sb, "# TYPE comet_predictions_served_total counter\n")
-	fmt.Fprintf(sb, "comet_predictions_served_total %d\n", m.predictions.Load())
-	fmt.Fprintf(sb, "# HELP comet_shard_blocks_total Blocks explained on behalf of cluster coordinators through POST /v1/shard.\n")
-	fmt.Fprintf(sb, "# TYPE comet_shard_blocks_total counter\n")
-	fmt.Fprintf(sb, "comet_shard_blocks_total %d\n", m.shardBlocks.Load())
-	fmt.Fprintf(sb, "# HELP comet_persist_hits_total Explain requests served from the durable store.\n")
-	fmt.Fprintf(sb, "# TYPE comet_persist_hits_total counter\n")
-	fmt.Fprintf(sb, "comet_persist_hits_total %d\n", m.persistHits.Load())
-	fmt.Fprintf(sb, "# HELP comet_persist_misses_total Durable-store lookups that fell through to computation.\n")
-	fmt.Fprintf(sb, "# TYPE comet_persist_misses_total counter\n")
-	fmt.Fprintf(sb, "comet_persist_misses_total %d\n", m.persistMisses.Load())
-	fmt.Fprintf(sb, "# HELP comet_store_errors_total Durable-store write or sync failures (requests are never failed on them).\n")
-	fmt.Fprintf(sb, "# TYPE comet_store_errors_total counter\n")
-	fmt.Fprintf(sb, "comet_store_errors_total %d\n", m.storeErrors.Load())
-	fmt.Fprintf(sb, "# HELP comet_intern_hits_total Binary explain requests answered from the intern table without decoding.\n")
-	fmt.Fprintf(sb, "# TYPE comet_intern_hits_total counter\n")
-	fmt.Fprintf(sb, "comet_intern_hits_total %d\n", m.internHits.Load())
-	fmt.Fprintf(sb, "# HELP comet_frame_requests_total Binary-framed request bodies decoded.\n")
-	fmt.Fprintf(sb, "# TYPE comet_frame_requests_total counter\n")
-	fmt.Fprintf(sb, "comet_frame_requests_total %d\n", m.frameRequests.Load())
-	fmt.Fprintf(sb, "# HELP comet_streamed_results_total Corpus results delivered over GET /v1/jobs/{id}/stream.\n")
-	fmt.Fprintf(sb, "# TYPE comet_streamed_results_total counter\n")
-	fmt.Fprintf(sb, "comet_streamed_results_total %d\n", m.streamedResults.Load())
-	fmt.Fprintf(sb, "# HELP comet_ingest_binaries_total ELF binaries ingested through POST /v1/corpus uploads.\n")
-	fmt.Fprintf(sb, "# TYPE comet_ingest_binaries_total counter\n")
-	fmt.Fprintf(sb, "comet_ingest_binaries_total %d\n", m.ingestBinaries.Load())
-	fmt.Fprintf(sb, "# HELP comet_ingest_sections_total Executable sections scanned during binary ingestion.\n")
-	fmt.Fprintf(sb, "# TYPE comet_ingest_sections_total counter\n")
-	fmt.Fprintf(sb, "comet_ingest_sections_total %d\n", m.ingestSections.Load())
-	fmt.Fprintf(sb, "# HELP comet_ingest_bytes_total Code bytes decoded during binary ingestion.\n")
-	fmt.Fprintf(sb, "# TYPE comet_ingest_bytes_total counter\n")
-	fmt.Fprintf(sb, "comet_ingest_bytes_total %d\n", m.ingestBytes.Load())
-	fmt.Fprintf(sb, "# HELP comet_ingest_blocks_total Unique basic blocks extracted during binary ingestion.\n")
-	fmt.Fprintf(sb, "# TYPE comet_ingest_blocks_total counter\n")
-	fmt.Fprintf(sb, "comet_ingest_blocks_total %d\n", m.ingestBlocks.Load())
-	fmt.Fprintf(sb, "# HELP comet_ingest_deduped_total Duplicate basic blocks dropped during binary ingestion.\n")
-	fmt.Fprintf(sb, "# TYPE comet_ingest_deduped_total counter\n")
-	fmt.Fprintf(sb, "comet_ingest_deduped_total %d\n", m.ingestDeduped.Load())
-	fmt.Fprintf(sb, "# HELP comet_ingest_skipped_total Instructions outside the modeled subset skipped during binary ingestion.\n")
-	fmt.Fprintf(sb, "# TYPE comet_ingest_skipped_total counter\n")
-	fmt.Fprintf(sb, "comet_ingest_skipped_total %d\n", m.ingestSkipped.Load())
-	fmt.Fprintf(sb, "# HELP comet_ingest_rejected_total Binary uploads rejected (oversized or unextractable).\n")
-	fmt.Fprintf(sb, "# TYPE comet_ingest_rejected_total counter\n")
-	fmt.Fprintf(sb, "comet_ingest_rejected_total %d\n", m.ingestRejected.Load())
-
-	byName := make(map[string][]gauge)
-	var names []string
-	for _, g := range extra {
-		if _, ok := byName[g.name]; !ok {
-			names = append(names, g.name)
-		}
-		byName[g.name] = append(byName[g.name], g)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		fmt.Fprintf(sb, "# TYPE %s gauge\n", name)
-		for _, g := range byName[name] {
-			if g.labels == "" {
-				fmt.Fprintf(sb, "%s %s\n", name, formatFloat(g.value))
-			} else {
-				fmt.Fprintf(sb, "%s{%s} %s\n", name, g.labels, formatFloat(g.value))
-			}
-		}
-	}
 }
 
 // histogram is a fixed-bucket latency histogram with atomic counters.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -205,70 +206,70 @@ func (r *modelRegistry) warm(e *modelEntry, key string, trusted bool) (*modelEnt
 // single-flight identity).
 func (e *modelEntry) specString() string { return e.spec.String() }
 
-// warmedSpecs lists the canonical specs with a live warmed instance,
-// sorted.
-func (r *modelRegistry) warmedSpecs() []string {
+// warmed lists the entries with a live warmed instance, in spec order.
+// An entry still warming (or failed) is skipped; its cache is empty
+// anyway.
+func (r *modelRegistry) warmed() []*modelEntry {
 	r.mu.Lock()
 	entries := make([]*modelEntry, 0, len(r.entries))
 	for _, e := range r.entries {
 		entries = append(entries, e)
 	}
 	r.mu.Unlock()
-	var out []string
+	out := entries[:0]
 	for _, e := range entries {
 		if e.warm.Load() && e.err == nil {
-			out = append(out, e.specString())
+			out = append(out, e)
 		}
 	}
-	sort.Strings(out)
+	sort.Slice(out, func(i, j int) bool { return out[i].specString() < out[j].specString() })
 	return out
 }
 
-// cacheGauges snapshots every warmed entry's prediction cache for
-// /metrics, in stable key order.
-func (r *modelRegistry) cacheGauges() []gauge {
-	r.mu.Lock()
-	keys := make([]string, 0, len(r.entries))
-	byKey := make(map[string]*modelEntry, len(r.entries))
-	for k, e := range r.entries {
-		keys = append(keys, k)
-		byKey[k] = e
-	}
-	r.mu.Unlock()
-	sort.Strings(keys)
-	var out []gauge
-	for _, k := range keys {
-		e := byKey[k]
-		if !e.warm.Load() || e.err != nil {
-			// Warm-up still in flight (or failed); its cache is empty anyway.
-			continue
-		}
-		stats := e.cache.Stats()
-		labels := fmt.Sprintf("model=%q,arch=%q", e.spec.Name, wire.ArchName(e.model.Arch()))
-		out = append(out,
-			gauge{name: "comet_prediction_cache_hits_total", labels: labels, value: float64(stats.Hits)},
-			gauge{name: "comet_prediction_cache_misses_total", labels: labels, value: float64(stats.Misses)},
-			gauge{name: "comet_prediction_cache_hit_rate", labels: labels, value: stats.HitRate()},
-			gauge{name: "comet_prediction_cache_entries", labels: labels, value: float64(stats.Entries)},
-		)
+// warmedSpecs lists the canonical specs with a live warmed instance,
+// sorted.
+func (r *modelRegistry) warmedSpecs() []string {
+	var out []string
+	for _, e := range r.warmed() {
+		out = append(out, e.specString())
 	}
 	return out
+}
+
+// renderCache writes the comet_prediction_cache_* families: one sample
+// per warmed entry.
+func (r *modelRegistry) renderCache(sb *strings.Builder) {
+	entries := r.warmed()
+	if len(entries) == 0 {
+		return
+	}
+	labels := make([]string, len(entries))
+	stats := make([]costmodel.CacheStats, len(entries))
+	for i, e := range entries {
+		labels[i] = fmt.Sprintf("model=%q,arch=%q", e.spec.Name, wire.ArchName(e.model.Arch()))
+		stats[i] = e.cache.Stats()
+	}
+	for _, f := range []struct {
+		name string
+		read func(costmodel.CacheStats) float64
+	}{
+		{"comet_prediction_cache_entries", func(st costmodel.CacheStats) float64 { return float64(st.Entries) }},
+		{"comet_prediction_cache_hit_rate", costmodel.CacheStats.HitRate},
+		{"comet_prediction_cache_hits_total", func(st costmodel.CacheStats) float64 { return float64(st.Hits) }},
+		{"comet_prediction_cache_misses_total", func(st costmodel.CacheStats) float64 { return float64(st.Misses) }},
+	} {
+		writeFamily(sb, f.name)
+		for i, st := range stats {
+			fmt.Fprintf(sb, "%s{%s} %s\n", f.name, labels[i], formatFloat(f.read(st)))
+		}
+	}
 }
 
 // cacheTotals sums prediction-cache hits and misses across every warmed
 // entry — the aggregate counters behind the history's
 // hit_rate.prediction_cache series.
 func (r *modelRegistry) cacheTotals() (hits, misses uint64) {
-	r.mu.Lock()
-	entries := make([]*modelEntry, 0, len(r.entries))
-	for _, e := range r.entries {
-		entries = append(entries, e)
-	}
-	r.mu.Unlock()
-	for _, e := range entries {
-		if !e.warm.Load() || e.err != nil {
-			continue
-		}
+	for _, e := range r.warmed() {
 		st := e.cache.Stats()
 		hits += st.Hits
 		misses += st.Misses

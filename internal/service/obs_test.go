@@ -200,9 +200,12 @@ func checkExposition(t *testing.T, text string) map[string]string {
 
 // TestMetricsExpositionWellFormed exercises enough of the server to
 // populate counters, latency histograms, per-spec explanation
-// histograms, and gauges, then validates every line of /metrics.
+// histograms, and gauges, then validates every line of /metrics. The
+// server has a durable store and a cluster worker, so every family in
+// metricTable is rendered.
 func TestMetricsExpositionWellFormed(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	_, worker := newTestServer(t, Config{})
+	_, ts := newTestServer(t, Config{Store: openTestStore(t, t.TempDir()), ClusterWorkers: []string{worker.URL}})
 
 	if resp, body := postJSON(t, ts.URL+"/v1/explain", wire.ExplainRequest{
 		Block: testBlock, Model: "uica", Arch: "hsw", Config: fastOverrides(),
@@ -243,7 +246,7 @@ func TestMetricsExpositionWellFormed(t *testing.T) {
 		"comet_build_info":                        "gauge",
 		"comet_goroutines":                        "gauge",
 		"comet_heap_bytes":                        "gauge",
-		"comet_gc_pause_seconds_total":            "gauge",
+		"comet_gc_pause_seconds_total":            "counter",
 	} {
 		if types[family] != typ {
 			t.Errorf("family %s: declared type %q, want %q", family, types[family], typ)
@@ -251,6 +254,14 @@ func TestMetricsExpositionWellFormed(t *testing.T) {
 	}
 	if !strings.Contains(string(body), `comet_explanation_seconds_count{spec="uica@hsw"}`) {
 		t.Errorf("per-spec explanation histogram missing:\n%s", body)
+	}
+	for _, d := range metricTable {
+		if types[d.name] != string(d.kind) {
+			t.Errorf("family %s: declared type %q, want %q from metricTable", d.name, types[d.name], d.kind)
+		}
+		if !strings.Contains(string(body), "# HELP "+d.name+" "+d.help+"\n") {
+			t.Errorf("family %s: no HELP line", d.name)
+		}
 	}
 }
 

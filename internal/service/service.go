@@ -1221,44 +1221,25 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetrics serves GET /metrics in the Prometheus text format.
+// Everything is read at render time: gauges cost their reader, not the
+// request path.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	var sb strings.Builder
-	// Runtime health is sampled at render time — gauges cost their reader,
-	// not the request path.
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	extra := []gauge{
-		{name: "comet_build_info",
-			labels: fmt.Sprintf("version=%q,goversion=%q", version.Version, runtime.Version()),
-			value:  1},
-		{name: "comet_explain_inflight", value: float64(len(s.explainSlots))},
-		{name: "comet_explain_waiting", value: float64(s.explainWaiting.Load())},
-		{name: "comet_result_store_entries", value: float64(s.results.len())},
-		{name: "comet_intern_entries", value: float64(s.intern.len())},
-		{name: "comet_goroutines", value: float64(runtime.NumGoroutine())},
-		{name: "comet_heap_bytes", value: float64(ms.HeapAlloc)},
-		{name: "comet_gc_pause_seconds_total", value: float64(ms.PauseTotalNs) / 1e9},
-		{name: "comet_gc_cycles_total", value: float64(ms.NumGC)},
-	}
-	extra = append(extra, s.jobs.gauges()...)
-	extra = append(extra, s.models.cacheGauges()...)
-	extra = append(extra, s.clusterGauges()...)
+	sc := &scrape{Server: s}
 	if s.store != nil {
-		st := s.store.Stats()
-		extra = append(extra,
-			gauge{name: "comet_store_entries", value: float64(st.Entries)},
-			gauge{name: "comet_store_live_bytes", value: float64(st.LiveBytes)},
-			gauge{name: "comet_store_total_bytes", value: float64(st.TotalBytes)},
-			gauge{name: "comet_store_segments", value: float64(st.Segments)},
-			gauge{name: "comet_store_hits_total", value: float64(st.Hits)},
-			gauge{name: "comet_store_misses_total", value: float64(st.Misses)},
-			gauge{name: "comet_store_puts_total", value: float64(st.Puts)},
-			gauge{name: "comet_store_corrupt_records_total", value: float64(st.CorruptRecords)},
-			gauge{name: "comet_store_evictions_total", value: float64(st.Evictions)},
-			gauge{name: "comet_store_compactions_total", value: float64(st.Compactions)},
-		)
+		sc.storeStats, sc.hasStore = s.store.Stats(), true
 	}
-	s.metrics.render(&sb, extra)
+	if s.coordinator != nil {
+		sc.cluster, sc.inCluster = s.coordinator.Status(), true
+	}
+	var sb strings.Builder
+	s.metrics.render(&sb)
+	renderTable(&sb, sc)
+	writeFamily(&sb, "comet_build_info")
+	fmt.Fprintf(&sb, "comet_build_info{version=%q,goversion=%q} 1\n", version.Version, runtime.Version())
+	s.models.renderCache(&sb)
+	if sc.inCluster {
+		renderClusterWorkers(&sb, sc.cluster.Workers)
+	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	_, _ = w.Write([]byte(sb.String()))
 }

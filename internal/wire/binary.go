@@ -28,17 +28,11 @@ import (
 //
 // Version history:
 //
-//	1 — initial codec (PR 6).
+//	1 — initial codec; no longer decoded.
 //	2 — Explanation gained an optional trailing Profile (bool-prefixed,
-//	    like ConfigOverrides). Encoders always emit version 2; the decoder
-//	    still accepts version 1, whose explanations simply carry no
-//	    profile — so a new coordinator reads old workers' frames, while an
-//	    old peer rejecting version 2 triggers the existing per-worker JSON
-//	    downgrade.
+//	    like ConfigOverrides). A version-1 peer rejects version-2 frames,
+//	    which triggers the existing per-worker JSON downgrade.
 const BinaryVersion = 2
-
-// binaryVersionV1 is the oldest version the decoder accepts.
-const binaryVersionV1 = 1
 
 // Binary message kinds.
 const (
@@ -121,11 +115,11 @@ func DecodeBinaryPayload(payload []byte) (any, error) {
 	if len(payload) < 2 {
 		return nil, fmt.Errorf("wire: binary message of %d bytes is shorter than its 2-byte prologue", len(payload))
 	}
-	if payload[0] < binaryVersionV1 || payload[0] > BinaryVersion {
+	if payload[0] != BinaryVersion {
 		return nil, fmt.Errorf("wire: unsupported binary message version %d", payload[0])
 	}
 	kind := payload[1]
-	d := &bdec{buf: payload, off: 2, ver: payload[0]}
+	d := &bdec{buf: payload, off: 2}
 	var msg any
 	switch kind {
 	case msgExplanation:
@@ -185,7 +179,6 @@ func appendBool(dst []byte, v bool) []byte {
 type bdec struct {
 	buf []byte
 	off int
-	ver byte // message version; gates fields added after version 1
 	err error
 }
 
@@ -376,9 +369,7 @@ func decodeExplanation(d *bdec) *Explanation {
 	e.Queries = d.int_()
 	e.CacheHits = d.int_()
 	e.ModelCalls = d.int_()
-	// Version 1 explanations end here; version 2 appends the optional
-	// profile.
-	if d.ver >= 2 && d.bool_() && d.err == nil {
+	if d.bool_() && d.err == nil {
 		e.Profile = decodeProfile(d)
 	}
 	return e

@@ -210,8 +210,10 @@ func TestBinaryRejectsVersionKindTrailing(t *testing.T) {
 		}
 		return f
 	}
-	if _, err := DecodeBinary(frame([]byte{99, msgError, 0})); err == nil {
-		t.Error("unknown version accepted")
+	for _, ver := range []byte{0, 1, 99} {
+		if _, err := DecodeBinary(frame([]byte{ver, msgError, 0})); err == nil {
+			t.Errorf("version %d accepted", ver)
+		}
 	}
 	if _, err := DecodeBinary(frame([]byte{BinaryVersion, 200, 0})); err == nil {
 		t.Error("unknown kind accepted")
@@ -225,78 +227,6 @@ func TestBinaryRejectsVersionKindTrailing(t *testing.T) {
 		t.Error("trailing payload byte accepted")
 	}
 }
-
-// TestBinaryDecodesVersion1: the codec's compatibility promise. A
-// version-1 explanation — encoded by a pre-profile peer, so its body ends
-// at ModelCalls with no profile bool — must decode to the same
-// explanation with a nil Profile. This is what lets a new coordinator
-// read frames from not-yet-upgraded workers.
-func TestBinaryDecodesVersion1(t *testing.T) {
-	want := sampleExplanation()
-	want.Profile = nil
-
-	payload := []byte{1, msgExplanation}
-	payload = appendStr(payload, want.Block)
-	payload = appendStr(payload, want.Model)
-	payload = appendF64(payload, want.Prediction)
-	payload = appendLen(payload, len(want.Features))
-	for i := range want.Features {
-		payload = appendFeature(payload, &want.Features[i])
-	}
-	payload = appendF64(payload, want.Precision)
-	payload = appendF64(payload, want.Coverage)
-	payload = appendBool(payload, want.Certified)
-	payload = appendInt(payload, want.Queries)
-	payload = appendInt(payload, want.CacheHits)
-	payload = appendInt(payload, want.ModelCalls)
-	frame, err := AppendFrame(nil, payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	got, err := DecodeBinary(frame)
-	if err != nil {
-		t.Fatalf("decoding a version-1 explanation: %v", err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("v1 decode mismatch:\n got %+v\nwant %+v", got, want)
-	}
-
-	// A version-1 corpus result (nested explanation) decodes too.
-	payload = []byte{1, msgCorpusResult}
-	payload = appendInt(payload, 7)
-	payload = appendStr(payload, want.Block)
-	payload = appendBool(payload, true)
-	payload = appendStr(payload, want.Block)
-	payload = appendStr(payload, want.Model)
-	payload = appendF64(payload, want.Prediction)
-	payload = appendLen(payload, len(want.Features))
-	for i := range want.Features {
-		payload = appendFeature(payload, &want.Features[i])
-	}
-	payload = appendF64(payload, want.Precision)
-	payload = appendF64(payload, want.Coverage)
-	payload = appendBool(payload, want.Certified)
-	payload = appendInt(payload, want.Queries)
-	payload = appendInt(payload, want.CacheHits)
-	payload = appendInt(payload, want.ModelCalls)
-	payload = appendStr(payload, "") // CorpusResult.Error
-	frame, err = AppendFrame(nil, payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err = DecodeBinary(frame)
-	if err != nil {
-		t.Fatalf("decoding a version-1 corpus result: %v", err)
-	}
-	wantCR := &CorpusResult{Index: 7, Block: want.Block, Explanation: want}
-	if !reflect.DeepEqual(got, wantCR) {
-		t.Errorf("v1 corpus result mismatch:\n got %+v\nwant %+v", got, wantCR)
-	}
-}
-
-// --- JSON vs binary benchmarks (b.ReportAllocs is the CI-stable signal;
-// wall clock varies with the runner) ---
 
 func BenchmarkExplanationEncodeJSON(b *testing.B) {
 	expl := sampleExplanation()

@@ -70,6 +70,35 @@ func TestModelSpecParseErrors(t *testing.T) {
 	}
 }
 
+// FuzzParseModelSpec: every spec that parses renders to a canonical
+// string that re-parses to an equal spec and renders to itself.
+func FuzzParseModelSpec(f *testing.F) {
+	for _, seed := range []string{
+		"uica", "UICA", "c@skl", "ithemal@skylake?hidden=64&train=2000",
+		"remote@http://h:1?model=ithemal%40skl%3Ftrain%3D5", "a?", "a@?k=",
+		" x@ y ?k=%20&&v=+", "uica?a=%zz",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		spec, err := ParseModelSpec(in)
+		if err != nil {
+			return
+		}
+		str := spec.String()
+		again, err := ParseModelSpec(str)
+		if err != nil {
+			t.Fatalf("%q renders to %q, which does not parse: %v", in, str, err)
+		}
+		if !again.Equal(spec) {
+			t.Fatalf("%q: %+v re-parses from %q as %+v", in, spec, str, again)
+		}
+		if again.String() != str {
+			t.Fatalf("%q: String is not a fixed point: %q then %q", in, str, again.String())
+		}
+	})
+}
+
 // TestCanonicalSpec: aliases fold, arch targets normalize, defaults are
 // elided, unknown names and parameters are rejected.
 func TestCanonicalSpec(t *testing.T) {
