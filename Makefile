@@ -17,7 +17,7 @@ E2E_STORE_DIR ?= /tmp/comet-e2e-store
 # failure.
 E2E_ARTIFACT_DIR ?= /tmp/comet-e2e-artifacts
 
-.PHONY: build test perfbench-test test-race test-e2e test-cluster verify-store examples bench bench-smoke bench-check bench-baseline fuzz-smoke lint vet staticcheck fmt fmt-check
+.PHONY: build test perfbench-test test-race test-e2e test-cluster verify-store examples bench bench-smoke bench-check bench-baseline fuzz-smoke loc lint vet staticcheck fmt fmt-check
 
 build:
 	$(GO) build $(LDFLAGS) ./...
@@ -100,9 +100,11 @@ bench-baseline:
 	$(GO) run ./cmd/comet-bench -wire -json-out BENCH_baseline.json
 
 # Brief native fuzzing of the frame scanner, the binary decoder, the JSON
-# wire types, the x86 machine-code decoder, the Intel-syntax text parser
-# and the model-spec grammar, starting from the committed corpus in internal/wire/testdata/fuzz. One -fuzz pattern per invocation: go test
-# rejects multiple fuzz targets in a single fuzzing run.
+# wire types, the x86 machine-code decoder, the Intel-syntax text parser,
+# the model-spec grammar and ELF extraction, starting from the committed
+# corpus in internal/wire/testdata/fuzz and each target's in-test seeds.
+# One -fuzz pattern per invocation: go test rejects multiple fuzz targets
+# in a single fuzzing run.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeBinary$$' -fuzztime=30s ./internal/wire
 	$(GO) test -run='^$$' -fuzz='^FuzzScanFrames$$' -fuzztime=30s ./internal/wire
@@ -110,6 +112,15 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeX86$$' -fuzztime=30s ./internal/x86/decode
 	$(GO) test -run='^$$' -fuzz='^FuzzParseX86Text$$' -fuzztime=30s ./internal/x86
 	$(GO) test -run='^$$' -fuzz='^FuzzParseModelSpec$$' -fuzztime=30s .
+	$(GO) test -run='^$$' -fuzz='^FuzzExtractBytes$$' -fuzztime=30s ./internal/ingest
+
+# Go line counts, non-test and test, outside the nested perfbench module
+# and the benchmark's build directory: every change reports its net
+# non-test delta (run it before and after).
+LOC_FILES = find . -name '*.go' -not -path './perfbench/*' -not -path './.bench_build/*'
+loc:
+	@$(LOC_FILES) -not -name '*_test.go' -print0 | xargs -0 cat | wc -l | awk '{print "non-test Go lines: " $$1}'
+	@$(LOC_FILES) -name '*_test.go' -print0 | xargs -0 cat | wc -l | awk '{print "test Go lines:     " $$1}'
 
 lint: fmt-check vet staticcheck
 

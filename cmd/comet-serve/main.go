@@ -121,8 +121,7 @@ func main() {
 		jobQueue     = flag.Int("job-queue", 16, "queued corpus jobs before 429")
 		maxCorpus    = flag.Int("max-corpus-blocks", 10000, "largest corpus a single job may carry")
 		maxUpload    = flag.Int64("max-upload-bytes", 0, "largest binary accepted by the POST /v1/corpus upload mode before 413 (0 = 64 MiB)")
-		resultStore  = flag.Int("result-store", 1024, "explanation LRU result-store entries")
-		internSize   = flag.Int("intern-size", 0, "interned binary-request entries: identical frame bodies answered without decoding (0 = result-store size)")
+		resultStore  = flag.Int("result-store", 1024, "explanation LRU result-store keys: one per explanation, plus one per distinct binary request frame")
 		streamRing   = flag.Int("stream-ring", 0, "results retained for catch-up reads per stream-only corpus job; a reader further behind gets a lag error (0 = 4096)")
 		jobHistory   = flag.Int("job-history", 64, "finished jobs retained for polling")
 		cacheSize    = flag.Int("prediction-cache", 0, "prediction-cache entries per (model, arch) (0 = ~1M)")
@@ -212,7 +211,6 @@ func main() {
 		MaxCorpusBlocks:       *maxCorpus,
 		MaxUploadBytes:        *maxUpload,
 		ResultStoreSize:       *resultStore,
-		InternTableSize:       *internSize,
 		StreamRingSize:        *streamRing,
 		JobHistorySize:        *jobHistory,
 		JobCheckpointEvery:    *checkpoint,

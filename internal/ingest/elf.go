@@ -37,7 +37,15 @@ func ExtractBytes(data []byte, opts Options) (*Result, error) {
 
 // Extract extracts a corpus from an ELF image. Only x86-64 binaries are
 // accepted: the decoder is specific to that architecture.
-func Extract(r io.ReaderAt, opts Options) (*Result, error) {
+func Extract(r io.ReaderAt, opts Options) (res *Result, err error) {
+	// debug/elf is not hardened against adversarial input: some malformed
+	// headers make it panic instead of returning an error. Uploads are
+	// attacker-controlled bytes, so a panic is one more rejection.
+	defer func() {
+		if p := recover(); p != nil {
+			res, err = nil, fmt.Errorf("ingest: malformed ELF: %v", p)
+		}
+	}()
 	f, err := elf.NewFile(r)
 	if err != nil {
 		return nil, fmt.Errorf("ingest: not a valid ELF: %w", err)
@@ -55,7 +63,7 @@ func Extract(r io.ReaderAt, opts Options) (*Result, error) {
 	funcs := functionSymbols(f)
 	lines := lineEntries(f)
 
-	res := &Result{}
+	res = &Result{}
 	seen := make(map[string]int)
 	for _, sec := range f.Sections {
 		if sec.Type != elf.SHT_PROGBITS || sec.Flags&elf.SHF_EXECINSTR == 0 {

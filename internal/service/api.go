@@ -7,7 +7,6 @@ import (
 	"github.com/comet-explain/comet/internal/costmodel"
 	"github.com/comet-explain/comet/internal/obs"
 	"github.com/comet-explain/comet/internal/wire"
-	"github.com/comet-explain/comet/internal/x86"
 )
 
 // handlePredict serves POST /v1/predict, the batch cost-model endpoint
@@ -17,49 +16,18 @@ import (
 // predictions. Predictions flow through the entry's shared prediction
 // cache, so queries repeated across clients — or already answered for a
 // local explanation — cost no model work.
-func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	binResp := acceptsFrame(r)
-	if r.Method != http.MethodPost {
-		s.writeErrorNeg(w, binResp, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	if s.draining.Load() {
-		s.writeErrorNeg(w, binResp, http.StatusServiceUnavailable, "%v", errDraining)
-		return
-	}
-	var req wire.PredictRequest
-	if isFrameRequest(r) {
-		p, ok := decodeFrameBody[wire.PredictRequest](s, w, r, binResp)
-		if !ok {
-			return
-		}
-		req = *p
-	} else if !s.decodeBody(w, r, &req) {
-		return
-	}
-	arch, err := wire.ParseArch(req.Arch)
+func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, in inbound) error {
+	req, err := decodeRequest[wire.PredictRequest](s, w, r, in)
 	if err != nil {
-		s.writeErrorNeg(w, binResp, http.StatusBadRequest, "%v", err)
-		return
+		return err
 	}
-	if len(req.Blocks) > s.cfg.MaxCorpusBlocks {
-		s.writeErrorNeg(w, binResp, http.StatusRequestEntityTooLarge,
-			"batch of %d blocks exceeds the limit of %d", len(req.Blocks), s.cfg.MaxCorpusBlocks)
-		return
-	}
-	blocks := make([]*x86.BasicBlock, len(req.Blocks))
-	for i, src := range req.Blocks {
-		b, err := x86.ParseBlock(src)
-		if err != nil {
-			s.writeErrorNeg(w, binResp, http.StatusBadRequest, "block %d: %v", i, err)
-			return
-		}
-		blocks[i] = b
-	}
-	entry, err := s.lookupModel(req.Model, arch)
+	blocks, err := s.parseBlocks(nil, req.Blocks...)
 	if err != nil {
-		s.writeErrorNeg(w, binResp, modelErrorStatus(err), "%v", err)
-		return
+		return err
+	}
+	entry, err := s.resolveModel(req.Model, req.Arch)
+	if err != nil {
+		return err
 	}
 	if span := obs.SpanFromContext(r.Context()); span != nil {
 		span.Set("spec", entry.specString())
@@ -71,8 +39,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		// Real compute shares the explain slots, so predict traffic and
 		// explain traffic are backpressured by one budget.
 		if err := s.acquireExplainSlot(); err != nil {
-			s.writeErrorNeg(w, binResp, http.StatusTooManyRequests, "%v", err)
-			return
+			return errorf(http.StatusTooManyRequests, "%v", err)
 		}
 		err := func() (err error) {
 			defer s.releaseExplainSlot()
@@ -92,28 +59,24 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 			return nil
 		}()
 		if err != nil {
-			s.writeErrorNeg(w, binResp, http.StatusBadGateway, "backend predict failed: %v", err)
-			return
+			return errorf(http.StatusBadGateway, "backend predict failed: %v", err)
 		}
 		s.metrics.predictions.Add(uint64(len(blocks)))
 	}
-	writeNegotiated(w, binResp, http.StatusOK, &wire.PredictResponse{
+	writeNegotiated(w, in.binResp, http.StatusOK, &wire.PredictResponse{
 		Model:       entry.model.Name(),
 		Arch:        wire.ArchName(entry.model.Arch()),
 		Spec:        entry.specString(),
 		Epsilon:     entry.epsilon,
 		Predictions: preds,
 	})
+	return nil
 }
 
 // handleModels serves GET /v1/models: the registered model families from
 // the comet registry (specs, default configs, ε) plus the canonical specs
 // this server has already warmed.
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
 	defs := comet.RegisteredModels()
 	infos := make([]wire.ModelInfo, len(defs))
 	for i, def := range defs {

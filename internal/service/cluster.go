@@ -22,7 +22,6 @@ import (
 	"github.com/comet-explain/comet/internal/core"
 	"github.com/comet-explain/comet/internal/obs"
 	"github.com/comet-explain/comet/internal/wire"
-	"github.com/comet-explain/comet/internal/x86"
 )
 
 // handleShard serves POST /v1/shard: one lease of a sharded corpus job.
@@ -30,59 +29,33 @@ import (
 // index; per-block explanation failures surface in CorpusResult.Error,
 // never as a non-2xx status (the coordinator must be able to tell "the
 // block is hard" from "the worker is broken").
-func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
-	binResp := acceptsFrame(r)
-	if r.Method != http.MethodPost {
-		s.writeErrorNeg(w, binResp, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	if s.draining.Load() {
-		s.writeErrorNeg(w, binResp, http.StatusServiceUnavailable, "%v", errDraining)
-		return
-	}
+func (s *Server) handleShard(w http.ResponseWriter, r *http.Request, in inbound) error {
 	if !s.ready.Load() {
 		// A cold worker sheds leases; the coordinator's readiness probe
 		// keeps them away in the first place.
-		s.writeErrorNeg(w, binResp, http.StatusServiceUnavailable, "server is warming up")
-		return
-	}
-	var req wire.ShardRequest
-	if isFrameRequest(r) {
-		p, ok := decodeFrameBody[wire.ShardRequest](s, w, r, binResp)
-		if !ok {
-			return
+		if in.frame != nil {
+			wire.PutBuffer(in.frame)
 		}
-		req = *p
-	} else if !s.decodeBody(w, r, &req) {
-		return
+		return errorf(http.StatusServiceUnavailable, "server is warming up")
+	}
+	req, err := decodeRequest[wire.ShardRequest](s, w, r, in)
+	if err != nil {
+		return err
 	}
 	if len(req.Blocks) == 0 {
-		s.writeErrorNeg(w, binResp, http.StatusBadRequest, "shard has no blocks")
-		return
+		return errorf(http.StatusBadRequest, "shard has no blocks")
 	}
-	if len(req.Blocks) > s.cfg.MaxCorpusBlocks {
-		s.writeErrorNeg(w, binResp, http.StatusRequestEntityTooLarge,
-			"shard of %d blocks exceeds the limit of %d", len(req.Blocks), s.cfg.MaxCorpusBlocks)
-		return
-	}
-	arch, err := wire.ParseArch(req.Arch)
-	if err != nil {
-		s.writeErrorNeg(w, binResp, http.StatusBadRequest, "%v", err)
-		return
-	}
-	blocks := make([]*x86.BasicBlock, len(req.Blocks))
+	texts := make([]string, len(req.Blocks))
 	for i, sb := range req.Blocks {
-		b, err := x86.ParseBlock(sb.Block)
-		if err != nil {
-			s.writeErrorNeg(w, binResp, http.StatusBadRequest, "block %d (index %d): %v", i, sb.Index, err)
-			return
-		}
-		blocks[i] = b
+		texts[i] = sb.Block
 	}
-	entry, err := s.lookupModel(req.Spec, arch)
+	blocks, err := s.parseBlocks(nil, texts...)
 	if err != nil {
-		s.writeErrorNeg(w, binResp, modelErrorStatus(err), "%v", err)
-		return
+		return err
+	}
+	entry, err := s.resolveModel(req.Spec, req.Arch)
+	if err != nil {
+		return err
 	}
 	// The lease's config snapshot is authoritative: it is the job's
 	// effective configuration, Parallelism pin included, so the worker
@@ -103,8 +76,7 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	// One explain slot bounds the whole lease — the coordinator controls
 	// fan-out by lease count, the worker by its slot budget.
 	if err := s.acquireExplainSlot(); err != nil {
-		s.writeErrorNeg(w, binResp, http.StatusTooManyRequests, "%v", err)
-		return
+		return errorf(http.StatusTooManyRequests, "%v", err)
 	}
 	defer s.releaseExplainSlot()
 
@@ -138,8 +110,7 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	if len(results) < len(blocks) {
 		// The run was cut short (shutdown or a vanished coordinator); an
 		// incomplete lease is a failed lease.
-		s.writeErrorNeg(w, binResp, http.StatusServiceUnavailable, "shard interrupted after %d of %d blocks", len(results), len(blocks))
-		return
+		return errorf(http.StatusServiceUnavailable, "shard interrupted after %d of %d blocks", len(results), len(blocks))
 	}
 	sort.Slice(results, func(i, j int) bool { return results[i].Index < results[j].Index })
 	s.metrics.shardBlocks.Add(uint64(len(results)))
@@ -165,43 +136,32 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 		"blocks", len(results), "failed", failed,
 		"elapsed", time.Since(leaseStart),
 		obs.TraceAttr(span.TraceID()))
-	writeNegotiated(w, binResp, http.StatusOK, &wire.ShardResponse{
+	writeNegotiated(w, in.binResp, http.StatusOK, &wire.ShardResponse{
 		JobID:   req.JobID,
 		Lease:   req.Lease,
 		Results: results,
 	})
+	return nil
 }
 
 // handleClusterJoin serves POST /v1/cluster/join (coordinator mode
 // only): worker self-registration and heartbeats.
-func (s *Server) handleClusterJoin(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, "%v", errDraining)
-		return
-	}
-	var req wire.JoinRequest
-	if !s.decodeBody(w, r, &req) {
-		return
+func (s *Server) handleClusterJoin(w http.ResponseWriter, r *http.Request, in inbound) error {
+	req, err := decodeRequest[wire.JoinRequest](s, w, r, in)
+	if err != nil {
+		return err
 	}
 	id, ttl, err := s.coordinator.Pool().Join(req.URL, req.Capacity)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+		return errorf(http.StatusBadRequest, "%v", err)
 	}
 	writeJSON(w, http.StatusOK, wire.JoinResponse{Worker: id, TTLSeconds: ttl.Seconds()})
+	return nil
 }
 
 // handleCluster serves GET /v1/cluster (coordinator mode only): the
 // worker pool and lease-scheduler counters.
 func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
 	writeJSON(w, http.StatusOK, s.coordinator.Status())
 }
 

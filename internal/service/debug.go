@@ -36,10 +36,6 @@ import (
 // ?limit= caps the listing (default 100), ?route= keeps one route, and
 // ?min_ms= drops entries faster than the threshold.
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
 	if !s.tracer.Enabled() {
 		writeError(w, http.StatusNotFound, "tracing is disabled (trace sample rate < 0)")
 		return
@@ -113,10 +109,6 @@ func filterOutliers(in []obs.OutlierTrace, process, route string, minMS, limit i
 // every pool worker holds for the same trace ID, each labeled with the
 // process that recorded it.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
 	if !s.tracer.Enabled() {
 		writeError(w, http.StatusNotFound, "tracing is disabled (trace sample rate < 0)")
 		return
@@ -324,10 +316,6 @@ func (s *Server) serveFederatedOutliers(w http.ResponseWriter, r *http.Request, 
 // contents as one JSON document — the same dump a SIGQUIT writes to
 // stderr.
 func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = s.flight.WriteJSON(w, s.cfg.ProcessLabel)
 }

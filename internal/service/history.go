@@ -51,9 +51,9 @@ func (s *Server) registerHistory() {
 	))
 	h.Value("hit_rate.intern", ratioSeries(
 		func() uint64 { return s.metrics.internHits.Load() },
-		// Every binary frame request consults the intern table: hits answer
-		// from it, misses go on to decode (frameRequests).
-		func() uint64 { return s.metrics.internHits.Load() + s.metrics.frameRequests.Load() },
+		// Only binary explain requests probe their frame key; binary
+		// predict and shard frames never do.
+		func() uint64 { return s.metrics.internHits.Load() + s.metrics.internMisses.Load() },
 	))
 	h.Value("hit_rate.persist", ratioSeries(
 		func() uint64 { return s.metrics.persistHits.Load() },
@@ -201,10 +201,6 @@ func histMeanSeries(hist *histogram) func() (float64, bool) {
 // every live worker), each labeled; a down worker contributes an error
 // entry, never a failed view.
 func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
 	if r.URL.Query().Get("cluster") == "1" && s.coordinator != nil {
 		s.serveFederatedHistory(w, r)
 		return

@@ -119,6 +119,34 @@ func TestDebugHistoryEndpoint(t *testing.T) {
 	}
 }
 
+// TestInternHitRateCountsOnlyExplainFrames: hit_rate.intern divides
+// frame-key hits by frame-key probes, which only binary explain requests
+// make. Binary predicts decode frames too but never probe, so two of
+// them before one miss and one hit leave the rate at 1/2.
+func TestInternHitRateCountsOnlyExplainFrames(t *testing.T) {
+	s, ts := newTestServer(t, historyConfig())
+	s.history.Sample() // prime the baselines
+
+	predict := &wire.PredictRequest{Blocks: []string{testBlock}, Model: "uica", Arch: "hsw"}
+	explain := &wire.ExplainRequest{Block: testBlock, Model: "uica", Arch: "hsw", Config: fastOverrides()}
+	steps := []struct {
+		route string
+		msg   any
+	}{{"predict", predict}, {"predict", predict}, {"explain", explain}, {"explain", explain}}
+	for _, st := range steps {
+		if resp, body := postFrame(t, ts.URL+"/v1/"+st.route, st.msg); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", st.route, resp.StatusCode, body)
+		}
+	}
+	s.history.Sample()
+
+	var dump obs.HistoryDump
+	getJSON(t, ts.URL+"/debug/history", &dump)
+	if got := float64(seriesByName(dump)["hit_rate.intern"].Last); got != 0.5 {
+		t.Errorf("hit_rate.intern after 2 binary predicts and a binary explain sent twice = %v, want 0.5", got)
+	}
+}
+
 // TestFederatedHistoryDownWorker: ?cluster=1 on a coordinator returns
 // one history per cluster process; a dead worker contributes an error
 // entry without failing the view or hiding the live ones.

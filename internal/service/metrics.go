@@ -47,7 +47,8 @@ type metrics struct {
 	persistHits     atomic.Uint64 // explain requests served by the durable store
 	persistMisses   atomic.Uint64 // durable-store lookups that fell through
 	storeErrors     atomic.Uint64 // durable-store write/sync failures
-	internHits      atomic.Uint64 // binary requests answered from the intern table (no decode)
+	internHits      atomic.Uint64 // binary explain requests answered by their frame key (no decode)
+	internMisses    atomic.Uint64 // binary explain requests whose frame key missed (not exported; hit_rate.intern's denominator)
 	frameRequests   atomic.Uint64 // binary-framed request bodies decoded
 	streamedResults atomic.Uint64 // corpus results delivered over job streams
 

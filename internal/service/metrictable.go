@@ -79,7 +79,7 @@ var metricTable = []metricDesc{
 	{name: "comet_persist_hits_total", kind: kindCounter, help: "Explain requests served from the durable store.", read: func(sc *scrape) (float64, bool) { return num(sc.metrics.persistHits.Load()) }},
 	{name: "comet_persist_misses_total", kind: kindCounter, help: "Durable-store lookups that fell through to computation.", read: func(sc *scrape) (float64, bool) { return num(sc.metrics.persistMisses.Load()) }},
 	{name: "comet_store_errors_total", kind: kindCounter, help: "Durable-store write or sync failures (requests are never failed on them).", read: func(sc *scrape) (float64, bool) { return num(sc.metrics.storeErrors.Load()) }},
-	{name: "comet_intern_hits_total", kind: kindCounter, help: "Binary explain requests answered from the intern table without decoding.", read: func(sc *scrape) (float64, bool) { return num(sc.metrics.internHits.Load()) }},
+	{name: "comet_intern_hits_total", kind: kindCounter, help: "Binary explain requests answered by their frame key in the result store, without decoding.", read: func(sc *scrape) (float64, bool) { return num(sc.metrics.internHits.Load()) }},
 	{name: "comet_frame_requests_total", kind: kindCounter, help: "Binary-framed request bodies decoded.", read: func(sc *scrape) (float64, bool) { return num(sc.metrics.frameRequests.Load()) }},
 	{name: "comet_streamed_results_total", kind: kindCounter, help: "Corpus results delivered over GET /v1/jobs/{id}/stream.", read: func(sc *scrape) (float64, bool) { return num(sc.metrics.streamedResults.Load()) }},
 	{name: "comet_ingest_binaries_total", kind: kindCounter, help: "ELF binaries ingested through POST /v1/corpus uploads.", read: func(sc *scrape) (float64, bool) { return num(sc.metrics.ingestBinaries.Load()) }},
@@ -93,8 +93,7 @@ var metricTable = []metricDesc{
 	// Live structures, read at render time.
 	{name: "comet_explain_inflight", kind: kindGauge, help: "Explanations computing now, holding one of the explain slots.", read: func(sc *scrape) (float64, bool) { return num(len(sc.explainSlots)) }, history: "queue.explain_inflight"},
 	{name: "comet_explain_waiting", kind: kindGauge, help: "Explain requests waiting for an explain slot.", read: func(sc *scrape) (float64, bool) { return num(sc.explainWaiting.Load()) }, history: "queue.explain_waiting"},
-	{name: "comet_result_store_entries", kind: kindGauge, help: "Explanations held in the result store.", read: func(sc *scrape) (float64, bool) { return num(sc.results.len()) }},
-	{name: "comet_intern_entries", kind: kindGauge, help: "Binary request frames held in the intern table with their cached explanations.", read: func(sc *scrape) (float64, bool) { return num(sc.intern.len()) }},
+	{name: "comet_result_store_entries", kind: kindGauge, help: "Keys held in the result store: one per explanation, plus one per binary request frame that aliases it.", read: func(sc *scrape) (float64, bool) { return num(sc.results.len()) }},
 	{name: "comet_job_queue_depth", kind: kindGauge, help: "Corpus jobs waiting in the job queue.", read: func(sc *scrape) (float64, bool) { return num(sc.jobs.queued.Load()) }, history: "queue.jobs"},
 	{name: "comet_jobs_running", kind: kindGauge, help: "Corpus jobs executing.", read: func(sc *scrape) (float64, bool) { return num(sc.jobs.running.Load()) }, history: "jobs.running"},
 	{name: "comet_jobs_finished", kind: kindGauge, help: "Finished corpus jobs kept in the job history.", read: func(sc *scrape) (float64, bool) { return num(sc.jobs.history.len()) }},

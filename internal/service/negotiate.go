@@ -9,27 +9,31 @@ package service
 //   - a request whose Accept header lists application/x-comet-frame gets
 //     a binary-framed response, errors included (a framed wire.Error).
 //
-// Binary requests additionally unlock the interned fast path: the frame
-// bytes are a canonical encoding of the request, so SHA-256 over the raw
-// body is a complete request identity, computed once at ingress. A hit in
-// the intern table writes pre-encoded response bytes without parsing the
-// block, resolving the model, or even decoding the frame.
+// Binary explain requests additionally unlock the interned fast path: the
+// frame bytes are a canonical encoding of the request, so SHA-256 over
+// the raw body is a complete request identity, computed once at ingress
+// and kept as a second key in the result store. A hit writes pre-encoded
+// response bytes without parsing the block, resolving the model, or even
+// decoding the frame.
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"sync"
 
+	"github.com/comet-explain/comet/internal/obs"
 	"github.com/comet-explain/comet/internal/wire"
+	"github.com/comet-explain/comet/internal/x86"
 )
 
-// cachedExplanation is what the result store and the intern table hold:
-// the explanation plus lazily pre-encoded response bodies, so repeat
-// queries cost zero encoding work on either wire format.
+// cachedExplanation is what the result store holds, under the request's
+// content ID and, for binary requests, its frame key too: the
+// explanation plus lazily pre-encoded response bodies, so repeat queries
+// cost zero encoding work on either wire format.
 type cachedExplanation struct {
 	expl     *wire.Explanation
 	jsonOnce sync.Once
@@ -81,68 +85,134 @@ func acceptsFrame(r *http.Request) bool {
 	return strings.Contains(r.Header.Get("Accept"), wire.FrameContentType)
 }
 
-// readAllInto reads r to EOF, appending into dst (which may have spare
-// capacity from a pooled buffer).
-func readAllInto(dst []byte, r io.Reader) ([]byte, error) {
-	for {
-		if len(dst) == cap(dst) {
-			dst = append(dst, 0)[:len(dst)]
+// httpError is a request failure together with the status that answers
+// it. The request pipeline's steps return one; the handler writes it
+// with fail.
+type httpError struct {
+	code int
+	msg  string
+}
+
+func (e *httpError) Error() string { return e.msg }
+
+func errorf(code int, format string, args ...any) error {
+	return &httpError{code: code, msg: fmt.Sprintf(format, args...)}
+}
+
+// fail writes err's envelope on the negotiated format, with the status
+// an httpError carries (500 for any other error).
+func fail(w http.ResponseWriter, binResp bool, err error) {
+	code := http.StatusInternalServerError
+	var he *httpError
+	if errors.As(err, &he) {
+		code = he.code
+	}
+	writeNegotiated(w, binResp, code, &wire.Error{Error: err.Error()})
+}
+
+// bodyError maps a failed body read or decode to 413 when the body
+// passed MaxBodyBytes, 400 otherwise.
+func bodyError(err error, format string) error {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return errorf(http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
+	}
+	return errorf(http.StatusBadRequest, format, err)
+}
+
+// inbound is a POST request past the prologue: the response format the
+// client negotiated and, for a binary request, the raw frame in a pooled
+// buffer (nil for a JSON body, which decodeRequest reads itself).
+type inbound struct {
+	binResp bool
+	frame   *[]byte
+}
+
+// post is the prologue every POST route shares: the method and drain
+// checks, then the raw bytes of a binary frame, then the route, whose
+// error it writes on the negotiated format. Routes that speak only JSON
+// (negotiate false) answer JSON whatever the client accepts.
+func (s *Server) post(negotiate bool, h func(http.ResponseWriter, *http.Request, inbound) error) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		in := inbound{binResp: negotiate && acceptsFrame(r)}
+		var err error
+		switch {
+		case r.Method != http.MethodPost:
+			err = errorf(http.StatusMethodNotAllowed, "POST required")
+		case s.draining.Load():
+			err = errorf(http.StatusServiceUnavailable, "%v", errDraining)
+		case isFrameRequest(r):
+			in.frame, err = s.readFrame(w, r)
 		}
-		n, err := r.Read(dst[len(dst):cap(dst)])
-		dst = dst[:len(dst)+n]
-		if err == io.EOF {
-			return dst, nil
+		if err == nil {
+			err = h(w, r, in)
 		}
 		if err != nil {
-			return dst, err
+			fail(w, in.binResp, err)
 		}
 	}
 }
 
-// readRawBody reads the whole request body into a pooled buffer, honoring
-// MaxBodyBytes. On failure it writes the (negotiated) error response and
-// returns nil. The caller owns returning the buffer to the pool.
-func (s *Server) readRawBody(w http.ResponseWriter, r *http.Request, binResp bool) *[]byte {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+// readFrame reads a binary request body, under MaxBodyBytes, into a
+// pooled buffer.
+func (s *Server) readFrame(w http.ResponseWriter, r *http.Request) (*[]byte, error) {
 	buf := wire.GetBuffer()
-	b, err := readAllInto((*buf)[:0], r.Body)
-	*buf = b
+	bb := bytes.NewBuffer((*buf)[:0])
+	_, err := bb.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	*buf = bb.Bytes()
 	if err != nil {
 		wire.PutBuffer(buf)
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.writeErrorNeg(w, binResp, http.StatusRequestEntityTooLarge,
-				"request body exceeds %d bytes", tooBig.Limit)
-		} else {
-			s.writeErrorNeg(w, binResp, http.StatusBadRequest, "reading request body: %v", err)
-		}
-		return nil
+		return nil, bodyError(err, "reading request body: %v")
 	}
-	return buf
+	return buf, nil
 }
 
-// decodeFrameBody reads and decodes a binary-framed request body into the
-// expected message type. On failure it writes the error response and
-// reports false.
-func decodeFrameBody[T any](s *Server, w http.ResponseWriter, r *http.Request, binResp bool) (*T, bool) {
-	buf := s.readRawBody(w, r, binResp)
-	if buf == nil {
-		return nil, false
+// decodeRequest decodes a POST body into T: the binary frame, whose
+// buffer it returns to the pool, or the JSON body under MaxBodyBytes with
+// unknown fields rejected.
+func decodeRequest[T any](s *Server, w http.ResponseWriter, r *http.Request, in inbound) (*T, error) {
+	if in.frame == nil {
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+		dec.DisallowUnknownFields()
+		v := new(T)
+		if err := dec.Decode(v); err != nil {
+			return nil, bodyError(err, "bad request body: %v")
+		}
+		return v, nil
 	}
-	defer wire.PutBuffer(buf)
-	msg, err := wire.DecodeBinary(*buf)
+	defer wire.PutBuffer(in.frame)
+	msg, err := wire.DecodeBinary(*in.frame)
 	if err != nil {
-		s.writeErrorNeg(w, binResp, http.StatusBadRequest, "bad frame: %v", err)
-		return nil, false
+		return nil, errorf(http.StatusBadRequest, "bad frame: %v", err)
 	}
 	s.metrics.frameRequests.Add(1)
 	typed, ok := msg.(*T)
 	if !ok {
-		s.writeErrorNeg(w, binResp, http.StatusBadRequest,
-			"frame carries %T, want %T", msg, (*T)(nil))
-		return nil, false
+		return nil, errorf(http.StatusBadRequest, "frame carries %T, want %T", msg, (*T)(nil))
 	}
-	return typed, true
+	return typed, nil
+}
+
+// parseBlocks is the block parser of every route that carries block
+// text: at most MaxCorpusBlocks blocks (413 beyond), each through
+// x86.ParseBlock (400 naming the first that fails). It appends to dst; a
+// nil dst gets a slice sized for texts.
+func (s *Server) parseBlocks(dst []*x86.BasicBlock, texts ...string) ([]*x86.BasicBlock, error) {
+	if len(texts) > s.cfg.MaxCorpusBlocks {
+		return nil, errorf(http.StatusRequestEntityTooLarge,
+			"%d blocks exceed the limit of %d", len(texts), s.cfg.MaxCorpusBlocks)
+	}
+	if dst == nil {
+		dst = make([]*x86.BasicBlock, 0, len(texts))
+	}
+	for i, text := range texts {
+		b, err := x86.ParseBlock(text)
+		if err != nil {
+			return nil, errorf(http.StatusBadRequest, "block %d: %v", i, err)
+		}
+		dst = append(dst, b)
+	}
+	return dst, nil
 }
 
 // writeFrame writes msg as one binary frame. It reports false when msg
@@ -171,18 +241,27 @@ func writeNegotiated(w http.ResponseWriter, binResp bool, code int, msg any) {
 	writeJSON(w, code, msg)
 }
 
-// writeErrorNeg writes the error envelope on the negotiated format.
-func (s *Server) writeErrorNeg(w http.ResponseWriter, binResp bool, code int, format string, args ...any) {
-	if binResp {
-		writeNegotiated(w, true, code, &wire.Error{Error: fmt.Sprintf(format, args...)})
+// writeServed writes an explanation served from the named tier and
+// records the tier on the request span. A ?profile=1 response carries
+// the stage profile stamped with that tier, encoded fresh from a copy:
+// the shared cachedExplanation and its pre-encoded bodies are never
+// mutated, so profile responses cannot leak into the byte-identity
+// guarantees of the plain path. A plain response writes the pre-encoded
+// body (the common, zero-encode case). The query string is only parsed
+// when present, so the hot path never pays for it.
+func (s *Server) writeServed(w http.ResponseWriter, r *http.Request, binResp bool, c *cachedExplanation, source string) {
+	obs.SpanFromContext(r.Context()).Set("source", source)
+	if r.URL.RawQuery != "" && r.URL.Query().Get("profile") == "1" {
+		clone := *c.expl
+		var p wire.Profile
+		if c.profile != nil {
+			p = *c.profile
+		}
+		p.Source = source
+		clone.Profile = &p
+		writeNegotiated(w, binResp, http.StatusOK, &clone)
 		return
 	}
-	writeError(w, code, format, args...)
-}
-
-// writeExplanation writes a cached explanation on the negotiated format,
-// preferring the pre-encoded body (the common, zero-encode case).
-func (s *Server) writeExplanation(w http.ResponseWriter, binResp bool, c *cachedExplanation) {
 	if binResp {
 		if b := c.Frame(); b != nil {
 			w.Header().Set("Content-Type", wire.FrameContentType)
@@ -198,21 +277,4 @@ func (s *Server) writeExplanation(w http.ResponseWriter, binResp bool, c *cached
 		return
 	}
 	writeJSON(w, http.StatusOK, c.expl)
-}
-
-// writeExplanationProfile writes a ?profile=1 response: the cached
-// explanation plus its stage profile, stamped with the cache layer that
-// served this request. The body is encoded fresh from a copy — the
-// shared cachedExplanation and its pre-encoded bodies are never mutated,
-// so profile responses cannot leak into the byte-identity guarantees of
-// the plain path.
-func (s *Server) writeExplanationProfile(w http.ResponseWriter, binResp bool, c *cachedExplanation, source string) {
-	clone := *c.expl
-	var p wire.Profile
-	if c.profile != nil {
-		p = *c.profile
-	}
-	p.Source = source
-	clone.Profile = &p
-	writeNegotiated(w, binResp, http.StatusOK, &clone)
 }

@@ -12,6 +12,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"regexp"
 	"runtime"
 	"sort"
@@ -334,10 +335,13 @@ func TestDebugTraces(t *testing.T) {
 }
 
 // TestExplainProfileParam asserts ?profile=1 attaches a stage profile
-// without perturbing the plain response (which must stay byte-identical
-// across cache tiers; see negotiate.go).
+// stamped with the tier that served the request, without perturbing the
+// plain response (which must stay byte-identical across cache tiers; see
+// negotiate.go).
 func TestExplainProfileParam(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	dir := filepath.Join(t.TempDir(), "store")
+	store := openTestStore(t, dir)
+	_, ts := newTestServer(t, Config{Store: store})
 	req := wire.ExplainRequest{Block: testBlock, Model: "uica", Arch: "hsw", Config: fastOverrides()}
 
 	_, plain := postJSON(t, ts.URL+"/v1/explain", req)
@@ -359,10 +363,9 @@ func TestExplainProfileParam(t *testing.T) {
 	if with.Profile == nil {
 		t.Fatalf("?profile=1 response has no profile: %s", profiled)
 	}
-	// This request hit a serving tier (the first request computed), so
-	// the source says which one; either way it must be non-empty.
-	if with.Profile.Source == "" {
-		t.Error("profile.source is empty")
+	// The first request computed; this repeat came from the result store.
+	if with.Profile.Source != "result-store" {
+		t.Errorf("profile.source of a repeat = %q, want result-store", with.Profile.Source)
 	}
 
 	// The plain response is unchanged by profiled requests before or
@@ -374,6 +377,64 @@ func TestExplainProfileParam(t *testing.T) {
 	if bytes.Contains(plain2, []byte(`"profile"`)) {
 		t.Errorf("plain explain response leaked a profile: %s", plain2)
 	}
+
+	// Every other tier labels itself: a fresh request computes; a binary
+	// request first finds the explanation by content ID, then its repeat
+	// by frame key; a fresh server on the same store reads it from disk.
+	fresh := req
+	fresh.Config = &wire.ConfigOverrides{CoverageSamples: 150, Seed: 2}
+	for _, tc := range []struct {
+		what   string
+		req    wire.ExplainRequest
+		binary bool
+		want   string
+	}{
+		{"fresh request", fresh, false, "computed"},
+		{"first binary request", req, true, "result-store"},
+		{"binary repeat", req, true, "intern"},
+	} {
+		if got := profileSource(t, ts.URL, tc.req, tc.binary); got != tc.want {
+			t.Errorf("%s: profile.source = %q, want %q", tc.what, got, tc.want)
+		}
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	store2 := openTestStore(t, dir)
+	t.Cleanup(func() { store2.Close() })
+	_, ts2 := newTestServer(t, Config{Store: store2})
+	if got := profileSource(t, ts2.URL, req, false); got != "persist" {
+		t.Errorf("fresh server on the same store: profile.source = %q, want persist", got)
+	}
+}
+
+// profileSource posts req to /v1/explain?profile=1, as JSON or as a
+// binary frame, and returns the serving tier its profile names.
+func profileSource(t *testing.T, base string, req wire.ExplainRequest, binary bool) string {
+	t.Helper()
+	url := base + "/v1/explain?profile=1"
+	var expl *wire.Explanation
+	if binary {
+		resp, body := postFrame(t, url, &req)
+		decoded, ok := decodeFrameResponse(t, resp, body).(*wire.Explanation)
+		if !ok {
+			t.Fatalf("binary explain: status %d, %T", resp.StatusCode, decoded)
+		}
+		expl = decoded
+	} else {
+		resp, body := postJSON(t, url, req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("explain: status %d: %s", resp.StatusCode, body)
+		}
+		expl = new(wire.Explanation)
+		if err := json.Unmarshal(body, expl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if expl.Profile == nil {
+		t.Fatal("?profile=1 response has no profile")
+	}
+	return expl.Profile.Source
 }
 
 // TestShutdownLeavesNoServiceGoroutines asserts that closing the server

@@ -21,8 +21,8 @@ import (
 
 // RestoreSummary reports what Restore reloaded from the durable store.
 type RestoreSummary struct {
-	// Explanations is the number of explanation artifacts rehydrated
-	// into the in-memory result store (bounded by its capacity).
+	// Explanations is the number of explanations the in-memory result
+	// store holds after the scan (bounded by its capacity).
 	Explanations int
 	// JobsRestored counts finished jobs reloaded into the poll history.
 	JobsRestored int
@@ -65,7 +65,6 @@ func (s *Server) Restore() (RestoreSummary, error) {
 				// keys are hex content IDs; unparseable ones are skipped.
 				if id, ok := wire.ParseContentID(rec.Key); ok {
 					s.results.put(id, newCachedExplanation(rec.Explanation))
-					sum.Explanations++
 				}
 			}
 		case wire.RecordJob:
@@ -79,6 +78,9 @@ func (s *Server) Restore() (RestoreSummary, error) {
 		}
 		return true
 	})
+	// The store keeps the most recent ResultStoreSize of the scanned
+	// explanations; report what it holds, not what was scanned.
+	sum.Explanations = s.results.len()
 	if err != nil {
 		return sum, err
 	}
@@ -199,9 +201,5 @@ func (s *Server) restoreJob(env *wire.JobEnvelope, results map[int]wire.CorpusRe
 // durable store after a restart — so resumed jobs are discoverable
 // without the client having remembered their IDs.
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
 	writeJSON(w, http.StatusOK, wire.JobsResponse{Jobs: s.jobs.list()})
 }

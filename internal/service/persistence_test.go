@@ -143,6 +143,42 @@ func TestPersistLookupWithoutRestore(t *testing.T) {
 	}
 }
 
+// TestRestoreSummaryCountsHeldExplanations: Restore reports the
+// explanations the result store holds after the scan, not every record
+// it scanned — a store of 3 explanations into a 2-key result store
+// restores 2.
+func TestRestoreSummaryCountsHeldExplanations(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	seed := openTestStore(t, dir)
+	for i := 0; i < 3; i++ {
+		err := seed.Put(&wire.Record{
+			V:           wire.RecordVersion,
+			Kind:        wire.RecordExplanation,
+			Key:         wire.InternBytes([]byte{byte(i)}).Hex(),
+			Spec:        "uica@hsw",
+			Explanation: &wire.Explanation{Block: testBlock, Model: "uica", Prediction: float64(i)},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := seed.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	store := openTestStore(t, dir)
+	t.Cleanup(func() { store.Close() })
+	s := New(Config{Store: store, ResultStoreSize: 2, HistoryInterval: -1})
+	t.Cleanup(func() { s.Shutdown(context.Background()) })
+	sum, err := s.Restore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Explanations != 2 {
+		t.Errorf("restored %d explanations into a 2-key result store, want 2", sum.Explanations)
+	}
+}
+
 // TestRestoredJobResumesWhereItStopped: a job persisted mid-run (its
 // envelope plus one completed result) is re-enqueued on restore under
 // its original ID; the restored result is served verbatim — never

@@ -129,12 +129,10 @@ type Config struct {
 	// MaxCorpusBlocks caps the corpus size a single job may carry
 	// (0 = 10000); larger requests get 413.
 	MaxCorpusBlocks int
-	// ResultStoreSize caps the explanation LRU result store (0 = 1024).
+	// ResultStoreSize caps the explanation LRU result store in keys: one
+	// per explanation, plus one per distinct binary request frame that
+	// aliases it (0 = 1024).
 	ResultStoreSize int
-	// InternTableSize caps the binary-request intern table, which maps
-	// SHA-256 over raw frame bytes to pre-encoded responses (0 =
-	// ResultStoreSize).
-	InternTableSize int
 	// StreamRingSize bounds the results retained in memory by a
 	// streaming corpus job (CorpusRequest.Stream) for catch-up reads on
 	// GET /v1/jobs/{id}/stream; a reader that falls further behind than
@@ -238,9 +236,6 @@ func (c Config) withDefaults() Config {
 	if c.ResultStoreSize <= 0 {
 		c.ResultStoreSize = 1024
 	}
-	if c.InternTableSize <= 0 {
-		c.InternTableSize = c.ResultStoreSize
-	}
 	if c.StreamRingSize <= 0 {
 		c.StreamRingSize = 4096
 	}
@@ -298,12 +293,12 @@ type Server struct {
 	cfg    Config
 	models *modelRegistry
 	// flights and results are keyed by interned content IDs — 32 fixed
-	// bytes derived once per request — instead of hex strings.
-	flights flightGroup[wire.ContentID]
-	results *lruStore[wire.ContentID, *cachedExplanation]
-	// intern maps SHA-256 over raw binary request frames to cached
-	// responses: the binary fast path that skips parsing entirely.
-	intern      *lruStore[wire.ContentID, *cachedExplanation]
+	// bytes derived once per request — instead of hex strings. results
+	// holds each explanation under its content ID and, for binary
+	// requests, under the SHA-256 of the raw frame as well: the fast path
+	// that answers a repeated frame without decoding it.
+	flights     flightGroup[wire.ContentID, served]
+	results     *lruStore[wire.ContentID, *cachedExplanation]
 	jobs        *jobManager
 	metrics     *metrics
 	mux         *http.ServeMux
@@ -337,7 +332,6 @@ func New(cfg Config) *Server {
 		cfg:          cfg,
 		models:       newModelRegistry(cfg.PredictionCacheSize, cfg.TrainBlocks, cfg.MaxModelEntries, cfg.AllowRestrictedSpecs),
 		results:      newLRUStore[wire.ContentID, *cachedExplanation](cfg.ResultStoreSize),
-		intern:       newLRUStore[wire.ContentID, *cachedExplanation](cfg.InternTableSize),
 		metrics:      newMetrics(),
 		mux:          http.NewServeMux(),
 		store:        cfg.Store,
@@ -387,24 +381,24 @@ func New(cfg Config) *Server {
 		}
 		return s.releaseExplainSlot, nil
 	}
-	s.mux.HandleFunc("/v1/explain", s.instrument("explain", s.handleExplain))
-	s.mux.HandleFunc("/v1/predict", s.instrument("predict", s.handlePredict))
-	s.mux.HandleFunc("/v1/corpus", s.instrument("corpus", s.handleCorpus))
-	s.mux.HandleFunc("/v1/jobs", s.instrument("jobs", s.handleJobs))
-	s.mux.HandleFunc("/v1/jobs/", s.instrument("jobs", s.handleJob))
-	s.mux.HandleFunc("/v1/models", s.instrument("models", s.handleModels))
-	s.mux.HandleFunc("/v1/shard", s.instrument("shard", s.handleShard))
+	s.mux.HandleFunc("/v1/explain", s.instrument("explain", s.post(true, s.handleExplain)))
+	s.mux.HandleFunc("/v1/predict", s.instrument("predict", s.post(true, s.handlePredict)))
+	s.mux.HandleFunc("/v1/corpus", s.instrument("corpus", s.post(false, s.handleCorpus)))
+	s.mux.HandleFunc("/v1/jobs", s.instrument("jobs", getOnly(s.handleJobs)))
+	s.mux.HandleFunc("/v1/jobs/", s.instrument("jobs", getOnly(s.handleJob)))
+	s.mux.HandleFunc("/v1/models", s.instrument("models", getOnly(s.handleModels)))
+	s.mux.HandleFunc("/v1/shard", s.instrument("shard", s.post(true, s.handleShard)))
 	if s.coordinator != nil {
-		s.mux.HandleFunc("/v1/cluster/join", s.instrument("join", s.handleClusterJoin))
-		s.mux.HandleFunc("/v1/cluster", s.instrument("cluster", s.handleCluster))
+		s.mux.HandleFunc("/v1/cluster/join", s.instrument("join", s.post(false, s.handleClusterJoin)))
+		s.mux.HandleFunc("/v1/cluster", s.instrument("cluster", getOnly(s.handleCluster)))
 	}
 	s.mux.HandleFunc("/healthz", s.instrument("healthz", s.handleHealthz))
 	s.mux.HandleFunc("/readyz", s.instrument("readyz", s.handleReadyz))
 	s.mux.HandleFunc("/metrics", s.instrument("metrics", s.handleMetrics))
-	s.mux.HandleFunc("/debug/traces", s.instrument("debug", s.handleTraces))
-	s.mux.HandleFunc("/debug/traces/", s.instrument("debug", s.handleTrace))
-	s.mux.HandleFunc("/debug/flight", s.instrument("debug", s.handleFlight))
-	s.mux.HandleFunc("/debug/history", s.instrument("debug", s.handleHistory))
+	s.mux.HandleFunc("/debug/traces", s.instrument("debug", getOnly(s.handleTraces)))
+	s.mux.HandleFunc("/debug/traces/", s.instrument("debug", getOnly(s.handleTrace)))
+	s.mux.HandleFunc("/debug/flight", s.instrument("debug", getOnly(s.handleFlight)))
+	s.mux.HandleFunc("/debug/history", s.instrument("debug", getOnly(s.handleHistory)))
 	s.registerHistory()
 	if cfg.HistoryInterval >= 0 {
 		s.history.Start()
@@ -578,6 +572,17 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
+// getOnly answers 405 to any method but GET.
+func getOnly(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodGet {
+			writeError(w, http.StatusMethodNotAllowed, "GET required")
+			return
+		}
+		h(w, r)
+	}
+}
+
 // commitOutlier retains one slow-or-5xx request: its trace in the
 // outlier ring, a per-route counter tick, a flight record
 // cross-referencing the trace ID, and one structured warning — the four
@@ -679,26 +684,6 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, wire.Error{Error: fmt.Sprintf(format, args...)})
 }
 
-// decodeBody decodes a JSON request body with a size cap. On failure it
-// writes the error response itself — 413 for oversized bodies, 400 for
-// malformed JSON — and reports false.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				"request body exceeds %d bytes", tooBig.Limit)
-		} else {
-			writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		}
-		return false
-	}
-	return true
-}
-
 // requestOptions compiles a request into the library's per-request
 // explain options: the model's recommended ε and a Parallelism pin of 1
 // first (so a request's explanation is independent of server load and
@@ -713,53 +698,6 @@ func requestOptions(entry *modelEntry, o *wire.ConfigOverrides) []core.ExplainOp
 	return append(opts, o.Options()...)
 }
 
-// explainKey is the single-flight / result-store / durable-store
-// identity of a request: the content address over everything that can
-// change the explanation bytes — canonical spec, effective config,
-// canonical block text. snap must be the snapshot of the explainer's
-// effective config for the request's options, so the in-memory LRU and
-// the on-disk store agree on keys across processes.
-func explainKey(entry *modelEntry, snap wire.ConfigSnapshot, blockText string) wire.ContentID {
-	return persist.ExplanationID(entry.specString(), snap, blockText)
-}
-
-// persistLookup consults the durable store on a result-store miss,
-// rehydrating the in-memory LRU on a hit. (On disk the key is the
-// content ID's hex form — the same bytes previous store versions wrote.)
-func (s *Server) persistLookup(key wire.ContentID) (*cachedExplanation, bool) {
-	if s.store == nil {
-		return nil, false
-	}
-	rec, ok := s.store.Get(wire.RecordExplanation, key.Hex())
-	if !ok || rec.Explanation == nil {
-		s.metrics.persistMisses.Add(1)
-		return nil, false
-	}
-	s.metrics.persistHits.Add(1)
-	c := newCachedExplanation(rec.Explanation)
-	s.results.put(key, c)
-	return c, true
-}
-
-// persistPut deposits a freshly computed explanation in the durable
-// store. Persistence failures are counted, never surfaced to the client.
-func (s *Server) persistPut(key wire.ContentID, spec string, snap wire.ConfigSnapshot, expl *wire.Explanation) {
-	if s.store == nil {
-		return
-	}
-	err := s.store.Put(&wire.Record{
-		V:           wire.RecordVersion,
-		Kind:        wire.RecordExplanation,
-		Key:         key.Hex(),
-		Spec:        spec,
-		Config:      &snap,
-		Explanation: expl,
-	})
-	if err != nil {
-		s.storeError(err)
-	}
-}
-
 // storeError counts and logs a durable-store failure. The store is an
 // accelerator, not a dependency: requests and jobs proceed without it.
 func (s *Server) storeError(err error) {
@@ -767,197 +705,217 @@ func (s *Server) storeError(err error) {
 	s.logPersist.Error("durable store failure", "error", err)
 }
 
-// handleExplain serves POST /v1/explain on either wire format. A
-// binary-framed request takes the interned fast path first: SHA-256 over
-// the raw frame bytes (a canonical encoding of the request) is a complete
-// request identity, so a warm hit writes pre-encoded response bytes
-// without decoding the frame, parsing the block, or touching the model
-// registry.
-func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	binResp := acceptsFrame(r)
-	if r.Method != http.MethodPost {
-		s.writeErrorNeg(w, binResp, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	if s.draining.Load() {
-		s.writeErrorNeg(w, binResp, http.StatusServiceUnavailable, "%v", errDraining)
-		return
-	}
-	// ?profile=1 attaches the per-stage wall-time profile to the response
-	// (computed or cached); the query string is only parsed when present,
-	// so the hot path never pays for it.
-	profileReq := false
-	if r.URL.RawQuery != "" {
-		profileReq = r.URL.Query().Get("profile") == "1"
-	}
-	span := obs.SpanFromContext(r.Context())
-	var req wire.ExplainRequest
-	var ikey wire.ContentID
-	interned := false
-	if isFrameRequest(r) {
-		buf := s.readRawBody(w, r, binResp)
-		if buf == nil {
-			return
-		}
-		ikey = wire.InternBytes(*buf)
-		interned = true
-		if c, ok := s.intern.get(ikey); ok {
-			wire.PutBuffer(buf)
+// handleExplain serves POST /v1/explain on either wire format as one
+// pipeline behind the POST prologue: intern probe → decode → resolve →
+// get-or-compute → alias the frame key → write. A binary request's frame
+// bytes are a canonical encoding of the request, so SHA-256 over them is
+// a complete request identity: a warm probe writes pre-encoded response
+// bytes without decoding the frame, parsing the block, or touching the
+// model registry.
+func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request, in inbound) error {
+	framed := in.frame != nil
+	var frameKey wire.ContentID
+	if framed {
+		frameKey = wire.InternBytes(*in.frame)
+		if c, ok := s.results.get(frameKey); ok {
+			wire.PutBuffer(in.frame)
 			s.metrics.internHits.Add(1)
 			s.metrics.resultStoreHits.Add(1)
-			span.Set("source", "intern")
-			if profileReq {
-				s.writeExplanationProfile(w, binResp, c, "intern")
-				return
-			}
-			s.writeExplanation(w, binResp, c)
-			return
+			s.writeServed(w, r, in.binResp, c, "intern")
+			return nil
 		}
-		msg, err := wire.DecodeBinary(*buf)
-		wire.PutBuffer(buf)
-		if err != nil {
-			s.writeErrorNeg(w, binResp, http.StatusBadRequest, "bad frame: %v", err)
-			return
-		}
-		s.metrics.frameRequests.Add(1)
-		preq, ok := msg.(*wire.ExplainRequest)
-		if !ok {
-			s.writeErrorNeg(w, binResp, http.StatusBadRequest, "frame carries %T, want *wire.ExplainRequest", msg)
-			return
-		}
-		req = *preq
-	} else if !s.decodeBody(w, r, &req) {
-		return
+		s.metrics.internMisses.Add(1)
 	}
-	arch, err := wire.ParseArch(req.Arch)
+	req, err := decodeRequest[wire.ExplainRequest](s, w, r, in)
 	if err != nil {
-		s.writeErrorNeg(w, binResp, http.StatusBadRequest, "%v", err)
-		return
+		return err
 	}
-	block, err := x86.ParseBlock(req.Block)
+	call, err := s.resolveExplain(req)
 	if err != nil {
-		s.writeErrorNeg(w, binResp, http.StatusBadRequest, "bad block: %v", err)
-		return
+		return err
 	}
-	entry, err := s.lookupModel(req.Model, arch)
+	if span := obs.SpanFromContext(r.Context()); span != nil {
+		span.Set("spec", call.entry.specString())
+		span.Set("content_id", call.key.Hex())
+	}
+	c, source, err := s.explanation(r.Context(), &call)
 	if err != nil {
-		s.writeErrorNeg(w, binResp, modelErrorStatus(err), "%v", err)
-		return
+		return err
 	}
-	opts := requestOptions(entry, req.Config)
-	cfg := core.ApplyOptions(s.cfg.Base, opts...)
-	snap := wire.SnapshotConfig(cfg)
-	key := explainKey(entry, snap, block.String())
-	if span != nil {
-		span.Set("spec", entry.specString())
-		span.Set("content_id", key.Hex())
+	if framed {
+		s.results.put(frameKey, c)
 	}
+	s.writeServed(w, r, in.binResp, c, source)
+	return nil
+}
 
-	finish := func(c *cachedExplanation, source string) {
-		span.Set("source", source)
-		if interned {
-			s.intern.put(ikey, c)
-		}
-		if profileReq {
-			s.writeExplanationProfile(w, binResp, c, source)
-			return
-		}
-		s.writeExplanation(w, binResp, c)
+// explainCall is an explain request resolved against the server:
+// everything the get-or-compute needs, and the key it is stored under.
+type explainCall struct {
+	entry *modelEntry
+	block *x86.BasicBlock
+	opts  []core.ExplainOption
+	snap  wire.ConfigSnapshot
+	// key is the single-flight / result-store / durable-store identity of
+	// the request: the content address over everything that can change
+	// the explanation bytes — canonical spec, effective config, canonical
+	// block text — so the in-memory LRU and the on-disk store agree on
+	// keys across processes.
+	key wire.ContentID
+}
+
+// resolveExplain parses the request's block, resolves its model and
+// arch, and compiles its options and content key.
+func (s *Server) resolveExplain(req *wire.ExplainRequest) (explainCall, error) {
+	// A stack array for the one block keeps its slice off the heap: the
+	// JSON warm path is alloc-gated (make bench-check).
+	var one [1]*x86.BasicBlock
+	blocks, err := s.parseBlocks(one[:0], req.Block)
+	if err != nil {
+		return explainCall{}, err
 	}
-	if c, ok := s.results.get(key); ok {
+	entry, err := s.resolveModel(req.Model, req.Arch)
+	if err != nil {
+		return explainCall{}, err
+	}
+	call := explainCall{entry: entry, block: blocks[0], opts: requestOptions(entry, req.Config)}
+	call.snap = wire.SnapshotConfig(core.ApplyOptions(s.cfg.Base, call.opts...))
+	call.key = persist.ExplanationID(entry.specString(), call.snap, call.block.String())
+	return call, nil
+}
+
+// served is an explanation and the tier that produced it: the value a
+// flight shares with its followers.
+type served struct {
+	c      *cachedExplanation
+	source string
+}
+
+// explanation is the get-or-compute behind /v1/explain: result store →
+// durable store (rehydrating the result store) → single-flight (which
+// checks the result store again) → compute, then store and persist. It
+// reports the tier that served the call, one of the Profile.Source
+// values "result-store", "persist", "coalesced" or "computed".
+func (s *Server) explanation(ctx context.Context, call *explainCall) (*cachedExplanation, string, error) {
+	if c, ok := s.results.get(call.key); ok {
 		s.metrics.resultStoreHits.Add(1)
-		finish(c, "result-store")
-		return
+		return c, "result-store", nil
 	}
-	_, lspan := obs.StartSpan(r.Context(), "svc.persist_lookup")
-	c, lookupHit := s.persistLookup(key)
-	lspan.SetBool("hit", lookupHit)
+	// On disk the key is the content ID's hex form.
+	_, lspan := obs.StartSpan(ctx, "svc.persist_lookup")
+	var c *cachedExplanation
+	if s.store != nil {
+		if rec, ok := s.store.Get(wire.RecordExplanation, call.key.Hex()); ok && rec.Explanation != nil {
+			c = newCachedExplanation(rec.Explanation)
+		}
+	}
+	lspan.SetBool("hit", c != nil)
 	lspan.End()
-	if lookupHit {
-		finish(c, "persist")
-		return
+	switch {
+	case c != nil:
+		s.metrics.persistHits.Add(1)
+		s.results.put(call.key, c)
+		return c, "persist", nil
+	case s.store != nil:
+		s.metrics.persistMisses.Add(1)
 	}
-
-	val, err, shared := s.flights.Do(key, func() (any, error) {
-		// Double-check the store: a previous flight for this key may have
-		// finished (and stored its result) between our store miss and
-		// entering the flight.
-		if c, ok := s.results.get(key); ok {
+	v, err, shared := s.flights.Do(call.key, func() (served, error) {
+		// A previous flight for this key may have stored its result
+		// between the miss above and entering this flight.
+		if c, ok := s.results.get(call.key); ok {
 			s.metrics.resultStoreHits.Add(1)
-			return c, nil
+			return served{c, "result-store"}, nil
 		}
-		// The flight is shared by every coalesced caller, so its slot wait
-		// and computation are bound to the server's lifetime (s.ctx), not
-		// the originating request's context — one client disconnecting must
-		// not fail the followers. It does inherit the first caller's trace:
-		// the computation is that request's most interesting part.
-		if err := s.acquireExplainSlot(); err != nil {
-			return nil, err
-		}
-		defer s.releaseExplainSlot()
-		cctx := s.ctx
-		var cspan *obs.Span
-		if span != nil {
-			cctx, cspan = obs.StartSpan(obs.ContextWithSpan(s.ctx, span), "svc.compute")
-			defer cspan.End()
-		}
-		explainer := core.NewExplainerWithCache(traceModel(cctx, entry.model), s.cfg.Base, entry.cache)
-		computeStart := time.Now()
-		expl, err := explainer.ExplainContext(cctx, block, opts...)
-		if err != nil {
-			cspan.SetErr(err)
-			return nil, err
-		}
-		elapsed := time.Since(computeStart)
-		s.metrics.explanations.Add(1)
-		s.metrics.observeExplanation(entry.specString(), elapsed.Seconds())
-		s.metrics.observeQuality(entry.specString(), expl.Precision, expl.Coverage, expl.Queries, expl.Certified)
-		// The per-explanation profile stages ride the compute span as
-		// attributes, so a federated trace view shows where the wall time
-		// went without a second lookup.
-		if cspan != nil && expl.Profile != nil {
-			p := expl.Profile
-			cspan.SetInt("setup_us", p.Setup.Microseconds())
-			cspan.SetInt("search_us", p.Search.Microseconds())
-			cspan.SetInt("model_us", p.Model.Microseconds())
-			cspan.SetInt("precision_us", p.Precision.Microseconds())
-			cspan.SetInt("coverage_us", p.Coverage.Microseconds())
-			cspan.SetInt("queries", int64(p.Queries))
-			cspan.SetInt("model_calls", int64(p.ModelCalls))
-		}
-		c := newCachedExplanation(wire.FromExplanation(expl))
-		c.profile = wire.FromProfile(expl.Profile)
-		s.results.put(key, c)
-		s.persistPut(key, entry.specString(), snap, c.expl)
-		if s.log.Enabled(cctx, slog.LevelDebug) {
-			s.log.LogAttrs(cctx, slog.LevelDebug, "explanation computed",
-				slog.String("spec", entry.specString()),
-				slog.String("content_id", key.Hex()),
-				slog.Duration("elapsed", elapsed),
-				obs.TraceAttr(cspan.TraceID()))
-		}
-		return c, nil
+		c, err := s.compute(ctx, call)
+		return served{c, "computed"}, err
 	})
 	if shared {
 		s.metrics.coalesced.Add(1)
+		v.source = "coalesced"
 	}
 	if err != nil {
-		span.SetErr(err)
+		obs.SpanFromContext(ctx).SetErr(err)
 		switch {
 		case errors.Is(err, errOverloaded):
-			s.writeErrorNeg(w, binResp, http.StatusTooManyRequests, "%v", err)
+			return nil, "", errorf(http.StatusTooManyRequests, "%v", err)
 		case errors.Is(err, errDraining), errors.Is(err, context.Canceled):
-			s.writeErrorNeg(w, binResp, http.StatusServiceUnavailable, "%v", errDraining)
-		default:
-			s.writeErrorNeg(w, binResp, http.StatusInternalServerError, "explain failed: %v", err)
+			return nil, "", errorf(http.StatusServiceUnavailable, "%v", errDraining)
 		}
-		return
+		return nil, "", errorf(http.StatusInternalServerError, "explain failed: %v", err)
 	}
-	source := "computed"
-	if shared {
-		source = "coalesced"
+	return v.c, v.source, nil
+}
+
+// compute is a flight leader's miss path: it runs the engine under an
+// explain slot, then deposits the explanation in the result store and
+// the durable store. The flight is shared by every coalesced caller, so
+// its slot wait and computation are bound to the server's lifetime
+// (s.ctx), not the originating request's context — one client
+// disconnecting must not fail the followers. It does inherit the first
+// caller's trace: the computation is that request's most interesting
+// part.
+func (s *Server) compute(ctx context.Context, call *explainCall) (*cachedExplanation, error) {
+	if err := s.acquireExplainSlot(); err != nil {
+		return nil, err
 	}
-	finish(val.(*cachedExplanation), source)
+	defer s.releaseExplainSlot()
+	spec := call.entry.specString()
+	cctx := s.ctx
+	var cspan *obs.Span
+	if span := obs.SpanFromContext(ctx); span != nil {
+		cctx, cspan = obs.StartSpan(obs.ContextWithSpan(s.ctx, span), "svc.compute")
+		defer cspan.End()
+	}
+	explainer := core.NewExplainerWithCache(traceModel(cctx, call.entry.model), s.cfg.Base, call.entry.cache)
+	start := time.Now()
+	expl, err := explainer.ExplainContext(cctx, call.block, call.opts...)
+	if err != nil {
+		cspan.SetErr(err)
+		return nil, err
+	}
+	elapsed := time.Since(start)
+	s.metrics.explanations.Add(1)
+	s.metrics.observeExplanation(spec, elapsed.Seconds())
+	s.metrics.observeQuality(spec, expl.Precision, expl.Coverage, expl.Queries, expl.Certified)
+	// The per-explanation profile stages ride the compute span as
+	// attributes, so a federated trace view shows where the wall time
+	// went without a second lookup.
+	if cspan != nil && expl.Profile != nil {
+		p := expl.Profile
+		cspan.SetInt("setup_us", p.Setup.Microseconds())
+		cspan.SetInt("search_us", p.Search.Microseconds())
+		cspan.SetInt("model_us", p.Model.Microseconds())
+		cspan.SetInt("precision_us", p.Precision.Microseconds())
+		cspan.SetInt("coverage_us", p.Coverage.Microseconds())
+		cspan.SetInt("queries", int64(p.Queries))
+		cspan.SetInt("model_calls", int64(p.ModelCalls))
+	}
+	c := newCachedExplanation(wire.FromExplanation(expl))
+	c.profile = wire.FromProfile(expl.Profile)
+	s.results.put(call.key, c)
+	if s.store != nil {
+		// Persistence failures are counted, never surfaced to the client.
+		snap := call.snap
+		err := s.store.Put(&wire.Record{
+			V:           wire.RecordVersion,
+			Kind:        wire.RecordExplanation,
+			Key:         call.key.Hex(),
+			Spec:        spec,
+			Config:      &snap,
+			Explanation: c.expl,
+		})
+		if err != nil {
+			s.storeError(err)
+		}
+	}
+	if s.log.Enabled(cctx, slog.LevelDebug) {
+		s.log.LogAttrs(cctx, slog.LevelDebug, "explanation computed",
+			slog.String("spec", spec),
+			slog.String("content_id", call.key.Hex()),
+			slog.Duration("elapsed", elapsed),
+			obs.TraceAttr(cspan.TraceID()))
+	}
+	return c, nil
 }
 
 // traceparentCarrier is implemented by models that can propagate a trace
@@ -981,11 +939,16 @@ func traceModel(ctx context.Context, model costmodel.Model) costmodel.Model {
 	return model
 }
 
-// lookupModel resolves a request's model spec (falling back to the
-// server default) to a warmed entry. Client input is untrusted: it may
-// not resolve restricted specs unless the server allows them, and any
-// warm-up it triggers holds an explain slot.
-func (s *Server) lookupModel(modelStr string, arch x86.Arch) (*modelEntry, error) {
+// resolveModel resolves a request's arch and model spec (falling back to
+// the server default) to a warmed entry, failing with the status that
+// answers the request. Client input is untrusted: it may not resolve
+// restricted specs unless the server allows them, and any warm-up it
+// triggers holds an explain slot.
+func (s *Server) resolveModel(modelStr, archStr string) (*modelEntry, error) {
+	arch, err := wire.ParseArch(archStr)
+	if err != nil {
+		return nil, errorf(http.StatusBadRequest, "%v", err)
+	}
 	trusted := false
 	if modelStr == "" {
 		// The operator chose the default model; resolving it is as
@@ -993,22 +956,22 @@ func (s *Server) lookupModel(modelStr string, arch x86.Arch) (*modelEntry, error
 		modelStr = s.cfg.DefaultModel
 		trusted = true
 	}
-	return s.models.get(modelStr, wire.ArchName(arch), trusted)
-}
-
-// modelErrorStatus maps a model-resolution failure to its HTTP status:
-// backpressure on a full instance table or a gated warm-up, forbidden
-// for restricted specs, bad request otherwise.
-func modelErrorStatus(err error) int {
-	switch {
-	case errors.Is(err, errRegistryFull), errors.Is(err, errOverloaded):
-		return http.StatusTooManyRequests
-	case errors.Is(err, errDraining):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, errRestrictedSpec):
-		return http.StatusForbidden
+	entry, err := s.models.get(modelStr, wire.ArchName(arch), trusted)
+	if err != nil {
+		// Backpressure on a full instance table or a gated warm-up,
+		// forbidden for restricted specs, bad request otherwise.
+		code := http.StatusBadRequest
+		switch {
+		case errors.Is(err, errRegistryFull), errors.Is(err, errOverloaded):
+			code = http.StatusTooManyRequests
+		case errors.Is(err, errDraining):
+			code = http.StatusServiceUnavailable
+		case errors.Is(err, errRestrictedSpec):
+			code = http.StatusForbidden
+		}
+		return nil, errorf(code, "%v", err)
 	}
-	return http.StatusBadRequest
+	return entry, nil
 }
 
 // errOverloaded signals explain backpressure; the handler maps it to 429.
@@ -1043,59 +1006,34 @@ func (s *Server) releaseExplainSlot() { <-s.explainSlots }
 // wire.CorpusRequest of pre-parsed block texts; binary-upload bodies
 // (Content-Type application/x-elf, application/octet-stream, or
 // multipart/form-data) carry an ELF binary whose basic blocks are
-// extracted server-side (see handleCorpusUpload).
-func (s *Server) handleCorpus(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, "%v", errDraining)
-		return
-	}
+// extracted server-side (see handleCorpusUpload). Its answers are JSON
+// only.
+func (s *Server) handleCorpus(w http.ResponseWriter, r *http.Request, in inbound) error {
 	if isUploadContentType(r.Header.Get("Content-Type")) {
-		s.handleCorpusUpload(w, r)
-		return
+		return s.handleCorpusUpload(w, r)
 	}
-	var req wire.CorpusRequest
-	if !s.decodeBody(w, r, &req) {
-		return
+	req, err := decodeRequest[wire.CorpusRequest](s, w, r, in)
+	if err != nil {
+		return err
 	}
 	if len(req.Blocks) == 0 {
-		writeError(w, http.StatusBadRequest, "corpus has no blocks")
-		return
+		return errorf(http.StatusBadRequest, "corpus has no blocks")
 	}
-	if len(req.Blocks) > s.cfg.MaxCorpusBlocks {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			"corpus of %d blocks exceeds the limit of %d", len(req.Blocks), s.cfg.MaxCorpusBlocks)
-		return
+	blocks, err := s.parseBlocks(nil, req.Blocks...)
+	if err != nil {
+		return err
 	}
-	blocks := make([]*x86.BasicBlock, len(req.Blocks))
-	for i, src := range req.Blocks {
-		b, err := x86.ParseBlock(src)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "block %d: %v", i, err)
-			return
-		}
-		blocks[i] = b
-	}
-	s.submitCorpusJob(w, r, blocks, req.Model, req.Arch, req.Config, req.Workers, req.Stream)
+	return s.submitCorpusJob(w, r, blocks, req.Model, req.Arch, req.Config, req.Workers, req.Stream)
 }
 
 // submitCorpusJob resolves the model and queues an async corpus job over
 // already-parsed blocks — the shared tail of the JSON and binary-upload
 // corpus entry points.
 func (s *Server) submitCorpusJob(w http.ResponseWriter, r *http.Request, blocks []*x86.BasicBlock,
-	model, archStr string, overrides *wire.ConfigOverrides, workers int, stream bool) {
-	arch, err := wire.ParseArch(archStr)
+	model, archStr string, overrides *wire.ConfigOverrides, workers int, stream bool) error {
+	entry, err := s.resolveModel(model, archStr)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	entry, err := s.lookupModel(model, arch)
-	if err != nil {
-		writeError(w, modelErrorStatus(err), "%v", err)
-		return
+		return err
 	}
 	cfg := core.ApplyOptions(s.cfg.Base, requestOptions(entry, overrides)...)
 	j := &job{
@@ -1122,27 +1060,21 @@ func (s *Server) submitCorpusJob(w http.ResponseWriter, r *http.Request, blocks 
 		span.SetInt("blocks", int64(len(blocks)))
 	}
 	if err := s.jobs.submit(j); err != nil {
-		switch {
-		case errors.Is(err, errQueueFull):
-			writeError(w, http.StatusTooManyRequests, "%v", err)
-		default:
-			writeError(w, http.StatusServiceUnavailable, "%v", err)
+		if errors.Is(err, errQueueFull) {
+			return errorf(http.StatusTooManyRequests, "%v", err)
 		}
-		return
+		return errorf(http.StatusServiceUnavailable, "%v", err)
 	}
 	s.log.Info("corpus job accepted",
 		"job_id", j.id, "spec", j.spec, "blocks", len(blocks),
 		obs.TraceAttr(j.trace.Trace))
 	writeJSON(w, http.StatusAccepted, wire.JobAccepted{ID: j.id, State: wire.JobQueued, Total: len(blocks)})
+	return nil
 }
 
 // handleJob serves GET /v1/jobs/{id}?offset=&limit= and dispatches
 // GET /v1/jobs/{id}/stream to the streaming handler.
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
 	id := strings.TrimPrefix(r.URL.Path, "/v1/jobs/")
 	if stream, ok := strings.CutSuffix(id, "/stream"); ok && stream != "" && !strings.Contains(stream, "/") {
 		s.handleJobStream(w, r, stream)

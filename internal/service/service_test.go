@@ -126,42 +126,54 @@ func TestExplainMatchesLibraryAndRoundTrips(t *testing.T) {
 }
 
 // countingModel counts every block evaluation, for single-flight
-// verification by model-call accounting.
+// verification by model-call accounting. A non-zero firstDelay stalls
+// the first evaluation, holding a computation open while identical
+// requests arrive.
 type countingModel struct {
-	inner costmodel.BatchModel
-	calls atomic.Int64
+	inner      costmodel.BatchModel
+	calls      atomic.Int64
+	firstDelay time.Duration
+	once       sync.Once
 }
 
 func (m *countingModel) Name() string   { return "counting" }
 func (m *countingModel) Arch() x86.Arch { return m.inner.Arch() }
 func (m *countingModel) Predict(b *x86.BasicBlock) float64 {
-	m.calls.Add(1)
+	m.count(1)
 	return m.inner.Predict(b)
 }
 func (m *countingModel) PredictBatch(blocks []*x86.BasicBlock) []float64 {
-	m.calls.Add(int64(len(blocks)))
+	m.count(len(blocks))
 	return m.inner.PredictBatch(blocks)
+}
+func (m *countingModel) count(n int) {
+	m.calls.Add(int64(n))
+	m.once.Do(func() { time.Sleep(m.firstDelay) })
 }
 
 // TestSingleFlightCoalescesIdenticalRequests: N identical concurrent
 // requests cost exactly one explanation computation.
 func TestSingleFlightCoalescesIdenticalRequests(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	model := &countingModel{inner: uica.New(x86.Haswell)}
+	model := &countingModel{inner: uica.New(x86.Haswell), firstDelay: 200 * time.Millisecond}
 	s.RegisterModel("counting", x86.Haswell, model, 0)
 
 	const n = 8
 	var wg sync.WaitGroup
 	bodies := make([][]byte, n)
 	codes := make([]int, n)
+	traces := make([]string, n)
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, body := postJSON(t, ts.URL+"/v1/explain", wire.ExplainRequest{
+			// ?trace=1 records every request's root span, which names
+			// the tier that served it.
+			resp, body := postJSON(t, ts.URL+"/v1/explain?trace=1", wire.ExplainRequest{
 				Block: testBlock, Model: "counting", Config: fastOverrides(),
 			})
 			codes[i], bodies[i] = resp.StatusCode, body
+			traces[i] = resp.Header.Get("X-Comet-Trace-Id")
 		}(i)
 	}
 	wg.Wait()
@@ -185,6 +197,39 @@ func TestSingleFlightCoalescesIdenticalRequests(t *testing.T) {
 	// worth of evaluations.
 	if got := model.calls.Load(); got != int64(first.ModelCalls) {
 		t.Errorf("model evaluated %d blocks, want the single explanation's %d", got, first.ModelCalls)
+	}
+	// One request computed. The stalled first model call kept its flight
+	// open while the others arrived, so they coalesced onto it; any
+	// straggler that arrived after it finished hit the result store.
+	sources := map[string]int{}
+	for _, id := range traces {
+		sources[spanAttr(t, s, id, "http.explain", "source")]++
+	}
+	if sources["computed"] != 1 || sources["coalesced"] == 0 ||
+		sources["coalesced"]+sources["result-store"] != n-1 {
+		t.Errorf("serving tiers %v, want 1 computed and %d coalesced or result-store, at least one coalesced", sources, n-1)
+	}
+	if got := s.metrics.coalesced.Load(); got != uint64(sources["coalesced"]) {
+		t.Errorf("coalesced counter = %d, want %d", got, sources["coalesced"])
+	}
+}
+
+// spanAttr waits for the named span of a trace to reach the ring (a
+// root span ends after its response is written) and returns one of its
+// attributes.
+func spanAttr(t *testing.T, s *Server, traceID, span, attr string) string {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		for _, rec := range s.tracer.Ring().Trace(traceID) {
+			if rec.Name == span {
+				return rec.Attrs[attr]
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("trace %q has no %s span", traceID, span)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -12,30 +12,30 @@ import "sync"
 //
 // (The x/sync/singleflight package is the reference design; this is a
 // dependency-free reimplementation of the subset cometd needs.)
-type flightGroup[K comparable] struct {
+type flightGroup[K comparable, V any] struct {
 	mu sync.Mutex
-	m  map[K]*flightCall
+	m  map[K]*flightCall[V]
 }
 
-type flightCall struct {
+type flightCall[V any] struct {
 	done chan struct{}
-	val  any
+	val  V
 	err  error
 }
 
 // Do executes fn once per key among concurrent callers. The boolean
 // reports whether this caller shared another caller's execution.
-func (g *flightGroup[K]) Do(key K, fn func() (any, error)) (any, error, bool) {
+func (g *flightGroup[K, V]) Do(key K, fn func() (V, error)) (V, error, bool) {
 	g.mu.Lock()
 	if g.m == nil {
-		g.m = make(map[K]*flightCall)
+		g.m = make(map[K]*flightCall[V])
 	}
 	if c, ok := g.m[key]; ok {
 		g.mu.Unlock()
 		<-c.done
 		return c.val, c.err, true
 	}
-	c := &flightCall{done: make(chan struct{})}
+	c := &flightCall[V]{done: make(chan struct{})}
 	g.m[key] = c
 	g.mu.Unlock()
 

@@ -7,11 +7,11 @@ import (
 
 // lruStore is a capped, thread-safe LRU map, generic over the key so the
 // hot stores key on interned 32-byte content IDs instead of hex strings.
-// cometd uses three: the explanation result store (repeat explain queries
-// are O(1) map hits, no model work at all — keyed by wire.ContentID), the
-// request intern table (binary-path request identity → cached response
-// bytes), and the job history (finished corpus jobs survive polling until
-// capacity evicts them — keyed by job ID string).
+// cometd uses two: the explanation result store (repeat explain queries
+// are O(1) map hits, no model work at all — keyed by wire.ContentID, both
+// the request's content ID and a binary request's frame key), and the job
+// history (finished corpus jobs survive polling until capacity evicts
+// them — keyed by job ID string).
 type lruStore[K comparable, V any] struct {
 	mu  sync.Mutex
 	cap int
@@ -44,25 +44,20 @@ func (s *lruStore[K, V]) get(key K) (V, bool) {
 }
 
 // put inserts or refreshes a value, evicting the least recently used
-// entry beyond capacity. It reports the key of the evicted entry, if any.
-func (s *lruStore[K, V]) put(key K, val V) (evicted K, ok bool) {
+// entry beyond capacity.
+func (s *lruStore[K, V]) put(key K, val V) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var zero K
 	if el, hit := s.m[key]; hit {
 		el.Value.(*lruEntry[K, V]).val = val
 		s.ll.MoveToFront(el)
-		return zero, false
+		return
 	}
 	s.m[key] = s.ll.PushFront(&lruEntry[K, V]{key: key, val: val})
-	if s.ll.Len() <= s.cap {
-		return zero, false
+	if s.ll.Len() > s.cap {
+		oldest := s.ll.Remove(s.ll.Back()).(*lruEntry[K, V])
+		delete(s.m, oldest.key)
 	}
-	oldest := s.ll.Back()
-	s.ll.Remove(oldest)
-	e := oldest.Value.(*lruEntry[K, V])
-	delete(s.m, e.key)
-	return e.key, true
 }
 
 // values snapshots the stored values, most recently used first.

@@ -59,8 +59,8 @@ func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request, id stri
 	binResp := acceptsFrame(r)
 	j, ok := s.jobs.get(id)
 	if !ok {
-		s.writeErrorNeg(w, binResp, http.StatusNotFound,
-			"no such job %q (finished jobs are evicted after %d newer ones)", id, s.cfg.JobHistorySize)
+		fail(w, binResp, errorf(http.StatusNotFound,
+			"no such job %q (finished jobs are evicted after %d newer ones)", id, s.cfg.JobHistorySize))
 		return
 	}
 	if binResp {

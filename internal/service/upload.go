@@ -6,6 +6,7 @@ import (
 	"mime"
 	"mime/multipart"
 	"net/http"
+	"net/url"
 	"strconv"
 
 	"github.com/comet-explain/comet/internal/ingest"
@@ -40,14 +41,13 @@ func isUploadContentType(ct string) bool {
 // Extraction is deterministic, so uploading a binary and running
 // `comet -corpus elf:...` with the same model and config produce
 // byte-identical explanations through the content-addressed store.
-func (s *Server) handleCorpusUpload(w http.ResponseWriter, r *http.Request) {
-	data, ok := s.readUpload(w, r)
-	if !ok {
-		return
+func (s *Server) handleCorpusUpload(w http.ResponseWriter, r *http.Request) error {
+	data, err := s.readUpload(w, r)
+	if err != nil {
+		return err
 	}
 	if !ingest.IsELF(data) {
-		writeError(w, http.StatusBadRequest, "upload is not an ELF binary (bad magic)")
-		return
+		return errorf(http.StatusBadRequest, "upload is not an ELF binary (bad magic)")
 	}
 
 	// The extraction stage joins the request's span tree, so per-binary
@@ -58,8 +58,7 @@ func (s *Server) handleCorpusUpload(w http.ResponseWriter, r *http.Request) {
 		span.SetErr(err)
 		span.End()
 		s.metrics.ingestRejected.Add(1)
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+		return errorf(http.StatusBadRequest, "%v", err)
 	}
 	st := res.Stats
 	span.SetInt("sections", int64(st.Sections))
@@ -77,13 +76,10 @@ func (s *Server) handleCorpusUpload(w http.ResponseWriter, r *http.Request) {
 	s.metrics.ingestSkipped.Add(uint64(st.Unsupported))
 
 	if len(res.Blocks) == 0 {
-		writeError(w, http.StatusBadRequest, "binary contains no supported basic blocks (%s)", st)
-		return
+		return errorf(http.StatusBadRequest, "binary contains no supported basic blocks (%s)", st)
 	}
 	if len(res.Blocks) > s.cfg.MaxCorpusBlocks {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			"binary yields %d blocks, exceeding the limit of %d", len(res.Blocks), s.cfg.MaxCorpusBlocks)
-		return
+		return errorf(http.StatusRequestEntityTooLarge, "binary yields %d blocks, exceeding the limit of %d", len(res.Blocks), s.cfg.MaxCorpusBlocks)
 	}
 
 	blocks := make([]*x86.BasicBlock, len(res.Blocks))
@@ -98,33 +94,27 @@ func (s *Server) handleCorpusUpload(w http.ResponseWriter, r *http.Request) {
 
 	s.log.Info("corpus upload ingested",
 		"upload_bytes", len(data), "stats", st.String())
-	s.submitCorpusJob(w, r, blocks, q.Get("model"), q.Get("arch"), overrides, workers, stream)
+	return s.submitCorpusJob(w, r, blocks, q.Get("model"), q.Get("arch"), overrides, workers, stream)
 }
 
 // uploadOverrides translates upload query parameters into the config
 // overrides a JSON corpus request would carry inline.
-func uploadOverrides(q map[string][]string) *wire.ConfigOverrides {
-	get := func(k string) string {
-		if v, ok := q[k]; ok && len(v) > 0 {
-			return v[0]
-		}
-		return ""
-	}
+func uploadOverrides(q url.Values) *wire.ConfigOverrides {
 	var o wire.ConfigOverrides
 	set := false
-	if v, err := strconv.ParseInt(get("seed"), 10, 64); err == nil {
+	if v, err := strconv.ParseInt(q.Get("seed"), 10, 64); err == nil {
 		o.Seed = v
 		set = true
 	}
-	if v, err := strconv.Atoi(get("coverage")); err == nil {
+	if v, err := strconv.Atoi(q.Get("coverage")); err == nil {
 		o.CoverageSamples = v
 		set = true
 	}
-	if v, err := strconv.ParseFloat(get("epsilon"), 64); err == nil {
+	if v, err := strconv.ParseFloat(q.Get("epsilon"), 64); err == nil {
 		o.Epsilon = v
 		set = true
 	}
-	if v, err := strconv.Atoi(get("batch")); err == nil {
+	if v, err := strconv.Atoi(q.Get("batch")); err == nil {
 		o.BatchSize = v
 		set = true
 	}
@@ -134,57 +124,45 @@ func uploadOverrides(q map[string][]string) *wire.ConfigOverrides {
 	return &o
 }
 
-// readUpload reads the binary body under the MaxUploadBytes cap,
-// answering 413 with a wire.Error when the cap is exceeded. Multipart
-// bodies contribute their first file part.
-func (s *Server) readUpload(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes)
-	mt, params, _ := mime.ParseMediaType(r.Header.Get("Content-Type"))
-	if mt != "multipart/form-data" {
-		data, err := io.ReadAll(body)
-		if err != nil {
-			s.uploadReadError(w, err)
-			return nil, false
+// readUpload reads the binary body under the MaxUploadBytes cap; an
+// oversized upload fails with 413. Multipart bodies contribute their
+// first file part.
+func (s *Server) readUpload(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	var body io.Reader = http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes)
+	if mt, params, _ := mime.ParseMediaType(r.Header.Get("Content-Type")); mt == "multipart/form-data" {
+		if params["boundary"] == "" {
+			return nil, errorf(http.StatusBadRequest, "multipart upload without boundary")
 		}
-		return data, true
+		mr := multipart.NewReader(body, params["boundary"])
+		for {
+			part, err := mr.NextPart()
+			if err == io.EOF {
+				return nil, errorf(http.StatusBadRequest, "multipart upload has no file part")
+			}
+			if err != nil {
+				return nil, s.uploadReadError(err)
+			}
+			if part.FileName() != "" {
+				body = part
+				break
+			}
+		}
 	}
-	boundary := params["boundary"]
-	if boundary == "" {
-		writeError(w, http.StatusBadRequest, "multipart upload without boundary")
-		return nil, false
+	data, err := io.ReadAll(body)
+	if err != nil {
+		return nil, s.uploadReadError(err)
 	}
-	mr := multipart.NewReader(body, boundary)
-	for {
-		part, err := mr.NextPart()
-		if err == io.EOF {
-			writeError(w, http.StatusBadRequest, "multipart upload has no file part")
-			return nil, false
-		}
-		if err != nil {
-			s.uploadReadError(w, err)
-			return nil, false
-		}
-		if part.FileName() == "" {
-			continue
-		}
-		data, err := io.ReadAll(part)
-		if err != nil {
-			s.uploadReadError(w, err)
-			return nil, false
-		}
-		return data, true
-	}
+	return data, nil
 }
 
 // uploadReadError maps a body-read failure to 413 (limit exceeded) or
-// 400 as wire.Error JSON.
-func (s *Server) uploadReadError(w http.ResponseWriter, err error) {
+// 400.
+func (s *Server) uploadReadError(err error) error {
 	var tooBig *http.MaxBytesError
 	if errors.As(err, &tooBig) {
 		s.metrics.ingestRejected.Add(1)
-		writeError(w, http.StatusRequestEntityTooLarge,
+		return errorf(http.StatusRequestEntityTooLarge,
 			"upload exceeds %d bytes (raise -max-upload-bytes to accept larger binaries)", tooBig.Limit)
-		return
 	}
-	writeError(w, http.StatusBadRequest, "bad upload body: %v", err)
+	return errorf(http.StatusBadRequest, "bad upload body: %v", err)
 }

@@ -3,7 +3,7 @@ package wire
 // Interned content identities. The service layer hashes every request's
 // identity-bearing bytes (canonical block text, model spec, effective
 // config) exactly once at ingress; everything downstream — the result
-// LRU, single-flight coalescing, the intern table, cluster result dedup —
+// LRU, single-flight coalescing, cluster result dedup —
 // compares and routes on the fixed-size ContentID (or its u64-prefixed
 // Handle) instead of re-hashing or carrying canonical-text strings.
 
