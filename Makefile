@@ -101,8 +101,9 @@ bench-baseline:
 
 # Brief native fuzzing of the frame scanner, the binary decoder, the JSON
 # wire types, the x86 machine-code decoder, the Intel-syntax text parser,
-# the model-spec grammar and ELF extraction, starting from the committed
-# corpus in internal/wire/testdata/fuzz and each target's in-test seeds.
+# the model-spec grammar, ELF extraction and durable-store segment
+# recovery, starting from the committed corpus in
+# internal/wire/testdata/fuzz and each target's in-test seeds.
 # One -fuzz pattern per invocation: go test rejects multiple fuzz targets
 # in a single fuzzing run.
 fuzz-smoke:
@@ -113,6 +114,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzParseX86Text$$' -fuzztime=30s ./internal/x86
 	$(GO) test -run='^$$' -fuzz='^FuzzParseModelSpec$$' -fuzztime=30s .
 	$(GO) test -run='^$$' -fuzz='^FuzzExtractBytes$$' -fuzztime=30s ./internal/ingest
+	$(GO) test -run='^$$' -fuzz='^FuzzOpenSegment$$' -fuzztime=30s ./internal/persist
 
 # Go line counts, non-test and test, outside the nested perfbench module
 # and the benchmark's build directory: every change reports its net

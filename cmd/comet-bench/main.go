@@ -492,27 +492,49 @@ func storeBench(modelSpec string, n, workers int, storeDir, jsonOut string) erro
 	// does so the two passes (and any later process) share keys.
 	cfg.Parallelism = 1
 
-	runPass := func() ([]*comet.Explanation, *persist.ExplainerStore, time.Duration, error) {
-		artifacts := persist.NewExplainerStore(log, rm.Spec.String())
-		e := comet.NewExplainer(rm.Model, cfg)
-		e.SetArtifactStore(artifacts)
-		start := time.Now()
-		expls, err := e.ExplainCorpus(blocks, comet.CorpusOptions{Workers: workers})
-		return expls, artifacts, time.Since(start), err
+	// The cold pass computes the corpus and persists every explanation
+	// under its content address; the warm pass reads each one back.
+	e := comet.NewExplainer(rm.Model, cfg)
+	canon := rm.Spec.String()
+	snap := wire.SnapshotConfig(e.Config())
+	snaps := make([]wire.ConfigSnapshot, n)
+	ids := make([]wire.ContentID, n)
+	for i, b := range blocks {
+		snaps[i] = snap
+		snaps[i].Seed = comet.BlockSeed(snap.Seed, i)
+		ids[i] = persist.ExplanationID(canon, snaps[i], b.String())
 	}
 
-	coldExpls, coldStore, coldElapsed, err := runPass()
+	start := time.Now()
+	coldExpls, err := e.ExplainCorpus(blocks, comet.CorpusOptions{Workers: workers})
 	if err != nil {
 		return fmt.Errorf("cold pass: %w", err)
 	}
-	if hits, _ := coldStore.Counters(); hits != 0 {
-		return fmt.Errorf("cold pass hit the store %d times; expected 0", hits)
+	for i, expl := range coldExpls {
+		if err := persist.PutExplanation(log, ids[i], canon, snaps[i], wire.FromExplanation(expl)); err != nil {
+			return fmt.Errorf("cold pass: %w", err)
+		}
 	}
-	warmExpls, warmStore, warmElapsed, err := runPass()
-	if err != nil {
-		return fmt.Errorf("warm pass: %w", err)
+	coldElapsed := time.Since(start)
+
+	start = time.Now()
+	warmExpls := make([]*comet.Explanation, n)
+	var hits, misses uint64
+	for i := range blocks {
+		stored, ok := persist.LookupExplanation(log, ids[i])
+		if !ok {
+			misses++
+			continue
+		}
+		hits++
+		if warmExpls[i], err = stored.Core(); err != nil {
+			return fmt.Errorf("warm pass: block %d: %w", i, err)
+		}
 	}
-	hits, misses := warmStore.Counters()
+	warmElapsed := time.Since(start)
+	if misses != 0 {
+		return fmt.Errorf("warm pass missed the store %d times; expected 0", misses)
+	}
 
 	for i := range blocks {
 		if coldExpls[i].Features.Key() != warmExpls[i].Features.Key() ||

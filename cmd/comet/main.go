@@ -33,7 +33,9 @@
 // model, config, and block are answered from disk, and an interrupted
 // -corpus run rerun with the same flags — optionally with -resume to
 // report progress — skips every block already stored, producing output
-// identical to an uninterrupted run. Inspect stores with comet-store.
+// identical to an uninterrupted run. Local and -cluster runs share the
+// store: either mode serves blocks the other computed. Inspect stores
+// with comet-store.
 //
 // Examples:
 //
@@ -112,50 +114,14 @@ func main() {
 		return
 	}
 
-	if *clusterTo != "" {
-		if *corpus == "" {
-			fatal(fmt.Errorf("-cluster requires -corpus"))
-		}
-		err := explainClusterCorpus(clusterParams{
-			workerURLs:  *clusterTo,
-			modelSpec:   *modelSpec,
-			arch:        *archName,
-			trainN:      *trainN,
-			loadModel:   *loadModel,
-			corpus:      *corpus,
-			workers:     *workers,
-			leaseBlocks: *leaseN,
-			jsonOut:     *jsonOut,
-			storeDir:    *storeDir,
-			resume:      *resume,
-			seed:        *seed,
-			coverage:    *coverage,
-			threshold:   *threshold,
-			batchSize:   *batchSize,
-			epsilon:     *epsilon,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		return
+	if *clusterTo != "" && *corpus == "" {
+		fatal(fmt.Errorf("-cluster requires -corpus"))
 	}
 
-	rm, err := resolveModel(*modelSpec, *archName, *trainN, *loadModel)
+	spec, err := parseSpec(*modelSpec, *archName, *trainN, *loadModel)
 	if err != nil {
 		fatal(err)
 	}
-	model := rm.Model
-	if *saveModel != "" {
-		saver, ok := model.(interface{ SaveFile(string) error })
-		if !ok {
-			fatal(fmt.Errorf("model %s does not support saving", rm.Spec))
-		}
-		if err := saver.SaveFile(*saveModel); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "saved model to %s\n", *saveModel)
-	}
-
 	cfg := comet.DefaultConfig()
 	cfg.Seed = *seed
 	cfg.CoverageSamples = *coverage
@@ -164,7 +130,42 @@ func main() {
 	if *noCache {
 		cfg.CacheSize = -1
 	}
-	cfg.Epsilon = rm.Epsilon
+
+	var model comet.CostModel
+	if *clusterTo != "" {
+		// The workers own the model: canonicalize the spec without
+		// resolving it, and take the ε the registry advertises. (Specs
+		// that make workers read files, like load=, require
+		// -allow-restricted-specs there.)
+		if spec, err = comet.CanonicalSpec(spec); err != nil {
+			fatal(err)
+		}
+		cfg.Epsilon = 0.5
+		if def, ok := comet.LookupModel(spec.Name); ok && def.Epsilon > 0 {
+			cfg.Epsilon = def.Epsilon
+		}
+		// Shard keys and bytes must not depend on any machine's core count.
+		cfg.Parallelism = 1
+	} else {
+		if def, ok := comet.LookupModel(spec.Name); ok && def.Name == "ithemal" && spec.Params["load"] == "" {
+			fmt.Fprintf(os.Stderr, "training ithemal surrogate (%s)...\n", spec)
+		}
+		rm, err := comet.ResolveModel(spec)
+		if err != nil {
+			fatal(err)
+		}
+		spec, model, cfg.Epsilon = rm.Spec, rm.Model, rm.Epsilon
+		if *saveModel != "" {
+			saver, ok := model.(interface{ SaveFile(string) error })
+			if !ok {
+				fatal(fmt.Errorf("model %s does not support saving", rm.Spec))
+			}
+			if err := saver.SaveFile(*saveModel); err != nil {
+				fatal(err)
+			}
+			fmt.Fprintf(os.Stderr, "saved model to %s\n", *saveModel)
+		}
+	}
 	if *epsilon > 0 {
 		cfg.Epsilon = *epsilon
 	}
@@ -173,21 +174,24 @@ func main() {
 	// repeated invocations (and interrupted -corpus runs) are answered
 	// from disk instead of recomputed. Keys include the sampling
 	// parallelism, so it is pinned to 1 for cross-invocation stability.
-	var artifacts *persist.ExplainerStore
-	var storeLog *persist.Log
+	var store *persist.Log
 	if *storeDir != "" {
-		var err error
-		storeLog, err = persist.Open(*storeDir, persist.Options{})
-		if err != nil {
+		if store, err = persist.Open(*storeDir, persist.Options{}); err != nil {
 			fatal(err)
 		}
-		defer storeLog.Close()
+		defer store.Close()
 		cfg.Parallelism = 1
-		artifacts = persist.NewExplainerStore(storeLog, rm.Spec.String())
 	}
 
 	if *corpus != "" {
-		if err := explainCorpus(model, cfg, *corpus, *workers, *jsonOut, rm.Spec.String(), storeLog, artifacts, *resume); err != nil {
+		run := corpusRun{spec: spec.String(), cfg: cfg, model: model, store: store,
+			workers: *workers, jsonOut: *jsonOut, resume: *resume}
+		if *clusterTo != "" {
+			if run.cluster, err = newClusterTarget(*clusterTo, *leaseN); err != nil {
+				fatal(err)
+			}
+		}
+		if err := run.explain(*corpus); err != nil {
 			fatal(err)
 		}
 		return
@@ -206,15 +210,26 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	explainer := comet.NewExplainer(model, cfg)
-	if artifacts != nil {
-		explainer.SetArtifactStore(artifacts)
+	snap := wire.SnapshotConfig(explainer.Config())
+	id := persist.ExplanationID(spec.String(), snap, block.String())
+	var expl *comet.Explanation
+	if store != nil {
+		if stored, ok := persist.LookupExplanation(store, id); ok {
+			if expl, err = stored.Core(); err == nil {
+				fmt.Fprintf(os.Stderr, "comet: explanation served from store %s\n", *storeDir)
+			}
+		}
 	}
-	expl, err := explainer.ExplainContext(ctx, block)
-	if err != nil {
-		fatal(err)
-	}
-	if hits, _ := storeCounters(artifacts); hits > 0 {
-		fmt.Fprintf(os.Stderr, "comet: explanation served from store %s\n", *storeDir)
+	if expl == nil {
+		if expl, err = explainer.ExplainContext(ctx, block); err != nil {
+			fatal(err)
+		}
+		if store != nil {
+			start := time.Now()
+			putExplanation(store, id, spec.String(), snap, wire.FromExplanation(expl))
+			expl.Profile.Store = time.Since(start)
+			expl.Profile.Total += expl.Profile.Store
+		}
 	}
 
 	if *jsonOut {
@@ -233,7 +248,7 @@ func main() {
 	}
 
 	fmt.Printf("block (%d instructions):\n%s\n\n", block.Len(), indent(block.String()))
-	fmt.Printf("model:       %s (%v, spec %s)\n", model.Name(), model.Arch(), rm.Spec)
+	fmt.Printf("model:       %s (%v, spec %s)\n", model.Name(), model.Arch(), spec)
 	fmt.Printf("prediction:  %.2f cycles/iteration\n", expl.Prediction)
 	fmt.Printf("explanation: %s\n", expl.Features)
 	fmt.Printf("precision:   %.2f (threshold %.2f, certified=%v)\n", expl.Precision, cfg.PrecisionThreshold, expl.Certified)
@@ -251,6 +266,14 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("\npipeline report (hardware-grade simulator):\n%s", rep)
+	}
+}
+
+// putExplanation persists a freshly computed explanation. A failed write
+// costs only the reuse, so it is reported and the run goes on.
+func putExplanation(store *persist.Log, id wire.ContentID, spec string, snap wire.ConfigSnapshot, e *wire.Explanation) {
+	if err := persist.PutExplanation(store, id, spec, snap, e); err != nil {
+		fmt.Fprintf(os.Stderr, "\ncomet: store: %v\n", err)
 	}
 }
 
@@ -279,15 +302,15 @@ func printProfile(p *core.Profile) {
 	w.Flush()
 }
 
-// resolveModel turns the -model spec (plus the legacy convenience flags)
-// into a warmed model via the registry. -arch fills in the spec's target
-// when the model targets an arch and the spec has none; -train-blocks
-// and -load-model inject the matching ithemal spec parameters when the
-// spec doesn't set them itself.
-func resolveModel(specStr, archDefault string, trainN int, loadPath string) (*comet.ResolvedModel, error) {
+// parseSpec turns the -model spec plus the legacy convenience flags into
+// a model spec: -arch fills in the target when the model targets an arch
+// and the spec has none; -train-blocks and -load-model inject the
+// matching ithemal parameters when the spec doesn't set them itself. The
+// same flags address the same model locally and with -cluster.
+func parseSpec(specStr, archDefault string, trainN int, loadPath string) (comet.ModelSpec, error) {
 	spec, err := comet.ParseModelSpec(specStr)
 	if err != nil {
-		return nil, err
+		return comet.ModelSpec{}, err
 	}
 	spec = spec.WithDefaultTarget(archDefault)
 	if trainN > 0 {
@@ -296,10 +319,7 @@ func resolveModel(specStr, archDefault string, trainN int, loadPath string) (*co
 	if loadPath != "" {
 		spec = spec.WithDefaultParam("ithemal", "load", loadPath)
 	}
-	if def, ok := comet.LookupModel(spec.Name); ok && def.Name == "ithemal" && spec.Params["load"] == "" {
-		fmt.Fprintf(os.Stderr, "training ithemal surrogate (%s)...\n", spec)
-	}
-	return comet.ResolveModel(spec)
+	return spec, nil
 }
 
 // printModels renders the registry for -list-models.
@@ -323,342 +343,224 @@ func printModels() {
 	w.Flush()
 }
 
-// explainCorpus runs the batched corpus engine and prints one line per
-// block as results stream in — human-readable, or with jsonOut one
-// comet-serve wire CorpusResult object per line (the same schema
-// GET /v1/jobs/{id} pages through) — then a throughput/cache summary
-// (stderr in JSON mode, so stdout stays machine-readable). With a
-// durable store attached, every block's explanation is consulted there
-// first and deposited after computing, so an interrupted run rerun with
-// the same flags resumes where it stopped (per-block seeds depend only
-// on the block index, making the resumed output identical to an
-// uninterrupted run).
-func explainCorpus(model comet.CostModel, cfg comet.Config, spec string, workers int, jsonOut bool,
-	modelSpec string, storeLog *persist.Log, artifacts *persist.ExplainerStore, resume bool) error {
-	blocks, err := loadCorpus(spec)
-	if err != nil {
-		return err
-	}
-	e := comet.NewExplainer(model, cfg)
-	if artifacts != nil {
-		e.SetArtifactStore(artifacts)
-	}
-	if resume {
-		// Report what the store already holds before resuming — the same
-		// per-block keys the run is about to look up. Has is a pure
-		// index probe, so even a huge warm corpus costs no extra reads.
-		eff := e.Config()
-		stored := 0
-		for i, b := range blocks {
-			c := eff
-			c.Seed = comet.BlockSeed(eff.Seed, i)
-			if storeLog.Has(wire.RecordExplanation, persist.ExplanationKey(modelSpec, wire.SnapshotConfig(c), b.String())) {
-				stored++
-			}
-		}
-		fmt.Fprintf(os.Stderr, "comet: resuming: %d/%d blocks already in the store\n", stored, len(blocks))
-	}
-	enc := json.NewEncoder(os.Stdout)
-	start := time.Now()
-	var queries, hits, calls, failed, certified int
-	for res := range e.ExplainAll(blocks, comet.CorpusOptions{
-		Workers: workers,
-		Progress: func(done, total int) {
-			fmt.Fprintf(os.Stderr, "\r%d/%d blocks", done, total)
-		},
-	}) {
-		if jsonOut {
-			if err := enc.Encode(wire.FromCorpusResult(res)); err != nil {
-				return err
-			}
-		}
-		if res.Err != nil {
-			failed++
-			fmt.Fprintf(os.Stderr, "\ncomet: %v\n", res.Err)
-			continue
-		}
-		expl := res.Explanation
-		queries += expl.Queries
-		hits += expl.CacheHits
-		calls += expl.ModelCalls
-		if expl.Certified {
-			certified++
-		}
-		if !jsonOut {
-			fmt.Printf("[%4d] %s\n", res.Index, expl)
-		}
-	}
-	elapsed := time.Since(start)
-	fmt.Fprintln(os.Stderr)
-	summary := os.Stdout
-	if jsonOut {
-		summary = os.Stderr
-	}
-	fmt.Fprintf(summary, "\ncorpus: %d blocks (%d certified, %d failed) in %v (%.1f blocks/s)\n",
-		len(blocks), certified, failed, elapsed.Round(time.Millisecond),
-		float64(len(blocks))/elapsed.Seconds())
-	hitRate := 0.0
-	if queries > 0 {
-		hitRate = float64(hits) / float64(queries)
-	}
-	fmt.Fprintf(summary, "queries: %d total, %d cache/dedup hits (%.1f%%), %d model evaluations\n",
-		queries, hits, 100*hitRate, calls)
-	if artifacts != nil {
-		storeHits, storeMisses := artifacts.Counters()
-		fmt.Fprintf(summary, "store:   %d blocks served from disk, %d computed and persisted\n",
-			storeHits, storeMisses)
-	}
-	if failed > 0 {
-		return fmt.Errorf("%d of %d blocks failed", failed, len(blocks))
-	}
-	return nil
+// corpusRun is one -corpus invocation. Local and -cluster runs share
+// every step but one: load the corpus; with a store, emit every block
+// it already holds; compute the rest — in-process through ExplainAll,
+// or leased to comet-serve workers — emitting and persisting each fresh
+// result; print one summary. Per-block seeds depend only on the block
+// index, so a resumed run's output is identical to an uninterrupted
+// one, whichever way its blocks were computed.
+//
+// Output is one line per block as results stream in — human-readable,
+// or with jsonOut one comet-serve wire CorpusResult object per line
+// (the same schema GET /v1/jobs/{id} pages through) — then a throughput
+// and cache summary (on stderr in JSON mode, so stdout stays
+// machine-readable).
+type corpusRun struct {
+	spec    string // canonical model spec: the store keys' model identity
+	cfg     comet.Config
+	model   comet.CostModel // the local engine's model (nil with cluster)
+	cluster *clusterTarget  // non-nil with -cluster
+	store   *persist.Log    // nil without -store
+	workers int
+	jsonOut bool
+	resume  bool
+
+	enc                                     *json.Encoder
+	queries, hits, calls, failed, certified int
 }
 
-// clusterParams collects the -cluster corpus invocation's knobs.
-type clusterParams struct {
-	workerURLs  string
-	modelSpec   string
-	arch        string
-	trainN      int
-	loadModel   string
-	corpus      string
-	workers     int
-	leaseBlocks int
-	jsonOut     bool
-	storeDir    string
-	resume      bool
-	seed        int64
-	coverage    int
-	threshold   float64
-	batchSize   int
-	epsilon     float64
-}
-
-// explainClusterCorpus shards a corpus across comet-serve workers
-// through the cluster coordinator — the same lease scheduler cometd's
-// coordinator mode runs — and streams results exactly like the local
-// corpus engine. Per-block seeds travel with every lease, so the output
-// is byte-identical to a local run at the same seed; sampling
-// parallelism is pinned to 1 for exactly that reason. With -store, every
-// block already on disk is served from there (and reported with
-// -resume), and fresh results are persisted, so an interrupted cluster
-// run resumes where it stopped.
-func explainClusterCorpus(p clusterParams) error {
-	blocks, err := loadCorpus(p.corpus)
+func (r *corpusRun) explain(corpusSpec string) error {
+	blocks, err := loadCorpus(corpusSpec)
 	if err != nil {
 		return err
 	}
-	var urls []string
-	for _, u := range strings.Split(p.workerURLs, ",") {
-		if u = strings.TrimSpace(u); u != "" {
-			urls = append(urls, u)
-		}
-	}
-	if len(urls) == 0 {
-		return fmt.Errorf("-cluster lists no worker URLs")
-	}
-
-	// Canonicalize the spec without resolving it: the workers own the
-	// model; the client only needs the registry identity and the default
-	// ε the spec advertises. The legacy convenience flags fold into the
-	// spec exactly as resolveModel does for local runs, so the same
-	// flags address the same model either way. (Specs that make workers
-	// read files, like load=, require -allow-restricted-specs there.)
-	spec, err := comet.ParseModelSpec(p.modelSpec)
-	if err != nil {
-		return err
-	}
-	spec = spec.WithDefaultTarget(p.arch)
-	if p.trainN > 0 {
-		spec = spec.WithDefaultParam("ithemal", "train", fmt.Sprint(p.trainN))
-	}
-	if p.loadModel != "" {
-		spec = spec.WithDefaultParam("ithemal", "load", p.loadModel)
-	}
-	canon, err := comet.CanonicalSpec(spec)
-	if err != nil {
-		return err
-	}
-	eps := p.epsilon
-	if eps <= 0 {
-		if def, ok := comet.LookupModel(canon.Name); ok && def.Epsilon > 0 {
-			eps = def.Epsilon
-		} else {
-			eps = 0.5
-		}
-	}
-	cfg := comet.DefaultConfig()
-	cfg.Seed = p.seed
-	cfg.CoverageSamples = p.coverage
-	cfg.PrecisionThreshold = p.threshold
-	cfg.BatchSize = p.batchSize
-	cfg.Epsilon = eps
-	cfg.Parallelism = 1 // shard keys and bytes must not depend on any machine's core count
-	snap := wire.SnapshotConfig(core.ApplyOptions(cfg))
-
-	// With a durable store, blocks already on disk are emitted from it
-	// and never leased; fresh results are persisted as they arrive.
-	var storeLog *persist.Log
-	if p.storeDir != "" {
-		storeLog, err = persist.Open(p.storeDir, persist.Options{})
-		if err != nil {
-			return err
-		}
-		defer storeLog.Close()
-	}
+	r.enc = json.NewEncoder(os.Stdout)
+	snap := wire.SnapshotConfig(core.ApplyOptions(r.cfg))
 	texts := make([]string, len(blocks))
-	keys := make([]string, len(blocks))
-	snaps := make([]wire.ConfigSnapshot, len(blocks))
 	for i, b := range blocks {
 		texts[i] = b.String()
-		c := snap
-		c.Seed = comet.BlockSeed(snap.Seed, i)
-		snaps[i] = c
-		keys[i] = persist.ExplanationKey(canon.String(), c, texts[i])
 	}
 
-	enc := json.NewEncoder(os.Stdout)
-	var queries, hits, calls, failed, certified, fromStore int
-	emitResult := func(res wire.CorpusResult) error {
-		if p.jsonOut {
-			if err := enc.Encode(res); err != nil {
-				return err
-			}
-		}
-		if res.Error != "" {
-			failed++
-			fmt.Fprintf(os.Stderr, "\ncomet: block %d: %s\n", res.Index, res.Error)
-			return nil
-		}
-		expl := res.Explanation
-		queries += expl.Queries
-		hits += expl.CacheHits
-		calls += expl.ModelCalls
-		if expl.Certified {
-			certified++
-		}
-		if !p.jsonOut {
-			lib, err := expl.Core()
-			if err != nil {
-				return err
-			}
-			fmt.Printf("[%4d] %s\n", res.Index, lib)
-		}
-		return nil
-	}
-
-	skip := make(map[int]bool)
-	if storeLog != nil {
+	start := time.Now()
+	skip := make([]bool, len(blocks))
+	ids := make([]wire.ContentID, len(blocks))
+	snaps := make([]wire.ConfigSnapshot, len(blocks))
+	fromStore := 0
+	if r.store != nil {
 		for i := range blocks {
-			rec, ok := storeLog.Get(wire.RecordExplanation, keys[i])
-			if !ok || rec.Explanation == nil {
+			snaps[i] = snap
+			snaps[i].Seed = comet.BlockSeed(snap.Seed, i)
+			ids[i] = persist.ExplanationID(r.spec, snaps[i], texts[i])
+			stored, ok := persist.LookupExplanation(r.store, ids[i])
+			if !ok {
 				continue
 			}
 			skip[i] = true
 			fromStore++
-			if err := emitResult(wire.CorpusResult{Index: i, Block: texts[i], Explanation: rec.Explanation}); err != nil {
+			if err := r.emit(wire.CorpusResult{Index: i, Block: texts[i], Explanation: stored}); err != nil {
 				return err
 			}
 		}
-		if p.resume {
+		if r.resume {
 			fmt.Fprintf(os.Stderr, "comet: resuming: %d/%d blocks already in the store\n", fromStore, len(blocks))
 		}
 	}
 
-	clusterLog, err := obs.NewLogger(os.Stderr, "text", "info")
-	if err != nil {
-		return err
-	}
-	pool := cluster.NewPool(urls, cluster.Options{})
-	coord := cluster.New(pool, cluster.Options{
-		LeaseBlocks: p.leaseBlocks,
-		Log:         obs.Component(clusterLog, "cluster"),
-	})
-	start := time.Now()
-	done := len(skip)
-	emitted := make(map[int]bool)
-	var emitErr error
-	runErr := coord.Run(context.Background(), cluster.Job{
-		ID:      "cli",
-		Spec:    canon.String(),
-		Config:  snap,
-		Blocks:  texts,
-		Skip:    func(i int) bool { return skip[i] },
-		Workers: p.workers,
-	}, func(res cluster.Result) {
+	done := fromStore
+	delivered := append([]bool(nil), skip...)
+	fresh := func(res wire.CorpusResult) error {
 		done++
-		emitted[res.Index] = true
+		delivered[res.Index] = true
 		fmt.Fprintf(os.Stderr, "\r%d/%d blocks", done, len(blocks))
-		if emitErr == nil {
-			emitErr = emitResult(res.CorpusResult)
+		if r.store != nil && res.Error == "" {
+			putExplanation(r.store, ids[res.Index], r.spec, snaps[res.Index], res.Explanation)
 		}
-		if storeLog != nil && res.Error == "" {
-			err := storeLog.Put(&wire.Record{
-				V:           wire.RecordVersion,
-				Kind:        wire.RecordExplanation,
-				Key:         keys[res.Index],
-				Spec:        canon.String(),
-				Config:      &snaps[res.Index],
-				Explanation: res.Explanation,
-			})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "\ncomet: store: %v\n", err)
+		return r.emit(res)
+	}
+	skipped := func(i int) bool { return skip[i] }
+	if r.cluster != nil {
+		err = r.cluster.run(r.spec, snap, texts, skipped, r.workers, fresh)
+	} else {
+		for res := range comet.NewExplainer(r.model, r.cfg).ExplainAll(blocks, comet.CorpusOptions{Workers: r.workers, Skip: skipped}) {
+			if err = fresh(wire.FromCorpusResult(res)); err != nil {
+				break
 			}
 		}
-	})
-	elapsed := time.Since(start)
-	if emitErr != nil {
-		return emitErr
 	}
-	if runErr != nil {
-		if !errors.Is(runErr, cluster.ErrLeasesAbandoned) {
-			return fmt.Errorf("cluster run: %w", runErr)
+	elapsed := time.Since(start)
+	if err != nil {
+		if !errors.Is(err, cluster.ErrLeasesAbandoned) {
+			return err
 		}
 		// Abandoned blocks were never computed (the CLI has no local
 		// engine to fall back on — rerun, or rerun with -store to keep
 		// the finished work); count them as failures.
 		for i := range blocks {
-			if !skip[i] && !emitted[i] {
-				failed++
-				fmt.Fprintf(os.Stderr, "\ncomet: block %d: %v\n", i, runErr)
+			if !delivered[i] {
+				r.failed++
+				fmt.Fprintf(os.Stderr, "\ncomet: block %d: %v\n", i, err)
 			}
 		}
 	}
 
 	fmt.Fprintln(os.Stderr)
 	summary := os.Stdout
-	if p.jsonOut {
+	if r.jsonOut {
 		summary = os.Stderr
 	}
-	st := coord.Stats()
-	fmt.Fprintf(summary, "\ncorpus: %d blocks (%d certified, %d failed) in %v (%.1f blocks/s) across %d workers\n",
-		len(blocks), certified, failed, elapsed.Round(time.Millisecond),
-		float64(len(blocks))/elapsed.Seconds(), len(urls))
-	fmt.Fprintf(summary, "cluster: %d leases dispatched, %d re-leased, %d straggler re-dispatches\n",
-		st.LeasesDispatched.Load(), st.LeasesReleased.Load(), st.StragglerDispatches.Load())
+	across := ""
+	if r.cluster != nil {
+		across = fmt.Sprintf(" across %d workers", len(r.cluster.urls))
+	}
+	fmt.Fprintf(summary, "\ncorpus: %d blocks (%d certified, %d failed) in %v (%.1f blocks/s)%s\n",
+		len(blocks), r.certified, r.failed, elapsed.Round(time.Millisecond),
+		float64(len(blocks))/elapsed.Seconds(), across)
+	if r.cluster != nil {
+		st := r.cluster.coord.Stats()
+		fmt.Fprintf(summary, "cluster: %d leases dispatched, %d re-leased, %d straggler re-dispatches\n",
+			st.LeasesDispatched.Load(), st.LeasesReleased.Load(), st.StragglerDispatches.Load())
+	}
 	hitRate := 0.0
-	if queries > 0 {
-		hitRate = float64(hits) / float64(queries)
+	if r.queries > 0 {
+		hitRate = float64(r.hits) / float64(r.queries)
 	}
 	fmt.Fprintf(summary, "queries: %d total, %d cache/dedup hits (%.1f%%), %d model evaluations\n",
-		queries, hits, 100*hitRate, calls)
-	if storeLog != nil {
+		r.queries, r.hits, 100*hitRate, r.calls)
+	if r.store != nil {
 		fmt.Fprintf(summary, "store:   %d blocks served from disk, %d computed and persisted\n",
-			fromStore, len(blocks)-fromStore-failed)
+			fromStore, len(blocks)-fromStore-r.failed)
 	}
-	if failed > 0 {
-		return fmt.Errorf("%d of %d blocks failed", failed, len(blocks))
+	if r.failed > 0 {
+		return fmt.Errorf("%d of %d blocks failed", r.failed, len(blocks))
 	}
 	return nil
 }
 
-// storeCounters reports the artifact store's lookup counters (zero
-// without a store).
-func storeCounters(artifacts *persist.ExplainerStore) (hits, misses uint64) {
-	if artifacts == nil {
-		return 0, 0
+// emit prints one block's result and adds it to the run's totals.
+func (r *corpusRun) emit(res wire.CorpusResult) error {
+	if r.jsonOut {
+		if err := r.enc.Encode(res); err != nil {
+			return err
+		}
 	}
-	return artifacts.Counters()
+	if res.Error != "" {
+		r.failed++
+		fmt.Fprintf(os.Stderr, "\ncomet: %s\n", res.Error)
+		return nil
+	}
+	expl := res.Explanation
+	r.queries += expl.Queries
+	r.hits += expl.CacheHits
+	r.calls += expl.ModelCalls
+	if expl.Certified {
+		r.certified++
+	}
+	if !r.jsonOut {
+		lib, err := expl.Core()
+		if err != nil {
+			return err
+		}
+		fmt.Printf("[%4d] %s\n", res.Index, lib)
+	}
+	return nil
+}
+
+// clusterTarget is where a -cluster run computes its blocks: comet-serve
+// workers driven by the cluster coordinator — the same lease scheduler
+// cometd's coordinator mode runs. Per-block seeds travel with every
+// lease, so results are byte-identical to a local run at the same seed.
+type clusterTarget struct {
+	urls  []string
+	coord *cluster.Coordinator
+}
+
+func newClusterTarget(workerURLs string, leaseBlocks int) (*clusterTarget, error) {
+	var urls []string
+	for _, u := range strings.Split(workerURLs, ",") {
+		if u = strings.TrimSpace(u); u != "" {
+			urls = append(urls, u)
+		}
+	}
+	if len(urls) == 0 {
+		return nil, fmt.Errorf("-cluster lists no worker URLs")
+	}
+	log, err := obs.NewLogger(os.Stderr, "text", "info")
+	if err != nil {
+		return nil, err
+	}
+	coord := cluster.New(cluster.NewPool(urls, cluster.Options{}), cluster.Options{
+		LeaseBlocks: leaseBlocks,
+		Log:         obs.Component(log, "cluster"),
+	})
+	return &clusterTarget{urls: urls, coord: coord}, nil
+}
+
+// run leases every block skip does not report and hands each result to
+// emit. Blocks whose leases were abandoned are never delivered; the
+// error then wraps cluster.ErrLeasesAbandoned.
+func (c *clusterTarget) run(spec string, snap wire.ConfigSnapshot, texts []string, skip func(int) bool,
+	workers int, emit func(wire.CorpusResult) error) error {
+	var emitErr error
+	err := c.coord.Run(context.Background(), cluster.Job{
+		ID:      "cli",
+		Spec:    spec,
+		Config:  snap,
+		Blocks:  texts,
+		Skip:    skip,
+		Workers: workers,
+	}, func(res cluster.Result) {
+		if emitErr == nil {
+			emitErr = emit(res.CorpusResult)
+		}
+	})
+	if emitErr != nil {
+		return emitErr
+	}
+	if err != nil {
+		return fmt.Errorf("cluster run: %w", err)
+	}
+	return nil
 }
 
 // loadCorpus reads a corpus: "gen:N" generates N synthetic BHive-like

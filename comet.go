@@ -42,6 +42,11 @@
 //	for res := range comet.NewExplainer(rm.Model, cfg).ExplainAll(blocks, comet.CorpusOptions{}) {
 //		fmt.Println(res.Index, res.Explanation, res.Explanation.CacheHitRate())
 //	}
+//
+// The explainer computes and never persists. An explanation is a pure
+// function of (canonical model spec, effective config, block), so the
+// comet CLI's -store and comet-serve's durable store reuse it across
+// processes under a content address over exactly those inputs.
 package comet
 
 import (
@@ -97,10 +102,6 @@ type (
 	ExplainOption = core.ExplainOption
 	// CorpusOptions configures Explainer.ExplainAll.
 	CorpusOptions = core.CorpusOptions
-	// ArtifactStore serves previously computed explanations (durable
-	// cross-process caching; see Explainer.SetArtifactStore and the
-	// comet -store flag).
-	ArtifactStore = core.ArtifactStore
 	// CorpusResult is one streamed ExplainAll outcome.
 	CorpusResult = core.CorpusResult
 	// PerturbConfig configures the Γ perturbation algorithm.

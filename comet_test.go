@@ -217,3 +217,31 @@ func TestPublicAPIInstructionThroughput(t *testing.T) {
 		t.Error("div should out-cost add")
 	}
 }
+
+// TestIthemalSpecMatchesTrainOnDataset: resolving an ithemal spec trains
+// exactly the model TrainIthemalOnDataset trains with the same settings
+// (the spec's default dataset seed is 42), so the two entry points never
+// drift apart. Two epochs, because one leaves every prediction at the
+// model's floor; another dataset seed must then predict differently, or
+// the comparison would prove nothing.
+func TestIthemalSpecMatchesTrainOnDataset(t *testing.T) {
+	block := comet.MustParseBlock("add rcx, rax\nmov rdx, rcx\npop rbx")
+	predict := func(spec string) float64 {
+		t.Helper()
+		rm, err := comet.ResolveModelString(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rm.Model.Predict(block)
+	}
+	cfg := comet.DefaultIthemalConfig(comet.Haswell)
+	cfg.Epochs = 2
+	cfg.Workers = 1
+	want := comet.TrainIthemalOnDataset(cfg, 100, 42).Predict(block)
+	if got := predict("ithemal@hsw?train=100&epochs=2&workers=1"); got != want {
+		t.Errorf("resolved spec predicts %v, TrainIthemalOnDataset %v", got, want)
+	}
+	if other := predict("ithemal@hsw?train=100&epochs=2&workers=1&data=43"); other == want {
+		t.Errorf("dataset seed 43 predicts %v too; the block does not tell the datasets apart", other)
+	}
+}

@@ -86,9 +86,10 @@ type Explanation struct {
 	CacheHits  int          // queries served without a model evaluation
 	ModelCalls int          // blocks the model actually evaluated
 	// Profile breaks the computation down by stage. Set on every freshly
-	// computed explanation, nil on artifact-store hits (the original
-	// computation's timings were not persisted — wall times never
-	// reproduce, and stored explanations are compared byte-for-byte).
+	// computed explanation, nil on one read back from a durable store
+	// (the original computation's timings were not persisted — wall
+	// times never reproduce, and stored explanations are compared
+	// byte-for-byte).
 	Profile *Profile
 }
 
@@ -120,25 +121,6 @@ type Explainer struct {
 	// set by the caller; ExplainAll then drops per-block sampling to one
 	// goroutine and lets block-level workers saturate the machine.
 	autoParallel bool
-	// artifacts, when set, is consulted before every computation and
-	// receives every freshly computed explanation (SetArtifactStore).
-	artifacts ArtifactStore
-}
-
-// ArtifactStore serves previously computed explanation artifacts.
-// Explanations are pure functions of (model, block, effective config) —
-// sampling is driven entirely by cfg.Seed and cfg.Parallelism — so a
-// store keyed on those inputs can answer a request with the exact
-// explanation computation would produce. internal/persist provides the
-// disk-backed implementation; the store owns model identity (the
-// explainer passes only config and block).
-type ArtifactStore interface {
-	// Lookup returns the stored explanation for (cfg, block), if any.
-	// cfg is the fully normalized effective configuration.
-	Lookup(cfg Config, block *x86.BasicBlock) (*Explanation, bool)
-	// Store deposits a freshly computed explanation. Implementations
-	// must not fail the explanation on storage errors.
-	Store(cfg Config, expl *Explanation)
 }
 
 // withDefaults normalizes a config in place of its zero values and
@@ -197,16 +179,6 @@ func NewExplainerWithCache(model costmodel.Model, cfg Config, cache *costmodel.C
 	e.cache = cache
 	return e
 }
-
-// SetArtifactStore installs an explanation artifact store: every request
-// consults it before computing (a hit returns the stored explanation and
-// costs zero model queries) and deposits its result after computing.
-// Corpus runs inherit the hook, which is what lets an interrupted
-// -corpus run resume across processes: already-stored blocks are served,
-// the rest are computed, and per-block seeding makes the union identical
-// to an uninterrupted run. Set it before issuing requests; it must be
-// safe for concurrent use.
-func (e *Explainer) SetArtifactStore(s ArtifactStore) { e.artifacts = s }
 
 // Model returns the underlying cost model.
 func (e *Explainer) Model() costmodel.Model { return e.model }
@@ -271,14 +243,6 @@ func (e *Explainer) explainWith(ctx context.Context, b *x86.BasicBlock, cfg Conf
 		}
 	}()
 	t0 := time.Now()
-	if e.artifacts != nil {
-		_, lookupSpan := obs.StartSpan(ctx, "core.artifact_lookup")
-		stored, ok := e.artifacts.Lookup(cfg, b)
-		lookupSpan.End()
-		if ok {
-			return stored, nil
-		}
-	}
 	prof := &Profile{}
 	_, setupSpan := obs.StartSpan(ctx, "core.canonicalize")
 	p, err := perturb.New(b, cfg.Perturb)
@@ -331,13 +295,6 @@ func (e *Explainer) explainWith(ctx context.Context, b *x86.BasicBlock, cfg Conf
 		CacheHits:  space.cacheHits,
 		ModelCalls: space.modelCalls,
 		Profile:    prof,
-	}
-	if e.artifacts != nil {
-		_, storeSpan := obs.StartSpan(ctx, "core.artifact_store")
-		storeStart := time.Now()
-		e.artifacts.Store(cfg, expl)
-		prof.Store = time.Since(storeStart)
-		storeSpan.End()
 	}
 	prof.Total = time.Since(t0)
 	return expl, nil

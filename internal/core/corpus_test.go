@@ -198,3 +198,40 @@ func TestCachingDoesNotChangeExplanations(t *testing.T) {
 		}
 	}
 }
+
+// TestCorpusSkipOmitsBlocks: skipped indices produce no result at all,
+// and the blocks that do run keep their original per-block seeds.
+func TestCorpusSkipOmitsBlocks(t *testing.T) {
+	model := analytical.New(x86.Haswell)
+	cfg := corpusConfig()
+	blocks := corpusBlocks(t, 5)
+
+	seen := make(map[int]*Explanation)
+	for res := range NewExplainer(model, cfg).ExplainAll(blocks, CorpusOptions{
+		Workers: 2,
+		Skip:    func(i int) bool { return i%2 == 1 },
+	}) {
+		if res.Err != nil {
+			t.Fatalf("block %d: %v", res.Index, res.Err)
+		}
+		seen[res.Index] = res.Explanation
+	}
+	if len(seen) != 3 {
+		t.Fatalf("got %d results, want 3 (indices 0, 2, 4)", len(seen))
+	}
+	for _, i := range []int{0, 2, 4} {
+		expl := seen[i]
+		if expl == nil {
+			t.Fatalf("block %d missing", i)
+		}
+		solo := cfg
+		solo.Seed = BlockSeed(cfg.Seed, i)
+		want, err := NewExplainer(model, solo).Explain(blocks[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if expl.Features.Key() != want.Features.Key() {
+			t.Errorf("block %d: skip run %v != seeded solo %v", i, expl.Features, want.Features)
+		}
+	}
+}

@@ -27,7 +27,9 @@ type Profile struct {
 	// Precision is the time spent in KL-LUCB precision-sampling rounds
 	// (perturbation generation plus their model queries).
 	Precision time.Duration
-	// Store covers the artifact-store write of the finished explanation.
+	// Store covers the durable-store write of the finished explanation.
+	// The engine never persists; a caller that does (the comet CLI's
+	// -store) fills it and adds it to Total.
 	Store time.Duration
 	// Total is end-to-end wall time for the computation.
 	Total time.Duration

@@ -18,8 +18,8 @@ import (
 // ExplanationID returns the content address of an explanation artifact
 // as an interned wire.ContentID — hashed once; compared, cached, and
 // single-flighted as 32 fixed bytes. The on-disk store key is its Hex
-// rendering (ExplanationKey), unchanged from before interning, so
-// existing stores stay readable.
+// rendering, unchanged from before interning, so existing stores stay
+// readable.
 func ExplanationID(spec string, cfg wire.ConfigSnapshot, blockText string) wire.ContentID {
 	h := sha256.New()
 	fmt.Fprintf(h, "comet-explanation-v%d|%s|eps=%g|thr=%g|cov=%d|batch=%d|par=%d|seed=%d|",
@@ -32,10 +32,29 @@ func ExplanationID(spec string, cfg wire.ConfigSnapshot, blockText string) wire.
 	return id
 }
 
-// ExplanationKey returns the on-disk store key of an explanation
-// artifact: the hex rendering of its ExplanationID.
-func ExplanationKey(spec string, cfg wire.ConfigSnapshot, blockText string) string {
-	return ExplanationID(spec, cfg, blockText).Hex()
+// LookupExplanation returns the explanation stored under content
+// address id, if any. LookupExplanation and PutExplanation are the one
+// read and the one write of explanation records.
+func LookupExplanation(s Store, id wire.ContentID) (*wire.Explanation, bool) {
+	rec, ok := s.Get(wire.RecordExplanation, id.Hex())
+	if !ok || rec.Explanation == nil {
+		return nil, false
+	}
+	return rec.Explanation, true
+}
+
+// PutExplanation persists e under content address id, which must be
+// ExplanationID(spec, snap, block text); the record keeps spec and snap
+// so stores stay inspectable.
+func PutExplanation(s Store, id wire.ContentID, spec string, snap wire.ConfigSnapshot, e *wire.Explanation) error {
+	return s.Put(&wire.Record{
+		V:           wire.RecordVersion,
+		Kind:        wire.RecordExplanation,
+		Key:         id.Hex(),
+		Spec:        spec,
+		Config:      &snap,
+		Explanation: e,
+	})
 }
 
 // JobKey returns the store key of a corpus-job envelope.

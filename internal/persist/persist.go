@@ -408,20 +408,6 @@ func (l *Log) touch(e *entry) {
 	l.pushFront(e)
 }
 
-// Has reports whether a live record exists under (kind, key) without
-// reading it — no disk I/O, no recency refresh, no hit/miss accounting.
-// Progress pre-checks (comet -corpus -resume) use it to count stored
-// work without paying a decode per block or skewing the LRU order.
-func (l *Log) Has(kind, key string) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return false
-	}
-	_, ok := l.index[indexKey(kind, key)]
-	return ok
-}
-
 // Get implements Store.
 func (l *Log) Get(kind, key string) (*wire.Record, bool) {
 	l.mu.Lock()

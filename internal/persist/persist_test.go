@@ -1,6 +1,8 @@
 package persist
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -386,13 +388,13 @@ func TestVerifyDirReports(t *testing.T) {
 	}
 }
 
-// TestExplainerStoreRoundTrip: the core.ArtifactStore adapter persists
-// an explanation and serves it back equal, keyed by effective config —
-// a different seed is a different artifact.
-func TestExplainerStoreRoundTrip(t *testing.T) {
-	l := mustOpen(t, t.TempDir(), Options{})
-	es := NewExplainerStore(l, "c@hsw")
-
+// TestExplanationRoundTrip: PutExplanation then LookupExplanation serves
+// the explanation back byte-identical on the wire, also after a reopen;
+// the content address covers the effective config, so another seed's ID
+// misses, and a record without an explanation is a miss too.
+func TestExplanationRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	l := mustOpen(t, dir, Options{})
 	w := &wire.Explanation{
 		Block:      "add rcx, rax\nmov rdx, rcx",
 		Model:      "c",
@@ -402,28 +404,43 @@ func TestExplainerStoreRoundTrip(t *testing.T) {
 		Certified:  true,
 		Queries:    10,
 	}
-	expl, err := w.Core()
+	want, err := json.Marshal(w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := core.ApplyOptions(core.Config{Seed: 7, Parallelism: 1})
-	es.Store(cfg, expl)
+	snap := wire.SnapshotConfig(core.ApplyOptions(core.Config{Seed: 7, Parallelism: 1}))
+	id := ExplanationID("c@hsw", snap, w.Block)
+	if err := PutExplanation(l, id, "c@hsw", snap, w); err != nil {
+		t.Fatal(err)
+	}
+	lookup := func(l *Log) {
+		t.Helper()
+		got, ok := LookupExplanation(l, id)
+		if !ok {
+			t.Fatal("stored explanation not found")
+		}
+		if b, _ := json.Marshal(got); !bytes.Equal(b, want) {
+			t.Errorf("round trip changed the explanation:\n got %s\nwant %s", b, want)
+		}
+	}
+	lookup(l)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l = mustOpen(t, dir, Options{})
+	lookup(l)
 
-	got, ok := es.Lookup(cfg, expl.Block)
-	if !ok {
-		t.Fatal("stored explanation not found")
-	}
-	if got.Prediction != expl.Prediction || got.Precision != expl.Precision ||
-		got.Certified != expl.Certified || got.Block.String() != expl.Block.String() {
-		t.Errorf("round trip changed the explanation: %+v vs %+v", got, expl)
-	}
-	other := cfg
+	other := snap
 	other.Seed = 8
-	if _, ok := es.Lookup(other, expl.Block); ok {
-		t.Error("a different seed served the same artifact")
+	if _, ok := LookupExplanation(l, ExplanationID("c@hsw", other, w.Block)); ok {
+		t.Error("a different seed served the same explanation")
 	}
-	if hits, misses := es.Counters(); hits != 1 || misses != 1 {
-		t.Errorf("counters hits=%d misses=%d, want 1/1", hits, misses)
+	empty := ExplanationID("c@hsw", snap, "pop rbx")
+	if err := PutExplanation(l, empty, "c@hsw", snap, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := LookupExplanation(l, empty); ok {
+		t.Error("a record without an explanation was served")
 	}
 }
 
@@ -432,26 +449,5 @@ func TestExplainerStoreRoundTrip(t *testing.T) {
 func TestVerifyDirMissingIsAnError(t *testing.T) {
 	if _, err := VerifyDir(filepath.Join(t.TempDir(), "nope")); err == nil {
 		t.Fatal("VerifyDir on a missing directory reported a clean store")
-	}
-}
-
-// TestHasProbesWithoutAccounting: Has answers from the index alone —
-// no hit/miss accounting, no recency refresh.
-func TestHasProbesWithoutAccounting(t *testing.T) {
-	l := mustOpen(t, t.TempDir(), Options{})
-	mustPut(t, l, rec("a", 1))
-	mustPut(t, l, rec("b", 2)) // b is MRU
-	if !l.Has(wire.RecordExplanation, "a") || l.Has(wire.RecordExplanation, "zzz") {
-		t.Fatal("Has answered wrong")
-	}
-	if st := l.Stats(); st.Hits != 0 || st.Misses != 0 {
-		t.Errorf("Has touched the hit/miss counters: %+v", st)
-	}
-	var order []string
-	if err := l.Scan(func(r *wire.Record) bool { order = append(order, r.Key); return true }); err != nil {
-		t.Fatal(err)
-	}
-	if len(order) != 2 || order[0] != "a" || order[1] != "b" {
-		t.Errorf("Has changed recency order: %v", order)
 	}
 }

@@ -151,13 +151,8 @@ func TestRestoreSummaryCountsHeldExplanations(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "store")
 	seed := openTestStore(t, dir)
 	for i := 0; i < 3; i++ {
-		err := seed.Put(&wire.Record{
-			V:           wire.RecordVersion,
-			Kind:        wire.RecordExplanation,
-			Key:         wire.InternBytes([]byte{byte(i)}).Hex(),
-			Spec:        "uica@hsw",
-			Explanation: &wire.Explanation{Block: testBlock, Model: "uica", Prediction: float64(i)},
-		})
+		err := persist.PutExplanation(seed, wire.InternBytes([]byte{byte(i)}), "uica@hsw", wire.ConfigSnapshot{},
+			&wire.Explanation{Block: testBlock, Model: "uica", Prediction: float64(i)})
 		if err != nil {
 			t.Fatal(err)
 		}

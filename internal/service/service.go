@@ -801,12 +801,11 @@ func (s *Server) explanation(ctx context.Context, call *explainCall) (*cachedExp
 		s.metrics.resultStoreHits.Add(1)
 		return c, "result-store", nil
 	}
-	// On disk the key is the content ID's hex form.
 	_, lspan := obs.StartSpan(ctx, "svc.persist_lookup")
 	var c *cachedExplanation
 	if s.store != nil {
-		if rec, ok := s.store.Get(wire.RecordExplanation, call.key.Hex()); ok && rec.Explanation != nil {
-			c = newCachedExplanation(rec.Explanation)
+		if e, ok := persist.LookupExplanation(s.store, call.key); ok {
+			c = newCachedExplanation(e)
 		}
 	}
 	lspan.SetBool("hit", c != nil)
@@ -895,16 +894,7 @@ func (s *Server) compute(ctx context.Context, call *explainCall) (*cachedExplana
 	s.results.put(call.key, c)
 	if s.store != nil {
 		// Persistence failures are counted, never surfaced to the client.
-		snap := call.snap
-		err := s.store.Put(&wire.Record{
-			V:           wire.RecordVersion,
-			Kind:        wire.RecordExplanation,
-			Key:         call.key.Hex(),
-			Spec:        spec,
-			Config:      &snap,
-			Explanation: c.expl,
-		})
-		if err != nil {
+		if err := persist.PutExplanation(s.store, call.key, spec, call.snap, c.expl); err != nil {
 			s.storeError(err)
 		}
 	}

@@ -192,7 +192,7 @@ type Profile struct {
 	ModelUS     int64  `json:"model_us,omitempty"`     // time inside cost-model batch calls
 	PrecisionUS int64  `json:"precision_us,omitempty"` // final KL-LUCB precision sampling
 	CoverageUS  int64  `json:"coverage_us,omitempty"`  // coverage pool construction and estimate
-	StoreUS     int64  `json:"store_us,omitempty"`     // artifact-store write
+	StoreUS     int64  `json:"store_us,omitempty"`     // durable-store write
 	TotalUS     int64  `json:"total_us,omitempty"`
 	Queries     int    `json:"queries,omitempty"`
 	CacheHits   int    `json:"cache_hits,omitempty"`

@@ -136,16 +136,7 @@ func newIthemalFromSpec(arch Arch, spec ModelSpec) (*IthemalModel, error) {
 	if err != nil {
 		return nil, err
 	}
-	blocks := GenerateDataset(DatasetConfig{
-		N: train, MinInstrs: 1, MaxInstrs: 12, Seed: dataSeed,
-	})
-	samples := make([]TrainingSample, len(blocks))
-	for i, b := range blocks {
-		samples[i] = TrainingSample{Block: b.Block, Throughput: b.Throughput[arch]}
-	}
-	m := NewIthemalModel(cfg)
-	m.Train(samples, nil)
-	return m, nil
+	return TrainIthemalOnDataset(cfg, train, dataSeed), nil
 }
 
 // boundedParam reads a positive integer parameter with an upper sanity
