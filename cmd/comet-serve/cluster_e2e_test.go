@@ -9,10 +9,12 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -75,6 +77,31 @@ func fetchTraceSpans(t *testing.T, base, traceID string, timeout time.Duration) 
 		}
 		time.Sleep(25 * time.Millisecond)
 	}
+}
+
+// assertFramedLeases scrapes a worker's /metrics after a job and
+// asserts comet_frame_requests_total > 0: coordinator→worker leases
+// travel as binary frames across real processes.
+func assertFramedLeases(t *testing.T, base string) {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatalf("metrics: %v", err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("metrics: %v", err)
+	}
+	for _, line := range strings.Split(string(body), "\n") {
+		if v, ok := strings.CutPrefix(line, "comet_frame_requests_total "); ok {
+			if n, err := strconv.ParseFloat(v, 64); err != nil || n <= 0 {
+				t.Errorf("worker %s: comet_frame_requests_total = %q, want > 0 (leases must travel as frames)", base, v)
+			}
+			return
+		}
+	}
+	t.Errorf("worker %s exports no comet_frame_requests_total", base)
 }
 
 // traceLogLines counts the JSON log records in a process's stderr that
@@ -148,6 +175,7 @@ func TestClusterE2ETraceSpansProcesses(t *testing.T) {
 	if len(st.Workers) == 0 {
 		t.Fatalf("job was not distributed (no worker attribution): %+v\ncoordinator stderr:\n%s", st, co.stderr.String())
 	}
+	assertFramedLeases(t, worker.base)
 
 	// The coordinator's ring holds the submission and the resumed job
 	// span; the worker's ring holds the lease executions — all under the
@@ -226,6 +254,8 @@ func TestClusterE2EFederatedTraceAndFlight(t *testing.T) {
 	if len(st.Workers) < 2 {
 		t.Fatalf("job was not spread across both workers: %+v", st.Workers)
 	}
+	assertFramedLeases(t, w1.base)
+	assertFramedLeases(t, w2.base)
 
 	// One federated trace with spans from all three processes. Workers
 	// finish their shard spans asynchronously, so poll.

@@ -79,9 +79,7 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -360,7 +358,7 @@ func main() {
 // real deployments pass -advertise).
 func advertiseURL(flagValue string, ln net.Listener) (string, error) {
 	if flagValue != "" {
-		return cluster.CanonicalURL(flagValue), nil
+		return wire.BaseURL(flagValue), nil
 	}
 	addr, ok := ln.Addr().(*net.TCPAddr)
 	if !ok {
@@ -380,7 +378,7 @@ func advertiseURL(flagValue string, ln net.Listener) (string, error) {
 // retried forever (the coordinator may simply not be up yet); the first
 // successful join and every reconnection are logged.
 func heartbeatLoop(ctx context.Context, coordinatorURL, advertise string, capacity int, interval time.Duration) {
-	coordinatorURL = cluster.CanonicalURL(coordinatorURL)
+	coordinatorURL = wire.BaseURL(coordinatorURL)
 	client := &http.Client{Timeout: 10 * time.Second}
 	joined := false
 	// Failures log on every state change (including before the first
@@ -398,22 +396,12 @@ func heartbeatLoop(ctx context.Context, coordinatorURL, advertise string, capaci
 		joined = false
 	}
 	join := func() {
-		body, _ := json.Marshal(wire.JoinRequest{URL: advertise, Capacity: capacity})
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-			coordinatorURL+"/v1/cluster/join", bytes.NewReader(body))
+		_, err := wire.Call[wire.JoinResponse](ctx, client, coordinatorURL+"/v1/cluster/join", "",
+			&wire.JoinRequest{URL: advertise, Capacity: capacity})
 		if err != nil {
-			return
-		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := client.Do(req)
-		if err != nil {
-			fail(err.Error())
-			return
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			msg := fmt.Sprintf("status %d", resp.StatusCode)
-			if resp.StatusCode == http.StatusNotFound {
+			msg := err.Error()
+			var se *wire.StatusError
+			if errors.As(err, &se) && se.Code == http.StatusNotFound {
 				msg += " (is the coordinator running with -coordinator?)"
 			}
 			fail(msg)

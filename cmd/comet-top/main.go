@@ -27,11 +27,13 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"math"
+	"net/http"
 	"os"
 	"sort"
 	"strings"
@@ -66,8 +68,8 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	base := inspect.NormalizeBase(flag.Arg(0))
-	client := inspect.NewClient(*timeout)
+	base := wire.BaseURL(flag.Arg(0))
+	client := &http.Client{Timeout: *timeout}
 
 	for {
 		snap := poll(client, base, *outliers)
@@ -123,11 +125,12 @@ type snapshot struct {
 
 // poll gathers one frame. Partial failures degrade sections, never the
 // frame: a standalone process has no /v1/cluster, tracing may be off.
-func poll(client *inspect.Client, base string, maxOutliers int) snapshot {
+func poll(client *http.Client, base string, maxOutliers int) snapshot {
 	snap := snapshot{Base: base, Polled: time.Now().UTC()}
+	ctx := context.Background()
 
-	var hist historyResp
-	if err := client.GetJSON(base+"/debug/history?cluster=1", &hist); err != nil {
+	hist, err := wire.Call[historyResp](ctx, client, base+"/debug/history?cluster=1", "", nil)
+	if err != nil {
 		snap.Err = err.Error()
 		return snap
 	}
@@ -138,16 +141,15 @@ func poll(client *inspect.Client, base string, maxOutliers int) snapshot {
 		snap.Processes = []processHistory{{Process: dump.Process, History: &dump}}
 	}
 
-	var status wire.ClusterStatus
-	if err := client.GetJSON(base+"/v1/cluster", &status); err == nil {
-		snap.Cluster = &status
+	if status, err := wire.Call[wire.ClusterStatus](ctx, client, base+"/v1/cluster", "", nil); err == nil {
+		snap.Cluster = status
 	}
 
-	var outl struct {
+	type outlierBody struct {
 		Outliers []obs.OutlierTrace `json:"outliers"`
 	}
 	url := fmt.Sprintf("%s/debug/traces?outliers=1&cluster=1&limit=%d", base, maxOutliers)
-	if err := client.GetJSON(url, &outl); err == nil {
+	if outl, err := wire.Call[outlierBody](ctx, client, url, "", nil); err == nil {
 		snap.Outliers = outl.Outliers
 	}
 	return snap

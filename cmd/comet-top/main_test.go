@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/comet-explain/comet/internal/inspect"
 	"github.com/comet-explain/comet/internal/obs"
 )
 
@@ -46,7 +45,7 @@ func TestPollPlainProcess(t *testing.T) {
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
 
-	snap := poll(inspect.NewClient(0), ts.URL, 8)
+	snap := poll(http.DefaultClient, ts.URL, 8)
 	if snap.Err != "" {
 		t.Fatalf("poll: %s", snap.Err)
 	}
@@ -100,7 +99,7 @@ func TestPollFederated(t *testing.T) {
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
 
-	snap := poll(inspect.NewClient(0), ts.URL, 8)
+	snap := poll(http.DefaultClient, ts.URL, 8)
 	if len(snap.Processes) != 2 || snap.Cluster == nil || len(snap.Outliers) != 1 {
 		t.Fatalf("federated snapshot: %d processes, cluster=%v, %d outliers",
 			len(snap.Processes), snap.Cluster != nil, len(snap.Outliers))

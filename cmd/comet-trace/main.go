@@ -23,10 +23,12 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
+	"net/http"
 	"net/url"
 	"os"
 	"time"
@@ -34,6 +36,7 @@ import (
 	"github.com/comet-explain/comet/internal/inspect"
 	"github.com/comet-explain/comet/internal/obs"
 	"github.com/comet-explain/comet/internal/version"
+	"github.com/comet-explain/comet/internal/wire"
 )
 
 func main() {
@@ -61,8 +64,8 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	client := inspect.NewClient(*timeout)
-	base := inspect.NormalizeBase(args[0])
+	client := &http.Client{Timeout: *timeout}
+	base := wire.BaseURL(args[0])
 
 	if len(args) == 1 {
 		if err := listTraces(os.Stdout, client, base, *limit, *route, *minMS); err != nil {
@@ -76,7 +79,7 @@ func main() {
 }
 
 // listTraces renders GET /debug/traces as a table.
-func listTraces(w io.Writer, client *inspect.Client, base string, limit int, route string, minMS int) error {
+func listTraces(w io.Writer, client *http.Client, base string, limit int, route string, minMS int) error {
 	u := fmt.Sprintf("%s/debug/traces?limit=%d", base, limit)
 	if route != "" {
 		u += "&route=" + url.QueryEscape(route)
@@ -84,10 +87,11 @@ func listTraces(w io.Writer, client *inspect.Client, base string, limit int, rou
 	if minMS > 0 {
 		u += fmt.Sprintf("&min_ms=%d", minMS)
 	}
-	var body struct {
+	type listing struct {
 		Traces []obs.TraceSummary `json:"traces"`
 	}
-	if err := client.GetJSON(u, &body); err != nil {
+	body, err := wire.Call[listing](context.Background(), client, u, "", nil)
+	if err != nil {
 		return err
 	}
 	if len(body.Traces) == 0 {
@@ -105,12 +109,12 @@ func listTraces(w io.Writer, client *inspect.Client, base string, limit int, rou
 
 // showTrace fetches one trace (federated unless told otherwise) and
 // renders the span tree.
-func showTrace(w io.Writer, client *inspect.Client, base, id string, federate, rawJSON bool, width int) error {
+func showTrace(w io.Writer, client *http.Client, base, id string, federate, rawJSON bool, width int) error {
 	u := base + "/debug/traces/" + id
 	if federate {
 		u += "?cluster=1"
 	}
-	var body struct {
+	type traceView struct {
 		TraceID   string `json:"trace_id"`
 		Cluster   bool   `json:"cluster"`
 		Processes []struct {
@@ -120,7 +124,8 @@ func showTrace(w io.Writer, client *inspect.Client, base, id string, federate, r
 		} `json:"processes"`
 		Spans []obs.SpanRecord `json:"spans"`
 	}
-	if err := client.GetJSON(u, &body); err != nil {
+	body, err := wire.Call[traceView](context.Background(), client, u, "", nil)
+	if err != nil {
 		return err
 	}
 	if rawJSON {

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/comet-explain/comet/internal/inspect"
 	"github.com/comet-explain/comet/internal/obs"
 )
 
@@ -85,7 +84,7 @@ func fixtureServer(t *testing.T) *httptest.Server {
 
 func TestListTracesGolden(t *testing.T) {
 	ts := fixtureServer(t)
-	client := inspect.NewClient(0)
+	client := http.DefaultClient
 	var buf bytes.Buffer
 	if err := listTraces(&buf, client, ts.URL, 20, "", 0); err != nil {
 		t.Fatal(err)
@@ -113,7 +112,7 @@ func TestListTracesGolden(t *testing.T) {
 
 func TestShowTraceFederatedGolden(t *testing.T) {
 	ts := fixtureServer(t)
-	client := inspect.NewClient(0)
+	client := http.DefaultClient
 	var buf bytes.Buffer
 	if err := showTrace(&buf, client, ts.URL, "aaaabbbbccccddddeeeeffff00001111", true, false, 20); err != nil {
 		t.Fatal(err)
@@ -134,7 +133,7 @@ func TestShowTraceFederatedGolden(t *testing.T) {
 
 func TestShowTraceJSONRoundTrips(t *testing.T) {
 	ts := fixtureServer(t)
-	client := inspect.NewClient(0)
+	client := http.DefaultClient
 	var buf bytes.Buffer
 	if err := showTrace(&buf, client, ts.URL, "aaaabbbbccccddddeeeeffff00001111", true, true, 0); err != nil {
 		t.Fatal(err)
@@ -154,7 +153,7 @@ func TestShowTraceJSONRoundTrips(t *testing.T) {
 
 func TestShowTraceErrorEnvelope(t *testing.T) {
 	ts := fixtureServer(t)
-	client := inspect.NewClient(0)
+	client := http.DefaultClient
 	var buf bytes.Buffer
 	err := showTrace(&buf, client, ts.URL, "aaaabbbbccccddddeeeeffff00001111", false, false, 0)
 	if err == nil {

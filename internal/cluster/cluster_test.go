@@ -11,9 +11,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -56,8 +58,10 @@ func newFakeWorker(t *testing.T, behave func(http.ResponseWriter, *http.Request,
 		w.WriteHeader(http.StatusOK)
 	})
 	mux.HandleFunc("/v1/shard", func(w http.ResponseWriter, r *http.Request) {
-		var req wire.ShardRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		// Speak the protocol as comet-serve does: the request body's format
+		// follows its Content-Type, the answer's follows Accept.
+		req, err := decodeShardRequest(r)
+		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
@@ -69,11 +73,44 @@ func newFakeWorker(t *testing.T, behave func(http.ResponseWriter, *http.Request,
 		for _, b := range req.Blocks {
 			resp.Results = append(resp.Results, fakeResult(b))
 		}
+		if strings.Contains(r.Header.Get("Accept"), wire.FrameContentType) {
+			frame, err := wire.EncodeBinary(&resp)
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusInternalServerError)
+				return
+			}
+			w.Header().Set("Content-Type", wire.FrameContentType)
+			_, _ = w.Write(frame)
+			return
+		}
 		_ = json.NewEncoder(w).Encode(resp)
 	})
 	f.ts = httptest.NewServer(mux)
 	t.Cleanup(f.ts.Close)
 	return f
+}
+
+// decodeShardRequest reads a shard request body, framed or JSON by its
+// Content-Type.
+func decodeShardRequest(r *http.Request) (wire.ShardRequest, error) {
+	var req wire.ShardRequest
+	if r.Header.Get("Content-Type") != wire.FrameContentType {
+		err := json.NewDecoder(r.Body).Decode(&req)
+		return req, err
+	}
+	body, err := io.ReadAll(r.Body)
+	if err != nil {
+		return req, err
+	}
+	msg, err := wire.DecodeBinary(body)
+	if err != nil {
+		return req, err
+	}
+	framed, ok := msg.(*wire.ShardRequest)
+	if !ok {
+		return req, fmt.Errorf("shard body frame carries %T", msg)
+	}
+	return *framed, nil
 }
 
 // fakeResult derives a deterministic result from a shard block.
@@ -285,6 +322,46 @@ func TestDuplicateResultIndicesRejected(t *testing.T) {
 	}
 	if c.Stats().ShardErrors.Load() == 0 {
 		t.Error("duplicate-index response was not counted as a shard error")
+	}
+}
+
+// TestRejectedLeaseKeepsFrames: a worker's 400 to a framed lease is an
+// ordinary failed dispatch. The retry and every later lease still travel
+// as frames; nothing downgrades the coordinator to JSON.
+func TestRejectedLeaseKeepsFrames(t *testing.T) {
+	var mu sync.Mutex
+	var ctypes []string
+	w := newFakeWorker(t, func(w http.ResponseWriter, r *http.Request, req wire.ShardRequest) bool {
+		mu.Lock()
+		ctypes = append(ctypes, r.Header.Get("Content-Type"))
+		first := len(ctypes) == 1
+		mu.Unlock()
+		if first {
+			http.Error(w, `{"error":"lease rejected"}`, http.StatusBadRequest)
+			return true
+		}
+		return false
+	})
+	opts := fastOpts()
+	c := New(NewPool([]string{w.ts.URL}, opts), opts)
+
+	got, err := collect(t, c, testJob(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 6 {
+		t.Fatalf("emitted %d blocks, want 6", len(got))
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	// Three leases of two blocks, plus the retry of the rejected one.
+	if len(ctypes) != 4 {
+		t.Errorf("worker saw %d leases, want 4: %v", len(ctypes), ctypes)
+	}
+	for i, ct := range ctypes {
+		if ct != wire.FrameContentType {
+			t.Errorf("lease %d sent as %q, want %q (all: %v)", i, ct, wire.FrameContentType, ctypes)
+		}
 	}
 }
 

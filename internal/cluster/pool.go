@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -48,7 +47,7 @@ func NewPool(staticURLs []string, opts Options) *Pool {
 	opts = opts.withDefaults()
 	p := &Pool{workers: make(map[string]*worker), opts: opts}
 	for _, u := range staticURLs {
-		u = CanonicalURL(u)
+		u = wire.BaseURL(u)
 		if u == "" {
 			continue
 		}
@@ -57,24 +56,11 @@ func NewPool(staticURLs []string, opts Options) *Pool {
 	return p
 }
 
-// CanonicalURL normalizes a worker base URL ("host:port" gets http://,
-// trailing slashes are dropped). Empty input stays empty.
-func CanonicalURL(u string) string {
-	u = strings.TrimRight(strings.TrimSpace(u), "/")
-	if u == "" {
-		return ""
-	}
-	if !strings.Contains(u, "://") {
-		u = "http://" + u
-	}
-	return u
-}
-
 // Join registers (or refreshes) a dynamic worker and returns its id and
 // heartbeat TTL. Joining an id already present — static or dynamic —
 // refreshes its heartbeat clock and capacity.
 func (p *Pool) Join(url string, capacity int) (string, time.Duration, error) {
-	url = CanonicalURL(url)
+	url = wire.BaseURL(url)
 	if url == "" {
 		return "", 0, fmt.Errorf("cluster: join with empty worker URL")
 	}
@@ -209,23 +195,16 @@ func (p *Pool) probeOne(client *http.Client, w *worker) {
 	p.mu.Unlock()
 }
 
-// probeReady GETs url/readyz and reports whether the worker is ready.
-// The probe carries its own deadline: a blackholed worker must not wedge
-// its probing flag forever (the shared client has no overall timeout —
-// shard dispatches are bounded by LeaseTimeout instead).
+// probeReady GETs url/readyz and reports whether the worker is ready:
+// the 200 status alone says so. The probe carries its own deadline: a
+// blackholed worker must not wedge its probing flag forever (the shared
+// client has no overall timeout — shard dispatches are bounded by
+// LeaseTimeout instead).
 func probeReady(client *http.Client, url string) bool {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/readyz", nil)
-	if err != nil {
-		return false
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return false
-	}
-	resp.Body.Close()
-	return resp.StatusCode == http.StatusOK
+	_, err := wire.Call[struct{}](ctx, client, url+"/readyz", "", nil)
+	return err == nil
 }
 
 // readyCount reports how many workers are currently dispatchable.

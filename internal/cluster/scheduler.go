@@ -17,20 +17,18 @@
 //
 // The package is service-agnostic: it speaks the wire shard protocol to
 // any HTTP endpoint, so the comet CLI drives the same coordinator that
-// cometd uses for its async jobs.
+// cometd uses for its async jobs. Every lease travels as a binary frame
+// (wire.Call); a worker that rejects one fails that dispatch like any
+// other error.
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"sort"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -88,7 +86,7 @@ type Options struct {
 	// dispatch via its context).
 	Client *http.Client
 	// Log, if non-nil, receives scheduler events (lease completions,
-	// re-leases, abandonments, codec downgrades) as structured records.
+	// re-leases, abandonments) as structured records.
 	// Every record carries the job's trace ID when the job is traced.
 	Log *slog.Logger
 	// Flight, if non-nil, receives one black-box record per lease
@@ -199,10 +197,6 @@ type Coordinator struct {
 	pool  *Pool
 	opts  Options
 	stats Stats
-	// binaryOff disables the frame codec for shard dispatch once any
-	// worker rejects a framed request (a mixed fleet downgrades the
-	// whole coordinator to JSON — correct either way, just slower).
-	binaryOff atomic.Bool
 }
 
 // New builds a coordinator over a pool.
@@ -472,60 +466,14 @@ func (c *Coordinator) send(ctx context.Context, job Job, l *lease, workerID stri
 }
 
 // dispatch performs one POST /v1/shard round trip, bounded by
-// LeaseTimeout, and validates the response against the lease. Leases
-// ride the binary frame codec until any worker rejects one, which
-// downgrades the coordinator to JSON and retries the round trip
-// immediately.
+// LeaseTimeout, and validates the response against the lease. The
+// traceparent makes the worker join the coordinator's trace: its
+// /v1/shard spans record under the same trace ID, so GET /debug/traces
+// on either process shows its half of the job.
 func (c *Coordinator) dispatch(ctx context.Context, workerURL string, sreq wire.ShardRequest, traceparent string) ([]wire.CorpusResult, error) {
 	ctx, cancel := context.WithTimeout(ctx, c.opts.LeaseTimeout)
 	defer cancel()
-	binary := !c.binaryOff.Load()
-	var body []byte
-	var err error
-	if binary {
-		body, err = wire.EncodeBinary(&sreq)
-	} else {
-		body, err = json.Marshal(sreq)
-	}
-	if err != nil {
-		return nil, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, workerURL+"/v1/shard", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	if binary {
-		req.Header.Set("Content-Type", wire.FrameContentType)
-		req.Header.Set("Accept", wire.FrameContentType)
-	} else {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	if traceparent != "" {
-		// The worker joins the coordinator's trace: its /v1/shard spans
-		// record under the same trace ID, so GET /debug/traces on either
-		// process shows its half of the job.
-		req.Header.Set("Traceparent", traceparent)
-	}
-	resp, err := c.opts.Client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		if binary && (resp.StatusCode == http.StatusBadRequest || resp.StatusCode == http.StatusUnsupportedMediaType) {
-			// A worker from before the codec existed; fall back to JSON
-			// for every future lease. A genuinely bad request fails the
-			// same way on the JSON retry.
-			c.binaryOff.Store(true)
-			if lg := c.opts.Log; lg != nil {
-				lg.Warn("worker rejected a binary lease; downgrading to JSON",
-					"worker", workerURL, "status", resp.StatusCode)
-			}
-			return c.dispatch(ctx, workerURL, sreq, traceparent)
-		}
-		return nil, shardStatusError(resp)
-	}
-	out, err := decodeShardResponse(resp)
+	out, err := wire.Call[wire.ShardResponse](ctx, c.opts.Client, workerURL+"/v1/shard", traceparent, &sreq)
 	if err != nil {
 		return nil, err
 	}
@@ -545,51 +493,6 @@ func (c *Coordinator) dispatch(ctx context.Context, workerURL string, sreq wire.
 		}
 	}
 	return out.Results, nil
-}
-
-// shardStatusError extracts the error envelope (framed or JSON) from a
-// non-2xx shard response.
-func shardStatusError(resp *http.Response) error {
-	limited := io.LimitReader(resp.Body, 1<<16)
-	if strings.HasPrefix(resp.Header.Get("Content-Type"), wire.FrameContentType) {
-		if b, err := io.ReadAll(limited); err == nil {
-			if msg, derr := wire.DecodeBinary(b); derr == nil {
-				if werr, ok := msg.(*wire.Error); ok && werr.Error != "" {
-					return fmt.Errorf("worker status %d: %s", resp.StatusCode, werr.Error)
-				}
-			}
-		}
-		return fmt.Errorf("worker status %d", resp.StatusCode)
-	}
-	var werr wire.Error
-	if json.NewDecoder(limited).Decode(&werr) == nil && werr.Error != "" {
-		return fmt.Errorf("worker status %d: %s", resp.StatusCode, werr.Error)
-	}
-	return fmt.Errorf("worker status %d", resp.StatusCode)
-}
-
-// decodeShardResponse parses a 200 shard response on either wire format.
-func decodeShardResponse(resp *http.Response) (*wire.ShardResponse, error) {
-	if strings.HasPrefix(resp.Header.Get("Content-Type"), wire.FrameContentType) {
-		b, err := io.ReadAll(resp.Body)
-		if err != nil {
-			return nil, fmt.Errorf("reading shard response: %w", err)
-		}
-		msg, err := wire.DecodeBinary(b)
-		if err != nil {
-			return nil, fmt.Errorf("decoding shard frame: %w", err)
-		}
-		out, ok := msg.(*wire.ShardResponse)
-		if !ok {
-			return nil, fmt.Errorf("shard response frame carries %T", msg)
-		}
-		return out, nil
-	}
-	out := &wire.ShardResponse{}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		return nil, fmt.Errorf("decoding shard response: %w", err)
-	}
-	return out, nil
 }
 
 // partition slices the job's non-skipped blocks into leases of

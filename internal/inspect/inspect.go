@@ -1,67 +1,18 @@
-// Package inspect is the shared client-side plumbing for the
-// observability CLIs (comet-trace, comet-top): base-URL normalization,
-// a JSON GET that surfaces the server's error envelope, duration
-// formatting, and unicode sparklines for history series.
+// Package inspect is the shared rendering for the observability CLIs
+// (comet-trace, comet-top): duration formatting and unicode sparklines
+// for history series. The CLIs fetch through wire.Call like every other
+// client of the HTTP API.
 //
 // It is deliberately tiny and stdlib-only — the CLIs stay single-file
 // tools, and the server never imports it.
 package inspect
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
-	"net/http"
 	"strings"
 	"time"
 )
-
-// NormalizeBase turns a user-supplied server address into a base URL:
-// trailing slashes dropped, "http://" assumed when no scheme is given
-// (comet-serve is plain HTTP; anything fronting it with TLS can be
-// named explicitly).
-func NormalizeBase(addr string) string {
-	base := strings.TrimSuffix(strings.TrimSpace(addr), "/")
-	if base != "" && !strings.Contains(base, "://") {
-		base = "http://" + base
-	}
-	return base
-}
-
-// Client fetches JSON debug views from comet-serve processes.
-type Client struct {
-	HTTP *http.Client
-}
-
-// NewClient returns a Client with the given timeout (0 means 15s).
-func NewClient(timeout time.Duration) *Client {
-	if timeout <= 0 {
-		timeout = 15 * time.Second
-	}
-	return &Client{HTTP: &http.Client{Timeout: timeout}}
-}
-
-// GetJSON fetches url and decodes the JSON body into v. On a non-200 it
-// decodes the server's {"error": "..."} envelope when present, so the
-// user sees the server's own message ("tracing is disabled ...") rather
-// than a bare status line.
-func (c *Client) GetJSON(url string, v any) error {
-	resp, err := c.HTTP.Get(url)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		var e struct {
-			Error string `json:"error"`
-		}
-		if json.NewDecoder(resp.Body).Decode(&e) == nil && e.Error != "" {
-			return fmt.Errorf("%s: %s", resp.Status, e.Error)
-		}
-		return fmt.Errorf("GET %s: %s", url, resp.Status)
-	}
-	return json.NewDecoder(resp.Body).Decode(v)
-}
 
 // FormatUS renders a microsecond duration the way the dashboards do:
 // µs below a millisecond, one-decimal ms below a second, seconds above.

@@ -2,57 +2,8 @@ package inspect
 
 import (
 	"math"
-	"net/http"
-	"net/http/httptest"
-	"strings"
 	"testing"
 )
-
-func TestNormalizeBase(t *testing.T) {
-	cases := map[string]string{
-		"127.0.0.1:8372":  "http://127.0.0.1:8372",
-		"http://host:1/":  "http://host:1",
-		" https://host ":  "https://host",
-		"localhost:8372/": "http://localhost:8372",
-		"":                "",
-	}
-	for in, want := range cases {
-		if got := NormalizeBase(in); got != want {
-			t.Errorf("NormalizeBase(%q) = %q, want %q", in, got, want)
-		}
-	}
-}
-
-func TestGetJSONErrorEnvelope(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch r.URL.Path {
-		case "/ok":
-			w.Write([]byte(`{"n": 7}`))
-		case "/enveloped":
-			w.WriteHeader(http.StatusNotFound)
-			w.Write([]byte(`{"error": "tracing is disabled"}`))
-		default:
-			http.Error(w, "plain", http.StatusTeapot)
-		}
-	}))
-	defer ts.Close()
-	c := NewClient(0)
-
-	var out struct {
-		N int `json:"n"`
-	}
-	if err := c.GetJSON(ts.URL+"/ok", &out); err != nil || out.N != 7 {
-		t.Fatalf("ok: %v n=%d", err, out.N)
-	}
-	err := c.GetJSON(ts.URL+"/enveloped", &out)
-	if err == nil || !strings.Contains(err.Error(), "tracing is disabled") {
-		t.Errorf("envelope error not surfaced: %v", err)
-	}
-	err = c.GetJSON(ts.URL+"/other", &out)
-	if err == nil || !strings.Contains(err.Error(), "418") {
-		t.Errorf("plain non-200 not surfaced: %v", err)
-	}
-}
 
 func TestFormatUS(t *testing.T) {
 	cases := map[int64]string{

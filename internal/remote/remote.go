@@ -17,16 +17,13 @@
 package remote
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"math/rand"
 	"net/http"
-	"strings"
-	"sync/atomic"
+	"net/url"
 	"time"
 
 	"github.com/comet-explain/comet/internal/costmodel"
@@ -35,7 +32,8 @@ import (
 	"github.com/comet-explain/comet/internal/x86"
 )
 
-// Options configures Dial.
+// Options configures Dial. The wire format is not an option: every
+// request is a binary frame.
 type Options struct {
 	// Model is the spec the server resolves for every request ("" = the
 	// server's default model).
@@ -58,14 +56,9 @@ type Options struct {
 	// interface carries no per-call context, so the model's lifetime
 	// context is the cancellation scope.)
 	Context context.Context
-	// ForceJSON disables the binary frame codec: every request is plain
-	// JSON. By default the client speaks binary frames and downgrades to
-	// JSON permanently the first time the server rejects one, so it
-	// interoperates with servers from before the codec existed.
-	ForceJSON bool
-	// Log receives transport events (codec downgrades, exhausted retry
-	// budgets) as structured records (nil = the process default logger).
-	// Records are tagged component=remote.
+	// Log receives transport events (exhausted retry budgets) as
+	// structured records (nil = the process default logger). Records are
+	// tagged component=remote.
 	Log *slog.Logger
 }
 
@@ -80,9 +73,6 @@ type Model struct {
 	retries  int
 	ctx      context.Context
 	log      *slog.Logger
-	// binary tracks whether the server speaks the frame codec; it flips
-	// off (permanently for this model) on the first rejection.
-	binary atomic.Bool
 
 	name    string
 	arch    x86.Arch
@@ -97,12 +87,9 @@ var _ costmodel.BatchModel = (*Model)(nil)
 // requested model during the handshake, so a successful Dial returns a
 // ready-to-query model.
 func Dial(baseURL string, o Options) (*Model, error) {
-	baseURL = strings.TrimRight(strings.TrimSpace(baseURL), "/")
+	baseURL = wire.BaseURL(baseURL)
 	if baseURL == "" {
 		return nil, fmt.Errorf("remote: empty base URL")
-	}
-	if !strings.Contains(baseURL, "://") {
-		baseURL = "http://" + baseURL
 	}
 	client := o.Client
 	if client == nil {
@@ -128,7 +115,6 @@ func Dial(baseURL string, o Options) (*Model, error) {
 		ctx:      ctx,
 		log:      obs.Component(o.Log, "remote"),
 	}
-	m.binary.Store(!o.ForceJSON)
 	resp, err := m.post(nil, "")
 	if err != nil {
 		return nil, fmt.Errorf("remote: handshake with %s: %w", baseURL, err)
@@ -192,8 +178,8 @@ func (m *Model) predictBatch(blocks []*x86.BasicBlock, traceparent string) []flo
 // WithTraceparent returns a view of the model that sends tp as the W3C
 // traceparent header on every predict request, chaining the caller's
 // trace into the backend server (which joins it and records its own
-// spans under the same trace ID). The view shares this model's client,
-// codec state, and lifetime context; an empty tp returns the model
+// spans under the same trace ID). The view shares this model's client
+// and lifetime context; an empty tp returns the model
 // itself. The shared model is never mutated, so concurrent requests can
 // each carry their own trace.
 func (m *Model) WithTraceparent(tp string) costmodel.Model {
@@ -232,11 +218,6 @@ func retryBackoff(attempt int) time.Duration {
 // 429/503 backpressure with jittered linear backoff. The model's
 // lifetime context cancels in-flight requests and interrupts backoff
 // sleeps — a canceled caller never waits out the retry budget.
-//
-// The request rides the binary frame codec while the server accepts it;
-// a 400/415 answer to a framed request downgrades this model to JSON
-// permanently and retries immediately (a genuine bad request fails the
-// same way on the JSON path, just one round trip later).
 func (m *Model) post(blocks []string, traceparent string) (*wire.PredictResponse, error) {
 	if blocks == nil {
 		blocks = []string{} // handshake: an explicit empty batch
@@ -251,61 +232,21 @@ func (m *Model) post(blocks []string, traceparent string) (*wire.PredictResponse
 			case <-timer.C:
 			case <-m.ctx.Done():
 				timer.Stop()
-				if lastErr == nil {
-					lastErr = m.ctx.Err()
-				}
 				return nil, fmt.Errorf("%w (canceled after %d attempt(s): %v)", lastErr, attempts, m.ctx.Err())
 			}
 		}
 		attempts++
-		binary := m.binary.Load()
-		var body []byte
-		var err error
-		if binary {
-			body, err = wire.EncodeBinary(wreq)
-		} else {
-			body, err = json.Marshal(wreq)
-		}
-		if err != nil {
-			return nil, err
-		}
-		req, err := http.NewRequestWithContext(m.ctx, http.MethodPost, m.url+"/v1/predict", bytes.NewReader(body))
-		if err != nil {
-			return nil, err
-		}
-		if binary {
-			req.Header.Set("Content-Type", wire.FrameContentType)
-			req.Header.Set("Accept", wire.FrameContentType)
-		} else {
-			req.Header.Set("Content-Type", "application/json")
-		}
-		if traceparent != "" {
-			req.Header.Set("Traceparent", traceparent)
-		}
-		resp, err := m.client.Do(req)
-		if err != nil {
-			lastErr = err
-			if m.ctx.Err() != nil {
-				// Mid-batch cancellation: stop immediately, don't burn the
-				// remaining retries against a caller that has left.
-				return nil, fmt.Errorf("%w (after %d attempt(s))", lastErr, attempts)
-			}
-			continue
-		}
-		status := resp.StatusCode
-		out, retryable, err := decodePredict(resp)
+		resp, err := wire.Call[wire.PredictResponse](m.ctx, m.client, m.url+"/v1/predict", traceparent, wreq)
 		if err == nil {
-			return out, nil
+			return resp, nil
 		}
 		lastErr = err
-		if binary && (status == http.StatusBadRequest || status == http.StatusUnsupportedMediaType) {
-			m.binary.Store(false)
-			m.log.Warn("server rejected a binary predict; downgrading to JSON",
-				"url", m.url, "status", status)
-			attempt-- // downgrade retry, free of charge (happens at most once)
-			continue
+		if m.ctx.Err() != nil {
+			// Mid-batch cancellation: stop immediately, don't burn the
+			// remaining retries against a caller that has left.
+			return nil, fmt.Errorf("%w (after %d attempt(s))", lastErr, attempts)
 		}
-		if !retryable {
+		if !retryable(err) {
 			break
 		}
 	}
@@ -313,50 +254,14 @@ func (m *Model) post(blocks []string, traceparent string) (*wire.PredictResponse
 	return nil, fmt.Errorf("%w (after %d attempt(s))", lastErr, attempts)
 }
 
-// decodePredict parses one predict response — framed or JSON, keyed on
-// its Content-Type — reporting whether a failure is worth retrying
-// (server backpressure) or final (bad request).
-func decodePredict(resp *http.Response) (*wire.PredictResponse, bool, error) {
-	defer resp.Body.Close()
-	framed := strings.HasPrefix(resp.Header.Get("Content-Type"), wire.FrameContentType)
-	if resp.StatusCode != http.StatusOK {
-		retryable := resp.StatusCode == http.StatusTooManyRequests ||
-			resp.StatusCode == http.StatusServiceUnavailable
-		limited := io.LimitReader(resp.Body, 1<<16)
-		if framed {
-			if b, rerr := io.ReadAll(limited); rerr == nil {
-				if msg, derr := wire.DecodeBinary(b); derr == nil {
-					if werr, ok := msg.(*wire.Error); ok && werr.Error != "" {
-						return nil, retryable, fmt.Errorf("server status %d: %s", resp.StatusCode, werr.Error)
-					}
-				}
-			}
-			return nil, retryable, fmt.Errorf("server status %d", resp.StatusCode)
-		}
-		var werr wire.Error
-		if json.NewDecoder(limited).Decode(&werr) == nil && werr.Error != "" {
-			return nil, retryable, fmt.Errorf("server status %d: %s", resp.StatusCode, werr.Error)
-		}
-		return nil, retryable, fmt.Errorf("server status %d", resp.StatusCode)
+// retryable reports whether a failed round trip is worth repeating:
+// transport failures and server backpressure (429/503) are; any other
+// status, or an answer that does not decode, is final.
+func retryable(err error) bool {
+	var se *wire.StatusError
+	if errors.As(err, &se) {
+		return se.Code == http.StatusTooManyRequests || se.Code == http.StatusServiceUnavailable
 	}
-	if framed {
-		b, err := io.ReadAll(resp.Body)
-		if err != nil {
-			return nil, false, fmt.Errorf("reading predict response: %w", err)
-		}
-		msg, err := wire.DecodeBinary(b)
-		if err != nil {
-			return nil, false, fmt.Errorf("decoding predict frame: %w", err)
-		}
-		out, ok := msg.(*wire.PredictResponse)
-		if !ok {
-			return nil, false, fmt.Errorf("predict response frame carries %T", msg)
-		}
-		return out, false, nil
-	}
-	var out wire.PredictResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, false, fmt.Errorf("decoding predict response: %w", err)
-	}
-	return &out, false, nil
+	var ue *url.Error
+	return errors.As(err, &ue)
 }

@@ -18,9 +18,8 @@ package service
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"sort"
@@ -28,7 +27,9 @@ import (
 	"sync"
 	"time"
 
+	"github.com/comet-explain/comet/internal/cluster"
 	"github.com/comet-explain/comet/internal/obs"
+	"github.com/comet-explain/comet/internal/wire"
 )
 
 // handleTraces serves GET /debug/traces: recently finished traces, most
@@ -130,75 +131,43 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"trace_id": id, "spans": spans})
 }
 
-// peerClient fetches remote debug views during federation; the short
-// timeout bounds the whole fan-out — a dead worker costs one timeout,
-// not a hung request.
-var peerClient = &http.Client{Timeout: 5 * time.Second}
-
-// peerResult is one live worker's raw answer from a federated fan-out.
-type peerResult struct {
+// peerAnswer is one live worker's answer from a federated fan-out.
+type peerAnswer[T any] struct {
 	worker string
-	found  bool   // false when the worker answered 404 (no data — a normal answer)
-	body   []byte // raw JSON body when found
-	err    error  // transport failure or non-200/404 status
+	data   *T    // nil when the worker holds no data (a 404) or failed
+	err    error // transport failure, status other than 200/404, or undecodable body
 }
 
-// fanOutWorkers queries path on every live pool worker (static pool plus
+// fanOut GETs path from every live pool worker (static pool plus
 // dynamic joins; workers whose heartbeats have expired are skipped)
-// concurrently, each bounded by peerClient's timeout. Federated views
-// never fail on a down worker: its error rides in its peerResult.
-func (s *Server) fanOutWorkers(ctx context.Context, path string) []peerResult {
-	workers := s.coordinator.Pool().Snapshot()
-	out := make([]peerResult, 0, len(workers))
-	for _, worker := range workers {
-		if worker.State == "expired" {
-			continue
+// concurrently, each bounded by a 5-second timeout — a dead worker costs
+// one timeout, not a hung request. Federated views never fail on a down
+// worker: its error rides in its answer. A 404 is an answer, not a
+// failure: the worker holds no data for the query.
+func fanOut[T any](ctx context.Context, pool *cluster.Pool, path string) []peerAnswer[T] {
+	var out []peerAnswer[T]
+	for _, worker := range pool.Snapshot() {
+		if worker.State != "expired" {
+			out = append(out, peerAnswer[T]{worker: worker.ID})
 		}
-		out = append(out, peerResult{worker: worker.ID})
 	}
 	var wg sync.WaitGroup
 	for i := range out {
 		wg.Add(1)
-		go func(p *peerResult) {
+		go func(p *peerAnswer[T]) {
 			defer wg.Done()
-			p.body, p.found, p.err = fetchPeerJSON(ctx, p.worker, path)
+			ctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+			defer cancel()
+			p.data, p.err = wire.Call[T](ctx, http.DefaultClient, p.worker+path, "", nil)
+			var se *wire.StatusError
+			if errors.As(p.err, &se) && se.Code == http.StatusNotFound {
+				p.err = nil
+			}
 		}(&out[i])
 	}
 	wg.Wait()
 	return out
 }
-
-// fetchPeerJSON performs one federation GET. A 404 reports (nil, false,
-// nil): the worker holds no data for the query, which is an answer, not
-// a failure.
-func fetchPeerJSON(ctx context.Context, baseURL, path string) ([]byte, bool, error) {
-	ctx, cancel := context.WithTimeout(ctx, 5*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		strings.TrimSuffix(baseURL, "/")+path, nil)
-	if err != nil {
-		return nil, false, err
-	}
-	resp, err := peerClient.Do(req)
-	if err != nil {
-		return nil, false, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		return nil, false, nil
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, false, fmt.Errorf("status %d", resp.StatusCode)
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 32<<20))
-	if err != nil {
-		return nil, false, err
-	}
-	return body, true, nil
-}
-
-// decodePeerBody unmarshals a peer's raw federation answer.
-func decodePeerBody(body []byte, v any) error { return json.Unmarshal(body, v) }
 
 // traceProcess summarizes one process's contribution to a federated
 // view (spans of one trace, or retained outliers).
@@ -223,18 +192,14 @@ func (s *Server) serveFederatedTrace(w http.ResponseWriter, r *http.Request, id 
 	groups := [][]obs.SpanRecord{local}
 	workerCount := 0
 
-	for _, pr := range s.fanOutWorkers(r.Context(), "/debug/traces/"+url.PathEscape(id)) {
+	type traceBody struct {
+		Spans []obs.SpanRecord `json:"spans"`
+	}
+	for _, pr := range fanOut[traceBody](r.Context(), s.coordinator.Pool(), "/debug/traces/"+url.PathEscape(id)) {
 		workerCount++
 		var spans []obs.SpanRecord
-		if pr.err == nil && pr.found {
-			var body struct {
-				Spans []obs.SpanRecord `json:"spans"`
-			}
-			if err := decodePeerBody(pr.body, &body); err != nil {
-				pr.err = err
-			} else {
-				spans = body.Spans
-			}
+		if pr.data != nil {
+			spans = pr.data.Spans
 		}
 		for k := range spans {
 			spans[k].Process = pr.worker
@@ -280,21 +245,17 @@ func (s *Server) serveFederatedOutliers(w http.ResponseWriter, r *http.Request, 
 	if limit > 0 {
 		path += fmt.Sprintf("&limit=%d", limit)
 	}
-	for _, pr := range s.fanOutWorkers(r.Context(), path) {
+	type outlierBody struct {
+		Outliers []obs.OutlierTrace `json:"outliers"`
+	}
+	for _, pr := range fanOut[outlierBody](r.Context(), s.coordinator.Pool(), path) {
 		p := traceProcess{Process: pr.worker}
-		if pr.err == nil && pr.found {
-			var body struct {
-				Outliers []obs.OutlierTrace `json:"outliers"`
+		if pr.data != nil {
+			for k := range pr.data.Outliers {
+				pr.data.Outliers[k].Process = pr.worker
 			}
-			if err := decodePeerBody(pr.body, &body); err != nil {
-				pr.err = err
-			} else {
-				for k := range body.Outliers {
-					body.Outliers[k].Process = pr.worker
-				}
-				p.Outliers = len(body.Outliers)
-				merged = append(merged, body.Outliers...)
-			}
+			p.Outliers = len(pr.data.Outliers)
+			merged = append(merged, pr.data.Outliers...)
 		}
 		if pr.err != nil {
 			p.Error = pr.err.Error()

@@ -223,18 +223,12 @@ type historyProcess struct {
 func (s *Server) serveFederatedHistory(w http.ResponseWriter, r *http.Request) {
 	local := s.history.Dump(s.cfg.ProcessLabel)
 	processes := []historyProcess{{Process: s.cfg.ProcessLabel, History: &local}}
-	for _, pr := range s.fanOutWorkers(r.Context(), "/debug/history") {
-		p := historyProcess{Process: pr.worker}
+	for _, pr := range fanOut[obs.HistoryDump](r.Context(), s.coordinator.Pool(), "/debug/history") {
+		p := historyProcess{Process: pr.worker, History: pr.data}
 		if pr.err != nil {
 			p.Error = pr.err.Error()
-		} else if pr.found {
-			var dump obs.HistoryDump
-			if err := decodePeerBody(pr.body, &dump); err != nil {
-				p.Error = err.Error()
-			} else {
-				dump.Process = pr.worker
-				p.History = &dump
-			}
+		} else if pr.data != nil {
+			pr.data.Process = pr.worker
 		}
 		processes = append(processes, p)
 	}

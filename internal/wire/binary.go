@@ -19,6 +19,7 @@ package wire
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 )
@@ -30,9 +31,15 @@ import (
 //
 //	1 — initial codec; no longer decoded.
 //	2 — Explanation gained an optional trailing Profile (bool-prefixed,
-//	    like ConfigOverrides). A version-1 peer rejects version-2 frames,
-//	    which triggers the existing per-worker JSON downgrade.
+//	    like ConfigOverrides).
+//
+// Peers on different versions reject each other's frames with a 400
+// error; no client falls back to JSON, so a fleet runs one build.
 const BinaryVersion = 2
+
+// errNoBinary reports a message type without a binary encoding; Call
+// sends such messages as JSON.
+var errNoBinary = errors.New("wire: no binary encoding")
 
 // Binary message kinds.
 const (
@@ -93,7 +100,7 @@ func AppendBinary(dst []byte, msg any) ([]byte, error) {
 		dst = append(dst, msgJobSummary)
 		dst = appendJobSummary(dst, m)
 	default:
-		return dst[:start], fmt.Errorf("wire: no binary encoding for %T", msg)
+		return dst[:start], fmt.Errorf("%w for %T", errNoBinary, msg)
 	}
 	return finishFrame(dst, start)
 }

@@ -14,6 +14,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -165,6 +166,38 @@ func TestRemote502IsFinal(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "server status 502") || !strings.Contains(err.Error(), "chained model is gone") {
 		t.Errorf("error %q does not carry the 502 mapping", err)
+	}
+}
+
+// TestRemoteRejectionIsFinal: a current server's 400 to a framed
+// request (here, an unknown model) is final. It costs one framed round
+// trip and no JSON retry, and the error counts one attempt.
+func TestRemoteRejectionIsFinal(t *testing.T) {
+	srv := service.New(service.Config{})
+	var mu sync.Mutex
+	var ctypes []string
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		ctypes = append(ctypes, r.Header.Get("Content-Type"))
+		mu.Unlock()
+		srv.Handler().ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() {
+		ts.Close()
+		_ = srv.Shutdown(context.Background())
+	})
+
+	_, err := comet.DialRemoteModel(ts.URL, comet.RemoteModelOptions{Model: "nosuchmodel"})
+	if err == nil {
+		t.Fatal("dialing an unknown model succeeded")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(ctypes) != 1 || ctypes[0] != wire.FrameContentType {
+		t.Errorf("server saw requests %q, want exactly one %q", ctypes, wire.FrameContentType)
+	}
+	if !strings.Contains(err.Error(), "server status 400") || !strings.Contains(err.Error(), "1 attempt(s)") {
+		t.Errorf("error %q does not report one final 400 attempt", err)
 	}
 }
 
