@@ -101,8 +101,9 @@ bench-baseline:
 
 # Brief native fuzzing of the frame scanner, the binary decoder, the JSON
 # wire types, the x86 machine-code decoder, the Intel-syntax text parser,
-# the model-spec grammar, ELF extraction and durable-store segment
-# recovery, starting from the committed corpus in
+# the dependency access summary against the dependency graph, the
+# model-spec grammar, ELF extraction and durable-store segment recovery,
+# starting from the committed corpus in
 # internal/wire/testdata/fuzz and each target's in-test seeds.
 # One -fuzz pattern per invocation: go test rejects multiple fuzz targets
 # in a single fuzzing run.
@@ -112,6 +113,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzWireJSON$$' -fuzztime=30s ./internal/wire
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeX86$$' -fuzztime=30s ./internal/x86/decode
 	$(GO) test -run='^$$' -fuzz='^FuzzParseX86Text$$' -fuzztime=30s ./internal/x86
+	$(GO) test -run='^$$' -fuzz='^FuzzAccessSummary$$' -fuzztime=30s ./internal/deps
 	$(GO) test -run='^$$' -fuzz='^FuzzParseModelSpec$$' -fuzztime=30s .
 	$(GO) test -run='^$$' -fuzz='^FuzzExtractBytes$$' -fuzztime=30s ./internal/ingest
 	$(GO) test -run='^$$' -fuzz='^FuzzOpenSegment$$' -fuzztime=30s ./internal/persist

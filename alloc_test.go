@@ -6,13 +6,15 @@ import (
 
 	"github.com/comet-explain/comet"
 	"github.com/comet-explain/comet/internal/costmodel"
+	"github.com/comet-explain/comet/internal/deps"
 	"github.com/comet-explain/comet/internal/features"
 )
 
-// TestQueryPathAllocBudgets pins the allocations of the three per-query
-// layers of an explanation on the motivating block: one C evaluation, one
-// Γ draw and one prediction-cache key. An explanation runs thousands of
-// each, so a new allocation in any of them is a regression. The race
+// TestQueryPathAllocBudgets pins the allocations of the per-query layers
+// of an explanation on the motivating block: one C evaluation, one Γ
+// draw, one access summary (what a coverage sample tests containment on)
+// and one prediction-cache key. An explanation runs thousands of each,
+// so a new allocation in any of them is a regression. The race
 // detector allocates on its own and randomly drops sync.Pool entries, so
 // the budgets hold only in normal builds.
 func TestQueryPathAllocBudgets(t *testing.T) {
@@ -33,8 +35,14 @@ func TestQueryPathAllocBudgets(t *testing.T) {
 		max  float64
 		fn   func()
 	}{
-		// The dependency edges and instruction costs live on the stack.
+		// The access summary and instruction costs live on the stack.
 		{"analytical.Predict", 0, func() { model.Predict(block) }},
+		{"deps.AppendSummary", 0, func() {
+			var buf [16]deps.InstAccess
+			if _, err := deps.AppendSummary(buf[:0], block, deps.Options{}); err != nil {
+				t.Fatal(err)
+			}
+		}},
 		// The instructions, one operand slice, the index mapping and the
 		// block header.
 		{"perturb.Sample", 4, func() { p.Sample(rng, nil) }},

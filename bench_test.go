@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/comet-explain/comet"
+	"github.com/comet-explain/comet/internal/deps"
 	"github.com/comet-explain/comet/internal/experiments"
 )
 
@@ -252,18 +253,35 @@ func BenchmarkDatasetGeneration(b *testing.B) {
 	}
 }
 
-// BenchmarkDependencyGraph measures multigraph construction.
-func BenchmarkDependencyGraph(b *testing.B) {
-	block := comet.MustParseBlock(`mov ecx, edx
+// depBenchBlock is the case-study block the dependency benchmarks share.
+const depBenchBlock = `mov ecx, edx
 		xor edx, edx
 		lea rax, [rcx + rax - 1]
 		div rcx
 		mov rdx, rcx
-		imul rax, rcx`)
+		imul rax, rcx`
+
+// BenchmarkDependencyGraph measures multigraph construction.
+func BenchmarkDependencyGraph(b *testing.B) {
+	block := comet.MustParseBlock(depBenchBlock)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := comet.BuildDependencyGraph(block); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAccessSummary measures the access summary that answers C's
+// and the coverage pool's dependency questions in place of the graph.
+func BenchmarkAccessSummary(b *testing.B) {
+	block := comet.MustParseBlock(depBenchBlock)
+	var buf [16]deps.InstAccess
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := deps.AppendSummary(buf[:0], block, deps.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

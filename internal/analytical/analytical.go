@@ -26,8 +26,7 @@ import (
 
 // Model is the crude interpretable cost model C for one microarchitecture.
 type Model struct {
-	arch    x86.Arch
-	depOpts deps.Options
+	arch x86.Arch
 }
 
 var (
@@ -68,16 +67,34 @@ func (m *Model) CostDep(h deps.Hazard, src, dst x86.Instruction) float64 {
 func (m *Model) CostEta(n int) float64 { return float64(n) / 4 }
 
 // Predict implements costmodel.Model: C(β) per eq. 8. Invalid blocks cost 0.
+//
+// It makes one pass over the block's access summary, which resolves each
+// instruction's spec and form once: cost_η, then the largest cost_inst,
+// then the largest c_i + c_j over RAW pairs, testing only the pairs that
+// would raise the maximum. Blocks of up to 16 instructions evaluate
+// without a heap allocation.
 func (m *Model) Predict(b *x86.BasicBlock) float64 {
-	// Blocks of up to 16 instructions and 64 edges evaluate without a
-	// heap allocation; larger ones grow the buffers.
-	var inst [16]float64
-	var edges [64]deps.Edge
-	ev, err := m.evaluate(b, inst[:0], edges[:0])
+	var sumBuf [16]deps.InstAccess
+	sum, err := deps.AppendSummary(sumBuf[:0], b, deps.Options{})
 	if err != nil {
 		return 0
 	}
-	return ev.cost
+	var instBuf [16]float64
+	inst := instBuf[:0]
+	cost := m.CostEta(b.Len())
+	for i, a := range sum {
+		c := x86.FormThroughput(m.arch, a.Spec, a.Form, b.Instructions[i])
+		inst = append(inst, c)
+		cost = max(cost, c)
+	}
+	for i, ci := range inst {
+		for j := i + 1; j < len(inst); j++ {
+			if d := ci + inst[j]; d > cost && sum.HasHazard(i, j, deps.RAW) {
+				cost = d
+			}
+		}
+	}
+	return cost
 }
 
 // PredictBatch implements costmodel.BatchModel by parallel fan-out; the
@@ -87,9 +104,10 @@ func (m *Model) PredictBatch(blocks []*x86.BasicBlock) []float64 {
 }
 
 // GroundTruth returns GT(β): every feature of ˆP whose cost equals C(β)
-// (eq. 9). The set may contain several equally-critical features.
+// (eq. 9). The set may contain several equally-critical features. It
+// needs the features, so it evaluates C over the dependency edges.
 func (m *Model) GroundTruth(b *x86.BasicBlock) (features.Set, error) {
-	ev, err := m.evaluate(b, nil, nil)
+	ev, err := m.evaluate(b)
 	if err != nil {
 		return nil, err
 	}
@@ -111,14 +129,15 @@ type evaluation struct {
 	cost  float64
 }
 
-// evaluate computes C(β) = max(cost_η, max_i cost_inst, max_RAW cost_dep),
-// costing each instruction once and appending into the given buffers.
-// WAR and WAW edges cost 0 and never raise the maximum.
-func (m *Model) evaluate(b *x86.BasicBlock, inst []float64, edges []deps.Edge) (evaluation, error) {
-	edges, err := deps.AppendEdges(edges, b, m.depOpts)
+// evaluate computes C(β) = max(cost_η, max_i cost_inst, max_RAW cost_dep)
+// over the block's dependency edges, costing each instruction once. WAR
+// and WAW edges cost 0 and never raise the maximum.
+func (m *Model) evaluate(b *x86.BasicBlock) (evaluation, error) {
+	edges, err := deps.AppendEdges(nil, b, deps.Options{})
 	if err != nil {
 		return evaluation{}, err
 	}
+	var inst []float64
 	cost := m.CostEta(b.Len())
 	for _, in := range b.Instructions {
 		c := m.CostInst(in)

@@ -180,8 +180,9 @@ func TestPredictInvalidBlockZero(t *testing.T) {
 // TestPredictPropertyPerturbedBlocks checks the one-pass evaluation
 // against eq. 8 and eq. 9 written out over ˆP, on Γ draws of bhive
 // blocks (deletions, opcode replacements and renamed operands included):
-// C(β) is the maximum feature cost, and every ground-truth feature costs
-// C(β), up to GroundTruth's tie tolerance.
+// C(β) is the maximum feature cost and equals the edge-based evaluation
+// GroundTruth runs, and every ground-truth feature costs C(β), up to
+// GroundTruth's tie tolerance.
 func TestPredictPropertyPerturbedBlocks(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, arch := range x86.Arches() {
@@ -204,6 +205,9 @@ func TestPredictPropertyPerturbedBlocks(t *testing.T) {
 				pred := m.Predict(b)
 				if pred != want {
 					t.Fatalf("%v %q: C(β) = %v, max feature cost %v", arch, b, pred, want)
+				}
+				if ev, err := m.evaluate(b); err != nil || ev.cost != pred {
+					t.Fatalf("%v %q: summary C(β) = %v, edge-based evaluate %v (%v)", arch, b, pred, ev.cost, err)
 				}
 				gt, err := m.GroundTruth(b)
 				if err != nil || len(gt) == 0 {

@@ -14,9 +14,11 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -350,17 +352,39 @@ func EstimateCoverage(b *x86.BasicBlock, set features.Set, cfg Config, n int, rn
 		return 0, err
 	}
 	hit := 0
+	row := make([]bool, len(set))
 	for i := 0; i < n; i++ {
-		res := p.Sample(rng, nil)
-		g, err := res.Graph(cfg.Perturb.DepOptions)
-		if err != nil {
+		if err := retains(row, set, p.Sample(rng, nil), cfg.Perturb.DepOptions); err != nil {
 			return 0, err
 		}
-		if set.SetContainedIn(res.Block, g, res.Mapping) {
+		if !slices.Contains(row, false) {
 			hit++
 		}
 	}
 	return float64(hit) / float64(n), nil
+}
+
+// retains sets row[j] to whether the Γ draw res retains feats[j]: the
+// containment check behind the coverage pool and EstimateCoverage.
+// Dependency features are tested on the draw's access summary; under
+// kill-based dependency options, which the summary declines, on its
+// graph.
+func retains(row []bool, feats features.Set, res perturb.Result, opts deps.Options) error {
+	var buf [16]deps.InstAccess
+	sum, err := deps.AppendSummary(buf[:0], res.Block, opts)
+	hasDep := sum.HasHazard
+	if errors.Is(err, deps.ErrNotPairwise) {
+		var g *deps.Graph
+		g, err = res.Graph(opts)
+		hasDep = g.HasEdge
+	}
+	if err != nil {
+		return err
+	}
+	for j, f := range feats {
+		row[j] = f.Retained(res.Block, res.Mapping, hasDep)
+	}
+	return nil
 }
 
 // blockSpace adapts a (model, block) pair to the anchors.Space interface.
@@ -471,15 +495,10 @@ func (s *blockSpace) buildCoveragePool(n int, rng *rand.Rand) error {
 					errs[w] = err
 					return
 				}
-				res := s.perturb.Sample(wrng, nil)
-				g, err := res.Graph(s.depOpts)
-				if err != nil {
+				row := make([]bool, len(s.feats))
+				if err := retains(row, s.feats, s.perturb.Sample(wrng, nil), s.depOpts); err != nil {
 					errs[w] = err
 					return
-				}
-				row := make([]bool, len(s.feats))
-				for j, f := range s.feats {
-					row[j] = f.ContainedIn(res.Block, g, res.Mapping)
 				}
 				s.coverage[i] = row
 			}

@@ -153,6 +153,43 @@ func TestCoverageMonotoneInExplanationSize(t *testing.T) {
 	}
 }
 
+// TestCoveragePoolMatchesGraphContainment rebuilds a block's coverage
+// pool draw by draw and checks every row against graph-based
+// ContainedIn, under the default dependency options (which the access
+// summary serves) and kill-based ones (which fall back to the graph).
+func TestCoveragePoolMatchesGraphContainment(t *testing.T) {
+	model := analytical.New(x86.Haswell)
+	b := x86.MustParseBlock("mov ecx, edx\nxor edx, edx\nlea rax, [rcx + rax - 1]\ndiv rcx\nmov qword ptr [rdi + 8], rdx\nadd rcx, qword ptr [rdi + 8]\npush rcx\npop rdx")
+	for _, opts := range []deps.Options{{}, {TrackFlags: true}, {LastWriterOnly: true}} {
+		cfg := testConfig()
+		cfg.Parallelism = 1
+		cfg.Perturb.DepOptions = opts
+		e := NewExplainer(model, cfg)
+		p, err := perturbFor(b, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		space, err := newBlockSpace(context.Background(), e.batch, e.cache, p, cfg, rand.New(rand.NewSource(7)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// One worker draws the whole pool from the first seed.
+		wrng := rand.New(rand.NewSource(rand.New(rand.NewSource(7)).Int63()))
+		for i, row := range space.coverage {
+			res := p.Sample(wrng, nil)
+			g, err := res.Graph(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j, f := range space.feats {
+				if want := f.ContainedIn(res.Block, g, res.Mapping); row[j] != want {
+					t.Fatalf("%+v: sample %d (%q) feature %v: pool has %v, graph %v", opts, i, res.Block, f, row[j], want)
+				}
+			}
+		}
+	}
+}
+
 func TestAccurateCriterion(t *testing.T) {
 	b := x86.MustParseBlock("mov rax, rbx\ndiv rcx")
 	set, err := features.ExtractFromBlock(b, deps.Options{})

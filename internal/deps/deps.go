@@ -79,9 +79,6 @@ func (l Loc) String() string {
 	return "loc(?)"
 }
 
-func regLoc(f x86.RegFamily) Loc { return Loc{Kind: LocReg, Fam: f} }
-func memLoc(m x86.MemRef) Loc    { return Loc{Kind: LocMem, Mem: m.LocKey()} }
-
 // Edge is one dependency edge of the multigraph.
 type Edge struct {
 	Src, Dst int // instruction indices, Src < Dst
@@ -124,11 +121,11 @@ type Access struct {
 // register reads, implicit register accesses, stack effects, and flags.
 func AccessOf(inst x86.Instruction, opts Options) (Access, error) {
 	var acc Access
-	err := visitAccesses(inst, opts, func(l Loc, write bool) {
-		if write {
-			acc.Writes = append(acc.Writes, l)
+	_, _, err := visitAccesses(inst, opts, func(a access) {
+		if a.write {
+			acc.Writes = append(acc.Writes, a.loc())
 		} else {
-			acc.Reads = append(acc.Reads, l)
+			acc.Reads = append(acc.Reads, a.loc())
 		}
 	})
 	if err != nil {
@@ -139,46 +136,67 @@ func AccessOf(inst x86.Instruction, opts Options) (Access, error) {
 	return acc, nil
 }
 
+// access is one read or write of a location, as visitAccesses reports it:
+// a memory location still as its MemRef, so that callers needing only
+// location identity never render a key.
+type access struct {
+	kind  LocKind
+	fam   x86.RegFamily // for LocReg
+	mem   x86.MemRef    // for LocMem
+	write bool
+}
+
+// loc returns the access's Loc, rendering the MemRef.LocKey of a memory
+// location.
+func (a access) loc() Loc {
+	if a.kind == LocMem {
+		return Loc{Kind: LocMem, Mem: a.mem.LocKey()}
+	}
+	return Loc{Kind: a.kind, Fam: a.fam}
+}
+
 // visitAccesses calls visit for every location inst reads or writes, in
-// operand order, then implicit registers, stack and flags. A location may
-// be visited more than once.
-func visitAccesses(inst x86.Instruction, opts Options, visit func(l Loc, write bool)) error {
+// operand order, then implicit registers, stack and flags, and returns the
+// instruction's spec and matched form. A location may be visited more than
+// once. These are the only rules for what an instruction accesses: the
+// dependency graph and the access summary both take them from here.
+func visitAccesses(inst x86.Instruction, opts Options, visit func(a access)) (*x86.Spec, *x86.Form, error) {
 	spec, ok := inst.Spec()
 	if !ok {
-		return fmt.Errorf("deps: unknown opcode %q", inst.Opcode)
+		return nil, nil, fmt.Errorf("deps: unknown opcode %q", inst.Opcode)
 	}
 	form := spec.MatchForm(inst.Operands)
 	if form == nil {
-		return fmt.Errorf("deps: %s does not match any form", inst)
+		return nil, nil, fmt.Errorf("deps: %s does not match any form", inst)
+	}
+	reg := func(f x86.RegFamily, write bool) {
+		visit(access{kind: LocReg, fam: f, write: write})
 	}
 	addrRegs := func(m x86.MemRef) {
 		if !m.Base.IsZero() {
-			visit(regLoc(m.Base.Family), false)
+			reg(m.Base.Family, false)
 		}
 		if !m.Index.IsZero() {
-			visit(regLoc(m.Index.Family), false)
+			reg(m.Index.Family, false)
 		}
 	}
 	for i, op := range inst.Operands {
-		access := form.Ops[i].Access
+		acc := form.Ops[i].Access
 		switch op.Kind {
 		case x86.KindReg:
-			if access&x86.AccR != 0 {
-				visit(regLoc(op.Reg.Family), false)
+			if acc&x86.AccR != 0 {
+				reg(op.Reg.Family, false)
 			}
-			if access&x86.AccW != 0 {
-				visit(regLoc(op.Reg.Family), true)
+			if acc&x86.AccW != 0 {
+				reg(op.Reg.Family, true)
 			}
 		case x86.KindMem:
 			addrRegs(op.Mem)
-			if access&(x86.AccR|x86.AccW) != 0 {
-				l := memLoc(op.Mem)
-				if access&x86.AccR != 0 {
-					visit(l, false)
-				}
-				if access&x86.AccW != 0 {
-					visit(l, true)
-				}
+			if acc&x86.AccR != 0 {
+				visit(access{kind: LocMem, mem: op.Mem})
+			}
+			if acc&x86.AccW != 0 {
+				visit(access{kind: LocMem, mem: op.Mem, write: true})
 			}
 		case x86.KindAddr:
 			addrRegs(op.Mem)
@@ -187,26 +205,26 @@ func visitAccesses(inst x86.Instruction, opts Options, visit func(l Loc, write b
 		}
 	}
 	for _, fam := range spec.ImplicitReads {
-		visit(regLoc(fam), false)
+		reg(fam, false)
 	}
 	for _, fam := range spec.ImplicitWrites {
-		visit(regLoc(fam), true)
+		reg(fam, true)
 	}
 	if spec.StackRead {
-		visit(Loc{Kind: LocStack}, false)
+		visit(access{kind: LocStack})
 	}
 	if spec.StackWrite {
-		visit(Loc{Kind: LocStack}, true)
+		visit(access{kind: LocStack, write: true})
 	}
 	if opts.TrackFlags {
 		if spec.ReadsFlags {
-			visit(Loc{Kind: LocFlags}, false)
+			visit(access{kind: LocFlags})
 		}
 		if spec.WritesFlags {
-			visit(Loc{Kind: LocFlags}, true)
+			visit(access{kind: LocFlags, write: true})
 		}
 	}
-	return nil
+	return spec, form, nil
 }
 
 func dedupeLocs(ls []Loc) []Loc {
@@ -243,8 +261,9 @@ func AppendEdges(dst []Edge, b *x86.BasicBlock, opts Options) ([]Edge, error) {
 	var locBuf [32]Loc
 	touches, locs := touchBuf[:0], locBuf[:0]
 	for i, inst := range b.Instructions {
-		err := visitAccesses(inst, opts, func(l Loc, write bool) {
-			touches = append(touches, touch{loc: l, idx: i, write: write})
+		_, _, err := visitAccesses(inst, opts, func(a access) {
+			l := a.loc()
+			touches = append(touches, touch{loc: l, idx: i, write: a.write})
 			if !slices.Contains(locs, l) {
 				locs = append(locs, l)
 			}

@@ -205,6 +205,13 @@ func ExtractFromBlock(b *x86.BasicBlock, opts deps.Options) (Set, error) {
 // original instruction i in the perturbed block, or −1 if deleted; g is the
 // perturbed block's dependency graph.
 func (f Feature) ContainedIn(b *x86.BasicBlock, g *deps.Graph, mapping []int) bool {
+	return f.Retained(b, mapping, g.HasEdge)
+}
+
+// Retained is ContainedIn with the perturbed block's dependency test
+// given as hasDep (Graph.HasEdge, or Summary.HasHazard, which answers
+// the same question without building the graph).
+func (f Feature) Retained(b *x86.BasicBlock, mapping []int, hasDep func(src, dst int, h deps.Hazard) bool) bool {
 	switch f.Kind {
 	case KindInstr:
 		if f.Index >= len(mapping) {
@@ -217,7 +224,7 @@ func (f Feature) ContainedIn(b *x86.BasicBlock, g *deps.Graph, mapping []int) bo
 			return false
 		}
 		ns, nd := mapping[f.Src], mapping[f.Dst]
-		return ns >= 0 && nd >= 0 && g.HasEdge(ns, nd, f.Hazard)
+		return ns >= 0 && nd >= 0 && hasDep(ns, nd, f.Hazard)
 	case KindCount:
 		return b.Len() == f.Count
 	}

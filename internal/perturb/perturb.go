@@ -152,20 +152,19 @@ type scratch struct {
 	opcodeLocked  []bool
 	deleted       []bool
 	preservedDeps []depKey
-	lockedSlots   map[slot]bool
+	lockedSlots   slotSet
 	toBreak       []deps.Edge
 	slots         []slot        // carrierSlots result buffer
 	savedOps      []x86.Operand // renameSlots' undo buffer
 }
 
 var scratchPool = sync.Pool{
-	New: func() any {
-		return &scratch{lockedSlots: make(map[slot]bool, 16)}
-	},
+	New: func() any { return new(scratch) },
 }
 
-// getScratch borrows a cleared scratch sized for n instructions.
-func getScratch(n int) *scratch {
+// getScratch borrows a cleared scratch sized for p's block.
+func (p *Perturber) getScratch() *scratch {
+	n := p.block.Len()
 	sc := scratchPool.Get().(*scratch)
 	if cap(sc.opcodeLocked) < n {
 		sc.opcodeLocked = make([]bool, n)
@@ -180,7 +179,7 @@ func getScratch(n int) *scratch {
 		sc.deleted[i] = false
 	}
 	sc.preservedDeps = sc.preservedDeps[:0]
-	clear(sc.lockedSlots)
+	sc.lockedSlots = p.newSlotSet(sc.lockedSlots)
 	sc.toBreak = sc.toBreak[:0]
 	return sc
 }
@@ -202,6 +201,8 @@ const (
 	partBase
 	partIndex
 	partMemWhole // the memory operand as an addressable location (for disp changes)
+
+	numParts // the number of parts
 )
 
 // slot addresses one renameable register (or memory expression) position.
@@ -209,6 +210,27 @@ type slot struct {
 	inst int
 	op   int
 	part slotPart
+}
+
+// slotSet is a set of slots, dense over the block's operands: slot s is
+// element (opStart[s.inst]+s.op)*numParts+s.part. Perturber.newSlotSet
+// sizes one for the block.
+type slotSet []bool
+
+// newSlotSet returns an empty slotSet for p's block, reusing buf's
+// storage when it is large enough.
+func (p *Perturber) newSlotSet(buf slotSet) slotSet {
+	n := p.opStart[len(p.opStart)-1] * int(numParts)
+	if cap(buf) < n {
+		return make(slotSet, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
+func (p *Perturber) slotIndex(s slot) int {
+	return (p.opStart[s.inst]+s.op)*int(numParts) + int(s.part)
 }
 
 // Sample draws one perturbation retaining the features in preserve.
@@ -224,7 +246,7 @@ func (p *Perturber) Sample(rng *rand.Rand, preserve features.Set) Result {
 		insts[i] = x86.Instruction{Opcode: inst.Opcode, Operands: ops[lo:hi:hi]}
 	}
 
-	sc := getScratch(len(insts))
+	sc := p.getScratch()
 	defer scratchPool.Put(sc)
 	preserveEta := false
 	opcodeLocked := sc.opcodeLocked
@@ -313,7 +335,7 @@ func (p *Perturber) Sample(rng *rand.Rand, preserve features.Set) Result {
 // replaceOpcode swaps instruction i's opcode for a random valid alternative
 // (retaining when none exists, e.g. lea). Under the WholeInstruction scheme
 // it additionally renames the instruction's unlocked register operands.
-func (p *Perturber) replaceOpcode(rng *rand.Rand, insts []x86.Instruction, i int, locked map[slot]bool) {
+func (p *Perturber) replaceOpcode(rng *rand.Rand, insts []x86.Instruction, i int, locked slotSet) {
 	// Vertex perturbation runs before any operand rename, so insts[i] is
 	// still the original instruction and its candidates are precomputed.
 	cands := p.cands[i]
@@ -326,7 +348,7 @@ func (p *Perturber) replaceOpcode(rng *rand.Rand, insts []x86.Instruction, i int
 	// Whole-instruction scheme: also rename register operands.
 	for op := range insts[i].Operands {
 		o := insts[i].Operands[op]
-		if o.Kind != x86.KindReg || locked[slot{i, op, partReg}] {
+		if o.Kind != x86.KindReg || locked[p.slotIndex(slot{i, op, partReg})] {
 			continue
 		}
 		old := insts[i].Operands[op].Reg
@@ -341,12 +363,12 @@ func (p *Perturber) replaceOpcode(rng *rand.Rand, insts []x86.Instruction, i int
 // Locking a memory location also locks its base and index registers:
 // renaming those would change the address and silently break the
 // dependency.
-func (p *Perturber) lockEdgeSlots(sc *scratch, e deps.Edge, locked map[slot]bool) {
+func (p *Perturber) lockEdgeSlots(sc *scratch, e deps.Edge, locked slotSet) {
 	lock := func(s slot) {
-		locked[s] = true
+		locked[p.slotIndex(s)] = true
 		if s.part == partMemWhole {
-			locked[slot{s.inst, s.op, partBase}] = true
-			locked[slot{s.inst, s.op, partIndex}] = true
+			locked[p.slotIndex(slot{s.inst, s.op, partBase})] = true
+			locked[p.slotIndex(slot{s.inst, s.op, partIndex})] = true
 		}
 	}
 	for _, s := range p.carrierSlots(sc, e, e.Src) {
@@ -419,7 +441,7 @@ func (p *Perturber) carrierSlots(sc *scratch, e deps.Edge, idx int) []slot {
 // operands on one side. Preference goes to the destination instruction;
 // if all carrier slots on both sides are locked or implicit, the
 // dependency is retained (the block-specific probability shift of App. D).
-func (p *Perturber) breakEdge(sc *scratch, rng *rand.Rand, insts []x86.Instruction, e deps.Edge, locked map[slot]bool) {
+func (p *Perturber) breakEdge(sc *scratch, rng *rand.Rand, insts []x86.Instruction, e deps.Edge, locked slotSet) {
 	sides := [2]int{e.Dst, e.Src}
 	if rng.Intn(2) == 0 {
 		sides = [2]int{e.Src, e.Dst}
@@ -431,7 +453,7 @@ func (p *Perturber) breakEdge(sc *scratch, rng *rand.Rand, insts []x86.Instructi
 		}
 		anyLocked := false
 		for _, s := range slots {
-			if locked[s] {
+			if locked[p.slotIndex(s)] {
 				anyLocked = true
 				break
 			}
@@ -443,7 +465,7 @@ func (p *Perturber) breakEdge(sc *scratch, rng *rand.Rand, insts []x86.Instructi
 			// Renamed slots must not be re-renamed by later breaks, or a
 			// subsequent rename could recreate a broken dependency.
 			for _, s := range slots {
-				locked[s] = true
+				locked[p.slotIndex(s)] = true
 			}
 			return
 		}
@@ -634,25 +656,25 @@ func (p *Perturber) SpaceSize(preserve features.Set) float64 {
 	// has the same alternative pool regardless of how many dependencies it
 	// carries.
 	const regAlternatives = 14.0 // same-bank families excluding RSP and current
-	sc := getScratch(p.block.Len())
+	sc := p.getScratch()
 	defer scratchPool.Put(sc)
-	lockedSlots := make(map[slot]bool)
+	lockedSlots, seen := sc.lockedSlots, p.newSlotSet(nil)
 	for _, e := range p.graph.Edges {
 		if slices.Contains(preservedDeps, depKey{e.Src, e.Dst, e.Hazard}) {
 			p.lockEdgeSlots(sc, e, lockedSlots)
 		}
 	}
-	seen := make(map[slot]bool)
 	for _, e := range p.graph.Edges {
 		for _, idx := range [2]int{e.Src, e.Dst} {
 			if locked[idx] {
 				continue
 			}
 			for _, s := range p.carrierSlots(sc, e, idx) {
-				if seen[s] || lockedSlots[s] {
+				k := p.slotIndex(s)
+				if seen[k] || lockedSlots[k] {
 					continue
 				}
-				seen[s] = true
+				seen[k] = true
 				log10 += math.Log10(1 + regAlternatives)
 			}
 		}

@@ -211,12 +211,15 @@ func PerfOf(a Arch, inst Instruction) Perf {
 	if !ok {
 		return Perf{Lat: 1, RThru: 1, Ports: Port(0)}
 	}
+	return specPerf(a, spec, inst)
+}
+
+func specPerf(a Arch, spec *Spec, inst Instruction) Perf {
 	size := 0
 	if len(inst.Operands) > 0 {
 		size = inst.Operands[0].Size
 	}
-	p := classPerf(a, spec.Class)
-	return opcodePerfOverride(a, inst.Opcode, size, p)
+	return opcodePerfOverride(a, inst.Opcode, size, classPerf(a, spec.Class))
 }
 
 // InstThroughput returns the standalone reciprocal throughput of the
@@ -229,9 +232,14 @@ func InstThroughput(a Arch, inst Instruction) float64 {
 	if !ok {
 		return 1
 	}
-	p := PerfOf(a, inst)
-	t := p.RThru
-	loads, stores := memAccessCounts(spec, inst)
+	return FormThroughput(a, spec, spec.MatchForm(inst.Operands), inst)
+}
+
+// FormThroughput is InstThroughput for an instruction whose spec and
+// matched form (nil when none matches) are already resolved.
+func FormThroughput(a Arch, spec *Spec, form *Form, inst Instruction) float64 {
+	t := specPerf(a, spec, inst).RThru
+	loads, stores := memAccessCounts(spec, form, inst)
 	// A load or store uop binds one of two (load) / one (store-data) ports.
 	if loads > 0 && float64(loads)*0.5 > t {
 		t = float64(loads) * 0.5
@@ -245,19 +253,19 @@ func InstThroughput(a Arch, inst Instruction) float64 {
 // MemUops returns how many load and store micro-ops the instruction
 // performs; the pipeline simulator schedules one uop per access.
 func MemUops(spec *Spec, inst Instruction) (loads, stores int) {
-	return memAccessCounts(spec, inst)
+	return memAccessCounts(spec, spec.MatchForm(inst.Operands), inst)
 }
 
 // memAccessCounts returns how many load and store micro-ops the instruction
-// performs, based on its matched form and stack behaviour.
-func memAccessCounts(spec *Spec, inst Instruction) (loads, stores int) {
+// performs, based on its matched form f (nil when none matches) and stack
+// behaviour.
+func memAccessCounts(spec *Spec, f *Form, inst Instruction) (loads, stores int) {
 	if spec.StackRead {
 		loads++
 	}
 	if spec.StackWrite {
 		stores++
 	}
-	f := spec.MatchForm(inst.Operands)
 	if f == nil {
 		return loads, stores
 	}

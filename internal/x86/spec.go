@@ -551,6 +551,11 @@ func buildSpecTable() map[string]*Spec {
 
 // Lookup returns the spec for an opcode mnemonic, case-insensitively.
 func Lookup(opcode string) (*Spec, bool) {
+	// Canonical opcodes are lower-case: try them as they are before
+	// paying for the case fold.
+	if s, ok := specTable[opcode]; ok {
+		return s, true
+	}
 	s, ok := specTable[strings.ToLower(opcode)]
 	return s, ok
 }

@@ -433,7 +433,7 @@ func TestMemAccessCounts(t *testing.T) {
 			t.Fatalf("%q: %v", c.src, err)
 		}
 		spec, _ := inst.Spec()
-		loads, stores := memAccessCounts(spec, inst)
+		loads, stores := MemUops(spec, inst)
 		if loads != c.loads || stores != c.stores {
 			t.Errorf("%q: loads/stores = %d/%d, want %d/%d", c.src, loads, stores, c.loads, c.stores)
 		}
