@@ -8,11 +8,12 @@ import (
 	"github.com/comet-explain/comet/internal/costmodel"
 	"github.com/comet-explain/comet/internal/deps"
 	"github.com/comet-explain/comet/internal/features"
+	"github.com/comet-explain/comet/internal/perturb"
 )
 
 // TestQueryPathAllocBudgets pins the allocations of the per-query layers
 // of an explanation on the motivating block: one C evaluation, one Γ
-// draw, one access summary (what a coverage sample tests containment on)
+// draw (fresh, and into a warm buffer), one access summary (what a coverage sample tests containment on)
 // and one prediction-cache key. An explanation runs thousands of each,
 // so a new allocation in any of them is a regression. The race
 // detector allocates on its own and randomly drops sync.Pool entries, so
@@ -30,6 +31,8 @@ func TestQueryPathAllocBudgets(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	feats := p.Features()
 	keep := append(feats.Filter(func(f features.Feature) bool { return f.Kind == features.KindDep })[:1], feats[0])
+	var warm perturb.Result
+	p.SampleInto(rng, nil, &warm)
 	budgets := []struct {
 		name string
 		max  float64
@@ -47,6 +50,8 @@ func TestQueryPathAllocBudgets(t *testing.T) {
 		// block header.
 		{"perturb.Sample", 4, func() { p.Sample(rng, nil) }},
 		{"perturb.Sample/preserve", 4, func() { p.Sample(rng, keep) }},
+		// A warm buffer: every draw reuses its block, operands and mapping.
+		{"perturb.SampleInto", 0, func() { p.SampleInto(rng, keep, &warm) }},
 		// The key string itself.
 		{"costmodel.BlockKey", 1, func() { _ = costmodel.BlockKey(block) }},
 	}

@@ -12,6 +12,7 @@ import (
 	"github.com/comet-explain/comet"
 	"github.com/comet-explain/comet/internal/deps"
 	"github.com/comet-explain/comet/internal/experiments"
+	"github.com/comet-explain/comet/internal/perturb"
 )
 
 // benchParams returns experiment parameters small enough for testing.B.
@@ -107,6 +108,23 @@ func BenchmarkPerturbSample(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = p.Sample(rng, nil)
+	}
+}
+
+// BenchmarkPerturbSampleInto measures one Γ draw into a reused buffer,
+// the way the coverage pool and precision sampling draw.
+func BenchmarkPerturbSampleInto(b *testing.B) {
+	block := comet.MustParseBlock(motivating)
+	p, err := comet.NewPerturber(block, comet.DefaultPerturbConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	var res perturb.Result
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.SampleInto(rng, nil, &res)
 	}
 }
 

@@ -353,8 +353,10 @@ func EstimateCoverage(b *x86.BasicBlock, set features.Set, cfg Config, n int, rn
 	}
 	hit := 0
 	row := make([]bool, len(set))
+	var res perturb.Result
 	for i := 0; i < n; i++ {
-		if err := retains(row, set, p.Sample(rng, nil), cfg.Perturb.DepOptions); err != nil {
+		p.SampleInto(rng, nil, &res)
+		if err := retains(row, set, res, cfg.Perturb.DepOptions); err != nil {
 			return 0, err
 		}
 		if !slices.Contains(row, false) {
@@ -406,6 +408,16 @@ type blockSpace struct {
 	// coverage[i][j] reports whether coverage sample i contains feature j.
 	coverage [][]bool
 
+	// Sampling storage reused across SamplePrecision rounds (single
+	// search goroutine; worker w owns rngs[w] and every workers-th draw).
+	// The draws' blocks are lent to the model only until predictAll
+	// returns.
+	rngs     []*rand.Rand
+	draws    []perturb.Result
+	blocks   []*x86.BasicBlock
+	preds    []float64
+	preserve features.Set
+
 	// Query accounting (single search goroutine; prediction fan-out
 	// happens inside PredictBatch and never touches these).
 	queries    int // queries issued
@@ -453,15 +465,17 @@ func newBlockSpace(ctx context.Context, model costmodel.BatchModel, cache *costm
 }
 
 // predictAll resolves one prediction per block through the cache and the
-// batched model, updating the space's query accounting. Every model-query
-// round passes through here, so it is also the search's cancellation
-// point: a canceled context aborts via costmodel.AbortQuery, which
-// explainWith recovers into an ordinary error.
+// batched model, updating the space's query accounting; the returned
+// slice is valid until the next call. Every model-query round passes
+// through here, so it is also the search's cancellation point: a canceled
+// context aborts via costmodel.AbortQuery, which explainWith recovers into
+// an ordinary error.
 func (s *blockSpace) predictAll(blocks []*x86.BasicBlock) []float64 {
 	if err := s.ctx.Err(); err != nil {
 		costmodel.AbortQuery(err)
 	}
-	preds := make([]float64, len(blocks))
+	s.preds = slices.Grow(s.preds[:0], len(blocks))[:len(blocks)]
+	preds := s.preds
 	start := time.Now()
 	saved, evaluated := costmodel.PredictThrough(s.cache, s.model, blocks, s.batch, preds)
 	s.modelTime += time.Since(start)
@@ -478,29 +492,30 @@ func (s *blockSpace) predictAll(blocks []*x86.BasicBlock) []float64 {
 // features it retains. Coverage of any candidate is then a cheap AND over
 // columns (the Anchors "coverage data" trick); no model queries are spent.
 func (s *blockSpace) buildCoveragePool(n int, rng *rand.Rand) error {
+	nf := len(s.feats)
+	rows := make([]bool, n*nf)
 	s.coverage = make([][]bool, n)
-	seeds := make([]int64, s.workers)
-	for i := range seeds {
-		seeds[i] = rng.Int63()
+	for i := range s.coverage {
+		s.coverage[i] = rows[i*nf : (i+1)*nf : (i+1)*nf]
 	}
+	s.seedWorkers(rng, s.workers)
 	var wg sync.WaitGroup
 	errs := make([]error, s.workers)
 	for w := 0; w < s.workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			wrng := rand.New(rand.NewSource(seeds[w]))
+			var res perturb.Result
 			for i := w; i < n; i += s.workers {
 				if err := s.ctx.Err(); err != nil {
 					errs[w] = err
 					return
 				}
-				row := make([]bool, len(s.feats))
-				if err := retains(row, s.feats, s.perturb.Sample(wrng, nil), s.depOpts); err != nil {
+				s.perturb.SampleInto(s.rngs[w], nil, &res)
+				if err := retains(s.coverage[i], s.feats, res, s.depOpts); err != nil {
 					errs[w] = err
 					return
 				}
-				s.coverage[i] = row
 			}
 		}(w)
 	}
@@ -511,6 +526,20 @@ func (s *blockSpace) buildCoveragePool(n int, rng *rand.Rand) error {
 		}
 	}
 	return nil
+}
+
+// seedWorkers seeds the first workers per-worker rngs, in order, from
+// rng: the same streams as rand.New(rand.NewSource(rng.Int63())) each,
+// without allocating a source per round.
+func (s *blockSpace) seedWorkers(rng *rand.Rand, workers int) {
+	for w := 0; w < workers; w++ {
+		seed := rng.Int63()
+		if w == len(s.rngs) {
+			s.rngs = append(s.rngs, rand.New(rand.NewSource(seed)))
+			continue
+		}
+		s.rngs[w].Seed(seed)
+	}
 }
 
 // NumFeatures implements anchors.Space.
@@ -545,33 +574,35 @@ func (s *blockSpace) Coverage(candidate []int) float64 {
 // batched, cached pass instead of one model query per sample.
 func (s *blockSpace) SamplePrecision(rng *rand.Rand, candidate []int, n int) int {
 	defer func(start time.Time) { s.precisionTime += time.Since(start) }(time.Now())
-	preserve := features.NewSet()
+	// Candidates are distinct indices into the deduplicated ˆP, so the
+	// preserve set needs no membership checks.
+	s.preserve = s.preserve[:0]
 	for _, j := range candidate {
-		preserve = preserve.Add(s.feats[j])
+		s.preserve = append(s.preserve, s.feats[j])
 	}
 	workers := s.workers
 	if workers > n {
 		workers = n
 	}
-	seeds := make([]int64, workers)
-	for i := range seeds {
-		seeds[i] = rng.Int63()
+	s.seedWorkers(rng, workers)
+	if len(s.draws) < n {
+		s.draws = append(s.draws, make([]perturb.Result, n-len(s.draws))...)
 	}
-	blocks := make([]*x86.BasicBlock, n)
+	s.blocks = slices.Grow(s.blocks[:0], n)[:n]
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			wrng := rand.New(rand.NewSource(seeds[w]))
 			for k := w; k < n; k += workers {
-				blocks[k] = s.perturb.Sample(wrng, preserve).Block
+				s.perturb.SampleInto(s.rngs[w], s.preserve, &s.draws[k])
+				s.blocks[k] = s.draws[k].Block
 			}
 		}(w)
 	}
 	wg.Wait()
 	total := 0
-	for _, pred := range s.predictAll(blocks) {
+	for _, pred := range s.predictAll(s.blocks) {
 		if inBall(pred, s.origPred, s.epsilon) {
 			total++
 		}

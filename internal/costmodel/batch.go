@@ -15,7 +15,10 @@ import (
 //
 // PredictBatch(blocks)[i] must equal Predict(blocks[i]) exactly — batching
 // is a performance contract, never a numerical one — and implementations
-// must remain safe for concurrent use.
+// must remain safe for concurrent use. The blocks are borrowed for the
+// call only: callers reuse their storage for the next draws as soon as
+// PredictBatch returns, so an implementation must not keep a block, or
+// key anything by its pointer, past the call.
 type BatchModel interface {
 	Model
 	// PredictBatch returns one prediction per block, in order.

@@ -1,6 +1,7 @@
 package costmodel
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -57,19 +58,29 @@ func NewCache(maxEntries int) *Cache {
 // instruction text, which is exactly the information a cost model sees.
 func BlockKey(b *x86.BasicBlock) string { return b.String() }
 
-// fnv32a is an inlined, allocation-free FNV-1a over the key (hash/fnv's
-// streaming hasher costs one allocation per call on this hot path).
-func fnv32a(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
+// shardHash is a deterministic, allocation-free hash of a cache key that
+// takes eight bytes per step: every miss hashes its key twice (Get, then
+// Put), so a byte-at-a-time hash showed up in profiles. It is fixed rather
+// than randomly seeded (hash/maphash) so that shard assignment, and with
+// it which entries an eviction drops, is the same on every run.
+func shardHash(key string) uint64 {
+	const mul = 0x9e3779b97f4a7c15
+	h := uint64(len(key)) * mul
+	for ; len(key) >= 8; key = key[8:] {
+		w := uint64(key[0]) | uint64(key[1])<<8 | uint64(key[2])<<16 | uint64(key[3])<<24 |
+			uint64(key[4])<<32 | uint64(key[5])<<40 | uint64(key[6])<<48 | uint64(key[7])<<56
+		h = bits.RotateLeft64((h^w)*mul, 31)
 	}
-	return h
+	var w uint64
+	for i := 0; i < len(key); i++ {
+		w |= uint64(key[i]) << (8 * i)
+	}
+	h = (h ^ w) * mul
+	return h ^ h>>32
 }
 
 func (c *Cache) shard(key string) *cacheShard {
-	return &c.shards[fnv32a(key)%cacheShards]
+	return &c.shards[shardHash(key)%cacheShards]
 }
 
 // Get returns the cached prediction for key, if present.

@@ -69,11 +69,18 @@ func DefaultConfig() Config {
 }
 
 // Result is one perturbed block together with the survivor index mapping.
+// Its storage is reused by SampleInto: a Result passed back in is
+// overwritten, Block and Mapping included.
 type Result struct {
 	Block *x86.BasicBlock
 	// Mapping[i] is the position of original instruction i in Block, or −1
 	// if it was deleted.
 	Mapping []int
+
+	// insts and ops back Block's instructions and their operands at the
+	// original block's size (Block.Instructions holds the survivors).
+	insts []x86.Instruction
+	ops   []x86.Operand
 }
 
 // Graph builds the dependency graph of the perturbed block (convenience
@@ -84,24 +91,40 @@ func (r Result) Graph(opts deps.Options) (*deps.Graph, error) {
 
 // Perturber samples perturbations of one fixed basic block. Everything a
 // draw needs to know about the original (immutable) block is computed once
-// at New, so a draw allocates only the perturbed block itself.
+// at New: the edges' carrier slots, the resolved opcode specs and the
+// fresh-family choices. SampleInto writes a draw into a caller's Result and
+// allocates nothing once that Result has held a draw of this block's size;
+// Sample allocates only the perturbed block itself. Both are safe for
+// concurrent use with distinct rngs and Results.
 type Perturber struct {
 	cfg   Config
 	block *x86.BasicBlock
 	graph *deps.Graph
 	feats features.Set
-	// used is the bit set (1<<family) of register families the block
-	// touches; freshFamily consults it on every rename.
-	used uint64
-	// Per original instruction i: its matched form, its opcode
+	// Per original instruction i: its resolved spec, its opcode
 	// replacement candidates, and the offset of its operands in the flat
 	// per-operand tables (opStart[len] is the total operand count).
-	forms   []*x86.Form
-	cands   [][]string
+	specs   []*x86.Spec
+	cands   [][]candidate
 	opStart []int
-	// memKeys holds MemRef.LocKey of every memory operand ("" for other
-	// operands), indexed by opStart[i]+operand.
-	memKeys []string
+	// The carrier plan. Side 0 of edge k is its source instruction and
+	// side 1 its destination; carriers[carrierStart[2k+side]:
+	// carrierStart[2k+side+1]] are the slots carrying edge k on that side,
+	// and locks[lockStart[k]:lockStart[k+1]] the slotSet elements that
+	// locking edge k sets.
+	carriers     []slot
+	carrierStart []int
+	locks        []int
+	lockStart    []int
+	// fresh[f] lists the families freshFamily chooses from when renaming
+	// a register of family f (nil outside the GP and vector banks).
+	fresh [x86.FamXMM15 + 1][]x86.RegFamily
+}
+
+// candidate is one opcode replacement and its spec.
+type candidate struct {
+	opcode string
+	spec   *x86.Spec
 }
 
 // New prepares a perturber for the block.
@@ -114,25 +137,58 @@ func New(b *x86.BasicBlock, cfg Config) (*Perturber, error) {
 		return nil, err
 	}
 	p := &Perturber{cfg: cfg, block: b, graph: g, feats: features.Extract(g)}
-	p.used = p.computeUsedFamilies()
+	forms := make([]*x86.Form, 0, b.Len())
+	// memKeys holds MemRef.LocKey of every memory operand ("" for other
+	// operands), indexed by opStart[i]+operand.
+	var memKeys []string
 	p.opStart = make([]int, 0, b.Len()+1)
 	for _, inst := range b.Instructions {
+		spec, _ := inst.Spec() // Validate resolved it
 		form, err := inst.Form()
 		if err != nil {
 			return nil, err
 		}
-		p.forms = append(p.forms, form)
-		p.cands = append(p.cands, x86.ReplacementCandidates(inst))
-		p.opStart = append(p.opStart, len(p.memKeys))
+		forms = append(forms, form)
+		p.specs = append(p.specs, spec)
+		var cands []candidate
+		for _, name := range x86.ReplacementCandidates(inst) {
+			spec, _ := x86.Lookup(name)
+			cands = append(cands, candidate{name, spec})
+		}
+		p.cands = append(p.cands, cands)
+		p.opStart = append(p.opStart, len(memKeys))
 		for _, o := range inst.Operands {
 			key := ""
 			if o.Kind == x86.KindMem {
 				key = o.Mem.LocKey()
 			}
-			p.memKeys = append(p.memKeys, key)
+			memKeys = append(memKeys, key)
 		}
 	}
-	p.opStart = append(p.opStart, len(p.memKeys))
+	p.opStart = append(p.opStart, len(memKeys))
+
+	p.carrierStart = make([]int, 0, 2*len(g.Edges)+1)
+	p.lockStart = make([]int, 0, len(g.Edges)+1)
+	for _, e := range g.Edges {
+		p.lockStart = append(p.lockStart, len(p.locks))
+		for _, idx := range [2]int{e.Src, e.Dst} {
+			start := len(p.carriers)
+			p.carrierStart = append(p.carrierStart, start)
+			p.carriers = p.carrierSlots(p.carriers, e, idx, forms[idx], memKeys)
+			// Locking a memory location also locks its base and index
+			// registers: renaming those would change the address and
+			// silently break the dependency.
+			for _, s := range p.carriers[start:] {
+				p.locks = append(p.locks, s.at)
+				if s.part == partMemWhole {
+					p.locks = append(p.locks, p.slotAt(s.inst, s.op, partBase), p.slotAt(s.inst, s.op, partIndex))
+				}
+			}
+		}
+	}
+	p.carrierStart = append(p.carrierStart, len(p.carriers))
+	p.lockStart = append(p.lockStart, len(p.locks))
+	p.buildFresh(usedFamilies(b))
 	return p, nil
 }
 
@@ -143,18 +199,18 @@ type depKey struct {
 	hazard   deps.Hazard
 }
 
-// scratch holds Sample's per-draw working state. Draws are hot — a single
-// explanation takes thousands of them — so the maps and slices are pooled
-// and reset instead of reallocated per call. Sample runs concurrently on
-// one Perturber (precision sampling is parallel), hence a pool rather
-// than a field.
+// scratch holds a draw's working state. Draws are hot — a single
+// explanation takes thousands of them — so the slices are pooled and reset
+// instead of reallocated per call. SampleInto runs concurrently on one
+// Perturber (precision sampling is parallel), hence a pool rather than a
+// field.
 type scratch struct {
 	opcodeLocked  []bool
 	deleted       []bool
+	specs         []*x86.Spec // the spec of each instruction's current opcode
 	preservedDeps []depKey
 	lockedSlots   slotSet
-	toBreak       []deps.Edge
-	slots         []slot        // carrierSlots result buffer
+	toBreak       []int         // indices into the graph's edges
 	savedOps      []x86.Operand // renameSlots' undo buffer
 }
 
@@ -166,22 +222,24 @@ var scratchPool = sync.Pool{
 func (p *Perturber) getScratch() *scratch {
 	n := p.block.Len()
 	sc := scratchPool.Get().(*scratch)
-	if cap(sc.opcodeLocked) < n {
-		sc.opcodeLocked = make([]bool, n)
-	}
-	if cap(sc.deleted) < n {
-		sc.deleted = make([]bool, n)
-	}
-	sc.opcodeLocked = sc.opcodeLocked[:n]
-	sc.deleted = sc.deleted[:n]
-	for i := 0; i < n; i++ {
-		sc.opcodeLocked[i] = false
-		sc.deleted[i] = false
-	}
+	sc.opcodeLocked = resize(sc.opcodeLocked, n)
+	sc.deleted = resize(sc.deleted, n)
+	clear(sc.opcodeLocked)
+	clear(sc.deleted)
+	sc.specs = append(sc.specs[:0], p.specs...)
 	sc.preservedDeps = sc.preservedDeps[:0]
 	sc.lockedSlots = p.newSlotSet(sc.lockedSlots)
 	sc.toBreak = sc.toBreak[:0]
 	return sc
+}
+
+// resize returns buf at length n, reusing its storage when it is large
+// enough; the contents are unspecified.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // Block returns the original block.
@@ -205,41 +263,64 @@ const (
 	numParts // the number of parts
 )
 
-// slot addresses one renameable register (or memory expression) position.
+// slot addresses one renameable register (or memory expression) position;
+// at is its element in the block's slotSet.
 type slot struct {
 	inst int
 	op   int
 	part slotPart
+	at   int
 }
 
-// slotSet is a set of slots, dense over the block's operands: slot s is
-// element (opStart[s.inst]+s.op)*numParts+s.part. Perturber.newSlotSet
-// sizes one for the block.
+// slotSet is a set of slots, dense over the block's operands: the slot at
+// (inst, op, part) is element (opStart[inst]+op)*numParts+part.
+// Perturber.newSlotSet sizes one for the block.
 type slotSet []bool
 
 // newSlotSet returns an empty slotSet for p's block, reusing buf's
 // storage when it is large enough.
 func (p *Perturber) newSlotSet(buf slotSet) slotSet {
-	n := p.opStart[len(p.opStart)-1] * int(numParts)
-	if cap(buf) < n {
-		return make(slotSet, n)
-	}
-	buf = buf[:n]
+	buf = resize(buf, p.opStart[len(p.opStart)-1]*int(numParts))
 	clear(buf)
 	return buf
 }
 
-func (p *Perturber) slotIndex(s slot) int {
-	return (p.opStart[s.inst]+s.op)*int(numParts) + int(s.part)
+// slotAt returns the slotSet element of the slot at (inst, op, part).
+func (p *Perturber) slotAt(inst, op int, part slotPart) int {
+	return (p.opStart[inst]+op)*int(numParts) + int(part)
 }
 
-// Sample draws one perturbation retaining the features in preserve.
-// The rng must not be shared across goroutines.
+// edgeSide returns the slots carrying edge k on side 0 (its source) or
+// side 1 (its destination).
+func (p *Perturber) edgeSide(k, side int) []slot {
+	return p.carriers[p.carrierStart[2*k+side]:p.carrierStart[2*k+side+1]]
+}
+
+// lockEdgeSlots marks every operand slot carrying edge k as unmodifiable.
+func (p *Perturber) lockEdgeSlots(k int, locked slotSet) {
+	for _, at := range p.locks[p.lockStart[k]:p.lockStart[k+1]] {
+		locked[at] = true
+	}
+}
+
+// Sample draws one perturbation retaining the features in preserve into
+// a fresh Result. The rng must not be shared across goroutines.
 func (p *Perturber) Sample(rng *rand.Rand, preserve features.Set) Result {
+	var res Result
+	p.SampleInto(rng, preserve, &res)
+	return res
+}
+
+// SampleInto draws one perturbation retaining the features in preserve
+// into res, reusing its storage: the previous draw's block and mapping
+// are overwritten. It draws exactly what Sample would from the same rng
+// state. The rng must not be shared across goroutines.
+func (p *Perturber) SampleInto(rng *rand.Rand, preserve features.Set, res *Result) {
 	// Copy the block: every operand goes into one backing slice, each
 	// instruction's share capped so it cannot grow into its neighbour's.
-	insts := make([]x86.Instruction, p.block.Len())
-	ops := make([]x86.Operand, p.opStart[len(insts)])
+	n := p.block.Len()
+	insts := resize(res.insts, n)
+	ops := resize(res.ops, p.opStart[n])
 	for i, inst := range p.block.Instructions {
 		lo, hi := p.opStart[i], p.opStart[i+1]
 		copy(ops[lo:hi], inst.Operands)
@@ -255,17 +336,17 @@ func (p *Perturber) Sample(rng *rand.Rand, preserve features.Set) Result {
 		case features.KindCount:
 			preserveEta = true
 		case features.KindInstr:
-			if f.Index < len(insts) {
+			if f.Index < n {
 				opcodeLocked[f.Index] = true
 			}
 		case features.KindDep:
 			sc.preservedDeps = append(sc.preservedDeps, depKey{f.Src, f.Dst, f.Hazard})
 			// Γ preserves the opcodes of the instructions at the ends of
 			// every preserved dependency (Section 5.2).
-			if f.Src < len(insts) {
+			if f.Src < n {
 				opcodeLocked[f.Src] = true
 			}
-			if f.Dst < len(insts) {
+			if f.Dst < n {
 				opcodeLocked[f.Dst] = true
 			}
 		}
@@ -275,25 +356,25 @@ func (p *Perturber) Sample(rng *rand.Rand, preserve features.Set) Result {
 	// retained (locked), passively retained, or slated for breaking. Edges
 	// that carry a preserved feature are always locked.
 	lockedSlots := sc.lockedSlots
-	for _, e := range p.graph.Edges {
+	for k, e := range p.graph.Edges {
 		if slices.Contains(sc.preservedDeps, depKey{e.Src, e.Dst, e.Hazard}) {
-			p.lockEdgeSlots(sc, e, lockedSlots)
+			p.lockEdgeSlots(k, lockedSlots)
 			continue
 		}
 		r := rng.Float64()
 		switch {
 		case r < p.cfg.PExplicitDepRetain:
-			p.lockEdgeSlots(sc, e, lockedSlots)
+			p.lockEdgeSlots(k, lockedSlots)
 		case r < p.cfg.PExplicitDepRetain+(1-p.cfg.PExplicitDepRetain)*p.cfg.PDepRetain:
 			// passively retained this draw
 		default:
-			sc.toBreak = append(sc.toBreak, e)
+			sc.toBreak = append(sc.toBreak, k)
 		}
 	}
 
 	// Vertex perturbation: delete or replace opcodes.
 	deleted := sc.deleted
-	remaining := len(insts)
+	remaining := n
 	for i := range insts {
 		if opcodeLocked[i] {
 			continue
@@ -307,20 +388,21 @@ func (p *Perturber) Sample(rng *rand.Rand, preserve features.Set) Result {
 			remaining--
 			continue
 		}
-		p.replaceOpcode(rng, insts, i, lockedSlots)
+		p.replaceOpcode(sc, rng, insts, i, lockedSlots)
 	}
 
 	// Edge perturbation: break dependencies by renaming carrier operands.
-	for _, e := range sc.toBreak {
+	for _, k := range sc.toBreak {
+		e := &p.graph.Edges[k]
 		if deleted[e.Src] || deleted[e.Dst] {
 			continue // the edge died with its endpoint
 		}
-		p.breakEdge(sc, rng, insts, e, lockedSlots)
+		p.breakEdge(sc, rng, insts, k, lockedSlots)
 	}
 
 	// Compact the survivors in place and build the index mapping.
 	out := insts[:0]
-	mapping := make([]int, len(insts))
+	mapping := resize(res.Mapping, n)
 	for i := range insts {
 		if deleted[i] {
 			mapping[i] = -1
@@ -329,18 +411,24 @@ func (p *Perturber) Sample(rng *rand.Rand, preserve features.Set) Result {
 		mapping[i] = len(out)
 		out = append(out, insts[i])
 	}
-	return Result{Block: x86.NewBlock(out...), Mapping: mapping}
+	if res.Block == nil {
+		res.Block = x86.NewBlock(out...)
+	} else {
+		res.Block.Instructions = out
+	}
+	res.Mapping, res.insts, res.ops = mapping, insts, ops
 }
 
 // replaceOpcode swaps instruction i's opcode for a random valid alternative
 // (retaining when none exists, e.g. lea). Under the WholeInstruction scheme
 // it additionally renames the instruction's unlocked register operands.
-func (p *Perturber) replaceOpcode(rng *rand.Rand, insts []x86.Instruction, i int, locked slotSet) {
+func (p *Perturber) replaceOpcode(sc *scratch, rng *rand.Rand, insts []x86.Instruction, i int, locked slotSet) {
 	// Vertex perturbation runs before any operand rename, so insts[i] is
 	// still the original instruction and its candidates are precomputed.
 	cands := p.cands[i]
 	if len(cands) > 0 {
-		insts[i].Opcode = cands[rng.Intn(len(cands))]
+		c := cands[rng.Intn(len(cands))]
+		insts[i].Opcode, sc.specs[i] = c.opcode, c.spec
 	}
 	if p.cfg.Scheme != WholeInstruction {
 		return
@@ -348,45 +436,25 @@ func (p *Perturber) replaceOpcode(rng *rand.Rand, insts []x86.Instruction, i int
 	// Whole-instruction scheme: also rename register operands.
 	for op := range insts[i].Operands {
 		o := insts[i].Operands[op]
-		if o.Kind != x86.KindReg || locked[p.slotIndex(slot{i, op, partReg})] {
+		if o.Kind != x86.KindReg || locked[p.slotAt(i, op, partReg)] {
 			continue
 		}
 		old := insts[i].Operands[op].Reg
 		insts[i].Operands[op].Reg = p.randomRegLike(rng, o.Reg)
-		if !valid(insts[i]) {
+		if sc.specs[i].MatchForm(insts[i].Operands) == nil {
 			insts[i].Operands[op].Reg = old // e.g. shift counts must stay cl
 		}
 	}
 }
 
-// lockEdgeSlots marks every operand slot carrying edge e as unmodifiable.
-// Locking a memory location also locks its base and index registers:
-// renaming those would change the address and silently break the
-// dependency.
-func (p *Perturber) lockEdgeSlots(sc *scratch, e deps.Edge, locked slotSet) {
-	lock := func(s slot) {
-		locked[p.slotIndex(s)] = true
-		if s.part == partMemWhole {
-			locked[p.slotIndex(slot{s.inst, s.op, partBase})] = true
-			locked[p.slotIndex(slot{s.inst, s.op, partIndex})] = true
-		}
-	}
-	for _, s := range p.carrierSlots(sc, e, e.Src) {
-		lock(s)
-	}
-	for _, s := range p.carrierSlots(sc, e, e.Dst) {
-		lock(s)
-	}
-}
-
-// carrierSlots returns the operand slots of instruction idx through which
-// edge e is carried (write side for the earlier instruction of RAW/WAW,
-// read side for the later instruction of RAW, and so on). Implicit
-// register accesses have no slot and thus cannot be renamed. The result
-// is appended into sc's slot buffer and is valid until the next
-// carrierSlots call on the same scratch.
-func (p *Perturber) carrierSlots(sc *scratch, e deps.Edge, idx int) []slot {
-	inst, form := p.block.Instructions[idx], p.forms[idx]
+// carrierSlots appends to dst the operand slots of instruction idx through
+// which edge e is carried (write side for the earlier instruction of
+// RAW/WAW, read side for the later instruction of RAW, and so on), given
+// the instruction's form and its operands' memory location keys. Implicit
+// register accesses have no slot and thus cannot be renamed. New runs it
+// once per edge side to build the carrier plan.
+func (p *Perturber) carrierSlots(dst []slot, e deps.Edge, idx int, form *x86.Form, memKeys []string) []slot {
+	inst := p.block.Instructions[idx]
 	wantWrite := false
 	switch e.Hazard {
 	case deps.RAW:
@@ -396,8 +464,10 @@ func (p *Perturber) carrierSlots(sc *scratch, e deps.Edge, idx int) []slot {
 	case deps.WAW:
 		wantWrite = true
 	}
+	add := func(op int, part slotPart) {
+		dst = append(dst, slot{idx, op, part, p.slotAt(idx, op, part)})
+	}
 
-	slots := sc.slots[:0]
 	switch e.Loc.Kind {
 	case deps.LocReg:
 		fam := e.Loc.Fam
@@ -409,7 +479,7 @@ func (p *Perturber) carrierSlots(sc *scratch, e deps.Edge, idx int) []slot {
 					continue
 				}
 				if (wantWrite && acc&x86.AccW != 0) || (!wantWrite && acc&x86.AccR != 0) {
-					slots = append(slots, slot{idx, i, partReg})
+					add(i, partReg)
 				}
 			case x86.KindMem, x86.KindAddr:
 				// Address-component registers are always reads.
@@ -417,43 +487,42 @@ func (p *Perturber) carrierSlots(sc *scratch, e deps.Edge, idx int) []slot {
 					continue
 				}
 				if o.Mem.Base.Family == fam {
-					slots = append(slots, slot{idx, i, partBase})
+					add(i, partBase)
 				}
 				if o.Mem.Index.Family == fam {
-					slots = append(slots, slot{idx, i, partIndex})
+					add(i, partIndex)
 				}
 			}
 		}
 	case deps.LocMem:
-		for i, key := range p.memKeys[p.opStart[idx]:p.opStart[idx+1]] {
+		for i, key := range memKeys[p.opStart[idx]:p.opStart[idx+1]] {
 			if key == e.Loc.Mem {
-				slots = append(slots, slot{idx, i, partMemWhole})
+				add(i, partMemWhole)
 			}
 		}
 	case deps.LocStack, deps.LocFlags:
 		// Carried implicitly; not renameable.
 	}
-	sc.slots = slots // keep the (possibly grown) buffer for the next call
-	return slots
+	return dst
 }
 
-// breakEdge attempts to delete dependency e by renaming its carrier
+// breakEdge attempts to delete dependency edge k by renaming its carrier
 // operands on one side. Preference goes to the destination instruction;
 // if all carrier slots on both sides are locked or implicit, the
 // dependency is retained (the block-specific probability shift of App. D).
-func (p *Perturber) breakEdge(sc *scratch, rng *rand.Rand, insts []x86.Instruction, e deps.Edge, locked slotSet) {
-	sides := [2]int{e.Dst, e.Src}
+func (p *Perturber) breakEdge(sc *scratch, rng *rand.Rand, insts []x86.Instruction, k int, locked slotSet) {
+	sides := [2]int{1, 0}
 	if rng.Intn(2) == 0 {
-		sides = [2]int{e.Src, e.Dst}
+		sides = [2]int{0, 1}
 	}
 	for _, side := range sides {
-		slots := p.carrierSlots(sc, e, side)
+		slots := p.edgeSide(k, side)
 		if len(slots) == 0 {
 			continue
 		}
 		anyLocked := false
 		for _, s := range slots {
-			if locked[p.slotIndex(s)] {
+			if locked[s.at] {
 				anyLocked = true
 				break
 			}
@@ -461,11 +530,11 @@ func (p *Perturber) breakEdge(sc *scratch, rng *rand.Rand, insts []x86.Instructi
 		if anyLocked {
 			continue
 		}
-		if p.renameSlots(sc, rng, insts, slots, e.Loc) {
+		if p.renameSlots(sc, rng, insts, slots, p.graph.Edges[k].Loc.Kind) {
 			// Renamed slots must not be re-renamed by later breaks, or a
 			// subsequent rename could recreate a broken dependency.
 			for _, s := range slots {
-				locked[p.slotIndex(s)] = true
+				locked[s.at] = true
 			}
 			return
 		}
@@ -475,11 +544,11 @@ func (p *Perturber) breakEdge(sc *scratch, rng *rand.Rand, insts []x86.Instructi
 // renameSlots rewrites all given slots (which belong to one instruction and
 // one location) to a fresh register family or displaced address, keeping
 // the instruction valid. Reports whether the rename was applied.
-func (p *Perturber) renameSlots(sc *scratch, rng *rand.Rand, insts []x86.Instruction, slots []slot, loc deps.Loc) bool {
+func (p *Perturber) renameSlots(sc *scratch, rng *rand.Rand, insts []x86.Instruction, slots []slot, kind deps.LocKind) bool {
 	idx := slots[0].inst
 	sc.savedOps = append(sc.savedOps[:0], insts[idx].Operands...)
 
-	switch loc.Kind {
+	switch kind {
 	case deps.LocReg:
 		var oldReg x86.Reg
 		switch slots[0].part {
@@ -519,18 +588,11 @@ func (p *Perturber) renameSlots(sc *scratch, rng *rand.Rand, insts []x86.Instruc
 		return false
 	}
 
-	if !valid(insts[idx]) {
+	if sc.specs[idx].MatchForm(insts[idx].Operands) == nil {
 		copy(insts[idx].Operands, sc.savedOps) // e.g. renaming a RequireReg operand
 		return false
 	}
 	return true
-}
-
-// valid reports whether inst matches a form of its opcode (Validate
-// without building an error).
-func valid(inst x86.Instruction) bool {
-	spec, ok := inst.Spec()
-	return ok && spec.MatchForm(inst.Operands) != nil
 }
 
 // freshFamily picks a register family of the same bank as old that no
@@ -538,34 +600,39 @@ func valid(inst x86.Instruction) bool {
 // broken and no new one is created. Falls back to any family other than
 // old's when every family is in use. RSP is never chosen.
 func (p *Perturber) freshFamily(rng *rand.Rand, old x86.Reg) x86.RegFamily {
-	var lo x86.RegFamily
-	switch {
-	case old.IsGP():
-		lo = x86.FamRAX
-	case old.IsVec():
-		lo = x86.FamXMM0
-	default:
+	if int(old.Family) >= len(p.fresh) {
 		return x86.FamNone
 	}
-	var unusedBuf, othersBuf [bankSize]x86.RegFamily
-	unused, others := unusedBuf[:0], othersBuf[:0]
-	for f := lo; f < lo+bankSize; f++ {
-		if f == x86.FamRSP || f == old.Family {
-			continue
+	choices := p.fresh[old.Family]
+	if len(choices) == 0 {
+		return x86.FamNone
+	}
+	return choices[rng.Intn(len(choices))]
+}
+
+// buildFresh fills freshFamily's table from the bit set (1<<family) of
+// register families the block uses: per family of a bank, the other
+// families of that bank except RSP, the unused ones if there are any.
+func (p *Perturber) buildFresh(used uint64) {
+	flat := make([]x86.RegFamily, 0, 2*bankSize*(bankSize-1))
+	for old := x86.FamRAX; old <= x86.FamXMM15; old++ {
+		lo := x86.FamRAX
+		if old >= x86.FamXMM0 {
+			lo = x86.FamXMM0
 		}
-		if p.used&(1<<f) != 0 {
-			others = append(others, f)
-		} else {
-			unused = append(unused, f)
+		start := len(flat)
+		for _, wantUsed := range [2]bool{false, true} {
+			for f := lo; f < lo+bankSize; f++ {
+				if f != x86.FamRSP && f != old && (used&(1<<f) != 0) == wantUsed {
+					flat = append(flat, f)
+				}
+			}
+			if len(flat) > start {
+				break
+			}
 		}
+		p.fresh[old] = flat[start:len(flat):len(flat)]
 	}
-	if len(unused) > 0 {
-		return unused[rng.Intn(len(unused))]
-	}
-	if len(others) > 0 {
-		return others[rng.Intn(len(others))]
-	}
-	return x86.FamNone
 }
 
 // bankSize is the number of families in each register bank (x86.GPFamilies
@@ -587,12 +654,11 @@ func (p *Perturber) randomRegLike(rng *rand.Rand, old x86.Reg) x86.Reg {
 	}
 }
 
-// computeUsedFamilies walks the original block once at New; the result is
-// immutable for the Perturber's lifetime (Sample never mutates the
-// original block, only copies).
-func (p *Perturber) computeUsedFamilies() uint64 {
+// usedFamilies returns the bit set (1<<family) of register families the
+// block touches, explicitly or implicitly.
+func usedFamilies(b *x86.BasicBlock) uint64 {
 	var used uint64
-	for _, inst := range p.block.Instructions {
+	for _, inst := range b.Instructions {
 		for _, o := range inst.Operands {
 			switch o.Kind {
 			case x86.KindReg:
@@ -656,25 +722,22 @@ func (p *Perturber) SpaceSize(preserve features.Set) float64 {
 	// has the same alternative pool regardless of how many dependencies it
 	// carries.
 	const regAlternatives = 14.0 // same-bank families excluding RSP and current
-	sc := p.getScratch()
-	defer scratchPool.Put(sc)
-	lockedSlots, seen := sc.lockedSlots, p.newSlotSet(nil)
-	for _, e := range p.graph.Edges {
+	lockedSlots, seen := p.newSlotSet(nil), p.newSlotSet(nil)
+	for k, e := range p.graph.Edges {
 		if slices.Contains(preservedDeps, depKey{e.Src, e.Dst, e.Hazard}) {
-			p.lockEdgeSlots(sc, e, lockedSlots)
+			p.lockEdgeSlots(k, lockedSlots)
 		}
 	}
-	for _, e := range p.graph.Edges {
-		for _, idx := range [2]int{e.Src, e.Dst} {
+	for k, e := range p.graph.Edges {
+		for side, idx := range [2]int{e.Src, e.Dst} {
 			if locked[idx] {
 				continue
 			}
-			for _, s := range p.carrierSlots(sc, e, idx) {
-				k := p.slotIndex(s)
-				if seen[k] || lockedSlots[k] {
+			for _, s := range p.edgeSide(k, side) {
+				if seen[s.at] || lockedSlots[s.at] {
 					continue
 				}
-				seen[k] = true
+				seen[s.at] = true
 				log10 += math.Log10(1 + regAlternatives)
 			}
 		}

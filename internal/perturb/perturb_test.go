@@ -2,6 +2,7 @@ package perturb
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -143,6 +144,44 @@ func TestPropertyPreservedFeaturesAlwaysContained(t *testing.T) {
 		if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 			t.Errorf("block %q: %v", src, err)
 		}
+	}
+}
+
+// SampleInto reuses a Result's storage but must draw exactly what Sample
+// draws from the same rng state, whatever block size and preserve set the
+// buffer held before.
+func TestPropertySampleIntoMatchesSample(t *testing.T) {
+	perturbers := make([]*Perturber, len(testBlocks))
+	for i, src := range testBlocks {
+		perturbers[i] = newPerturber(t, src)
+	}
+	pick := func(p *Perturber, a, b uint8) features.Set {
+		feats := p.Features()
+		if a%3 == 0 {
+			return nil
+		}
+		return features.NewSet(feats[int(a)%len(feats)], feats[int(b)%len(feats)])
+	}
+	var warm Result
+	f := func(seed int64, prev, cur, a, b, c, d uint8) bool {
+		// Warm the buffer on another block and preserve set first.
+		pp := perturbers[int(prev)%len(perturbers)]
+		pp.SampleInto(rand.New(rand.NewSource(^seed)), pick(pp, c, d), &warm)
+		p := perturbers[int(cur)%len(perturbers)]
+		if p == pp {
+			p = perturbers[(int(cur)+1)%len(perturbers)]
+		}
+		preserve := pick(p, a, b)
+		want := p.Sample(rand.New(rand.NewSource(seed)), preserve)
+		p.SampleInto(rand.New(rand.NewSource(seed)), preserve, &warm)
+		if warm.Block.String() != want.Block.String() || !slices.Equal(warm.Mapping, want.Mapping) {
+			t.Logf("SampleInto drew\n%s\n%v\nSample drew\n%s\n%v", warm.Block, warm.Mapping, want.Block, want.Mapping)
+			return false
+		}
+		return warm.Block.Validate() == nil
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
+		t.Error(err)
 	}
 }
 

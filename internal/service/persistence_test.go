@@ -2,7 +2,6 @@ package service
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -32,20 +31,14 @@ func openTestStore(t *testing.T, dir string) *persist.Log {
 func startStoreServer(t *testing.T, store persist.Store, model *countingModel) (*Server, *httptest.Server, RestoreSummary) {
 	t.Helper()
 	s := New(Config{Store: store, JobCheckpointEvery: 1})
+	shutdownAtCleanup(t, s)
 	s.RegisterModel("counting", x86.Haswell, model, 0)
 	sum, err := s.Restore()
 	if err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
 	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := s.Shutdown(ctx); err != nil {
-			t.Errorf("shutdown: %v", err)
-		}
-	})
+	t.Cleanup(ts.Close)
 	return s, ts, sum
 }
 
@@ -127,6 +120,7 @@ func TestPersistLookupWithoutRestore(t *testing.T) {
 	t.Cleanup(func() { store2.Close() })
 	model2 := &countingModel{inner: uica.New(x86.Haswell)}
 	s2 := New(Config{Store: store2}) // no Restore: LRU is cold
+	shutdownAtCleanup(t, s2)
 	s2.RegisterModel("counting", x86.Haswell, model2, 0)
 	ts2 := httptest.NewServer(s2.Handler())
 	t.Cleanup(ts2.Close)
@@ -164,7 +158,7 @@ func TestRestoreSummaryCountsHeldExplanations(t *testing.T) {
 	store := openTestStore(t, dir)
 	t.Cleanup(func() { store.Close() })
 	s := New(Config{Store: store, ResultStoreSize: 2, HistoryInterval: -1})
-	t.Cleanup(func() { s.Shutdown(context.Background()) })
+	shutdownAtCleanup(t, s)
 	sum, err := s.Restore()
 	if err != nil {
 		t.Fatal(err)
@@ -322,6 +316,7 @@ func TestUnresumableJobFailsOnceAndStaysFailed(t *testing.T) {
 	// persisted.
 	store1 := openTestStore(t, dir)
 	s1 := New(Config{Store: store1})
+	shutdownAtCleanup(t, s1)
 	sum, err := s1.Restore()
 	if err != nil {
 		t.Fatal(err)
@@ -342,6 +337,7 @@ func TestUnresumableJobFailsOnceAndStaysFailed(t *testing.T) {
 	store2 := openTestStore(t, dir)
 	t.Cleanup(func() { store2.Close() })
 	s2 := New(Config{Store: store2})
+	shutdownAtCleanup(t, s2)
 	sum2, err := s2.Restore()
 	if err != nil {
 		t.Fatal(err)

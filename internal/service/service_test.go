@@ -31,16 +31,22 @@ func fastOverrides() *wire.ConfigOverrides {
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	s := New(cfg)
+	shutdownAtCleanup(t, s)
 	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close) // runs first: cleanups run last-registered first
+	return s, ts
+}
+
+// shutdownAtCleanup shuts s down when the test ends, so its job workers
+// and history sampler do not outlive the test.
+func shutdownAtCleanup(t *testing.T, s *Server) {
 	t.Cleanup(func() {
-		ts.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		if err := s.Shutdown(ctx); err != nil {
 			t.Errorf("shutdown: %v", err)
 		}
 	})
-	return s, ts
 }
 
 func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
