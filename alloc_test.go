@@ -12,9 +12,10 @@ import (
 )
 
 // TestQueryPathAllocBudgets pins the allocations of the per-query layers
-// of an explanation on the motivating block: one C evaluation, one Γ
-// draw (fresh, and into a warm buffer), one access summary (what a coverage sample tests containment on)
-// and one prediction-cache key. An explanation runs thousands of each,
+// of an explanation on the motivating block: one evaluation of C, uica,
+// the hardware simulator and mca, one Γ draw (fresh, and into a warm
+// buffer), one access summary (what a coverage sample tests containment
+// on) and one prediction-cache key. An explanation runs thousands of each,
 // so a new allocation in any of them is a regression. The race
 // detector allocates on its own and randomly drops sync.Pool entries, so
 // the budgets hold only in normal builds.
@@ -24,6 +25,9 @@ func TestQueryPathAllocBudgets(t *testing.T) {
 	}
 	block := comet.MustParseBlock(motivating)
 	model := comet.NewAnalyticalModel(comet.Haswell)
+	uica := comet.NewUICAModel(comet.Haswell)
+	hw := comet.NewHardwareSimulator(comet.Haswell)
+	mca := comet.NewMCAModel(comet.Haswell)
 	p, err := comet.NewPerturber(block, comet.DefaultPerturbConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -40,6 +44,12 @@ func TestQueryPathAllocBudgets(t *testing.T) {
 	}{
 		// The access summary and instruction costs live on the stack.
 		{"analytical.Predict", 0, func() { model.Predict(block) }},
+		// The plans, the port table and the iteration ends; the ready
+		// table lives on the stack while the block writes no memory.
+		{"uica.Predict", 3, func() { uica.Predict(block) }},
+		{"hwsim.Predict", 3, func() { hw.Predict(block) }},
+		// The port pressures, the latencies and the unrolled distances.
+		{"mca.Predict", 3, func() { mca.Predict(block) }},
 		{"deps.AppendSummary", 0, func() {
 			var buf [16]deps.InstAccess
 			if _, err := deps.AppendSummary(buf[:0], block, deps.Options{}); err != nil {

@@ -148,6 +148,17 @@ func BenchmarkHardwareSimPredict(b *testing.B) {
 	}
 }
 
+// BenchmarkMCAPredict measures the static-analysis model.
+func BenchmarkMCAPredict(b *testing.B) {
+	block := comet.MustParseBlock(motivating)
+	model := comet.NewMCAModel(comet.Haswell)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = model.Predict(block)
+	}
+}
+
 // BenchmarkAnalyticalPredict measures the analytical model C.
 func BenchmarkAnalyticalPredict(b *testing.B) {
 	block := comet.MustParseBlock(motivating)

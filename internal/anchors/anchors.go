@@ -50,16 +50,9 @@ type Options struct {
 	Delta              float64 // KL-LUCB confidence; default 0.05
 	BeamWidth          int     // beam size; default 2
 	BatchSize          int     // samples per refinement step; default 50
-	// BatchGrowth multiplies a candidate's sample batch each time the KL
-	// bounds stay inconclusive (default 1 = fixed batches). Values > 1
-	// amortize per-batch model-invocation overhead on hard candidates:
-	// batches reach the BatchModel beneath the Space in ever larger
-	// chunks, while the union bound stays valid because the confidence
-	// level grows with exploration rounds, not samples.
-	BatchGrowth       float64
-	MaxSamplesPerCand int // sampling cap per candidate; default 2500
-	MaxAnchorSize     int // largest explanation cardinality; default 4
-	Bounds            BoundKind
+	MaxSamplesPerCand  int     // sampling cap per candidate; default 2500
+	MaxAnchorSize      int     // largest explanation cardinality; default 4
+	Bounds             BoundKind
 }
 
 func (o Options) withDefaults() Options {
@@ -74,9 +67,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.BatchSize == 0 {
 		o.BatchSize = 50
-	}
-	if o.BatchGrowth < 1 {
-		o.BatchGrowth = 1
 	}
 	if o.MaxSamplesPerCand == 0 {
 		o.MaxSamplesPerCand = 2500
@@ -244,7 +234,6 @@ func refine(space Space, opts Options, rng *rand.Rand, cands []*candidate, queri
 			}
 			sample(space, rng, c, batchN, queries)
 			c.batches++
-			batchN = int(float64(batchN) * opts.BatchGrowth)
 			*round++
 			// Confidence level per Kaufmann & Kalyanakrishnan: union bound
 			// over arms, growing with the candidate's own exploration

@@ -203,24 +203,4 @@ func TestOptionsDefaults(t *testing.T) {
 	if o.PrecisionThreshold != 0.7 || o.BeamWidth != 2 || o.MaxAnchorSize != 4 {
 		t.Errorf("unexpected defaults: %+v", o)
 	}
-	if o.BatchGrowth != 1 {
-		t.Errorf("BatchGrowth default = %v, want 1 (fixed batches)", o.BatchGrowth)
-	}
-}
-
-func TestSearchBatchGrowthStaysCorrectAndBounded(t *testing.T) {
-	space := &banditSpace{
-		weights:  []float64{0.2, 0.95, 0.3},
-		coverage: []float64{0.5, 0.4, 0.5},
-	}
-	// Growing batches must still certify the right feature and must still
-	// respect the per-candidate sample cap.
-	opts := Options{PrecisionThreshold: 0.7, BatchGrowth: 2, MaxSamplesPerCand: 300, BatchSize: 20, MaxAnchorSize: 2}
-	res := Search(space, opts, rand.New(rand.NewSource(3)))
-	if !res.Certified || len(res.Anchor) != 1 || res.Anchor[0] != 1 {
-		t.Fatalf("unexpected result: %+v", res)
-	}
-	if res.Queries > 9*320 {
-		t.Errorf("grown batches blew the sample budget: %d", res.Queries)
-	}
 }

@@ -72,7 +72,8 @@ func TestCategoryInstructionMix(t *testing.T) {
 	countMemOps := func(b *x86.BasicBlock) (loads, stores int) {
 		for _, inst := range b.Instructions {
 			spec, _ := inst.Spec()
-			l, s := x86.MemUops(spec, inst)
+			form, _ := inst.Form()
+			l, s := x86.MemUops(spec, form, inst)
 			loads += l
 			stores += s
 		}

@@ -14,7 +14,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -368,23 +367,15 @@ func EstimateCoverage(b *x86.BasicBlock, set features.Set, cfg Config, n int, rn
 
 // retains sets row[j] to whether the Γ draw res retains feats[j]: the
 // containment check behind the coverage pool and EstimateCoverage.
-// Dependency features are tested on the draw's access summary; under
-// kill-based dependency options, which the summary declines, on its
-// graph.
+// Dependency features are tested on the draw's access summary.
 func retains(row []bool, feats features.Set, res perturb.Result, opts deps.Options) error {
 	var buf [16]deps.InstAccess
 	sum, err := deps.AppendSummary(buf[:0], res.Block, opts)
-	hasDep := sum.HasHazard
-	if errors.Is(err, deps.ErrNotPairwise) {
-		var g *deps.Graph
-		g, err = res.Graph(opts)
-		hasDep = g.HasEdge
-	}
 	if err != nil {
 		return err
 	}
 	for j, f := range feats {
-		row[j] = f.Retained(res.Block, res.Mapping, hasDep)
+		row[j] = f.Retained(res.Block, res.Mapping, sum.HasHazard)
 	}
 	return nil
 }

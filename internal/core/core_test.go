@@ -155,12 +155,11 @@ func TestCoverageMonotoneInExplanationSize(t *testing.T) {
 
 // TestCoveragePoolMatchesGraphContainment rebuilds a block's coverage
 // pool draw by draw and checks every row against graph-based
-// ContainedIn, under the default dependency options (which the access
-// summary serves) and kill-based ones (which fall back to the graph).
+// ContainedIn, with and without flag dependencies.
 func TestCoveragePoolMatchesGraphContainment(t *testing.T) {
 	model := analytical.New(x86.Haswell)
 	b := x86.MustParseBlock("mov ecx, edx\nxor edx, edx\nlea rax, [rcx + rax - 1]\ndiv rcx\nmov qword ptr [rdi + 8], rdx\nadd rcx, qword ptr [rdi + 8]\npush rcx\npop rdx")
-	for _, opts := range []deps.Options{{}, {TrackFlags: true}, {LastWriterOnly: true}} {
+	for _, opts := range []deps.Options{{}, {TrackFlags: true}} {
 		cfg := testConfig()
 		cfg.Parallelism = 1
 		cfg.Perturb.DepOptions = opts

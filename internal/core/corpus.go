@@ -25,15 +25,6 @@ type CorpusOptions struct {
 	// machine; an explicitly set Parallelism is honored per block (and
 	// multiplies with Workers — watch for oversubscription).
 	Workers int
-	// Progress, if non-nil, is called after each block completes, from a
-	// single goroutine, with the running completion count.
-	Progress func(done, total int)
-	// Buffer is the result channel's capacity (0 = one slot per corpus
-	// block, so the run always drains to completion and its goroutines
-	// exit even if the consumer stops receiving early). Setting a smaller
-	// buffer saves memory on huge corpora but obliges the consumer to
-	// drain the channel fully.
-	Buffer int
 	// Context, if non-nil, cancels the run: blocks not yet started are
 	// skipped (in-flight blocks finish and are still delivered), and the
 	// result channel closes early. Blocks that were skipped produce no
@@ -86,8 +77,11 @@ func BlockSeed(base int64, index int) int64 {
 }
 
 // ExplainAll explains every block of a corpus through a worker pool and
-// streams the results. The channel closes after the last result; failures
-// surface per block in CorpusResult.Err and never abort the run.
+// streams the results in completion order. The channel closes after the
+// last result; failures surface per block in CorpusResult.Err and never
+// abort the run. The channel has one slot per corpus block, so the run
+// always drains to completion and its goroutines exit even if the
+// consumer stops receiving early.
 func (e *Explainer) ExplainAll(blocks []*x86.BasicBlock, opts CorpusOptions) <-chan CorpusResult {
 	workers := opts.Workers
 	if workers <= 0 {
@@ -99,12 +93,7 @@ func (e *Explainer) ExplainAll(blocks []*x86.BasicBlock, opts CorpusOptions) <-c
 	if workers < 1 {
 		workers = 1
 	}
-	buffer := opts.Buffer
-	if buffer <= 0 {
-		buffer = len(blocks)
-	}
-	out := make(chan CorpusResult, buffer)
-	internal := make(chan CorpusResult, workers)
+	out := make(chan CorpusResult, len(blocks))
 	work := make(chan int)
 
 	// With several blocks in flight, per-block sampling parallelism is
@@ -135,7 +124,7 @@ func (e *Explainer) ExplainAll(blocks []*x86.BasicBlock, opts CorpusOptions) <-c
 				if err != nil {
 					err = fmt.Errorf("block %d: %w", idx, err)
 				}
-				internal <- CorpusResult{Index: idx, Block: blocks[i], Explanation: expl, Err: err}
+				out <- CorpusResult{Index: idx, Block: blocks[i], Explanation: expl, Err: err}
 			}
 		}()
 	}
@@ -157,24 +146,11 @@ func (e *Explainer) ExplainAll(blocks []*x86.BasicBlock, opts CorpusOptions) <-c
 			}
 		}
 	}()
-	// The internal channel closes once every started block has been
-	// delivered, so a canceled run still terminates cleanly.
+	// The channel closes once every started block has been delivered, so
+	// a canceled run still terminates cleanly.
 	go func() {
 		wg.Wait()
-		close(internal)
-	}()
-	// Single collector goroutine: serializes Progress callbacks and
-	// forwards results in completion order.
-	go func() {
-		defer close(out)
-		done := 0
-		for res := range internal {
-			done++
-			if opts.Progress != nil {
-				opts.Progress(done, len(blocks))
-			}
-			out <- res
-		}
+		close(out)
 	}()
 	return out
 }

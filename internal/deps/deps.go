@@ -8,8 +8,15 @@
 // Following the paper's multigraph (e.g. the Listing 3 case study reports a
 // RAW between instructions 3 and 6 despite an intervening writer), edges
 // are built for every (earlier, later) instruction pair that touches a
-// common location, not only adjacent def-use pairs. Options.LastWriterOnly
-// restores conventional kill-based analysis for callers that want it.
+// common location, not only adjacent def-use pairs.
+//
+// Two views of the same access rules serve different callers. The Graph
+// labels and sorts every edge for feature extraction, Γ's carrier plan
+// and ground truth. The Summary holds each instruction's reads and writes
+// as location bit masks plus its one memory location: it answers the
+// multigraph's edge question with mask tests for the coverage pool and
+// model C, and gives the hwsim and mca models their per-instruction
+// locations.
 package deps
 
 import (
@@ -104,36 +111,6 @@ type Options struct {
 	// nearly every integer ALU instruction writes flags, so flag edges
 	// drown the register/memory structure the paper's explanations use.
 	TrackFlags bool
-	// LastWriterOnly restricts RAW edges to the most recent writer and
-	// WAW/WAR edges to adjacent access pairs (kill-based analysis) instead
-	// of the paper's all-pairs multigraph.
-	LastWriterOnly bool
-}
-
-// Access is the set of locations one instruction reads and writes.
-type Access struct {
-	Reads  []Loc
-	Writes []Loc
-}
-
-// AccessOf computes the read and write location sets of an instruction,
-// combining explicit operands (with per-form access), address-component
-// register reads, implicit register accesses, stack effects, and flags.
-func AccessOf(inst x86.Instruction, opts Options) (Access, error) {
-	var acc Access
-	_, _, err := visitAccesses(inst, opts, func(a access) {
-		if a.write {
-			acc.Writes = append(acc.Writes, a.loc())
-		} else {
-			acc.Reads = append(acc.Reads, a.loc())
-		}
-	})
-	if err != nil {
-		return Access{}, err
-	}
-	acc.Reads = dedupeLocs(acc.Reads)
-	acc.Writes = dedupeLocs(acc.Writes)
-	return acc, nil
 }
 
 // access is one read or write of a location, as visitAccesses reports it:
@@ -227,16 +204,6 @@ func visitAccesses(inst x86.Instruction, opts Options, visit func(a access)) (*x
 	return spec, form, nil
 }
 
-func dedupeLocs(ls []Loc) []Loc {
-	out := ls[:0]
-	for _, l := range ls {
-		if !slices.Contains(out, l) {
-			out = append(out, l)
-		}
-	}
-	return out
-}
-
 // Build constructs the dependency multigraph of a block.
 func Build(b *x86.BasicBlock, opts Options) (*Graph, error) {
 	var buf [64]Edge
@@ -294,11 +261,7 @@ func AppendEdges(dst []Edge, b *x86.BasicBlock, opts Options) ([]Edge, error) {
 				evs[len(evs)-1].reads = true
 			}
 		}
-		if opts.LastWriterOnly {
-			dst = appendKillBased(dst, loc, evs)
-		} else {
-			dst = appendAllPairs(dst, loc, evs)
-		}
+		dst = appendAllPairs(dst, loc, evs)
 	}
 	slices.SortFunc(dst[start:], edgeCmp)
 	return dst, nil
@@ -330,35 +293,6 @@ func appendAllPairs(edges []Edge, loc Loc, evs []locEvent) []Edge {
 			if a.wrts && b.wrts {
 				edges = append(edges, Edge{Src: a.idx, Dst: b.idx, Hazard: WAW, Loc: loc})
 			}
-		}
-	}
-	return edges
-}
-
-func appendKillBased(edges []Edge, loc Loc, evs []locEvent) []Edge {
-	lastWriter := -1
-	var readerBuf [32]int
-	readersSinceWrite := readerBuf[:0]
-	for _, ev := range evs {
-		if ev.reads {
-			if lastWriter >= 0 {
-				edges = append(edges, Edge{Src: lastWriter, Dst: ev.idx, Hazard: RAW, Loc: loc})
-			}
-		}
-		if ev.wrts {
-			for _, r := range readersSinceWrite {
-				if r != ev.idx {
-					edges = append(edges, Edge{Src: r, Dst: ev.idx, Hazard: WAR, Loc: loc})
-				}
-			}
-			if lastWriter >= 0 {
-				edges = append(edges, Edge{Src: lastWriter, Dst: ev.idx, Hazard: WAW, Loc: loc})
-			}
-			lastWriter = ev.idx
-			readersSinceWrite = readersSinceWrite[:0]
-		}
-		if ev.reads {
-			readersSinceWrite = append(readersSinceWrite, ev.idx)
 		}
 	}
 	return edges

@@ -58,25 +58,6 @@ func TestCaseStudy2PaperEdges(t *testing.T) {
 	}
 }
 
-func TestLastWriterOnlyKillsTransitiveRAW(t *testing.T) {
-	src := `
-		mov ecx, edx
-		xor edx, edx
-		lea rax, [rcx + rax - 1]
-		div rcx
-		mov rdx, rcx
-		imul rax, rcx`
-	g := build(t, src, Options{LastWriterOnly: true})
-	// div overwrites rax between lea and imul, so kill-based analysis has
-	// no 3→6 RAW.
-	if g.HasEdge(2, 5, RAW) {
-		t.Errorf("kill-based analysis should not report RAW 3→6; edges: %v", g.Edges)
-	}
-	if !g.HasEdge(3, 5, RAW) {
-		t.Errorf("kill-based analysis should keep RAW 4→6; edges: %v", g.Edges)
-	}
-}
-
 func TestWAWDetection(t *testing.T) {
 	g := build(t, "mov rax, rbx\nmov rax, rcx", Options{})
 	if !g.HasEdge(0, 1, WAW) {
@@ -250,28 +231,6 @@ func TestPropertyEdgesWellFormed(t *testing.T) {
 	}
 }
 
-func TestPropertyAllPairsSupersetOfKillBased(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		b := randomBlock(rng, 2+rng.Intn(8))
-		all, err1 := Build(b, Options{})
-		kill, err2 := Build(b, Options{LastWriterOnly: true})
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		for _, e := range kill.Edges {
-			if !all.HasEdge(e.Src, e.Dst, e.Hazard) {
-				t.Logf("kill-based edge %v missing from all-pairs graph", e)
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestDeterministicEdgeOrder(t *testing.T) {
 	src := `
 		mov ecx, edx
@@ -293,7 +252,7 @@ func TestDeterministicEdgeOrder(t *testing.T) {
 }
 
 func TestAppendEdgesKeepsPrefix(t *testing.T) {
-	for _, opts := range []Options{{}, {LastWriterOnly: true}, {TrackFlags: true}} {
+	for _, opts := range []Options{{}, {TrackFlags: true}} {
 		b := x86.MustParseBlock("mov qword ptr [rdi + 8], rax\nadd rax, qword ptr [rdi + 8]\npush rax\npop rbx\nimul rbx, rax")
 		g, err := Build(b, opts)
 		if err != nil {

@@ -1,16 +1,10 @@
 package deps
 
 import (
-	"errors"
 	"fmt"
 
 	"github.com/comet-explain/comet/internal/x86"
 )
-
-// ErrNotPairwise is AppendSummary's answer under Options.LastWriterOnly:
-// a kill-based edge depends on the instructions between its endpoints,
-// so no per-instruction summary can decide it. Build the graph instead.
-var ErrNotPairwise = errors.New("deps: kill-based dependencies are not pairwise")
 
 // Summary is the access summary of a basic block, one entry per
 // instruction. It answers the all-pairs multigraph's edge question —
@@ -23,34 +17,34 @@ type Summary []InstAccess
 type InstAccess struct {
 	Spec *x86.Spec
 	Form *x86.Form
-	// reads and writes hold bit 1<<family per register family, plus
-	// stackBit, flagsBit and memBit; memBit stands for mem.
-	reads, writes uint64
-	// mem is the instruction's one memory location: a matched form has
+	// Reads and Writes hold bit 1<<family per register family, plus
+	// StackBit, FlagsBit and MemBit; MemBit stands for Mem.
+	Reads, Writes uint64
+	// Mem is the instruction's one memory location: a matched form has
 	// at most one memory operand (x86.Form.Match).
-	mem memLoc
+	Mem MemLoc
 }
 
 // Location bits above the register families. The conversion fails to
-// compile if the family table ever reaches memBit.
+// compile if the family table ever reaches MemBit.
 const (
-	memBit   = 1 << 61
-	stackBit = 1 << 62
-	flagsBit = 1 << 63
+	MemBit   = 1 << 61
+	StackBit = 1 << 62
+	FlagsBit = 1 << 63
 
 	_ = uint(61 - 1 - x86.FamFlags)
 )
 
-// memLoc is the comparable form of MemRef.LocKey: two memory operands
-// get equal memLocs exactly when they get equal keys.
-type memLoc struct {
+// MemLoc is the comparable form of MemRef.LocKey: two memory operands
+// get equal MemLocs exactly when they get equal keys.
+type MemLoc struct {
 	base, index x86.RegFamily
 	scale       int // 0 without an index, which LocKey does not render
 	disp        int64
 }
 
-func memLocOf(m x86.MemRef) memLoc {
-	l := memLoc{base: m.Base.Family, disp: m.Disp}
+func memLocOf(m x86.MemRef) MemLoc {
+	l := MemLoc{base: m.Base.Family, disp: m.Disp}
 	if !m.Index.IsZero() {
 		l.index, l.scale = m.Index.Family, m.Scale
 	}
@@ -60,12 +54,8 @@ func memLocOf(m x86.MemRef) memLoc {
 // AppendSummary appends the access summary of b's instructions to dst
 // and returns the extended slice. It takes its accesses from the same
 // rules as AppendEdges and fails on the same blocks with the same
-// errors; beyond growing dst it does not allocate. Under
-// Options.LastWriterOnly it returns ErrNotPairwise.
+// errors; beyond growing dst it does not allocate.
 func AppendSummary(dst Summary, b *x86.BasicBlock, opts Options) (Summary, error) {
-	if opts.LastWriterOnly {
-		return dst, ErrNotPairwise
-	}
 	for i, inst := range b.Instructions {
 		var ia InstAccess
 		spec, form, err := visitAccesses(inst, opts, func(a access) {
@@ -74,16 +64,16 @@ func AppendSummary(dst Summary, b *x86.BasicBlock, opts Options) (Summary, error
 			case LocReg:
 				bit = 1 << a.fam
 			case LocMem:
-				bit, ia.mem = memBit, memLocOf(a.mem)
+				bit, ia.Mem = MemBit, memLocOf(a.mem)
 			case LocStack:
-				bit = stackBit
+				bit = StackBit
 			case LocFlags:
-				bit = flagsBit
+				bit = FlagsBit
 			}
 			if a.write {
-				ia.writes |= bit
+				ia.Writes |= bit
 			} else {
-				ia.reads |= bit
+				ia.Reads |= bit
 			}
 		})
 		if err != nil {
@@ -108,11 +98,21 @@ func (s Summary) HasHazard(i, j int, h Hazard) bool {
 	var common uint64
 	switch h {
 	case RAW:
-		common = a.writes & b.reads
+		common = a.Writes & b.Reads
 	case WAR:
-		common = a.reads & b.writes
+		common = a.Reads & b.Writes
 	case WAW:
-		common = a.writes & b.writes
+		common = a.Writes & b.Writes
 	}
-	return common&^memBit != 0 || common&memBit != 0 && a.mem == b.mem
+	return Shared(common, a, b) != 0
+}
+
+// Shared narrows bits, a mask of locations a and b both access, to those
+// they access in common: MemBit stays only when both access the same
+// memory location.
+func Shared(bits uint64, a, b *InstAccess) uint64 {
+	if bits&MemBit != 0 && a.Mem != b.Mem {
+		bits &^= MemBit
+	}
+	return bits
 }

@@ -1,7 +1,6 @@
 package deps_test
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -93,10 +92,6 @@ func TestSummaryEdgeCases(t *testing.T) {
 	checkSummary(t, bad, deps.Options{})
 	if _, err := deps.AppendSummary(nil, bad, deps.Options{}); err == nil {
 		t.Error("AppendSummary accepted an instruction that matches no form")
-	}
-	// Kill-based edges are declined.
-	if _, err := deps.AppendSummary(nil, x86.MustParseBlock("add rax, rbx"), deps.Options{LastWriterOnly: true}); !errors.Is(err, deps.ErrNotPairwise) {
-		t.Errorf("LastWriterOnly: err = %v, want ErrNotPairwise", err)
 	}
 }
 

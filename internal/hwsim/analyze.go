@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 
-	"github.com/comet-explain/comet/internal/deps"
 	"github.com/comet-explain/comet/internal/x86"
 )
 
@@ -53,7 +52,7 @@ func (s *Simulator) Analyze(b *x86.BasicBlock) (Report, error) {
 		return Report{}, fmt.Errorf("hwsim: cannot analyze invalid block")
 	}
 	r := Report{PortPressure: map[int]float64{}}
-	r.Throughput = s.Throughput(b)
+	r.Throughput = s.simulate(plans)
 
 	// Frontend bound: total uops per iteration over the issue width.
 	uops := 0
@@ -77,15 +76,7 @@ func (s *Simulator) Analyze(b *x86.BasicBlock) (Report, error) {
 			uopsList = append(uopsList, uop{s.params.LoadPorts, 1})
 		}
 		if p.hasCompute {
-			occ := 1.0
-			if p.perf.Unpipelined {
-				rthru := p.perf.RThru + s.cfg.DivRThruDelta
-				if rthru < 1 {
-					rthru = 1
-				}
-				occ = math.Ceil(rthru)
-			}
-			uopsList = append(uopsList, uop{p.perf.Ports, occ})
+			uopsList = append(uopsList, uop{p.perf.Ports, p.occupancy})
 		}
 		for st := 0; st < p.stores; st++ {
 			uopsList = append(uopsList, uop{s.params.StoreDataPts, 1})
@@ -144,22 +135,14 @@ func classify(r Report, busy []float64) string {
 // depChainThroughput measures cycles/iteration when only data dependencies
 // constrain execution.
 func (s *Simulator) depChainThroughput(plans []instPlan) float64 {
-	loadLat := float64(s.params.LoadLat + s.cfg.LoadLatDelta)
-	if loadLat < 1 {
-		loadLat = 1
-	}
-	iters := s.cfg.Iterations
-	ready := make(map[deps.Loc]float64)
-	iterEnd := make([]float64, iters)
-	for iter := 0; iter < iters; iter++ {
+	loadLat := s.loadLat()
+	ready := newReadyTable(plans)
+	iterEnd := make([]float64, s.cfg.Iterations)
+	for iter := range iterEnd {
 		end := 0.0
-		for _, p := range plans {
-			src := 0.0
-			for _, l := range p.reads {
-				if t := ready[l]; t > src {
-					src = t
-				}
-			}
+		for k := range plans {
+			p := &plans[k]
+			src := ready.operands(&p.acc)
 			lat := 0.0
 			if p.loads > 0 {
 				lat += loadLat
@@ -171,28 +154,20 @@ func (s *Simulator) depChainThroughput(plans []instPlan) float64 {
 				lat += float64(s.cfg.StoreForwardLat)
 			}
 			done := src + lat
-			for _, l := range p.writes {
+			writes := p.acc.Writes
+			if p.rspFast && writes&rspBit != 0 {
 				// Same write-latency semantics as the full simulator: the
 				// stack engine renames rsp immediately.
-				if p.rspFast && l.Kind == deps.LocReg && l.Fam == x86.FamRSP {
-					ready[l] = src + 1
-					continue
-				}
-				ready[l] = done
+				ready.set(rspBit, &p.acc, src+1)
+				writes &^= rspBit
 			}
-			if done > end {
-				end = done
-			}
+			ready.set(writes, &p.acc, done)
+			end = math.Max(end, done)
 		}
 		if iter > 0 && iterEnd[iter-1] > end {
 			end = iterEnd[iter-1]
 		}
 		iterEnd[iter] = end
 	}
-	half := iters / 2
-	tp := (iterEnd[iters-1] - iterEnd[half-1]) / float64(iters-half)
-	if tp < 0 {
-		return 0
-	}
-	return tp
+	return slope(iterEnd)
 }

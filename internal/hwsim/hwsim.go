@@ -22,6 +22,7 @@ package hwsim
 
 import (
 	"math"
+	"math/bits"
 
 	"github.com/comet-explain/comet/internal/costmodel"
 	"github.com/comet-explain/comet/internal/deps"
@@ -103,12 +104,77 @@ func (s *Simulator) PredictBatch(blocks []*x86.BasicBlock) []float64 {
 // instPlan is the per-instruction scheduling recipe, precomputed once per
 // block.
 type instPlan struct {
-	reads, writes []deps.Loc
+	acc           deps.InstAccess // the locations it reads and writes
 	perf          x86.Perf
+	occupancy     float64 // cycles the compute uop holds its port
 	loads, stores int
 	uops          int
 	hasCompute    bool // pure loads/stores (mov/push/pop) have no ALU uop
 	rspFast       bool // push/pop update rsp through the stack engine
+}
+
+// rspBit is rsp's location bit in a deps.InstAccess mask.
+const rspBit = 1 << x86.FamRSP
+
+// readyTable records the cycle each location's value becomes ready; a
+// location never written reads as ready at cycle 0.
+type readyTable struct {
+	at  [64]float64 // by location bit; deps.MemBit's slot is unused
+	mem []memReady
+}
+
+// memReady is the ready cycle of one memory location.
+type memReady struct {
+	loc deps.MemLoc
+	at  float64
+}
+
+// newReadyTable returns an empty table with room for every memory
+// location the plans write.
+func newReadyTable(plans []instPlan) readyTable {
+	n := 0
+	for k := range plans {
+		if plans[k].acc.Writes&deps.MemBit != 0 {
+			n++
+		}
+	}
+	return readyTable{mem: make([]memReady, 0, n)}
+}
+
+// operands returns the cycle all of a's reads are ready.
+func (r *readyTable) operands(a *deps.InstAccess) float64 {
+	src := 0.0
+	for m := a.Reads &^ deps.MemBit; m != 0; m &= m - 1 {
+		if t := r.at[bits.TrailingZeros64(m)]; t > src {
+			src = t
+		}
+	}
+	if a.Reads&deps.MemBit != 0 {
+		for _, e := range r.mem {
+			if e.loc == a.Mem && e.at > src {
+				src = e.at
+			}
+		}
+	}
+	return src
+}
+
+// set marks the locations in mask, a subset of a's writes, ready at
+// cycle t.
+func (r *readyTable) set(mask uint64, a *deps.InstAccess, t float64) {
+	for m := mask &^ deps.MemBit; m != 0; m &= m - 1 {
+		r.at[bits.TrailingZeros64(m)] = t
+	}
+	if mask&deps.MemBit == 0 {
+		return
+	}
+	for k := range r.mem {
+		if r.mem[k].loc == a.Mem {
+			r.mem[k].at = t
+			return
+		}
+	}
+	r.mem = append(r.mem, memReady{a.Mem, t})
 }
 
 // Throughput returns the predicted steady-state cycles per iteration.
@@ -118,33 +184,27 @@ func (s *Simulator) Throughput(b *x86.BasicBlock) float64 {
 	if !ok {
 		return math.Inf(1)
 	}
+	return s.simulate(plans)
+}
 
-	ready := make(map[deps.Loc]float64) // location → cycle value is ready
+// simulate runs the planned block for cfg.Iterations loop iterations and
+// returns its steady-state cycles per iteration.
+func (s *Simulator) simulate(plans []instPlan) float64 {
+	ready := newReadyTable(plans)
 	portFree := make([]float64, s.params.NumPorts)
 	uopCount := 0
 	iterEnd := make([]float64, s.cfg.Iterations)
+	loadLat := s.loadLat()
 
-	loadLat := float64(s.params.LoadLat + s.cfg.LoadLatDelta)
-	if loadLat < 1 {
-		loadLat = 1
-	}
-
-	for iter := 0; iter < s.cfg.Iterations; iter++ {
+	for iter := range iterEnd {
 		end := 0.0
-		for _, p := range plans {
+		for k := range plans {
+			p := &plans[k]
 			// Frontend: uops enter the backend at issue-width per cycle.
 			frontend := float64(uopCount) / float64(s.params.IssueWidth)
 			uopCount += p.uops
 
-			// Operand readiness.
-			src := 0.0
-			for _, l := range p.reads {
-				if t, ok := ready[l]; ok && t > src {
-					src = t
-				}
-			}
-
-			start := math.Max(frontend, src)
+			start := math.Max(frontend, ready.operands(&p.acc))
 			issue := start // cycle the first uop of the instruction issues
 
 			// Load uops: issue on a load port, extend the data-ready chain.
@@ -158,15 +218,7 @@ func (s *Simulator) Throughput(b *x86.BasicBlock) float64 {
 			// Compute uop.
 			dataDone := start + dataLat
 			if p.hasCompute {
-				occupancy := 1.0
-				if p.perf.Unpipelined {
-					rthru := p.perf.RThru + s.cfg.DivRThruDelta
-					if rthru < 1 {
-						rthru = 1
-					}
-					occupancy = math.Ceil(rthru)
-				}
-				start = s.issueOnPort(start, p.perf.Ports, occupancy, portFree)
+				start = s.issueOnPort(start, p.perf.Ports, p.occupancy, portFree)
 				issue = start
 				dataDone = start + float64(p.perf.Lat) + dataLat
 			}
@@ -183,35 +235,40 @@ func (s *Simulator) Throughput(b *x86.BasicBlock) float64 {
 				memDone = start + float64(s.cfg.StoreForwardLat)
 			}
 
-			done := math.Max(dataDone, memDone)
-			for _, l := range p.writes {
-				switch {
-				case p.rspFast && l.Kind == deps.LocReg && l.Fam == x86.FamRSP:
-					// The stack engine renames rsp at issue; push/pop
-					// chains do not serialize on the memory access.
-					ready[l] = issue + 1
-				case l.Kind == deps.LocMem || l.Kind == deps.LocStack:
-					ready[l] = memDone
-				default:
-					ready[l] = dataDone
-				}
+			writes := p.acc.Writes
+			if p.rspFast && writes&rspBit != 0 {
+				// The stack engine renames rsp at issue; push/pop chains do
+				// not serialize on the memory access.
+				ready.set(rspBit, &p.acc, issue+1)
+				writes &^= rspBit
 			}
-			if done > end {
-				end = done
-			}
-			if prev := iterEnd[maxInt(0, iter-1)]; iter > 0 && prev > end {
-				end = prev
-			}
+			ready.set(writes&(deps.MemBit|deps.StackBit), &p.acc, memDone)
+			ready.set(writes&^(deps.MemBit|deps.StackBit), &p.acc, dataDone)
+
+			end = math.Max(end, math.Max(dataDone, memDone))
+		}
+		if iter > 0 && iterEnd[iter-1] > end {
+			end = iterEnd[iter-1]
 		}
 		iterEnd[iter] = end
 	}
+	return slope(iterEnd)
+}
 
-	half := s.cfg.Iterations / 2
-	cycles := (iterEnd[s.cfg.Iterations-1] - iterEnd[half-1]) / float64(s.cfg.Iterations-half)
+// slope returns the cycles per iteration over the second half of the
+// iteration end times, or 0 if they decrease.
+func slope(iterEnd []float64) float64 {
+	n, half := len(iterEnd), len(iterEnd)/2
+	cycles := (iterEnd[n-1] - iterEnd[half-1]) / float64(n-half)
 	if cycles < 0 {
-		cycles = 0
+		return 0
 	}
 	return cycles
+}
+
+// loadLat is the load-to-use latency, at least one cycle.
+func (s *Simulator) loadLat() float64 {
+	return math.Max(1, float64(s.params.LoadLat+s.cfg.LoadLatDelta))
 }
 
 // issueOnPort finds the eligible port that frees earliest, issues the uop
@@ -237,22 +294,22 @@ func (s *Simulator) issueOnPort(earliest float64, eligible x86.PortSet, occupanc
 	return start
 }
 
+// plan resolves the block's instructions once, through its access
+// summary, into scheduling recipes. It fails on an empty or invalid block.
 func (s *Simulator) plan(b *x86.BasicBlock) ([]instPlan, bool) {
 	if b == nil || b.Len() == 0 {
 		return nil, false
 	}
-	plans := make([]instPlan, 0, b.Len())
-	for _, inst := range b.Instructions {
-		spec, ok := inst.Spec()
-		if !ok {
-			return nil, false
-		}
-		acc, err := deps.AccessOf(inst, deps.Options{})
-		if err != nil {
-			return nil, false
-		}
-		perf := x86.PerfOf(s.cfg.Arch, inst)
-		loads, stores := x86.MemUops(spec, inst)
+	var buf [16]deps.InstAccess
+	sum, err := deps.AppendSummary(buf[:0], b, deps.Options{})
+	if err != nil {
+		return nil, false
+	}
+	plans := make([]instPlan, len(sum))
+	for i, a := range sum {
+		inst, spec := b.Instructions[i], a.Spec
+		perf := x86.SpecPerf(s.cfg.Arch, spec, inst)
+		loads, stores := x86.MemUops(spec, a.Form, inst)
 		// Pure data movement to or from memory has no ALU uop: a store is
 		// store-data (+ store-address), a load is just the load uop.
 		hasCompute := true
@@ -269,23 +326,20 @@ func (s *Simulator) plan(b *x86.BasicBlock) ([]instPlan, bool) {
 		if s.cfg.ModelStoreAddr {
 			uops += stores
 		}
-		plans = append(plans, instPlan{
-			reads:      acc.Reads,
-			writes:     acc.Writes,
+		occupancy := 1.0
+		if perf.Unpipelined {
+			occupancy = math.Ceil(math.Max(1, perf.RThru+s.cfg.DivRThruDelta))
+		}
+		plans[i] = instPlan{
+			acc:        a,
 			perf:       perf,
+			occupancy:  occupancy,
 			loads:      loads,
 			stores:     stores,
 			uops:       uops,
 			hasCompute: hasCompute,
 			rspFast:    spec.StackRead || spec.StackWrite,
-		})
+		}
 	}
 	return plans, true
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -49,17 +49,20 @@ func (m *Model) Predict(b *x86.BasicBlock) float64 {
 	if b == nil || b.Len() == 0 {
 		return math.Inf(1)
 	}
+	var buf [16]deps.InstAccess
+	sum, err := deps.AppendSummary(buf[:0], b, deps.Options{})
+	if err != nil {
+		return math.Inf(1)
+	}
 	uops := 0
 	pressure := make([]float64, m.params.NumPorts)
-	for _, inst := range b.Instructions {
-		spec, ok := inst.Spec()
-		if !ok {
-			return math.Inf(1)
-		}
-		perf := x86.PerfOf(m.arch, inst)
-		loads, stores := x86.MemUops(spec, inst)
+	lat := make([]float64, len(sum))
+	for i, a := range sum {
+		inst := b.Instructions[i]
+		perf := x86.SpecPerf(m.arch, a.Spec, inst)
+		loads, stores := x86.MemUops(a.Spec, a.Form, inst)
 		hasCompute := true
-		switch spec.Class {
+		switch a.Spec.Class {
 		case x86.ClassMov, x86.ClassVecMov, x86.ClassPush, x86.ClassPop:
 			if loads+stores > 0 {
 				hasCompute = false
@@ -82,6 +85,12 @@ func (m *Model) Predict(b *x86.BasicBlock) float64 {
 			spread(pressure, m.params.StoreDataPts, 1)
 			spread(pressure, m.params.StoreAddrPts, 1)
 		}
+		// The chain latency ignores load latency unless the instruction
+		// loads, like llvm-mca's default.
+		lat[i] = float64(perf.Lat)
+		if loads > 0 {
+			lat[i] += float64(m.params.LoadLat)
+		}
 	}
 
 	bound := float64(uops) / float64(m.params.IssueWidth)
@@ -90,7 +99,7 @@ func (m *Model) Predict(b *x86.BasicBlock) float64 {
 			bound = p
 		}
 	}
-	if chain := m.chainBound(b); chain > bound {
+	if chain := chainBound(sum, lat); chain > bound {
 		bound = chain
 	}
 	return bound
@@ -119,54 +128,36 @@ func spread(pressure []float64, ports x86.PortSet, occupancy float64) {
 
 // chainBound computes the longest loop-carried dependency cycle by
 // unrolling the block twice and taking the longest path that crosses the
-// iteration boundary, using per-instruction latencies. This is the static
-// analogue of the simulator's dependency pacing; it ignores load latency
-// unless the chain goes through memory, like llvm-mca's default.
-func (m *Model) chainBound(b *x86.BasicBlock) float64 {
-	g, err := deps.Build(b, deps.Options{LastWriterOnly: true})
-	if err != nil {
-		return 0
-	}
-	lat := make([]float64, b.Len())
-	for i, inst := range b.Instructions {
-		p := x86.PerfOf(m.arch, inst)
-		lat[i] = float64(p.Lat)
-		spec, _ := inst.Spec()
-		if loads, _ := x86.MemUops(spec, inst); loads > 0 {
-			lat[i] += float64(m.params.LoadLat)
-		}
-	}
-	// Longest path over two unrolled iterations, RAW edges only (true
-	// dependencies).
-	n := b.Len()
+// iteration boundary, over true (RAW) dependencies with per-instruction
+// latencies lat. This is the static analogue of the simulator's
+// dependency pacing. Within an iteration a read depends on its location's
+// last earlier writer; across the back edge it depends on the block's last
+// writer of the location, the only write that survives the iteration.
+func chainBound(s deps.Summary, lat []float64) float64 {
+	n := len(s)
 	dist := make([]float64, 2*n)
-	for i := 0; i < 2*n; i++ {
+	for i := range dist {
 		dist[i] = lat[i%n]
 	}
-	relax := func(src, dst int) {
-		if d := dist[src] + lat[dst%n]; d > dist[dst] {
-			dist[dst] = d
-		}
-	}
-	for iter := 0; iter < 2; iter++ {
-		for _, e := range g.Edges {
-			if e.Hazard != deps.RAW {
-				continue
-			}
-			src, dst := e.Src+iter*n, e.Dst+iter*n
-			relax(src, dst)
-		}
-		if iter == 0 {
-			// Cross-iteration edges: a write in iteration 0 feeding a read
-			// at the same or earlier position in iteration 1.
-			for i := 0; i < n; i++ {
-				for j := 0; j < n; j++ {
-					if crossDep(g, b, i, j) {
-						relax(i, j+n)
-					}
+	// feed relaxes instruction j+dstOff from the last writer, among
+	// s[:end], of each location j reads, taken at index writer+srcOff.
+	feed := func(j, end, srcOff, dstOff int) {
+		want := s[j].Reads
+		for i := end - 1; i >= 0 && want != 0; i-- {
+			if hit := deps.Shared(s[i].Writes&want, &s[i], &s[j]); hit != 0 {
+				want &^= hit
+				if d := dist[i+srcOff] + lat[j]; d > dist[j+dstOff] {
+					dist[j+dstOff] = d
 				}
 			}
 		}
+	}
+	for j := range n {
+		feed(j, j, 0, 0)
+	}
+	for j := range n {
+		feed(j, n, 0, n) // the back edge
+		feed(j, j, n, n)
 	}
 	best := 0.0
 	for i := n; i < 2*n; i++ {
@@ -175,44 +166,4 @@ func (m *Model) chainBound(b *x86.BasicBlock) float64 {
 		}
 	}
 	return best
-}
-
-// crossDep reports whether instruction i's writes feed instruction j's
-// reads across the loop back-edge.
-func crossDep(g *deps.Graph, b *x86.BasicBlock, i, j int) bool {
-	wi, err1 := deps.AccessOf(b.Instructions[i], deps.Options{})
-	rj, err2 := deps.AccessOf(b.Instructions[j], deps.Options{})
-	if err1 != nil || err2 != nil {
-		return false
-	}
-	for _, w := range wi.Writes {
-		for _, r := range rj.Reads {
-			if w == r {
-				// Only a loop-carried dependency if no later write in the
-				// same iteration kills it before the back edge... static
-				// analyzers approximate; we require i to be the last
-				// writer of the location.
-				if lastWriter(b, w) == i {
-					return true
-				}
-			}
-		}
-	}
-	return false
-}
-
-func lastWriter(b *x86.BasicBlock, loc deps.Loc) int {
-	last := -1
-	for i := range b.Instructions {
-		acc, err := deps.AccessOf(b.Instructions[i], deps.Options{})
-		if err != nil {
-			continue
-		}
-		for _, w := range acc.Writes {
-			if w == loc {
-				last = i
-			}
-		}
-	}
-	return last
 }

@@ -39,6 +39,30 @@ func TestChainBound(t *testing.T) {
 	}
 }
 
+// TestChainBoundKillsOverwrittenValues: a loop-carried dependency runs
+// only from the block's last writer of a location, so a value overwritten
+// later in the iteration carries no chain across the back edge. Memory
+// locations kill only at the same address.
+func TestChainBoundKillsOverwrittenValues(t *testing.T) {
+	for _, c := range []struct {
+		src    string
+		lo, hi float64
+	}{
+		// imul's rax chain (latency 3) is cut by the mov; port pressure
+		// bounds the block instead.
+		{"imul rax, rax\nmov rax, rbx", 0, 2},
+		{"imul rax, rax\nmov rbx, rax", 2.99, 3.01},
+		// The read-modify-write chain through [rdi] survives a store to
+		// [rdi + 8] and is cut by a store to [rdi].
+		{"add qword ptr [rdi], rax\nmov qword ptr [rdi + 8], rbx", 5, 100},
+		{"add qword ptr [rdi], rax\nmov qword ptr [rdi], rbx", 0, 3},
+	} {
+		if got := predict(t, c.src); got < c.lo || got > c.hi {
+			t.Errorf("%q = %.2f, want in [%v, %v]", c.src, got, c.lo, c.hi)
+		}
+	}
+}
+
 func TestDivDominates(t *testing.T) {
 	withDiv := predict(t, "div rcx\nadd rax, rbx")
 	without := predict(t, "mov rdx, rcx\nadd rax, rbx")
@@ -104,6 +128,10 @@ func TestInvalidBlockInf(t *testing.T) {
 	m := New(x86.Haswell)
 	if got := m.Predict(&x86.BasicBlock{}); !math.IsInf(got, 1) {
 		t.Errorf("empty block = %v, want +Inf", got)
+	}
+	noForm := x86.NewBlock(x86.Instruction{Opcode: "add", Operands: []x86.Operand{x86.NewReg(x86.Reg{Family: x86.FamRAX, Size: x86.Size64})}})
+	if got := m.Predict(noForm); !math.IsInf(got, 1) {
+		t.Errorf("block matching no form = %v, want +Inf", got)
 	}
 }
 

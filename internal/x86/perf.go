@@ -204,17 +204,9 @@ func opcodePerfOverride(a Arch, opcode string, size int, p Perf) Perf {
 	return p
 }
 
-// PerfOf returns the compute-uop cost of an instruction on arch a.
-// The instruction must be valid.
-func PerfOf(a Arch, inst Instruction) Perf {
-	spec, ok := inst.Spec()
-	if !ok {
-		return Perf{Lat: 1, RThru: 1, Ports: Port(0)}
-	}
-	return specPerf(a, spec, inst)
-}
-
-func specPerf(a Arch, spec *Spec, inst Instruction) Perf {
+// SpecPerf returns the compute-uop cost on arch a of an instruction
+// whose spec is already resolved.
+func SpecPerf(a Arch, spec *Spec, inst Instruction) Perf {
 	size := 0
 	if len(inst.Operands) > 0 {
 		size = inst.Operands[0].Size
@@ -238,8 +230,8 @@ func InstThroughput(a Arch, inst Instruction) float64 {
 // FormThroughput is InstThroughput for an instruction whose spec and
 // matched form (nil when none matches) are already resolved.
 func FormThroughput(a Arch, spec *Spec, form *Form, inst Instruction) float64 {
-	t := specPerf(a, spec, inst).RThru
-	loads, stores := memAccessCounts(spec, form, inst)
+	t := SpecPerf(a, spec, inst).RThru
+	loads, stores := MemUops(spec, form, inst)
 	// A load or store uop binds one of two (load) / one (store-data) ports.
 	if loads > 0 && float64(loads)*0.5 > t {
 		t = float64(loads) * 0.5
@@ -251,15 +243,9 @@ func FormThroughput(a Arch, spec *Spec, form *Form, inst Instruction) float64 {
 }
 
 // MemUops returns how many load and store micro-ops the instruction
-// performs; the pipeline simulator schedules one uop per access.
-func MemUops(spec *Spec, inst Instruction) (loads, stores int) {
-	return memAccessCounts(spec, spec.MatchForm(inst.Operands), inst)
-}
-
-// memAccessCounts returns how many load and store micro-ops the instruction
 // performs, based on its matched form f (nil when none matches) and stack
-// behaviour.
-func memAccessCounts(spec *Spec, f *Form, inst Instruction) (loads, stores int) {
+// behaviour; the pipeline simulator schedules one uop per access.
+func MemUops(spec *Spec, f *Form, inst Instruction) (loads, stores int) {
 	if spec.StackRead {
 		loads++
 	}

@@ -389,7 +389,9 @@ func TestPerfOrdering(t *testing.T) {
 		if !(InstThroughput(arch, vdiv) > InstThroughput(arch, vmul)) {
 			t.Errorf("%v: vdivss should out-cost vmulss", arch)
 		}
-		if !(PerfOf(arch, div).Lat > PerfOf(arch, imul).Lat) {
+		divSpec, _ := div.Spec()
+		imulSpec, _ := imul.Spec()
+		if !(SpecPerf(arch, divSpec, div).Lat > SpecPerf(arch, imulSpec, imul).Lat) {
 			t.Errorf("%v: div latency should exceed imul latency", arch)
 		}
 	}
@@ -433,7 +435,8 @@ func TestMemAccessCounts(t *testing.T) {
 			t.Fatalf("%q: %v", c.src, err)
 		}
 		spec, _ := inst.Spec()
-		loads, stores := MemUops(spec, inst)
+		form, _ := inst.Form()
+		loads, stores := MemUops(spec, form, inst)
 		if loads != c.loads || stores != c.stores {
 			t.Errorf("%q: loads/stores = %d/%d, want %d/%d", c.src, loads, stores, c.loads, c.stores)
 		}
