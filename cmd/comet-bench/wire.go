@@ -12,9 +12,9 @@ package main
 //     plus allocations and bytes allocated per request.
 //  2. Streamed-corpus memory — a stream-only corpus job of -stream-blocks
 //     blocks consumed through GET /v1/jobs/{id}/stream over real HTTP,
-//     with the heap sampled throughout. The job retains only the bounded
-//     catch-up ring, so peak heap growth must stay far below the full
-//     result set; the bench fails if it doesn't.
+//     with the live heap sampled throughout. The job retains only the
+//     bounded catch-up ring, so peak live-heap growth must stay far below
+//     the full result set; the bench fails if it doesn't.
 //
 // -check compares a fresh run against a baseline summary. The gated
 // metrics are chosen to be machine-portable: allocations per request are
@@ -32,6 +32,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"runtime"
+	"runtime/metrics"
 	"time"
 
 	"github.com/comet-explain/comet/internal/service"
@@ -67,9 +68,22 @@ type wireSummary struct {
 	// StreamResultBytes is the total NDJSON result volume delivered —
 	// what a buffering job would have held in memory at once.
 	StreamResultBytes int64 `json:"stream_result_bytes"`
-	// StreamPeakHeapDelta is the peak heap growth observed while the job
-	// ran; flat memory means this stays far below StreamResultBytes.
+	// StreamPeakHeapDelta is the peak growth of the live heap
+	// (/gc/heap/live:bytes, what the last GC cycle marked reachable)
+	// over its value after submission, sampled while the job ran and
+	// after a final GC. Garbage not yet collected is excluded, so the
+	// figure tracks what the job retains; flat memory means it stays far
+	// below StreamResultBytes. Earlier builds sampled HeapAlloc here,
+	// which counts that garbage too.
 	StreamPeakHeapDelta int64 `json:"stream_peak_heap_delta_bytes"`
+}
+
+// liveHeap reads /gc/heap/live:bytes: the heap the most recent GC cycle
+// marked reachable, without the uncollected garbage HeapAlloc counts.
+func liveHeap() int64 {
+	s := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	metrics.Read(s)
+	return int64(s[0].Value.Uint64())
 }
 
 // measureLoop runs f n times and reports requests/s plus per-iteration
@@ -116,7 +130,7 @@ func wireBench(requests, streamBlocks int, jsonOut, checkPath string) error {
 	fmt.Printf("  binary speedup:                 %.2fx (byte-identical decoded responses)\n", sum.Speedup)
 	fmt.Printf("  stream transport throughput:    %10.0f blocks/s over %d blocks (analytical model, tiny blocks: not explanation speed)\n",
 		sum.StreamBlocksPerSec, sum.StreamBlocks)
-	fmt.Printf("  stream memory:                  peak heap +%.1f MiB vs %.1f MiB of results (ring %d)\n",
+	fmt.Printf("  stream memory:                  peak live heap +%.1f MiB vs %.1f MiB of results (ring %d)\n",
 		float64(sum.StreamPeakHeapDelta)/(1<<20), float64(sum.StreamResultBytes)/(1<<20), sum.StreamRing)
 
 	if jsonOut != "" {
@@ -254,9 +268,9 @@ func warmPathBench(sum *wireSummary) error {
 }
 
 // streamBench runs a stream-only corpus job over real HTTP and samples
-// the heap while consuming GET /v1/jobs/{id}/stream. The job holds only
-// the bounded catch-up ring, so peak heap growth must stay well below the
-// full result volume — the bench fails on anything else.
+// the live heap while consuming GET /v1/jobs/{id}/stream. The job holds
+// only the bounded catch-up ring, so peak live-heap growth must stay well
+// below the full result volume — the bench fails on anything else.
 func streamBench(sum *wireSummary, blocks int) error {
 	cfg := service.Config{
 		DefaultModel:    "c",
@@ -325,8 +339,7 @@ func streamBench(sum *wireSummary, blocks int) error {
 	// while results flow.
 	body = nil
 	runtime.GC()
-	var base runtime.MemStats
-	runtime.ReadMemStats(&base)
+	base := liveHeap()
 
 	stream, err := http.Get(ts.URL + "/v1/jobs/" + accepted.ID + "/stream")
 	if err != nil {
@@ -344,9 +357,7 @@ func streamBench(sum *wireSummary, blocks int) error {
 		doneSeen   bool
 		start      = time.Now()
 		sampleHeap = func() {
-			var m runtime.MemStats
-			runtime.ReadMemStats(&m)
-			if d := int64(m.HeapAlloc) - int64(base.HeapAlloc); d > peakDelta {
+			if d := liveHeap() - base; d > peakDelta {
 				peakDelta = d
 			}
 		}
@@ -381,6 +392,9 @@ func streamBench(sum *wireSummary, blocks int) error {
 	if err := sc.Err(); err != nil {
 		return err
 	}
+	// A final collection, so whatever the finished job still retains is
+	// counted rather than waiting on the next cycle.
+	runtime.GC()
 	sampleHeap()
 	if !doneSeen {
 		return fmt.Errorf("stream ended without a done event (%d results)", results)
@@ -394,12 +408,12 @@ func streamBench(sum *wireSummary, blocks int) error {
 
 	// The flatness gate: a buffering job would hold the full result set
 	// (resultVol at minimum); a streaming one holds the ring plus bounded
-	// working state (prediction cache, GC slack), none of which scales
-	// with the job. Two-thirds of the result volume is a ceiling that
+	// working state (prediction cache), none of which scales with the
+	// job. Two-thirds of the result volume is a ceiling that
 	// tolerates that fixed overhead while still catching any return to
 	// full buffering.
 	if blocks >= 4*sum.StreamRing && peakDelta > resultVol*2/3 {
-		return fmt.Errorf("stream memory not flat: peak heap grew %d bytes against %d bytes of results",
+		return fmt.Errorf("stream memory not flat: peak live heap grew %d bytes against %d bytes of results",
 			peakDelta, resultVol)
 	}
 	return nil

@@ -398,8 +398,9 @@ func TestServeIngestELF(t *testing.T) {
 	}
 
 	// CLI side: the real comet binary extracts the same ELF itself.
-	// -store pins sampling parallelism to 1 (matching the server);
-	// -batch 64 matches the server's base batch size.
+	// -batch 64 matches the server's base batch size; the CLI samples
+	// each block at GOMAXPROCS and the server on one goroutine, which no
+	// byte depends on.
 	cometBin := filepath.Join(t.TempDir(), "comet")
 	build := exec.Command("go", "build", "-race", "-o", cometBin, "../comet")
 	build.Env = os.Environ()

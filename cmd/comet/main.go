@@ -90,12 +90,12 @@ func main() {
 		profile     = flag.Bool("profile", false, "also print where the explanation's wall time went, stage by stage (with -json: attach the profile object)")
 		corpus      = flag.String("corpus", "", `corpus mode: a file of "---"-separated blocks, "-" for the same on stdin, gen:N for a synthetic corpus, or elf:PATH to extract basic blocks from an ELF binary`)
 		workers     = flag.Int("workers", 0, "corpus mode: concurrent blocks (0 = GOMAXPROCS); with -cluster, the per-lease concurrency hint sent to each worker")
-		clusterTo   = flag.String("cluster", "", "corpus mode: comma-separated comet-serve worker URLs — shard the corpus across them instead of explaining locally (per-block output is byte-identical apart from cache-accounting counters; pins sampling parallelism to 1)")
+		clusterTo   = flag.String("cluster", "", "corpus mode: comma-separated comet-serve worker URLs — shard the corpus across them instead of explaining locally (per-block output is byte-identical apart from cache-accounting counters)")
 		leaseN      = flag.Int("lease-blocks", 4, "with -cluster: blocks per lease")
 		batchSize   = flag.Int("batch", 0, "model query batch size (0 = default 64)")
 		noCache     = flag.Bool("no-cache", false, "disable the prediction cache")
 		jsonOut     = flag.Bool("json", false, "emit the comet-serve wire format (one explanation object, or one corpus result per line)")
-		storeDir    = flag.String("store", "", "durable explanation store directory: explanations persist and are reused across invocations (pins -workers sampling parallelism to 1 for cross-machine key stability)")
+		storeDir    = flag.String("store", "", "durable explanation store directory: explanations persist and are reused across invocations")
 		resume      = flag.Bool("resume", false, "with -corpus and -store: report how many blocks the store already holds before resuming the run")
 		showVersion = flag.Bool("version", false, "print the build version and exit")
 	)
@@ -144,8 +144,6 @@ func main() {
 		if def, ok := comet.LookupModel(spec.Name); ok && def.Epsilon > 0 {
 			cfg.Epsilon = def.Epsilon
 		}
-		// Shard keys and bytes must not depend on any machine's core count.
-		cfg.Parallelism = 1
 	} else {
 		if def, ok := comet.LookupModel(spec.Name); ok && def.Name == "ithemal" && spec.Params["load"] == "" {
 			fmt.Fprintf(os.Stderr, "training ithemal surrogate (%s)...\n", spec)
@@ -172,15 +170,13 @@ func main() {
 
 	// The durable store makes explanations reusable across processes:
 	// repeated invocations (and interrupted -corpus runs) are answered
-	// from disk instead of recomputed. Keys include the sampling
-	// parallelism, so it is pinned to 1 for cross-invocation stability.
+	// from disk instead of recomputed.
 	var store *persist.Log
 	if *storeDir != "" {
 		if store, err = persist.Open(*storeDir, persist.Options{}); err != nil {
 			fatal(err)
 		}
 		defer store.Close()
-		cfg.Parallelism = 1
 	}
 
 	if *corpus != "" {

@@ -183,9 +183,9 @@ func WithCoverageSamples(n int) ExplainOption { return core.WithCoverageSamples(
 // WithBatchSize sets the request's model-query batch size.
 func WithBatchSize(n int) ExplainOption { return core.WithBatchSize(n) }
 
-// WithParallelism bounds the request's precision-sampling workers
-// (0 restores the GOMAXPROCS default). Sampling is deterministic per
-// worker count, so reproducible requests pin both seed and parallelism.
+// WithParallelism bounds the goroutines that draw the request's Γ
+// samples (0 restores the GOMAXPROCS default). It schedules work only:
+// the explanation is the same at any parallelism.
 func WithParallelism(n int) ExplainOption { return core.WithParallelism(n) }
 
 // AsBatchModel returns model itself when it already batches natively, and
@@ -212,7 +212,8 @@ func WithPredictionCache(model BatchCostModel, cache *PredictionCache) *CachedCo
 
 // BlockSeed derives the deterministic per-block seed ExplainAll uses for
 // corpus block index; Explain with cfg.Seed = BlockSeed(base, i)
-// reproduces ExplainAll's block i exactly.
+// reproduces ExplainAll's block i exactly, at any Parallelism and any
+// worker count.
 func BlockSeed(base int64, index int) int64 { return core.BlockSeed(base, index) }
 
 // NewPerturber prepares Γ for one block (advanced: direct access to the

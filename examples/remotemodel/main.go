@@ -42,7 +42,7 @@ func main() {
 	cfg.Epsilon = rm.Epsilon()
 
 	expl, err := comet.NewExplainer(rm, cfg).
-		ExplainContext(context.Background(), block, comet.WithSeed(1), comet.WithParallelism(1))
+		ExplainContext(context.Background(), block, comet.WithSeed(1))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -134,7 +134,7 @@ func testJob(n int) Job {
 	return Job{
 		ID:     "job-test",
 		Spec:   "uica@hsw",
-		Config: wire.ConfigSnapshot{Epsilon: 0.5, CoverageSamples: 100, Parallelism: 1, Seed: 7},
+		Config: wire.ConfigSnapshot{Epsilon: 0.5, CoverageSamples: 100, Seed: 7},
 		Blocks: blocks,
 	}
 }

@@ -8,8 +8,9 @@
 //
 // Perturbations are drawn with the Γ algorithm (package perturb), precision
 // is certified with KL-LUCB bounds, and the combinatorial search is the
-// Anchors beam search (package anchors). Precision sampling is
-// parallelized across goroutines with deterministic seeding.
+// Anchors beam search (package anchors). Every Γ draw is seeded from its
+// own index, so sampling fans out across goroutines without the worker
+// count reaching a single output byte.
 package core
 
 import (
@@ -45,7 +46,9 @@ type Config struct {
 	// CoverageSamples is the size of the shared Γ(∅) pool used for
 	// coverage estimation (paper: 10k; scale down for speed).
 	CoverageSamples int
-	// Parallelism bounds the precision-sampling workers (0 = GOMAXPROCS).
+	// Parallelism bounds the goroutines that draw Γ samples for one
+	// explanation (0 = GOMAXPROCS). It is a scheduling width only: each
+	// draw is seeded from its index, so explanations do not depend on it.
 	Parallelism int
 	// BatchSize is how many perturbed blocks are sent to the cost model
 	// per PredictBatch call (default 64). Models with native batching
@@ -118,16 +121,11 @@ type Explainer struct {
 	batch costmodel.BatchModel
 	cache *costmodel.Cache
 	cfg   Config
-	// autoParallel records that cfg.Parallelism was defaulted rather than
-	// set by the caller; ExplainAll then drops per-block sampling to one
-	// goroutine and lets block-level workers saturate the machine.
-	autoParallel bool
 }
 
-// withDefaults normalizes a config in place of its zero values and
-// reports whether Parallelism was defaulted rather than set by the caller.
-// It is idempotent, so per-request option overlays re-normalize safely.
-func (cfg Config) withDefaults() (Config, bool) {
+// withDefaults normalizes a config in place of its zero values. It is
+// idempotent, so per-request option overlays re-normalize safely.
+func (cfg Config) withDefaults() Config {
 	if cfg.Epsilon == 0 {
 		cfg.Epsilon = 0.5
 	}
@@ -140,23 +138,22 @@ func (cfg Config) withDefaults() (Config, bool) {
 	if cfg.CoverageSamples == 0 {
 		cfg.CoverageSamples = 1000
 	}
-	autoParallel := cfg.Parallelism <= 0
-	if autoParallel {
+	if cfg.Parallelism <= 0 {
 		cfg.Parallelism = runtime.GOMAXPROCS(0)
 	}
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 64
 	}
 	cfg.Anchor.PrecisionThreshold = cfg.PrecisionThreshold
-	return cfg, autoParallel
+	return cfg
 }
 
 // NewExplainer builds an explainer. The model must be safe for concurrent
 // Predict calls; if it implements costmodel.BatchModel its native batch
 // path is used, otherwise queries fan out over cfg.Parallelism workers.
 func NewExplainer(model costmodel.Model, cfg Config) *Explainer {
-	cfg, autoParallel := cfg.withDefaults()
-	e := &Explainer{model: model, cfg: cfg, autoParallel: autoParallel}
+	cfg = cfg.withDefaults()
+	e := &Explainer{model: model, cfg: cfg}
 	if bm, ok := model.(costmodel.BatchModel); ok {
 		e.batch = bm
 	} else {
@@ -208,18 +205,10 @@ func (e *Explainer) Explain(b *x86.BasicBlock) (*Explanation, error) {
 // ctx.Err(). Options apply to this request only; the explainer (and its
 // shared prediction cache) serve concurrent requests with different
 // options safely. An explanation is fully determined by the effective
-// config — ExplainContext(ctx, b, WithSeed(s), WithParallelism(1)) is
-// bit-identical to Explain on an explainer configured the same way.
+// config, whatever its Parallelism — ExplainContext(ctx, b, WithSeed(s))
+// is bit-identical to Explain on an explainer with Seed s.
 func (e *Explainer) ExplainContext(ctx context.Context, b *x86.BasicBlock, opts ...ExplainOption) (*Explanation, error) {
 	return e.explainWith(ctx, b, e.EffectiveConfig(opts...))
-}
-
-// explainSeeded runs COMET on one block with an explicit seed (ExplainAll
-// derives a distinct deterministic seed per corpus block).
-func (e *Explainer) explainSeeded(b *x86.BasicBlock, seed int64) (*Explanation, error) {
-	cfg := e.cfg
-	cfg.Seed = seed
-	return e.explainWith(context.Background(), b, cfg)
 }
 
 // explainWith is the explanation engine entry point: one block, one
@@ -400,9 +389,8 @@ type blockSpace struct {
 	coverage [][]bool
 
 	// Sampling storage reused across SamplePrecision rounds (single
-	// search goroutine; worker w owns rngs[w] and every workers-th draw).
-	// The draws' blocks are lent to the model only until predictAll
-	// returns.
+	// search goroutine; worker w owns rngs[w]). The draws' blocks are
+	// lent to the model only until predictAll returns.
 	rngs     []*rand.Rand
 	draws    []perturb.Result
 	blocks   []*x86.BasicBlock
@@ -445,6 +433,10 @@ func newBlockSpace(ctx context.Context, model costmodel.BatchModel, cache *costm
 		workers: workers,
 		batch:   batch,
 		depOpts: cfg.Perturb.DepOptions,
+		rngs:    make([]*rand.Rand, workers),
+	}
+	for w := range s.rngs {
+		s.rngs[w] = rand.New(&splitMix{})
 	}
 	s.origPred = s.predictAll([]*x86.BasicBlock{p.Block()})[0]
 	poolStart := time.Now()
@@ -489,27 +481,42 @@ func (s *blockSpace) buildCoveragePool(n int, rng *rand.Rand) error {
 	for i := range s.coverage {
 		s.coverage[i] = rows[i*nf : (i+1)*nf : (i+1)*nf]
 	}
-	s.seedWorkers(rng, s.workers)
+	res := make([]perturb.Result, s.workers)
+	return s.drawEach(rng.Int63(), n, func(w int, r *rand.Rand, i int) error {
+		if err := s.ctx.Err(); err != nil {
+			return err
+		}
+		s.perturb.SampleInto(r, nil, &res[w])
+		return retains(s.coverage[i], s.feats, res[w], s.depOpts)
+	})
+}
+
+// drawEach calls draw(w, r, i) for every draw index i < n, fanned out
+// over the space's workers; w names the worker and r is its rng,
+// reseeded with BlockSeed(base, i) before each call. Draw i therefore
+// sees one stream whatever the worker count. A worker stops at its first
+// error; drawEach returns the lowest-numbered worker's error.
+func (s *blockSpace) drawEach(base int64, n int, draw func(w int, r *rand.Rand, i int) error) error {
+	workers := max(min(s.workers, n), 1)
+	errs := make([]error, workers)
+	run := func(w int) {
+		r := s.rngs[w]
+		for i := w; i < n; i += workers {
+			r.Seed(BlockSeed(base, i))
+			if errs[w] = draw(w, r, i); errs[w] != nil {
+				return
+			}
+		}
+	}
 	var wg sync.WaitGroup
-	errs := make([]error, s.workers)
-	for w := 0; w < s.workers; w++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			var res perturb.Result
-			for i := w; i < n; i += s.workers {
-				if err := s.ctx.Err(); err != nil {
-					errs[w] = err
-					return
-				}
-				s.perturb.SampleInto(s.rngs[w], nil, &res)
-				if err := retains(s.coverage[i], s.feats, res, s.depOpts); err != nil {
-					errs[w] = err
-					return
-				}
-			}
+			run(w)
 		}(w)
 	}
+	run(0)
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
@@ -517,20 +524,6 @@ func (s *blockSpace) buildCoveragePool(n int, rng *rand.Rand) error {
 		}
 	}
 	return nil
-}
-
-// seedWorkers seeds the first workers per-worker rngs, in order, from
-// rng: the same streams as rand.New(rand.NewSource(rng.Int63())) each,
-// without allocating a source per round.
-func (s *blockSpace) seedWorkers(rng *rand.Rand, workers int) {
-	for w := 0; w < workers; w++ {
-		seed := rng.Int63()
-		if w == len(s.rngs) {
-			s.rngs = append(s.rngs, rand.New(rand.NewSource(seed)))
-			continue
-		}
-		s.rngs[w].Seed(seed)
-	}
 }
 
 // NumFeatures implements anchors.Space.
@@ -558,11 +551,11 @@ func (s *blockSpace) Coverage(candidate []int) float64 {
 }
 
 // SamplePrecision implements anchors.Space: draw n perturbations retaining
-// the candidate features and count predictions inside the ε-ball.
-// Perturbation generation is split across workers with seeds derived from
-// the search rng (deterministic for a fixed worker count, and identical to
-// the pre-batching sampling scheme); predictions are then resolved in one
-// batched, cached pass instead of one model query per sample.
+// the candidate features and count predictions inside the ε-ball. The
+// round takes one base seed from the search rng and draw k runs on
+// BlockSeed(base, k), so the draws do not depend on how generation is
+// split across workers; predictions are then resolved in one batched,
+// cached pass instead of one model query per sample.
 func (s *blockSpace) SamplePrecision(rng *rand.Rand, candidate []int, n int) int {
 	defer func(start time.Time) { s.precisionTime += time.Since(start) }(time.Now())
 	// Candidates are distinct indices into the deduplicated ˆP, so the
@@ -571,27 +564,15 @@ func (s *blockSpace) SamplePrecision(rng *rand.Rand, candidate []int, n int) int
 	for _, j := range candidate {
 		s.preserve = append(s.preserve, s.feats[j])
 	}
-	workers := s.workers
-	if workers > n {
-		workers = n
-	}
-	s.seedWorkers(rng, workers)
 	if len(s.draws) < n {
 		s.draws = append(s.draws, make([]perturb.Result, n-len(s.draws))...)
 	}
 	s.blocks = slices.Grow(s.blocks[:0], n)[:n]
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for k := w; k < n; k += workers {
-				s.perturb.SampleInto(s.rngs[w], s.preserve, &s.draws[k])
-				s.blocks[k] = s.draws[k].Block
-			}
-		}(w)
-	}
-	wg.Wait()
+	s.drawEach(rng.Int63(), n, func(_ int, r *rand.Rand, k int) error {
+		s.perturb.SampleInto(r, s.preserve, &s.draws[k])
+		s.blocks[k] = s.draws[k].Block
+		return nil
+	})
 	total := 0
 	for _, pred := range s.predictAll(s.blocks) {
 		if inBall(pred, s.origPred, s.epsilon) {

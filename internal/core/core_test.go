@@ -90,19 +90,25 @@ func TestExplainReportedPrecisionIsHonest(t *testing.T) {
 	}
 }
 
+// TestExplainDeterministicGivenSeed: the seed alone fixes an
+// explanation; the number of sampling goroutines does not enter it.
 func TestExplainDeterministicGivenSeed(t *testing.T) {
 	model := analytical.New(x86.Haswell)
 	cfg := testConfig()
 	cfg.Epsilon = analytical.Epsilon
-	cfg.Parallelism = 2
 	b := x86.MustParseBlock("add rcx, rax\nmov rdx, rcx\npop rbx")
-	e1, err1 := NewExplainer(model, cfg).Explain(b)
-	e2, err2 := NewExplainer(model, cfg).Explain(b)
-	if err1 != nil || err2 != nil {
-		t.Fatal(err1, err2)
-	}
-	if e1.Features.Key() != e2.Features.Key() {
-		t.Errorf("same seed gave different explanations: %v vs %v", e1.Features, e2.Features)
+	var first *Explanation
+	for _, par := range []int{1, 1, 2, 5} {
+		cfg.Parallelism = par
+		e, err := NewExplainer(model, cfg).Explain(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = e
+		} else if !sameResult(e, first) {
+			t.Errorf("Parallelism %d: %v (%d queries), want %v (%d queries)", par, e, e.Queries, first, first.Queries)
+		}
 	}
 }
 
@@ -155,13 +161,15 @@ func TestCoverageMonotoneInExplanationSize(t *testing.T) {
 
 // TestCoveragePoolMatchesGraphContainment rebuilds a block's coverage
 // pool draw by draw and checks every row against graph-based
-// ContainedIn, with and without flag dependencies.
+// ContainedIn, with and without flag dependencies. The pool is built by
+// three workers and replayed on one stream: draw i is seeded from its
+// index alone.
 func TestCoveragePoolMatchesGraphContainment(t *testing.T) {
 	model := analytical.New(x86.Haswell)
 	b := x86.MustParseBlock("mov ecx, edx\nxor edx, edx\nlea rax, [rcx + rax - 1]\ndiv rcx\nmov qword ptr [rdi + 8], rdx\nadd rcx, qword ptr [rdi + 8]\npush rcx\npop rdx")
 	for _, opts := range []deps.Options{{}, {TrackFlags: true}} {
 		cfg := testConfig()
-		cfg.Parallelism = 1
+		cfg.Parallelism = 3
 		cfg.Perturb.DepOptions = opts
 		e := NewExplainer(model, cfg)
 		p, err := perturbFor(b, cfg)
@@ -172,9 +180,11 @@ func TestCoveragePoolMatchesGraphContainment(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// One worker draws the whole pool from the first seed.
-		wrng := rand.New(rand.NewSource(rand.New(rand.NewSource(7)).Int63()))
+		// The pool's base seed is the search rng's first draw.
+		base := rand.New(rand.NewSource(7)).Int63()
+		wrng := rand.New(&splitMix{})
 		for i, row := range space.coverage {
+			wrng.Seed(BlockSeed(base, i))
 			res := p.Sample(wrng, nil)
 			g, err := res.Graph(opts)
 			if err != nil {

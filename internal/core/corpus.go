@@ -20,10 +20,9 @@ import (
 // CorpusOptions configures ExplainAll.
 type CorpusOptions struct {
 	// Workers is the number of blocks explained concurrently
-	// (0 = GOMAXPROCS). When Config.Parallelism was left unset, corpus
-	// blocks sample single-threaded and block-level workers saturate the
-	// machine; an explicitly set Parallelism is honored per block (and
-	// multiplies with Workers — watch for oversubscription).
+	// (0 = GOMAXPROCS). With more than one worker each block samples on
+	// its own goroutine, whatever Config.Parallelism says; with one, the
+	// block samples at Config.Parallelism. Neither changes a result.
 	Workers int
 	// Context, if non-nil, cancels the run: blocks not yet started are
 	// skipped (in-flight blocks finish and are still delivered), and the
@@ -62,19 +61,40 @@ type CorpusResult struct {
 	Err         error
 }
 
-// BlockSeed derives the deterministic seed ExplainAll uses for corpus
-// block index (a splitmix64 mix of the base seed, so per-block rngs are
-// decorrelated but reproducible). Explaining a single block with
-// cfg.Seed = BlockSeed(base, i) yields the identical explanation to
-// ExplainAll's block i under cfg.Seed = base, provided cfg.Parallelism
-// matches the corpus run's per-block sampling parallelism (set it
-// explicitly — sampling is deterministic per worker count).
+// BlockSeed derives the seed of stream index under base: the index+1'th
+// output of a splitmix64 generator seeded with base, so streams are
+// decorrelated but reproducible. ExplainAll explains corpus block i under
+// BlockSeed(cfg.Seed, i), and the samplers draw Γ sample i of a round
+// under BlockSeed(round base, i). Explaining a single block with
+// cfg.Seed = BlockSeed(base, i) therefore yields the identical
+// explanation to ExplainAll's block i under cfg.Seed = base, at any
+// Parallelism and any worker count.
 func BlockSeed(base int64, index int) int64 {
-	z := uint64(base) + (uint64(index)+1)*0x9E3779B97F4A7C15
+	return int64(mix64(uint64(base) + (uint64(index)+1)*splitMixGamma))
+}
+
+// splitMixGamma is splitmix64's state increment.
+const splitMixGamma = 0x9E3779B97F4A7C15
+
+// mix64 is splitmix64's output function.
+func mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return int64(z ^ (z >> 31))
+	return z ^ (z >> 31)
 }
+
+// splitMix is a splitmix64 rand.Source64. Seeding is one store, so the
+// samplers reseed it for every Γ draw.
+type splitMix struct{ state uint64 }
+
+func (m *splitMix) Seed(seed int64) { m.state = uint64(seed) }
+
+func (m *splitMix) Uint64() uint64 {
+	m.state += splitMixGamma
+	return mix64(m.state)
+}
+
+func (m *splitMix) Int63() int64 { return int64(m.Uint64() >> 1) }
 
 // ExplainAll explains every block of a corpus through a worker pool and
 // streams the results in completion order. The channel closes after the
@@ -97,13 +117,10 @@ func (e *Explainer) ExplainAll(blocks []*x86.BasicBlock, opts CorpusOptions) <-c
 	work := make(chan int)
 
 	// With several blocks in flight, per-block sampling parallelism is
-	// pure oversubscription — drop it to one goroutine per block unless
-	// the caller pinned Parallelism explicitly.
-	pe := e
-	if e.autoParallel && workers > 1 {
-		derived := *e
-		derived.cfg.Parallelism = 1
-		pe = &derived
+	// pure oversubscription.
+	base := e.cfg
+	if workers > 1 {
+		base.Parallelism = 1
 	}
 
 	var wg sync.WaitGroup
@@ -112,15 +129,16 @@ func (e *Explainer) ExplainAll(blocks []*x86.BasicBlock, opts CorpusOptions) <-c
 		go func() {
 			defer wg.Done()
 			for i := range work {
-				seed := BlockSeed(e.cfg.Seed, i)
+				cfg := base
+				cfg.Seed = BlockSeed(base.Seed, i)
 				if opts.Seeds != nil {
-					seed = opts.Seeds(i)
+					cfg.Seed = opts.Seeds(i)
 				}
 				idx := i
 				if opts.Index != nil {
 					idx = opts.Index(i)
 				}
-				expl, err := pe.explainSeeded(blocks[i], seed)
+				expl, err := e.explainWith(context.Background(), blocks[i], cfg)
 				if err != nil {
 					err = fmt.Errorf("block %d: %w", idx, err)
 				}

@@ -46,15 +46,15 @@ func goldenCases() []goldenCase {
 	}
 }
 
-// goldenCorpus explains the case's blocks at DefaultConfig with one
-// sampling worker and the prediction cache off, and returns one
+// goldenCorpus explains the case's blocks at DefaultConfig (sampling at
+// GOMAXPROCS, which no byte depends on) with the prediction cache off,
+// and returns one
 // wire-encoded explanation per line. The cache-accounting fields are
 // zeroed: they describe how a result was served, not the result.
 func goldenCorpus(t *testing.T, gc goldenCase) []byte {
 	t.Helper()
 	cfg := core.DefaultConfig()
 	cfg.Epsilon = gc.epsilon
-	cfg.Parallelism = 1
 	cfg.CacheSize = -1
 	cfg.Seed = goldenSeed
 	ex := core.NewExplainer(gc.model, cfg)

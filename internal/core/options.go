@@ -39,10 +39,10 @@ func WithBatchSize(n int) ExplainOption {
 	return func(c *Config) { c.BatchSize = n }
 }
 
-// WithParallelism bounds this request's precision-sampling workers
-// (0 restores the GOMAXPROCS default). Sampling is deterministic per
-// worker count, so reproducible requests pin both seed and parallelism —
-// the serving layer pins Parallelism to 1 for exactly this reason.
+// WithParallelism bounds the goroutines that draw this request's Γ
+// samples (0 restores the GOMAXPROCS default). It schedules work only:
+// every draw is seeded from its index, so the explanation is the same at
+// any parallelism.
 func WithParallelism(n int) ExplainOption {
 	return func(c *Config) { c.Parallelism = n }
 }
@@ -57,8 +57,7 @@ func ApplyOptions(base Config, opts ...ExplainOption) Config {
 			opt(&base)
 		}
 	}
-	base, _ = base.withDefaults()
-	return base
+	return base.withDefaults()
 }
 
 // EffectiveConfig returns the normalized configuration a request with

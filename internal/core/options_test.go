@@ -19,7 +19,6 @@ func TestExplainContextMatchesExplain(t *testing.T) {
 
 	cfg := testConfig()
 	cfg.Seed = 9
-	cfg.Parallelism = 1
 	cfg.CoverageSamples = 200
 	want, err := NewExplainer(model, cfg).Explain(b)
 	if err != nil {

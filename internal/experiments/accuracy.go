@@ -49,41 +49,23 @@ func (r *accuracyRun) cometAccuracy(p Params, seed int64, mutate func(*core.Conf
 	cfg := core.DefaultConfig()
 	cfg.Epsilon = analytical.Epsilon
 	cfg.CoverageSamples = p.CoverageSamples
-	cfg.Parallelism = 1
 	if mutate != nil {
 		mutate(&cfg)
 	}
-
-	type result struct {
-		ok  bool
-		err error
+	blocks := make([]*x86.BasicBlock, len(r.blocks))
+	for i, b := range r.blocks {
+		blocks[i] = b.Block
 	}
-	results := make([]result, len(r.blocks))
-	sem := make(chan struct{}, r.parallel)
-	done := make(chan int, len(r.blocks))
-	for i := range r.blocks {
-		go func(i int) {
-			sem <- struct{}{}
-			defer func() { <-sem; done <- i }()
-			c := cfg
-			c.Seed = seed + int64(i)*104729
-			expl, err := core.NewExplainer(model, c).Explain(r.blocks[i].Block)
-			if err != nil {
-				results[i] = result{err: err}
-				return
-			}
-			results[i] = result{ok: core.Accurate(expl.Features, r.gts[i])}
-		}(i)
-	}
-	for range r.blocks {
-		<-done
+	expls, err := core.NewExplainer(model, cfg).ExplainCorpus(blocks, core.CorpusOptions{
+		Workers: r.parallel,
+		Seeds:   func(i int) int64 { return seed + int64(i)*104729 },
+	})
+	if err != nil {
+		return 0, err
 	}
 	acc := 0
-	for _, res := range results {
-		if res.err != nil {
-			return 0, res.err
-		}
-		if res.ok {
+	for i, expl := range expls {
+		if core.Accurate(expl.Features, r.gts[i]) {
 			acc++
 		}
 	}

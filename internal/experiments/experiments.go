@@ -249,10 +249,10 @@ func (s *Session) explainConfig(seed int64) core.Config {
 
 // explainAll runs COMET for a model on a set of blocks, caching by key.
 // Blocks flow through the batched corpus engine: block-level workers
-// saturate the machine and all blocks share one prediction cache. Each
-// block's perturbation sampling runs single-threaded (Parallelism 1);
-// native PredictBatch implementations may still fan out briefly per
-// batch, which the scheduler absorbs.
+// saturate the machine and all blocks share one prediction cache. With
+// more than one worker each block samples on one goroutine; native
+// PredictBatch implementations may still fan out briefly per batch,
+// which the scheduler absorbs.
 func (s *Session) explainAll(key string, model costmodel.Model, blocks []bhive.Block, seed int64) ([]*core.Explanation, error) {
 	s.mu.Lock()
 	if cached, ok := s.explains[key]; ok {
@@ -263,7 +263,6 @@ func (s *Session) explainAll(key string, model costmodel.Model, blocks []bhive.B
 
 	s.Params.logf("explaining %d blocks with %s/%v...", len(blocks), model.Name(), model.Arch())
 	cfg := s.explainConfig(seed)
-	cfg.Parallelism = 1
 	raw := make([]*x86.BasicBlock, len(blocks))
 	for i, b := range blocks {
 		raw[i] = b.Block

@@ -18,14 +18,15 @@ import (
 // ExplanationID returns the content address of an explanation artifact
 // as an interned wire.ContentID — hashed once; compared, cached, and
 // single-flighted as 32 fixed bytes. The on-disk store key is its Hex
-// rendering, unchanged from before interning, so existing stores stay
-// readable.
+// rendering. The hashed identity names no worker count: records written
+// before Γ draws were seeded by index hashed a par= field, so they miss
+// and are recomputed under the current sampling rather than served.
 func ExplanationID(spec string, cfg wire.ConfigSnapshot, blockText string) wire.ContentID {
 	h := sha256.New()
-	fmt.Fprintf(h, "comet-explanation-v%d|%s|eps=%g|thr=%g|cov=%d|batch=%d|par=%d|seed=%d|",
+	fmt.Fprintf(h, "comet-explanation-v%d|%s|eps=%g|thr=%g|cov=%d|batch=%d|seed=%d|",
 		wire.RecordVersion, spec,
 		cfg.Epsilon, cfg.PrecisionThreshold, cfg.CoverageSamples,
-		cfg.BatchSize, cfg.Parallelism, cfg.Seed)
+		cfg.BatchSize, cfg.Seed)
 	io.WriteString(h, blockText)
 	var id wire.ContentID
 	h.Sum(id[:0])

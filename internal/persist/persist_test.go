@@ -2,6 +2,7 @@ package persist
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -408,7 +409,7 @@ func TestExplanationRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := wire.SnapshotConfig(core.ApplyOptions(core.Config{Seed: 7, Parallelism: 1}))
+	snap := wire.SnapshotConfig(core.ApplyOptions(core.Config{Seed: 7}))
 	id := ExplanationID("c@hsw", snap, w.Block)
 	if err := PutExplanation(l, id, "c@hsw", snap, w); err != nil {
 		t.Fatal(err)
@@ -446,6 +447,32 @@ func TestExplanationRoundTrip(t *testing.T) {
 
 // TestVerifyDirMissingIsAnError: a typoed path must not pass a strict
 // audit as a vacuously clean store.
+// TestPerWorkerSamplingRecordsMiss: builds that drew Γ samples from
+// per-worker streams hashed the worker count (par=) into an
+// explanation's key. Their records hold explanations the current
+// sampling does not compute, so a lookup under today's key must miss
+// and the explanation is recomputed rather than served.
+func TestPerWorkerSamplingRecordsMiss(t *testing.T) {
+	const spec, block = "c@hsw", "add rcx, rax\nmov rdx, rcx"
+	l := mustOpen(t, t.TempDir(), Options{})
+	snap := wire.SnapshotConfig(core.ApplyOptions(core.Config{Seed: 7}))
+	h := sha256.New()
+	fmt.Fprintf(h, "comet-explanation-v%d|%s|eps=%g|thr=%g|cov=%d|batch=%d|par=%d|seed=%d|%s",
+		wire.RecordVersion, spec, snap.Epsilon, snap.PrecisionThreshold, snap.CoverageSamples,
+		snap.BatchSize, 1, snap.Seed, block)
+	var old wire.ContentID
+	h.Sum(old[:0])
+	if err := PutExplanation(l, old, spec, snap, &wire.Explanation{Block: block, Model: "c"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := LookupExplanation(l, old); !ok {
+		t.Fatal("record under the old key not stored")
+	}
+	if _, ok := LookupExplanation(l, ExplanationID(spec, snap, block)); ok {
+		t.Error("a record keyed with the worker count was served under the current key")
+	}
+}
+
 func TestVerifyDirMissingIsAnError(t *testing.T) {
 	if _, err := VerifyDir(filepath.Join(t.TempDir(), "nope")); err == nil {
 		t.Fatal("VerifyDir on a missing directory reported a clean store")

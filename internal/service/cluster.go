@@ -58,9 +58,11 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request, in inbound)
 		return err
 	}
 	// The lease's config snapshot is authoritative: it is the job's
-	// effective configuration, Parallelism pin included, so the worker
-	// computes exactly what the coordinator would have.
+	// effective configuration, so the worker computes exactly what the
+	// coordinator would have. The snapshot carries no parallelism; like
+	// a request (requestOptions), each block samples on one goroutine.
 	cfg := req.Config.Apply(s.cfg.Base)
+	cfg.Parallelism = 1
 
 	// The request span (shard is a force-traced route, parented on the
 	// coordinator's traceparent) identifies the lease this worker ran.

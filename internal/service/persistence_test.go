@@ -191,7 +191,6 @@ func TestRestoredJobResumesWhereItStopped(t *testing.T) {
 		PrecisionThreshold: 0.7,
 		CoverageSamples:    150,
 		BatchSize:          64,
-		Parallelism:        1,
 		Seed:               1,
 	}
 	// Block 0's persisted result carries a marker prediction no
@@ -261,7 +260,6 @@ func TestRestoredJobResumesWhereItStopped(t *testing.T) {
 		}
 		cfg := core.DefaultConfig()
 		cfg.CoverageSamples = 150
-		cfg.Parallelism = 1
 		cfg.Seed = core.BlockSeed(1, i)
 		ref, err := core.NewExplainer(uica.New(x86.Haswell), cfg).Explain(x86.MustParseBlock(srcs[i]))
 		if err != nil {
@@ -304,7 +302,7 @@ func TestUnresumableJobFailsOnceAndStaysFailed(t *testing.T) {
 	seed := openTestStore(t, dir)
 	err := seed.Put(&wire.Record{V: wire.RecordVersion, Kind: wire.RecordJob, Key: persist.JobKey(jobID), Spec: "ghost@hsw",
 		Job: &wire.JobEnvelope{ID: jobID, State: wire.JobRunning, Spec: "ghost@hsw", Blocks: texts,
-			Config: wire.ConfigSnapshot{Epsilon: 0.5, PrecisionThreshold: 0.7, CoverageSamples: 150, BatchSize: 64, Parallelism: 1, Seed: 1}}})
+			Config: wire.ConfigSnapshot{Epsilon: 0.5, PrecisionThreshold: 0.7, CoverageSamples: 150, BatchSize: 64, Seed: 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,9 +53,10 @@
 //   - Explain concurrency is bounded by a worker-slot semaphore with a
 //     bounded wait queue; overflow is rejected with 429, never buffered
 //     without bound.
-//   - Explanations are reproducible: per-request sampling parallelism
-//     defaults to 1, so the same request body always yields the same
-//     explanation, equal to a library Explain call at the same seed.
+//   - Explanations are reproducible: the same request body always
+//     yields the same explanation, equal to a library Explain call at
+//     the same seed. Each Γ draw is seeded from its index, so neither
+//     server load nor sampling parallelism enters the bytes.
 //   - With a durable store (Config.Store), computed explanations and
 //     corpus-job checkpoints outlive the process: Restore reloads warm
 //     results and resumes interrupted jobs with output identical to an
@@ -685,11 +686,11 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 }
 
 // requestOptions compiles a request into the library's per-request
-// explain options: the model's recommended ε and a Parallelism pin of 1
-// first (so a request's explanation is independent of server load and
-// equal to a library ExplainContext call with the same options), then the
-// client's overrides in wire order — exactly what a library caller would
-// pass to comet.ExplainContext.
+// explain options: the model's recommended ε and a Parallelism of 1
+// first, then the client's overrides in wire order — exactly what a
+// library caller would pass to comet.ExplainContext. Parallelism 1 is a
+// scheduling choice: each request samples on its one goroutine, so the
+// explain slots bound the server's CPU use; it does not change a byte.
 func requestOptions(entry *modelEntry, o *wire.ConfigOverrides) []core.ExplainOption {
 	opts := []core.ExplainOption{
 		core.WithEpsilon(entry.epsilon),

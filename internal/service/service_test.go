@@ -109,7 +109,6 @@ func TestExplainMatchesLibraryAndRoundTrips(t *testing.T) {
 
 	// Bit-identical content to the library at the same seed and config.
 	cfg := core.DefaultConfig()
-	cfg.Parallelism = 1
 	cfg.CoverageSamples = 150
 	cfg.Seed = 1
 	lib, err := core.NewExplainer(uica.New(x86.Haswell), cfg).Explain(x86.MustParseBlock(testBlock))

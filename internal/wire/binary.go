@@ -32,10 +32,13 @@ import (
 //	1 — initial codec; no longer decoded.
 //	2 — Explanation gained an optional trailing Profile (bool-prefixed,
 //	    like ConfigOverrides).
+//	3 — ConfigSnapshot lost Parallelism: each Γ draw is seeded from its
+//	    index, so the worker count is no longer part of an
+//	    explanation's identity, and version-2 peers sample differently.
 //
 // Peers on different versions reject each other's frames with a 400
 // error; no client falls back to JSON, so a fleet runs one build.
-const BinaryVersion = 2
+const BinaryVersion = 3
 
 // errNoBinary reports a message type without a binary encoding; Call
 // sends such messages as JSON.
@@ -435,7 +438,6 @@ func appendSnapshot(dst []byte, s *ConfigSnapshot) []byte {
 	dst = appendF64(dst, s.PrecisionThreshold)
 	dst = appendInt(dst, s.CoverageSamples)
 	dst = appendInt(dst, s.BatchSize)
-	dst = appendInt(dst, s.Parallelism)
 	return appendI64(dst, s.Seed)
 }
 
@@ -444,7 +446,6 @@ func decodeSnapshot(d *bdec, s *ConfigSnapshot) {
 	s.PrecisionThreshold = d.f64()
 	s.CoverageSamples = d.int_()
 	s.BatchSize = d.int_()
-	s.Parallelism = d.int_()
 	s.Seed = d.varint()
 }
 

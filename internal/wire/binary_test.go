@@ -61,7 +61,6 @@ func sampleMessages() []any {
 		PrecisionThreshold: 0.95,
 		CoverageSamples:    1000,
 		BatchSize:          64,
-		Parallelism:        1,
 		Seed:               -42,
 	}
 	return []any{

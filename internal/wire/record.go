@@ -57,7 +57,6 @@ type ConfigSnapshot struct {
 	PrecisionThreshold float64 `json:"precision_threshold"`
 	CoverageSamples    int     `json:"coverage_samples"`
 	BatchSize          int     `json:"batch_size"`
-	Parallelism        int     `json:"parallelism"`
 	Seed               int64   `json:"seed"`
 }
 
@@ -70,7 +69,6 @@ func SnapshotConfig(cfg core.Config) ConfigSnapshot {
 		PrecisionThreshold: cfg.PrecisionThreshold,
 		CoverageSamples:    cfg.CoverageSamples,
 		BatchSize:          cfg.BatchSize,
-		Parallelism:        cfg.Parallelism,
 		Seed:               cfg.Seed,
 	}
 }
@@ -83,7 +81,6 @@ func (s ConfigSnapshot) Apply(base core.Config) core.Config {
 	base.PrecisionThreshold = s.PrecisionThreshold
 	base.CoverageSamples = s.CoverageSamples
 	base.BatchSize = s.BatchSize
-	base.Parallelism = s.Parallelism
 	base.Seed = s.Seed
 	return core.ApplyOptions(base)
 }

@@ -293,9 +293,9 @@ func FromCorpusResult(r core.CorpusResult) CorpusResult {
 }
 
 // ConfigOverrides carries the per-request explanation hyperparameters the
-// API exposes. Zero values mean "server default"; Parallelism defaults to
-// 1 on the server so explanations are reproducible regardless of
-// concurrent load (precision sampling is deterministic per worker count).
+// API exposes. Zero values mean "server default". Parallelism only
+// schedules a request's sampling (the server defaults it to 1); no
+// explanation byte depends on it.
 type ConfigOverrides struct {
 	Epsilon            float64 `json:"epsilon,omitempty"`
 	PrecisionThreshold float64 `json:"precision_threshold,omitempty"`

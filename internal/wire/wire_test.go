@@ -19,7 +19,6 @@ func explain(t *testing.T) *core.Explanation {
 	b := x86.MustParseBlock("add rcx, rax\nmov rdx, rcx\npop rbx")
 	cfg := core.DefaultConfig()
 	cfg.CoverageSamples = 200
-	cfg.Parallelism = 1
 	expl, err := core.NewExplainer(uica.New(x86.Haswell), cfg).Explain(b)
 	if err != nil {
 		t.Fatal(err)
@@ -219,7 +218,7 @@ func TestClusterEnvelopesByteStable(t *testing.T) {
 	}
 	check("ShardRequest", &ShardRequest{
 		JobID: "job-1", Lease: "job-1/l0", Spec: "uica@hsw", Arch: "hsw",
-		Config: ConfigSnapshot{Epsilon: 0.5, PrecisionThreshold: 0.7, CoverageSamples: 1000, BatchSize: 64, Parallelism: 1, Seed: 7},
+		Config: ConfigSnapshot{Epsilon: 0.5, PrecisionThreshold: 0.7, CoverageSamples: 1000, BatchSize: 64, Seed: 7},
 		Blocks: []ShardBlock{{Index: 3, Seed: -12345, Block: "add rcx, rax"}},
 	}, &ShardRequest{})
 	check("ShardResponse", &ShardResponse{

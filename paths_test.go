@@ -3,14 +3,16 @@ package comet_test
 // Path independence: an explanation is a pure function of (canonical
 // spec, effective config, canonical block). For generated blocks, the
 // wire JSON must be byte-equal whether the explanation is computed
-// locally, through a remote@ model hop, on a cluster worker via a
-// coordinator lease, or read back from the durable store — the last
-// three exercise the one HTTP client (wire.Call) end to end.
+// locally or through a remote@ model hop at any sampling parallelism, on
+// a cluster worker via a coordinator lease, or read back from the
+// durable store — the last three exercise the one HTTP client
+// (wire.Call) end to end.
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -25,18 +27,12 @@ import (
 )
 
 func TestExplanationPathIndependence(t *testing.T) {
-	const spec, seed = "c@hsw", 7
+	const seed = 7
 	ds := bhive.Generate(bhive.Config{N: 4, MinInstrs: 2, MaxInstrs: 5, Seed: 23, SkipLabels: true})
 	texts := make([]string, len(ds))
 	for i, d := range ds {
 		texts[i] = d.Block.String()
 	}
-	cfg := comet.DefaultConfig()
-	cfg.Epsilon = comet.AnalyticalEpsilon
-	cfg.CoverageSamples = 200
-	cfg.Parallelism = 1
-	cfg.Seed = seed
-	snap := wire.SnapshotConfig(core.ApplyOptions(cfg))
 
 	srv := service.New(service.Config{})
 	srv.SetReady()
@@ -46,80 +42,96 @@ func TestExplanationPathIndependence(t *testing.T) {
 		_ = srv.Shutdown(context.Background())
 	})
 
-	// explainAll runs every block through an explainer over model at the
-	// per-block seeds a corpus job uses, rendering wire JSON.
-	explainAll := func(model comet.CostModel) []*wire.Explanation {
-		t.Helper()
-		ex := comet.NewExplainer(model, cfg)
-		out := make([]*wire.Explanation, len(texts))
-		for i, text := range texts {
-			e, err := ex.ExplainContext(context.Background(), comet.MustParseBlock(text),
-				comet.WithSeed(core.BlockSeed(seed, i)))
+	for _, spec := range []string{"c@hsw", "uica@hsw", "mca@hsw"} {
+		t.Run(spec, func(t *testing.T) {
+			local, err := comet.ResolveModelString(spec)
 			if err != nil {
-				t.Fatalf("block %d: %v", i, err)
+				t.Fatal(err)
 			}
-			out[i] = wire.FromExplanation(e)
-		}
-		return out
-	}
+			cfg := comet.DefaultConfig()
+			cfg.Epsilon = local.Epsilon
+			cfg.CoverageSamples = 200
+			cfg.Seed = seed
+			snap := wire.SnapshotConfig(core.ApplyOptions(cfg))
 
-	local, err := comet.ResolveModelString(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := explainAll(local.Model)
-
-	remote, err := comet.DialRemoteModel(ts.URL, comet.RemoteModelOptions{Model: spec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaRemote := explainAll(remote)
-
-	opts := cluster.Options{LeaseBlocks: 2, ProbeBackoff: 10 * time.Millisecond, Tick: 5 * time.Millisecond}
-	coord := cluster.New(cluster.NewPool([]string{ts.URL}, opts), opts)
-	viaCluster := make([]*wire.Explanation, len(texts))
-	err = coord.Run(context.Background(), cluster.Job{ID: "job-paths", Spec: spec, Config: snap, Blocks: texts},
-		func(r cluster.Result) {
-			if r.Error != "" {
-				t.Errorf("cluster block %d: %s", r.Index, r.Error)
+			// explainAll runs every block through an explainer over model
+			// at the per-block seeds a corpus job uses and the given
+			// sampling parallelism, rendering wire JSON.
+			explainAll := func(model comet.CostModel, par int) []*wire.Explanation {
+				t.Helper()
+				ex := comet.NewExplainer(model, cfg)
+				out := make([]*wire.Explanation, len(texts))
+				for i, text := range texts {
+					e, err := ex.ExplainContext(context.Background(), comet.MustParseBlock(text),
+						comet.WithSeed(core.BlockSeed(seed, i)), comet.WithParallelism(par))
+					if err != nil {
+						t.Fatalf("block %d: %v", i, err)
+					}
+					out[i] = wire.FromExplanation(e)
+				}
+				return out
 			}
-			viaCluster[r.Index] = r.Explanation
+			want := explainAll(local.Model, 1)
+
+			remote, err := comet.DialRemoteModel(ts.URL, comet.RemoteModelOptions{Model: spec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			paths := map[string][]*wire.Explanation{}
+			for _, par := range []int{1, 2, 4} {
+				if par != 1 {
+					paths[fmt.Sprintf("local, parallelism %d", par)] = explainAll(local.Model, par)
+				}
+				paths[fmt.Sprintf("remote@, parallelism %d", par)] = explainAll(remote, par)
+			}
+
+			opts := cluster.Options{LeaseBlocks: 2, ProbeBackoff: 10 * time.Millisecond, Tick: 5 * time.Millisecond}
+			coord := cluster.New(cluster.NewPool([]string{ts.URL}, opts), opts)
+			viaCluster := make([]*wire.Explanation, len(texts))
+			err = coord.Run(context.Background(), cluster.Job{ID: "job-paths", Spec: spec, Config: snap, Blocks: texts},
+				func(r cluster.Result) {
+					if r.Error != "" {
+						t.Errorf("cluster block %d: %s", r.Index, r.Error)
+					}
+					viaCluster[r.Index] = r.Explanation
+				})
+			if err != nil {
+				t.Fatal(err)
+			}
+			paths["cluster lease"] = viaCluster
+
+			dir := t.TempDir()
+			store, err := persist.Open(dir, persist.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, e := range want {
+				if err := persist.PutExplanation(store, persist.ExplanationID(spec, snap, texts[i]), spec, snap, e); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := store.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if store, err = persist.Open(dir, persist.Options{}); err != nil {
+				t.Fatal(err)
+			}
+			defer store.Close()
+			viaStore := make([]*wire.Explanation, len(texts))
+			for i, text := range texts {
+				viaStore[i], _ = persist.LookupExplanation(store, persist.ExplanationID(spec, snap, text))
+			}
+			paths["store round trip"] = viaStore
+
+			for name, got := range paths {
+				for i := range texts {
+					w, g := pathJSON(t, want[i]), pathJSON(t, got[i])
+					if !bytes.Equal(g, w) {
+						t.Errorf("%s, block %d: explanation differs from local at parallelism 1:\n got %s\nwant %s", name, i, g, w)
+					}
+				}
+			}
 		})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	dir := t.TempDir()
-	store, err := persist.Open(dir, persist.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, e := range want {
-		if err := persist.PutExplanation(store, persist.ExplanationID(spec, snap, texts[i]), spec, snap, e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := store.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if store, err = persist.Open(dir, persist.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	viaStore := make([]*wire.Explanation, len(texts))
-	for i, text := range texts {
-		viaStore[i], _ = persist.LookupExplanation(store, persist.ExplanationID(spec, snap, text))
-	}
-
-	for name, got := range map[string][]*wire.Explanation{
-		"remote@": viaRemote, "cluster lease": viaCluster, "store round trip": viaStore,
-	} {
-		for i := range texts {
-			w, g := pathJSON(t, want[i]), pathJSON(t, got[i])
-			if !bytes.Equal(g, w) {
-				t.Errorf("%s, block %d: explanation differs from local:\n got %s\nwant %s", name, i, g, w)
-			}
-		}
 	}
 }
 

@@ -43,7 +43,7 @@ func explainJSON(t *testing.T, model comet.CostModel, epsilon float64) []byte {
 	cfg.CoverageSamples = 200
 	block := comet.MustParseBlock("add rcx, rax\nmov rdx, rcx\npop rbx")
 	expl, err := comet.NewExplainer(model, cfg).ExplainContext(context.Background(), block,
-		comet.WithSeed(7), comet.WithParallelism(1))
+		comet.WithSeed(7))
 	if err != nil {
 		t.Fatal(err)
 	}
