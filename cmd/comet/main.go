@@ -15,8 +15,8 @@
 //
 // In corpus mode (-corpus) every block of a corpus file — blocks in Intel
 // syntax separated by lines containing only "---" — is explained through
-// the batched worker-pool engine with a shared prediction cache;
-// "-corpus -" reads the same format from stdin, "-corpus gen:N"
+// the batched worker-pool engine with a shared prediction cache (none for
+// c and mca, which are cheaper to query than to cache); "-corpus -" reads the same format from stdin, "-corpus gen:N"
 // generates a synthetic BHive-like corpus of N blocks, and
 // "-corpus elf:PATH" extracts the basic blocks of a real x86-64 ELF
 // binary (deterministically ordered and deduplicated by canonical block

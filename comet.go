@@ -35,9 +35,11 @@
 //	rm, err := comet.ResolveModelString("remote@http://host:8372?model=uica")
 //
 // Corpus-scale explanation streams results from a worker pool whose
-// queries are batched through the model (BatchCostModel) and deduplicated
-// by a shared prediction cache; per-block seeds are deterministic, so runs
-// are reproducible at any worker count:
+// queries are batched through the model (BatchCostModel) and, unless the
+// model is cheaper to query than to cache (C and mca declare a
+// CheapQuery() method), deduplicated by a shared prediction cache;
+// per-block seeds are deterministic, so runs are reproducible at any
+// worker count:
 //
 //	for res := range comet.NewExplainer(rm.Model, cfg).ExplainAll(blocks, comet.CorpusOptions{}) {
 //		fmt.Println(res.Index, res.Explanation, res.Explanation.CacheHitRate())
@@ -157,7 +159,8 @@ func NewExplainer(model CostModel, cfg Config) *Explainer {
 // explanation requests against one model — the cometd service, notebook
 // sessions — share one cache per model so perturbation collisions are
 // amortized across every request; shared cached values are exact, so this
-// never changes an explanation.
+// never changes an explanation. A model that declares a CheapQuery()
+// method (C, mca) is queried directly and never touches the cache.
 func NewExplainerWithCache(model CostModel, cfg Config, cache *PredictionCache) *Explainer {
 	return core.NewExplainerWithCache(model, cfg, cache)
 }

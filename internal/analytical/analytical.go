@@ -32,6 +32,7 @@ type Model struct {
 var (
 	_ costmodel.Model      = (*Model)(nil)
 	_ costmodel.BatchModel = (*Model)(nil)
+	_ costmodel.CheapQuery = (*Model)(nil)
 )
 
 // New builds C for the given microarchitecture.
@@ -102,6 +103,10 @@ func (m *Model) Predict(b *x86.BasicBlock) float64 {
 func (m *Model) PredictBatch(blocks []*x86.BasicBlock) []float64 {
 	return costmodel.FanOut(blocks, 0, m.Predict)
 }
+
+// CheapQuery implements costmodel.CheapQuery: one pass over the block's
+// access summary costs less than rendering its cache key.
+func (m *Model) CheapQuery() {}
 
 // GroundTruth returns GT(β): every feature of ˆP whose cost equals C(β)
 // (eq. 9). The set may contain several equally-critical features. It

@@ -59,6 +59,7 @@ type Config struct {
 	// default of about a million; negative disables caching). Perturbation
 	// draws collide constantly, and a hit skips the model query entirely;
 	// cached values are exact, so caching never changes an explanation.
+	// A model that declares costmodel.CheapQuery is never cached.
 	CacheSize int
 	// Seed makes explanations reproducible.
 	Seed int64
@@ -113,9 +114,11 @@ func (e *Explanation) String() string {
 }
 
 // Explainer generates explanations for one cost model. All queries flow
-// through a batched view of the model (costmodel.BatchModel) and a shared
-// prediction cache, so repeated perturbation draws — within one block's
-// search and across a corpus run — are answered without model evaluations.
+// through a batched view of the model (costmodel.BatchModel). For a model
+// that caches, they also pass a shared prediction cache, so repeated
+// perturbation draws — within one block's search and across a corpus run
+// — are answered without model evaluations. A model that declares
+// costmodel.CheapQuery (C, mca) is queried directly, with no cache.
 type Explainer struct {
 	model costmodel.Model
 	batch costmodel.BatchModel
@@ -151,16 +154,11 @@ func (cfg Config) withDefaults() Config {
 // NewExplainer builds an explainer. The model must be safe for concurrent
 // Predict calls; if it implements costmodel.BatchModel its native batch
 // path is used, otherwise queries fan out over cfg.Parallelism workers.
+// A model that declares costmodel.CheapQuery gets no prediction cache.
 func NewExplainer(model costmodel.Model, cfg Config) *Explainer {
-	cfg = cfg.withDefaults()
-	e := &Explainer{model: model, cfg: cfg}
-	if bm, ok := model.(costmodel.BatchModel); ok {
-		e.batch = bm
-	} else {
-		e.batch = costmodel.NewBatcher(model, cfg.Parallelism)
-	}
-	if cfg.CacheSize >= 0 {
-		e.cache = costmodel.NewCache(cfg.CacheSize)
+	e := newExplainer(model, cfg)
+	if e.caches() && e.cfg.CacheSize >= 0 {
+		e.cache = costmodel.NewCache(e.cfg.CacheSize)
 	}
 	return e
 }
@@ -170,12 +168,33 @@ func NewExplainer(model costmodel.Model, cfg Config) *Explainer {
 // process serving many explanation requests against the same model (the
 // cometd service, a notebook session) passes one cache per model so
 // perturbation collisions are amortized across every request, not just
-// within one. A nil cache disables caching. Cached values are exact prior
+// within one. A nil cache disables caching, and a model that declares
+// costmodel.CheapQuery ignores the cache. Cached values are exact prior
 // predictions, so a shared cache never changes an explanation.
 func NewExplainerWithCache(model costmodel.Model, cfg Config, cache *costmodel.Cache) *Explainer {
-	e := NewExplainer(model, cfg)
-	e.cache = cache
+	e := newExplainer(model, cfg)
+	if e.caches() {
+		e.cache = cache
+	}
 	return e
+}
+
+func newExplainer(model costmodel.Model, cfg Config) *Explainer {
+	cfg = cfg.withDefaults()
+	e := &Explainer{model: model, cfg: cfg}
+	if bm, ok := model.(costmodel.BatchModel); ok {
+		e.batch = bm
+	} else {
+		e.batch = costmodel.NewBatcher(model, cfg.Parallelism)
+	}
+	return e
+}
+
+// caches reports whether the model's queries go through a prediction
+// cache, that is, whether it does not declare costmodel.CheapQuery.
+func (e *Explainer) caches() bool {
+	_, cheap := e.batch.(costmodel.CheapQuery)
+	return !cheap
 }
 
 // Model returns the underlying cost model.
@@ -185,7 +204,7 @@ func (e *Explainer) Model() costmodel.Model { return e.model }
 func (e *Explainer) Config() Config { return e.cfg }
 
 // CacheStats snapshots the shared prediction cache (zero value when
-// caching is disabled).
+// caching is disabled or the model declares costmodel.CheapQuery).
 func (e *Explainer) CacheStats() costmodel.CacheStats {
 	if e.cache == nil {
 		return costmodel.CacheStats{}
@@ -298,7 +317,8 @@ func perturbFor(b *x86.BasicBlock, cfg Config) (*perturb.Perturber, error) {
 // EstimatePrecision re-estimates Prec(F) for a given feature set on n fresh
 // perturbations (used by Table 3 to report held-out precision of final
 // explanations rather than the search's optimistic estimate). Queries are
-// deduplicated and batched through the model's batch path.
+// batched through the model's batch path, and deduplicated unless the
+// model declares costmodel.CheapQuery.
 func EstimatePrecision(model costmodel.Model, b *x86.BasicBlock, set features.Set, cfg Config, n int, rng *rand.Rand) (float64, error) {
 	p, err := perturbFor(b, cfg)
 	if err != nil {
@@ -447,12 +467,12 @@ func newBlockSpace(ctx context.Context, model costmodel.BatchModel, cache *costm
 	return s, nil
 }
 
-// predictAll resolves one prediction per block through the cache and the
-// batched model, updating the space's query accounting; the returned
-// slice is valid until the next call. Every model-query round passes
-// through here, so it is also the search's cancellation point: a canceled
-// context aborts via costmodel.AbortQuery, which explainWith recovers into
-// an ordinary error.
+// predictAll resolves one prediction per block through the cache (if
+// any) and the batched model, updating the space's query accounting;
+// the returned slice is valid until the next call. Every model-query
+// round passes through here, so it is also the search's cancellation
+// point: a canceled context aborts via costmodel.AbortQuery, which
+// explainWith recovers into an ordinary error.
 func (s *blockSpace) predictAll(blocks []*x86.BasicBlock) []float64 {
 	if err := s.ctx.Err(); err != nil {
 		costmodel.AbortQuery(err)

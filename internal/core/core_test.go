@@ -10,6 +10,7 @@ import (
 	"github.com/comet-explain/comet/internal/costmodel"
 	"github.com/comet-explain/comet/internal/deps"
 	"github.com/comet-explain/comet/internal/features"
+	"github.com/comet-explain/comet/internal/mca"
 	"github.com/comet-explain/comet/internal/uica"
 	"github.com/comet-explain/comet/internal/x86"
 )
@@ -130,6 +131,27 @@ func TestExplainUICASmoke(t *testing.T) {
 	}
 	if expl.Coverage < 0 || expl.Coverage > 1 || expl.Precision < 0 || expl.Precision > 1 {
 		t.Errorf("precision/coverage out of range: %+v", expl)
+	}
+}
+
+// TestCheapQueryModelsSkipTheCache: C and mca declare
+// costmodel.CheapQuery, so the explainer keeps no cache for them and the
+// model evaluates every query.
+func TestCheapQueryModelsSkipTheCache(t *testing.T) {
+	b := corpusBlocks(t, 1)[0]
+	for _, model := range []costmodel.Model{analytical.New(x86.Haswell), mca.New(x86.Haswell)} {
+		e := NewExplainer(model, corpusConfig())
+		expl, err := e.Explain(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if expl.Queries == 0 || expl.CacheHits != 0 || expl.ModelCalls != expl.Queries {
+			t.Errorf("%s: queries %d, cache hits %d, model calls %d; want every query evaluated",
+				model.Name(), expl.Queries, expl.CacheHits, expl.ModelCalls)
+		}
+		if st := e.CacheStats(); st != (costmodel.CacheStats{}) {
+			t.Errorf("%s: explainer cache stats %+v, want zero", model.Name(), st)
+		}
 	}
 }
 

@@ -4,8 +4,8 @@ package core
 // deployment) explains whole BHive-style corpora, not single blocks.
 // ExplainAll drives a worker pool over the corpus with deterministic
 // per-block seeding, streaming results as they complete. All workers share
-// the explainer's prediction cache, so perturbation collisions are
-// amortized across the entire run.
+// the explainer's prediction cache, if its model has one, so perturbation
+// collisions are amortized across the entire run.
 
 import (
 	"context"

@@ -99,7 +99,8 @@ func sameResult(a, b *Explanation) bool {
 }
 
 func TestExplainAllStreamsAndAccountsCache(t *testing.T) {
-	model := analytical.New(x86.Haswell)
+	// uica, not C: C declares costmodel.CheapQuery and keeps no cache.
+	model := uica.New(x86.Haswell)
 	cfg := corpusConfig()
 	blocks := corpusBlocks(t, 5)
 	e := NewExplainer(model, cfg)

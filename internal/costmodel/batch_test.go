@@ -153,6 +153,77 @@ func TestPredictThroughDeduplicatesAndCounts(t *testing.T) {
 	}
 }
 
+// batchLenModel is lenModel with a native batch path that records the
+// size of every PredictBatch call.
+type batchLenModel struct {
+	lenModel
+	batches []int
+}
+
+func (m *batchLenModel) PredictBatch(blocks []*x86.BasicBlock) []float64 {
+	m.batches = append(m.batches, len(blocks))
+	return FanOut(blocks, 1, m.Predict)
+}
+
+// cheapLenModel is batchLenModel declaring CheapQuery.
+type cheapLenModel struct{ batchLenModel }
+
+func (*cheapLenModel) CheapQuery() {}
+
+func TestPredictThroughBypassesCacheForCheapQuery(t *testing.T) {
+	b1 := x86.MustParseBlock("add rax, rbx")
+	b2 := x86.MustParseBlock("mov rcx, rdx\nadd rax, rbx")
+	blocks := []*x86.BasicBlock{b1, b2, b1, b1, b2}
+	preds := make([]float64, len(blocks))
+	check := func(name string) {
+		t.Helper()
+		for i, b := range blocks {
+			if want := float64(b.Len()) / 4; preds[i] != want {
+				t.Errorf("%s: preds[%d] = %v, want %v", name, i, preds[i], want)
+			}
+		}
+	}
+
+	cheap := &cheapLenModel{}
+	c := NewCache(0)
+	for pass := 0; pass < 2; pass++ {
+		clear(preds)
+		saved, evaluated := PredictThrough(c, cheap, blocks, 2, preds)
+		if saved != 0 || evaluated != len(blocks) {
+			t.Errorf("cheap pass %d: saved=%d evaluated=%d, want 0 and %d", pass, saved, evaluated, len(blocks))
+		}
+		check("cheap")
+	}
+	if cheap.calls != 2*len(blocks) {
+		t.Errorf("cheap model evaluated %d blocks, want every block of both passes (%d)", cheap.calls, 2*len(blocks))
+	}
+	if want := []int{2, 2, 1, 2, 2, 1}; fmt.Sprint(cheap.batches) != fmt.Sprint(want) {
+		t.Errorf("cheap batch sizes %v, want %v", cheap.batches, want)
+	}
+	if st := c.Stats(); st != (CacheStats{}) {
+		t.Errorf("cache touched by a cheap model: %+v", st)
+	}
+	cached := WithCache(cheap, c)
+	if got := cached.PredictBatch(blocks); got[1] != 0.5 || cached.Predict(b1) != 0.25 {
+		t.Errorf("CachedModel over a cheap model predicted %v", got)
+	}
+	if st := c.Stats(); st != (CacheStats{}) {
+		t.Errorf("CachedModel cached a cheap model: %+v", st)
+	}
+
+	// The same model without the declaration is deduplicated and cached.
+	plain := &batchLenModel{}
+	clear(preds)
+	saved, evaluated := PredictThrough(c, plain, blocks, 2, preds)
+	if saved != 3 || evaluated != 2 || plain.calls != 2 {
+		t.Errorf("plain: saved=%d evaluated=%d calls=%d, want 3, 2, 2", saved, evaluated, plain.calls)
+	}
+	check("plain")
+	if st := c.Stats(); st.Entries != 2 {
+		t.Errorf("plain model cached %d entries, want 2", st.Entries)
+	}
+}
+
 func TestCachedModelMatchesUnderlying(t *testing.T) {
 	model := &lenModel{}
 	cached := WithCache(AsBatch(model), nil)

@@ -154,12 +154,22 @@ func (c *Cache) Stats() CacheStats {
 // preds, which must have len(blocks) elements. It returns how many of the
 // queries were answered without a model evaluation (cache hits plus
 // within-batch duplicates) and how many blocks the model actually evaluated.
+//
+// A model that declares CheapQuery skips the key, the dedup and the
+// cache: every block goes to PredictBatch, and saved is 0.
 func PredictThrough(cache *Cache, model BatchModel, blocks []*x86.BasicBlock, batch int, preds []float64) (saved, evaluated int) {
 	if len(blocks) == 0 {
 		return 0, 0
 	}
 	if batch <= 0 {
 		batch = len(blocks)
+	}
+	if _, ok := model.(CheapQuery); ok {
+		for start := 0; start < len(blocks); start += batch {
+			end := min(start+batch, len(blocks))
+			copy(preds[start:end], model.PredictBatch(blocks[start:end]))
+		}
+		return 0, len(blocks)
 	}
 	// The dedup bookkeeping is pooled: every explanation calls
 	// PredictThrough once per sampling round, and a fresh map plus three
@@ -250,7 +260,8 @@ func (sc *predictScratch) release() {
 
 // CachedModel wraps a BatchModel with a prediction cache. It implements
 // BatchModel itself, so caching composes with any explainer or pipeline
-// that consumes the interface.
+// that consumes the interface. A wrapped model that declares CheapQuery
+// is queried directly and leaves the cache empty.
 type CachedModel struct {
 	model BatchModel
 	cache *Cache
@@ -280,6 +291,9 @@ func (m *CachedModel) Unwrap() BatchModel { return m.model }
 
 // Predict implements Model with a cache lookup first.
 func (m *CachedModel) Predict(b *x86.BasicBlock) float64 {
+	if _, ok := m.model.(CheapQuery); ok {
+		return m.model.Predict(b)
+	}
 	key := BlockKey(b)
 	if v, ok := m.cache.Get(key); ok {
 		return v

@@ -20,6 +20,18 @@ type Model interface {
 	Predict(b *x86.BasicBlock) float64
 }
 
+// CheapQuery marks a model whose query costs less than a prediction-cache
+// probe: a closed-form model (the analytical model C, the mca static
+// analyzer) evaluates a block faster than PredictThrough can render its
+// cache key, and its perturbation draws collide too rarely for hits to
+// repay that key. PredictThrough sends such a model's queries straight to
+// PredictBatch, and the explainer and the service keep no cache for it.
+// A wrapper that does not forward the method (costmodel.Func, a timing
+// or remote model) hides the declaration and is cached as usual.
+type CheapQuery interface {
+	CheapQuery()
+}
+
 // QueryError is the panic payload a cost model raises when a query cannot
 // be answered at all — a remote backend became unreachable, or the
 // explainer's context was canceled mid-search. The Model interface has no

@@ -31,6 +31,7 @@ type Model struct {
 var (
 	_ costmodel.Model      = (*Model)(nil)
 	_ costmodel.BatchModel = (*Model)(nil)
+	_ costmodel.CheapQuery = (*Model)(nil)
 )
 
 // New builds the static analyzer for a microarchitecture.
@@ -110,6 +111,10 @@ func (m *Model) Predict(b *x86.BasicBlock) float64 {
 func (m *Model) PredictBatch(blocks []*x86.BasicBlock) []float64 {
 	return costmodel.FanOut(blocks, 0, m.Predict)
 }
+
+// CheapQuery implements costmodel.CheapQuery: the closed-form bound costs
+// less than rendering the block's cache key.
+func (m *Model) CheapQuery() {}
 
 // spread divides occupancy evenly across the eligible ports — static
 // analyzers assume an ideal scheduler.

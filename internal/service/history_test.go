@@ -6,6 +6,8 @@ package service
 // and the slow-request counter.
 
 import (
+	"encoding/json"
+	"io"
 	"net/http"
 	"strings"
 	"testing"
@@ -14,6 +16,7 @@ import (
 	"github.com/comet-explain/comet/internal/cluster"
 	"github.com/comet-explain/comet/internal/obs"
 	"github.com/comet-explain/comet/internal/wire"
+	"github.com/comet-explain/comet/internal/x86"
 )
 
 // historyConfig disables the background sampler so tests tick the
@@ -302,6 +305,71 @@ func TestOutlierErrorReason(t *testing.T) {
 	}
 	if o := got.Outliers[0]; o.Route != "readyz" || o.Reason != obs.OutlierError || o.Status != 503 {
 		t.Fatalf("outlier: %+v", o)
+	}
+}
+
+// TestJobStreamIsNeverSlow: a job stream lasts as long as its job, so a
+// stream held open past the slow threshold commits no outlier, while a
+// slow explain request on the same server still does.
+func TestJobStreamIsNeverSlow(t *testing.T) {
+	s, ts := newTestServer(t, Config{TraceSample: 1 << 30, TraceSlowMS: 1})
+	gate := newGateModel()
+	s.RegisterModel("gate", x86.Haswell, gate, 0)
+	resp, body := postJSON(t, ts.URL+"/v1/corpus", wire.CorpusRequest{
+		Blocks: []string{testBlock}, Model: "gate", Config: fastOverrides(), Stream: true,
+	})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("corpus: status %d: %s", resp.StatusCode, body)
+	}
+	var acc wire.JobAccepted
+	if err := json.Unmarshal(body, &acc); err != nil {
+		t.Fatal(err)
+	}
+	<-gate.started
+	// The job finishes, and with it the stream, only once the gate opens.
+	go func() {
+		time.Sleep(50 * time.Millisecond)
+		close(gate.release)
+	}()
+	stream, err := http.Get(ts.URL + "/v1/jobs/" + acc.ID + "/stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.Copy(io.Discard, stream.Body); err != nil {
+		t.Fatal(err)
+	}
+	stream.Body.Close()
+	waitJobDone(t, ts.URL, acc.ID)
+
+	_, recs := flightDump(t, ts.URL)
+	var streamUS float64
+	for _, r := range recs {
+		if r["kind"] == "request" && r["route"] == "jobs" {
+			streamUS = max(streamUS, r["latency_us"].(float64))
+		}
+	}
+	if streamUS < 1000 {
+		t.Fatalf("the stream took %vus, under the 1ms threshold", streamUS)
+	}
+	var got struct {
+		Outliers []obs.OutlierTrace `json:"outliers"`
+	}
+	getJSON(t, ts.URL+"/debug/traces?outliers=1&route=jobs", &got)
+	if len(got.Outliers) != 0 {
+		t.Errorf("a job stream was retained as an outlier: %+v", got.Outliers)
+	}
+	if text := fetchMetrics(t, ts.URL); strings.Contains(text, `comet_slow_requests_total{route="jobs"}`) {
+		t.Error("a job stream ticked the jobs route's slow counter")
+	}
+
+	if resp, body := postJSON(t, ts.URL+"/v1/explain", wire.ExplainRequest{
+		Block: testBlock, Model: "uica", Arch: "hsw", Config: fastOverrides(),
+	}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("explain: status %d: %s", resp.StatusCode, body)
+	}
+	getJSON(t, ts.URL+"/debug/traces?outliers=1&route=explain", &got)
+	if len(got.Outliers) != 1 || got.Outliers[0].Reason != obs.OutlierSlow {
+		t.Errorf("slow explain outliers: %+v, want one", got.Outliers)
 	}
 }
 

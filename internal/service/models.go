@@ -20,8 +20,8 @@ import (
 // parameterized neural models, remote backends, application-registered
 // custom models — is servable without the service knowing its name. What
 // this file adds on top of the registry is instance sharing: one warmed
-// model and one prediction cache per canonical spec, for the life of the
-// process.
+// model per canonical spec, with one prediction cache unless the model
+// declares costmodel.CheapQuery, for the life of the process.
 
 // errRegistryFull signals that the per-spec instance table is at
 // capacity; the HTTP layer maps it to 429. Distinct specs (each a
@@ -38,9 +38,11 @@ var errRegistryFull = errors.New("model instance table full (too many distinct m
 var errRestrictedSpec = errors.New("spec resolves a restricted model (network or filesystem access at warm-up); start the server with -allow-restricted-specs to serve it")
 
 // modelEntry is one warmed canonical spec: the model instance, its batch
-// view, and the prediction cache every request against it shares.
-// Warm-up (construction, training, remote handshake) happens exactly
-// once, on first use, guarded by the entry's once.
+// view, and the prediction cache every request against it shares (nil
+// for a model that declares costmodel.CheapQuery). Warm-up
+// (construction, training, remote handshake) happens exactly once, on
+// first use, guarded by the entry's once; the cache is created there,
+// once the model is known.
 type modelEntry struct {
 	spec    comet.ModelSpec
 	once    sync.Once
@@ -97,13 +99,8 @@ func (r *modelRegistry) register(name string, arch x86.Arch, m costmodel.Model, 
 		name = def.Name // fold aliases onto the canonical name
 	}
 	spec := comet.ModelSpec{Name: name, Target: wire.ArchName(arch)}
-	e := &modelEntry{
-		spec:    spec,
-		model:   m,
-		batch:   costmodel.AsBatch(m),
-		cache:   costmodel.NewCache(r.cacheSize),
-		epsilon: epsilon,
-	}
+	e := &modelEntry{spec: spec, model: m, epsilon: epsilon}
+	r.prepare(e)
 	e.once.Do(func() {}) // already warm
 	e.warm.Store(true)
 	r.mu.Lock()
@@ -158,7 +155,7 @@ func (r *modelRegistry) get(modelStr, archDefault string, trusted bool) (*modelE
 			r.mu.Unlock()
 			return nil, errRegistryFull
 		}
-		e = &modelEntry{spec: canon, cache: costmodel.NewCache(r.cacheSize)}
+		e = &modelEntry{spec: canon}
 		r.entries[key] = e
 	}
 	r.mu.Unlock()
@@ -186,8 +183,8 @@ func (r *modelRegistry) warm(e *modelEntry, key string, trusted bool) (*modelEnt
 			e.err = err
 		} else {
 			e.model = rm.Model
-			e.batch = costmodel.AsBatch(rm.Model)
 			e.epsilon = rm.Epsilon
+			r.prepare(e)
 		}
 		e.warm.Store(true)
 	})
@@ -202,13 +199,21 @@ func (r *modelRegistry) warm(e *modelEntry, key string, trusted bool) (*modelEnt
 	return e, nil
 }
 
+// prepare gives a resolved entry its batch view and, unless the model
+// declares costmodel.CheapQuery, its prediction cache.
+func (r *modelRegistry) prepare(e *modelEntry) {
+	e.batch = costmodel.AsBatch(e.model)
+	if _, cheap := e.batch.(costmodel.CheapQuery); !cheap {
+		e.cache = costmodel.NewCache(r.cacheSize)
+	}
+}
+
 // specString returns the entry's canonical spec string (its cache and
 // single-flight identity).
 func (e *modelEntry) specString() string { return e.spec.String() }
 
 // warmed lists the entries with a live warmed instance, in spec order.
-// An entry still warming (or failed) is skipped; its cache is empty
-// anyway.
+// An entry still warming (or failed) is skipped; it has no cache yet.
 func (r *modelRegistry) warmed() []*modelEntry {
 	r.mu.Lock()
 	entries := make([]*modelEntry, 0, len(r.entries))
@@ -237,17 +242,20 @@ func (r *modelRegistry) warmedSpecs() []string {
 }
 
 // renderCache writes the comet_prediction_cache_* families: one sample
-// per warmed entry.
+// per warmed entry that has a cache.
 func (r *modelRegistry) renderCache(sb *strings.Builder) {
-	entries := r.warmed()
-	if len(entries) == 0 {
-		return
+	var (
+		labels []string
+		stats  []costmodel.CacheStats
+	)
+	for _, e := range r.warmed() {
+		if e.cache != nil {
+			labels = append(labels, fmt.Sprintf("model=%q,arch=%q", e.spec.Name, wire.ArchName(e.model.Arch())))
+			stats = append(stats, e.cache.Stats())
+		}
 	}
-	labels := make([]string, len(entries))
-	stats := make([]costmodel.CacheStats, len(entries))
-	for i, e := range entries {
-		labels[i] = fmt.Sprintf("model=%q,arch=%q", e.spec.Name, wire.ArchName(e.model.Arch()))
-		stats[i] = e.cache.Stats()
+	if len(stats) == 0 {
+		return
 	}
 	for _, f := range []struct {
 		name string
@@ -266,10 +274,13 @@ func (r *modelRegistry) renderCache(sb *strings.Builder) {
 }
 
 // cacheTotals sums prediction-cache hits and misses across every warmed
-// entry — the aggregate counters behind the history's
+// entry that has a cache — the aggregate counters behind the history's
 // hit_rate.prediction_cache series.
 func (r *modelRegistry) cacheTotals() (hits, misses uint64) {
 	for _, e := range r.warmed() {
+		if e.cache == nil {
+			continue
+		}
 		st := e.cache.Stats()
 		hits += st.Hits
 		misses += st.Misses

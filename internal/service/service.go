@@ -115,7 +115,8 @@ type Config struct {
 	// trusted networks to let clients chain servers.
 	AllowRestrictedSpecs bool
 	// PredictionCacheSize bounds each (model, arch) prediction cache in
-	// entries (0 = package default of about a million).
+	// entries (0 = package default of about a million). A model that
+	// declares costmodel.CheapQuery (c, mca) has no cache.
 	PredictionCacheSize int
 	// MaxConcurrentExplains bounds simultaneously computing explain
 	// requests (0 = GOMAXPROCS).
@@ -483,7 +484,9 @@ var sampledRoutes = map[string]bool{
 // tail-based retention of exactly the traces head sampling would have
 // thrown away. The interned binary warm path is exempt (it must not pay
 // even a pool Get — see the bench gate), as are force-traced routes,
-// whose spans are already in the main ring.
+// whose spans are already in the main ring. A job stream lasts as long as
+// its job, so its latency never makes it an outlier; a 5xx stream still
+// does.
 func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 	rs := s.metrics.route(route)
 	spanName := "http." + route
@@ -537,7 +540,7 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 			span.Set("status", statusLabel(rec.code))
 			span.End()
 		}
-		outlier := s.slowThreshold > 0 && (elapsed >= s.slowThreshold || rec.code >= 500)
+		outlier := s.slowThreshold > 0 && (rec.code >= 500 || elapsed >= s.slowThreshold && !isJobStream(r.URL.Path))
 		if buf != nil {
 			// The commit decision: a healthy fast request recycles its buffer
 			// untouched (no conversion, no allocation); a sampled one flushes
@@ -1063,14 +1066,30 @@ func (s *Server) submitCorpusJob(w http.ResponseWriter, r *http.Request, blocks 
 	return nil
 }
 
+// jobStreamID returns the job ID of a /v1/jobs/{id}/stream path.
+func jobStreamID(path string) (string, bool) {
+	rest, ok := strings.CutPrefix(path, "/v1/jobs/")
+	if !ok {
+		return "", false
+	}
+	id, ok := strings.CutSuffix(rest, "/stream")
+	return id, ok && id != "" && !strings.Contains(id, "/")
+}
+
+// isJobStream reports whether path is a job stream's.
+func isJobStream(path string) bool {
+	_, ok := jobStreamID(path)
+	return ok
+}
+
 // handleJob serves GET /v1/jobs/{id}?offset=&limit= and dispatches
 // GET /v1/jobs/{id}/stream to the streaming handler.
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	id := strings.TrimPrefix(r.URL.Path, "/v1/jobs/")
-	if stream, ok := strings.CutSuffix(id, "/stream"); ok && stream != "" && !strings.Contains(stream, "/") {
-		s.handleJobStream(w, r, stream)
+	if id, ok := jobStreamID(r.URL.Path); ok {
+		s.handleJobStream(w, r, id)
 		return
 	}
+	id := strings.TrimPrefix(r.URL.Path, "/v1/jobs/")
 	if id == "" || strings.Contains(id, "/") {
 		writeError(w, http.StatusNotFound, "no such job")
 		return

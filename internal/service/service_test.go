@@ -561,6 +561,36 @@ func TestHealthzAndMetrics(t *testing.T) {
 	}
 }
 
+// TestPredictionCacheMetricsFollowCheapQuery: c declares
+// costmodel.CheapQuery and warms with no prediction cache, so /metrics
+// carries no cache series for it; uica keeps its cache and its series.
+func TestPredictionCacheMetricsFollowCheapQuery(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, model := range []string{"c", "uica"} {
+		if resp, body := postJSON(t, ts.URL+"/v1/explain", wire.ExplainRequest{
+			Block: testBlock, Model: model, Config: fastOverrides(),
+		}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("explain %s: status %d: %s", model, resp.StatusCode, body)
+		}
+	}
+	if resp, body := postJSON(t, ts.URL+"/v1/predict", wire.PredictRequest{
+		Blocks: []string{testBlock, testBlock}, Model: "c",
+	}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("predict c: status %d: %s", resp.StatusCode, body)
+	}
+	text := fetchMetrics(t, ts.URL)
+	for _, line := range strings.Split(text, "\n") {
+		if strings.HasPrefix(line, "comet_prediction_cache_") && strings.Contains(line, `model="c"`) {
+			t.Errorf("cache series for c: %s", line)
+		}
+	}
+	for _, family := range []string{"entries", "hit_rate", "hits_total", "misses_total"} {
+		if want := "comet_prediction_cache_" + family + `{model="uica",arch="hsw"}`; !strings.Contains(text, want) {
+			t.Errorf("metrics missing %q", want)
+		}
+	}
+}
+
 func TestGracefulShutdown(t *testing.T) {
 	s := New(Config{JobWorkers: 1})
 	ts := httptest.NewServer(s.Handler())
