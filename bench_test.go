@@ -1,8 +1,8 @@
 // Benchmarks regenerating (scaled-down instances of) every table and
 // figure in the paper's evaluation, plus micro-benchmarks of the hot
-// components. DESIGN.md maps each benchmark to its paper artifact; the
-// comet-bench command produces the full-size numbers recorded in
-// EXPERIMENTS.md.
+// components. Each paper benchmark runs one experiment by its
+// experiments.AllIDs id; the comet-bench command produces the full-size
+// numbers (see the README's experiment-harness paragraph).
 package comet_test
 
 import (

@@ -1,5 +1,5 @@
-// Command comet-bench regenerates the paper's tables and figures (see the
-// per-experiment index in DESIGN.md) and runs the wire benchmark that
+// Command comet-bench regenerates the paper's tables and figures (one
+// per experiments.AllIDs entry) and runs the wire benchmark that
 // `make bench-check` gates on. Engine speed is measured by perfbench.
 //
 // Examples:

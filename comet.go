@@ -91,8 +91,6 @@ type (
 	PredictionCache = costmodel.Cache
 	// PredictionCacheStats snapshots cache effectiveness.
 	PredictionCacheStats = costmodel.CacheStats
-	// CachedCostModel wraps any BatchCostModel with a prediction cache.
-	CachedCostModel = costmodel.CachedModel
 	// Explainer generates explanations for one cost model.
 	Explainer = core.Explainer
 	// Explanation is COMET's output for one (model, block) pair.
@@ -192,7 +190,9 @@ func WithBatchSize(n int) ExplainOption { return core.WithBatchSize(n) }
 func WithParallelism(n int) ExplainOption { return core.WithParallelism(n) }
 
 // AsBatchModel returns model itself when it already batches natively, and
-// otherwise adapts it with a parallel fan-out Batcher.
+// otherwise adapts it with a parallel fan-out. Explainers need no such
+// adapter: they batch through the model's own PredictBatch when it has
+// one and fan out otherwise.
 func AsBatchModel(model CostModel) BatchCostModel { return costmodel.AsBatch(model) }
 
 // FuncCostModel adapts a function to the CostModel interface — the
@@ -205,13 +205,6 @@ func FuncCostModel(name string, arch Arch, fn func(*BasicBlock) float64) CostMod
 // NewPredictionCache allocates a prediction cache bounded to roughly
 // maxEntries predictions (0 = default of about a million).
 func NewPredictionCache(maxEntries int) *PredictionCache { return costmodel.NewCache(maxEntries) }
-
-// WithPredictionCache wraps a batched model with a cache (nil allocates a
-// default-sized one). Cached values are exact prior predictions, so
-// caching never changes results, only their cost.
-func WithPredictionCache(model BatchCostModel, cache *PredictionCache) *CachedCostModel {
-	return costmodel.WithCache(model, cache)
-}
 
 // BlockSeed derives the deterministic per-block seed ExplainAll uses for
 // corpus block index; Explain with cfg.Seed = BlockSeed(base, i)

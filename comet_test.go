@@ -163,11 +163,25 @@ func TestPublicAPIBatchModelsAndCache(t *testing.T) {
 		}
 	}
 
+	// A shared cache carries predictions from one explanation to the
+	// next and never changes a byte.
+	lenModel := comet.FuncCostModel("len", comet.Haswell, func(b *comet.BasicBlock) float64 {
+		return float64(len(b.Instructions))
+	})
+	cfg := comet.DefaultConfig()
+	cfg.CoverageSamples = 100
 	cache := comet.NewPredictionCache(0)
-	cached := comet.WithPredictionCache(comet.AsBatchModel(models[1]), cache)
-	first := cached.Predict(block)
-	if again := cached.Predict(block); again != first {
-		t.Errorf("cached prediction changed: %v vs %v", again, first)
+	first, err := comet.NewExplainerWithCache(lenModel, cfg, cache).Explain(block)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := comet.NewExplainerWithCache(lenModel, cfg, cache).Explain(block)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.String() != first.String() || again.CacheHits <= first.CacheHits {
+		t.Errorf("shared cache: first %v (%d hits), again %v (%d hits)",
+			first, first.CacheHits, again, again.CacheHits)
 	}
 	if st := cache.Stats(); st.Hits == 0 || st.Entries == 0 {
 		t.Errorf("cache unused: %+v", st)

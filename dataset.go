@@ -2,8 +2,8 @@ package comet
 
 import "github.com/comet-explain/comet/internal/bhive"
 
-// The synthetic BHive-like dataset generator (see DESIGN.md for the
-// substitution rationale).
+// The synthetic BHive-like dataset generator, standing in for the BHive
+// corpus the paper evaluates on (PAPER.md).
 
 // DatasetBlock is one generated block with metadata and hardware labels.
 type DatasetBlock = bhive.Block

@@ -114,14 +114,14 @@ func (e *Explanation) String() string {
 }
 
 // Explainer generates explanations for one cost model. All queries flow
-// through a batched view of the model (costmodel.BatchModel). For a model
-// that caches, they also pass a shared prediction cache, so repeated
-// perturbation draws — within one block's search and across a corpus run
-// — are answered without model evaluations. A model that declares
-// costmodel.CheapQuery (C, mca) is queried directly, with no cache.
+// through costmodel.PredictThrough, batched by the model's own
+// PredictBatch where it has one. For a model that caches, they also pass
+// a shared prediction cache, so repeated perturbation draws — within one
+// block's search and across a corpus run — are answered without model
+// evaluations. A model that declares costmodel.CheapQuery (C, mca) is
+// queried directly, with no cache.
 type Explainer struct {
 	model costmodel.Model
-	batch costmodel.BatchModel
 	cache *costmodel.Cache
 	cfg   Config
 }
@@ -153,14 +153,11 @@ func (cfg Config) withDefaults() Config {
 
 // NewExplainer builds an explainer. The model must be safe for concurrent
 // Predict calls; if it implements costmodel.BatchModel its native batch
-// path is used, otherwise queries fan out over cfg.Parallelism workers.
-// A model that declares costmodel.CheapQuery gets no prediction cache.
+// path is used, otherwise queries fan out over GOMAXPROCS workers. Its
+// prediction cache comes from costmodel.NewCacheFor: none for a model
+// that declares costmodel.CheapQuery or for a negative cfg.CacheSize.
 func NewExplainer(model costmodel.Model, cfg Config) *Explainer {
-	e := newExplainer(model, cfg)
-	if e.caches() && e.cfg.CacheSize >= 0 {
-		e.cache = costmodel.NewCache(e.cfg.CacheSize)
-	}
-	return e
+	return NewExplainerWithCache(model, cfg, costmodel.NewCacheFor(model, cfg.CacheSize))
 }
 
 // NewExplainerWithCache builds an explainer that shares the given
@@ -169,32 +166,10 @@ func NewExplainer(model costmodel.Model, cfg Config) *Explainer {
 // cometd service, a notebook session) passes one cache per model so
 // perturbation collisions are amortized across every request, not just
 // within one. A nil cache disables caching, and a model that declares
-// costmodel.CheapQuery ignores the cache. Cached values are exact prior
-// predictions, so a shared cache never changes an explanation.
+// costmodel.CheapQuery never touches the cache. Cached values are exact
+// prior predictions, so a shared cache never changes an explanation.
 func NewExplainerWithCache(model costmodel.Model, cfg Config, cache *costmodel.Cache) *Explainer {
-	e := newExplainer(model, cfg)
-	if e.caches() {
-		e.cache = cache
-	}
-	return e
-}
-
-func newExplainer(model costmodel.Model, cfg Config) *Explainer {
-	cfg = cfg.withDefaults()
-	e := &Explainer{model: model, cfg: cfg}
-	if bm, ok := model.(costmodel.BatchModel); ok {
-		e.batch = bm
-	} else {
-		e.batch = costmodel.NewBatcher(model, cfg.Parallelism)
-	}
-	return e
-}
-
-// caches reports whether the model's queries go through a prediction
-// cache, that is, whether it does not declare costmodel.CheapQuery.
-func (e *Explainer) caches() bool {
-	_, cheap := e.batch.(costmodel.CheapQuery)
-	return !cheap
+	return &Explainer{model: model, cache: cache, cfg: cfg.withDefaults()}
 }
 
 // Model returns the underlying cost model.
@@ -203,8 +178,9 @@ func (e *Explainer) Model() costmodel.Model { return e.model }
 // Config returns the effective configuration.
 func (e *Explainer) Config() Config { return e.cfg }
 
-// CacheStats snapshots the shared prediction cache (zero value when
-// caching is disabled or the model declares costmodel.CheapQuery).
+// CacheStats snapshots the shared prediction cache (zero value when the
+// explainer has none, as NewExplainer leaves a model that declares
+// costmodel.CheapQuery).
 func (e *Explainer) CacheStats() costmodel.CacheStats {
 	if e.cache == nil {
 		return costmodel.CacheStats{}
@@ -231,10 +207,9 @@ func (e *Explainer) ExplainContext(ctx context.Context, b *x86.BasicBlock, opts 
 }
 
 // explainWith is the explanation engine entry point: one block, one
-// effective config, one context. It is also the recovery boundary for
-// costmodel.QueryError panics — the channel through which unanswerable
-// queries (dead remote backends, canceled contexts) abort the search —
-// turning them back into ordinary errors.
+// effective config, one context. It is also the costmodel.RecoverQuery
+// boundary for the search: unanswerable queries (dead remote backends,
+// canceled contexts) abort it and come back as ordinary errors.
 func (e *Explainer) explainWith(ctx context.Context, b *x86.BasicBlock, cfg Config) (expl *Explanation, err error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -242,15 +217,7 @@ func (e *Explainer) explainWith(ctx context.Context, b *x86.BasicBlock, cfg Conf
 	if cerr := ctx.Err(); cerr != nil {
 		return nil, cerr
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			qe, ok := r.(costmodel.QueryError)
-			if !ok {
-				panic(r)
-			}
-			expl, err = nil, qe.Err
-		}
-	}()
+	defer costmodel.RecoverQuery(&err)
 	t0 := time.Now()
 	prof := &Profile{}
 	_, setupSpan := obs.StartSpan(ctx, "core.canonicalize")
@@ -262,7 +229,7 @@ func (e *Explainer) explainWith(ctx context.Context, b *x86.BasicBlock, cfg Conf
 	prof.Setup = time.Since(t0)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	poolCtx, poolSpan := obs.StartSpan(ctx, "core.perturb_pool")
-	space, err := newBlockSpace(poolCtx, e.batch, e.cache, p, cfg, rng)
+	space, err := newBlockSpace(poolCtx, e.model, e.cache, p, cfg, rng)
 	poolSpan.End()
 	if err != nil {
 		return nil, err
@@ -316,28 +283,30 @@ func perturbFor(b *x86.BasicBlock, cfg Config) (*perturb.Perturber, error) {
 
 // EstimatePrecision re-estimates Prec(F) for a given feature set on n fresh
 // perturbations (used by Table 3 to report held-out precision of final
-// explanations rather than the search's optimistic estimate). Queries are
-// batched through the model's batch path, and deduplicated unless the
-// model declares costmodel.CheapQuery.
-func EstimatePrecision(model costmodel.Model, b *x86.BasicBlock, set features.Set, cfg Config, n int, rng *rand.Rand) (float64, error) {
+// explanations rather than the search's optimistic estimate). Queries go
+// through costmodel.PredictThrough without a cache; a query the model
+// aborts (costmodel.AbortQuery) comes back as the error.
+func EstimatePrecision(model costmodel.Model, b *x86.BasicBlock, set features.Set, cfg Config, n int, rng *rand.Rand) (prec float64, err error) {
+	defer costmodel.RecoverQuery(&err)
 	p, err := perturbFor(b, cfg)
 	if err != nil {
 		return 0, err
 	}
-	orig := model.Predict(b)
-	blocks := make([]*x86.BasicBlock, n)
-	for i := 0; i < n; i++ {
+	// blocks[0] is β itself: M(β) takes the same route as the draws.
+	blocks := make([]*x86.BasicBlock, n+1)
+	blocks[0] = b
+	for i := 1; i <= n; i++ {
 		blocks[i] = p.Sample(rng, set).Block
 	}
 	batch := cfg.BatchSize
 	if batch <= 0 {
 		batch = 64
 	}
-	preds := make([]float64, n)
-	costmodel.PredictThrough(nil, costmodel.AsBatch(model), blocks, batch, preds)
+	preds := make([]float64, n+1)
+	costmodel.PredictThrough(nil, model, blocks, batch, preds)
 	succ := 0
-	for _, pred := range preds {
-		if inBall(pred, orig, cfg.Epsilon) {
+	for _, pred := range preds[1:] {
+		if inBall(pred, preds[0], cfg.Epsilon) {
 			succ++
 		}
 	}
@@ -395,7 +364,7 @@ func retains(row []bool, feats features.Set, res perturb.Result, opts deps.Optio
 // model in cfg.BatchSize chunks.
 type blockSpace struct {
 	ctx      context.Context
-	model    costmodel.BatchModel
+	model    costmodel.Model
 	cache    *costmodel.Cache
 	perturb  *perturb.Perturber
 	feats    features.Set
@@ -431,18 +400,8 @@ type blockSpace struct {
 	coverageTime  time.Duration // building the coverage pool
 }
 
-func newBlockSpace(ctx context.Context, model costmodel.BatchModel, cache *costmodel.Cache, p *perturb.Perturber, cfg Config, rng *rand.Rand) (*blockSpace, error) {
-	workers := cfg.Parallelism
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	batch := cfg.BatchSize
-	if batch < 1 {
-		batch = 64
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
+func newBlockSpace(ctx context.Context, model costmodel.Model, cache *costmodel.Cache, p *perturb.Perturber, cfg Config, rng *rand.Rand) (*blockSpace, error) {
+	cfg = cfg.withDefaults()
 	s := &blockSpace{
 		ctx:     ctx,
 		model:   model,
@@ -450,10 +409,10 @@ func newBlockSpace(ctx context.Context, model costmodel.BatchModel, cache *costm
 		perturb: p,
 		feats:   p.Features(),
 		epsilon: cfg.Epsilon,
-		workers: workers,
-		batch:   batch,
+		workers: cfg.Parallelism,
+		batch:   cfg.BatchSize,
 		depOpts: cfg.Perturb.DepOptions,
-		rngs:    make([]*rand.Rand, workers),
+		rngs:    make([]*rand.Rand, cfg.Parallelism),
 	}
 	for w := range s.rngs {
 		s.rngs[w] = rand.New(&splitMix{})

@@ -155,6 +155,32 @@ func TestCheapQueryModelsSkipTheCache(t *testing.T) {
 	}
 }
 
+// cheapFunc is a model without a native batch path that declares
+// costmodel.CheapQuery.
+type cheapFunc struct{ costmodel.Func }
+
+func (cheapFunc) CheapQuery() {}
+
+// TestCheapQueryWithoutBatchPathSkipsTheCache: the declaration, not the
+// batch path, decides caching, so a plain model that declares
+// costmodel.CheapQuery is queried directly, like C and mca.
+func TestCheapQueryWithoutBatchPathSkipsTheCache(t *testing.T) {
+	c := analytical.New(x86.Haswell)
+	model := cheapFunc{costmodel.Func{ModelName: "cheap-c", ModelArch: x86.Haswell, Fn: c.Predict}}
+	e := NewExplainer(model, corpusConfig())
+	expl, err := e.Explain(corpusBlocks(t, 1)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if expl.Queries == 0 || expl.CacheHits != 0 || expl.ModelCalls != expl.Queries {
+		t.Errorf("queries %d, cache hits %d, model calls %d; want every query evaluated",
+			expl.Queries, expl.CacheHits, expl.ModelCalls)
+	}
+	if st := e.CacheStats(); st != (costmodel.CacheStats{}) {
+		t.Errorf("explainer cache stats %+v, want zero", st)
+	}
+}
+
 func TestCoverageMonotoneInExplanationSize(t *testing.T) {
 	// Cov(F1 ∪ F2) ≤ Cov(F1): follows from Π's monotonicity (Appendix A).
 	model := analytical.New(x86.Haswell)
@@ -166,7 +192,7 @@ func TestCoverageMonotoneInExplanationSize(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(7))
-	space, err := newBlockSpace(context.Background(), e.batch, e.cache, p, cfg, rng)
+	space, err := newBlockSpace(context.Background(), e.model, e.cache, p, cfg, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +224,7 @@ func TestCoveragePoolMatchesGraphContainment(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		space, err := newBlockSpace(context.Background(), e.batch, e.cache, p, cfg, rand.New(rand.NewSource(7)))
+		space, err := newBlockSpace(context.Background(), e.model, e.cache, p, cfg, rand.New(rand.NewSource(7)))
 		if err != nil {
 			t.Fatal(err)
 		}

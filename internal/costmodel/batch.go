@@ -25,55 +25,33 @@ type BatchModel interface {
 	PredictBatch(blocks []*x86.BasicBlock) []float64
 }
 
-// Batcher adapts any Model to BatchModel by fanning Predict calls out over
-// a bounded worker pool. Models with a cheaper native batch path should
-// implement BatchModel directly (see AsBatch).
-type Batcher struct {
-	model   Model
-	workers int
-}
-
-var _ BatchModel = (*Batcher)(nil)
-
-// NewBatcher wraps model; workers bounds the fan-out (0 = GOMAXPROCS).
-func NewBatcher(model Model, workers int) *Batcher {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return &Batcher{model: model, workers: workers}
-}
-
-// Name implements Model.
-func (b *Batcher) Name() string { return b.model.Name() }
-
-// Arch implements Model.
-func (b *Batcher) Arch() x86.Arch { return b.model.Arch() }
-
-// Predict implements Model.
-func (b *Batcher) Predict(blk *x86.BasicBlock) float64 { return b.model.Predict(blk) }
-
-// Unwrap returns the wrapped model.
-func (b *Batcher) Unwrap() Model { return b.model }
-
-// PredictBatch implements BatchModel by parallel fan-out.
-func (b *Batcher) PredictBatch(blocks []*x86.BasicBlock) []float64 {
-	return FanOut(blocks, b.workers, b.model.Predict)
-}
-
 // AsBatch returns model itself when it already implements BatchModel, and
-// otherwise wraps it in a Batcher with the default worker count.
+// otherwise adapts it by fanning Predict calls out with FanOut.
+// PredictThrough sees through the adapter, so wrapping a model never
+// hides its CheapQuery declaration.
 func AsBatch(model Model) BatchModel {
 	if bm, ok := model.(BatchModel); ok {
 		return bm
 	}
-	return NewBatcher(model, 0)
+	return fanOut{model}
+}
+
+// fanOut is AsBatch's adapter for a model without a native batch path.
+type fanOut struct{ Model }
+
+// PredictBatch implements BatchModel by parallel fan-out.
+func (f fanOut) PredictBatch(blocks []*x86.BasicBlock) []float64 {
+	return FanOut(blocks, 0, f.Predict)
 }
 
 // FanOut evaluates predict over every block with at most workers goroutines
 // (0 = GOMAXPROCS) and returns the predictions in block order. Small
 // batches run inline, and workers are capped so each goroutine gets a
 // meaningful slice of work — per-prediction cost can be microseconds
-// (analytical model), where per-goroutine overhead would dominate.
+// (analytical model), where per-goroutine overhead would dominate. A
+// panic in predict (an AbortQuery, say) is re-raised on the caller's
+// goroutine once every worker has stopped, so the caller's RecoverQuery
+// boundary sees it.
 func FanOut(blocks []*x86.BasicBlock, workers int, predict func(*x86.BasicBlock) float64) []float64 {
 	const minPerWorker = 16
 	out := make([]float64, len(blocks))
@@ -89,16 +67,28 @@ func FanOut(blocks []*x86.BasicBlock, workers int, predict func(*x86.BasicBlock)
 		}
 		return out
 	}
-	var wg sync.WaitGroup
+	var (
+		wg      sync.WaitGroup
+		abort   sync.Once
+		aborted any
+	)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					abort.Do(func() { aborted = r })
+				}
+			}()
 			for i := w; i < len(blocks); i += workers {
 				out[i] = predict(blocks[i])
 			}
 		}(w)
 	}
 	wg.Wait()
+	if aborted != nil {
+		panic(aborted)
+	}
 	return out
 }

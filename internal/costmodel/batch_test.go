@@ -36,28 +36,27 @@ func testBlocks(t testing.TB, n int) []*x86.BasicBlock {
 	return blocks
 }
 
-func TestBatcherMatchesSequential(t *testing.T) {
+func TestAsBatchMatchesSequential(t *testing.T) {
 	model := &lenModel{}
 	blocks := testBlocks(t, 37)
-	batched := NewBatcher(model, 4).PredictBatch(blocks)
+	batched := AsBatch(model).PredictBatch(blocks)
 	for i, b := range blocks {
 		if want := model.Predict(b); batched[i] != want {
 			t.Errorf("block %d: batched %v != sequential %v", i, batched[i], want)
 		}
 	}
-	if got := NewBatcher(model, 4).Name(); got != "len" {
+	if got := AsBatch(model).Name(); got != "len" {
 		t.Errorf("Name() = %q", got)
 	}
 }
 
 func TestAsBatchPassesThroughNativeImplementations(t *testing.T) {
-	model := &lenModel{}
-	wrapped := NewBatcher(model, 2)
-	if AsBatch(wrapped) != BatchModel(wrapped) {
+	native := &batchLenModel{}
+	if AsBatch(native) != BatchModel(native) {
 		t.Error("AsBatch should return a BatchModel unchanged")
 	}
-	if _, ok := AsBatch(model).(*Batcher); !ok {
-		t.Error("AsBatch should wrap a plain Model in a Batcher")
+	if _, ok := AsBatch(&lenModel{}).(fanOut); !ok {
+		t.Error("AsBatch should adapt a plain Model with fan-out")
 	}
 }
 
@@ -134,7 +133,7 @@ func TestPredictThroughDeduplicatesAndCounts(t *testing.T) {
 	b2 := x86.MustParseBlock("mov rcx, rdx")
 	blocks := []*x86.BasicBlock{b1, b2, b1, b1, b2}
 	preds := make([]float64, len(blocks))
-	saved, evaluated := PredictThrough(c, NewBatcher(model, 2), blocks, 2, preds)
+	saved, evaluated := PredictThrough(c, model, blocks, 2, preds)
 	if evaluated != 2 {
 		t.Errorf("evaluated = %d, want 2 (unique blocks)", evaluated)
 	}
@@ -147,7 +146,7 @@ func TestPredictThroughDeduplicatesAndCounts(t *testing.T) {
 		}
 	}
 	// A second pass over the same blocks is all cache hits.
-	saved, evaluated = PredictThrough(c, NewBatcher(model, 2), blocks, 2, preds)
+	saved, evaluated = PredictThrough(c, model, blocks, 2, preds)
 	if saved != len(blocks) || evaluated != 0 {
 		t.Errorf("warm pass: saved=%d evaluated=%d", saved, evaluated)
 	}
@@ -203,14 +202,6 @@ func TestPredictThroughBypassesCacheForCheapQuery(t *testing.T) {
 	if st := c.Stats(); st != (CacheStats{}) {
 		t.Errorf("cache touched by a cheap model: %+v", st)
 	}
-	cached := WithCache(cheap, c)
-	if got := cached.PredictBatch(blocks); got[1] != 0.5 || cached.Predict(b1) != 0.25 {
-		t.Errorf("CachedModel over a cheap model predicted %v", got)
-	}
-	if st := c.Stats(); st != (CacheStats{}) {
-		t.Errorf("CachedModel cached a cheap model: %+v", st)
-	}
-
 	// The same model without the declaration is deduplicated and cached.
 	plain := &batchLenModel{}
 	clear(preds)
@@ -224,24 +215,52 @@ func TestPredictThroughBypassesCacheForCheapQuery(t *testing.T) {
 	}
 }
 
-func TestCachedModelMatchesUnderlying(t *testing.T) {
-	model := &lenModel{}
-	cached := WithCache(AsBatch(model), nil)
-	blocks := testBlocks(t, 20)
-	out := cached.PredictBatch(blocks)
-	for i, b := range blocks {
-		want := float64(b.Len()) / 4
-		if out[i] != want {
-			t.Errorf("batch preds[%d] = %v, want %v", i, out[i], want)
+// cheapPlainModel is lenModel declaring CheapQuery without a native
+// batch path.
+type cheapPlainModel struct{ lenModel }
+
+func (*cheapPlainModel) CheapQuery() {}
+
+// TestCheapQueryWithoutBatchPathGoesUncached: a model that declares
+// CheapQuery but has no PredictBatch is queried directly, with no key,
+// dedup or cache, whether it is passed as is or through AsBatch's
+// adapter, and NewCacheFor gives it no cache.
+func TestCheapQueryWithoutBatchPathGoesUncached(t *testing.T) {
+	b1 := x86.MustParseBlock("add rax, rbx")
+	blocks := []*x86.BasicBlock{b1, b1, b1}
+	for _, wrap := range []func(Model) Model{
+		func(m Model) Model { return m },
+		func(m Model) Model { return AsBatch(m) },
+	} {
+		cheap := &cheapPlainModel{}
+		model := wrap(cheap)
+		if c := NewCacheFor(model, 0); c != nil {
+			t.Errorf("%T: NewCacheFor returned a cache", model)
 		}
-		if got := cached.Predict(b); got != want {
-			t.Errorf("Predict(%d) = %v, want %v", i, got, want)
+		c := NewCache(0)
+		preds := make([]float64, len(blocks))
+		saved, evaluated := PredictThrough(c, model, blocks, 2, preds)
+		if saved != 0 || evaluated != len(blocks) || cheap.calls != len(blocks) {
+			t.Errorf("%T: saved=%d evaluated=%d calls=%d, want 0, %d, %d",
+				model, saved, evaluated, cheap.calls, len(blocks), len(blocks))
+		}
+		if preds[2] != 0.25 {
+			t.Errorf("%T: preds %v", model, preds)
+		}
+		if st := c.Stats(); st != (CacheStats{}) {
+			t.Errorf("%T: cache touched: %+v", model, st)
 		}
 	}
-	if cached.Cache().Len() == 0 {
-		t.Error("cache should have been populated")
+}
+
+func TestNewCacheFor(t *testing.T) {
+	if NewCacheFor(&lenModel{}, -1) != nil {
+		t.Error("a negative bound should disable the cache")
 	}
-	if cached.Name() != "len" || cached.Arch() != x86.Haswell {
-		t.Error("CachedModel must pass through identity")
+	if NewCacheFor(&cheapLenModel{}, 0) != nil {
+		t.Error("a CheapQuery model should get no cache")
+	}
+	if c := NewCacheFor(&lenModel{}, 0); c == nil || c.maxPerShard != defaultCacheEntries/cacheShards {
+		t.Error("a plain model should get a default-sized cache")
 	}
 }

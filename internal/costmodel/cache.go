@@ -54,6 +54,26 @@ func NewCache(maxEntries int) *Cache {
 	return c
 }
 
+// NewCacheFor returns the prediction cache model's queries should share,
+// bounded like NewCache, or nil when they should go uncached: for
+// maxEntries < 0, and for a model that declares CheapQuery.
+func NewCacheFor(model Model, maxEntries int) *Cache {
+	if maxEntries < 0 || cheap(model) {
+		return nil
+	}
+	return NewCache(maxEntries)
+}
+
+// cheap reports whether model declares CheapQuery, looking through
+// AsBatch's adapter.
+func cheap(model Model) bool {
+	if f, ok := model.(fanOut); ok {
+		model = f.Model
+	}
+	_, ok := model.(CheapQuery)
+	return ok
+}
+
 // BlockKey returns the canonical cache key for a block: its rendered
 // instruction text, which is exactly the information a cost model sees.
 func BlockKey(b *x86.BasicBlock) string { return b.String() }
@@ -147,27 +167,29 @@ func (c *Cache) Stats() CacheStats {
 	}
 }
 
-// PredictThrough resolves a prediction for every block through the cache
-// (which may be nil) and then the model, issuing at most batch blocks per
-// PredictBatch call (batch <= 0 means one call for all misses). Duplicate
+// PredictThrough is the one route from a caller to a cost model. It
+// resolves a prediction for every block through the cache (which may be
+// nil) and then the model, issuing at most batch blocks per call (batch
+// <= 0 means one call for all misses): the model's own PredictBatch when
+// it implements BatchModel, FanOut over Predict otherwise. Duplicate
 // blocks within the slice are predicted once. Results are written into
 // preds, which must have len(blocks) elements. It returns how many of the
 // queries were answered without a model evaluation (cache hits plus
 // within-batch duplicates) and how many blocks the model actually evaluated.
 //
 // A model that declares CheapQuery skips the key, the dedup and the
-// cache: every block goes to PredictBatch, and saved is 0.
-func PredictThrough(cache *Cache, model BatchModel, blocks []*x86.BasicBlock, batch int, preds []float64) (saved, evaluated int) {
+// cache: every block goes to the model, and saved is 0.
+func PredictThrough(cache *Cache, model Model, blocks []*x86.BasicBlock, batch int, preds []float64) (saved, evaluated int) {
 	if len(blocks) == 0 {
 		return 0, 0
 	}
 	if batch <= 0 {
 		batch = len(blocks)
 	}
-	if _, ok := model.(CheapQuery); ok {
+	if cheap(model) {
 		for start := 0; start < len(blocks); start += batch {
 			end := min(start+batch, len(blocks))
-			copy(preds[start:end], model.PredictBatch(blocks[start:end]))
+			copy(preds[start:end], AsBatch(model).PredictBatch(blocks[start:end]))
 		}
 		return 0, len(blocks)
 	}
@@ -207,11 +229,8 @@ func PredictThrough(cache *Cache, model BatchModel, blocks []*x86.BasicBlock, ba
 	}
 	sc.missKeys, sc.missBlocks = missKeys, missBlocks // keep grown buffers
 	for start := 0; start < len(missBlocks); start += batch {
-		end := start + batch
-		if end > len(missBlocks) {
-			end = len(missBlocks)
-		}
-		out := model.PredictBatch(missBlocks[start:end])
+		end := min(start+batch, len(missBlocks))
+		out := AsBatch(model).PredictBatch(missBlocks[start:end])
 		for j, v := range out {
 			key := missKeys[start+j]
 			if cache != nil {
@@ -256,57 +275,4 @@ func (sc *predictScratch) release() {
 	sc.missKeys = sc.missKeys[:0]
 	sc.missBlocks = sc.missBlocks[:0]
 	ptScratchPool.Put(sc)
-}
-
-// CachedModel wraps a BatchModel with a prediction cache. It implements
-// BatchModel itself, so caching composes with any explainer or pipeline
-// that consumes the interface. A wrapped model that declares CheapQuery
-// is queried directly and leaves the cache empty.
-type CachedModel struct {
-	model BatchModel
-	cache *Cache
-}
-
-var _ BatchModel = (*CachedModel)(nil)
-
-// WithCache wraps model. A nil cache allocates a default-sized one.
-func WithCache(model BatchModel, cache *Cache) *CachedModel {
-	if cache == nil {
-		cache = NewCache(0)
-	}
-	return &CachedModel{model: model, cache: cache}
-}
-
-// Name implements Model.
-func (m *CachedModel) Name() string { return m.model.Name() }
-
-// Arch implements Model.
-func (m *CachedModel) Arch() x86.Arch { return m.model.Arch() }
-
-// Cache returns the underlying cache (for stats).
-func (m *CachedModel) Cache() *Cache { return m.cache }
-
-// Unwrap returns the wrapped model.
-func (m *CachedModel) Unwrap() BatchModel { return m.model }
-
-// Predict implements Model with a cache lookup first.
-func (m *CachedModel) Predict(b *x86.BasicBlock) float64 {
-	if _, ok := m.model.(CheapQuery); ok {
-		return m.model.Predict(b)
-	}
-	key := BlockKey(b)
-	if v, ok := m.cache.Get(key); ok {
-		return v
-	}
-	v := m.model.Predict(b)
-	m.cache.Put(key, v)
-	return v
-}
-
-// PredictBatch implements BatchModel: hits are served from the cache,
-// misses are deduplicated and forwarded in one batch.
-func (m *CachedModel) PredictBatch(blocks []*x86.BasicBlock) []float64 {
-	preds := make([]float64, len(blocks))
-	PredictThrough(m.cache, m.model, blocks, 0, preds)
-	return preds
 }

@@ -24,10 +24,11 @@ type Model interface {
 // probe: a closed-form model (the analytical model C, the mca static
 // analyzer) evaluates a block faster than PredictThrough can render its
 // cache key, and its perturbation draws collide too rarely for hits to
-// repay that key. PredictThrough sends such a model's queries straight to
-// PredictBatch, and the explainer and the service keep no cache for it.
-// A wrapper that does not forward the method (costmodel.Func, a timing
-// or remote model) hides the declaration and is cached as usual.
+// repay that key. This package alone reads the declaration:
+// PredictThrough sends such a model's queries straight to the model, and
+// NewCacheFor gives it no cache. A wrapper that does not forward the
+// method (costmodel.Func, a timing or remote model) hides the declaration
+// and is cached as usual; AsBatch's adapter does not hide it.
 type CheapQuery interface {
 	CheapQuery()
 }
@@ -36,9 +37,9 @@ type CheapQuery interface {
 // be answered at all — a remote backend became unreachable, or the
 // explainer's context was canceled mid-search. The Model interface has no
 // error channel (COMET assumes an oracle), so models abort the querying
-// computation instead of inventing values; the explainer recovers
-// QueryError panics at its API boundary and surfaces Err as an ordinary
-// error. Any other panic value propagates unchanged.
+// computation instead of inventing values; the caller's API boundary
+// recovers QueryError panics with RecoverQuery and surfaces Err as an
+// ordinary error. Any other panic value propagates unchanged.
 type QueryError struct{ Err error }
 
 // Error implements error.
@@ -47,10 +48,26 @@ func (q QueryError) Error() string { return q.Err.Error() }
 // Unwrap exposes the cause to errors.Is/As.
 func (q QueryError) Unwrap() error { return q.Err }
 
-// AbortQuery panics with a QueryError, aborting the in-flight explanation
-// (which returns err from the explainer API).
+// AbortQuery panics with a QueryError, aborting the in-flight query
+// computation (which returns err from its RecoverQuery boundary).
 func AbortQuery(err error) {
 	panic(QueryError{Err: err})
+}
+
+// RecoverQuery is the recovery boundary for AbortQuery. Deferred
+// directly by a function with a named error result,
+//
+//	defer costmodel.RecoverQuery(&err)
+//
+// it turns a QueryError panic into *err; any other panic propagates.
+func RecoverQuery(err *error) {
+	if r := recover(); r != nil {
+		qe, ok := r.(QueryError)
+		if !ok {
+			panic(r)
+		}
+		*err = qe.Err
+	}
 }
 
 // Func adapts a function to the Model interface, for tests and toy models

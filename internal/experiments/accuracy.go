@@ -21,7 +21,6 @@ type accuracyRun struct {
 	gts      []features.Set
 	probs    map[features.Kind]float64
 	fixedKnd features.Kind
-	parallel int
 }
 
 func newAccuracyRun(p Params, arch x86.Arch, nBlocks int) (*accuracyRun, error) {
@@ -29,7 +28,7 @@ func newAccuracyRun(p Params, arch x86.Arch, nBlocks int) (*accuracyRun, error) 
 		N: nBlocks, MinInstrs: 4, MaxInstrs: 10, Seed: p.DatasetSeed, SkipLabels: true,
 	})
 	model := analytical.New(arch)
-	r := &accuracyRun{arch: arch, blocks: blocks, parallel: p.parallel()}
+	r := &accuracyRun{arch: arch, blocks: blocks}
 	for _, b := range blocks {
 		gt, err := model.GroundTruth(b.Block)
 		if err != nil {
@@ -57,8 +56,7 @@ func (r *accuracyRun) cometAccuracy(p Params, seed int64, mutate func(*core.Conf
 		blocks[i] = b.Block
 	}
 	expls, err := core.NewExplainer(model, cfg).ExplainCorpus(blocks, core.CorpusOptions{
-		Workers: r.parallel,
-		Seeds:   func(i int) int64 { return seed + int64(i)*104729 },
+		Seeds: func(i int) int64 { return seed + int64(i)*104729 },
 	})
 	if err != nil {
 		return 0, err

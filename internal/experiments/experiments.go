@@ -1,7 +1,7 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation (Section 6 and Appendices E/F). Each runner returns a Table
-// that the comet-bench tool renders; DESIGN.md carries the experiment
-// index mapping runners to paper artifacts.
+// that the comet-bench tool renders; AllIDs lists the experiments and
+// Session.Run maps each to its runner.
 //
 // A Session owns the trained models and caches explanation runs so that
 // Table 3 and Figures 2-4 (which share the same underlying explanations)
@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"runtime"
 	"strings"
 	"sync"
 
@@ -40,7 +39,6 @@ type Params struct {
 	TrainBlocks     int // Ithemal training-set size
 	Epochs          int // Ithemal training epochs
 	Hidden          int // Ithemal hidden width
-	Parallel        int // worker goroutines (0 = GOMAXPROCS)
 	DatasetSeed     int64
 	Progress        io.Writer // optional progress log
 }
@@ -80,13 +78,6 @@ func (p Params) logf(format string, args ...any) {
 	if p.Progress != nil {
 		fmt.Fprintf(p.Progress, format+"\n", args...)
 	}
-}
-
-func (p Params) parallel() int {
-	if p.Parallel > 0 {
-		return p.Parallel
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // Table is a rendered experiment result.
@@ -188,8 +179,8 @@ func (s *Session) UICA(arch x86.Arch) costmodel.Model {
 // ithemalSpec is the registry spec the session's parameters correspond to.
 func (s *Session) ithemalSpec(arch x86.Arch) string {
 	p := s.Params
-	return fmt.Sprintf("ithemal@%s?train=%d&epochs=%d&hidden=%d&workers=%d&data=%d",
-		wire.ArchName(arch), p.TrainBlocks, p.Epochs, p.Hidden, p.parallel(), p.DatasetSeed+100)
+	return fmt.Sprintf("ithemal@%s?train=%d&epochs=%d&hidden=%d&data=%d",
+		wire.ArchName(arch), p.TrainBlocks, p.Epochs, p.Hidden, p.DatasetSeed+100)
 }
 
 // Ithemal returns the trained neural model for the architecture, training
@@ -241,7 +232,6 @@ func (s *Session) explainConfig(seed int64) core.Config {
 	cfg := core.DefaultConfig()
 	cfg.CoverageSamples = s.Params.CoverageSamples
 	cfg.Seed = seed
-	cfg.Parallelism = s.Params.parallel()
 	cfg.Anchor.MaxSamplesPerCand = 500
 	cfg.Anchor.MaxAnchorSize = 3
 	return cfg
@@ -267,9 +257,7 @@ func (s *Session) explainAll(key string, model costmodel.Model, blocks []bhive.B
 	for i, b := range blocks {
 		raw[i] = b.Block
 	}
-	out, err := core.NewExplainer(model, cfg).ExplainCorpus(raw, core.CorpusOptions{
-		Workers: s.Params.parallel(),
-	})
+	out, err := core.NewExplainer(model, cfg).ExplainCorpus(raw, core.CorpusOptions{})
 	if err != nil {
 		return nil, err
 	}

@@ -114,7 +114,6 @@ func (s *Session) sweepPrecision(run *accuracyRun, v float64) (float64, error) {
 	cfg.Epsilon = 0.25
 	cfg.CoverageSamples = s.Params.CoverageSamples
 	cfg.Perturb.PExplicitDepRetain = v
-	cfg.Parallelism = s.Params.parallel()
 	n := len(run.blocks)
 	if n > 10 {
 		n = 10
@@ -140,8 +139,8 @@ func (s *Session) sweepPrecision(run *accuracyRun, v float64) (float64, error) {
 // (Kaufmann & Kalyanakrishnan 2013) against classical Hoeffding bounds: at
 // the same budgets, KL bounds certify anchors with fewer samples because
 // they are tighter near p̂ = 1, which translates into equal-or-better
-// accuracy per query. This is the design-choice ablation DESIGN.md calls
-// out; it has no direct paper counterpart.
+// accuracy per query. This design-choice ablation has no direct paper
+// counterpart.
 func (s *Session) AblationBounds() (*Table, error) {
 	p := s.Params
 	run, err := newAccuracyRun(p, x86.Haswell, p.SweepBlocks)

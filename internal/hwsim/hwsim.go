@@ -1,6 +1,6 @@
 // Package hwsim is an out-of-order, port-based steady-state throughput
 // simulator for the modeled x86 subset. It plays two roles in this
-// reproduction (see DESIGN.md):
+// reproduction:
 //
 //   - at full fidelity it stands in for the real Haswell/Skylake hardware
 //     that labeled the BHive dataset, producing the "actual throughput"

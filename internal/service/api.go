@@ -46,16 +46,8 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, in inboun
 			// A chained backend (this entry itself being a remote model)
 			// aborts unanswerable queries; surface that as a gateway error
 			// instead of crashing the handler.
-			defer func() {
-				if r := recover(); r != nil {
-					qe, ok := r.(costmodel.QueryError)
-					if !ok {
-						panic(r)
-					}
-					err = qe.Err
-				}
-			}()
-			costmodel.PredictThrough(entry.cache, entry.batch, blocks, s.cfg.Base.BatchSize, preds)
+			defer costmodel.RecoverQuery(&err)
+			costmodel.PredictThrough(entry.cache, entry.model, blocks, s.cfg.Base.BatchSize, preds)
 			return nil
 		}()
 		if err != nil {

@@ -59,10 +59,11 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request, in inbound)
 	}
 	// The lease's config snapshot is authoritative: it is the job's
 	// effective configuration, so the worker computes exactly what the
-	// coordinator would have. The snapshot carries no parallelism; like
-	// a request (requestOptions), each block samples on one goroutine.
+	// coordinator would have.
 	cfg := req.Config.Apply(s.cfg.Base)
-	cfg.Parallelism = 1
+	if err := s.checkConfig(cfg); err != nil {
+		return err
+	}
 
 	// The request span (shard is a force-traced route, parented on the
 	// coordinator's traceparent) identifies the lease this worker ran.
@@ -95,7 +96,7 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request, in inbound)
 	// original corpus: results (error messages included) come out
 	// exactly as the whole-corpus run would have produced them.
 	for res := range explainer.ExplainAll(blocks, core.CorpusOptions{
-		Workers: req.Workers,
+		Workers: s.clampWorkers(req.Workers),
 		Context: ctx,
 		Seeds:   func(i int) int64 { return req.Blocks[i].Seed },
 		Index:   func(i int) int { return req.Blocks[i].Index },

@@ -20,8 +20,8 @@ import (
 // parameterized neural models, remote backends, application-registered
 // custom models — is servable without the service knowing its name. What
 // this file adds on top of the registry is instance sharing: one warmed
-// model per canonical spec, with one prediction cache unless the model
-// declares costmodel.CheapQuery, for the life of the process.
+// model per canonical spec, with the prediction cache
+// costmodel.NewCacheFor gives it, for the life of the process.
 
 // errRegistryFull signals that the per-spec instance table is at
 // capacity; the HTTP layer maps it to 429. Distinct specs (each a
@@ -37,18 +37,16 @@ var errRegistryFull = errors.New("model instance table full (too many distinct m
 // never restricted.
 var errRestrictedSpec = errors.New("spec resolves a restricted model (network or filesystem access at warm-up); start the server with -allow-restricted-specs to serve it")
 
-// modelEntry is one warmed canonical spec: the model instance, its batch
-// view, and the prediction cache every request against it shares (nil
-// for a model that declares costmodel.CheapQuery). Warm-up
-// (construction, training, remote handshake) happens exactly once, on
-// first use, guarded by the entry's once; the cache is created there,
-// once the model is known.
+// modelEntry is one warmed canonical spec: the model instance and the
+// prediction cache every request against it shares (nil where
+// costmodel.NewCacheFor gives none). Warm-up (construction, training,
+// remote handshake) happens exactly once, on first use, guarded by the
+// entry's once; the cache is created there, once the model is known.
 type modelEntry struct {
 	spec    comet.ModelSpec
 	once    sync.Once
 	warm    atomic.Bool // set after once completes; lets /metrics skip in-flight warm-ups racelessly
 	model   costmodel.Model
-	batch   costmodel.BatchModel
 	cache   *costmodel.Cache
 	epsilon float64 // model-recommended ε (analytical models quantize)
 	err     error
@@ -99,8 +97,7 @@ func (r *modelRegistry) register(name string, arch x86.Arch, m costmodel.Model, 
 		name = def.Name // fold aliases onto the canonical name
 	}
 	spec := comet.ModelSpec{Name: name, Target: wire.ArchName(arch)}
-	e := &modelEntry{spec: spec, model: m, epsilon: epsilon}
-	r.prepare(e)
+	e := &modelEntry{spec: spec, model: m, epsilon: epsilon, cache: costmodel.NewCacheFor(m, r.cacheSize)}
 	e.once.Do(func() {}) // already warm
 	e.warm.Store(true)
 	r.mu.Lock()
@@ -184,7 +181,7 @@ func (r *modelRegistry) warm(e *modelEntry, key string, trusted bool) (*modelEnt
 		} else {
 			e.model = rm.Model
 			e.epsilon = rm.Epsilon
-			r.prepare(e)
+			e.cache = costmodel.NewCacheFor(rm.Model, r.cacheSize)
 		}
 		e.warm.Store(true)
 	})
@@ -197,15 +194,6 @@ func (r *modelRegistry) warm(e *modelEntry, key string, trusted bool) (*modelEnt
 		return nil, e.err
 	}
 	return e, nil
-}
-
-// prepare gives a resolved entry its batch view and, unless the model
-// declares costmodel.CheapQuery, its prediction cache.
-func (r *modelRegistry) prepare(e *modelEntry) {
-	e.batch = costmodel.AsBatch(e.model)
-	if _, cheap := e.batch.(costmodel.CheapQuery); !cheap {
-		e.cache = costmodel.NewCache(r.cacheSize)
-	}
 }
 
 // specString returns the entry's canonical spec string (its cache and

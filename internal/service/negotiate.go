@@ -193,10 +193,18 @@ func decodeRequest[T any](s *Server, w http.ResponseWriter, r *http.Request, in 
 	return typed, nil
 }
 
+// maxBlockLen bounds the instructions of one block on every HTTP block
+// input. Building a block's dependency graph costs time and memory
+// quadratic in its length, and an explanation's feature set grows with
+// it, so the body-size cap alone bounds nothing useful. ELF uploads split
+// their blocks shorter still (ingest.DefaultMaxBlockLen).
+const maxBlockLen = 64
+
 // parseBlocks is the block parser of every route that carries block
-// text: at most MaxCorpusBlocks blocks (413 beyond), each through
-// x86.ParseBlock (400 naming the first that fails). It appends to dst; a
-// nil dst gets a slice sized for texts.
+// text: at most MaxCorpusBlocks blocks of at most maxBlockLen
+// instructions each (413 beyond either), each through x86.ParseBlock
+// (400 naming the first that fails). It appends to dst; a nil dst gets a
+// slice sized for texts.
 func (s *Server) parseBlocks(dst []*x86.BasicBlock, texts ...string) ([]*x86.BasicBlock, error) {
 	if len(texts) > s.cfg.MaxCorpusBlocks {
 		return nil, errorf(http.StatusRequestEntityTooLarge,
@@ -206,6 +214,13 @@ func (s *Server) parseBlocks(dst []*x86.BasicBlock, texts ...string) ([]*x86.Bas
 		dst = make([]*x86.BasicBlock, 0, len(texts))
 	}
 	for i, text := range texts {
+		// Counted before parsing: a parsed instruction costs tens of
+		// times its text, so one long block in a full body would
+		// otherwise allocate hundreds of MiB before the 413.
+		if n := x86.CountInstructions(text); n > maxBlockLen {
+			return nil, errorf(http.StatusRequestEntityTooLarge,
+				"block %d: %d instructions exceed the limit of %d", i, n, maxBlockLen)
+		}
 		b, err := x86.ParseBlock(text)
 		if err != nil {
 			return nil, errorf(http.StatusBadRequest, "block %d: %v", i, err)

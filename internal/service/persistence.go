@@ -105,7 +105,7 @@ func (s *Server) restoreJob(env *wire.JobEnvelope, results map[int]wire.CorpusRe
 	j := &job{
 		id:        env.ID,
 		texts:     env.Blocks,
-		workers:   env.Workers,
+		workers:   s.clampWorkers(env.Workers),
 		spec:      env.Spec,
 		snapshot:  env.Config,
 		fromStore: true,
@@ -189,7 +189,6 @@ func (s *Server) restoreJob(env *wire.JobEnvelope, results map[int]wire.CorpusRe
 	}
 	j.entry = entry
 	j.cfg = env.Config.Apply(s.cfg.Base)
-	j.cfg.Parallelism = 1 // scheduling, as in requestOptions; not in the snapshot
 	if err := s.jobs.resubmit(j); err != nil {
 		fail("re-enqueueing: %v", err)
 		return

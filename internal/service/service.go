@@ -95,7 +95,10 @@ import (
 // Config sizes the server. Zero values get production-sane defaults.
 type Config struct {
 	// Base is the default explanation configuration; zero means
-	// core.DefaultConfig. Request ConfigOverrides overlay it.
+	// core.DefaultConfig. Request ConfigOverrides overlay it. Its
+	// Parallelism is always 1: each explanation samples on one
+	// goroutine, so the explain slots bound the server's CPU use (no
+	// explanation byte depends on it).
 	Base core.Config
 	// DefaultModel is the model spec used when a request omits "model"
 	// (default "uica").
@@ -115,8 +118,9 @@ type Config struct {
 	// trusted networks to let clients chain servers.
 	AllowRestrictedSpecs bool
 	// PredictionCacheSize bounds each (model, arch) prediction cache in
-	// entries (0 = package default of about a million). A model that
-	// declares costmodel.CheapQuery (c, mca) has no cache.
+	// entries (0 = package default of about a million; negative disables
+	// caching). A model that declares costmodel.CheapQuery (c, mca) has
+	// no cache (costmodel.NewCacheFor).
 	PredictionCacheSize int
 	// MaxConcurrentExplains bounds simultaneously computing explain
 	// requests (0 = GOMAXPROCS).
@@ -217,11 +221,12 @@ func (c Config) withDefaults() Config {
 		}
 		c.Base = base
 	}
+	c.Base.Parallelism = 1
 	if c.DefaultModel == "" {
 		c.DefaultModel = "uica"
 	}
 	if c.MaxConcurrentExplains <= 0 {
-		c.MaxConcurrentExplains = defaultParallelism()
+		c.MaxConcurrentExplains = runtime.GOMAXPROCS(0)
 	}
 	if c.MaxQueuedExplains <= 0 {
 		c.MaxQueuedExplains = 4 * c.MaxConcurrentExplains
@@ -286,8 +291,6 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
-
-func defaultParallelism() int { return runtime.GOMAXPROCS(0) }
 
 // Server is the cometd HTTP server. Construct with New, mount Handler,
 // and call Shutdown on the way out.
@@ -689,17 +692,31 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 }
 
 // requestOptions compiles a request into the library's per-request
-// explain options: the model's recommended ε and a Parallelism of 1
-// first, then the client's overrides in wire order — exactly what a
-// library caller would pass to comet.ExplainContext. Parallelism 1 is a
-// scheduling choice: each request samples on its one goroutine, so the
-// explain slots bound the server's CPU use; it does not change a byte.
+// explain options: the model's recommended ε first, then the client's
+// overrides in wire order — exactly what a library caller would pass to
+// comet.ExplainContext.
 func requestOptions(entry *modelEntry, o *wire.ConfigOverrides) []core.ExplainOption {
-	opts := []core.ExplainOption{
-		core.WithEpsilon(entry.epsilon),
-		core.WithParallelism(1),
+	return append([]core.ExplainOption{core.WithEpsilon(entry.epsilon)}, o.Options()...)
+}
+
+// maxCoverageSamples bounds a client's coverage pool at the paper's
+// setting (experiments.PaperParams). The pool allocates CoverageSamples
+// flags per feature up front, so this value sizes an allocation directly.
+const maxCoverageSamples = 10000
+
+// checkConfig answers 400 to a compiled client config whose coverage
+// pool exceeds maxCoverageSamples, or the server's own base if larger.
+func (s *Server) checkConfig(cfg core.Config) error {
+	if limit := max(maxCoverageSamples, s.cfg.Base.CoverageSamples); cfg.CoverageSamples > limit {
+		return errorf(http.StatusBadRequest, "coverage_samples %d exceeds the limit of %d", cfg.CoverageSamples, limit)
 	}
-	return append(opts, o.Options()...)
+	return nil
+}
+
+// clampWorkers caps a corpus job's or shard's block-level concurrency at
+// the explain-slot budget. Explanations are identical at any worker count.
+func (s *Server) clampWorkers(workers int) int {
+	return min(workers, s.cfg.MaxConcurrentExplains)
 }
 
 // storeError counts and logs a durable-store failure. The store is an
@@ -783,7 +800,11 @@ func (s *Server) resolveExplain(req *wire.ExplainRequest) (explainCall, error) {
 		return explainCall{}, err
 	}
 	call := explainCall{entry: entry, block: blocks[0], opts: requestOptions(entry, req.Config)}
-	call.snap = wire.SnapshotConfig(core.ApplyOptions(s.cfg.Base, call.opts...))
+	cfg := core.ApplyOptions(s.cfg.Base, call.opts...)
+	if err := s.checkConfig(cfg); err != nil {
+		return explainCall{}, err
+	}
+	call.snap = wire.SnapshotConfig(cfg)
 	call.key = persist.ExplanationID(entry.specString(), call.snap, call.block.String())
 	return call, nil
 }
@@ -1030,11 +1051,14 @@ func (s *Server) submitCorpusJob(w http.ResponseWriter, r *http.Request, blocks 
 		return err
 	}
 	cfg := core.ApplyOptions(s.cfg.Base, requestOptions(entry, overrides)...)
+	if err := s.checkConfig(cfg); err != nil {
+		return err
+	}
 	j := &job{
 		blocks:   blocks,
 		entry:    entry,
 		cfg:      cfg,
-		workers:  workers,
+		workers:  s.clampWorkers(workers),
 		spec:     entry.specString(),
 		snapshot: wire.SnapshotConfig(cfg),
 	}

@@ -591,6 +591,45 @@ func TestPredictionCacheMetricsFollowCheapQuery(t *testing.T) {
 	}
 }
 
+// cheapPlainModel declares costmodel.CheapQuery without a native batch
+// path.
+type cheapPlainModel struct{ costmodel.Model }
+
+func (cheapPlainModel) CheapQuery() {}
+
+// TestCheapQueryWithoutBatchPathIsUncached: the declaration alone
+// decides caching, so a registered plain model that declares
+// costmodel.CheapQuery warms with no prediction cache, and its explain
+// and predict queries all reach the model.
+func TestCheapQueryWithoutBatchPathIsUncached(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	s.RegisterModel("cheapplain", x86.Haswell, cheapPlainModel{uica.New(x86.Haswell)}, 0)
+	resp, body := postJSON(t, ts.URL+"/v1/explain", wire.ExplainRequest{
+		Block: testBlock, Model: "cheapplain", Config: fastOverrides(),
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("explain: status %d: %s", resp.StatusCode, body)
+	}
+	var expl wire.Explanation
+	if err := json.Unmarshal(body, &expl); err != nil {
+		t.Fatal(err)
+	}
+	if expl.Queries == 0 || expl.CacheHits != 0 || expl.ModelCalls != expl.Queries {
+		t.Errorf("queries %d, cache hits %d, model calls %d; want every query evaluated",
+			expl.Queries, expl.CacheHits, expl.ModelCalls)
+	}
+	if resp, body := postJSON(t, ts.URL+"/v1/predict", wire.PredictRequest{
+		Blocks: []string{testBlock, testBlock}, Model: "cheapplain",
+	}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("predict: status %d: %s", resp.StatusCode, body)
+	}
+	for _, line := range strings.Split(fetchMetrics(t, ts.URL), "\n") {
+		if strings.HasPrefix(line, "comet_prediction_cache_") && strings.Contains(line, `model="cheapplain"`) {
+			t.Errorf("cache series for a CheapQuery model: %s", line)
+		}
+	}
+}
+
 func TestGracefulShutdown(t *testing.T) {
 	s := New(Config{JobWorkers: 1})
 	ts := httptest.NewServer(s.Handler())

@@ -35,10 +35,12 @@ import (
 //	3 — ConfigSnapshot lost Parallelism: each Γ draw is seeded from its
 //	    index, so the worker count is no longer part of an
 //	    explanation's identity, and version-2 peers sample differently.
+//	4 — ConfigOverrides lost Parallelism: the server samples each
+//	    explanation on one goroutine, whatever the client asks.
 //
 // Peers on different versions reject each other's frames with a 400
 // error; no client falls back to JSON, so a fleet runs one build.
-const BinaryVersion = 3
+const BinaryVersion = 4
 
 // errNoBinary reports a message type without a binary encoding; Call
 // sends such messages as JSON.
@@ -415,7 +417,6 @@ func appendOverrides(dst []byte, o *ConfigOverrides) []byte {
 	dst = appendF64(dst, o.PrecisionThreshold)
 	dst = appendInt(dst, o.CoverageSamples)
 	dst = appendInt(dst, o.BatchSize)
-	dst = appendInt(dst, o.Parallelism)
 	return appendI64(dst, o.Seed)
 }
 
@@ -428,7 +429,6 @@ func decodeOverrides(d *bdec) *ConfigOverrides {
 	o.PrecisionThreshold = d.f64()
 	o.CoverageSamples = d.int_()
 	o.BatchSize = d.int_()
-	o.Parallelism = d.int_()
 	o.Seed = d.varint()
 	return o
 }

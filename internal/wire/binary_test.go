@@ -70,7 +70,7 @@ func sampleMessages() []any {
 		&CorpusResult{Index: 8, Block: "pop rbx", Error: "model exploded"},
 		&ExplainRequest{Block: expl.Block, Model: "c", Arch: "skl",
 			Config: &ConfigOverrides{Epsilon: 0.25, PrecisionThreshold: 0.9,
-				CoverageSamples: 200, BatchSize: 32, Parallelism: 2, Seed: -7}},
+				CoverageSamples: 200, BatchSize: 32, Seed: -7}},
 		&ExplainRequest{Block: "add rax, rbx"},
 		&PredictRequest{Blocks: []string{"add rax, rbx", "pop rcx"}, Model: "uica", Arch: "hsw"},
 		&PredictRequest{},

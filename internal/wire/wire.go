@@ -293,15 +293,14 @@ func FromCorpusResult(r core.CorpusResult) CorpusResult {
 }
 
 // ConfigOverrides carries the per-request explanation hyperparameters the
-// API exposes. Zero values mean "server default". Parallelism only
-// schedules a request's sampling (the server defaults it to 1); no
-// explanation byte depends on it.
+// API exposes. Zero values mean "server default". There is no
+// parallelism override: the server samples each explanation on one
+// goroutine, and no explanation byte depends on it.
 type ConfigOverrides struct {
 	Epsilon            float64 `json:"epsilon,omitempty"`
 	PrecisionThreshold float64 `json:"precision_threshold,omitempty"`
 	CoverageSamples    int     `json:"coverage_samples,omitempty"`
 	BatchSize          int     `json:"batch_size,omitempty"`
-	Parallelism        int     `json:"parallelism,omitempty"`
 	Seed               int64   `json:"seed,omitempty"`
 }
 
@@ -325,9 +324,6 @@ func (o *ConfigOverrides) Options() []core.ExplainOption {
 	}
 	if o.BatchSize > 0 {
 		opts = append(opts, core.WithBatchSize(o.BatchSize))
-	}
-	if o.Parallelism > 0 {
-		opts = append(opts, core.WithParallelism(o.Parallelism))
 	}
 	if o.Seed != 0 {
 		opts = append(opts, core.WithSeed(o.Seed))

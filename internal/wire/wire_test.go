@@ -157,9 +157,9 @@ func TestConfigOverridesOptions(t *testing.T) {
 	if opts := (*ConfigOverrides)(nil).Options(); len(opts) != 0 {
 		t.Errorf("nil overrides produced %d options", len(opts))
 	}
-	o := &ConfigOverrides{Epsilon: 0.25, CoverageSamples: 42, Seed: 7, Parallelism: 2}
+	o := &ConfigOverrides{Epsilon: 0.25, CoverageSamples: 42, Seed: 7}
 	got := core.ApplyOptions(base, o.Options()...)
-	if got.Epsilon != 0.25 || got.CoverageSamples != 42 || got.Seed != 7 || got.Parallelism != 2 {
+	if got.Epsilon != 0.25 || got.CoverageSamples != 42 || got.Seed != 7 {
 		t.Errorf("overrides not applied: %+v", got)
 	}
 	if got.PrecisionThreshold != base.PrecisionThreshold || got.BatchSize != base.BatchSize {

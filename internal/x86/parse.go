@@ -12,8 +12,7 @@ import (
 func ParseBlock(src string) (*BasicBlock, error) {
 	var insts []Instruction
 	for lineNo, raw := range strings.Split(src, "\n") {
-		line := stripComment(raw)
-		line = strings.TrimSpace(line)
+		line := instructionText(raw)
 		if line == "" {
 			continue
 		}
@@ -40,11 +39,29 @@ func MustParseBlock(src string) *BasicBlock {
 	return b
 }
 
-func stripComment(line string) string {
-	if i := strings.IndexAny(line, ";#"); i >= 0 {
-		return line[:i]
+// CountInstructions returns how many instructions ParseBlock would parse
+// from src — its lines that are not blank or comment-only — without
+// parsing or allocating, so a caller can bound a block's length before
+// paying for it.
+func CountInstructions(src string) int {
+	n := 0
+	for src != "" {
+		var line string
+		line, src, _ = strings.Cut(src, "\n")
+		if instructionText(line) != "" {
+			n++
+		}
 	}
-	return line
+	return n
+}
+
+// instructionText is one source line's instruction, without its comment
+// and surrounding space; "" for a blank or comment-only line.
+func instructionText(line string) string {
+	if i := strings.IndexAny(line, ";#"); i >= 0 {
+		line = line[:i]
+	}
+	return strings.TrimSpace(line)
 }
 
 // ParseInstruction parses a single Intel-syntax instruction such as

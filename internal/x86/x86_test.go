@@ -174,6 +174,28 @@ func TestParseComments(t *testing.T) {
 	}
 }
 
+// TestCountInstructionsMatchesParse: CountInstructions counts exactly
+// the lines ParseBlock turns into instructions.
+func TestCountInstructionsMatchesParse(t *testing.T) {
+	for _, src := range []string{
+		"add rcx, rax",
+		"add rcx, rax\n",
+		"\n  \n1: add rcx, rax\n; only a comment\n\tmov rdx, rcx # comment\n# another\n\npop rbx\n",
+		"add rcx, rax ; RAW with next\r\nmov rdx, rcx\r\n",
+	} {
+		b, err := ParseBlock(src)
+		if err != nil {
+			t.Fatalf("%q: %v", src, err)
+		}
+		if got := CountInstructions(src); got != b.Len() {
+			t.Errorf("%q: CountInstructions %d, ParseBlock %d", src, got, b.Len())
+		}
+	}
+	if got := CountInstructions(""); got != 0 {
+		t.Errorf("empty source counts %d", got)
+	}
+}
+
 func TestParseHexImmediate(t *testing.T) {
 	inst, err := ParseInstruction("add rax, 0x10")
 	if err != nil {

@@ -28,7 +28,7 @@ const AnalyticalEpsilon = analytical.Epsilon
 
 // UICAModel is the uiCA surrogate: the shared pipeline simulator at a
 // coarsened fidelity, giving an accurate but imperfect simulation-based
-// model (see DESIGN.md for the substitution rationale).
+// model in place of the real uiCA tool.
 type UICAModel = uica.Model
 
 // NewUICAModel builds the uiCA surrogate for a microarchitecture.
