@@ -122,7 +122,7 @@ func main() {
 		resultStore  = flag.Int("result-store", 1024, "explanation LRU result-store keys: one per explanation, plus one per distinct binary request frame")
 		streamRing   = flag.Int("stream-ring", 0, "results retained for catch-up reads per stream-only corpus job; a reader further behind gets a lag error (0 = 4096)")
 		jobHistory   = flag.Int("job-history", 64, "finished jobs retained for polling")
-		cacheSize    = flag.Int("prediction-cache", 0, "prediction-cache entries per (model, arch) (0 = ~1M, negative = no cache)")
+		cacheSize    = flag.Int("prediction-cache", 0, "prediction-cache entries per (model, arch) (0 = ~1M)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget")
 		storeDir     = flag.String("store-dir", "", "durable store directory: explanations and corpus-job checkpoints persist across restarts, which reload warm results and resume interrupted jobs (empty = in-memory only)")
 		storeMax     = flag.Int64("store-max-bytes", 1<<30, "durable-store live-data budget enforced at compaction (0 = 1 GiB; negative = unbounded)")

@@ -185,7 +185,8 @@ func WithCoverageSamples(n int) ExplainOption { return core.WithCoverageSamples(
 func WithBatchSize(n int) ExplainOption { return core.WithBatchSize(n) }
 
 // WithParallelism bounds the goroutines that draw the request's Γ
-// samples (0 restores the GOMAXPROCS default). It schedules work only:
+// samples and that query a model without a native PredictBatch (0
+// restores the GOMAXPROCS default). It schedules work only:
 // the explanation is the same at any parallelism.
 func WithParallelism(n int) ExplainOption { return core.WithParallelism(n) }
 

@@ -47,8 +47,9 @@ type Config struct {
 	// coverage estimation (paper: 10k; scale down for speed).
 	CoverageSamples int
 	// Parallelism bounds the goroutines that draw Γ samples for one
-	// explanation (0 = GOMAXPROCS). It is a scheduling width only: each
-	// draw is seeded from its index, so explanations do not depend on it.
+	// explanation, and that query a model without a native PredictBatch
+	// (0 = GOMAXPROCS). It is a scheduling width only: each draw is
+	// seeded from its index, so explanations do not depend on it.
 	Parallelism int
 	// BatchSize is how many perturbed blocks are sent to the cost model
 	// per PredictBatch call (default 64). Models with native batching
@@ -153,7 +154,7 @@ func (cfg Config) withDefaults() Config {
 
 // NewExplainer builds an explainer. The model must be safe for concurrent
 // Predict calls; if it implements costmodel.BatchModel its native batch
-// path is used, otherwise queries fan out over GOMAXPROCS workers. Its
+// path is used, otherwise queries fan out over cfg.Parallelism workers. Its
 // prediction cache comes from costmodel.NewCacheFor: none for a model
 // that declares costmodel.CheapQuery or for a negative cfg.CacheSize.
 func NewExplainer(model costmodel.Model, cfg Config) *Explainer {
@@ -303,7 +304,7 @@ func EstimatePrecision(model costmodel.Model, b *x86.BasicBlock, set features.Se
 		batch = 64
 	}
 	preds := make([]float64, n+1)
-	costmodel.PredictThrough(nil, model, blocks, batch, preds)
+	costmodel.PredictThrough(nil, model, blocks, batch, cfg.Parallelism, preds)
 	succ := 0
 	for _, pred := range preds[1:] {
 		if inBall(pred, preds[0], cfg.Epsilon) {
@@ -439,7 +440,7 @@ func (s *blockSpace) predictAll(blocks []*x86.BasicBlock) []float64 {
 	s.preds = slices.Grow(s.preds[:0], len(blocks))[:len(blocks)]
 	preds := s.preds
 	start := time.Now()
-	saved, evaluated := costmodel.PredictThrough(s.cache, s.model, blocks, s.batch, preds)
+	saved, evaluated := costmodel.PredictThrough(s.cache, s.model, blocks, s.batch, s.workers, preds)
 	s.modelTime += time.Since(start)
 	s.queries += len(blocks)
 	s.cacheHits += saved

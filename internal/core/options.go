@@ -40,7 +40,8 @@ func WithBatchSize(n int) ExplainOption {
 }
 
 // WithParallelism bounds the goroutines that draw this request's Γ
-// samples (0 restores the GOMAXPROCS default). It schedules work only:
+// samples and that query a model without a native PredictBatch (0
+// restores the GOMAXPROCS default). It schedules work only:
 // every draw is seeded from its index, so the explanation is the same at
 // any parallelism.
 func WithParallelism(n int) ExplainOption {

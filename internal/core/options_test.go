@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -117,22 +116,25 @@ func TestEffectiveConfig(t *testing.T) {
 // surfaces as an ordinary error from the explainer, not a panic.
 func TestQueryErrorRecovery(t *testing.T) {
 	boom := errors.New("backend unreachable")
-	var n atomic.Int64
+	n := 0
 	failing := costmodel.Func{ModelName: "flaky", ModelArch: x86.Haswell,
 		Fn: func(blk *x86.BasicBlock) float64 {
-			if n.Add(1) > 10 {
+			n++
+			if n > 10 {
 				costmodel.AbortQuery(boom)
 			}
 			return float64(blk.Len())
 		}}
+	cfg := testConfig()
+	cfg.Parallelism = 1
 	b := x86.MustParseBlock("add rcx, rax\nmov rdx, rcx\npop rbx")
-	_, err := NewExplainer(failing, testConfig()).Explain(b)
+	_, err := NewExplainer(failing, cfg).Explain(b)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want the aborted query's cause", err)
 	}
 	// EstimatePrecision is a recovery boundary too.
-	n.Store(0)
-	_, err = EstimatePrecision(failing, b, nil, testConfig(), 200, rand.New(rand.NewSource(1)))
+	n = 0
+	_, err = EstimatePrecision(failing, b, nil, cfg, 200, rand.New(rand.NewSource(1)))
 	if !errors.Is(err, boom) {
 		t.Fatalf("EstimatePrecision: err = %v, want the aborted query's cause", err)
 	}

@@ -27,21 +27,23 @@ type BatchModel interface {
 
 // AsBatch returns model itself when it already implements BatchModel, and
 // otherwise adapts it by fanning Predict calls out with FanOut.
-// PredictThrough sees through the adapter, so wrapping a model never
-// hides its CheapQuery declaration.
 func AsBatch(model Model) BatchModel {
 	if bm, ok := model.(BatchModel); ok {
 		return bm
 	}
-	return fanOut{model}
+	return fanOut{model, 0}
 }
 
-// fanOut is AsBatch's adapter for a model without a native batch path.
-type fanOut struct{ Model }
+// fanOut adapts a model without a native batch path, fanning out over at
+// most workers goroutines (0 = GOMAXPROCS).
+type fanOut struct {
+	Model
+	workers int
+}
 
 // PredictBatch implements BatchModel by parallel fan-out.
 func (f fanOut) PredictBatch(blocks []*x86.BasicBlock) []float64 {
-	return FanOut(blocks, 0, f.Predict)
+	return FanOut(blocks, f.workers, f.Predict)
 }
 
 // FanOut evaluates predict over every block with at most workers goroutines

@@ -2,8 +2,11 @@ package costmodel
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/comet-explain/comet/internal/x86"
 )
@@ -133,7 +136,7 @@ func TestPredictThroughDeduplicatesAndCounts(t *testing.T) {
 	b2 := x86.MustParseBlock("mov rcx, rdx")
 	blocks := []*x86.BasicBlock{b1, b2, b1, b1, b2}
 	preds := make([]float64, len(blocks))
-	saved, evaluated := PredictThrough(c, model, blocks, 2, preds)
+	saved, evaluated := PredictThrough(c, model, blocks, 2, 0, preds)
 	if evaluated != 2 {
 		t.Errorf("evaluated = %d, want 2 (unique blocks)", evaluated)
 	}
@@ -146,7 +149,7 @@ func TestPredictThroughDeduplicatesAndCounts(t *testing.T) {
 		}
 	}
 	// A second pass over the same blocks is all cache hits.
-	saved, evaluated = PredictThrough(c, model, blocks, 2, preds)
+	saved, evaluated = PredictThrough(c, model, blocks, 2, 0, preds)
 	if saved != len(blocks) || evaluated != 0 {
 		t.Errorf("warm pass: saved=%d evaluated=%d", saved, evaluated)
 	}
@@ -187,7 +190,7 @@ func TestPredictThroughBypassesCacheForCheapQuery(t *testing.T) {
 	c := NewCache(0)
 	for pass := 0; pass < 2; pass++ {
 		clear(preds)
-		saved, evaluated := PredictThrough(c, cheap, blocks, 2, preds)
+		saved, evaluated := PredictThrough(c, cheap, blocks, 2, 0, preds)
 		if saved != 0 || evaluated != len(blocks) {
 			t.Errorf("cheap pass %d: saved=%d evaluated=%d, want 0 and %d", pass, saved, evaluated, len(blocks))
 		}
@@ -205,7 +208,7 @@ func TestPredictThroughBypassesCacheForCheapQuery(t *testing.T) {
 	// The same model without the declaration is deduplicated and cached.
 	plain := &batchLenModel{}
 	clear(preds)
-	saved, evaluated := PredictThrough(c, plain, blocks, 2, preds)
+	saved, evaluated := PredictThrough(c, plain, blocks, 2, 0, preds)
 	if saved != 3 || evaluated != 2 || plain.calls != 2 {
 		t.Errorf("plain: saved=%d evaluated=%d calls=%d, want 3, 2, 2", saved, evaluated, plain.calls)
 	}
@@ -223,32 +226,63 @@ func (*cheapPlainModel) CheapQuery() {}
 
 // TestCheapQueryWithoutBatchPathGoesUncached: a model that declares
 // CheapQuery but has no PredictBatch is queried directly, with no key,
-// dedup or cache, whether it is passed as is or through AsBatch's
-// adapter, and NewCacheFor gives it no cache.
+// dedup or cache, and NewCacheFor gives it no cache.
 func TestCheapQueryWithoutBatchPathGoesUncached(t *testing.T) {
 	b1 := x86.MustParseBlock("add rax, rbx")
 	blocks := []*x86.BasicBlock{b1, b1, b1}
-	for _, wrap := range []func(Model) Model{
-		func(m Model) Model { return m },
-		func(m Model) Model { return AsBatch(m) },
-	} {
-		cheap := &cheapPlainModel{}
-		model := wrap(cheap)
-		if c := NewCacheFor(model, 0); c != nil {
-			t.Errorf("%T: NewCacheFor returned a cache", model)
-		}
-		c := NewCache(0)
+	model := &cheapPlainModel{}
+	if c := NewCacheFor(model, 0); c != nil {
+		t.Error("NewCacheFor returned a cache")
+	}
+	c := NewCache(0)
+	preds := make([]float64, len(blocks))
+	saved, evaluated := PredictThrough(c, model, blocks, 2, 0, preds)
+	if saved != 0 || evaluated != len(blocks) || model.calls != len(blocks) {
+		t.Errorf("saved=%d evaluated=%d calls=%d, want 0, %d, %d",
+			saved, evaluated, model.calls, len(blocks), len(blocks))
+	}
+	if preds[2] != 0.25 {
+		t.Errorf("preds %v", preds)
+	}
+	if st := c.Stats(); st != (CacheStats{}) {
+		t.Errorf("cache touched: %+v", st)
+	}
+}
+
+// peakModel records the most Predict calls it has seen in flight at once.
+type peakModel struct {
+	lenModel
+	inFlight, peak atomic.Int32
+}
+
+func (m *peakModel) Predict(b *x86.BasicBlock) float64 {
+	n := m.inFlight.Add(1)
+	for p := m.peak.Load(); n > p && !m.peak.CompareAndSwap(p, n); p = m.peak.Load() {
+	}
+	time.Sleep(100 * time.Microsecond)
+	defer m.inFlight.Add(-1)
+	return m.lenModel.Predict(b)
+}
+
+// TestPredictThroughBoundsFanOut: a model without a native batch path is
+// queried by at most workers goroutines at once, whatever GOMAXPROCS is.
+func TestPredictThroughBoundsFanOut(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	blocks := make([]*x86.BasicBlock, 128) // distinct, so none dedup away
+	for i := range blocks {
+		blocks[i] = x86.MustParseBlock(fmt.Sprintf("add rcx, %d", i))
+	}
+	for _, workers := range []int{1, 2} {
+		model := &peakModel{}
 		preds := make([]float64, len(blocks))
-		saved, evaluated := PredictThrough(c, model, blocks, 2, preds)
-		if saved != 0 || evaluated != len(blocks) || cheap.calls != len(blocks) {
-			t.Errorf("%T: saved=%d evaluated=%d calls=%d, want 0, %d, %d",
-				model, saved, evaluated, cheap.calls, len(blocks), len(blocks))
+		PredictThrough(nil, model, blocks, 0, workers, preds)
+		if p := model.peak.Load(); p > int32(workers) {
+			t.Errorf("workers=%d: %d Predict calls ran at once", workers, p)
 		}
-		if preds[2] != 0.25 {
-			t.Errorf("%T: preds %v", model, preds)
-		}
-		if st := c.Stats(); st != (CacheStats{}) {
-			t.Errorf("%T: cache touched: %+v", model, st)
+		for i, b := range blocks {
+			if preds[i] != float64(b.Len())/4 {
+				t.Fatalf("workers=%d: preds[%d] = %v", workers, i, preds[i])
+			}
 		}
 	}
 }

@@ -58,20 +58,10 @@ func NewCache(maxEntries int) *Cache {
 // bounded like NewCache, or nil when they should go uncached: for
 // maxEntries < 0, and for a model that declares CheapQuery.
 func NewCacheFor(model Model, maxEntries int) *Cache {
-	if maxEntries < 0 || cheap(model) {
+	if _, cheap := model.(CheapQuery); cheap || maxEntries < 0 {
 		return nil
 	}
 	return NewCache(maxEntries)
-}
-
-// cheap reports whether model declares CheapQuery, looking through
-// AsBatch's adapter.
-func cheap(model Model) bool {
-	if f, ok := model.(fanOut); ok {
-		model = f.Model
-	}
-	_, ok := model.(CheapQuery)
-	return ok
 }
 
 // BlockKey returns the canonical cache key for a block: its rendered
@@ -171,7 +161,8 @@ func (c *Cache) Stats() CacheStats {
 // resolves a prediction for every block through the cache (which may be
 // nil) and then the model, issuing at most batch blocks per call (batch
 // <= 0 means one call for all misses): the model's own PredictBatch when
-// it implements BatchModel, FanOut over Predict otherwise. Duplicate
+// it implements BatchModel, otherwise FanOut over Predict with at most
+// workers goroutines (0 = GOMAXPROCS). Duplicate
 // blocks within the slice are predicted once. Results are written into
 // preds, which must have len(blocks) elements. It returns how many of the
 // queries were answered without a model evaluation (cache hits plus
@@ -179,17 +170,21 @@ func (c *Cache) Stats() CacheStats {
 //
 // A model that declares CheapQuery skips the key, the dedup and the
 // cache: every block goes to the model, and saved is 0.
-func PredictThrough(cache *Cache, model Model, blocks []*x86.BasicBlock, batch int, preds []float64) (saved, evaluated int) {
+func PredictThrough(cache *Cache, model Model, blocks []*x86.BasicBlock, batch, workers int, preds []float64) (saved, evaluated int) {
 	if len(blocks) == 0 {
 		return 0, 0
 	}
 	if batch <= 0 {
 		batch = len(blocks)
 	}
-	if cheap(model) {
+	bm, ok := model.(BatchModel)
+	if !ok {
+		bm = fanOut{model, workers}
+	}
+	if _, cheap := model.(CheapQuery); cheap {
 		for start := 0; start < len(blocks); start += batch {
 			end := min(start+batch, len(blocks))
-			copy(preds[start:end], AsBatch(model).PredictBatch(blocks[start:end]))
+			copy(preds[start:end], bm.PredictBatch(blocks[start:end]))
 		}
 		return 0, len(blocks)
 	}
@@ -230,7 +225,7 @@ func PredictThrough(cache *Cache, model Model, blocks []*x86.BasicBlock, batch i
 	sc.missKeys, sc.missBlocks = missKeys, missBlocks // keep grown buffers
 	for start := 0; start < len(missBlocks); start += batch {
 		end := min(start+batch, len(missBlocks))
-		out := AsBatch(model).PredictBatch(missBlocks[start:end])
+		out := bm.PredictBatch(missBlocks[start:end])
 		for j, v := range out {
 			key := missKeys[start+j]
 			if cache != nil {

@@ -27,8 +27,8 @@ type Model interface {
 // repay that key. This package alone reads the declaration:
 // PredictThrough sends such a model's queries straight to the model, and
 // NewCacheFor gives it no cache. A wrapper that does not forward the
-// method (costmodel.Func, a timing or remote model) hides the declaration
-// and is cached as usual; AsBatch's adapter does not hide it.
+// method (costmodel.Func, AsBatch's adapter, a timing or remote model)
+// hides the declaration and is cached as usual.
 type CheapQuery interface {
 	CheapQuery()
 }
@@ -61,12 +61,11 @@ func AbortQuery(err error) {
 //
 // it turns a QueryError panic into *err; any other panic propagates.
 func RecoverQuery(err *error) {
-	if r := recover(); r != nil {
-		qe, ok := r.(QueryError)
-		if !ok {
-			panic(r)
-		}
+	r := recover()
+	if qe, ok := r.(QueryError); ok {
 		*err = qe.Err
+	} else if r != nil {
+		panic(r)
 	}
 }
 

@@ -47,7 +47,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, in inboun
 			// aborts unanswerable queries; surface that as a gateway error
 			// instead of crashing the handler.
 			defer costmodel.RecoverQuery(&err)
-			costmodel.PredictThrough(entry.cache, entry.model, blocks, s.cfg.Base.BatchSize, preds)
+			costmodel.PredictThrough(entry.cache, entry.model, blocks, s.cfg.Base.BatchSize, 0, preds)
 			return nil
 		}()
 		if err != nil {

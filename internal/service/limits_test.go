@@ -124,31 +124,37 @@ func (m *peakModel) PredictBatch(blocks []*x86.BasicBlock) []float64 {
 }
 
 // TestWorkersClampedToExplainSlots: corpus, upload and shard workers
-// above MaxConcurrentExplains run at that bound.
+// above MaxConcurrentExplains, or left unset, run at that bound.
 func TestWorkersClampedToExplainSlots(t *testing.T) {
 	s, ts := newTestServer(t, Config{MaxConcurrentExplains: 1})
 	s.SetReady()
 
-	resp, raw := postJSON(t, ts.URL+"/v1/corpus", wire.CorpusRequest{
-		Blocks: clusterTestBlocks, Model: "c", Config: fastOverrides(), Workers: 10000,
-	})
-	wantStatus(t, "/v1/corpus", resp, raw, http.StatusAccepted)
-	checkJobWorkers(t, s, raw)
-	resp, raw = uploadBinary(t, ts.URL, "?model=c&coverage=150&workers=10000", "application/octet-stream", readFixtureELF(t))
-	wantStatus(t, "upload", resp, raw, http.StatusAccepted)
-	checkJobWorkers(t, s, raw)
+	for _, workers := range []int{10000, 0} {
+		resp, raw := postJSON(t, ts.URL+"/v1/corpus", wire.CorpusRequest{
+			Blocks: clusterTestBlocks, Model: "c", Config: fastOverrides(), Workers: workers,
+		})
+		wantStatus(t, "/v1/corpus", resp, raw, http.StatusAccepted)
+		checkJobWorkers(t, s, raw)
+	}
+	for _, query := range []string{"&workers=10000", ""} {
+		resp, raw := uploadBinary(t, ts.URL, "?model=c&coverage=150"+query, "application/octet-stream", readFixtureELF(t))
+		wantStatus(t, "upload", resp, raw, http.StatusAccepted)
+		checkJobWorkers(t, s, raw)
+	}
 
 	model := &peakModel{BatchModel: uica.New(x86.Haswell)}
 	s.RegisterModel("peak", x86.Haswell, model, 0)
-	sreq := wire.ShardRequest{JobID: "job-x", Lease: "job-x/l0", Spec: "peak@hsw",
-		Config: shardConfigFor(t, s, fastOverrides()), Workers: 4}
-	for i, b := range clusterTestBlocks {
-		sreq.Blocks = append(sreq.Blocks, wire.ShardBlock{Index: i, Seed: int64(i + 1), Block: b})
-	}
-	resp, raw = postJSON(t, ts.URL+"/v1/shard", sreq)
-	wantStatus(t, "/v1/shard", resp, raw, http.StatusOK)
-	if p := model.peak.Load(); p != 1 {
-		t.Errorf("shard ran %d explanations at once, want 1", p)
+	for _, workers := range []int{4, 0} {
+		sreq := wire.ShardRequest{JobID: "job-x", Lease: "job-x/l0", Spec: "peak@hsw",
+			Config: shardConfigFor(t, s, fastOverrides()), Workers: workers}
+		for i, b := range clusterTestBlocks {
+			sreq.Blocks = append(sreq.Blocks, wire.ShardBlock{Index: i, Seed: int64(i + 1), Block: b})
+		}
+		resp, raw := postJSON(t, ts.URL+"/v1/shard", sreq)
+		wantStatus(t, "/v1/shard", resp, raw, http.StatusOK)
+		if p := model.peak.Load(); p != 1 {
+			t.Errorf("shard with workers=%d ran %d explanations at once, want 1", workers, p)
+		}
 	}
 }
 

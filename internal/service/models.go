@@ -78,7 +78,7 @@ func newModelRegistry(cacheSize, trainBlocks, maxEntries int, allowRestricted bo
 	}
 	return &modelRegistry{
 		entries:         make(map[string]*modelEntry),
-		cacheSize:       cacheSize,
+		cacheSize:       max(cacheSize, 0), // negative, like 0, = default size
 		trainBlocks:     trainBlocks,
 		maxEntries:      maxEntries,
 		allowRestricted: allowRestricted,

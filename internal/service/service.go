@@ -118,9 +118,9 @@ type Config struct {
 	// trusted networks to let clients chain servers.
 	AllowRestrictedSpecs bool
 	// PredictionCacheSize bounds each (model, arch) prediction cache in
-	// entries (0 = package default of about a million; negative disables
-	// caching). A model that declares costmodel.CheapQuery (c, mca) has
-	// no cache (costmodel.NewCacheFor).
+	// entries (0 = package default of about a million). A model that
+	// declares costmodel.CheapQuery (c, mca) has no cache
+	// (costmodel.NewCacheFor).
 	PredictionCacheSize int
 	// MaxConcurrentExplains bounds simultaneously computing explain
 	// requests (0 = GOMAXPROCS).
@@ -714,9 +714,13 @@ func (s *Server) checkConfig(cfg core.Config) error {
 }
 
 // clampWorkers caps a corpus job's or shard's block-level concurrency at
-// the explain-slot budget. Explanations are identical at any worker count.
+// the explain-slot budget, which an unset count (GOMAXPROCS in ExplainAll)
+// also gets. Explanations are identical at any worker count.
 func (s *Server) clampWorkers(workers int) int {
-	return min(workers, s.cfg.MaxConcurrentExplains)
+	if workers <= 0 || workers > s.cfg.MaxConcurrentExplains {
+		return s.cfg.MaxConcurrentExplains
+	}
+	return workers
 }
 
 // storeError counts and logs a durable-store failure. The store is an

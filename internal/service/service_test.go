@@ -630,6 +630,21 @@ func TestCheapQueryWithoutBatchPathIsUncached(t *testing.T) {
 	}
 }
 
+// TestNegativePredictionCacheSizeMeansDefault: a negative
+// PredictionCacheSize sizes the per-model cache like 0 does; it does not
+// turn caching off.
+func TestNegativePredictionCacheSizeMeansDefault(t *testing.T) {
+	s, _ := newTestServer(t, Config{PredictionCacheSize: -1})
+	s.RegisterModel("uica", x86.Haswell, uica.New(x86.Haswell), 0)
+	e, err := s.models.get("uica@hsw", "", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.cache == nil {
+		t.Fatal("no prediction cache for uica at PredictionCacheSize -1")
+	}
+}
+
 func TestGracefulShutdown(t *testing.T) {
 	s := New(Config{JobWorkers: 1})
 	ts := httptest.NewServer(s.Handler())
