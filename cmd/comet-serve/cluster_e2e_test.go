@@ -498,7 +498,7 @@ func TestClusterE2EKillWorkerAndCoordinator(t *testing.T) {
 	if resumed.State != wire.JobDone || resumed.Done != len(req.Blocks) || resumed.Failed != 0 {
 		t.Fatalf("resumed cluster job did not complete cleanly: %+v\ncoordinator stderr:\n%s", resumed, co2.stderr.String())
 	}
-	if resumed.BlocksDone != resumed.Done || resumed.BlocksTotal != len(req.Blocks) {
+	if resumed.Total != len(req.Blocks) {
 		t.Errorf("progress fields out of step: %+v", resumed)
 	}
 

@@ -108,7 +108,6 @@ func main() {
 		defaultModel = flag.String("default-model", "uica", "model spec used when a request omits one")
 		preload      = flag.String("preload", "", "comma-separated model specs to warm at boot (e.g. uica,c@skl,ithemal?train=2000); others warm on first use")
 		preloadArch  = flag.String("preload-arch", "hsw", "default microarchitecture for -preload specs without @target: hsw | skl")
-		trainBlocks  = flag.Int("train-blocks", 1500, "default training-set size for ithemal specs without an explicit train= parameter")
 		maxModels    = flag.Int("max-models", 0, "distinct model specs warmed before 429 (0 = 64)")
 		allowRestr   = flag.Bool("allow-restricted-specs", false, "let clients resolve restricted specs (remote@<url> dials out, ithemal?load= reads files); enable only on trusted networks")
 		coverage     = flag.Int("coverage-samples", 1000, "default coverage pool size (requests may override)")
@@ -198,7 +197,6 @@ func main() {
 	srv := service.New(service.Config{
 		Base:                  base,
 		DefaultModel:          *defaultModel,
-		TrainBlocks:           *trainBlocks,
 		MaxModelEntries:       *maxModels,
 		AllowRestrictedSpecs:  *allowRestr,
 		PredictionCacheSize:   *cacheSize,

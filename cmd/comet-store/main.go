@@ -31,7 +31,7 @@ import (
 func main() {
 	var (
 		dir         = flag.String("dir", "", "store directory (required)")
-		kind        = flag.String("kind", "", "ls: only records of this kind (explanation | job | job_result)")
+		kind        = flag.String("kind", "", "ls: only records of this kind (explanation | job)")
 		maxBytes    = flag.Int64("max-bytes", 1<<30, "compact: live-data budget (0 = 1 GiB; negative = unbounded, which still drops superseded records)")
 		strict      = flag.Bool("strict", false, "verify: exit non-zero when any corrupt frame is found")
 		asJSON      = flag.Bool("json", false, "stats/verify: emit machine-readable JSON")
@@ -111,9 +111,7 @@ func runLs(dir, kind string) error {
 			detail = fmt.Sprintf("prediction=%.2f features=%d seed=%d",
 				rec.Explanation.Prediction, len(rec.Explanation.Features), recSeed(rec))
 		case rec.Job != nil:
-			detail = fmt.Sprintf("state=%s blocks=%d", rec.Job.State, len(rec.Job.Blocks))
-		case rec.Result != nil:
-			detail = fmt.Sprintf("index=%d err=%q", rec.Result.Index, rec.Result.Error)
+			detail = fmt.Sprintf("state=%s blocks=%d failed=%d", rec.Job.State, len(rec.Job.Blocks), len(rec.Job.Failures))
 		}
 		fmt.Fprintf(w, "%s\t%s\t%s\t%s\n", rec.Kind, rec.Key, rec.Spec, detail)
 		return true
@@ -137,7 +135,7 @@ func runGet(dir, key string) error {
 		return err
 	}
 	defer log.Close()
-	for _, kind := range []string{wire.RecordExplanation, wire.RecordJob, wire.RecordJobResult} {
+	for _, kind := range []string{wire.RecordExplanation, wire.RecordJob} {
 		if rec, ok := log.Get(kind, key); ok {
 			enc := json.NewEncoder(os.Stdout)
 			enc.SetIndent("", "  ")

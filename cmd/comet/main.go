@@ -83,9 +83,7 @@ func main() {
 		coverage    = flag.Int("coverage-samples", 1000, "coverage pool size")
 		epsilon     = flag.Float64("epsilon", 0, "ε-ball radius (default: the resolved model's recommended ε)")
 		threshold   = flag.Float64("threshold", 0.7, "precision threshold 1−δ")
-		trainN      = flag.Int("train-blocks", 0, "shorthand for the ithemal train= spec parameter")
 		saveModel   = flag.String("save-model", "", "save the resolved model to this file (models that support saving)")
-		loadModel   = flag.String("load-model", "", "shorthand for the ithemal load= spec parameter")
 		report      = flag.Bool("report", false, "also print the pipeline bottleneck report")
 		profile     = flag.Bool("profile", false, "also print where the explanation's wall time went, stage by stage (with -json: attach the profile object)")
 		corpus      = flag.String("corpus", "", `corpus mode: a file of "---"-separated blocks, "-" for the same on stdin, gen:N for a synthetic corpus, or elf:PATH to extract basic blocks from an ELF binary`)
@@ -118,10 +116,14 @@ func main() {
 		fatal(fmt.Errorf("-cluster requires -corpus"))
 	}
 
-	spec, err := parseSpec(*modelSpec, *archName, *trainN, *loadModel)
+	// -arch fills in the target when the model targets an arch and the
+	// spec has none, so the same flags address the same model locally
+	// and with -cluster.
+	spec, err := comet.ParseModelSpec(*modelSpec)
 	if err != nil {
 		fatal(err)
 	}
+	spec = spec.WithDefaultTarget(*archName)
 	cfg := comet.DefaultConfig()
 	cfg.Seed = *seed
 	cfg.CoverageSamples = *coverage
@@ -298,26 +300,6 @@ func printProfile(p *core.Profile) {
 	w.Flush()
 }
 
-// parseSpec turns the -model spec plus the legacy convenience flags into
-// a model spec: -arch fills in the target when the model targets an arch
-// and the spec has none; -train-blocks and -load-model inject the
-// matching ithemal parameters when the spec doesn't set them itself. The
-// same flags address the same model locally and with -cluster.
-func parseSpec(specStr, archDefault string, trainN int, loadPath string) (comet.ModelSpec, error) {
-	spec, err := comet.ParseModelSpec(specStr)
-	if err != nil {
-		return comet.ModelSpec{}, err
-	}
-	spec = spec.WithDefaultTarget(archDefault)
-	if trainN > 0 {
-		spec = spec.WithDefaultParam("ithemal", "train", fmt.Sprint(trainN))
-	}
-	if loadPath != "" {
-		spec = spec.WithDefaultParam("ithemal", "load", loadPath)
-	}
-	return spec, nil
-}
-
 // printModels renders the registry for -list-models.
 func printModels() {
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
@@ -385,9 +367,7 @@ func (r *corpusRun) explain(corpusSpec string) error {
 	fromStore := 0
 	if r.store != nil {
 		for i := range blocks {
-			snaps[i] = snap
-			snaps[i].Seed = comet.BlockSeed(snap.Seed, i)
-			ids[i] = persist.ExplanationID(r.spec, snaps[i], texts[i])
+			ids[i], snaps[i] = persist.BlockExplanationID(r.spec, snap, i, texts[i])
 			stored, ok := persist.LookupExplanation(r.store, ids[i])
 			if !ok {
 				continue

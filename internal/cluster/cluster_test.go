@@ -371,9 +371,13 @@ func TestRejectedLeaseKeepsFrames(t *testing.T) {
 func TestStragglerRedispatch(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
-	var hangs atomic.Int64
+	// The fast worker holds its first lease until the slow one has one,
+	// so it cannot finish both leases before the slow worker is ready.
+	slowLeased := make(chan struct{})
+	var hangs, fastLeases atomic.Int64
 	slow := newFakeWorker(t, func(w http.ResponseWriter, r *http.Request, req wire.ShardRequest) bool {
 		if hangs.Add(1) == 1 {
+			close(slowLeased)
 			select { // hang only the first lease; stay "alive" otherwise
 			case <-release:
 			case <-r.Context().Done():
@@ -382,7 +386,16 @@ func TestStragglerRedispatch(t *testing.T) {
 		}
 		return false
 	})
-	fast := newFakeWorker(t, nil)
+	fast := newFakeWorker(t, func(w http.ResponseWriter, r *http.Request, req wire.ShardRequest) bool {
+		if fastLeases.Add(1) == 1 {
+			select {
+			case <-slowLeased:
+			case <-time.After(5 * time.Second):
+				t.Error("the slow worker never received a lease")
+			}
+		}
+		return false
+	})
 	opts := fastOpts()
 	opts.LeaseBlocks = 3
 	opts.StragglerAfter = 50 * time.Millisecond

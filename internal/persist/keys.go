@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 
+	"github.com/comet-explain/comet/internal/core"
 	"github.com/comet-explain/comet/internal/wire"
 )
 
@@ -31,6 +32,18 @@ func ExplanationID(spec string, cfg wire.ConfigSnapshot, blockText string) wire.
 	var id wire.ContentID
 	h.Sum(id[:0])
 	return id
+}
+
+// BlockExplanationID returns the content address of block index of a
+// corpus explained under effective config snap, together with the
+// snapshot that block ran under. Corpus runs seed block i with
+// core.BlockSeed(snap.Seed, i), so a corpus block and a single
+// explanation at that seed share one record: the comet CLI's -corpus
+// -store runs, comet-serve's corpus jobs and /v1/explain all read and
+// write the same keys.
+func BlockExplanationID(spec string, snap wire.ConfigSnapshot, index int, blockText string) (wire.ContentID, wire.ConfigSnapshot) {
+	snap.Seed = core.BlockSeed(snap.Seed, index)
+	return ExplanationID(spec, snap, blockText), snap
 }
 
 // LookupExplanation returns the explanation stored under content
@@ -60,8 +73,3 @@ func PutExplanation(s Store, id wire.ContentID, spec string, snap wire.ConfigSna
 
 // JobKey returns the store key of a corpus-job envelope.
 func JobKey(id string) string { return id }
-
-// JobResultKey returns the store key of one completed corpus-job block.
-func JobResultKey(id string, index int) string {
-	return fmt.Sprintf("%s/%d", id, index)
-}

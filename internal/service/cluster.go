@@ -191,25 +191,23 @@ func renderClusterWorkers(sb *strings.Builder, workers []wire.ClusterWorker) {
 
 // runCluster executes a corpus job through the cluster scheduler,
 // feeding every emitted result into the same bookkeeping and durable
-// checkpoints the local engine uses. ctx carries the job's resumed span
-// (see jobManager.run); its trace context rides every lease dispatch. It
-// returns cluster.ErrNoWorkers when dispatch starved — the caller falls
-// back to the local engine for whatever was not emitted.
+// checkpoints the local engine uses (jobManager.record). ctx carries the
+// job's resumed span (see jobManager.run); its trace context rides every
+// lease dispatch. It returns cluster.ErrNoWorkers when dispatch starved —
+// the caller falls back to the local engine for whatever was not
+// emitted.
 func (m *jobManager) runCluster(ctx context.Context, j *job) error {
-	j.mu.Lock()
-	skip := j.restored.Clone()
+	skip := j.doneIndices()
 	arch := ""
 	if j.entry != nil && j.entry.model != nil {
 		arch = wire.ArchName(j.entry.model.Arch())
 	}
-	j.mu.Unlock()
 
 	traceparent := ""
 	if sc := obs.ContextSpanContext(ctx); !sc.IsZero() {
 		traceparent = sc.Traceparent()
 	}
-	completed := 0
-	err := m.cluster.Run(ctx, cluster.Job{
+	return m.cluster.Run(ctx, cluster.Job{
 		ID:          j.id,
 		Spec:        j.spec,
 		Arch:        arch,
@@ -219,14 +217,6 @@ func (m *jobManager) runCluster(ctx context.Context, j *job) error {
 		Workers:     j.workers,
 		Traceparent: traceparent,
 	}, func(res cluster.Result) {
-		j.appendResult(res.CorpusResult, res.Worker)
-		m.persistResult(j, res.CorpusResult)
-		completed++
-		if m.store != nil && completed%m.checkpointEvery == 0 {
-			if err := m.store.Sync(); err != nil {
-				m.storeErr(err)
-			}
-		}
+		m.record(j, res.CorpusResult, res.Worker)
 	})
-	return err
 }

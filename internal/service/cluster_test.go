@@ -173,8 +173,8 @@ func TestShardColdWorkerSheds(t *testing.T) {
 	}
 }
 
-// TestJobProgressFields: GET /v1/jobs/{id} carries the blocks_* progress
-// fields in lockstep with the legacy counters.
+// TestJobProgressFields: GET /v1/jobs/{id} carries the job's progress
+// in its total, done and failed fields.
 func TestJobProgressFields(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	st := runCorpusJob(t, ts.URL, wire.CorpusRequest{
@@ -183,11 +183,8 @@ func TestJobProgressFields(t *testing.T) {
 	if st.State != wire.JobDone {
 		t.Fatalf("job: %+v", st)
 	}
-	if st.BlocksTotal != 2 || st.BlocksDone != 2 || st.BlocksFailed != 0 {
-		t.Errorf("progress fields %d/%d/%d, want 2/2/0", st.BlocksDone, st.BlocksTotal, st.BlocksFailed)
-	}
-	if st.BlocksTotal != st.Total || st.BlocksDone != st.Done || st.BlocksFailed != st.Failed {
-		t.Errorf("progress fields diverge from legacy counters: %+v", st)
+	if st.Total != 2 || st.Done != 2 || st.Failed != 0 {
+		t.Errorf("progress fields %d/%d/%d, want 2/2/0", st.Done, st.Total, st.Failed)
 	}
 }
 

@@ -34,12 +34,12 @@ var errDraining = errors.New("server is shutting down")
 // carries its corpus block index for reassembly in input order.
 //
 // With a durable store attached, the job's envelope (inputs, spec,
-// effective config) is persisted on every state transition and each
-// completed block appends a result record, so a killed process resumes
-// the job on restart: restored results are replayed into the results
-// slice and ExplainAll skips their indices. Per-block seeds depend only
-// on the block index, so the resumed union is identical to an
-// uninterrupted run.
+// effective config, failed blocks) is persisted on every state
+// transition and each explained block appends its content-addressed
+// explanation record, so a killed process resumes the job on restart:
+// restored results are replayed into the results slice and ExplainAll
+// skips their indices. Per-block seeds depend only on the block index,
+// so the resumed union is identical to an uninterrupted run.
 type job struct {
 	id      string
 	blocks  []*x86.BasicBlock
@@ -51,9 +51,7 @@ type job struct {
 	// canonical model spec and the effective explanation configuration.
 	spec     string
 	snapshot wire.ConfigSnapshot
-	// restored marks block indices whose results were reloaded from the
-	// durable store; fromStore marks the job as surviving a restart.
-	restored  *bitset.Set
+	// fromStore marks the job as surviving a restart.
 	fromStore bool
 	// streamOnly jobs deliver results through GET /v1/jobs/{id}/stream
 	// and retain only the last ringCap results for catch-up reads, so a
@@ -72,6 +70,10 @@ type job struct {
 	failed  int
 	err     string
 	results []wire.CorpusResult
+	// failures holds every failed block's result, which the persisted
+	// envelope carries (the stream ring may have dropped them from
+	// results).
+	failures []wire.CorpusResult
 	// trimmed counts results evicted from the front of the slice by the
 	// stream ring; the stream sequence number of results[i] is trimmed+i.
 	trimmed int
@@ -99,12 +101,14 @@ type job struct {
 
 // appendResult records one completed block: counters, the done bitset,
 // the (possibly ring-bounded) results slice, worker attribution, and a
-// stream wakeup.
-func (j *job) appendResult(res wire.CorpusResult, worker string) {
+// stream wakeup. It returns the job's done count.
+func (j *job) appendResult(res wire.CorpusResult, worker string) int {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	j.done++
 	if res.Error != "" {
 		j.failed++
+		j.failures = append(j.failures, res)
 	}
 	if j.doneSet == nil {
 		j.doneSet = bitset.New(len(j.blocks))
@@ -147,7 +151,7 @@ func (j *job) appendResult(res wire.CorpusResult, worker string) {
 	if j.notify != nil {
 		j.notify.Broadcast()
 	}
-	j.mu.Unlock()
+	return j.done
 }
 
 // wake broadcasts to stream readers (used on state transitions and by
@@ -210,19 +214,16 @@ func (j *job) status(offset, limit int) wire.JobStatus {
 		}
 	}
 	return wire.JobStatus{
-		ID:           j.id,
-		State:        j.state,
-		Total:        len(j.blocks),
-		Done:         j.done,
-		Failed:       j.failed,
-		BlocksTotal:  len(j.blocks),
-		BlocksDone:   j.done,
-		BlocksFailed: j.failed,
-		Error:        j.err,
-		Workers:      workers,
-		Offset:       offset,
-		NextOffset:   end,
-		Results:      page,
+		ID:         j.id,
+		State:      j.state,
+		Total:      len(j.blocks),
+		Done:       j.done,
+		Failed:     j.failed,
+		Error:      j.err,
+		Workers:    workers,
+		Offset:     offset,
+		NextOffset: end,
+		Results:    page,
 	}
 }
 
@@ -248,7 +249,7 @@ func (j *job) summaryLocked() wire.JobSummary {
 
 // jobManager owns the bounded job queue, the job workers, and the LRU
 // history of finished jobs. With a store attached it also checkpoints
-// every job's envelope and completed results.
+// every job's envelope and explained blocks.
 type jobManager struct {
 	queue   chan *job
 	history *lruStore[string, *job]
@@ -263,9 +264,10 @@ type jobManager struct {
 	seq      atomic.Uint64
 	instance string // random per-process tag so job IDs don't collide across restarts
 
-	// store, when non-nil, receives job envelopes and per-block results;
-	// checkpointEvery is the fsync cadence in completed blocks, and
-	// storeErr counts (never fails on) persistence errors.
+	// store, when non-nil, receives job envelopes and per-block
+	// explanation records; checkpointEvery is the fsync cadence in
+	// completed blocks, and storeErr counts (never fails on) persistence
+	// errors.
 	store           persist.Store
 	checkpointEvery int
 	storeErr        func(error)
@@ -334,34 +336,20 @@ func newJobManager(ctx context.Context, workers, queueDepth, historySize, checkp
 }
 
 // submit enqueues a job, failing fast with errQueueFull when the bounded
-// queue is at capacity (the HTTP layer turns that into 429 backpressure).
+// queue is at capacity (the HTTP layer turns that into 429 backpressure),
+// and on success persists the queued envelope. A new job gets a fresh
+// ID; a job restored from the durable store keeps its persisted one
+// (clients keep polling the ID they were given before the restart).
 func (m *jobManager) submit(j *job) error {
 	m.closeMu.RLock()
 	defer m.closeMu.RUnlock()
 	if m.draining {
 		return errDraining
 	}
-	j.id = fmt.Sprintf("job-%s-%d", m.instance, m.seq.Add(1))
-	j.state = wire.JobQueued
-	return m.enqueue(j)
-}
-
-// resubmit re-enqueues a job restored from the durable store under its
-// persisted ID (clients keep polling the ID they were given before the
-// restart).
-func (m *jobManager) resubmit(j *job) error {
-	m.closeMu.RLock()
-	defer m.closeMu.RUnlock()
-	if m.draining {
-		return errDraining
+	if j.id == "" {
+		j.id = fmt.Sprintf("job-%s-%d", m.instance, m.seq.Add(1))
 	}
 	j.state = wire.JobQueued
-	return m.enqueue(j)
-}
-
-// enqueue performs the bounded send and, on success, persists the queued
-// envelope. Caller holds closeMu.RLock.
-func (m *jobManager) enqueue(j *job) error {
 	m.active.Store(j.id, j)
 	select {
 	case m.queue <- j:
@@ -507,7 +495,6 @@ func (m *jobManager) run(j *job) {
 	skip := j.doneIndices()
 
 	explainer := core.NewExplainerWithCache(j.entry.model, j.cfg, j.entry.cache)
-	completed := 0
 	worker := ""
 	if m.cluster != nil {
 		worker = "local"
@@ -524,20 +511,34 @@ func (m *jobManager) run(j *job) {
 			m.metrics.observeQuality(j.spec, res.Explanation.Precision,
 				res.Explanation.Coverage, res.Explanation.Queries, res.Explanation.Certified)
 		}
-		wres := wire.FromCorpusResult(res)
-		j.appendResult(wres, worker)
-		// Each result is one all-or-nothing store append (survives
-		// SIGKILL); the periodic Sync is the power-loss checkpoint.
-		m.persistResult(j, wres)
-		completed++
-		if m.store != nil && completed%m.checkpointEvery == 0 {
-			if err := m.store.Sync(); err != nil {
-				m.storeErr(err)
-			}
-		}
+		m.record(j, wire.FromCorpusResult(res), worker)
 	}
 
 	m.finalize(j)
+}
+
+// record appends one completed block to the job and checkpoints it, for
+// the local engine and the cluster alike. An explained block is one
+// all-or-nothing store append of its content-addressed explanation
+// record (survives SIGKILL); a failed block rides the envelope
+// persistJob writes at the next state transition. The periodic Sync is
+// the power-loss checkpoint.
+func (m *jobManager) record(j *job, res wire.CorpusResult, worker string) {
+	done := j.appendResult(res, worker)
+	if m.store == nil {
+		return
+	}
+	if res.Explanation != nil {
+		id, snap := persist.BlockExplanationID(j.spec, j.snapshot, res.Index, j.blockTexts()[res.Index])
+		if err := persist.PutExplanation(m.store, id, j.spec, snap, res.Explanation); err != nil {
+			m.storeErr(err)
+		}
+	}
+	if done%m.checkpointEvery == 0 {
+		if err := m.store.Sync(); err != nil {
+			m.storeErr(err)
+		}
+	}
 }
 
 // finalize settles a job's terminal state, persists it, and moves it to
@@ -569,15 +570,16 @@ func (m *jobManager) finalize(j *job) {
 
 // doneIndices snapshots the block indices that already have results —
 // restored from the store or emitted by a partial cluster run — for the
-// local engine's Skip hook.
+// local engine's and the cluster's Skip hooks.
 func (j *job) doneIndices() *bitset.Set {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.doneSet.Clone()
 }
 
-// persistJob writes the job's envelope (inputs + current state) to the
-// durable store, superseding the previous envelope record.
+// persistJob writes the job's envelope (inputs, current state, failed
+// blocks) to the durable store, superseding the previous envelope
+// record.
 func (m *jobManager) persistJob(j *job) {
 	if m.store == nil {
 		return
@@ -592,6 +594,9 @@ func (m *jobManager) persistJob(j *job) {
 		Config:  j.snapshot,
 		Workers: j.workers,
 		Error:   j.err,
+		// failures only grows, so the slice up to its current length
+		// never changes under a concurrent appendResult.
+		Failures: j.failures,
 	}
 	j.mu.Unlock()
 	err := m.store.Put(&wire.Record{
@@ -600,24 +605,6 @@ func (m *jobManager) persistJob(j *job) {
 		Key:  persist.JobKey(j.id),
 		Spec: j.spec,
 		Job:  env,
-	})
-	if err != nil {
-		m.storeErr(err)
-	}
-}
-
-// persistResult appends one completed block's result to the durable
-// store.
-func (m *jobManager) persistResult(j *job, res wire.CorpusResult) {
-	if m.store == nil {
-		return
-	}
-	err := m.store.Put(&wire.Record{
-		V:      wire.RecordVersion,
-		Kind:   wire.RecordJobResult,
-		Key:    persist.JobResultKey(j.id, res.Index),
-		Spec:   j.spec,
-		Result: &wire.JobResult{JobID: j.id, CorpusResult: res},
 	})
 	if err != nil {
 		m.storeErr(err)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -57,11 +56,10 @@ type modelEntry struct {
 // canonical spec shares the same instance and prediction cache for the
 // life of the process.
 type modelRegistry struct {
-	mu          sync.Mutex
-	entries     map[string]*modelEntry
-	cacheSize   int
-	trainBlocks int
-	maxEntries  int
+	mu         sync.Mutex
+	entries    map[string]*modelEntry
+	cacheSize  int
+	maxEntries int
 	// allowRestricted permits client-supplied restricted specs
 	// (remote@..., ithemal?load=...).
 	allowRestricted bool
@@ -72,14 +70,13 @@ type modelRegistry struct {
 	warmGate func() (release func(), err error)
 }
 
-func newModelRegistry(cacheSize, trainBlocks, maxEntries int, allowRestricted bool) *modelRegistry {
+func newModelRegistry(cacheSize, maxEntries int, allowRestricted bool) *modelRegistry {
 	if maxEntries <= 0 {
 		maxEntries = 64
 	}
 	return &modelRegistry{
 		entries:         make(map[string]*modelEntry),
 		cacheSize:       max(cacheSize, 0), // negative, like 0, = default size
-		trainBlocks:     trainBlocks,
 		maxEntries:      maxEntries,
 		allowRestricted: allowRestricted,
 	}
@@ -127,13 +124,6 @@ func (r *modelRegistry) get(modelStr, archDefault string, trusted bool) (*modelE
 	}
 	r.mu.Unlock()
 
-	// The server's -train-blocks default applies to neural specs that
-	// don't pin their own training-set size; injecting it before
-	// canonicalization keeps the canonical spec honest about the model
-	// actually served.
-	if r.trainBlocks > 0 {
-		spec = spec.WithDefaultParam("ithemal", "train", strconv.Itoa(r.trainBlocks))
-	}
 	canon, err := comet.CanonicalSpec(spec)
 	if err != nil {
 		return nil, err

@@ -5,7 +5,7 @@ import (
 	"net/http"
 	"sort"
 
-	"github.com/comet-explain/comet/internal/bitset"
+	"github.com/comet-explain/comet/internal/persist"
 	"github.com/comet-explain/comet/internal/wire"
 	"github.com/comet-explain/comet/internal/x86"
 )
@@ -14,10 +14,11 @@ import (
 // reloads the explanation result store and every persisted corpus job.
 // Finished jobs go back into the pollable history under their original
 // IDs; interrupted jobs (queued, running, or canceled mid-run by a
-// drain) are re-enqueued and resume exactly where they stopped —
-// restored results are replayed, the remaining blocks run under their
-// original per-block seeds, and the union is bit-identical to an
-// uninterrupted run.
+// drain) are re-enqueued and resume exactly where they stopped — a
+// job's finished blocks are its envelope's failures plus every block
+// whose content-addressed explanation record the store holds (whoever
+// computed it), the remaining blocks run under their original per-block
+// seeds, and the union is bit-identical to an uninterrupted run.
 
 // RestoreSummary reports what Restore reloaded from the durable store.
 type RestoreSummary struct {
@@ -43,19 +44,7 @@ func (s *Server) Restore() (RestoreSummary, error) {
 	if s.store == nil || !s.restored.CompareAndSwap(false, true) {
 		return sum, nil
 	}
-	type jobAcc struct {
-		env     *wire.JobEnvelope
-		results map[int]wire.CorpusResult
-	}
-	jobs := make(map[string]*jobAcc)
-	acc := func(id string) *jobAcc {
-		a, ok := jobs[id]
-		if !ok {
-			a = &jobAcc{results: make(map[int]wire.CorpusResult)}
-			jobs[id] = a
-		}
-		return a
-	}
+	var envs []*wire.JobEnvelope
 	err := s.store.Scan(func(rec *wire.Record) bool {
 		switch rec.Kind {
 		case wire.RecordExplanation:
@@ -69,11 +58,7 @@ func (s *Server) Restore() (RestoreSummary, error) {
 			}
 		case wire.RecordJob:
 			if rec.Job != nil {
-				acc(rec.Job.ID).env = rec.Job
-			}
-		case wire.RecordJobResult:
-			if rec.Result != nil {
-				acc(rec.Result.JobID).results[rec.Result.Index] = rec.Result.CorpusResult
+				envs = append(envs, rec.Job)
 			}
 		}
 		return true
@@ -84,24 +69,17 @@ func (s *Server) Restore() (RestoreSummary, error) {
 	if err != nil {
 		return sum, err
 	}
-	// Orphaned results (their envelope compacted away) are skipped;
-	// envelopes restore in ID order so resumption is deterministic.
-	ids := make([]string, 0, len(jobs))
-	for id, a := range jobs {
-		if a.env != nil {
-			ids = append(ids, id)
-		}
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		s.restoreJob(jobs[id].env, jobs[id].results, &sum)
+	// Envelopes restore in ID order so resumption is deterministic.
+	sort.Slice(envs, func(i, k int) bool { return envs[i].ID < envs[k].ID })
+	for _, env := range envs {
+		s.restoreJob(env, &sum)
 	}
 	return sum, nil
 }
 
 // restoreJob rebuilds one persisted job and either parks it in history
 // (terminal) or re-enqueues it (interrupted).
-func (s *Server) restoreJob(env *wire.JobEnvelope, results map[int]wire.CorpusResult, sum *RestoreSummary) {
+func (s *Server) restoreJob(env *wire.JobEnvelope, sum *RestoreSummary) {
 	j := &job{
 		id:        env.ID,
 		texts:     env.Blocks,
@@ -130,27 +108,25 @@ func (s *Server) restoreJob(env *wire.JobEnvelope, results map[int]wire.CorpusRe
 		j.blocks[i] = b
 	}
 
-	// Replay persisted results in block-index order. (An uninterrupted
+	// Replay finished blocks in block-index order. (An uninterrupted
 	// single-worker run completes in index order too, so a client that
 	// kept its pagination offset across the restart re-reads nothing.)
-	idxs := make([]int, 0, len(results))
-	for i := range results {
-		if i >= 0 && i < len(j.blocks) {
-			idxs = append(idxs, i)
-		}
+	failures := make(map[int]wire.CorpusResult, len(env.Failures))
+	for _, res := range env.Failures {
+		failures[res.Index] = res
 	}
-	sort.Ints(idxs)
-	j.restored = bitset.New(len(j.blocks))
-	for _, i := range idxs {
-		res := results[i]
-		j.restored.Add(i)
-		j.results = append(j.results, res)
-		j.done++
-		if res.Error != "" {
-			j.failed++
+	for i, text := range env.Blocks {
+		res, ok := failures[i]
+		if !ok {
+			id, _ := persist.BlockExplanationID(env.Spec, env.Config, i, text)
+			e, found := persist.LookupExplanation(s.store, id)
+			if !found {
+				continue
+			}
+			res = wire.CorpusResult{Index: i, Block: text, Explanation: e}
 		}
+		j.appendResult(res, "")
 	}
-	j.doneSet = j.restored.Clone()
 
 	if j.done >= len(j.blocks) {
 		// Every block persisted before the restart: terminal, straight
@@ -189,7 +165,7 @@ func (s *Server) restoreJob(env *wire.JobEnvelope, results map[int]wire.CorpusRe
 	}
 	j.entry = entry
 	j.cfg = env.Config.Apply(s.cfg.Base)
-	if err := s.jobs.resubmit(j); err != nil {
+	if err := s.jobs.submit(j); err != nil {
 		fail("re-enqueueing: %v", err)
 		return
 	}

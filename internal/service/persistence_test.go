@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"github.com/comet-explain/comet/internal/core"
+	"github.com/comet-explain/comet/internal/costmodel"
 	"github.com/comet-explain/comet/internal/persist"
 	"github.com/comet-explain/comet/internal/uica"
 	"github.com/comet-explain/comet/internal/wire"
@@ -169,7 +171,7 @@ func TestRestoreSummaryCountsHeldExplanations(t *testing.T) {
 }
 
 // TestRestoredJobResumesWhereItStopped: a job persisted mid-run (its
-// envelope plus one completed result) is re-enqueued on restore under
+// envelope plus block 0's explanation record) is re-enqueued on restore under
 // its original ID; the restored result is served verbatim — never
 // recomputed — and the remaining blocks are explained with their
 // original per-block seeds, exactly as an uninterrupted run would have.
@@ -193,7 +195,7 @@ func TestRestoredJobResumesWhereItStopped(t *testing.T) {
 		BatchSize:          64,
 		Seed:               1,
 	}
-	// Block 0's persisted result carries a marker prediction no
+	// Block 0's persisted explanation carries a marker prediction no
 	// computation would produce: if it survives to the final results,
 	// the restored record was served, not recomputed.
 	marker := &wire.Explanation{Block: texts[0], Model: "counting", Prediction: 42}
@@ -207,8 +209,10 @@ func TestRestoredJobResumesWhereItStopped(t *testing.T) {
 	}
 	mustPut(&wire.Record{V: wire.RecordVersion, Kind: wire.RecordJob, Key: persist.JobKey(jobID), Spec: "counting@hsw",
 		Job: &wire.JobEnvelope{ID: jobID, State: wire.JobRunning, Spec: "counting@hsw", Blocks: texts, Config: snap, Workers: 1}})
-	mustPut(&wire.Record{V: wire.RecordVersion, Kind: wire.RecordJobResult, Key: persist.JobResultKey(jobID, 0), Spec: "counting@hsw",
-		Result: &wire.JobResult{JobID: jobID, CorpusResult: wire.CorpusResult{Index: 0, Block: texts[0], Explanation: marker}}})
+	id0, snap0 := persist.BlockExplanationID("counting@hsw", snap, 0, texts[0])
+	if err := persist.PutExplanation(seed, id0, "counting@hsw", snap0, marker); err != nil {
+		t.Fatal(err)
+	}
 	if err := seed.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -288,6 +292,149 @@ func TestRestoredJobResumesWhereItStopped(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("resumed job %s not in GET /v1/jobs: %+v", jobID, list.Jobs)
+	}
+}
+
+// TestJobBlocksAreContentAddressedExplanations: a store-backed job
+// persists each explained block as the explanation record its
+// per-block identity names, so /v1/explain at that block's seed is
+// answered from the durable store without touching the model.
+func TestJobBlocksAreContentAddressedExplanations(t *testing.T) {
+	store := openTestStore(t, filepath.Join(t.TempDir(), "store"))
+	t.Cleanup(func() { store.Close() })
+	model := &countingModel{inner: uica.New(x86.Haswell)}
+	_, ts, _ := startStoreServer(t, store, model)
+	srcs := []string{testBlock, "imul rax, rbx\nimul rax, rcx", "add rax, rbx\nsub rcx, rdx\nxor rsi, rsi"}
+	results, st := submitCorpus(t, ts.URL, wire.CorpusRequest{Blocks: srcs, Model: "counting", Config: fastOverrides()})
+	if st.State != wire.JobDone || len(results) != len(srcs) {
+		t.Fatalf("job did not finish cleanly: %+v", st)
+	}
+	rec, ok := store.Get(wire.RecordJob, persist.JobKey(st.ID))
+	if !ok || rec.Job == nil {
+		t.Fatalf("job %s has no envelope", st.ID)
+	}
+	for _, res := range results {
+		id, _ := persist.BlockExplanationID(rec.Job.Spec, rec.Job.Config, res.Index, rec.Job.Blocks[res.Index])
+		stored, ok := persist.LookupExplanation(store, id)
+		if !ok {
+			t.Fatalf("block %d has no explanation record under %s", res.Index, id.Hex())
+		}
+		got, _ := json.Marshal(stored)
+		want, _ := json.Marshal(res.Explanation)
+		if !bytes.Equal(got, want) {
+			t.Errorf("block %d: stored record differs from the job result:\n got %s\nwant %s", res.Index, got, want)
+		}
+	}
+
+	var block1 wire.CorpusResult
+	for _, res := range results {
+		if res.Index == 1 {
+			block1 = res
+		}
+	}
+	before := model.calls.Load()
+	req := wire.ExplainRequest{Block: srcs[1], Model: "counting",
+		Config: &wire.ConfigOverrides{CoverageSamples: 150, Seed: core.BlockSeed(1, 1)}}
+	resp, body := postJSON(t, ts.URL+"/v1/explain?profile=1", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("explain: %d: %s", resp.StatusCode, body)
+	}
+	var served wire.Explanation
+	if err := json.Unmarshal(body, &served); err != nil {
+		t.Fatal(err)
+	}
+	if served.Profile == nil || served.Profile.Source != "persist" {
+		t.Errorf("block 1 at its corpus seed was not served from the durable store: profile %+v", served.Profile)
+	}
+	if calls := model.calls.Load() - before; calls != 0 {
+		t.Errorf("explaining a stored job block cost %d model calls, want 0", calls)
+	}
+	served.Profile = nil
+	got, _ := json.Marshal(&served)
+	want, _ := json.Marshal(block1.Explanation)
+	if !bytes.Equal(got, want) {
+		t.Errorf("served explanation differs from the job's block 1:\n got %s\nwant %s", got, want)
+	}
+}
+
+// abortingModel is a counting model that aborts every query batch
+// holding a block of at least poison instructions. Γ only deletes
+// instructions, so only blocks that long to begin with fail.
+type abortingModel struct {
+	countingModel
+	poison int
+}
+
+func (m *abortingModel) PredictBatch(blocks []*x86.BasicBlock) []float64 {
+	for _, b := range blocks {
+		if b.Len() >= m.poison {
+			costmodel.AbortQuery(fmt.Errorf("refusing a %d-instruction block", b.Len()))
+		}
+	}
+	return m.countingModel.PredictBatch(blocks)
+}
+
+// TestRestoredJobKeepsFailedBlocks: a job that ends failed keeps its
+// failed block's result in its envelope, so a restarted server parks it
+// in history as failed, with that result byte-identical, at zero model
+// cost.
+func TestRestoredJobKeepsFailedBlocks(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	srcs := []string{testBlock, "add rax, rbx\nsub rcx, rdx\nxor rsi, rsi\nimul rax, rcx\nor rdi, rax", "imul rax, rbx\nimul rax, rcx"}
+	start := func(store persist.Store) (*abortingModel, *httptest.Server, RestoreSummary) {
+		model := &abortingModel{countingModel: countingModel{inner: uica.New(x86.Haswell)}, poison: 5}
+		s := New(Config{Store: store, JobCheckpointEvery: 1})
+		shutdownAtCleanup(t, s)
+		s.RegisterModel("counting", x86.Haswell, model, 0)
+		sum, err := s.Restore()
+		if err != nil {
+			t.Fatalf("Restore: %v", err)
+		}
+		ts := httptest.NewServer(s.Handler())
+		t.Cleanup(ts.Close)
+		return model, ts, sum
+	}
+	failedResult := func(results []wire.CorpusResult) []byte {
+		t.Helper()
+		for _, res := range results {
+			if res.Index == 1 {
+				if res.Error == "" {
+					t.Fatalf("block 1 did not fail: %+v", res)
+				}
+				b, _ := json.Marshal(res)
+				return b
+			}
+		}
+		t.Fatal("block 1 missing from the results")
+		return nil
+	}
+
+	store1 := openTestStore(t, dir)
+	_, ts1, _ := start(store1)
+	results1, st1 := submitCorpus(t, ts1.URL, wire.CorpusRequest{Blocks: srcs, Model: "counting", Config: fastOverrides()})
+	if st1.State != wire.JobFailed || st1.Done != 3 || st1.Failed != 1 {
+		t.Fatalf("job with an aborted block: %+v", st1)
+	}
+	want := failedResult(results1)
+	if err := store1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	store2 := openTestStore(t, dir)
+	t.Cleanup(func() { store2.Close() })
+	model2, ts2, sum := start(store2)
+	if sum.JobsRestored != 1 || sum.JobsResumed != 0 || sum.JobsFailed != 0 {
+		t.Fatalf("restore summary %+v, want 1 restored (terminal) job", sum)
+	}
+	results2, st2 := pollJob(t, ts2.URL, st1.ID)
+	if st2.State != wire.JobFailed || st2.Done != 3 || st2.Failed != 1 || st2.Error != st1.Error {
+		t.Errorf("restored job %+v, want it failed like %+v", st2, st1)
+	}
+	if got := failedResult(results2); !bytes.Equal(got, want) {
+		t.Errorf("restored failed result differs:\n got %s\nwant %s", got, want)
+	}
+	if calls := model2.calls.Load(); calls != 0 {
+		t.Errorf("restoring the failed job cost %d model calls, want 0", calls)
 	}
 }
 

@@ -103,9 +103,6 @@ type Config struct {
 	// DefaultModel is the model spec used when a request omits "model"
 	// (default "uica").
 	DefaultModel string
-	// TrainBlocks sizes the ithemal model's warm-up training set for
-	// specs that don't pin their own train= parameter.
-	TrainBlocks int
 	// MaxModelEntries bounds the distinct canonical model specs this
 	// server will warm (each is a model instance plus a prediction
 	// cache); overflow gets 429 (0 = 64).
@@ -335,7 +332,7 @@ func New(cfg Config) *Server {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:          cfg,
-		models:       newModelRegistry(cfg.PredictionCacheSize, cfg.TrainBlocks, cfg.MaxModelEntries, cfg.AllowRestrictedSpecs),
+		models:       newModelRegistry(cfg.PredictionCacheSize, cfg.MaxModelEntries, cfg.AllowRestrictedSpecs),
 		results:      newLRUStore[wire.ContentID, *cachedExplanation](cfg.ResultStoreSize),
 		metrics:      newMetrics(),
 		mux:          http.NewServeMux(),
@@ -1042,24 +1039,27 @@ func (s *Server) handleCorpus(w http.ResponseWriter, r *http.Request, in inbound
 	if err != nil {
 		return err
 	}
-	return s.submitCorpusJob(w, r, blocks, req.Model, req.Arch, req.Config, req.Workers, req.Stream)
-}
-
-// submitCorpusJob resolves the model and queues an async corpus job over
-// already-parsed blocks — the shared tail of the JSON and binary-upload
-// corpus entry points.
-func (s *Server) submitCorpusJob(w http.ResponseWriter, r *http.Request, blocks []*x86.BasicBlock,
-	model, archStr string, overrides *wire.ConfigOverrides, workers int, stream bool) error {
-	entry, err := s.resolveModel(model, archStr)
+	j, err := s.prepareCorpusJob(req.Model, req.Arch, req.Config, req.Workers, req.Stream)
 	if err != nil {
 		return err
 	}
+	return s.submitCorpusJob(w, r, j, blocks)
+}
+
+// prepareCorpusJob resolves a corpus request's model and compiles and
+// checks its config into a job without blocks: every check on the
+// request's parameters, which the binary upload runs before it reads
+// its body.
+func (s *Server) prepareCorpusJob(model, archStr string, overrides *wire.ConfigOverrides, workers int, stream bool) (*job, error) {
+	entry, err := s.resolveModel(model, archStr)
+	if err != nil {
+		return nil, err
+	}
 	cfg := core.ApplyOptions(s.cfg.Base, requestOptions(entry, overrides)...)
 	if err := s.checkConfig(cfg); err != nil {
-		return err
+		return nil, err
 	}
 	j := &job{
-		blocks:   blocks,
 		entry:    entry,
 		cfg:      cfg,
 		workers:  s.clampWorkers(workers),
@@ -1073,6 +1073,13 @@ func (s *Server) submitCorpusJob(w http.ResponseWriter, r *http.Request, blocks 
 		j.streamOnly = true
 		j.ringCap = s.cfg.StreamRingSize
 	}
+	return j, nil
+}
+
+// submitCorpusJob queues a prepared job over its already-parsed blocks —
+// the shared tail of the JSON and binary-upload corpus entry points.
+func (s *Server) submitCorpusJob(w http.ResponseWriter, r *http.Request, j *job, blocks []*x86.BasicBlock) error {
+	j.blocks = blocks
 	// The accepting request's span context rides on the job so its async
 	// execution — and every worker lease it fans out to — shares this
 	// trace ID (corpus is a force-sampled route).

@@ -40,8 +40,17 @@ func isUploadContentType(ct string) bool {
 //
 // Extraction is deterministic, so uploading a binary and running
 // `comet -corpus elf:...` with the same model and config produce
-// byte-identical explanations through the content-addressed store.
+// byte-identical explanations: on a store-backed server the job writes
+// each block under the content address the CLI's -store run reads.
 func (s *Server) handleCorpusUpload(w http.ResponseWriter, r *http.Request) error {
+	// A bad parameter is answered before the body is read and decoded.
+	q := r.URL.Query()
+	workers, _ := strconv.Atoi(q.Get("workers"))
+	stream, _ := strconv.ParseBool(q.Get("stream"))
+	j, err := s.prepareCorpusJob(q.Get("model"), q.Get("arch"), uploadOverrides(q), workers, stream)
+	if err != nil {
+		return err
+	}
 	data, err := s.readUpload(w, r)
 	if err != nil {
 		return err
@@ -87,14 +96,9 @@ func (s *Server) handleCorpusUpload(w http.ResponseWriter, r *http.Request) erro
 		blocks[i] = b.Block
 	}
 
-	q := r.URL.Query()
-	workers, _ := strconv.Atoi(q.Get("workers"))
-	stream, _ := strconv.ParseBool(q.Get("stream"))
-	overrides := uploadOverrides(q)
-
 	s.log.Info("corpus upload ingested",
 		"upload_bytes", len(data), "stats", st.String())
-	return s.submitCorpusJob(w, r, blocks, q.Get("model"), q.Get("arch"), overrides, workers, stream)
+	return s.submitCorpusJob(w, r, j, blocks)
 }
 
 // uploadOverrides translates upload query parameters into the config

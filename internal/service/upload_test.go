@@ -196,6 +196,21 @@ func byIndex(t *testing.T, results []wire.CorpusResult) []wire.CorpusResult {
 	return out
 }
 
+// TestUploadParametersCheckedBeforeIngest: a bad ?coverage= or ?model=
+// on a valid ELF upload is refused before the binary is ingested.
+func TestUploadParametersCheckedBeforeIngest(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, query := range []string{"?model=c&coverage=10001", "?model=nosuchmodel"} {
+		resp, body := uploadBinary(t, ts.URL, query, "application/x-elf", readFixtureELF(t))
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("upload %s: status %d, want 400: %s", query, resp.StatusCode, body)
+		}
+	}
+	if metrics := fetchMetrics(t, ts.URL); !strings.Contains(metrics, "comet_ingest_binaries_total 0") {
+		t.Error("an upload refused for its parameters was ingested: comet_ingest_binaries_total is not 0")
+	}
+}
+
 // TestCorpusUploadTooLarge: bodies over MaxUploadBytes are refused with
 // 413 and a wire.Error, and counted as rejected.
 func TestCorpusUploadTooLarge(t *testing.T) {

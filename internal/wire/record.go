@@ -15,13 +15,15 @@ import (
 // failing the whole store, so the format can evolve without migrations.
 const RecordVersion = 1
 
-// Record kinds. Explanation records are content-addressed artifacts;
-// job and job-result records checkpoint asynchronous corpus jobs so a
-// restarted server resumes them where they stopped.
+// Record kinds. Explanation records are content-addressed artifacts:
+// the one persisted form of an explanation, whether /v1/explain, a
+// corpus job or the comet CLI computed it. Job records checkpoint
+// asynchronous corpus jobs so a restarted server resumes them where they
+// stopped. Readers ignore records of any other kind, such as the
+// per-block job results older builds wrote.
 const (
 	RecordExplanation = "explanation"
 	RecordJob         = "job"
-	RecordJobResult   = "job_result"
 )
 
 // Record is the versioned envelope internal/persist writes to disk, one
@@ -32,7 +34,7 @@ type Record struct {
 	// Kind is one of the Record* kind constants.
 	Kind string `json:"kind"`
 	// Key is the store key: the content address for explanations, the
-	// job ID for job envelopes, "jobID/index" for job results.
+	// job ID for job envelopes.
 	Key string `json:"key"`
 	// Spec is the canonical model spec the artifact was computed under
 	// (explanations and jobs), kept alongside the hashed key so stores
@@ -44,7 +46,6 @@ type Record struct {
 
 	Explanation *Explanation `json:"explanation,omitempty"`
 	Job         *JobEnvelope `json:"job,omitempty"`
-	Result      *JobResult   `json:"result,omitempty"`
 }
 
 // ConfigSnapshot is the fully resolved explanation configuration an
@@ -86,24 +87,20 @@ func (s ConfigSnapshot) Apply(base core.Config) core.Config {
 }
 
 // JobEnvelope persists everything needed to resume a corpus job on a
-// fresh process: identity, input blocks, the canonical model spec, and
-// the effective configuration. Completed results are persisted separately
-// as RecordJobResult records, so the envelope is written only on state
-// transitions while results append as blocks finish.
+// fresh process: identity, input blocks, the canonical model spec, the
+// effective configuration, and the results of blocks that failed. A
+// block that succeeded is persisted as its content-addressed explanation
+// record (persist.BlockExplanationID), so the envelope is written only
+// on state transitions while explanations append as blocks finish.
 type JobEnvelope struct {
-	ID      string         `json:"id"`
-	State   string         `json:"state"`
-	Spec    string         `json:"spec"`
-	Blocks  []string       `json:"blocks"`
-	Config  ConfigSnapshot `json:"config"`
-	Workers int            `json:"workers,omitempty"`
-	Error   string         `json:"error,omitempty"`
-}
-
-// JobResult is one persisted completed block of a corpus job.
-type JobResult struct {
-	JobID string `json:"job_id"`
-	CorpusResult
+	ID       string         `json:"id"`
+	State    string         `json:"state"`
+	Spec     string         `json:"spec"`
+	Blocks   []string       `json:"blocks"`
+	Config   ConfigSnapshot `json:"config"`
+	Workers  int            `json:"workers,omitempty"`
+	Error    string         `json:"error,omitempty"`
+	Failures []CorpusResult `json:"failures,omitempty"`
 }
 
 // JobSummary is one job in GET /v1/jobs.

@@ -554,13 +554,7 @@ type JobStatus struct {
 	Total  int    `json:"total"`
 	Done   int    `json:"done"`
 	Failed int    `json:"failed"`
-	// BlocksTotal/BlocksDone/BlocksFailed are the progress fields under
-	// the names dashboards and load balancers consume; they always equal
-	// Total/Done/Failed (which predate them and stay for compatibility).
-	BlocksTotal  int    `json:"blocks_total"`
-	BlocksDone   int    `json:"blocks_done"`
-	BlocksFailed int    `json:"blocks_failed"`
-	Error        string `json:"error,omitempty"`
+	Error  string `json:"error,omitempty"`
 	// Workers attributes completed blocks to the cluster workers that
 	// produced them (coordinator-run jobs only; "local" for blocks the
 	// coordinator computed itself on fallback). Sorted by worker id.

@@ -233,7 +233,6 @@ func TestClusterEnvelopesByteStable(t *testing.T) {
 	}, &ClusterStatus{})
 	check("JobStatus", &JobStatus{
 		ID: "job-1", State: JobRunning, Total: 4, Done: 2, Failed: 1,
-		BlocksTotal: 4, BlocksDone: 2, BlocksFailed: 1,
 		Workers: []WorkerBlocks{{Worker: "http://w1:8372", Blocks: 2}},
 	}, &JobStatus{})
 }

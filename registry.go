@@ -231,24 +231,6 @@ func (s ModelSpec) WithDefaultTarget(archDefault string) ModelSpec {
 	return s
 }
 
-// WithDefaultParam returns the spec with key=value set, provided the
-// spec resolves to the named registered model and doesn't set the
-// parameter itself. Front-ends use it for their convenience defaults
-// (the CLI's -train-blocks/-load-model shorthands, the server's
-// -train-blocks) without re-implementing alias folding.
-func (s ModelSpec) WithDefaultParam(model, key, value string) ModelSpec {
-	def, known := LookupModel(s.Name)
-	if !known || def.Name != model {
-		return s
-	}
-	if _, has := s.Params[key]; has {
-		return s
-	}
-	s = s.Clone()
-	s.Params[key] = value
-	return s
-}
-
 // CanonicalSpec validates a spec against its registered model and returns
 // the canonical form: the alias-folded name, the canonicalized target
 // (defaulted when omitted; arch names normalized), and only the
