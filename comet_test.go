@@ -153,14 +153,24 @@ func TestPublicAPIBatchModelsAndCache(t *testing.T) {
 		comet.NewHardwareSimulator(comet.Haswell),
 	}
 	for _, m := range models {
-		bm, ok := m.(comet.BatchCostModel)
-		if !ok {
-			t.Fatalf("%s does not batch natively", m.Name())
-		}
-		batch := bm.PredictBatch([]*comet.BasicBlock{block, block})
+		batch := comet.AsBatchModel(m).PredictBatch([]*comet.BasicBlock{block, block})
 		if want := m.Predict(block); batch[0] != want || batch[1] != want {
 			t.Errorf("%s: batch %v != sequential %v", m.Name(), batch, want)
 		}
+	}
+	// The neural model shares one lockstep pass across a batch, so it
+	// batches natively and AsBatchModel returns it unchanged.
+	var neural comet.CostModel = comet.NewIthemalModel(comet.DefaultIthemalConfig(comet.Haswell))
+	bm, ok := neural.(comet.BatchCostModel)
+	if !ok {
+		t.Fatalf("%s does not batch natively", neural.Name())
+	}
+	if comet.AsBatchModel(neural) != bm {
+		t.Errorf("AsBatchModel wrapped a native batch model")
+	}
+	batch := bm.PredictBatch([]*comet.BasicBlock{block, block})
+	if want := neural.Predict(block); batch[0] != want || batch[1] != want {
+		t.Errorf("%s: batch %v != sequential %v", neural.Name(), batch, want)
 	}
 
 	// A shared cache carries predictions from one explanation to the

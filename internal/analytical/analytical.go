@@ -31,7 +31,6 @@ type Model struct {
 
 var (
 	_ costmodel.Model      = (*Model)(nil)
-	_ costmodel.BatchModel = (*Model)(nil)
 	_ costmodel.CheapQuery = (*Model)(nil)
 )
 
@@ -96,12 +95,6 @@ func (m *Model) Predict(b *x86.BasicBlock) float64 {
 		}
 	}
 	return cost
-}
-
-// PredictBatch implements costmodel.BatchModel by parallel fan-out; the
-// model is stateless, so evaluations are independent.
-func (m *Model) PredictBatch(blocks []*x86.BasicBlock) []float64 {
-	return costmodel.FanOut(blocks, 0, m.Predict)
 }
 
 // CheapQuery implements costmodel.CheapQuery: one pass over the block's

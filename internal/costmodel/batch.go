@@ -7,11 +7,11 @@ import (
 	"github.com/comet-explain/comet/internal/x86"
 )
 
-// BatchModel is a cost model that can answer many queries per invocation.
-// Amortizing queries is COMET's single biggest throughput lever: precision
-// certification spends thousands of model queries per block, and a batched
-// model can share per-call overhead (goroutine fan-out for simulators,
-// weight-matrix traversal for the neural model) across a whole batch.
+// BatchModel is a cost model that answers many queries per invocation
+// because it shares work across the batch: the neural model runs one
+// lockstep pass over every block, and a remote model sends the whole
+// batch in one round trip. A model with no such shared work stays a
+// plain Model; PredictThrough fans its queries out at the caller's bound.
 //
 // PredictBatch(blocks)[i] must equal Predict(blocks[i]) exactly — batching
 // is a performance contract, never a numerical one — and implementations
@@ -26,7 +26,8 @@ type BatchModel interface {
 }
 
 // AsBatch returns model itself when it already implements BatchModel, and
-// otherwise adapts it by fanning Predict calls out with FanOut.
+// otherwise adapts it by fanning Predict calls out over GOMAXPROCS
+// goroutines.
 func AsBatch(model Model) BatchModel {
 	if bm, ok := model.(BatchModel); ok {
 		return bm
@@ -35,28 +36,23 @@ func AsBatch(model Model) BatchModel {
 }
 
 // fanOut adapts a model without a native batch path, fanning out over at
-// most workers goroutines (0 = GOMAXPROCS).
+// most workers goroutines (0 = GOMAXPROCS). It is the one fan-out over a
+// plain model's Predict.
 type fanOut struct {
 	Model
 	workers int
 }
 
-// PredictBatch implements BatchModel by parallel fan-out.
+// PredictBatch implements BatchModel. Small batches run inline, and
+// workers are capped so each goroutine gets a meaningful slice of work —
+// per-prediction cost can be microseconds (analytical model), where
+// per-goroutine overhead would dominate. A panic in Predict (an
+// AbortQuery, say) is re-raised on the caller's goroutine once every
+// worker has stopped, so the caller's RecoverQuery boundary sees it.
 func (f fanOut) PredictBatch(blocks []*x86.BasicBlock) []float64 {
-	return FanOut(blocks, f.workers, f.Predict)
-}
-
-// FanOut evaluates predict over every block with at most workers goroutines
-// (0 = GOMAXPROCS) and returns the predictions in block order. Small
-// batches run inline, and workers are capped so each goroutine gets a
-// meaningful slice of work — per-prediction cost can be microseconds
-// (analytical model), where per-goroutine overhead would dominate. A
-// panic in predict (an AbortQuery, say) is re-raised on the caller's
-// goroutine once every worker has stopped, so the caller's RecoverQuery
-// boundary sees it.
-func FanOut(blocks []*x86.BasicBlock, workers int, predict func(*x86.BasicBlock) float64) []float64 {
 	const minPerWorker = 16
 	out := make([]float64, len(blocks))
+	workers := f.workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -65,7 +61,7 @@ func FanOut(blocks []*x86.BasicBlock, workers int, predict func(*x86.BasicBlock)
 	}
 	if workers <= 1 || len(blocks) < 4 {
 		for i, b := range blocks {
-			out[i] = predict(b)
+			out[i] = f.Predict(b)
 		}
 		return out
 	}
@@ -84,7 +80,7 @@ func FanOut(blocks []*x86.BasicBlock, workers int, predict func(*x86.BasicBlock)
 				}
 			}()
 			for i := w; i < len(blocks); i += workers {
-				out[i] = predict(blocks[i])
+				out[i] = f.Predict(blocks[i])
 			}
 		}(w)
 	}

@@ -65,11 +65,11 @@ func TestAsBatchPassesThroughNativeImplementations(t *testing.T) {
 
 func TestFanOutSmallAndEmpty(t *testing.T) {
 	model := &lenModel{}
-	if out := FanOut(nil, 4, model.Predict); len(out) != 0 {
+	if out := (fanOut{model, 4}).PredictBatch(nil); len(out) != 0 {
 		t.Errorf("empty fan-out returned %v", out)
 	}
 	blocks := testBlocks(t, 2)
-	out := FanOut(blocks, 8, model.Predict)
+	out := fanOut{model, 8}.PredictBatch(blocks)
 	for i, b := range blocks {
 		if out[i] != model.Predict(b) {
 			t.Errorf("block %d mismatch", i)
@@ -164,7 +164,7 @@ type batchLenModel struct {
 
 func (m *batchLenModel) PredictBatch(blocks []*x86.BasicBlock) []float64 {
 	m.batches = append(m.batches, len(blocks))
-	return FanOut(blocks, 1, m.Predict)
+	return fanOut{&m.lenModel, 1}.PredictBatch(blocks)
 }
 
 // cheapLenModel is batchLenModel declaring CheapQuery.

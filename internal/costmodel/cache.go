@@ -161,9 +161,9 @@ func (c *Cache) Stats() CacheStats {
 // resolves a prediction for every block through the cache (which may be
 // nil) and then the model, issuing at most batch blocks per call (batch
 // <= 0 means one call for all misses): the model's own PredictBatch when
-// it implements BatchModel, otherwise FanOut over Predict with at most
-// workers goroutines (0 = GOMAXPROCS). Duplicate
-// blocks within the slice are predicted once. Results are written into
+// it implements BatchModel, otherwise a fan-out over Predict with at most
+// workers goroutines (0 = GOMAXPROCS). Duplicate blocks within the slice
+// are predicted once. Results are written into
 // preds, which must have len(blocks) elements. It returns how many of the
 // queries were answered without a model evaluation (cache hits plus
 // within-batch duplicates) and how many blocks the model actually evaluated.

@@ -24,7 +24,6 @@ import (
 	"math"
 	"math/bits"
 
-	"github.com/comet-explain/comet/internal/costmodel"
 	"github.com/comet-explain/comet/internal/deps"
 	"github.com/comet-explain/comet/internal/x86"
 )
@@ -94,12 +93,6 @@ func (s *Simulator) Arch() x86.Arch { return s.cfg.Arch }
 
 // Predict implements costmodel.Model.
 func (s *Simulator) Predict(b *x86.BasicBlock) float64 { return s.Throughput(b) }
-
-// PredictBatch implements costmodel.BatchModel by parallel fan-out: the
-// simulator keeps no per-call state, so blocks simulate independently.
-func (s *Simulator) PredictBatch(blocks []*x86.BasicBlock) []float64 {
-	return costmodel.FanOut(blocks, 0, s.Predict)
-}
 
 // instPlan is the per-instruction scheduling recipe, precomputed once per
 // block.

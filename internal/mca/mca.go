@@ -30,7 +30,6 @@ type Model struct {
 
 var (
 	_ costmodel.Model      = (*Model)(nil)
-	_ costmodel.BatchModel = (*Model)(nil)
 	_ costmodel.CheapQuery = (*Model)(nil)
 )
 
@@ -104,12 +103,6 @@ func (m *Model) Predict(b *x86.BasicBlock) float64 {
 		bound = chain
 	}
 	return bound
-}
-
-// PredictBatch implements costmodel.BatchModel by parallel fan-out; the
-// analysis is closed-form and stateless.
-func (m *Model) PredictBatch(blocks []*x86.BasicBlock) []float64 {
-	return costmodel.FanOut(blocks, 0, m.Predict)
 }
 
 // CheapQuery implements costmodel.CheapQuery: the closed-form bound costs

@@ -142,7 +142,7 @@ func TestWorkersClampedToExplainSlots(t *testing.T) {
 		checkJobWorkers(t, s, raw)
 	}
 
-	model := &peakModel{BatchModel: uica.New(x86.Haswell)}
+	model := &peakModel{BatchModel: costmodel.AsBatch(uica.New(x86.Haswell))}
 	s.RegisterModel("peak", x86.Haswell, model, 0)
 	for _, workers := range []int{4, 0} {
 		sreq := wire.ShardRequest{JobID: "job-x", Lease: "job-x/l0", Spec: "peak@hsw",

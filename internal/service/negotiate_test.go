@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"github.com/comet-explain/comet/internal/core"
+	"github.com/comet-explain/comet/internal/costmodel"
 	"github.com/comet-explain/comet/internal/uica"
 	"github.com/comet-explain/comet/internal/wire"
 	"github.com/comet-explain/comet/internal/x86"
@@ -102,7 +103,7 @@ func TestBinaryExplainMatchesJSONByteForByte(t *testing.T) {
 // returns the identical bytes.
 func TestBinaryInternFastPath(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	model := &countingModel{inner: uica.New(x86.Haswell)}
+	model := &countingModel{inner: costmodel.AsBatch(uica.New(x86.Haswell))}
 	s.RegisterModel("counting", x86.Haswell, model, 0)
 	req := &wire.ExplainRequest{Block: testBlock, Model: "counting", Config: fastOverrides()}
 

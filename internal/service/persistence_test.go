@@ -54,7 +54,7 @@ func TestWarmRestartServesPersistedExplanations(t *testing.T) {
 
 	// Process 1: compute and persist.
 	store1 := openTestStore(t, dir)
-	model1 := &countingModel{inner: uica.New(x86.Haswell)}
+	model1 := &countingModel{inner: costmodel.AsBatch(uica.New(x86.Haswell))}
 	_, ts1, _ := startStoreServer(t, store1, model1)
 	resp, body1 := postJSON(t, ts1.URL+"/v1/explain", req)
 	if resp.StatusCode != http.StatusOK {
@@ -70,7 +70,7 @@ func TestWarmRestartServesPersistedExplanations(t *testing.T) {
 	// Process 2: fresh server, fresh model instance, same directory.
 	store2 := openTestStore(t, dir)
 	t.Cleanup(func() { store2.Close() })
-	model2 := &countingModel{inner: uica.New(x86.Haswell)}
+	model2 := &countingModel{inner: costmodel.AsBatch(uica.New(x86.Haswell))}
 	s2, ts2, sum := startStoreServer(t, store2, model2)
 	if sum.Explanations != 1 {
 		t.Fatalf("restored %d explanations, want 1", sum.Explanations)
@@ -111,7 +111,7 @@ func TestPersistLookupWithoutRestore(t *testing.T) {
 	req := wire.ExplainRequest{Block: testBlock, Model: "counting", Config: fastOverrides()}
 
 	store1 := openTestStore(t, dir)
-	model1 := &countingModel{inner: uica.New(x86.Haswell)}
+	model1 := &countingModel{inner: costmodel.AsBatch(uica.New(x86.Haswell))}
 	_, ts1, _ := startStoreServer(t, store1, model1)
 	_, body1 := postJSON(t, ts1.URL+"/v1/explain", req)
 	if err := store1.Close(); err != nil {
@@ -120,7 +120,7 @@ func TestPersistLookupWithoutRestore(t *testing.T) {
 
 	store2 := openTestStore(t, dir)
 	t.Cleanup(func() { store2.Close() })
-	model2 := &countingModel{inner: uica.New(x86.Haswell)}
+	model2 := &countingModel{inner: costmodel.AsBatch(uica.New(x86.Haswell))}
 	s2 := New(Config{Store: store2}) // no Restore: LRU is cold
 	shutdownAtCleanup(t, s2)
 	s2.RegisterModel("counting", x86.Haswell, model2, 0)
@@ -219,7 +219,7 @@ func TestRestoredJobResumesWhereItStopped(t *testing.T) {
 
 	store := openTestStore(t, dir)
 	t.Cleanup(func() { store.Close() })
-	model := &countingModel{inner: uica.New(x86.Haswell)}
+	model := &countingModel{inner: costmodel.AsBatch(uica.New(x86.Haswell))}
 	_, ts, sum := startStoreServer(t, store, model)
 	if sum.JobsResumed != 1 {
 		t.Fatalf("restore summary %+v, want exactly 1 resumed job", sum)
@@ -302,7 +302,7 @@ func TestRestoredJobResumesWhereItStopped(t *testing.T) {
 func TestJobBlocksAreContentAddressedExplanations(t *testing.T) {
 	store := openTestStore(t, filepath.Join(t.TempDir(), "store"))
 	t.Cleanup(func() { store.Close() })
-	model := &countingModel{inner: uica.New(x86.Haswell)}
+	model := &countingModel{inner: costmodel.AsBatch(uica.New(x86.Haswell))}
 	_, ts, _ := startStoreServer(t, store, model)
 	srcs := []string{testBlock, "imul rax, rbx\nimul rax, rcx", "add rax, rbx\nsub rcx, rdx\nxor rsi, rsi"}
 	results, st := submitCorpus(t, ts.URL, wire.CorpusRequest{Blocks: srcs, Model: "counting", Config: fastOverrides()})
@@ -382,7 +382,7 @@ func TestRestoredJobKeepsFailedBlocks(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "store")
 	srcs := []string{testBlock, "add rax, rbx\nsub rcx, rdx\nxor rsi, rsi\nimul rax, rcx\nor rdi, rax", "imul rax, rbx\nimul rax, rcx"}
 	start := func(store persist.Store) (*abortingModel, *httptest.Server, RestoreSummary) {
-		model := &abortingModel{countingModel: countingModel{inner: uica.New(x86.Haswell)}, poison: 5}
+		model := &abortingModel{countingModel: countingModel{inner: costmodel.AsBatch(uica.New(x86.Haswell))}, poison: 5}
 		s := New(Config{Store: store, JobCheckpointEvery: 1})
 		shutdownAtCleanup(t, s)
 		s.RegisterModel("counting", x86.Haswell, model, 0)

@@ -160,7 +160,7 @@ func (m *countingModel) count(n int) {
 // requests cost exactly one explanation computation.
 func TestSingleFlightCoalescesIdenticalRequests(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	model := &countingModel{inner: uica.New(x86.Haswell), firstDelay: 200 * time.Millisecond}
+	model := &countingModel{inner: costmodel.AsBatch(uica.New(x86.Haswell)), firstDelay: 200 * time.Millisecond}
 	s.RegisterModel("counting", x86.Haswell, model, 0)
 
 	const n = 8
@@ -242,7 +242,7 @@ func spanAttr(t *testing.T, s *Server, traceID, span, attr string) string {
 // LRU store with zero model work.
 func TestResultStoreServesRepeatQueries(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	model := &countingModel{inner: uica.New(x86.Haswell)}
+	model := &countingModel{inner: costmodel.AsBatch(uica.New(x86.Haswell))}
 	s.RegisterModel("counting", x86.Haswell, model, 0)
 
 	req := wire.ExplainRequest{Block: testBlock, Model: "counting", Config: fastOverrides()}
@@ -702,7 +702,7 @@ func TestGracefulShutdown(t *testing.T) {
 // prediction cache, and serves the empty-batch discovery handshake.
 func TestPredictEndpoint(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	model := &countingModel{inner: uica.New(x86.Haswell)}
+	model := &countingModel{inner: costmodel.AsBatch(uica.New(x86.Haswell))}
 	s.RegisterModel("counting", x86.Haswell, model, 0)
 
 	blocks := []string{testBlock, "imul rax, rbx\nimul rax, rcx", testBlock}
@@ -769,7 +769,7 @@ func TestPredictEndpoint(t *testing.T) {
 // specs and reports which specs this server has warmed.
 func TestModelsEndpoint(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	s.RegisterModel("counting", x86.Haswell, &countingModel{inner: uica.New(x86.Haswell)}, 0)
+	s.RegisterModel("counting", x86.Haswell, &countingModel{inner: costmodel.AsBatch(uica.New(x86.Haswell))}, 0)
 	postJSON(t, ts.URL+"/v1/explain", wire.ExplainRequest{Block: testBlock, Model: "uica", Config: fastOverrides()})
 
 	var mr wire.ModelsResponse

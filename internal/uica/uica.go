@@ -24,10 +24,7 @@ type Model struct {
 	sim *hwsim.Simulator
 }
 
-var (
-	_ costmodel.Model      = (*Model)(nil)
-	_ costmodel.BatchModel = (*Model)(nil)
-)
+var _ costmodel.Model = (*Model)(nil)
 
 // New builds the uiCA surrogate for a microarchitecture.
 func New(arch x86.Arch) *Model {
@@ -42,9 +39,3 @@ func (m *Model) Arch() x86.Arch { return m.sim.Arch() }
 
 // Predict implements costmodel.Model.
 func (m *Model) Predict(b *x86.BasicBlock) float64 { return m.sim.Throughput(b) }
-
-// PredictBatch implements costmodel.BatchModel by fanning the stateless
-// simulation out across GOMAXPROCS goroutines.
-func (m *Model) PredictBatch(blocks []*x86.BasicBlock) []float64 {
-	return costmodel.FanOut(blocks, 0, m.Predict)
-}
