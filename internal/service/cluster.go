@@ -102,11 +102,7 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request, in inbound)
 		Index:   func(i int) int { return req.Blocks[i].Index },
 	}) {
 		if res.Explanation != nil {
-			if res.Explanation.Profile != nil {
-				s.metrics.observeExplanation(req.Spec, res.Explanation.Profile.Total.Seconds())
-			}
-			s.metrics.observeQuality(req.Spec, res.Explanation.Precision,
-				res.Explanation.Coverage, res.Explanation.Queries, res.Explanation.Certified)
+			s.metrics.observeComputed(req.Spec, res.Explanation)
 		}
 		results = append(results, wire.FromCorpusResult(res))
 	}

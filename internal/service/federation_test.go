@@ -16,7 +16,9 @@ import (
 
 	"github.com/comet-explain/comet/internal/cluster"
 	"github.com/comet-explain/comet/internal/obs"
+	"github.com/comet-explain/comet/internal/remote"
 	"github.com/comet-explain/comet/internal/wire"
+	"github.com/comet-explain/comet/internal/x86"
 )
 
 // TestReadyzReasons pins the machine-readable reason each non-200
@@ -185,6 +187,38 @@ func TestQualityTelemetryPerSpec(t *testing.T) {
 	}
 }
 
+// TestComputedCountsJobAndShardBlocks: corpus-job blocks and shard-lease
+// blocks are computed explanations like sync requests, so they feed the
+// computed counter and the latency histogram as well as the quality
+// families, one sample each.
+func TestComputedCountsJobAndShardBlocks(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	s.SetReady()
+	if st := runCorpusJob(t, ts.URL, wire.CorpusRequest{
+		Blocks: clusterTestBlocks[:3], Model: "uica", Config: fastOverrides(),
+	}); st.State != wire.JobDone {
+		t.Fatalf("job: %+v", st)
+	}
+	sreq := wire.ShardRequest{JobID: "job-x", Lease: "job-x/l0", Spec: "uica@hsw",
+		Config: shardConfigFor(t, s, fastOverrides())}
+	for i, b := range clusterTestBlocks[2:] {
+		sreq.Blocks = append(sreq.Blocks, wire.ShardBlock{Index: i, Seed: int64(i + 1), Block: b})
+	}
+	resp, raw := postJSON(t, ts.URL+"/v1/shard", sreq)
+	wantStatus(t, "/v1/shard", resp, raw, http.StatusOK)
+
+	text := fetchMetrics(t, ts.URL)
+	for _, want := range []string{
+		"comet_explanations_computed_total 5\n",
+		`comet_explanation_seconds_count{spec="uica@hsw"} 5` + "\n",
+		`comet_explanation_quality_samples_total{spec="uica@hsw"} 5` + "\n",
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("metrics missing %q", want)
+		}
+	}
+}
+
 // TestUploadTracePropagation (PR-8 regression coverage): the spans of a
 // binary upload form one connected trace — ingest.extract parents under
 // the http.corpus root, and the async job.run span carries the same
@@ -244,6 +278,50 @@ func TestUploadTracePropagation(t *testing.T) {
 	}
 	if run := byName["job.run"]; run.TraceID != traceID || run.ParentID == "" {
 		t.Errorf("job.run did not resume the upload trace: %+v", run)
+	}
+}
+
+// TestJobTraceReachesRemoteBackend: a corpus job on a remote@ model
+// carries its trace to the backend, whose predict spans join the job's
+// trace ID.
+func TestJobTraceReachesRemoteBackend(t *testing.T) {
+	backend, backendTS := newTestServer(t, Config{})
+	backend.SetReady()
+	model, err := remote.Dial(backendTS.URL, remote.Options{Model: "c"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front, frontTS := newTestServer(t, Config{})
+	front.RegisterModel("backend", x86.Haswell, model, 0)
+
+	resp, body := postJSON(t, frontTS.URL+"/v1/corpus", wire.CorpusRequest{
+		Blocks: clusterTestBlocks[:2], Model: "backend", Config: fastOverrides(),
+	})
+	wantStatus(t, "/v1/corpus", resp, body, http.StatusAccepted)
+	traceID := resp.Header.Get("X-Comet-Trace-Id")
+	if traceID == "" {
+		t.Fatal("corpus response carries no X-Comet-Trace-Id")
+	}
+	var acc wire.JobAccepted
+	if err := json.Unmarshal(body, &acc); err != nil {
+		t.Fatal(err)
+	}
+	if _, st := pollJob(t, frontTS.URL, acc.ID); st.State != wire.JobDone {
+		t.Fatalf("job: %+v", st)
+	}
+
+	var got struct {
+		Spans []obs.SpanRecord `json:"spans"`
+	}
+	getJSON(t, backendTS.URL+"/debug/traces/"+traceID, &got)
+	predicts := 0
+	for _, sp := range got.Spans {
+		if sp.Name == "http.predict" {
+			predicts++
+		}
+	}
+	if predicts == 0 {
+		t.Errorf("backend trace %s holds no http.predict span (have %d spans)", traceID, len(got.Spans))
 	}
 }
 

@@ -494,7 +494,7 @@ func (m *jobManager) run(j *job) {
 	// have.
 	skip := j.doneIndices()
 
-	explainer := core.NewExplainerWithCache(j.entry.model, j.cfg, j.entry.cache)
+	explainer := core.NewExplainerWithCache(traceModel(ctx, j.entry.model), j.cfg, j.entry.cache)
 	worker := ""
 	if m.cluster != nil {
 		worker = "local"
@@ -505,11 +505,7 @@ func (m *jobManager) run(j *job) {
 		Skip:    skip.Has,
 	}) {
 		if res.Explanation != nil && m.metrics != nil {
-			if res.Explanation.Profile != nil {
-				m.metrics.observeExplanation(j.spec, res.Explanation.Profile.Total.Seconds())
-			}
-			m.metrics.observeQuality(j.spec, res.Explanation.Precision,
-				res.Explanation.Coverage, res.Explanation.Queries, res.Explanation.Certified)
+			m.metrics.observeComputed(j.spec, res.Explanation)
 		}
 		m.record(j, wire.FromCorpusResult(res), worker)
 	}

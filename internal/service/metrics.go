@@ -7,6 +7,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"github.com/comet-explain/comet/internal/core"
 )
 
 // metrics is cometd's stdlib-only instrumentation: request counters by
@@ -41,7 +43,7 @@ type metrics struct {
 
 	coalesced       atomic.Uint64 // explain requests served by single-flight
 	resultStoreHits atomic.Uint64 // explain requests served by the LRU store
-	explanations    atomic.Uint64 // explanations actually computed
+	explanations    atomic.Uint64 // explanations actually computed (observeComputed)
 	predictions     atomic.Uint64 // blocks predicted via /v1/predict
 	shardBlocks     atomic.Uint64 // blocks explained for coordinators via /v1/shard
 	persistHits     atomic.Uint64 // explain requests served by the durable store
@@ -114,17 +116,38 @@ func (rs *routeStats) observe(code int, seconds float64) {
 	rs.latency.observe(seconds)
 }
 
-// observeExplanation records one computed explanation's wall time under
-// its model spec. The sync.Map lookup is lock-free after the first
-// computation for a spec.
-func (m *metrics) observeExplanation(spec string, seconds float64) {
-	v, ok := m.specLatency.Load(spec)
-	if !ok {
-		h := &histogram{}
-		h.init(latencyBounds)
-		v, _ = m.specLatency.LoadOrStore(spec, h)
+// observeComputed records one explanation this process computed — a
+// sync request, a corpus-job block or a shard-lease block — under its
+// model spec: the computed count, its wall time and its quality signals.
+// The sync.Map lookups are lock-free after the first computation for a
+// spec.
+func (m *metrics) observeComputed(spec string, e *core.Explanation) {
+	m.explanations.Add(1)
+	if e.Profile != nil {
+		v, ok := m.specLatency.Load(spec)
+		if !ok {
+			h := &histogram{}
+			h.init(latencyBounds)
+			v, _ = m.specLatency.LoadOrStore(spec, h)
+		}
+		v.(*histogram).observe(e.Profile.Total.Seconds())
 	}
-	v.(*histogram).observe(seconds)
+	v, ok := m.specQuality.Load(spec)
+	if !ok {
+		q := &qualityStats{}
+		q.precision.init(fractionBounds)
+		q.coverage.init(fractionBounds)
+		q.queries.init(queryBounds)
+		v, _ = m.specQuality.LoadOrStore(spec, q)
+	}
+	q := v.(*qualityStats)
+	q.precision.observe(e.Precision)
+	q.coverage.observe(e.Coverage)
+	q.queries.observe(float64(e.Queries))
+	q.count.Add(1)
+	if !e.Certified {
+		q.uncertified.Add(1)
+	}
 }
 
 // qualityStats aggregates one model spec's explanation quality. The hot
@@ -149,27 +172,6 @@ var fractionBounds = []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95
 // Perturbation-count buckets: cheap anchors run tens of queries, hard
 // blocks on tight thresholds run thousands.
 var queryBounds = []float64{10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 25000}
-
-// observeQuality records one computed explanation's quality signals
-// under its model spec.
-func (m *metrics) observeQuality(spec string, precision, coverage float64, queries int, certified bool) {
-	v, ok := m.specQuality.Load(spec)
-	if !ok {
-		q := &qualityStats{}
-		q.precision.init(fractionBounds)
-		q.coverage.init(fractionBounds)
-		q.queries.init(queryBounds)
-		v, _ = m.specQuality.LoadOrStore(spec, q)
-	}
-	q := v.(*qualityStats)
-	q.precision.observe(precision)
-	q.coverage.observe(coverage)
-	q.queries.observe(float64(queries))
-	q.count.Add(1)
-	if !certified {
-		q.uncertified.Add(1)
-	}
-}
 
 // renderQuality writes the per-spec explanation-quality families.
 func (m *metrics) renderQuality(sb *strings.Builder) {

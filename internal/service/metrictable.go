@@ -73,7 +73,7 @@ var metricTable = []metricDesc{
 	// The service's own counters.
 	{name: "comet_explain_coalesced_total", kind: kindCounter, help: "Explain requests coalesced onto an identical in-flight computation.", read: func(sc *scrape) (float64, bool) { return num(sc.metrics.coalesced.Load()) }, history: "explain.coalesced_rps"},
 	{name: "comet_result_store_hits_total", kind: kindCounter, help: "Explain requests served from the explanation result store.", read: func(sc *scrape) (float64, bool) { return num(sc.metrics.resultStoreHits.Load()) }},
-	{name: "comet_explanations_computed_total", kind: kindCounter, help: "Explanations actually computed (not coalesced or cached).", read: func(sc *scrape) (float64, bool) { return num(sc.metrics.explanations.Load()) }, history: "explain.computed_rps"},
+	{name: "comet_explanations_computed_total", kind: kindCounter, help: "Explanations actually computed (not coalesced or cached): sync requests, corpus-job blocks and shard-lease blocks.", read: func(sc *scrape) (float64, bool) { return num(sc.metrics.explanations.Load()) }, history: "explain.computed_rps"},
 	{name: "comet_predictions_served_total", kind: kindCounter, help: "Blocks predicted through POST /v1/predict.", read: func(sc *scrape) (float64, bool) { return num(sc.metrics.predictions.Load()) }},
 	{name: "comet_shard_blocks_total", kind: kindCounter, help: "Blocks explained on behalf of cluster coordinators through POST /v1/shard.", read: func(sc *scrape) (float64, bool) { return num(sc.metrics.shardBlocks.Load()) }},
 	{name: "comet_persist_hits_total", kind: kindCounter, help: "Explain requests served from the durable store.", read: func(sc *scrape) (float64, bool) { return num(sc.metrics.persistHits.Load()) }},

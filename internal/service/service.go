@@ -899,9 +899,7 @@ func (s *Server) compute(ctx context.Context, call *explainCall) (*cachedExplana
 		return nil, err
 	}
 	elapsed := time.Since(start)
-	s.metrics.explanations.Add(1)
-	s.metrics.observeExplanation(spec, elapsed.Seconds())
-	s.metrics.observeQuality(spec, expl.Precision, expl.Coverage, expl.Queries, expl.Certified)
+	s.metrics.observeComputed(spec, expl)
 	// The per-explanation profile stages ride the compute span as
 	// attributes, so a federated trace view shows where the wall time
 	// went without a second lookup.
