@@ -94,10 +94,14 @@ bench-check:
 		-wire-requests $(BENCH_WIRE_REQUESTS) -stream-blocks $(BENCH_WIRE_BLOCKS) \
 		-json-out BENCH_current.json -check BENCH_baseline.json
 
-# Refresh the committed baseline at full scale (run on a quiet machine,
-# then commit BENCH_baseline.json with the change that moved it).
+# Refresh the committed baseline at the gate's own scale (run on a quiet
+# machine, then commit BENCH_baseline.json with the change that moved it).
+# bench-check warns when the baseline's gomaxprocs or requests differ
+# from its own run's.
 bench-baseline:
-	$(GO) run ./cmd/comet-bench -wire -json-out BENCH_baseline.json
+	$(GO) run ./cmd/comet-bench -wire \
+		-wire-requests $(BENCH_WIRE_REQUESTS) -stream-blocks $(BENCH_WIRE_BLOCKS) \
+		-json-out BENCH_baseline.json
 
 # Brief native fuzzing of the frame scanner, the binary decoder, the JSON
 # wire types, the x86 machine-code decoder, the Intel-syntax text parser,
@@ -106,17 +110,19 @@ bench-baseline:
 # starting from the committed corpus in
 # internal/wire/testdata/fuzz and each target's in-test seeds.
 # One -fuzz pattern per invocation: go test rejects multiple fuzz targets
-# in a single fuzzing run.
+# in a single fuzzing run. -fuzzminimizetime bounds the minimization of each
+# new interesting input: unbounded, minimizing a large input (a whole ELF
+# image, a store segment) stalls the workers for the rest of the budget.
 fuzz-smoke:
-	$(GO) test -run='^$$' -fuzz='^FuzzDecodeBinary$$' -fuzztime=30s ./internal/wire
-	$(GO) test -run='^$$' -fuzz='^FuzzScanFrames$$' -fuzztime=30s ./internal/wire
-	$(GO) test -run='^$$' -fuzz='^FuzzWireJSON$$' -fuzztime=30s ./internal/wire
-	$(GO) test -run='^$$' -fuzz='^FuzzDecodeX86$$' -fuzztime=30s ./internal/x86/decode
-	$(GO) test -run='^$$' -fuzz='^FuzzParseX86Text$$' -fuzztime=30s ./internal/x86
-	$(GO) test -run='^$$' -fuzz='^FuzzAccessSummary$$' -fuzztime=30s ./internal/deps
-	$(GO) test -run='^$$' -fuzz='^FuzzParseModelSpec$$' -fuzztime=30s .
-	$(GO) test -run='^$$' -fuzz='^FuzzExtractBytes$$' -fuzztime=30s ./internal/ingest
-	$(GO) test -run='^$$' -fuzz='^FuzzOpenSegment$$' -fuzztime=30s ./internal/persist
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeBinary$$' -fuzztime=30s -fuzzminimizetime=2s ./internal/wire
+	$(GO) test -run='^$$' -fuzz='^FuzzScanFrames$$' -fuzztime=30s -fuzzminimizetime=2s ./internal/wire
+	$(GO) test -run='^$$' -fuzz='^FuzzWireJSON$$' -fuzztime=30s -fuzzminimizetime=2s ./internal/wire
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeX86$$' -fuzztime=30s -fuzzminimizetime=2s ./internal/x86/decode
+	$(GO) test -run='^$$' -fuzz='^FuzzParseX86Text$$' -fuzztime=30s -fuzzminimizetime=2s ./internal/x86
+	$(GO) test -run='^$$' -fuzz='^FuzzAccessSummary$$' -fuzztime=30s -fuzzminimizetime=2s ./internal/deps
+	$(GO) test -run='^$$' -fuzz='^FuzzParseModelSpec$$' -fuzztime=30s -fuzzminimizetime=2s .
+	$(GO) test -run='^$$' -fuzz='^FuzzExtractBytes$$' -fuzztime=30s -fuzzminimizetime=2s ./internal/ingest
+	$(GO) test -run='^$$' -fuzz='^FuzzOpenSegment$$' -fuzztime=30s -fuzzminimizetime=2s ./internal/persist
 
 # Go line counts, non-test and test, outside the nested perfbench module
 # and the benchmark's build directory: every change reports its net

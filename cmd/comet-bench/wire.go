@@ -465,6 +465,12 @@ func checkBaseline(cur *wireSummary, path string) error {
 	if err := json.Unmarshal(data, &base); err != nil {
 		return fmt.Errorf("parsing baseline %s: %w", path, err)
 	}
+	// The speedup ratio moves with GOMAXPROCS and run length, so a
+	// baseline recorded under other settings is flagged, not rejected.
+	if cur.GoMaxProcs != base.GoMaxProcs || cur.Requests != base.Requests {
+		fmt.Fprintf(os.Stderr, "bench-check: WARN: baseline %s was recorded at gomaxprocs=%d, requests=%d; this run has gomaxprocs=%d, requests=%d\n",
+			path, base.GoMaxProcs, base.Requests, cur.GoMaxProcs, cur.Requests)
+	}
 	var failures []string
 	if base.Speedup > 0 && cur.Speedup < base.Speedup*0.75 {
 		failures = append(failures, fmt.Sprintf(

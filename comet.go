@@ -185,15 +185,18 @@ func WithCoverageSamples(n int) ExplainOption { return core.WithCoverageSamples(
 func WithBatchSize(n int) ExplainOption { return core.WithBatchSize(n) }
 
 // WithParallelism bounds the goroutines that draw the request's Γ
-// samples and that query a model without a native PredictBatch (0
-// restores the GOMAXPROCS default). It schedules work only:
-// the explanation is the same at any parallelism.
+// samples and that query a plain model — one without a native
+// PredictBatch, such as C, mca, uica and hwsim (0 restores the
+// GOMAXPROCS default). It schedules work only: the explanation is the
+// same at any parallelism.
 func WithParallelism(n int) ExplainOption { return core.WithParallelism(n) }
 
-// AsBatchModel returns model itself when it already batches natively, and
-// otherwise adapts it with a parallel fan-out. Explainers need no such
-// adapter: they batch through the model's own PredictBatch when it has
-// one and fan out otherwise.
+// AsBatchModel returns model itself when it already batches natively
+// (the neural model, a remote model), and otherwise adapts it with a
+// fan-out over GOMAXPROCS goroutines — C, mca, uica and hwsim are plain
+// models. Explainers need no such adapter: they batch through the
+// model's own PredictBatch when it has one and otherwise fan out over at
+// most Config.Parallelism goroutines.
 func AsBatchModel(model CostModel) BatchCostModel { return costmodel.AsBatch(model) }
 
 // FuncCostModel adapts a function to the CostModel interface — the

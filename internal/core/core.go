@@ -47,14 +47,15 @@ type Config struct {
 	// coverage estimation (paper: 10k; scale down for speed).
 	CoverageSamples int
 	// Parallelism bounds the goroutines that draw Γ samples for one
-	// explanation, and that query a model without a native PredictBatch
-	// (0 = GOMAXPROCS). It is a scheduling width only: each draw is
-	// seeded from its index, so explanations do not depend on it.
+	// explanation, and that query a plain model — one without a native
+	// PredictBatch, such as C, mca, uica and hwsim (0 = GOMAXPROCS). It
+	// is a scheduling width only: each draw is seeded from its index, so
+	// explanations do not depend on it.
 	Parallelism int
 	// BatchSize is how many perturbed blocks are sent to the cost model
 	// per PredictBatch call (default 64). Models with native batching
-	// (the neural model's padded lockstep forward) amortize per-call
-	// overhead across the whole batch.
+	// (the neural model's padded lockstep forward, a remote model's one
+	// round trip) amortize per-call overhead across the whole batch.
 	BatchSize int
 	// CacheSize bounds the shared prediction cache in entries (0 =
 	// default of about a million; negative disables caching). Perturbation
@@ -388,7 +389,7 @@ type blockSpace struct {
 	preserve features.Set
 
 	// Query accounting (single search goroutine; prediction fan-out
-	// happens inside PredictBatch and never touches these).
+	// happens inside costmodel.PredictThrough and never touches these).
 	queries    int // queries issued
 	cacheHits  int // queries served by the cache or within-batch dedup
 	modelCalls int // blocks the model actually evaluated

@@ -20,9 +20,10 @@ import (
 // CorpusOptions configures ExplainAll.
 type CorpusOptions struct {
 	// Workers is the number of blocks explained concurrently
-	// (0 = GOMAXPROCS). With more than one worker each block samples on
-	// its own goroutine, whatever Config.Parallelism says; with one, the
-	// block samples at Config.Parallelism. Neither changes a result.
+	// (0 = GOMAXPROCS). With more than one worker each block samples,
+	// and queries a plain model, on its own goroutine, whatever
+	// Config.Parallelism says; with one, the block runs at
+	// Config.Parallelism. Neither changes a result.
 	Workers int
 	// Context, if non-nil, cancels the run: blocks not yet started are
 	// skipped (in-flight blocks finish and are still delivered), and the

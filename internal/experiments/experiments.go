@@ -240,9 +240,9 @@ func (s *Session) explainConfig(seed int64) core.Config {
 // explainAll runs COMET for a model on a set of blocks, caching by key.
 // Blocks flow through the batched corpus engine: block-level workers
 // saturate the machine and all blocks share one prediction cache. With
-// more than one worker each block samples on one goroutine; native
-// PredictBatch implementations may still fan out briefly per batch,
-// which the scheduler absorbs.
+// more than one worker each block samples, and queries a plain model
+// (C, mca, uica, hwsim), on its worker's goroutine, so the workers are
+// the only fan-out.
 func (s *Session) explainAll(key string, model costmodel.Model, blocks []bhive.Block, seed int64) ([]*core.Explanation, error) {
 	s.mu.Lock()
 	if cached, ok := s.explains[key]; ok {

@@ -96,9 +96,11 @@ import (
 type Config struct {
 	// Base is the default explanation configuration; zero means
 	// core.DefaultConfig. Request ConfigOverrides overlay it. Its
-	// Parallelism is always 1: each explanation samples on one
-	// goroutine, so the explain slots bound the server's CPU use (no
-	// explanation byte depends on it).
+	// Parallelism is always 1: each explanation samples and queries a
+	// plain model (uica, C, mca, hwsim) on one goroutine, so the explain
+	// slots bound the CPU explanations use (no explanation byte depends
+	// on it). A /v1/predict batch fans out over GOMAXPROCS within its
+	// one slot.
 	Base core.Config
 	// DefaultModel is the model spec used when a request omits "model"
 	// (default "uica").
