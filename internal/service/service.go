@@ -894,13 +894,11 @@ func (s *Server) compute(ctx context.Context, call *explainCall) (*cachedExplana
 		defer cspan.End()
 	}
 	explainer := core.NewExplainerWithCache(traceModel(cctx, call.entry.model), s.cfg.Base, call.entry.cache)
-	start := time.Now()
 	expl, err := explainer.ExplainContext(cctx, call.block, call.opts...)
 	if err != nil {
 		cspan.SetErr(err)
 		return nil, err
 	}
-	elapsed := time.Since(start)
 	s.metrics.observeComputed(spec, expl)
 	// The per-explanation profile stages ride the compute span as
 	// attributes, so a federated trace view shows where the wall time
@@ -928,7 +926,7 @@ func (s *Server) compute(ctx context.Context, call *explainCall) (*cachedExplana
 		s.log.LogAttrs(cctx, slog.LevelDebug, "explanation computed",
 			slog.String("spec", spec),
 			slog.String("content_id", call.key.Hex()),
-			slog.Duration("elapsed", elapsed),
+			slog.Duration("elapsed", expl.Profile.Total),
 			obs.TraceAttr(cspan.TraceID()))
 	}
 	return c, nil
