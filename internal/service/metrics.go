@@ -119,20 +119,18 @@ func (rs *routeStats) observe(code int, seconds float64) {
 // observeComputed records one explanation this process computed — a
 // sync request, a corpus-job block or a shard-lease block — under its
 // model spec: the computed count, its wall time and its quality signals.
-// The sync.Map lookups are lock-free after the first computation for a
-// spec.
+// A computed explanation always carries its Profile. The sync.Map
+// lookups are lock-free after the first computation for a spec.
 func (m *metrics) observeComputed(spec string, e *core.Explanation) {
 	m.explanations.Add(1)
-	if e.Profile != nil {
-		v, ok := m.specLatency.Load(spec)
-		if !ok {
-			h := &histogram{}
-			h.init(latencyBounds)
-			v, _ = m.specLatency.LoadOrStore(spec, h)
-		}
-		v.(*histogram).observe(e.Profile.Total.Seconds())
+	v, ok := m.specLatency.Load(spec)
+	if !ok {
+		h := &histogram{}
+		h.init(latencyBounds)
+		v, _ = m.specLatency.LoadOrStore(spec, h)
 	}
-	v, ok := m.specQuality.Load(spec)
+	v.(*histogram).observe(e.Profile.Total.Seconds())
+	v, ok = m.specQuality.Load(spec)
 	if !ok {
 		q := &qualityStats{}
 		q.precision.init(fractionBounds)
