@@ -200,11 +200,19 @@ func BenchmarkExplainAnalytical(b *testing.B) {
 }
 
 // BenchmarkExplainUICA measures a full explanation against the simulator.
-func BenchmarkExplainUICA(b *testing.B) {
+func BenchmarkExplainUICA(b *testing.B) { benchExplainUICA(b, 0) }
+
+// BenchmarkExplainUICASerial is BenchmarkExplainUICA at Parallelism 1, the
+// setting the service and corpus workers explain at: sampling and uica's
+// queries run on the caller's goroutine.
+func BenchmarkExplainUICASerial(b *testing.B) { benchExplainUICA(b, 1) }
+
+func benchExplainUICA(b *testing.B, parallelism int) {
 	block := comet.MustParseBlock(motivating)
 	model := comet.NewUICAModel(comet.Haswell)
 	cfg := comet.DefaultConfig()
 	cfg.CoverageSamples = 300
+	cfg.Parallelism = parallelism
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = int64(i + 1)

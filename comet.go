@@ -196,7 +196,9 @@ func WithParallelism(n int) ExplainOption { return core.WithParallelism(n) }
 // fan-out over GOMAXPROCS goroutines — C, mca, uica and hwsim are plain
 // models. Explainers need no such adapter: they batch through the
 // model's own PredictBatch when it has one and otherwise fan out over at
-// most Config.Parallelism goroutines.
+// most Config.Parallelism goroutines. Give them the plain model: the
+// adapter hides C's and mca's cheap-query marker, so an explainer on
+// AsBatchModel(C) would key, dedup and cache every query.
 func AsBatchModel(model CostModel) BatchCostModel { return costmodel.AsBatch(model) }
 
 // FuncCostModel adapts a function to the CostModel interface — the

@@ -27,7 +27,9 @@ type BatchModel interface {
 
 // AsBatch returns model itself when it already implements BatchModel, and
 // otherwise adapts it by fanning Predict calls out over GOMAXPROCS
-// goroutines.
+// goroutines. The adapter hides every other interface of the model,
+// CheapQuery included, so explainers should get the plain model: on
+// AsBatch(C) they would key, dedup and cache each query.
 func AsBatch(model Model) BatchModel {
 	if bm, ok := model.(BatchModel); ok {
 		return bm

@@ -99,8 +99,9 @@ type Config struct {
 	// Parallelism is always 1: each explanation samples and queries a
 	// plain model (uica, C, mca, hwsim) on one goroutine, so the explain
 	// slots bound the CPU explanations use (no explanation byte depends
-	// on it). A /v1/predict batch fans out over GOMAXPROCS within its
-	// one slot.
+	// on it). The price is latency on an idle host: a lone request uses
+	// one core where idle ones could share its uica queries. A
+	// /v1/predict batch fans out over GOMAXPROCS within its one slot.
 	Base core.Config
 	// DefaultModel is the model spec used when a request omits "model"
 	// (default "uica").
