@@ -9,13 +9,14 @@ import (
 	"github.com/comet-explain/comet/internal/deps"
 	"github.com/comet-explain/comet/internal/features"
 	"github.com/comet-explain/comet/internal/perturb"
+	"github.com/comet-explain/comet/internal/x86"
 )
 
 // TestQueryPathAllocBudgets pins the allocations of the per-query layers
 // of an explanation on the motivating block: one evaluation of C, uica,
-// the hardware simulator and mca, one Γ draw (fresh, and into a warm
-// buffer), one access summary (what a coverage sample tests containment
-// on) and one prediction-cache key. An explanation runs thousands of each,
+// the hardware simulator and mca, one batch of C queries, one Γ draw
+// (fresh, and into a warm buffer), one access summary (what a coverage
+// sample tests containment on) and one prediction-cache key. An explanation runs thousands of each,
 // so a new allocation in any of them is a regression. The race
 // detector allocates on its own and randomly drops sync.Pool entries, so
 // the budgets hold only in normal builds.
@@ -37,6 +38,11 @@ func TestQueryPathAllocBudgets(t *testing.T) {
 	keep := append(feats.Filter(func(f features.Feature) bool { return f.Kind == features.KindDep })[:1], feats[0])
 	var warm perturb.Result
 	p.SampleInto(rng, nil, &warm)
+	batch := make([]*x86.BasicBlock, 64)
+	for i := range batch {
+		batch[i] = block
+	}
+	preds := make([]float64, len(batch))
 	budgets := []struct {
 		name string
 		max  float64
@@ -44,10 +50,15 @@ func TestQueryPathAllocBudgets(t *testing.T) {
 	}{
 		// The access summary and instruction costs live on the stack.
 		{"analytical.Predict", 0, func() { model.Predict(block) }},
-		// The plans, the port table and the iteration ends; the ready
-		// table lives on the stack while the block writes no memory.
-		{"uica.Predict", 3, func() { uica.Predict(block) }},
-		{"hwsim.Predict", 3, func() { hw.Predict(block) }},
+		// C declares CheapQuery: a batch of queries runs inline, with no
+		// fan-out and no cache key, at any worker count.
+		{"costmodel.PredictThrough/C", 0, func() {
+			costmodel.PredictThrough(nil, model, batch, len(batch), 2, preds)
+		}},
+		// The plans, the ready table, the port table and the iteration
+		// ends live on the stack.
+		{"uica.Predict", 0, func() { uica.Predict(block) }},
+		{"hwsim.Predict", 0, func() { hw.Predict(block) }},
 		// The port pressures, the latencies and the unrolled distances.
 		{"mca.Predict", 3, func() { mca.Predict(block) }},
 		{"deps.AppendSummary", 0, func() {

@@ -158,7 +158,8 @@ func NewExplainer(model CostModel, cfg Config) *Explainer {
 // sessions — share one cache per model so perturbation collisions are
 // amortized across every request; shared cached values are exact, so this
 // never changes an explanation. A model that declares a CheapQuery()
-// method (C, mca) is queried directly and never touches the cache.
+// method (C, mca) is queried directly, inline, and never touches the
+// cache.
 func NewExplainerWithCache(model CostModel, cfg Config, cache *PredictionCache) *Explainer {
 	return core.NewExplainerWithCache(model, cfg, cache)
 }
@@ -186,9 +187,9 @@ func WithBatchSize(n int) ExplainOption { return core.WithBatchSize(n) }
 
 // WithParallelism bounds the goroutines that draw the request's Γ
 // samples and that query a plain model — one without a native
-// PredictBatch, such as C, mca, uica and hwsim (0 restores the
-// GOMAXPROCS default). It schedules work only: the explanation is the
-// same at any parallelism.
+// PredictBatch, such as uica and hwsim (0 restores the GOMAXPROCS
+// default); C and mca are queried inline. It schedules work only: the
+// explanation is the same at any parallelism.
 func WithParallelism(n int) ExplainOption { return core.WithParallelism(n) }
 
 // AsBatchModel returns model itself when it already batches natively

@@ -48,7 +48,8 @@ type Config struct {
 	CoverageSamples int
 	// Parallelism bounds the goroutines that draw Γ samples for one
 	// explanation, and that query a plain model — one without a native
-	// PredictBatch, such as C, mca, uica and hwsim (0 = GOMAXPROCS). It
+	// PredictBatch, such as uica and hwsim (0 = GOMAXPROCS); C and mca
+	// declare costmodel.CheapQuery and are queried inline. It
 	// is a scheduling width only: each draw is seeded from its index, so
 	// explanations do not depend on it.
 	Parallelism int
@@ -155,7 +156,8 @@ func (cfg Config) withDefaults() Config {
 
 // NewExplainer builds an explainer. The model must be safe for concurrent
 // Predict calls; if it implements costmodel.BatchModel its native batch
-// path is used, otherwise queries fan out over cfg.Parallelism workers. Its
+// path is used, otherwise queries fan out over cfg.Parallelism workers
+// (inline for a model that declares costmodel.CheapQuery). Its
 // prediction cache comes from costmodel.NewCacheFor: none for a model
 // that declares costmodel.CheapQuery or for a negative cfg.CacheSize.
 func NewExplainer(model costmodel.Model, cfg Config) *Explainer {

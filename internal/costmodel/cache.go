@@ -169,7 +169,9 @@ func (c *Cache) Stats() CacheStats {
 // within-batch duplicates) and how many blocks the model actually evaluated.
 //
 // A model that declares CheapQuery skips the key, the dedup and the
-// cache: every block goes to the model, and saved is 0.
+// cache: every block goes to the model, and saved is 0. Without a native
+// PredictBatch it also skips the fan-out: its Predict runs inline on the
+// caller's goroutine, whatever workers is.
 func PredictThrough(cache *Cache, model Model, blocks []*x86.BasicBlock, batch, workers int, preds []float64) (saved, evaluated int) {
 	if len(blocks) == 0 {
 		return 0, 0
@@ -177,16 +179,22 @@ func PredictThrough(cache *Cache, model Model, blocks []*x86.BasicBlock, batch, 
 	if batch <= 0 {
 		batch = len(blocks)
 	}
-	bm, ok := model.(BatchModel)
-	if !ok {
-		bm = fanOut{model, workers}
-	}
+	bm, native := model.(BatchModel)
 	if _, cheap := model.(CheapQuery); cheap {
+		if !native {
+			for i, b := range blocks {
+				preds[i] = model.Predict(b)
+			}
+			return 0, len(blocks)
+		}
 		for start := 0; start < len(blocks); start += batch {
 			end := min(start+batch, len(blocks))
 			copy(preds[start:end], bm.PredictBatch(blocks[start:end]))
 		}
 		return 0, len(blocks)
+	}
+	if !native {
+		bm = fanOut{model, workers}
 	}
 	// The dedup bookkeeping is pooled: every explanation calls
 	// PredictThrough once per sampling round, and a fresh map plus three

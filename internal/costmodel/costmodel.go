@@ -25,7 +25,8 @@ type Model interface {
 // analyzer) evaluates a block faster than PredictThrough can render its
 // cache key, and its perturbation draws collide too rarely for hits to
 // repay that key. This package alone reads the declaration:
-// PredictThrough sends such a model's queries straight to the model, and
+// PredictThrough sends such a model's queries straight to its Predict,
+// inline on the caller's goroutine (a fan-out costs more than it saves), and
 // NewCacheFor gives it no cache. A wrapper that does not forward the
 // method (costmodel.Func, AsBatch's adapter, a timing or remote model)
 // hides the declaration and is cached as usual.

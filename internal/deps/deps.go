@@ -331,14 +331,3 @@ func (g *Graph) HasEdge(src, dst int, h Hazard) bool {
 	}
 	return false
 }
-
-// EdgesBetween returns all edges from src to dst.
-func (g *Graph) EdgesBetween(src, dst int) []Edge {
-	var out []Edge
-	for _, e := range g.Edges {
-		if e.Src == src && e.Dst == dst {
-			out = append(out, e)
-		}
-	}
-	return out
-}

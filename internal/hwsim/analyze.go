@@ -47,7 +47,8 @@ func (r Report) String() string {
 // binding resource: the frontend, the busiest execution port, or the
 // loop-carried dependency chain.
 func (s *Simulator) Analyze(b *x86.BasicBlock) (Report, error) {
-	plans, ok := s.plan(b)
+	var buf [stackPlans]instPlan
+	plans, ok := s.plan(b, buf[:0])
 	if !ok {
 		return Report{}, fmt.Errorf("hwsim: cannot analyze invalid block")
 	}
@@ -135,9 +136,13 @@ func classify(r Report, busy []float64) string {
 // depChainThroughput measures cycles/iteration when only data dependencies
 // constrain execution.
 func (s *Simulator) depChainThroughput(plans []instPlan) float64 {
+	var (
+		memBuf [stackMem]memReady
+		endBuf [stackIters]float64
+	)
+	ready := newReadyTable(plans, memBuf[:])
+	iterEnd := fit(endBuf[:], s.cfg.Iterations)
 	loadLat := s.loadLat()
-	ready := newReadyTable(plans)
-	iterEnd := make([]float64, s.cfg.Iterations)
 	for iter := range iterEnd {
 		end := 0.0
 		for k := range plans {
@@ -162,7 +167,7 @@ func (s *Simulator) depChainThroughput(plans []instPlan) float64 {
 				writes &^= rspBit
 			}
 			ready.set(writes, &p.acc, done)
-			end = math.Max(end, done)
+			end = max(end, done)
 		}
 		if iter > 0 && iterEnd[iter-1] > end {
 			end = iterEnd[iter-1]

@@ -112,8 +112,9 @@ const rspBit = 1 << x86.FamRSP
 // readyTable records the cycle each location's value becomes ready; a
 // location never written reads as ready at cycle 0.
 type readyTable struct {
-	at  [64]float64 // by location bit; deps.MemBit's slot is unused
-	mem []memReady
+	at   [64]float64 // by location bit; deps.MemBit's slot is unused
+	mem  []memReady  // one slot per memory-writing plan; the first nmem hold locations
+	nmem int
 }
 
 // memReady is the ready cycle of one memory location.
@@ -122,16 +123,35 @@ type memReady struct {
 	at  float64
 }
 
-// newReadyTable returns an empty table with room for every memory
-// location the plans write.
-func newReadyTable(plans []instPlan) readyTable {
+// Stack capacities of the simulator's working storage: a typical block
+// fits, and a larger one falls back to the heap.
+const (
+	stackPlans = 16 // instructions in a block
+	stackMem   = 16 // memory locations a block writes
+	stackPorts = 8  // execution ports (x86.PortSet holds 8)
+	stackIters = 64 // simulated loop iterations
+)
+
+// fit returns buf[:n] when n fits in buf, and otherwise a fresh slice of
+// length n; either way every element is zero if buf's are.
+func fit[T any](buf []T, n int) []T {
+	if n <= len(buf) {
+		return buf[:n]
+	}
+	return make([]T, n)
+}
+
+// newReadyTable returns an empty table with a slot, taken from buf when it
+// has room, for every memory location the plans write. The slots are
+// filled by index, never appended, so a table on the stack keeps buf there.
+func newReadyTable(plans []instPlan, buf []memReady) readyTable {
 	n := 0
 	for k := range plans {
 		if plans[k].acc.Writes&deps.MemBit != 0 {
 			n++
 		}
 	}
-	return readyTable{mem: make([]memReady, 0, n)}
+	return readyTable{mem: fit(buf, n)}
 }
 
 // operands returns the cycle all of a's reads are ready.
@@ -143,8 +163,8 @@ func (r *readyTable) operands(a *deps.InstAccess) float64 {
 		}
 	}
 	if a.Reads&deps.MemBit != 0 {
-		for _, e := range r.mem {
-			if e.loc == a.Mem && e.at > src {
+		for k := range r.mem[:r.nmem] {
+			if e := &r.mem[k]; e.loc == a.Mem && e.at > src {
 				src = e.at
 			}
 		}
@@ -161,19 +181,21 @@ func (r *readyTable) set(mask uint64, a *deps.InstAccess, t float64) {
 	if mask&deps.MemBit == 0 {
 		return
 	}
-	for k := range r.mem {
+	for k := range r.mem[:r.nmem] {
 		if r.mem[k].loc == a.Mem {
 			r.mem[k].at = t
 			return
 		}
 	}
-	r.mem = append(r.mem, memReady{a.Mem, t})
+	r.mem[r.nmem] = memReady{a.Mem, t}
+	r.nmem++
 }
 
 // Throughput returns the predicted steady-state cycles per iteration.
 // Invalid blocks yield +Inf (they cannot execute).
 func (s *Simulator) Throughput(b *x86.BasicBlock) float64 {
-	plans, ok := s.plan(b)
+	var buf [stackPlans]instPlan
+	plans, ok := s.plan(b, buf[:0])
 	if !ok {
 		return math.Inf(1)
 	}
@@ -183,10 +205,15 @@ func (s *Simulator) Throughput(b *x86.BasicBlock) float64 {
 // simulate runs the planned block for cfg.Iterations loop iterations and
 // returns its steady-state cycles per iteration.
 func (s *Simulator) simulate(plans []instPlan) float64 {
-	ready := newReadyTable(plans)
-	portFree := make([]float64, s.params.NumPorts)
+	var (
+		memBuf  [stackMem]memReady
+		portBuf [stackPorts]float64
+		endBuf  [stackIters]float64
+	)
+	ready := newReadyTable(plans, memBuf[:])
+	portFree := fit(portBuf[:], s.params.NumPorts)
+	iterEnd := fit(endBuf[:], s.cfg.Iterations)
 	uopCount := 0
-	iterEnd := make([]float64, s.cfg.Iterations)
 	loadLat := s.loadLat()
 
 	for iter := range iterEnd {
@@ -197,13 +224,13 @@ func (s *Simulator) simulate(plans []instPlan) float64 {
 			frontend := float64(uopCount) / float64(s.params.IssueWidth)
 			uopCount += p.uops
 
-			start := math.Max(frontend, ready.operands(&p.acc))
+			start := max(frontend, ready.operands(&p.acc))
 			issue := start // cycle the first uop of the instruction issues
 
 			// Load uops: issue on a load port, extend the data-ready chain.
 			dataLat := 0.0
 			for l := 0; l < p.loads; l++ {
-				start = s.issueOnPort(start, s.params.LoadPorts, 1, portFree)
+				start = issueOnPort(start, s.params.LoadPorts, 1, portFree)
 				issue = start
 				dataLat = loadLat
 			}
@@ -211,7 +238,7 @@ func (s *Simulator) simulate(plans []instPlan) float64 {
 			// Compute uop.
 			dataDone := start + dataLat
 			if p.hasCompute {
-				start = s.issueOnPort(start, p.perf.Ports, p.occupancy, portFree)
+				start = issueOnPort(start, p.perf.Ports, p.occupancy, portFree)
 				issue = start
 				dataDone = start + float64(p.perf.Lat) + dataLat
 			}
@@ -220,10 +247,10 @@ func (s *Simulator) simulate(plans []instPlan) float64 {
 			// later loads after the store-forwarding latency.
 			memDone := dataDone
 			for st := 0; st < p.stores; st++ {
-				start = s.issueOnPort(start, s.params.StoreDataPts, 1, portFree)
+				start = issueOnPort(start, s.params.StoreDataPts, 1, portFree)
 				issue = start
 				if s.cfg.ModelStoreAddr {
-					s.issueOnPort(start, s.params.StoreAddrPts, 1, portFree)
+					issueOnPort(start, s.params.StoreAddrPts, 1, portFree)
 				}
 				memDone = start + float64(s.cfg.StoreForwardLat)
 			}
@@ -238,7 +265,7 @@ func (s *Simulator) simulate(plans []instPlan) float64 {
 			ready.set(writes&(deps.MemBit|deps.StackBit), &p.acc, memDone)
 			ready.set(writes&^(deps.MemBit|deps.StackBit), &p.acc, dataDone)
 
-			end = math.Max(end, math.Max(dataDone, memDone))
+			end = max(end, max(dataDone, memDone))
 		}
 		if iter > 0 && iterEnd[iter-1] > end {
 			end = iterEnd[iter-1]
@@ -261,18 +288,20 @@ func slope(iterEnd []float64) float64 {
 
 // loadLat is the load-to-use latency, at least one cycle.
 func (s *Simulator) loadLat() float64 {
-	return math.Max(1, float64(s.params.LoadLat+s.cfg.LoadLatDelta))
+	return max(1, float64(s.params.LoadLat+s.cfg.LoadLatDelta))
 }
 
-// issueOnPort finds the eligible port that frees earliest, issues the uop
-// there no earlier than earliest, marks the port busy for occupancy
-// cycles, and returns the issue cycle.
-func (s *Simulator) issueOnPort(earliest float64, eligible x86.PortSet, occupancy float64, portFree []float64) float64 {
+// issueOnPort finds the eligible port that frees earliest (the lowest
+// index among equally free ones), issues the uop there no earlier than
+// earliest, marks the port busy for occupancy cycles, and returns the
+// issue cycle. With no eligible port it returns earliest.
+func issueOnPort(earliest float64, eligible x86.PortSet, occupancy float64, portFree []float64) float64 {
 	best := -1
 	bestFree := math.Inf(1)
-	for n := 0; n < len(portFree); n++ {
-		if !eligible.Contains(n) {
-			continue
+	for m := uint8(eligible); m != 0; m &= m - 1 {
+		n := bits.TrailingZeros8(m)
+		if n >= len(portFree) {
+			break
 		}
 		if portFree[n] < bestFree {
 			bestFree = portFree[n]
@@ -282,14 +311,15 @@ func (s *Simulator) issueOnPort(earliest float64, eligible x86.PortSet, occupanc
 	if best < 0 {
 		return earliest
 	}
-	start := math.Max(earliest, portFree[best])
+	start := max(earliest, portFree[best])
 	portFree[best] = start + occupancy
 	return start
 }
 
 // plan resolves the block's instructions once, through its access
-// summary, into scheduling recipes. It fails on an empty or invalid block.
-func (s *Simulator) plan(b *x86.BasicBlock) ([]instPlan, bool) {
+// summary, into scheduling recipes appended to dst. It fails on an empty
+// or invalid block.
+func (s *Simulator) plan(b *x86.BasicBlock, dst []instPlan) ([]instPlan, bool) {
 	if b == nil || b.Len() == 0 {
 		return nil, false
 	}
@@ -298,7 +328,6 @@ func (s *Simulator) plan(b *x86.BasicBlock) ([]instPlan, bool) {
 	if err != nil {
 		return nil, false
 	}
-	plans := make([]instPlan, len(sum))
 	for i, a := range sum {
 		inst, spec := b.Instructions[i], a.Spec
 		perf := x86.SpecPerf(s.cfg.Arch, spec, inst)
@@ -321,9 +350,9 @@ func (s *Simulator) plan(b *x86.BasicBlock) ([]instPlan, bool) {
 		}
 		occupancy := 1.0
 		if perf.Unpipelined {
-			occupancy = math.Ceil(math.Max(1, perf.RThru+s.cfg.DivRThruDelta))
+			occupancy = math.Ceil(max(1, perf.RThru+s.cfg.DivRThruDelta))
 		}
-		plans[i] = instPlan{
+		dst = append(dst, instPlan{
 			acc:        a,
 			perf:       perf,
 			occupancy:  occupancy,
@@ -332,7 +361,7 @@ func (s *Simulator) plan(b *x86.BasicBlock) ([]instPlan, bool) {
 			uops:       uops,
 			hasCompute: hasCompute,
 			rspFast:    spec.StackRead || spec.StackWrite,
-		}
+		})
 	}
-	return plans, true
+	return dst, true
 }

@@ -3,6 +3,7 @@ package hwsim
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -218,5 +219,39 @@ func TestVectorDivideChain(t *testing.T) {
 	got := tput(t, hsw(), src)
 	if got < 20 {
 		t.Errorf("chained FP divides should dominate: %.2f cycles", got)
+	}
+}
+
+func TestIssueOnPort(t *testing.T) {
+	// Among equally free eligible ports the lowest index wins; port 0 is
+	// free but not eligible.
+	free := []float64{0, 5, 3, 3, 3, 0, 0, 0}
+	if got := issueOnPort(1, x86.Port(2, 3, 4), 1, free); got != 3 {
+		t.Errorf("issue cycle = %v, want 3 (port 2 frees at 3)", got)
+	}
+	if want := []float64{0, 5, 4, 3, 3, 0, 0, 0}; !slices.Equal(free, want) {
+		t.Errorf("ports after the tie = %v, want %v", free, want)
+	}
+
+	// An empty eligible set issues at earliest and touches no port.
+	before := slices.Clone(free)
+	if got := issueOnPort(7, 0, 1, free); got != 7 {
+		t.Errorf("empty set: issue cycle = %v, want earliest 7", got)
+	}
+	if !slices.Equal(free, before) {
+		t.Errorf("empty set moved ports: %v, want %v", free, before)
+	}
+
+	// Occupancy moves the chosen port's free cycle past the issue cycle;
+	// the next uop then prefers the other, earlier-free port.
+	free = []float64{0, 2, 0, 0, 0, 0, 0, 0}
+	if got := issueOnPort(4, x86.Port(0, 1), 10, free); got != 4 {
+		t.Errorf("issue cycle = %v, want 4 (earliest bounds port 0)", got)
+	}
+	if free[0] != 14 || free[1] != 2 {
+		t.Errorf("ports 0,1 free at %v,%v, want 14,2", free[0], free[1])
+	}
+	if got := issueOnPort(0, x86.Port(0, 1), 1, free); got != 2 || free[1] != 3 {
+		t.Errorf("next uop issued at %v with port 1 free at %v, want 2 and 3", got, free[1])
 	}
 }

@@ -255,10 +255,11 @@ func MemUops(spec *Spec, f *Form, inst Instruction) (loads, stores int) {
 	if f == nil {
 		return loads, stores
 	}
-	for i, t := range f.Ops {
+	for i := range f.Ops {
 		if i >= len(inst.Operands) || inst.Operands[i].Kind != KindMem {
 			continue
 		}
+		t := &f.Ops[i]
 		if t.Access&AccR != 0 {
 			loads++
 		}

@@ -87,8 +87,8 @@ func (f Form) Match(ops []Operand) bool {
 		return false
 	}
 	memCount := 0
-	for i, t := range f.Ops {
-		o := ops[i]
+	for i := range f.Ops {
+		t, o := &f.Ops[i], &ops[i]
 		if !kindAllowed(t.Kinds, o.Kind) {
 			return false
 		}
