@@ -112,8 +112,10 @@ const rspBit = 1 << x86.FamRSP
 // readyTable records the cycle each location's value becomes ready; a
 // location never written reads as ready at cycle 0.
 type readyTable struct {
-	at   [64]float64 // by location bit; deps.MemBit's slot is unused
-	mem  []memReady  // one slot per memory-writing plan; the first nmem hold locations
+	at [64]float64 // by location bit; deps.MemBit's slot is unused
+	// mem has one slot per memory-writing plan; the first nmem hold the
+	// locations written so far.
+	mem  []memReady
 	nmem int
 }
 
