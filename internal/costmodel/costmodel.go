@@ -26,8 +26,11 @@ type Model interface {
 // cache key, and its perturbation draws collide too rarely for hits to
 // repay that key. This package alone reads the declaration:
 // PredictThrough sends such a model's queries straight to its Predict,
-// inline on the caller's goroutine (a fan-out costs more than it saves), and
-// NewCacheFor gives it no cache. A wrapper that does not forward the
+// inline on the caller's goroutine, and NewCacheFor gives it no cache.
+// Inline, an explanation's small sampling rounds skip a fan-out that cost
+// more than it saved; a large batch, such as one comet-serve /v1/predict
+// request, gives up the idle cores a fan-out would borrow and runs on its
+// caller's one explain slot. A wrapper that does not forward the
 // method (costmodel.Func, AsBatch's adapter, a timing or remote model)
 // hides the declaration and is cached as usual.
 type CheapQuery interface {

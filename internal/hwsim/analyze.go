@@ -47,8 +47,7 @@ func (r Report) String() string {
 // binding resource: the frontend, the busiest execution port, or the
 // loop-carried dependency chain.
 func (s *Simulator) Analyze(b *x86.BasicBlock) (Report, error) {
-	var buf [stackPlans]instPlan
-	plans, ok := s.plan(b, buf[:0])
+	plans, ok := s.plan(b, nil)
 	if !ok {
 		return Report{}, fmt.Errorf("hwsim: cannot analyze invalid block")
 	}
@@ -136,13 +135,9 @@ func classify(r Report, busy []float64) string {
 // depChainThroughput measures cycles/iteration when only data dependencies
 // constrain execution.
 func (s *Simulator) depChainThroughput(plans []instPlan) float64 {
-	var (
-		memBuf [stackMem]memReady
-		endBuf [stackIters]float64
-	)
-	ready := newReadyTable(plans, memBuf[:])
-	iterEnd := fit(endBuf[:], s.cfg.Iterations)
 	loadLat := s.loadLat()
+	ready := newReadyTable(plans, nil)
+	iterEnd := make([]float64, s.cfg.Iterations)
 	for iter := range iterEnd {
 		end := 0.0
 		for k := range plans {

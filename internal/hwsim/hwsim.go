@@ -325,7 +325,7 @@ func (s *Simulator) plan(b *x86.BasicBlock, dst []instPlan) ([]instPlan, bool) {
 	if b == nil || b.Len() == 0 {
 		return nil, false
 	}
-	var buf [16]deps.InstAccess
+	var buf [stackPlans]deps.InstAccess
 	sum, err := deps.AppendSummary(buf[:0], b, deps.Options{})
 	if err != nil {
 		return nil, false
