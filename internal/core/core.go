@@ -337,7 +337,7 @@ func EstimateCoverage(b *x86.BasicBlock, set features.Set, cfg Config, n int, rn
 	var res perturb.Result
 	for i := 0; i < n; i++ {
 		p.SampleInto(rng, nil, &res)
-		if err := retains(row, set, res, cfg.Perturb.DepOptions); err != nil {
+		if err := retains(row, set, &res, cfg.Perturb.DepOptions); err != nil {
 			return 0, err
 		}
 		if !slices.Contains(row, false) {
@@ -350,14 +350,14 @@ func EstimateCoverage(b *x86.BasicBlock, set features.Set, cfg Config, n int, rn
 // retains sets row[j] to whether the Γ draw res retains feats[j]: the
 // containment check behind the coverage pool and EstimateCoverage.
 // Dependency features are tested on the draw's access summary.
-func retains(row []bool, feats features.Set, res perturb.Result, opts deps.Options) error {
+func retains(row []bool, feats features.Set, res *perturb.Result, opts deps.Options) error {
 	var buf [16]deps.InstAccess
 	sum, err := deps.AppendSummary(buf[:0], res.Block, opts)
 	if err != nil {
 		return err
 	}
-	for j, f := range feats {
-		row[j] = f.Retained(res.Block, res.Mapping, sum.HasHazard)
+	for j := range feats {
+		row[j] = feats[j].Retained(res.Block, res.Mapping, sum.HasHazard)
 	}
 	return nil
 }
@@ -470,7 +470,7 @@ func (s *blockSpace) buildCoveragePool(n int, rng *rand.Rand) error {
 			return err
 		}
 		s.perturb.SampleInto(r, nil, &res[w])
-		return retains(s.coverage[i], s.feats, res[w], s.depOpts)
+		return retains(s.coverage[i], s.feats, &res[w], s.depOpts)
 	})
 }
 

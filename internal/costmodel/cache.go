@@ -168,10 +168,9 @@ func (c *Cache) Stats() CacheStats {
 // queries were answered without a model evaluation (cache hits plus
 // within-batch duplicates) and how many blocks the model actually evaluated.
 //
-// A model that declares CheapQuery skips the key, the dedup and the
-// cache: every block goes to the model, and saved is 0. Without a native
-// PredictBatch it also skips the fan-out: its Predict runs inline on the
-// caller's goroutine, whatever workers is.
+// A model that declares CheapQuery skips the key, the dedup, the cache
+// and the batching: every block goes to its Predict, inline on the
+// caller's goroutine whatever batch and workers are, and saved is 0.
 func PredictThrough(cache *Cache, model Model, blocks []*x86.BasicBlock, batch, workers int, preds []float64) (saved, evaluated int) {
 	if len(blocks) == 0 {
 		return 0, 0
@@ -179,20 +178,13 @@ func PredictThrough(cache *Cache, model Model, blocks []*x86.BasicBlock, batch, 
 	if batch <= 0 {
 		batch = len(blocks)
 	}
-	bm, native := model.(BatchModel)
 	if _, cheap := model.(CheapQuery); cheap {
-		if !native {
-			for i, b := range blocks {
-				preds[i] = model.Predict(b)
-			}
-			return 0, len(blocks)
-		}
-		for start := 0; start < len(blocks); start += batch {
-			end := min(start+batch, len(blocks))
-			copy(preds[start:end], bm.PredictBatch(blocks[start:end]))
+		for i, b := range blocks {
+			preds[i] = model.Predict(b)
 		}
 		return 0, len(blocks)
 	}
+	bm, native := model.(BatchModel)
 	if !native {
 		bm = fanOut{model, workers}
 	}

@@ -25,8 +25,10 @@ type Model interface {
 // analyzer) evaluates a block faster than PredictThrough can render its
 // cache key, and its perturbation draws collide too rarely for hits to
 // repay that key. This package alone reads the declaration:
-// PredictThrough sends such a model's queries straight to its Predict,
-// inline on the caller's goroutine, and NewCacheFor gives it no cache.
+// PredictThrough sends each of such a model's queries straight to its
+// Predict, inline on the caller's goroutine — no key, no dedup, no
+// cache, no PredictBatch even if it has one — and NewCacheFor gives it
+// no cache.
 // Inline, an explanation's small sampling rounds skip a fan-out that cost
 // more than it saved; a large batch, such as one comet-serve /v1/predict
 // request, gives up the idle cores a fan-out would borrow and runs on its

@@ -22,6 +22,7 @@ import (
 	"github.com/comet-explain/comet/internal/features"
 	"github.com/comet-explain/comet/internal/hwsim"
 	"github.com/comet-explain/comet/internal/ithemal"
+	"github.com/comet-explain/comet/internal/stats"
 	"github.com/comet-explain/comet/internal/wire"
 	"github.com/comet-explain/comet/internal/x86"
 )
@@ -295,26 +296,7 @@ func mapeOf(model costmodel.Model, blocks []bhive.Block) float64 {
 		preds = append(preds, model.Predict(b.Block))
 		actuals = append(actuals, b.Throughput[model.Arch()])
 	}
-	return mapeSlice(preds, actuals)
-}
-
-func mapeSlice(pred, actual []float64) float64 {
-	s, n := 0.0, 0
-	for i := range pred {
-		if actual[i] == 0 {
-			continue
-		}
-		d := pred[i] - actual[i]
-		if d < 0 {
-			d = -d
-		}
-		s += d / actual[i]
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return 100 * s / float64(n)
+	return stats.MAPE(preds, actuals)
 }
 
 func f2(v float64) string    { return fmt.Sprintf("%.2f", v) }

@@ -175,19 +175,3 @@ func (s *Session) Figure4() (*Table, error) {
 	t.Notes = append(t.Notes, "partitions of the shared test set; sparse categories may be absent")
 	return t, nil
 }
-
-// HeldOutPrecision re-estimates the precision of cached explanations on
-// fresh perturbations (used by tests to confirm Table 3 is honest).
-func (s *Session) HeldOutPrecision(model costmodel.Model, blocks []bhive.Block, expls []*core.Explanation, n int) (float64, error) {
-	cfg := s.explainConfig(31337)
-	var vals []float64
-	rng := newRNG(31337)
-	for i, e := range expls {
-		p, err := core.EstimatePrecision(model, blocks[i].Block, e.Features, cfg, n, rng)
-		if err != nil {
-			return 0, err
-		}
-		vals = append(vals, p)
-	}
-	return stats.Mean(vals), nil
-}

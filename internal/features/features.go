@@ -128,15 +128,6 @@ func (s Set) Add(f Feature) Set {
 	return append(out, f)
 }
 
-// Union returns the union of two sets.
-func (s Set) Union(o Set) Set {
-	out := NewSet(s...)
-	for _, f := range o {
-		out = out.Add(f)
-	}
-	return out
-}
-
 // Key returns a canonical identity for the whole set (order-insensitive).
 func (s Set) Key() string {
 	keys := make([]string, len(s))
@@ -239,15 +230,6 @@ func (s Set) SetContainedIn(b *x86.BasicBlock, g *deps.Graph, mapping []int) boo
 		}
 	}
 	return true
-}
-
-// CountByKind tallies how many features of each kind the set contains.
-func (s Set) CountByKind() map[Kind]int {
-	m := make(map[Kind]int, 3)
-	for _, f := range s {
-		m[f.Kind]++
-	}
-	return m
 }
 
 // Filter returns the subset of features matching the predicate.

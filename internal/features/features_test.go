@@ -26,7 +26,10 @@ const motivating = "add rcx, rax\nmov rdx, rcx\npop rbx"
 func TestExtractMotivatingExample(t *testing.T) {
 	// Figure 1(iii): three instruction features, the RAW dependency, and η.
 	set, _ := extract(t, motivating)
-	counts := set.CountByKind()
+	counts := make(map[Kind]int)
+	for _, f := range set {
+		counts[f.Kind]++
+	}
 	if counts[KindInstr] != 3 {
 		t.Errorf("instruction features = %d, want 3", counts[KindInstr])
 	}
@@ -87,10 +90,6 @@ func TestSetOperations(t *testing.T) {
 	}
 	if b.Add(set[0]).Key() != b.Key() {
 		t.Error("adding an existing feature should not change the set key")
-	}
-	u := a.Union(b)
-	if u.Key() != b.Key() {
-		t.Errorf("union wrong: %v vs %v", u, b)
 	}
 }
 

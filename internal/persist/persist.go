@@ -43,6 +43,7 @@
 package persist
 
 import (
+	"container/list"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -157,8 +158,6 @@ type entry struct {
 	seg  int
 	off  int64
 	size int64 // full frame size including header
-	prev *entry
-	next *entry
 }
 
 // segment is one open log file.
@@ -174,9 +173,8 @@ type Log struct {
 	mu     sync.Mutex
 	dir    string
 	opts   Options
-	index  map[string]*entry
-	head   *entry // most recently used
-	tail   *entry // least recently used
+	index  map[string]*list.Element // of *entry
+	lru    *list.List               // front = most recently used
 	segs   map[int]*segment
 	active *segment
 	closed bool
@@ -202,7 +200,8 @@ func Open(dir string, opts Options) (*Log, error) {
 	l := &Log{
 		dir:   dir,
 		opts:  opts,
-		index: make(map[string]*entry),
+		index: make(map[string]*list.Element),
+		lru:   list.New(),
 		segs:  make(map[int]*segment),
 	}
 	seqs, err := segmentSeqs(dir)
@@ -363,49 +362,11 @@ func indexKey(kind, key string) string { return kind + "\x00" + key }
 func (l *Log) indexRecord(kind, key string, seg int, off, size int64) {
 	ik := indexKey(kind, key)
 	if old, ok := l.index[ik]; ok {
-		l.liveBytes -= old.size
-		l.unlink(old)
+		l.liveBytes -= old.Value.(*entry).size
+		l.lru.Remove(old)
 	}
-	e := &entry{key: ik, seg: seg, off: off, size: size}
-	l.index[ik] = e
-	l.pushFront(e)
+	l.index[ik] = l.lru.PushFront(&entry{key: ik, seg: seg, off: off, size: size})
 	l.liveBytes += size
-}
-
-// Intrusive recency list: head = most recently used.
-
-func (l *Log) pushFront(e *entry) {
-	e.prev = nil
-	e.next = l.head
-	if l.head != nil {
-		l.head.prev = e
-	}
-	l.head = e
-	if l.tail == nil {
-		l.tail = e
-	}
-}
-
-func (l *Log) unlink(e *entry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		l.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		l.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (l *Log) touch(e *entry) {
-	if l.head == e {
-		return
-	}
-	l.unlink(e)
-	l.pushFront(e)
 }
 
 // Get implements Store.
@@ -415,11 +376,12 @@ func (l *Log) Get(kind, key string) (*wire.Record, bool) {
 	if l.closed {
 		return nil, false
 	}
-	e, ok := l.index[indexKey(kind, key)]
+	el, ok := l.index[indexKey(kind, key)]
 	if !ok {
 		l.stats.Misses++
 		return nil, false
 	}
+	e := el.Value.(*entry)
 	rec, err := l.readEntry(e)
 	if err != nil {
 		// The frame passed its checksum at open but is unreadable now
@@ -428,11 +390,11 @@ func (l *Log) Get(kind, key string) (*wire.Record, bool) {
 		l.stats.CorruptRecords++
 		l.stats.Misses++
 		l.liveBytes -= e.size
-		l.unlink(e)
+		l.lru.Remove(el)
 		delete(l.index, e.key)
 		return nil, false
 	}
-	l.touch(e)
+	l.lru.MoveToFront(el)
 	l.stats.Hits++
 	return rec, true
 }
@@ -537,8 +499,8 @@ func (l *Log) Scan(fn func(rec *wire.Record) bool) error {
 	if l.closed {
 		return errClosed
 	}
-	for e := l.tail; e != nil; e = e.prev {
-		rec, err := l.readEntry(e)
+	for el := l.lru.Back(); el != nil; el = el.Prev() {
+		rec, err := l.readEntry(el.Value.(*entry))
 		if err != nil {
 			l.stats.CorruptRecords++
 			continue
@@ -575,7 +537,8 @@ func (l *Log) compactLocked() error {
 	var keep []*entry
 	var kept int64
 	evicted := 0
-	for e := l.head; e != nil; e = e.next {
+	for el := l.lru.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*entry)
 		if l.opts.MaxBytes > 0 && kept+e.size > l.opts.MaxBytes && len(keep) > 0 {
 			evicted++
 			continue
@@ -644,33 +607,17 @@ func (l *Log) compactLocked() error {
 	}
 
 	// Rebuild the index around the survivors; recency order is preserved.
-	l.index = make(map[string]*entry, len(keep))
-	l.head, l.tail = nil, nil
-	for i := len(placements) - 1; i >= 0; i-- { // newest-first for pushFront order
+	l.index = make(map[string]*list.Element, len(keep))
+	l.lru.Init()
+	for i := len(placements) - 1; i >= 0; i-- { // newest-first, appended toward the LRU end
 		p := placements[i]
-		e := &entry{key: p.e.key, seg: newSeq, off: p.off, size: p.e.size}
-		l.index[e.key] = e
-		l.pushBack(e)
+		l.index[p.e.key] = l.lru.PushBack(&entry{key: p.e.key, seg: newSeq, off: p.off, size: p.e.size})
 	}
 	l.liveBytes = off
 	l.totalBytes = off
 	l.stats.Evictions += uint64(evicted)
 	l.stats.Compactions++
 	return nil
-}
-
-// pushBack appends an entry at the LRU end (compaction rebuild walks
-// newest-first, appending progressively older entries).
-func (l *Log) pushBack(e *entry) {
-	e.next = nil
-	e.prev = l.tail
-	if l.tail != nil {
-		l.tail.next = e
-	}
-	l.tail = e
-	if l.head == nil {
-		l.head = e
-	}
 }
 
 func syncDir(dir string) error {

@@ -95,8 +95,8 @@ func (s *Server) registerHistory() {
 	// Per-spec quality series appear as specs do: the hook re-offers every
 	// known spec each tick, and registration is idempotent (first wins).
 	h.BeforeSample = func() {
-		s.metrics.specQuality.Range(func(k, v any) bool {
-			spec, q := k.(string), v.(*qualityStats)
+		s.metrics.specs.Range(func(k, v any) bool {
+			spec, q := k.(string), v.(*specStats)
 			h.Rate("spec."+spec+".explanations_rps", func() float64 { return float64(q.count.Load()) })
 			h.Value("spec."+spec+".precision_mean", histMeanSeries(&q.precision))
 			return true

@@ -291,22 +291,9 @@ type jobManager struct {
 	running atomic.Int64 // jobs currently executing
 }
 
-func newJobManager(ctx context.Context, workers, queueDepth, historySize, checkpointEvery int, store persist.Store, storeErr func(error)) *jobManager {
-	if workers < 1 {
-		workers = 1
-	}
-	if queueDepth < 1 {
-		queueDepth = 16
-	}
-	if historySize < 1 {
-		historySize = 64
-	}
-	if checkpointEvery < 1 {
-		checkpointEvery = 16
-	}
-	if storeErr == nil {
-		storeErr = func(error) {}
-	}
+// newJobManager starts cfg.JobWorkers job workers; cfg has been through
+// Config.withDefaults.
+func newJobManager(ctx context.Context, cfg Config, storeErr func(error)) *jobManager {
 	tag := make([]byte, 4)
 	if _, err := rand.Read(tag); err != nil {
 		// Fall back to a fixed tag; IDs stay unique within the process
@@ -314,15 +301,15 @@ func newJobManager(ctx context.Context, workers, queueDepth, historySize, checkp
 		copy(tag, []byte{0xc0, 0x3e, 0x70, 0x01})
 	}
 	m := &jobManager{
-		queue:           make(chan *job, queueDepth),
-		history:         newLRUStore[string, *job](historySize),
+		queue:           make(chan *job, cfg.JobQueueDepth),
+		history:         newLRUStore[string, *job](cfg.JobHistorySize),
 		ctx:             ctx,
 		instance:        hex.EncodeToString(tag),
-		store:           store,
-		checkpointEvery: checkpointEvery,
+		store:           cfg.Store,
+		checkpointEvery: cfg.JobCheckpointEvery,
 		storeErr:        storeErr,
 	}
-	for w := 0; w < workers; w++ {
+	for w := 0; w < cfg.JobWorkers; w++ {
 		m.wg.Add(1)
 		go func() {
 			defer m.wg.Done()
@@ -455,18 +442,11 @@ func (m *jobManager) run(j *job) {
 		}
 	}()
 
-	j.mu.Lock()
 	if m.ctx.Err() != nil {
-		j.state = wire.JobCanceled
-		j.err = "canceled during shutdown"
-		if j.notify != nil {
-			j.notify.Broadcast()
-		}
-		j.mu.Unlock()
-		m.persistJob(j)
-		m.finish(j)
+		m.finalize(j) // dequeued during shutdown: canceled, resumable
 		return
 	}
+	j.mu.Lock()
 	j.state = wire.JobRunning
 	j.mu.Unlock()
 	m.flightJob(j, wire.JobRunning)
@@ -537,10 +517,10 @@ func (m *jobManager) record(j *job, res wire.CorpusResult, worker string) {
 	}
 }
 
-// finalize settles a job's terminal state, persists it, and moves it to
-// history.
-func (m *jobManager) finalize(j *job) {
-	j.mu.Lock()
+// settleLocked sets a job's terminal state from its counters: canceled
+// with blocks missing (a shutdown stopped it), failed with a failed
+// block, done otherwise. j.mu must be held.
+func (j *job) settleLocked() {
 	switch {
 	case j.done < len(j.blocks):
 		j.state = wire.JobCanceled
@@ -551,6 +531,13 @@ func (m *jobManager) finalize(j *job) {
 	default:
 		j.state = wire.JobDone
 	}
+}
+
+// finalize settles a job's terminal state, persists it, and moves it to
+// history.
+func (m *jobManager) finalize(j *job) {
+	j.mu.Lock()
+	j.settleLocked()
 	if j.notify != nil {
 		j.notify.Broadcast()
 	}
@@ -589,6 +576,7 @@ func (m *jobManager) persistJob(j *job) {
 		Blocks:  texts,
 		Config:  j.snapshot,
 		Workers: j.workers,
+		Stream:  j.streamOnly,
 		Error:   j.err,
 		// failures only grows, so the slice up to its current length
 		// never changes under a concurrent appendResult.

@@ -28,18 +28,14 @@ type metrics struct {
 	mu     sync.Mutex
 	routes []*routeStats // registration order; sorted at render
 
-	// specLatency maps model spec → *histogram of computed-explanation
-	// wall times. Entries are created on first computation for a spec;
+	// specs maps model spec → *specStats: computed-explanation wall
+	// times and quality telemetry, recorded wherever an explanation is
+	// actually computed — sync request, local corpus job, worker shard
+	// lease — and never on the coordinator's merge path, so cluster runs
+	// count each explanation exactly once (on the process that computed
+	// it). Entries are created on first computation for a spec;
 	// cardinality is bounded by the model registry's entry cap.
-	specLatency sync.Map
-
-	// specQuality maps model spec → *qualityStats: the explanation-quality
-	// telemetry (achieved precision, coverage, perturbation count,
-	// ε-violation rate) recorded wherever an explanation is actually
-	// computed — sync request, local corpus job, worker shard lease — and
-	// never on the coordinator's merge path, so cluster runs count each
-	// explanation exactly once (on the process that computed it).
-	specQuality sync.Map
+	specs sync.Map
 
 	coalesced       atomic.Uint64 // explain requests served by single-flight
 	resultStoreHits atomic.Uint64 // explain requests served by the LRU store
@@ -123,36 +119,32 @@ func (rs *routeStats) observe(code int, seconds float64) {
 // lookups are lock-free after the first computation for a spec.
 func (m *metrics) observeComputed(spec string, e *core.Explanation) {
 	m.explanations.Add(1)
-	v, ok := m.specLatency.Load(spec)
+	v, ok := m.specs.Load(spec)
 	if !ok {
-		h := &histogram{}
-		h.init(latencyBounds)
-		v, _ = m.specLatency.LoadOrStore(spec, h)
+		st := &specStats{}
+		st.latency.init(latencyBounds)
+		st.precision.init(fractionBounds)
+		st.coverage.init(fractionBounds)
+		st.queries.init(queryBounds)
+		v, _ = m.specs.LoadOrStore(spec, st)
 	}
-	v.(*histogram).observe(e.Profile.Total.Seconds())
-	v, ok = m.specQuality.Load(spec)
-	if !ok {
-		q := &qualityStats{}
-		q.precision.init(fractionBounds)
-		q.coverage.init(fractionBounds)
-		q.queries.init(queryBounds)
-		v, _ = m.specQuality.LoadOrStore(spec, q)
-	}
-	q := v.(*qualityStats)
-	q.precision.observe(e.Precision)
-	q.coverage.observe(e.Coverage)
-	q.queries.observe(float64(e.Queries))
-	q.count.Add(1)
+	st := v.(*specStats)
+	st.latency.observe(e.Profile.Total.Seconds())
+	st.precision.observe(e.Precision)
+	st.coverage.observe(e.Coverage)
+	st.queries.observe(float64(e.Queries))
+	st.count.Add(1)
 	if !e.Certified {
-		q.uncertified.Add(1)
+		st.uncertified.Add(1)
 	}
 }
 
-// qualityStats aggregates one model spec's explanation quality. The hot
-// path is the same atomized discipline as the latency histograms: after
-// the first explanation for a spec, recording is a lock-free sync.Map
-// load plus atomic histogram observes — no allocation, no mutex.
-type qualityStats struct {
+// specStats aggregates one model spec's computed explanations: wall
+// time and quality. After the first explanation for a spec, recording
+// is a lock-free sync.Map load plus atomic histogram observes — no
+// allocation, no mutex.
+type specStats struct {
+	latency   histogram // computed-explanation wall time, seconds
 	precision histogram // achieved Prec(F), fraction
 	coverage  histogram // achieved Cov(F), fraction of the coverage pool
 	queries   histogram // perturbations (cost-model queries) per explanation
@@ -171,40 +163,39 @@ var fractionBounds = []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95
 // blocks on tight thresholds run thousands.
 var queryBounds = []float64{10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 25000}
 
-// renderQuality writes the per-spec explanation-quality families.
-func (m *metrics) renderQuality(sb *strings.Builder) {
-	var specs []string
-	m.specQuality.Range(func(k, _ any) bool {
-		specs = append(specs, k.(string))
+// renderSpecs writes the per-spec families: explanation wall time,
+// then quality.
+func (m *metrics) renderSpecs(sb *strings.Builder) {
+	type row struct {
+		spec  string
+		stats *specStats
+	}
+	var rows []row
+	m.specs.Range(func(k, v any) bool {
+		rows = append(rows, row{k.(string), v.(*specStats)})
 		return true
 	})
-	if len(specs) == 0 {
+	if len(rows) == 0 {
 		return
 	}
-	sort.Strings(specs)
-	stats := func(spec string) *qualityStats {
-		v, _ := m.specQuality.Load(spec)
-		return v.(*qualityStats)
+	sort.Slice(rows, func(i, j int) bool { return rows[i].spec < rows[j].spec })
+	histograms := func(name string, h func(*specStats) *histogram) {
+		writeFamily(sb, name)
+		for _, r := range rows {
+			h(r.stats).render(sb, name, fmt.Sprintf("spec=%q", r.spec))
+		}
 	}
-	writeFamily(sb, "comet_explanation_precision")
-	for _, spec := range specs {
-		stats(spec).precision.render(sb, "comet_explanation_precision", fmt.Sprintf("spec=%q", spec))
-	}
-	writeFamily(sb, "comet_explanation_coverage")
-	for _, spec := range specs {
-		stats(spec).coverage.render(sb, "comet_explanation_coverage", fmt.Sprintf("spec=%q", spec))
-	}
-	writeFamily(sb, "comet_explanation_queries")
-	for _, spec := range specs {
-		stats(spec).queries.render(sb, "comet_explanation_queries", fmt.Sprintf("spec=%q", spec))
-	}
+	histograms("comet_explanation_seconds", func(st *specStats) *histogram { return &st.latency })
+	histograms("comet_explanation_precision", func(st *specStats) *histogram { return &st.precision })
+	histograms("comet_explanation_coverage", func(st *specStats) *histogram { return &st.coverage })
+	histograms("comet_explanation_queries", func(st *specStats) *histogram { return &st.queries })
 	writeFamily(sb, "comet_explanation_uncertified_total")
-	for _, spec := range specs {
-		fmt.Fprintf(sb, "comet_explanation_uncertified_total{spec=%q} %d\n", spec, stats(spec).uncertified.Load())
+	for _, r := range rows {
+		fmt.Fprintf(sb, "comet_explanation_uncertified_total{spec=%q} %d\n", r.spec, r.stats.uncertified.Load())
 	}
 	writeFamily(sb, "comet_explanation_quality_samples_total")
-	for _, spec := range specs {
-		fmt.Fprintf(sb, "comet_explanation_quality_samples_total{spec=%q} %d\n", spec, stats(spec).count.Load())
+	for _, r := range rows {
+		fmt.Fprintf(sb, "comet_explanation_quality_samples_total{spec=%q} %d\n", r.spec, r.stats.count.Load())
 	}
 }
 
@@ -239,21 +230,7 @@ func (m *metrics) render(sb *strings.Builder) {
 		}
 	}
 
-	var specs []string
-	m.specLatency.Range(func(k, _ any) bool {
-		specs = append(specs, k.(string))
-		return true
-	})
-	if len(specs) > 0 {
-		sort.Strings(specs)
-		writeFamily(sb, "comet_explanation_seconds")
-		for _, spec := range specs {
-			v, _ := m.specLatency.Load(spec)
-			v.(*histogram).render(sb, "comet_explanation_seconds", fmt.Sprintf("spec=%q", spec))
-		}
-	}
-
-	m.renderQuality(sb)
+	m.renderSpecs(sb)
 }
 
 // histogram is a fixed-bucket latency histogram with atomic counters.

@@ -59,7 +59,7 @@ func (sc *scrape) mem() *runtime.MemStats {
 func num[T ~int | ~int64 | ~uint64](v T) (float64, bool) { return float64(v), true }
 
 var metricTable = []metricDesc{
-	// Labelled families, rendered by metrics.render and renderQuality.
+	// Labelled families, rendered by metrics.render and renderSpecs.
 	{name: "comet_requests_total", kind: kindCounter, help: "HTTP requests served, by route and status code."},
 	{name: "comet_slow_requests_total", kind: kindCounter, help: "Requests committed to the outlier trace ring (latency over the slow threshold, or status >= 500), by route."},
 	{name: "comet_request_seconds", kind: kindHistogram, help: "Request latency, by route."},

@@ -7,7 +7,6 @@ import (
 
 	"github.com/comet-explain/comet/internal/persist"
 	"github.com/comet-explain/comet/internal/wire"
-	"github.com/comet-explain/comet/internal/x86"
 )
 
 // Warm restarts: with a durable store attached, a restarted server
@@ -77,36 +76,29 @@ func (s *Server) Restore() (RestoreSummary, error) {
 	return sum, nil
 }
 
-// restoreJob rebuilds one persisted job and either parks it in history
-// (terminal) or re-enqueues it (interrupted).
+// restoreJob rebuilds one persisted job and either retires it to
+// history (terminal) or re-enqueues it (interrupted).
 func (s *Server) restoreJob(env *wire.JobEnvelope, sum *RestoreSummary) {
-	j := &job{
-		id:        env.ID,
-		texts:     env.Blocks,
-		workers:   s.clampWorkers(env.Workers),
-		spec:      env.Spec,
-		snapshot:  env.Config,
-		fromStore: true,
-	}
+	j := s.newJob(env.Spec, env.Config, env.Workers, env.Stream)
+	j.id = env.ID
+	j.texts = env.Blocks
+	j.fromStore = true
 	fail := func(format string, args ...any) {
 		j.state = wire.JobFailed
 		j.err = fmt.Sprintf("restore: "+format, args...)
 		// Persist the terminal state so the next restart doesn't pay the
 		// (possibly expensive) resume attempt again.
 		s.jobs.persistJob(j)
-		s.jobs.history.put(j.id, j)
+		s.jobs.finish(j)
 		sum.JobsFailed++
 	}
 
-	j.blocks = make([]*x86.BasicBlock, len(env.Blocks))
-	for i, src := range env.Blocks {
-		b, err := x86.ParseBlock(src)
-		if err != nil {
-			fail("block %d: %v", i, err)
-			return
-		}
-		j.blocks[i] = b
+	blocks, err := s.parseBlocks(nil, env.Blocks...)
+	if err != nil {
+		fail("%v", err)
+		return
 	}
+	j.blocks = blocks
 
 	// Replay finished blocks in block-index order. (An uninterrupted
 	// single-worker run completes in index order too, so a client that
@@ -128,48 +120,41 @@ func (s *Server) restoreJob(env *wire.JobEnvelope, sum *RestoreSummary) {
 		j.appendResult(res, "")
 	}
 
-	if j.done >= len(j.blocks) {
+	switch {
+	case j.done >= len(j.blocks):
 		// Every block persisted before the restart: terminal, straight
 		// into the poll history under its original ID.
-		if j.failed > 0 {
-			j.state = wire.JobFailed
-			j.err = fmt.Sprintf("%d of %d blocks failed", j.failed, len(j.blocks))
-		} else {
-			j.state = wire.JobDone
-		}
+		j.mu.Lock()
+		j.settleLocked()
+		j.mu.Unlock()
 		if env.State != j.state {
 			s.jobs.persistJob(j) // settle the envelope's recorded state
 		}
-		s.jobs.history.put(j.id, j)
-		sum.JobsRestored++
-		return
-	}
-
-	if env.State == wire.JobFailed {
+	case env.State == wire.JobFailed:
 		// A previous restore already declared this job unresumable;
 		// honor that instead of re-attempting (and re-paying) the
 		// resume on every restart.
 		j.state = wire.JobFailed
 		j.err = env.Error
-		s.jobs.history.put(j.id, j)
-		sum.JobsRestored++
+	default:
+		// Interrupted: resolve the model (operator-trusted — the spec
+		// was accepted and canonicalized before it was persisted) and
+		// resume.
+		entry, err := s.models.get(env.Spec, "hsw", true)
+		if err != nil {
+			fail("resolving %s: %v", env.Spec, err)
+			return
+		}
+		j.entry = entry
+		if err := s.jobs.submit(j); err != nil {
+			fail("re-enqueueing: %v", err)
+			return
+		}
+		sum.JobsResumed++
 		return
 	}
-
-	// Interrupted: resolve the model (operator-trusted — the spec was
-	// accepted and canonicalized before it was persisted) and resume.
-	entry, err := s.models.get(env.Spec, "hsw", true)
-	if err != nil {
-		fail("resolving %s: %v", env.Spec, err)
-		return
-	}
-	j.entry = entry
-	j.cfg = env.Config.Apply(s.cfg.Base)
-	if err := s.jobs.submit(j); err != nil {
-		fail("re-enqueueing: %v", err)
-		return
-	}
-	sum.JobsResumed++
+	s.jobs.finish(j)
+	sum.JobsRestored++
 }
 
 // handleJobs serves GET /v1/jobs: every job the server knows — queued,

@@ -438,6 +438,42 @@ func TestRestoredJobKeepsFailedBlocks(t *testing.T) {
 	}
 }
 
+// TestRestoredStreamJobStaysStreamOnly: a finished stream-only job comes
+// back from the store as a stream-only job — its status pages no
+// results, before the restart and after it.
+func TestRestoredStreamJobStaysStreamOnly(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	paged := func(base, id string) wire.JobStatus {
+		t.Helper()
+		var st wire.JobStatus
+		if r := getJSON(t, base+"/v1/jobs/"+id, &st); r.StatusCode != http.StatusOK {
+			t.Fatalf("job status: %d", r.StatusCode)
+		}
+		if st.State != wire.JobDone || st.Done != 2 || len(st.Results) != 0 {
+			t.Fatalf("stream job %s: state %s, %d done, %d paged results; want done, 2, 0",
+				id, st.State, st.Done, len(st.Results))
+		}
+		return st
+	}
+
+	store1 := openTestStore(t, dir)
+	_, ts1, _ := startStoreServer(t, store1, &countingModel{inner: costmodel.AsBatch(uica.New(x86.Haswell))})
+	id := streamJob(t, ts1.URL, []string{testBlock, "add rax, rbx"})
+	waitJobDone(t, ts1.URL, id)
+	paged(ts1.URL, id)
+	if err := store1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	store2 := openTestStore(t, dir)
+	t.Cleanup(func() { store2.Close() })
+	_, ts2, sum := startStoreServer(t, store2, &countingModel{inner: costmodel.AsBatch(uica.New(x86.Haswell))})
+	if sum.JobsRestored != 1 {
+		t.Fatalf("restore summary %+v, want 1 restored job", sum)
+	}
+	paged(ts2.URL, id)
+}
+
 // TestUnresumableJobFailsOnceAndStaysFailed: a persisted job whose model
 // can no longer resolve is marked failed — durably, so the next restart
 // does not re-pay the resume attempt or flip the job back to queued.

@@ -371,8 +371,7 @@ func New(cfg Config) *Server {
 		}
 		s.coordinator = cluster.New(cluster.NewPool(cfg.ClusterWorkers, copts), copts)
 	}
-	s.jobs = newJobManager(ctx, cfg.JobWorkers, cfg.JobQueueDepth, cfg.JobHistorySize,
-		cfg.JobCheckpointEvery, cfg.Store, s.storeError)
+	s.jobs = newJobManager(ctx, cfg, s.storeError)
 	s.jobs.cluster = s.coordinator
 	s.jobs.tracer = s.tracer
 	s.jobs.log = s.log
@@ -1058,21 +1057,26 @@ func (s *Server) prepareCorpusJob(model, archStr string, overrides *wire.ConfigO
 	if err := s.checkConfig(cfg); err != nil {
 		return nil, err
 	}
-	j := &job{
-		entry:    entry,
-		cfg:      cfg,
-		workers:  s.clampWorkers(workers),
-		spec:     entry.specString(),
-		snapshot: wire.SnapshotConfig(cfg),
-	}
-	if stream {
-		// Stream-only job: results are delivered through
-		// GET /v1/jobs/{id}/stream and only a bounded catch-up ring is
-		// retained, so memory stays flat however large the corpus is.
-		j.streamOnly = true
-		j.ringCap = s.cfg.StreamRingSize
-	}
+	j := s.newJob(entry.specString(), wire.SnapshotConfig(cfg), workers, stream)
+	j.entry = entry
 	return j, nil
+}
+
+// newJob builds a corpus job without blocks or model: the one
+// constructor of submitted and restored jobs. The effective config is
+// the snapshot applied to the server's base, as a shard lease computes
+// it. A stream-only job delivers its results through
+// GET /v1/jobs/{id}/stream and retains only a bounded catch-up ring, so
+// memory stays flat however large the corpus is.
+func (s *Server) newJob(spec string, snapshot wire.ConfigSnapshot, workers int, stream bool) *job {
+	return &job{
+		cfg:        snapshot.Apply(s.cfg.Base),
+		workers:    s.clampWorkers(workers),
+		spec:       spec,
+		snapshot:   snapshot,
+		streamOnly: stream,
+		ringCap:    s.cfg.StreamRingSize,
+	}
 }
 
 // submitCorpusJob queues a prepared job over its already-parsed blocks —

@@ -157,24 +157,3 @@ func Beta(k, t int, delta float64) float64 {
 	}
 	return temp + math.Log(temp)
 }
-
-// PearsonR returns the Pearson correlation coefficient of two series
-// (0 when undefined). The utility experiments use it to quantify the
-// paper's inverse error/granularity correlation.
-func PearsonR(xs, ys []float64) float64 {
-	if len(xs) != len(ys) || len(xs) < 2 {
-		return 0
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxy, sxx, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0
-	}
-	return sxy / math.Sqrt(sxx*syy)
-}

@@ -109,16 +109,3 @@ func TestBetaIncreasesWithRounds(t *testing.T) {
 		t.Error("β must grow with the number of arms")
 	}
 }
-
-func TestPearsonR(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	if r := PearsonR(xs, []float64{2, 4, 6, 8}); math.Abs(r-1) > 1e-9 {
-		t.Errorf("perfect positive correlation: r = %v", r)
-	}
-	if r := PearsonR(xs, []float64{8, 6, 4, 2}); math.Abs(r+1) > 1e-9 {
-		t.Errorf("perfect negative correlation: r = %v", r)
-	}
-	if r := PearsonR(xs, []float64{5, 5, 5, 5}); r != 0 {
-		t.Errorf("constant series: r = %v, want 0", r)
-	}
-}

@@ -74,8 +74,29 @@ func jsonFuzzTargets() []any {
 	return []any{
 		&Explanation{}, &CorpusResult{}, &ExplainRequest{}, &CorpusRequest{},
 		&PredictRequest{}, &PredictResponse{}, &ShardRequest{}, &ShardResponse{},
-		&JoinRequest{}, &Error{}, &JobSummary{}, &StreamEvent{},
+		&JoinRequest{}, &Error{}, &JobSummary{}, &StreamEvent{}, &Record{},
 	}
+}
+
+// jsonFuzzSeeds: the JSON form of every sample message, plus a durable
+// job record (JSON only — records have no binary encoding) whose
+// envelope marks a stream job.
+func jsonFuzzSeeds(tb testing.TB) [][]byte {
+	rec := &Record{V: RecordVersion, Kind: RecordJob, Key: "job-1", Spec: "uica@hsw",
+		Job: &JobEnvelope{ID: "job-1", State: JobRunning, Spec: "uica@hsw",
+			Blocks:  []string{"add rax, rbx", "pop rcx"},
+			Config:  ConfigSnapshot{Epsilon: 0.5, PrecisionThreshold: 0.95, CoverageSamples: 1000, BatchSize: 64, Seed: -42},
+			Workers: 2, Stream: true,
+			Failures: []CorpusResult{{Index: 1, Block: "pop rcx", Error: "nope"}}}}
+	var seeds [][]byte
+	for _, msg := range append(sampleMessages(), rec) {
+		data, err := json.Marshal(msg)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		seeds = append(seeds, data)
+	}
+	return seeds
 }
 
 // FuzzDecodeBinary: arbitrary bytes through the full frame+payload
@@ -161,12 +182,8 @@ func FuzzScanFrames(f *testing.F) {
 // (marshal→unmarshal→marshal is byte-identical), the property the
 // byte-identity guarantee between encodings is built on.
 func FuzzWireJSON(f *testing.F) {
-	for _, msg := range sampleMessages() {
-		data, err := json.Marshal(msg)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(data)
+	for _, s := range jsonFuzzSeeds(f) {
+		f.Add(s)
 	}
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"block":"add rax, rbx","config":{"seed":-1}}`))
@@ -202,18 +219,10 @@ func FuzzWireJSON(f *testing.F) {
 // re-run the generator still ships *a* corpus).
 func TestWriteFuzzSeeds(t *testing.T) {
 	write := os.Getenv("COMET_WRITE_FUZZ_SEEDS") == "1"
-	jsonSeeds := make([][]byte, 0, len(sampleMessages()))
-	for _, msg := range sampleMessages() {
-		data, err := json.Marshal(msg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		jsonSeeds = append(jsonSeeds, data)
-	}
 	corpora := map[string][][]byte{
 		"FuzzDecodeBinary": fuzzBinarySeeds(t),
 		"FuzzScanFrames":   fuzzScanSeeds(t),
-		"FuzzWireJSON":     jsonSeeds,
+		"FuzzWireJSON":     jsonFuzzSeeds(t),
 	}
 	for name, seeds := range corpora {
 		dir := filepath.Join("testdata", "fuzz", name)

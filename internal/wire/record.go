@@ -92,6 +92,8 @@ func (s ConfigSnapshot) Apply(base core.Config) core.Config {
 // block that succeeded is persisted as its content-addressed explanation
 // record (persist.BlockExplanationID), so the envelope is written only
 // on state transitions while explanations append as blocks finish.
+// Stream marks a stream-only job, which restores with only its
+// catch-up ring; envelopes written without it restore as paged jobs.
 type JobEnvelope struct {
 	ID       string         `json:"id"`
 	State    string         `json:"state"`
@@ -99,6 +101,7 @@ type JobEnvelope struct {
 	Blocks   []string       `json:"blocks"`
 	Config   ConfigSnapshot `json:"config"`
 	Workers  int            `json:"workers,omitempty"`
+	Stream   bool           `json:"stream,omitempty"`
 	Error    string         `json:"error,omitempty"`
 	Failures []CorpusResult `json:"failures,omitempty"`
 }

@@ -109,18 +109,6 @@ func (m MemRef) AppendText(dst []byte) []byte {
 	return append(dst, ']')
 }
 
-// Regs returns the register families the address expression reads.
-func (m MemRef) Regs() []RegFamily {
-	var fams []RegFamily
-	if !m.Base.IsZero() {
-		fams = append(fams, m.Base.Family)
-	}
-	if !m.Index.IsZero() {
-		fams = append(fams, m.Index.Family)
-	}
-	return fams
-}
-
 // Operand is a single instruction operand.
 type Operand struct {
 	Kind OperandKind
