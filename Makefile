@@ -106,9 +106,10 @@ bench-baseline:
 # Brief native fuzzing of the frame scanner, the binary decoder, the JSON
 # wire types, the x86 machine-code decoder, the Intel-syntax text parser,
 # the dependency access summary against the dependency graph, the
-# model-spec grammar, ELF extraction and durable-store segment recovery,
-# starting from the committed corpus in
-# internal/wire/testdata/fuzz and each target's in-test seeds.
+# model-spec grammar, ELF extraction, durable-store segment recovery and
+# the cometd HTTP handler (every route row, in process), starting from the
+# committed corpus in internal/wire/testdata/fuzz and each target's in-test
+# seeds.
 # One -fuzz pattern per invocation: go test rejects multiple fuzz targets
 # in a single fuzzing run. -fuzzminimizetime bounds the minimization of each
 # new interesting input: unbounded, minimizing a large input (a whole ELF
@@ -123,6 +124,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzParseModelSpec$$' -fuzztime=30s -fuzzminimizetime=2s .
 	$(GO) test -run='^$$' -fuzz='^FuzzExtractBytes$$' -fuzztime=30s -fuzzminimizetime=2s ./internal/ingest
 	$(GO) test -run='^$$' -fuzz='^FuzzOpenSegment$$' -fuzztime=30s -fuzzminimizetime=2s ./internal/persist
+	$(GO) test -run='^$$' -fuzz='^FuzzHandler$$' -fuzztime=30s -fuzzminimizetime=2s ./internal/service
 
 # Go line counts, non-test and test, outside the nested perfbench module
 # and the benchmark's build directory: every change reports its net

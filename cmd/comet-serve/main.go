@@ -15,6 +15,7 @@
 //	                        over -max-upload-bytes are refused with 413)
 //	GET  /v1/jobs           list every known job (including restored ones)
 //	GET  /v1/jobs/{id}      poll a job (?offset=&limit= paginate results)
+//	GET  /v1/jobs/{id}/stream  stream a job's results (NDJSON, or binary frames via Accept)
 //	GET  /v1/models         registered model specs + default configs
 //	POST /v1/shard          execute one lease of a sharded corpus job
 //	POST /v1/cluster/join   worker self-registration + heartbeat (coordinator)
@@ -22,25 +23,28 @@
 //	GET  /healthz           liveness
 //	GET  /readyz            readiness (200 only after warm-up and Restore)
 //	GET  /metrics           Prometheus text metrics
-//	GET  /debug/traces      recently finished traces (/debug/traces/{id} for spans;
-//	                        ?outliers=1 lists retained slow/5xx traces;
-//	                        ?cluster=1 on a coordinator federates worker views)
+//	GET  /debug/traces      recently finished traces (?outliers=1 lists retained
+//	                        slow/5xx traces; ?cluster=1 on a coordinator
+//	                        federates worker views)
+//	GET  /debug/traces/{id} every recorded span of one trace (?cluster=1 federates)
+//	GET  /debug/flight      flight-recorder dump (requests, leases, job transitions)
 //	GET  /debug/history     retained telemetry time-series (req/s, latency
 //	                        quantiles, hit rates, queues, quality; ?cluster=1
 //	                        on a coordinator federates worker histories)
-//	GET  /debug/flight      flight-recorder dump (requests, leases, job transitions)
+//
+// Each route answers only its one method; any other gets 405.
 //
 // Observability: -log-format/-log-level select structured (slog) text or
 // JSON logs; -trace-sample controls request tracing (hot routes sample
 // 1-in-N, slow routes always trace, ?trace=1 forces it); -debug-addr
 // serves net/http/pprof on a separate listener. The flight recorder
-// (-flight-ring) keeps a bounded black box of every request, lease, and
-// job transition regardless of sampling; SIGQUIT dumps it to stderr as
+// keeps a bounded black box of the last 2048 requests, leases, and job
+// transitions regardless of sampling; SIGQUIT dumps it to stderr as
 // JSON and exits, and `comet-trace <url> <trace-id>` renders a (cluster-
 // federated) trace as a span tree. Requests slower than -trace-slow-ms
-// (or answering >= 500) commit their full span tree to a bounded outlier
-// ring even when head sampling skipped them; a background sampler
-// (-history-interval) keeps -history-ring points of every telemetry
+// (or answering >= 500) commit their full span tree to an outlier ring of
+// the last 256 even when head sampling skipped them; a background sampler
+// (-history-interval) keeps the last 600 points of every telemetry
 // series, and `comet-top <url>` renders the live cluster cockpit from
 // both.
 //
@@ -144,10 +148,7 @@ func main() {
 		debugAddr   = flag.String("debug-addr", "", "separate listen address serving net/http/pprof profiles (empty = disabled)")
 		traceSample = flag.Int("trace-sample", 0, "trace 1-in-N requests on hot routes; slow routes are always traced (0 = default 64, 1 = every request, negative = tracing off)")
 		traceRing   = flag.Int("trace-ring", 0, "finished spans retained for GET /debug/traces (0 = 4096)")
-		flightRing  = flag.Int("flight-ring", 0, "flight-recorder records retained for GET /debug/flight and the SIGQUIT dump (0 = 2048)")
 		traceSlowMS = flag.Int("trace-slow-ms", 0, "retain the full span tree of requests slower than this (or status >= 500) in the outlier ring, regardless of -trace-sample (0 = default 500, negative = off)")
-		outlierRing = flag.Int("outlier-ring", 0, "outlier traces retained for GET /debug/traces?outliers=1 (0 = 256)")
-		historyRing = flag.Int("history-ring", 0, "telemetry points retained per series for GET /debug/history (0 = 600, ~10 min at the default interval)")
 		historyTick = flag.Duration("history-interval", 0, "telemetry history sampling interval (0 = 1s, negative = sampler off)")
 		showVersion = flag.Bool("version", false, "print the build version and exit")
 	)
@@ -194,6 +195,12 @@ func main() {
 		}
 	}
 
+	// A worker names itself; the service labels a coordinator or a
+	// standalone server.
+	processLabel := ""
+	if *joinURL != "" {
+		processLabel = "worker"
+	}
 	srv := service.New(service.Config{
 		Base:                  base,
 		DefaultModel:          *defaultModel,
@@ -211,17 +218,14 @@ func main() {
 		JobHistorySize:        *jobHistory,
 		JobCheckpointEvery:    *checkpoint,
 		Store:                 store,
-		Coordinator:           *coordinator || len(staticWorkers) > 0,
+		Coordinator:           *coordinator,
 		ClusterWorkers:        staticWorkers,
 		Logger:                rootLog,
 		TraceRingSize:         *traceRing,
 		TraceSample:           *traceSample,
-		FlightRecorderSize:    *flightRing,
 		TraceSlowMS:           *traceSlowMS,
-		OutlierRingSize:       *outlierRing,
-		HistoryRingSize:       *historyRing,
 		HistoryInterval:       *historyTick,
-		ProcessLabel:          processLabel(*coordinator || len(staticWorkers) > 0, *joinURL != ""),
+		ProcessLabel:          processLabel,
 		Cluster: cluster.Options{
 			LeaseBlocks:    *leaseBlocks,
 			LeaseTimeout:   *leaseTimeout,
@@ -423,18 +427,6 @@ func heartbeatLoop(ctx context.Context, coordinatorURL, advertise string, capaci
 			return
 		}
 	}
-}
-
-// processLabel names this process in federated trace views and flight
-// dumps, from its cluster role.
-func processLabel(coordinator, worker bool) string {
-	switch {
-	case coordinator:
-		return "coordinator"
-	case worker:
-		return "worker"
-	}
-	return "local"
 }
 
 func fatal(err error) {

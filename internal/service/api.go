@@ -68,7 +68,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, in inboun
 // handleModels serves GET /v1/models: the registered model families from
 // the comet registry (specs, default configs, ε) plus the canonical specs
 // this server has already warmed.
-func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleModels(w http.ResponseWriter, r *http.Request, _ inbound) error {
 	defs := comet.RegisteredModels()
 	infos := make([]wire.ModelInfo, len(defs))
 	for i, def := range defs {
@@ -88,4 +88,5 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 		Models: infos,
 		Warmed: s.models.warmedSpecs(),
 	})
+	return nil
 }

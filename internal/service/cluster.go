@@ -160,8 +160,9 @@ func (s *Server) handleClusterJoin(w http.ResponseWriter, r *http.Request, in in
 
 // handleCluster serves GET /v1/cluster (coordinator mode only): the
 // worker pool and lease-scheduler counters.
-func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request, _ inbound) error {
 	writeJSON(w, http.StatusOK, s.coordinator.Status())
+	return nil
 }
 
 // renderClusterWorkers writes comet_cluster_workers: the pool's workers

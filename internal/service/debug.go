@@ -19,15 +19,12 @@ package service
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net/http"
 	"net/url"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
-	"github.com/comet-explain/comet/internal/cluster"
 	"github.com/comet-explain/comet/internal/obs"
 	"github.com/comet-explain/comet/internal/wire"
 )
@@ -36,34 +33,31 @@ import (
 // recent first — or, with ?outliers=1, the retained slow/5xx traces.
 // ?limit= caps the listing (default 100), ?route= keeps one route, and
 // ?min_ms= drops entries faster than the threshold.
-func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request, _ inbound) error {
 	if !s.tracer.Enabled() {
-		writeError(w, http.StatusNotFound, "tracing is disabled (trace sample rate < 0)")
-		return
+		return errTracingOff
 	}
 	limit, err := queryInt(r, "limit", 100)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+		return err
 	}
 	minMS, err := queryInt(r, "min_ms", 0)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+		return err
 	}
 	q := r.URL.Query()
 	route := q.Get("route")
 	if q.Get("outliers") == "1" {
 		if q.Get("cluster") == "1" && s.coordinator != nil {
 			s.serveFederatedOutliers(w, r, route, minMS, limit)
-			return
+			return nil
 		}
 		outliers, written := s.outliers.Snapshot()
 		writeJSON(w, http.StatusOK, map[string]any{
-			"outliers": filterOutliers(outliers, "", route, minMS, limit),
+			"outliers": filterOutliers(outliers, route, minMS, limit),
 			"written":  written,
 		})
-		return
+		return nil
 	}
 	all := s.tracer.Ring().Traces(0)
 	traces := make([]obs.TraceSummary, 0, len(all))
@@ -80,11 +74,16 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"traces": traces})
+	return nil
 }
 
+// errTracingOff answers the trace views of a server started with tracing
+// disabled.
+var errTracingOff = errorf(http.StatusNotFound, "tracing is disabled (trace sample rate < 0)")
+
 // filterOutliers applies the listing filters to an already newest-first
-// outlier snapshot, labeling each entry with process when non-empty.
-func filterOutliers(in []obs.OutlierTrace, process, route string, minMS, limit int) []obs.OutlierTrace {
+// outlier snapshot.
+func filterOutliers(in []obs.OutlierTrace, route string, minMS, limit int) []obs.OutlierTrace {
 	out := make([]obs.OutlierTrace, 0, len(in))
 	for _, o := range in {
 		if route != "" && o.Route != route {
@@ -92,9 +91,6 @@ func filterOutliers(in []obs.OutlierTrace, process, route string, minMS, limit i
 		}
 		if minMS > 0 && o.DurationUS < int64(minMS)*1000 {
 			continue
-		}
-		if process != "" {
-			o.Process = process
 		}
 		out = append(out, o)
 		if limit > 0 && len(out) == limit {
@@ -109,114 +105,105 @@ func filterOutliers(in []obs.OutlierTrace, process, route string, minMS, limit i
 // the response is the federated view: local spans merged with the spans
 // every pool worker holds for the same trace ID, each labeled with the
 // process that recorded it.
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request, _ inbound) error {
 	if !s.tracer.Enabled() {
-		writeError(w, http.StatusNotFound, "tracing is disabled (trace sample rate < 0)")
-		return
+		return errTracingOff
 	}
-	id := strings.TrimPrefix(r.URL.Path, "/debug/traces/")
-	if id == "" || strings.Contains(id, "/") {
-		writeError(w, http.StatusNotFound, "no such trace")
-		return
-	}
+	id := r.PathValue("id")
 	spans := s.tracer.Ring().Trace(id)
 	if r.URL.Query().Get("cluster") == "1" && s.coordinator != nil {
-		s.serveFederatedTrace(w, r, id, spans)
-		return
+		return s.serveFederatedTrace(w, r, id, spans)
 	}
 	if len(spans) == 0 {
-		writeError(w, http.StatusNotFound, "no spans recorded for trace %q (the ring is bounded; old traces age out)", id)
-		return
+		return errorf(http.StatusNotFound, "no spans recorded for trace %q (the ring is bounded; old traces age out)", id)
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"trace_id": id, "spans": spans})
+	return nil
 }
 
-// peerAnswer is one live worker's answer from a federated fan-out.
+// processView is one process's entry in a federated view: its label and
+// what it contributed, or why it could not be queried (down worker,
+// timeout), in which case its contribution is simply missing.
+type processView struct {
+	Process  string           `json:"process"`
+	Spans    int              `json:"spans,omitempty"`
+	Outliers int              `json:"outliers,omitempty"`
+	Error    string           `json:"error,omitempty"`
+	History  *obs.HistoryDump `json:"history,omitempty"`
+}
+
+// peerAnswer is one process's answer in a federated view.
 type peerAnswer[T any] struct {
-	worker string
-	data   *T    // nil when the worker holds no data (a 404) or failed
-	err    error // transport failure, status other than 200/404, or undecodable body
+	view processView
+	data *T // nil when the process holds no data (a 404) or failed
 }
 
-// fanOut GETs path from every live pool worker (static pool plus
-// dynamic joins; workers whose heartbeats have expired are skipped)
-// concurrently, each bounded by a 5-second timeout — a dead worker costs
-// one timeout, not a hung request. Federated views never fail on a down
-// worker: its error rides in its answer. A 404 is an answer, not a
-// failure: the worker holds no data for the query.
-func fanOut[T any](ctx context.Context, pool *cluster.Pool, path string) []peerAnswer[T] {
-	var out []peerAnswer[T]
-	for _, worker := range pool.Snapshot() {
+// federate answers a federated view: this process's answer first, then
+// one per live pool worker (static pool plus dynamic joins; workers whose
+// heartbeats have expired are skipped), each labeled with its process.
+// Workers are queried for path concurrently, without ?cluster=1 — so
+// federation never recurses — and each is bounded by a 5-second timeout:
+// a dead worker costs one timeout, not a hung request. Federated views
+// never fail on a down worker: its error (transport failure, status other
+// than 200/404, or undecodable body) rides in its answer. A 404 is an
+// answer, not a failure: the worker holds no data for the query.
+func federate[T any](ctx context.Context, s *Server, path string, local *T, label func(*T, string)) []peerAnswer[T] {
+	out := []peerAnswer[T]{{view: processView{Process: s.cfg.ProcessLabel}, data: local}}
+	for _, worker := range s.coordinator.Pool().Snapshot() {
 		if worker.State != "expired" {
-			out = append(out, peerAnswer[T]{worker: worker.ID})
+			out = append(out, peerAnswer[T]{view: processView{Process: worker.ID}})
 		}
 	}
 	var wg sync.WaitGroup
-	for i := range out {
+	for i := 1; i < len(out); i++ {
 		wg.Add(1)
 		go func(p *peerAnswer[T]) {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(ctx, 5*time.Second)
 			defer cancel()
-			p.data, p.err = wire.Call[T](ctx, http.DefaultClient, p.worker+path, "", nil)
+			var err error
+			p.data, err = wire.Call[T](ctx, http.DefaultClient, p.view.Process+path, "", nil)
 			var se *wire.StatusError
-			if errors.As(p.err, &se) && se.Code == http.StatusNotFound {
-				p.err = nil
+			if err != nil && !(errors.As(err, &se) && se.Code == http.StatusNotFound) {
+				p.view.Error = err.Error()
 			}
 		}(&out[i])
 	}
 	wg.Wait()
+	for i := range out {
+		if out[i].data != nil {
+			label(out[i].data, out[i].view.Process)
+		}
+	}
 	return out
 }
 
-// traceProcess summarizes one process's contribution to a federated
-// view (spans of one trace, or retained outliers).
-type traceProcess struct {
-	Process  string `json:"process"`
-	Spans    int    `json:"spans,omitempty"`
-	Outliers int    `json:"outliers,omitempty"`
-	// Error is set when the process could not be queried (down worker,
-	// timeout); its contribution is simply missing from the merged view.
-	Error string `json:"error,omitempty"`
-}
-
 // serveFederatedTrace answers GET /debug/traces/{id}?cluster=1 on a
-// coordinator: concurrent fan-out of the trace ID to every live worker,
-// then a merge of remote and local spans into one parent-linked set.
-// Workers are queried without ?cluster=1, so federation never recurses.
-func (s *Server) serveFederatedTrace(w http.ResponseWriter, r *http.Request, id string, local []obs.SpanRecord) {
-	for i := range local {
-		local[i].Process = s.cfg.ProcessLabel
-	}
-	processes := []traceProcess{{Process: s.cfg.ProcessLabel, Spans: len(local)}}
-	groups := [][]obs.SpanRecord{local}
-	workerCount := 0
-
+// coordinator: the trace's spans on every process, merged into one
+// parent-linked set.
+func (s *Server) serveFederatedTrace(w http.ResponseWriter, r *http.Request, id string, local []obs.SpanRecord) error {
 	type traceBody struct {
 		Spans []obs.SpanRecord `json:"spans"`
 	}
-	for _, pr := range fanOut[traceBody](r.Context(), s.coordinator.Pool(), "/debug/traces/"+url.PathEscape(id)) {
-		workerCount++
-		var spans []obs.SpanRecord
-		if pr.data != nil {
-			spans = pr.data.Spans
+	answers := federate(r.Context(), s, "/debug/traces/"+url.PathEscape(id), &traceBody{local},
+		func(b *traceBody, process string) {
+			for k := range b.Spans {
+				b.Spans[k].Process = process
+			}
+		})
+	processes := make([]processView, len(answers))
+	groups := make([][]obs.SpanRecord, len(answers))
+	for i, a := range answers {
+		if a.data != nil {
+			groups[i] = a.data.Spans
 		}
-		for k := range spans {
-			spans[k].Process = pr.worker
-		}
-		p := traceProcess{Process: pr.worker, Spans: len(spans)}
-		if pr.err != nil {
-			p.Error = pr.err.Error()
-		}
-		processes = append(processes, p)
-		groups = append(groups, spans)
+		processes[i] = a.view
+		processes[i].Spans = len(groups[i])
 	}
-
 	merged := obs.MergeSpans(groups...)
 	if len(merged) == 0 {
-		writeError(w, http.StatusNotFound,
-			"no spans recorded for trace %q on the coordinator or any of %d workers", id, workerCount)
-		return
+		return errorf(http.StatusNotFound,
+			"no spans recorded for trace %q on the coordinator or any of %d workers", id, len(answers)-1)
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"trace_id":  id,
@@ -224,43 +211,35 @@ func (s *Server) serveFederatedTrace(w http.ResponseWriter, r *http.Request, id 
 		"processes": processes,
 		"spans":     merged,
 	})
+	return nil
 }
 
 // serveFederatedOutliers answers GET /debug/traces?outliers=1&cluster=1:
 // the coordinator's retained outliers merged with every live worker's,
-// newest first, each labeled with the process that retained it. Filters
-// are forwarded, so workers ship only what the view keeps.
+// newest first, each labeled with the process that retained it. The
+// request's filters are forwarded, so workers ship only what the view
+// keeps.
 func (s *Server) serveFederatedOutliers(w http.ResponseWriter, r *http.Request, route string, minMS, limit int) {
-	local, _ := s.outliers.Snapshot()
-	merged := filterOutliers(local, s.cfg.ProcessLabel, route, minMS, 0)
-	processes := []traceProcess{{Process: s.cfg.ProcessLabel, Outliers: len(merged)}}
-
-	path := "/debug/traces?outliers=1"
-	if route != "" {
-		path += "&route=" + url.QueryEscape(route)
-	}
-	if minMS > 0 {
-		path += fmt.Sprintf("&min_ms=%d", minMS)
-	}
-	if limit > 0 {
-		path += fmt.Sprintf("&limit=%d", limit)
-	}
 	type outlierBody struct {
 		Outliers []obs.OutlierTrace `json:"outliers"`
 	}
-	for _, pr := range fanOut[outlierBody](r.Context(), s.coordinator.Pool(), path) {
-		p := traceProcess{Process: pr.worker}
-		if pr.data != nil {
-			for k := range pr.data.Outliers {
-				pr.data.Outliers[k].Process = pr.worker
+	q := r.URL.Query()
+	q.Del("cluster")
+	local, _ := s.outliers.Snapshot()
+	answers := federate(r.Context(), s, "/debug/traces?"+q.Encode(), &outlierBody{filterOutliers(local, route, minMS, 0)},
+		func(b *outlierBody, process string) {
+			for k := range b.Outliers {
+				b.Outliers[k].Process = process
 			}
-			p.Outliers = len(pr.data.Outliers)
-			merged = append(merged, pr.data.Outliers...)
+		})
+	processes := make([]processView, len(answers))
+	merged := []obs.OutlierTrace{}
+	for i, a := range answers {
+		processes[i] = a.view
+		if a.data != nil {
+			processes[i].Outliers = len(a.data.Outliers)
+			merged = append(merged, a.data.Outliers...)
 		}
-		if pr.err != nil {
-			p.Error = pr.err.Error()
-		}
-		processes = append(processes, p)
 	}
 	sort.SliceStable(merged, func(i, j int) bool { return merged[i].Start.After(merged[j].Start) })
 	if limit > 0 && len(merged) > limit {
@@ -276,7 +255,8 @@ func (s *Server) serveFederatedOutliers(w http.ResponseWriter, r *http.Request, 
 // handleFlight serves GET /debug/flight: the flight recorder's current
 // contents as one JSON document — the same dump a SIGQUIT writes to
 // stderr.
-func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request, _ inbound) error {
 	w.Header().Set("Content-Type", "application/json")
 	_ = s.flight.WriteJSON(w, s.cfg.ProcessLabel)
+	return nil
 }

@@ -46,23 +46,23 @@ func (s *Server) registerHistory() {
 		h.Value(prefix+".p99_ms", quantileSeries(&rs.latency, 0.99))
 	}
 	h.Value("hit_rate.prediction_cache", ratioSeries(
-		func() uint64 { hits, _ := s.models.cacheTotals(); return hits },
-		func() uint64 { hits, misses := s.models.cacheTotals(); return hits + misses },
+		func() float64 { hits, _ := s.models.cacheTotals(); return float64(hits) },
+		func() float64 { hits, misses := s.models.cacheTotals(); return float64(hits + misses) },
 	))
 	h.Value("hit_rate.intern", ratioSeries(
-		func() uint64 { return s.metrics.internHits.Load() },
+		func() float64 { return float64(s.metrics.internHits.Load()) },
 		// Only binary explain requests probe their frame key; binary
 		// predict and shard frames never do.
-		func() uint64 { return s.metrics.internHits.Load() + s.metrics.internMisses.Load() },
+		func() float64 { return float64(s.metrics.internHits.Load() + s.metrics.internMisses.Load()) },
 	))
 	h.Value("hit_rate.persist", ratioSeries(
-		func() uint64 { return s.metrics.persistHits.Load() },
-		func() uint64 { return s.metrics.persistHits.Load() + s.metrics.persistMisses.Load() },
+		func() float64 { return float64(s.metrics.persistHits.Load()) },
+		func() float64 { return float64(s.metrics.persistHits.Load() + s.metrics.persistMisses.Load()) },
 	))
 	explainRoute := s.metrics.route("explain")
 	h.Value("hit_rate.result_store", ratioSeries(
-		func() uint64 { return s.metrics.resultStoreHits.Load() },
-		func() uint64 { return explainRoute.latency.count.Load() },
+		func() float64 { return float64(s.metrics.resultStoreHits.Load()) },
+		func() float64 { return float64(explainRoute.latency.count.Load()) },
 	))
 	for i := range metricTable {
 		d := &metricTable[i]
@@ -98,7 +98,8 @@ func (s *Server) registerHistory() {
 		s.metrics.specs.Range(func(k, v any) bool {
 			spec, q := k.(string), v.(*specStats)
 			h.Rate("spec."+spec+".explanations_rps", func() float64 { return float64(q.count.Load()) })
-			h.Value("spec."+spec+".precision_mean", histMeanSeries(&q.precision))
+			h.Value("spec."+spec+".precision_mean", ratioSeries(q.precision.sum,
+				func() float64 { return float64(q.precision.count.Load()) }))
 			return true
 		})
 	}
@@ -117,11 +118,12 @@ func codeRange(rs *routeStats, lo, hi int) func() float64 {
 }
 
 // ratioSeries returns a value reader computing num-delta / den-delta per
-// tick — a windowed hit rate over a pair of monotonic counters. Ticks
+// tick over a pair of monotonic readers — a windowed hit rate over two
+// counters, or a histogram's windowed mean over its sum and count. Ticks
 // with no denominator traffic (and the baseline-priming first tick) are
 // gaps, not zeros.
-func ratioSeries(num, den func() uint64) func() (float64, bool) {
-	var prevNum, prevDen uint64
+func ratioSeries(num, den func() float64) func() (float64, bool) {
+	var prevNum, prevDen float64
 	first := true
 	return func() (float64, bool) {
 		n, d := num(), den()
@@ -134,7 +136,7 @@ func ratioSeries(num, den func() uint64) func() (float64, bool) {
 		if dd == 0 {
 			return 0, false
 		}
-		return float64(dn) / float64(dd), true
+		return dn / dd, true
 	}
 }
 
@@ -172,69 +174,28 @@ func quantileSeries(hist *histogram, q float64) func() (float64, bool) {
 	}
 }
 
-// histMeanSeries returns a value reader computing a histogram's per-tick
-// mean (delta sum over delta count) — the windowed average precision of
-// explanations computed during the tick.
-func histMeanSeries(hist *histogram) func() (float64, bool) {
-	var prevCount uint64
-	var prevSum float64
-	first := true
-	return func() (float64, bool) {
-		count := hist.count.Load()
-		sum := hist.sum()
-		dc, ds := count-prevCount, sum-prevSum
-		prevCount, prevSum = count, sum
-		if first {
-			first = false
-			return 0, false
-		}
-		if dc == 0 {
-			return 0, false
-		}
-		return ds / float64(dc), true
-	}
-}
-
 // handleHistory serves GET /debug/history: every retained telemetry
 // series, oldest point first. With ?cluster=1 on a coordinator, the
 // response carries one history dump per cluster process (local plus
 // every live worker), each labeled; a down worker contributes an error
 // entry, never a failed view.
-func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("cluster") == "1" && s.coordinator != nil {
-		s.serveFederatedHistory(w, r)
-		return
-	}
-	writeJSON(w, http.StatusOK, s.history.Dump(s.cfg.ProcessLabel))
-}
-
-// historyProcess is one process's entry in a federated history view.
-type historyProcess struct {
-	Process string `json:"process"`
-	// Error is set when the process could not be queried (down worker,
-	// timeout); History is then absent.
-	Error   string           `json:"error,omitempty"`
-	History *obs.HistoryDump `json:"history,omitempty"`
-}
-
-// serveFederatedHistory answers GET /debug/history?cluster=1 on a
-// coordinator: the local dump plus a concurrent fan-out to every live
-// worker (queried without ?cluster=1, so federation never recurses).
-func (s *Server) serveFederatedHistory(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request, _ inbound) error {
 	local := s.history.Dump(s.cfg.ProcessLabel)
-	processes := []historyProcess{{Process: s.cfg.ProcessLabel, History: &local}}
-	for _, pr := range fanOut[obs.HistoryDump](r.Context(), s.coordinator.Pool(), "/debug/history") {
-		p := historyProcess{Process: pr.worker, History: pr.data}
-		if pr.err != nil {
-			p.Error = pr.err.Error()
-		} else if pr.data != nil {
-			pr.data.Process = pr.worker
-		}
-		processes = append(processes, p)
+	if r.URL.Query().Get("cluster") != "1" || s.coordinator == nil {
+		writeJSON(w, http.StatusOK, local)
+		return nil
+	}
+	answers := federate(r.Context(), s, "/debug/history", &local,
+		func(d *obs.HistoryDump, process string) { d.Process = process })
+	processes := make([]processView, len(answers))
+	for i, a := range answers {
+		processes[i] = a.view
+		processes[i].History = a.data
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"cluster":   true,
 		"now":       time.Now().UTC(),
 		"processes": processes,
 	})
+	return nil
 }

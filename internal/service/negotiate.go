@@ -86,8 +86,7 @@ func acceptsFrame(r *http.Request) bool {
 }
 
 // httpError is a request failure together with the status that answers
-// it. The request pipeline's steps return one; the handler writes it
-// with fail.
+// it. A handler and its steps return one; serve writes it.
 type httpError struct {
 	code int
 	msg  string
@@ -97,17 +96,6 @@ func (e *httpError) Error() string { return e.msg }
 
 func errorf(code int, format string, args ...any) error {
 	return &httpError{code: code, msg: fmt.Sprintf(format, args...)}
-}
-
-// fail writes err's envelope on the negotiated format, with the status
-// an httpError carries (500 for any other error).
-func fail(w http.ResponseWriter, binResp bool, err error) {
-	code := http.StatusInternalServerError
-	var he *httpError
-	if errors.As(err, &he) {
-		code = he.code
-	}
-	writeNegotiated(w, binResp, code, &wire.Error{Error: err.Error()})
 }
 
 // bodyError maps a failed body read or decode to 413 when the body
@@ -120,37 +108,12 @@ func bodyError(err error, format string) error {
 	return errorf(http.StatusBadRequest, format, err)
 }
 
-// inbound is a POST request past the prologue: the response format the
-// client negotiated and, for a binary request, the raw frame in a pooled
+// inbound is a request past serve's prologue: the response format the
+// client negotiated and, for a binary POST, the raw frame in a pooled
 // buffer (nil for a JSON body, which decodeRequest reads itself).
 type inbound struct {
 	binResp bool
 	frame   *[]byte
-}
-
-// post is the prologue every POST route shares: the method and drain
-// checks, then the raw bytes of a binary frame, then the route, whose
-// error it writes on the negotiated format. Routes that speak only JSON
-// (negotiate false) answer JSON whatever the client accepts.
-func (s *Server) post(negotiate bool, h func(http.ResponseWriter, *http.Request, inbound) error) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		in := inbound{binResp: negotiate && acceptsFrame(r)}
-		var err error
-		switch {
-		case r.Method != http.MethodPost:
-			err = errorf(http.StatusMethodNotAllowed, "POST required")
-		case s.draining.Load():
-			err = errorf(http.StatusServiceUnavailable, "%v", errDraining)
-		case isFrameRequest(r):
-			in.frame, err = s.readFrame(w, r)
-		}
-		if err == nil {
-			err = h(w, r, in)
-		}
-		if err != nil {
-			fail(w, in.binResp, err)
-		}
-	}
 }
 
 // readFrame reads a binary request body, under MaxBodyBytes, into a

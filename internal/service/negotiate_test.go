@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -385,5 +386,20 @@ func TestJobStreamLagError(t *testing.T) {
 	}
 	if !sawLag {
 		t.Error("late reader on a trimmed stream job saw no lag error event")
+	}
+}
+
+// TestStatusRecorderFlushes: the instrument wrapper's recorder passes a
+// job stream's flushes through to the connection.
+func TestStatusRecorderFlushes(t *testing.T) {
+	inner := httptest.NewRecorder()
+	var w http.ResponseWriter = &statusRecorder{ResponseWriter: inner}
+	f, ok := w.(http.Flusher)
+	if !ok {
+		t.Fatal("statusRecorder is not an http.Flusher")
+	}
+	f.Flush()
+	if !inner.Flushed {
+		t.Error("Flush did not reach the underlying writer")
 	}
 }

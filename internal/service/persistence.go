@@ -94,7 +94,16 @@ func (s *Server) restoreJob(env *wire.JobEnvelope, sum *RestoreSummary) {
 	}
 
 	blocks, err := s.parseBlocks(nil, env.Blocks...)
-	if err != nil {
+	switch {
+	case err != nil && env.State == wire.JobFailed:
+		// A previous restore already failed these blocks (an opcode or a
+		// limit this build refuses); park the job as it was recorded.
+		j.state = wire.JobFailed
+		j.err = env.Error
+		s.jobs.finish(j)
+		sum.JobsRestored++
+		return
+	case err != nil:
 		fail("%v", err)
 		return
 	}
@@ -161,6 +170,7 @@ func (s *Server) restoreJob(env *wire.JobEnvelope, sum *RestoreSummary) {
 // running, finished (until history eviction), and jobs restored from the
 // durable store after a restart — so resumed jobs are discoverable
 // without the client having remembered their IDs.
-func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request, _ inbound) error {
 	writeJSON(w, http.StatusOK, wire.JobsResponse{Jobs: s.jobs.list()})
+	return nil
 }

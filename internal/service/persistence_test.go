@@ -475,60 +475,73 @@ func TestRestoredStreamJobStaysStreamOnly(t *testing.T) {
 }
 
 // TestUnresumableJobFailsOnceAndStaysFailed: a persisted job whose model
-// can no longer resolve is marked failed — durably, so the next restart
-// does not re-pay the resume attempt or flip the job back to queued.
+// can no longer resolve, or whose blocks no longer parse, is marked
+// failed — durably, so the next restart does not re-pay the resume
+// attempt, rewrite the envelope, or flip the job back to queued.
 func TestUnresumableJobFailsOnceAndStaysFailed(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "store")
-	const jobID = "job-dead0001-1"
-	texts := []string{x86.MustParseBlock(testBlock).String()}
+	for _, tc := range []struct {
+		name, spec string
+		texts      []string
+	}{
+		{"unknown spec", "ghost@hsw", []string{x86.MustParseBlock(testBlock).String()}},
+		{"unparseable block", "uica@hsw", []string{"frobnicate rax"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "store")
+			const jobID = "job-dead0001-1"
 
-	seed := openTestStore(t, dir)
-	err := seed.Put(&wire.Record{V: wire.RecordVersion, Kind: wire.RecordJob, Key: persist.JobKey(jobID), Spec: "ghost@hsw",
-		Job: &wire.JobEnvelope{ID: jobID, State: wire.JobRunning, Spec: "ghost@hsw", Blocks: texts,
-			Config: wire.ConfigSnapshot{Epsilon: 0.5, PrecisionThreshold: 0.7, CoverageSamples: 150, BatchSize: 64, Seed: 1}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := seed.Close(); err != nil {
-		t.Fatal(err)
-	}
+			seed := openTestStore(t, dir)
+			err := seed.Put(&wire.Record{V: wire.RecordVersion, Kind: wire.RecordJob, Key: persist.JobKey(jobID), Spec: tc.spec,
+				Job: &wire.JobEnvelope{ID: jobID, State: wire.JobRunning, Spec: tc.spec, Blocks: tc.texts,
+					Config: wire.ConfigSnapshot{Epsilon: 0.5, PrecisionThreshold: 0.7, CoverageSamples: 150, BatchSize: 64, Seed: 1}}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := seed.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	// Restart 1: the unknown spec fails the resume; the failure is
-	// persisted.
-	store1 := openTestStore(t, dir)
-	s1 := New(Config{Store: store1})
-	shutdownAtCleanup(t, s1)
-	sum, err := s1.Restore()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.JobsFailed != 1 || sum.JobsResumed != 0 {
-		t.Fatalf("restart 1 summary %+v, want 1 failed", sum)
-	}
-	j, ok := s1.jobs.get(jobID)
-	if !ok || j.summary().State != wire.JobFailed {
-		t.Fatalf("job not parked as failed: %v %+v", ok, j)
-	}
-	if err := store1.Close(); err != nil {
-		t.Fatal(err)
-	}
+			// Restart 1: the resume fails; the failure is persisted.
+			store1 := openTestStore(t, dir)
+			s1 := New(Config{Store: store1})
+			shutdownAtCleanup(t, s1)
+			sum, err := s1.Restore()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sum.JobsFailed != 1 || sum.JobsResumed != 0 {
+				t.Fatalf("restart 1 summary %+v, want 1 failed", sum)
+			}
+			j, ok := s1.jobs.get(jobID)
+			if !ok || j.summary().State != wire.JobFailed {
+				t.Fatalf("job not parked as failed: %v %+v", ok, j)
+			}
+			if err := store1.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	// Restart 2: the persisted failed envelope is honored — no second
-	// resume attempt, same terminal state.
-	store2 := openTestStore(t, dir)
-	t.Cleanup(func() { store2.Close() })
-	s2 := New(Config{Store: store2})
-	shutdownAtCleanup(t, s2)
-	sum2, err := s2.Restore()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum2.JobsFailed != 0 || sum2.JobsResumed != 0 || sum2.JobsRestored != 1 {
-		t.Fatalf("restart 2 summary %+v, want 1 restored (terminal) and nothing re-attempted", sum2)
-	}
-	j2, ok := s2.jobs.get(jobID)
-	if !ok || j2.summary().State != wire.JobFailed {
-		t.Fatalf("failed job did not stay failed across restarts: %v %+v", ok, j2)
+			// Restart 2: the persisted failed envelope is honored — no
+			// second resume attempt, no write, same terminal state.
+			store2 := openTestStore(t, dir)
+			t.Cleanup(func() { store2.Close() })
+			s2 := New(Config{Store: store2})
+			shutdownAtCleanup(t, s2)
+			puts := store2.Stats().Puts
+			sum2, err := s2.Restore()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sum2.JobsFailed != 0 || sum2.JobsResumed != 0 || sum2.JobsRestored != 1 {
+				t.Fatalf("restart 2 summary %+v, want 1 restored (terminal) and nothing re-attempted", sum2)
+			}
+			if got := store2.Stats().Puts; got != puts {
+				t.Errorf("restart 2 wrote %d records, want none", got-puts)
+			}
+			j2, ok := s2.jobs.get(jobID)
+			if !ok || j2.summary().State != wire.JobFailed {
+				t.Fatalf("failed job did not stay failed across restarts: %v %+v", ok, j2)
+			}
+		})
 	}
 }
 
@@ -561,9 +574,5 @@ func TestJobsListEndpoint(t *testing.T) {
 	}
 	if !seen[st1.ID] || !seen[st2.ID] {
 		t.Errorf("listing %v missing submitted jobs %s / %s", list.Jobs, st1.ID, st2.ID)
-	}
-
-	if resp, _ := postJSON(t, ts.URL+"/v1/jobs", struct{}{}); resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("POST /v1/jobs: status %d, want 405", resp.StatusCode)
 	}
 }

@@ -23,6 +23,9 @@
 //	GET  /debug/flight      flight-recorder dump (the black-box request/lease/job ring)
 //	GET  /debug/history     telemetry time-series: per-route rates and latency quantiles, cache hit rates, queues, quality (?cluster=1 federates)
 //
+// Each route is one row of the routes table and answers only its one
+// method; any other gets 405.
+//
 // Every request is assigned (or joins, via an incoming W3C traceparent
 // header) a trace; the trace ID comes back in the X-Comet-Trace-Id
 // response header, sampled traces record per-stage spans into a bounded
@@ -181,28 +184,16 @@ type Config struct {
 	// TraceRingSize bounds the finished-span ring served by
 	// GET /debug/traces (0 = 4096 spans).
 	TraceRingSize int
-	// TraceSample records one in N traces on the hot routes —
-	// /v1/explain, /v1/predict, and the health/metrics probes. Corpus
-	// jobs, shard leases, and cluster operations matter individually and
-	// are always traced. 0 = 64; negative disables tracing entirely.
+	// TraceSample records one in N traces on the hot routes (see
+	// routes). Corpus jobs, shard leases, and cluster operations matter
+	// individually and are always traced. 0 = 64; negative disables
+	// tracing entirely.
 	TraceSample int
-	// FlightRecorderSize bounds the flight recorder — the black-box ring
-	// holding one compact record per request, lease transition, and job
-	// transition regardless of trace sampling, served by GET /debug/flight
-	// and dumped on SIGQUIT (0 = 2048 records).
-	FlightRecorderSize int
 	// TraceSlowMS is the outlier threshold in milliseconds: a hot-route
 	// request slower than this (or any request with status ≥ 500) commits
 	// its full span tree to the outlier ring regardless of head sampling
 	// (0 = 500; negative disables outlier retention).
 	TraceSlowMS int
-	// OutlierRingSize bounds the retained outlier traces served by
-	// GET /debug/traces?outliers=1 (0 = 256).
-	OutlierRingSize int
-	// HistoryRingSize bounds the per-series telemetry history served by
-	// GET /debug/history, in samples (0 = 600 — ten minutes at the
-	// default interval).
-	HistoryRingSize int
 	// HistoryInterval is the telemetry sampling cadence (0 = 1s; negative
 	// disables the background sampler, leaving /debug/history empty).
 	HistoryInterval time.Duration
@@ -211,6 +202,21 @@ type Config struct {
 	// "coordinator" when coordinator mode is on, "local" otherwise.
 	ProcessLabel string
 }
+
+// The observability rings' fixed sizes.
+const (
+	// flightRecorderSize bounds the flight recorder: the black-box ring
+	// holding one compact record per request, lease transition, and job
+	// transition regardless of trace sampling, served by GET /debug/flight
+	// and dumped on SIGQUIT.
+	flightRecorderSize = 2048
+	// outlierRingSize bounds the retained outlier traces served by
+	// GET /debug/traces?outliers=1.
+	outlierRingSize = 256
+	// historyRingSize bounds each telemetry series served by
+	// GET /debug/history, in samples: ten minutes at the default interval.
+	historyRingSize = 600
+)
 
 func (c Config) withDefaults() Config {
 	if c.Base.Epsilon == 0 && c.Base.CoverageSamples == 0 {
@@ -267,26 +273,17 @@ func (c Config) withDefaults() Config {
 	if c.TraceSample == 0 {
 		c.TraceSample = 64
 	}
-	if c.FlightRecorderSize <= 0 {
-		c.FlightRecorderSize = 2048
-	}
 	if c.TraceSlowMS == 0 {
 		c.TraceSlowMS = 500
-	}
-	if c.OutlierRingSize <= 0 {
-		c.OutlierRingSize = 256
-	}
-	if c.HistoryRingSize <= 0 {
-		c.HistoryRingSize = 600
 	}
 	if c.HistoryInterval == 0 {
 		c.HistoryInterval = time.Second
 	}
+	c.Coordinator = c.Coordinator || len(c.ClusterWorkers) > 0
 	if c.ProcessLabel == "" {
-		if c.Coordinator || len(c.ClusterWorkers) > 0 {
+		c.ProcessLabel = "local"
+		if c.Coordinator {
 			c.ProcessLabel = "coordinator"
-		} else {
-			c.ProcessLabel = "local"
 		}
 	}
 	return c
@@ -351,8 +348,8 @@ func New(cfg Config) *Server {
 		sampleN = 0
 	}
 	s.tracer = obs.NewTracer(cfg.TraceRingSize, sampleN)
-	s.flight = obs.NewFlightRecorder(cfg.FlightRecorderSize)
-	s.outliers = obs.NewOutlierRing(cfg.OutlierRingSize)
+	s.flight = obs.NewFlightRecorder(flightRecorderSize)
+	s.outliers = obs.NewOutlierRing(outlierRingSize)
 	if cfg.TraceSlowMS > 0 {
 		s.slowThreshold = time.Duration(cfg.TraceSlowMS) * time.Millisecond
 	}
@@ -360,8 +357,8 @@ func New(cfg Config) *Server {
 	if historyInterval < 0 {
 		historyInterval = time.Second // sampler stays stopped; the cadence only labels the dump
 	}
-	s.history = obs.NewHistory(cfg.HistoryRingSize, historyInterval)
-	if cfg.Coordinator || len(cfg.ClusterWorkers) > 0 {
+	s.history = obs.NewHistory(historyRingSize, historyInterval)
+	if cfg.Coordinator {
 		copts := cfg.Cluster
 		if copts.Log == nil {
 			copts.Log = obs.Component(cfg.Logger, "cluster")
@@ -385,24 +382,12 @@ func New(cfg Config) *Server {
 		}
 		return s.releaseExplainSlot, nil
 	}
-	s.mux.HandleFunc("/v1/explain", s.instrument("explain", s.post(true, s.handleExplain)))
-	s.mux.HandleFunc("/v1/predict", s.instrument("predict", s.post(true, s.handlePredict)))
-	s.mux.HandleFunc("/v1/corpus", s.instrument("corpus", s.post(false, s.handleCorpus)))
-	s.mux.HandleFunc("/v1/jobs", s.instrument("jobs", getOnly(s.handleJobs)))
-	s.mux.HandleFunc("/v1/jobs/", s.instrument("jobs", getOnly(s.handleJob)))
-	s.mux.HandleFunc("/v1/models", s.instrument("models", getOnly(s.handleModels)))
-	s.mux.HandleFunc("/v1/shard", s.instrument("shard", s.post(true, s.handleShard)))
-	if s.coordinator != nil {
-		s.mux.HandleFunc("/v1/cluster/join", s.instrument("join", s.post(false, s.handleClusterJoin)))
-		s.mux.HandleFunc("/v1/cluster", s.instrument("cluster", getOnly(s.handleCluster)))
+	for i := range routes {
+		rt := &routes[i]
+		if !rt.coordinator || s.coordinator != nil {
+			s.mux.HandleFunc(rt.pattern, s.instrument(rt))
+		}
 	}
-	s.mux.HandleFunc("/healthz", s.instrument("healthz", s.handleHealthz))
-	s.mux.HandleFunc("/readyz", s.instrument("readyz", s.handleReadyz))
-	s.mux.HandleFunc("/metrics", s.instrument("metrics", s.handleMetrics))
-	s.mux.HandleFunc("/debug/traces", s.instrument("debug", getOnly(s.handleTraces)))
-	s.mux.HandleFunc("/debug/traces/", s.instrument("debug", getOnly(s.handleTrace)))
-	s.mux.HandleFunc("/debug/flight", s.instrument("debug", getOnly(s.handleFlight)))
-	s.mux.HandleFunc("/debug/history", s.instrument("debug", getOnly(s.handleHistory)))
 	s.registerHistory()
 	if cfg.HistoryInterval >= 0 {
 		s.history.Start()
@@ -464,18 +449,57 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return s.jobs.shutdown(ctx)
 }
 
-// sampledRoutes are the routes traced at the configured 1-in-N rate:
-// high-volume request paths and the probes load balancers hammer. Every
-// other route (corpus jobs, shard leases, cluster management) matters
-// individually and is always traced.
-var sampledRoutes = map[string]bool{
-	"explain": true, "predict": true,
-	"healthz": true, "readyz": true, "metrics": true, "debug": true,
+// route is one cometd endpoint, declared once in routes: New registers
+// its pattern and instrument builds its whole wrapper from the row.
+type route struct {
+	// pattern carries no method, so the mux never answers 405 itself:
+	// serve does, in the wire.Error body, counted under the route's name.
+	pattern string
+	// name labels the route's metrics, trace spans and log lines; rows may
+	// share one.
+	name   string
+	method string // the one method the route answers
+	// hot routes — high-volume request paths and the probes load
+	// balancers hammer — trace 1-in-N and log each request at debug. Every
+	// other route matters individually and is always traced.
+	hot bool
+	// negotiate routes answer binary frames to a client that accepts them;
+	// the rest answer JSON whatever the client accepts.
+	negotiate bool
+	// coordinator routes exist only in coordinator mode.
+	coordinator bool
+	// stream routes last as long as a job, so their latency never makes
+	// an outlier (a 5xx still does).
+	stream bool
+	handle func(*Server, http.ResponseWriter, *http.Request, inbound) error
 }
 
-// instrument wraps a handler with the per-request observability stack:
-// trace extraction/minting (W3C traceparent in, X-Comet-Trace-Id out), a
-// root span for sampled traces, lock-free request counting and latency
+// routes is every cometd endpoint. Names register in row order, which is
+// the order of their metric and history series.
+var routes = []route{
+	{pattern: "/v1/explain", name: "explain", method: http.MethodPost, hot: true, negotiate: true, handle: (*Server).handleExplain},
+	{pattern: "/v1/predict", name: "predict", method: http.MethodPost, hot: true, negotiate: true, handle: (*Server).handlePredict},
+	{pattern: "/v1/corpus", name: "corpus", method: http.MethodPost, handle: (*Server).handleCorpus},
+	{pattern: "/v1/jobs", name: "jobs", method: http.MethodGet, handle: (*Server).handleJobs},
+	{pattern: "/v1/jobs/{id}", name: "jobs", method: http.MethodGet, handle: (*Server).handleJob},
+	{pattern: "/v1/jobs/{id}/stream", name: "jobs", method: http.MethodGet, negotiate: true, stream: true, handle: (*Server).handleJobStream},
+	{pattern: "/v1/models", name: "models", method: http.MethodGet, handle: (*Server).handleModels},
+	{pattern: "/v1/shard", name: "shard", method: http.MethodPost, negotiate: true, handle: (*Server).handleShard},
+	{pattern: "/v1/cluster/join", name: "join", method: http.MethodPost, coordinator: true, handle: (*Server).handleClusterJoin},
+	{pattern: "/v1/cluster", name: "cluster", method: http.MethodGet, coordinator: true, handle: (*Server).handleCluster},
+	{pattern: "/healthz", name: "healthz", method: http.MethodGet, hot: true, handle: (*Server).handleHealthz},
+	{pattern: "/readyz", name: "readyz", method: http.MethodGet, hot: true, handle: (*Server).handleReadyz},
+	{pattern: "/metrics", name: "metrics", method: http.MethodGet, hot: true, handle: (*Server).handleMetrics},
+	{pattern: "/debug/traces", name: "debug", method: http.MethodGet, hot: true, handle: (*Server).handleTraces},
+	{pattern: "/debug/traces/{id}", name: "debug", method: http.MethodGet, hot: true, handle: (*Server).handleTrace},
+	{pattern: "/debug/flight", name: "debug", method: http.MethodGet, hot: true, handle: (*Server).handleFlight},
+	{pattern: "/debug/history", name: "debug", method: http.MethodGet, hot: true, handle: (*Server).handleHistory},
+}
+
+// instrument builds a route's handler: serve's prologue and the route's
+// own handler inside the per-request observability stack — trace
+// extraction/minting (W3C traceparent in, X-Comet-Trace-Id out), a root
+// span for sampled traces, lock-free request counting and latency
 // recording, outlier retention, and a structured request log line. The
 // route's stats slot and span name are resolved once at wiring time.
 //
@@ -486,17 +510,12 @@ var sampledRoutes = map[string]bool{
 // tail-based retention of exactly the traces head sampling would have
 // thrown away. The interned binary warm path is exempt (it must not pay
 // even a pool Get — see the bench gate), as are force-traced routes,
-// whose spans are already in the main ring. A job stream lasts as long as
-// its job, so its latency never makes it an outlier; a 5xx stream still
-// does.
-func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
-	rs := s.metrics.route(route)
-	spanName := "http." + route
-	force := !sampledRoutes[route]
+// whose spans are already in the main ring.
+func (s *Server) instrument(rt *route) http.HandlerFunc {
+	rs := s.metrics.route(rt.name)
+	spanName := "http." + rt.name
 	logLevel := slog.LevelInfo
-	if sampledRoutes[route] {
-		// Hot routes and probes log per-request lines only at debug;
-		// anything rarer is worth a line at the default level.
+	if rt.hot {
 		logLevel = slog.LevelDebug
 	}
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -505,7 +524,7 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 		if tp := r.Header.Get("Traceparent"); tp != "" {
 			parent, _ = obs.ParseTraceparent(tp)
 		}
-		forced := force || forcedTrace(r)
+		forced := !rt.hot || forcedTrace(r)
 		var (
 			ctx   context.Context
 			span  *obs.Span
@@ -525,14 +544,14 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 			r = r.WithContext(ctx)
 		}
 		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
-		h(rec, r)
+		s.serve(rt, rec, r)
 		elapsed := time.Since(start)
 		rs.observe(rec.code, elapsed.Seconds())
 		// The flight recorder sees every request regardless of sampling: a
 		// struct copy of pre-existing strings into the ring, no allocation.
 		s.flight.Record(obs.FlightRecord{
 			Kind:      obs.FlightRequest,
-			Route:     route,
+			Route:     rt.name,
 			Status:    rec.code,
 			LatencyUS: elapsed.Microseconds(),
 			Trace:     trace,
@@ -542,7 +561,7 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 			span.Set("status", statusLabel(rec.code))
 			span.End()
 		}
-		outlier := s.slowThreshold > 0 && (rec.code >= 500 || elapsed >= s.slowThreshold && !isJobStream(r.URL.Path))
+		outlier := s.slowThreshold > 0 && (rec.code >= 500 || elapsed >= s.slowThreshold && !rt.stream)
 		if buf != nil {
 			// The commit decision: a healthy fast request recycles its buffer
 			// untouched (no conversion, no allocation); a sampled one flushes
@@ -554,7 +573,7 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 					s.tracer.Flush(recs)
 				}
 				if outlier {
-					s.commitOutlier(rs, route, trace, rec.code, start, elapsed, recs)
+					s.commitOutlier(rs, trace, rec.code, start, elapsed, recs)
 				}
 			}
 			obs.PutSpanBuffer(buf)
@@ -565,11 +584,11 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 			if span != nil {
 				spans = s.tracer.Ring().Trace(trace.String())
 			}
-			s.commitOutlier(rs, route, trace, rec.code, start, elapsed, spans)
+			s.commitOutlier(rs, trace, rec.code, start, elapsed, spans)
 		}
 		if s.log.Enabled(r.Context(), logLevel) {
 			s.log.LogAttrs(r.Context(), logLevel, "request",
-				slog.String("route", route),
+				slog.String("route", rt.name),
 				slog.String("method", r.Method),
 				slog.Int("status", rec.code),
 				slog.Duration("elapsed", elapsed),
@@ -578,14 +597,33 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// getOnly answers 405 to any method but GET.
-func getOnly(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			writeError(w, http.StatusMethodNotAllowed, "GET required")
-			return
+// serve is the prologue every route shares: the method check, then for
+// a POST the drain check and the raw bytes of a binary frame, then the
+// route's handler. It writes any error as a wire.Error on the negotiated
+// format, with the status an httpError carries (500 for any other).
+func (s *Server) serve(rt *route, w http.ResponseWriter, r *http.Request) {
+	in := inbound{binResp: rt.negotiate && acceptsFrame(r)}
+	var err error
+	switch {
+	case r.Method != rt.method:
+		err = errorf(http.StatusMethodNotAllowed, "%s required", rt.method)
+	case r.Method != http.MethodPost:
+		// A GET carries no body and is answered while draining.
+	case s.draining.Load():
+		err = errorf(http.StatusServiceUnavailable, "%v", errDraining)
+	case isFrameRequest(r):
+		in.frame, err = s.readFrame(w, r)
+	}
+	if err == nil {
+		err = rt.handle(s, w, r, in)
+	}
+	if err != nil {
+		code := http.StatusInternalServerError
+		var he *httpError
+		if errors.As(err, &he) {
+			code = he.code
 		}
-		h(w, r)
+		writeNegotiated(w, in.binResp, code, &wire.Error{Error: err.Error()})
 	}
 }
 
@@ -593,8 +631,9 @@ func getOnly(h http.HandlerFunc) http.HandlerFunc {
 // outlier ring, a per-route counter tick, a flight record
 // cross-referencing the trace ID, and one structured warning — the four
 // places an operator looks, all agreeing.
-func (s *Server) commitOutlier(rs *routeStats, route string, trace obs.TraceID,
+func (s *Server) commitOutlier(rs *routeStats, trace obs.TraceID,
 	code int, start time.Time, elapsed time.Duration, spans []obs.SpanRecord) {
+	route := rs.name
 	reason := obs.OutlierSlow
 	if code >= 500 {
 		reason = obs.OutlierError
@@ -677,17 +716,21 @@ func (r *statusRecorder) WriteHeader(code int) {
 	r.ResponseWriter.WriteHeader(code)
 }
 
+// Flush passes a streaming handler's flush through to the connection:
+// without it a job stream's events would wait in the server's write
+// buffer.
+func (r *statusRecorder) Flush() {
+	if f, ok := r.ResponseWriter.(http.Flusher); ok {
+		f.Flush()
+	}
+}
+
 // writeJSON writes a JSON response body with the given status.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
 	_ = enc.Encode(v)
-}
-
-// writeError writes the JSON error envelope.
-func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, wire.Error{Error: fmt.Sprintf(format, args...)})
 }
 
 // requestOptions compiles a request into the library's per-request
@@ -1104,50 +1147,32 @@ func (s *Server) submitCorpusJob(w http.ResponseWriter, r *http.Request, j *job,
 	return nil
 }
 
-// jobStreamID returns the job ID of a /v1/jobs/{id}/stream path.
-func jobStreamID(path string) (string, bool) {
-	rest, ok := strings.CutPrefix(path, "/v1/jobs/")
-	if !ok {
-		return "", false
-	}
-	id, ok := strings.CutSuffix(rest, "/stream")
-	return id, ok && id != "" && !strings.Contains(id, "/")
-}
-
-// isJobStream reports whether path is a job stream's.
-func isJobStream(path string) bool {
-	_, ok := jobStreamID(path)
-	return ok
-}
-
-// handleJob serves GET /v1/jobs/{id}?offset=&limit= and dispatches
-// GET /v1/jobs/{id}/stream to the streaming handler.
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	if id, ok := jobStreamID(r.URL.Path); ok {
-		s.handleJobStream(w, r, id)
-		return
-	}
-	id := strings.TrimPrefix(r.URL.Path, "/v1/jobs/")
-	if id == "" || strings.Contains(id, "/") {
-		writeError(w, http.StatusNotFound, "no such job")
-		return
-	}
+// handleJob serves GET /v1/jobs/{id}?offset=&limit=.
+func (s *Server) handleJob(w http.ResponseWriter, r *http.Request, _ inbound) error {
 	offset, err := queryInt(r, "offset", 0)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+		return err
 	}
 	limit, err := queryInt(r, "limit", 0)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+		return err
 	}
-	j, ok := s.jobs.get(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, "no such job %q (finished jobs are evicted after %d newer ones)", id, s.cfg.JobHistorySize)
-		return
+	j, err := s.pathJob(r)
+	if err != nil {
+		return err
 	}
 	writeJSON(w, http.StatusOK, j.status(offset, limit))
+	return nil
+}
+
+// pathJob finds the job the request path names, live or in history.
+func (s *Server) pathJob(r *http.Request) (*job, error) {
+	id := r.PathValue("id")
+	j, ok := s.jobs.get(id)
+	if !ok {
+		return nil, errorf(http.StatusNotFound, "no such job %q (finished jobs are evicted after %d newer ones)", id, s.cfg.JobHistorySize)
+	}
+	return j, nil
 }
 
 func queryInt(r *http.Request, name string, def int) (int, error) {
@@ -1157,7 +1182,7 @@ func queryInt(r *http.Request, name string, def int) (int, error) {
 	}
 	n, err := strconv.Atoi(v)
 	if err != nil || n < 0 {
-		return 0, fmt.Errorf("bad %s %q", name, v)
+		return 0, errorf(http.StatusBadRequest, "bad %s %q", name, v)
 	}
 	return n, nil
 }
@@ -1165,7 +1190,7 @@ func queryInt(r *http.Request, name string, def int) (int, error) {
 // handleHealthz serves GET /healthz: pure liveness — the process is up
 // and serving HTTP. Restart on failure; do not route on it (that is
 // /readyz's job).
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request, _ inbound) error {
 	state := "ok"
 	code := http.StatusOK
 	if s.draining.Load() {
@@ -1173,6 +1198,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		code = http.StatusServiceUnavailable
 	}
 	writeJSON(w, code, map[string]string{"status": state})
+	return nil
 }
 
 // handleReadyz serves GET /readyz: readiness — 200 only after the
@@ -1183,7 +1209,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // progress), "restoring" (a durable store is attached and Restore has
 // not finished), or "cold" (warm-up still running) — so operators and
 // coordinators can tell the cases apart.
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request, _ inbound) error {
 	switch {
 	case s.draining.Load():
 		writeJSON(w, http.StatusServiceUnavailable,
@@ -1198,12 +1224,13 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	default:
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 	}
+	return nil
 }
 
 // handleMetrics serves GET /metrics in the Prometheus text format.
 // Everything is read at render time: gauges cost their reader, not the
 // request path.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request, _ inbound) error {
 	sc := &scrape{Server: s}
 	if s.store != nil {
 		sc.storeStats, sc.hasStore = s.store.Stats(), true
@@ -1222,4 +1249,5 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	_, _ = w.Write([]byte(sb.String()))
+	return nil
 }

@@ -526,6 +526,67 @@ func TestBadRequests(t *testing.T) {
 			t.Errorf("%s: status %d, want %d", tc.name, got, tc.want)
 		}
 	}
+
+	// One case per route row: any method but the row's answers 405 with a
+	// wire.Error body, counted under the route's name; a POST row answers
+	// 503 while draining. Coordinator rows need a coordinator.
+	_, coordTS := newTestServer(t, Config{Coordinator: true})
+	drained, drainedTS := newTestServer(t, Config{Coordinator: true})
+	if err := drained.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	want405 := map[string]map[string]int{
+		ts.URL:      {"explain": 1}, // the "explain GET" case above
+		coordTS.URL: {},
+	}
+	for _, rt := range routes {
+		base := ts.URL
+		if rt.coordinator {
+			base = coordTS.URL
+		}
+		path := strings.ReplaceAll(rt.pattern, "{id}", "job-nope-1")
+		wrong := http.MethodPost
+		if rt.method == http.MethodPost {
+			wrong = http.MethodGet
+		}
+		want405[base][rt.name]++
+		if got := requestError(t, wrong, base+path, rt.method+" required"); got != http.StatusMethodNotAllowed {
+			t.Errorf("%s %s: status %d, want 405", wrong, rt.pattern, got)
+		}
+		if rt.method == http.MethodPost {
+			if got := requestError(t, rt.method, drainedTS.URL+path, errDraining.Error()); got != http.StatusServiceUnavailable {
+				t.Errorf("draining POST %s: status %d, want 503", rt.pattern, got)
+			}
+		}
+	}
+	for base, names := range want405 {
+		text := fetchMetrics(t, base)
+		for name, n := range names {
+			if want := fmt.Sprintf(`comet_requests_total{route=%q,code="405"} %d`, name, n); !strings.Contains(text, want) {
+				t.Errorf("metrics missing %q", want)
+			}
+		}
+	}
+}
+
+// requestError sends an empty request and returns its status, failing
+// the test unless the body is the wire.Error carrying msg.
+func requestError(t *testing.T, method, url, msg string) int {
+	t.Helper()
+	req, err := http.NewRequest(method, url, strings.NewReader("{}"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var e wire.Error
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e.Error != msg {
+		t.Errorf("%s %s: body %+v (%v), want the wire.Error %q", method, url, e, err, msg)
+	}
+	return resp.StatusCode
 }
 
 func TestHealthzAndMetrics(t *testing.T) {
@@ -753,15 +814,12 @@ func TestPredictEndpoint(t *testing.T) {
 		t.Errorf("handshake response wrong: %+v", pr)
 	}
 
-	// Errors: unknown model 400, bad block 400, GET 405.
+	// Errors: unknown model 400, bad block 400.
 	if r, _ := postJSON(t, ts.URL+"/v1/predict", wire.PredictRequest{Model: "gpt"}); r.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown model: status %d, want 400", r.StatusCode)
 	}
 	if r, _ := postJSON(t, ts.URL+"/v1/predict", wire.PredictRequest{Blocks: []string{"not an instruction"}}); r.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad block: status %d, want 400", r.StatusCode)
-	}
-	if r := getJSON(t, ts.URL+"/v1/predict", nil); r.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET predict: status %d, want 405", r.StatusCode)
 	}
 }
 
@@ -806,9 +864,6 @@ func TestModelsEndpoint(t *testing.T) {
 	}
 	if !warmed["counting@hsw"] || !warmed["uica@hsw"] {
 		t.Errorf("warmed list %v missing counting@hsw / uica@hsw", mr.Warmed)
-	}
-	if r, _ := postJSON(t, ts.URL+"/v1/models", struct{}{}); r.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("POST models: status %d, want 405", r.StatusCode)
 	}
 }
 

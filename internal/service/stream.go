@@ -55,15 +55,12 @@ func (j *job) waitStream(cursor int, buf []wire.CorpusResult, cancelled func() b
 // stream job (CorpusRequest.Stream), which retains just a bounded
 // catch-up ring; a reader that falls behind the ring gets a lag error
 // event instead of stalling the job.
-func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request, id string) {
-	binResp := acceptsFrame(r)
-	j, ok := s.jobs.get(id)
-	if !ok {
-		fail(w, binResp, errorf(http.StatusNotFound,
-			"no such job %q (finished jobs are evicted after %d newer ones)", id, s.cfg.JobHistorySize))
-		return
+func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request, in inbound) error {
+	j, err := s.pathJob(r)
+	if err != nil {
+		return err
 	}
-	if binResp {
+	if in.binResp {
 		w.Header().Set("Content-Type", wire.FrameContentType)
 	} else {
 		w.Header().Set("Content-Type", "application/x-ndjson")
@@ -82,7 +79,7 @@ func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request, id stri
 	writeEvent := func(ev wire.StreamEvent) bool {
 		var b []byte
 		var err error
-		if binResp {
+		if in.binResp {
 			var msg any
 			switch {
 			case ev.Result != nil:
@@ -114,16 +111,16 @@ func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request, id stri
 		case lagged:
 			writeEvent(wire.StreamEvent{Error: fmt.Sprintf(
 				"stream lagged: results before %d were evicted from the catch-up ring (size %d)", j.trimmedCount(), j.ringCap)})
-			return
+			return nil
 		case done != nil:
 			writeEvent(wire.StreamEvent{Done: done})
-			return
+			return nil
 		case len(out) == 0:
-			return // client gone or server draining
+			return nil // client gone or server draining
 		}
 		for i := range out {
 			if !writeEvent(wire.StreamEvent{Result: &out[i]}) {
-				return
+				return nil
 			}
 		}
 		s.metrics.streamedResults.Add(uint64(len(out)))
