@@ -309,9 +309,6 @@ func streamBench(sum *wireSummary, blocks int) error {
 		DefaultModel:    "c",
 		MaxCorpusBlocks: blocks,
 		MaxBodyBytes:    1 << 30,
-		// The shared prediction cache is a bounded LRU; a modest cap keeps
-		// its steady-state size out of the stream-memory signal.
-		PredictionCacheSize: 1 << 14,
 	}
 	srv := service.New(cfg)
 	if err := srv.WarmModel("c", "hsw"); err != nil {

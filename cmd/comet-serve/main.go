@@ -11,7 +11,8 @@
 //	                        application/octet-stream, or multipart/form-data —
 //	                        whose basic blocks are extracted server-side;
 //	                        ?model=&arch=&workers=&stream=&seed=&coverage=
-//	                        &epsilon=&batch= parameterize uploads, and bodies
+//	                        &epsilon=&threshold=&batch= parameterize uploads
+//	                        (a malformed value gets 400), and bodies
 //	                        over -max-upload-bytes are refused with 413)
 //	GET  /v1/jobs           list every known job (including restored ones)
 //	GET  /v1/jobs/{id}      poll a job (?offset=&limit= paginate results)
@@ -51,12 +52,13 @@
 // Cluster mode: -coordinator (or a static -workers url1,url2 list) turns
 // the server into a coordinator that shards corpus jobs across workers;
 // -join <coordinator-url> turns it into a worker that self-registers and
-// heartbeats. Leases carry the original per-block seeds and effective
-// config, so a sharded job's per-block JSON is byte-identical to a
-// single-process run (modulo the cache-warmth accounting fields
-// cache_hits/model_calls) — across worker deaths, re-leases, and
-// coordinator restarts (with -store-dir, a restarted coordinator resumes
-// distributed jobs from the store under their original IDs).
+// heartbeats. Leases carry corpus indices and the effective config, and
+// workers seed each block from its index, so a sharded job's per-block
+// JSON is byte-identical to a single-process run (modulo the cache-warmth
+// accounting fields cache_hits/model_calls) — across worker deaths,
+// re-leases, and coordinator restarts (with -store-dir, a restarted
+// coordinator resumes distributed jobs from the store under their
+// original IDs).
 //
 // Models are addressed by registry spec strings — "uica", "c@skl",
 // "ithemal@hsw?hidden=64&train=2000", or "remote@http://other:8372" to

@@ -149,7 +149,7 @@ func showTrace(w io.Writer, client *http.Client, base, id string, federate, rawJ
 	// Server output is start-ordered already, but MergeSpans is cheap
 	// insurance that local views render in the same canonical order.
 	spans := obs.MergeSpans(body.Spans)
-	obs.WriteTree(w, spans, width)
+	inspect.WriteTree(w, spans, width)
 	return nil
 }
 

@@ -484,8 +484,8 @@ func (r *corpusRun) emit(res wire.CorpusResult) error {
 
 // clusterTarget is where a -cluster run computes its blocks: comet-serve
 // workers driven by the cluster coordinator — the same lease scheduler
-// cometd's coordinator mode runs. Per-block seeds travel with every
-// lease, so results are byte-identical to a local run at the same seed.
+// cometd's coordinator mode runs. Workers seed each block from its corpus
+// index, so results are byte-identical to a local run at the same seed.
 type clusterTarget struct {
 	urls  []string
 	coord *cluster.Coordinator

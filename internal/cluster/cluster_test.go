@@ -71,7 +71,7 @@ func newFakeWorker(t *testing.T, behave func(http.ResponseWriter, *http.Request,
 		}
 		resp := wire.ShardResponse{JobID: req.JobID, Lease: req.Lease}
 		for _, b := range req.Blocks {
-			resp.Results = append(resp.Results, fakeResult(b))
+			resp.Results = append(resp.Results, fakeResult(req.Config.Seed, b))
 		}
 		if strings.Contains(r.Header.Get("Accept"), wire.FrameContentType) {
 			frame, err := wire.EncodeBinary(&resp)
@@ -113,15 +113,18 @@ func decodeShardRequest(r *http.Request) (wire.ShardRequest, error) {
 	return *framed, nil
 }
 
-// fakeResult derives a deterministic result from a shard block.
-func fakeResult(b wire.ShardBlock) wire.CorpusResult {
+// fakeResult derives a deterministic result from a shard block at the
+// seed a real worker would run it under: the lease's base seed and the
+// block's corpus index.
+func fakeResult(base int64, b wire.ShardBlock) wire.CorpusResult {
+	seed := core.BlockSeed(base, b.Index)
 	return wire.CorpusResult{
 		Index: b.Index,
 		Block: b.Block,
 		Explanation: &wire.Explanation{
 			Block:      b.Block,
 			Model:      "fake",
-			Prediction: float64(b.Seed%1000) + float64(b.Index),
+			Prediction: float64(seed%1000) + float64(b.Index),
 		},
 	}
 }
@@ -173,9 +176,9 @@ func TestRunShardsAllBlocks(t *testing.T) {
 		if !ok {
 			t.Fatalf("block %d never emitted", i)
 		}
-		// The lease carried BlockSeed(base, i); the fake worker folded it
-		// into the prediction, so a wrong seed is visible here.
-		want := fakeResult(wire.ShardBlock{Index: i, Seed: core.BlockSeed(job.Config.Seed, i), Block: job.Blocks[i]})
+		// The fake worker folded BlockSeed(lease base, index) into the
+		// prediction, so a wrong base seed or index is visible here.
+		want := fakeResult(job.Config.Seed, wire.ShardBlock{Index: i, Block: job.Blocks[i]})
 		if res.Explanation == nil || res.Explanation.Prediction != want.Explanation.Prediction {
 			t.Errorf("block %d: got %+v, want prediction %v", i, res.Explanation, want.Explanation.Prediction)
 		}
@@ -301,7 +304,7 @@ func TestDuplicateResultIndicesRejected(t *testing.T) {
 			return false
 		}
 		resp := wire.ShardResponse{JobID: req.JobID, Lease: req.Lease}
-		dup := fakeResult(req.Blocks[0])
+		dup := fakeResult(req.Config.Seed, req.Blocks[0])
 		for range req.Blocks {
 			resp.Results = append(resp.Results, dup)
 		}

@@ -4,16 +4,16 @@
 // workers in its Pool, and re-leases on the full failure matrix — lease
 // timeouts, worker death mid-lease, stragglers — with bounded retries.
 //
-// Determinism is the core invariant: every lease carries the original
-// per-block seeds (core.BlockSeed over the job's base seed) and the
-// job's full effective configuration, so any worker produces per-block
-// bytes identical to a single-process ExplainAll at the same seed —
-// modulo the cache_hits/model_calls accounting fields, which report
-// cache warmth and so depend on placement — no matter how blocks are
-// partitioned, which workers run them, or how many times a lease is
-// re-dispatched. Duplicate results from straggler re-dispatch are
-// deduplicated by block index; since the bytes are deterministic,
-// whichever copy wins is the same answer.
+// Determinism is the core invariant: every lease carries its blocks'
+// corpus indices and the job's full effective configuration, and a
+// worker explains block i at core.BlockSeed(Config.Seed, i), so any
+// worker produces per-block bytes identical to a single-process
+// ExplainAll at the same seed — modulo the cache_hits/model_calls
+// accounting fields, which report cache warmth and so depend on
+// placement — no matter how blocks are partitioned, which workers run
+// them, or how many times a lease is re-dispatched. Duplicate results
+// from straggler re-dispatch are deduplicated by block index; since the
+// bytes are deterministic, whichever copy wins is the same answer.
 //
 // The package is service-agnostic: it speaks the wire shard protocol to
 // any HTTP endpoint, so the comet CLI drives the same coordinator that
@@ -33,7 +33,6 @@ import (
 	"time"
 
 	"github.com/comet-explain/comet/internal/bitset"
-	"github.com/comet-explain/comet/internal/core"
 	"github.com/comet-explain/comet/internal/obs"
 	"github.com/comet-explain/comet/internal/wire"
 )
@@ -150,7 +149,6 @@ type Stats struct {
 type Job struct {
 	ID     string
 	Spec   string
-	Arch   string
 	Config wire.ConfigSnapshot
 	Blocks []string
 	// Skip, if non-nil, reports corpus indices whose results already
@@ -446,7 +444,6 @@ func (c *Coordinator) send(ctx context.Context, job Job, l *lease, workerID stri
 		JobID:   job.ID,
 		Lease:   l.id,
 		Spec:    job.Spec,
-		Arch:    job.Arch,
 		Config:  job.Config,
 		Blocks:  l.blocks,
 		Workers: job.Workers,
@@ -496,8 +493,8 @@ func (c *Coordinator) dispatch(ctx context.Context, workerURL string, sreq wire.
 }
 
 // partition slices the job's non-skipped blocks into leases of
-// LeaseBlocks, each block carrying its corpus index and its original
-// per-block seed — the whole determinism contract in one struct.
+// LeaseBlocks, each block carrying its corpus index, which is all a
+// worker needs to derive the block's seed.
 func (c *Coordinator) partition(job Job) []*lease {
 	var leases []*lease
 	var cur []wire.ShardBlock
@@ -515,11 +512,7 @@ func (c *Coordinator) partition(job Job) []*lease {
 		if job.Skip != nil && job.Skip(i) {
 			continue
 		}
-		cur = append(cur, wire.ShardBlock{
-			Index: i,
-			Seed:  core.BlockSeed(job.Config.Seed, i),
-			Block: text,
-		})
+		cur = append(cur, wire.ShardBlock{Index: i, Block: text})
 		if len(cur) >= c.opts.LeaseBlocks {
 			flush()
 		}

@@ -38,18 +38,13 @@ type CorpusOptions struct {
 	// blocks run, the skipped-and-restored union is identical to an
 	// uninterrupted run. Skip must be safe for concurrent calls.
 	Skip func(index int) bool
-	// Seeds, if non-nil, overrides the per-block seed: block index i runs
-	// under Seeds(i) instead of BlockSeed(cfg.Seed, i). This is the
-	// shard-slicing hook — a cluster worker explaining a slice of someone
-	// else's corpus passes the original per-block seeds here, so its
-	// results are byte-identical to the whole-corpus run that would have
-	// produced them. Seeds must be safe for concurrent calls.
-	Seeds func(index int) int64
-	// Index, if non-nil, remaps local slice positions to the indices
-	// results should carry — CorpusResult.Index and per-block error
-	// messages both use the remapped value, so a shard slice's outputs
-	// are indistinguishable from the whole-corpus run's. Index must be
-	// safe for concurrent calls.
+	// Index, if non-nil, maps a slice position to the block's corpus
+	// index (default: the position itself). The corpus index names the
+	// block everywhere: its seed is BlockSeed(cfg.Seed, Index(i)), and
+	// CorpusResult.Index and per-block error messages carry it. A cluster
+	// worker explaining a slice of someone else's corpus passes the
+	// leased indices here, so its results are byte-identical to the
+	// whole-corpus run's. Index must be safe for concurrent calls.
 	Index func(index int) int
 }
 
@@ -124,21 +119,19 @@ func (e *Explainer) ExplainAll(blocks []*x86.BasicBlock, opts CorpusOptions) <-c
 		base.Parallelism = 1
 	}
 
+	index := func(i int) int { return i }
+	if opts.Index != nil {
+		index = opts.Index
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range work {
+				idx := index(i)
 				cfg := base
-				cfg.Seed = BlockSeed(base.Seed, i)
-				if opts.Seeds != nil {
-					cfg.Seed = opts.Seeds(i)
-				}
-				idx := i
-				if opts.Index != nil {
-					idx = opts.Index(i)
-				}
+				cfg.Seed = BlockSeed(base.Seed, idx)
 				expl, err := e.explainWith(context.Background(), blocks[i], cfg)
 				if err != nil {
 					err = fmt.Errorf("block %d: %w", idx, err)
@@ -155,7 +148,7 @@ func (e *Explainer) ExplainAll(blocks []*x86.BasicBlock, opts CorpusOptions) <-c
 			done = opts.Context.Done()
 		}
 		for i := range blocks {
-			if opts.Skip != nil && opts.Skip(i) {
+			if opts.Skip != nil && opts.Skip(index(i)) {
 				continue
 			}
 			select {

@@ -42,12 +42,14 @@ func newAccuracyRun(p Params, arch x86.Arch, nBlocks int) (*accuracyRun, error) 
 }
 
 // cometAccuracy runs COMET over the block set with the given config
-// mutator and returns the fraction of accurate explanations.
+// mutator and returns the fraction of accurate explanations; block i
+// runs at core.BlockSeed(seed, i).
 func (r *accuracyRun) cometAccuracy(p Params, seed int64, mutate func(*core.Config)) (float64, error) {
 	model := analytical.New(r.arch)
 	cfg := core.DefaultConfig()
 	cfg.Epsilon = analytical.Epsilon
 	cfg.CoverageSamples = p.CoverageSamples
+	cfg.Seed = seed
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -55,9 +57,7 @@ func (r *accuracyRun) cometAccuracy(p Params, seed int64, mutate func(*core.Conf
 	for i, b := range r.blocks {
 		blocks[i] = b.Block
 	}
-	expls, err := core.NewExplainer(model, cfg).ExplainCorpus(blocks, core.CorpusOptions{
-		Seeds: func(i int) int64 { return seed + int64(i)*104729 },
-	})
+	expls, err := core.NewExplainer(model, cfg).ExplainCorpus(blocks, core.CorpusOptions{})
 	if err != nil {
 		return 0, err
 	}

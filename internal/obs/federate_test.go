@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"strings"
 	"testing"
 	"time"
 )
@@ -50,97 +49,5 @@ func TestMergeSpansTieBreaksBySpanID(t *testing.T) {
 	})
 	if merged[0].SpanID != "aa" || merged[1].SpanID != "zz" {
 		t.Errorf("equal-start spans not ordered by span ID: %+v", merged)
-	}
-}
-
-func TestWriteTreeRendersHierarchyAndAttrs(t *testing.T) {
-	base := time.Date(2026, 8, 8, 10, 0, 0, 0, time.UTC)
-	root := fedSpan("aa", "", "http.corpus", base, 4000)
-	root.Process = "coordinator"
-	child := fedSpan("bb", "aa", "job.run", base.Add(time.Millisecond), 3000)
-	child.Attrs = map[string]string{"job_id": "job-1", "blocks": "8"}
-	grand := fedSpan("cc", "bb", "svc.shard", base.Add(2*time.Millisecond), 1000)
-	grand.Process = "http://127.0.0.1:9999"
-	orphan := fedSpan("dd", "gone", "core.search", base.Add(time.Millisecond), 500)
-
-	var b strings.Builder
-	WriteTree(&b, MergeSpans([]SpanRecord{root, child, grand, orphan}), 20)
-	out := b.String()
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("rendered %d lines, want 4:\n%s", len(lines), out)
-	}
-	if !strings.HasPrefix(lines[0], "http.corpus") {
-		t.Errorf("root not first:\n%s", out)
-	}
-	if !strings.Contains(lines[0], "process=coordinator") {
-		t.Errorf("process label missing from root line:\n%s", out)
-	}
-	// Children indent two spaces per depth.
-	childLine, grandLine := "", ""
-	for _, l := range lines {
-		if strings.Contains(l, "job.run") {
-			childLine = l
-		}
-		if strings.Contains(l, "svc.shard") {
-			grandLine = l
-		}
-	}
-	if !strings.HasPrefix(childLine, "  job.run") {
-		t.Errorf("child not indented once: %q", childLine)
-	}
-	if !strings.HasPrefix(grandLine, "    svc.shard") {
-		t.Errorf("grandchild not indented twice: %q", grandLine)
-	}
-	// Attrs render sorted by key.
-	if b := strings.Index(childLine, "blocks=8"); b < 0 || b > strings.Index(childLine, "job_id=job-1") {
-		t.Errorf("attrs missing or unsorted: %q", childLine)
-	}
-	// An orphan (parent aged out) renders as an extra root, not vanishes.
-	orphanLine := ""
-	for _, l := range lines {
-		if strings.Contains(l, "core.search") {
-			orphanLine = l
-		}
-	}
-	if !strings.HasPrefix(orphanLine, "core.search") {
-		t.Errorf("orphan span not rendered as a root: %q", orphanLine)
-	}
-	// Every line carries a wall-time bar.
-	for _, l := range lines {
-		if !strings.Contains(l, "▐") || !strings.Contains(l, "▌") {
-			t.Errorf("line missing time bar: %q", l)
-		}
-	}
-}
-
-func TestWriteTreeEmptyAndZeroDuration(t *testing.T) {
-	var b strings.Builder
-	WriteTree(&b, nil, 30)
-	if b.Len() != 0 {
-		t.Errorf("empty span set rendered output: %q", b.String())
-	}
-	// All spans at the same instant with zero duration must not divide by
-	// zero and still show one visible bar cell.
-	base := time.Date(2026, 8, 8, 10, 0, 0, 0, time.UTC)
-	WriteTree(&b, []SpanRecord{fedSpan("aa", "", "instant", base, 0)}, 10)
-	if !strings.Contains(b.String(), "█") {
-		t.Errorf("zero-duration span has no visible bar: %q", b.String())
-	}
-}
-
-func TestFormatDuration(t *testing.T) {
-	for _, tc := range []struct {
-		us   int64
-		want string
-	}{
-		{5, "5µs"},
-		{999, "999µs"},
-		{1500, "1.5ms"},
-		{2_340_000, "2.34s"},
-	} {
-		if got := formatDuration(tc.us); got != tc.want {
-			t.Errorf("formatDuration(%d) = %q, want %q", tc.us, got, tc.want)
-		}
 	}
 }

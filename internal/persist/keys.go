@@ -70,6 +70,3 @@ func PutExplanation(s Store, id wire.ContentID, spec string, snap wire.ConfigSna
 		Explanation: e,
 	})
 }
-
-// JobKey returns the store key of a corpus-job envelope.
-func JobKey(id string) string { return id }

@@ -1,14 +1,14 @@
 package service
 
 // Cluster endpoints. Every server is a capable worker: POST /v1/shard
-// executes one lease of a sharded corpus job with the exact per-block
-// seeds and effective config the lease carries, so its results are
-// byte-identical to the single-process run that would have produced
-// them. Servers started in coordinator mode additionally accept worker
-// self-registration (POST /v1/cluster/join, which doubles as the
-// heartbeat) and expose the pool and lease-scheduler counters on
+// executes one lease of a sharded corpus job under the effective config
+// the lease carries, each block at the seed its corpus index derives, so
+// its results are byte-identical to the single-process run that would
+// have produced them. Servers started in coordinator mode additionally
+// accept worker self-registration (POST /v1/cluster/join, which doubles
+// as the heartbeat) and expose the pool and lease-scheduler counters on
 // GET /v1/cluster; their corpus jobs route through the cluster
-// scheduler (see jobs.go) instead of the local engine.
+// scheduler (see Server.runJob) instead of the local engine.
 
 import (
 	"context"
@@ -53,7 +53,7 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request, in inbound)
 	if err != nil {
 		return err
 	}
-	entry, err := s.resolveModel(req.Spec, req.Arch)
+	entry, err := s.resolveModel(req.Spec, "")
 	if err != nil {
 		return err
 	}
@@ -90,22 +90,14 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request, in inbound)
 	defer cancel()
 	defer context.AfterFunc(s.ctx, cancel)()
 
-	explainer := core.NewExplainerWithCache(traceModel(ctx, entry.model), cfg, entry.cache)
 	results := make([]wire.CorpusResult, 0, len(blocks))
-	// Seeds and Index remap the lease's local slice positions onto the
-	// original corpus: results (error messages included) come out
-	// exactly as the whole-corpus run would have produced them.
-	for res := range explainer.ExplainAll(blocks, core.CorpusOptions{
+	// Index maps the lease's slice positions onto the original corpus:
+	// seeds and results (error messages included) come out exactly as
+	// the whole-corpus run would have produced them.
+	s.explainCorpus(ctx, entry, cfg, blocks, core.CorpusOptions{
 		Workers: s.clampWorkers(req.Workers),
-		Context: ctx,
-		Seeds:   func(i int) int64 { return req.Blocks[i].Seed },
 		Index:   func(i int) int { return req.Blocks[i].Index },
-	}) {
-		if res.Explanation != nil {
-			s.metrics.observeComputed(req.Spec, res.Explanation)
-		}
-		results = append(results, wire.FromCorpusResult(res))
-	}
+	}, func(res wire.CorpusResult) { results = append(results, res) })
 	if len(results) < len(blocks) {
 		// The run was cut short (shutdown or a vanished coordinator); an
 		// incomplete lease is a failed lease.
@@ -188,32 +180,26 @@ func renderClusterWorkers(sb *strings.Builder, workers []wire.ClusterWorker) {
 
 // runCluster executes a corpus job through the cluster scheduler,
 // feeding every emitted result into the same bookkeeping and durable
-// checkpoints the local engine uses (jobManager.record). ctx carries the
-// job's resumed span (see jobManager.run); its trace context rides every
+// checkpoints the local engine uses (Server.record). ctx carries the
+// job's resumed span (see Server.runJob); its trace context rides every
 // lease dispatch. It returns cluster.ErrNoWorkers when dispatch starved —
 // the caller falls back to the local engine for whatever was not
 // emitted.
-func (m *jobManager) runCluster(ctx context.Context, j *job) error {
+func (s *Server) runCluster(ctx context.Context, j *job) error {
 	skip := j.doneIndices()
-	arch := ""
-	if j.entry != nil && j.entry.model != nil {
-		arch = wire.ArchName(j.entry.model.Arch())
-	}
-
 	traceparent := ""
 	if sc := obs.ContextSpanContext(ctx); !sc.IsZero() {
 		traceparent = sc.Traceparent()
 	}
-	return m.cluster.Run(ctx, cluster.Job{
+	return s.coordinator.Run(ctx, cluster.Job{
 		ID:          j.id,
 		Spec:        j.spec,
-		Arch:        arch,
 		Config:      j.snapshot,
 		Blocks:      j.blockTexts(),
 		Skip:        skip.Has,
 		Workers:     j.workers,
 		Traceparent: traceparent,
 	}, func(res cluster.Result) {
-		m.record(j, res.CorpusResult, res.Worker)
+		s.record(j, res.CorpusResult, res.Worker)
 	})
 }

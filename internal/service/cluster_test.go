@@ -46,11 +46,18 @@ func TestReadyzGatesOnWarmup(t *testing.T) {
 	}
 }
 
-// shardConfigFor reproduces the effective config a corpus job built from
-// the given overrides runs under — what a coordinator puts on the wire.
+// shardConfigFor reproduces the effective config a uica corpus job
+// built from the given overrides runs under — what a coordinator puts on
+// the wire.
 func shardConfigFor(t *testing.T, s *Server, overrides *wire.ConfigOverrides) wire.ConfigSnapshot {
 	t.Helper()
-	entry, err := s.models.get("uica", "hsw", true)
+	return shardConfigForModel(t, s, "uica", overrides)
+}
+
+// shardConfigForModel is shardConfigFor for any model spec.
+func shardConfigForModel(t *testing.T, s *Server, model string, overrides *wire.ConfigOverrides) wire.ConfigSnapshot {
+	t.Helper()
+	entry, err := s.models.get(model, "hsw", true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,51 +119,72 @@ var clusterTestBlocks = []string{
 
 // TestShardEndpointMatchesLocalJob: POST /v1/shard on a fresh worker
 // produces per-block explanation bytes identical to a local corpus job
-// for the same blocks at the same seeds — the worker-side half of the
-// cluster determinism contract.
+// for the same blocks — the worker-side half of the cluster determinism
+// contract. A lease names its blocks by corpus index alone, so a lease
+// of non-contiguous indices must seed each block by its index, not its
+// position in the lease, and the lease's spec alone must carry the
+// model's target.
 func TestShardEndpointMatchesLocalJob(t *testing.T) {
 	local, localTS := newTestServer(t, Config{})
-	st := runCorpusJob(t, localTS.URL, wire.CorpusRequest{
-		Blocks: clusterTestBlocks, Model: "uica", Config: fastOverrides(),
-	})
-	if st.State != wire.JobDone {
-		t.Fatalf("local job: %+v", st)
-	}
-
-	snap := shardConfigFor(t, local, fastOverrides())
 	worker, workerTS := newTestServer(t, Config{})
 	worker.SetReady()
-	sreq := wire.ShardRequest{
-		JobID:  "job-x",
-		Lease:  "job-x/l0",
-		Spec:   "uica@hsw",
-		Config: snap,
-	}
-	for i, b := range clusterTestBlocks {
-		sreq.Blocks = append(sreq.Blocks, wire.ShardBlock{
-			Index: i,
-			Seed:  core.BlockSeed(snap.Seed, i),
-			Block: b,
-		})
-	}
-	resp, body := postJSON(t, workerTS.URL+"/v1/shard", sreq)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("shard: status %d: %s", resp.StatusCode, body)
-	}
-	var sres wire.ShardResponse
-	if err := json.Unmarshal(body, &sres); err != nil {
-		t.Fatal(err)
-	}
-	if sres.Lease != "job-x/l0" || len(sres.Results) != len(clusterTestBlocks) {
-		t.Fatalf("shard response: %+v", sres)
-	}
+	// A division costs more cycles on Haswell than on Skylake, so block 4
+	// explains differently under the two targets.
+	blocks := append(clusterTestBlocks[:len(clusterTestBlocks):len(clusterTestBlocks)], "div rcx\nadd rax, rbx")
+	jobs := map[string]wire.JobStatus{}
+	for _, tc := range []struct {
+		name    string
+		model   string // the local job's model
+		spec    string // the canonical spec the lease carries
+		indices []int  // the leased corpus indices
+	}{
+		{"whole corpus", "uica", "uica@hsw", []int{0, 1, 2, 3, 4}},
+		{"non-contiguous indices", "uica", "uica@hsw", []int{1, 3}},
+		{"skylake target", "uica@skl", "uica@skl", []int{0, 1, 2, 3, 4}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st, ok := jobs[tc.model]
+			if !ok {
+				st = runCorpusJob(t, localTS.URL, wire.CorpusRequest{
+					Blocks: blocks, Model: tc.model, Config: fastOverrides(),
+				})
+				if st.State != wire.JobDone {
+					t.Fatalf("local job: %+v", st)
+				}
+				jobs[tc.model] = st
+			}
+			sreq := wire.ShardRequest{
+				JobID:  "job-x",
+				Lease:  "job-x/l0",
+				Spec:   tc.spec,
+				Config: shardConfigForModel(t, local, tc.model, fastOverrides()),
+			}
+			for _, i := range tc.indices {
+				sreq.Blocks = append(sreq.Blocks, wire.ShardBlock{Index: i, Block: blocks[i]})
+			}
+			resp, body := postJSON(t, workerTS.URL+"/v1/shard", sreq)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("shard: status %d: %s", resp.StatusCode, body)
+			}
+			var sres wire.ShardResponse
+			if err := json.Unmarshal(body, &sres); err != nil {
+				t.Fatal(err)
+			}
+			if sres.Lease != "job-x/l0" || len(sres.Results) != len(tc.indices) {
+				t.Fatalf("shard response: %+v", sres)
+			}
 
-	want := normalizeAccounting(t, st.Results)
-	got := normalizeAccounting(t, sres.Results)
-	for i := range clusterTestBlocks {
-		if got[i] != want[i] {
-			t.Errorf("block %d: shard bytes differ from local job:\n got %s\nwant %s", i, got[i], want[i])
-		}
+			want := normalizeAccounting(t, st.Results)
+			got := normalizeAccounting(t, sres.Results)
+			for _, i := range tc.indices {
+				if got[i] != want[i] {
+					t.Errorf("block %d: shard bytes differ from local job:\n got %s\nwant %s", i, got[i], want[i])
+				}
+			}
+			if hsw, ok := jobs["uica"]; ok && tc.model != "uica" && normalizeAccounting(t, hsw.Results)[4] == want[4] {
+				t.Errorf("block 4 explains alike under %s and uica@hsw: this case cannot tell the targets apart", tc.spec)
+			}
+		})
 	}
 }
 
@@ -166,7 +194,7 @@ func TestShardColdWorkerSheds(t *testing.T) {
 	_, ts := newTestServer(t, Config{}) // no SetReady
 	resp, body := postJSON(t, ts.URL+"/v1/shard", wire.ShardRequest{
 		Spec:   "uica@hsw",
-		Blocks: []wire.ShardBlock{{Index: 0, Seed: 1, Block: testBlock}},
+		Blocks: []wire.ShardBlock{{Index: 0, Block: testBlock}},
 	})
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("cold shard: status %d (%s), want 503", resp.StatusCode, body)

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"github.com/comet-explain/comet/internal/cluster"
+	"github.com/comet-explain/comet/internal/inspect"
 	"github.com/comet-explain/comet/internal/obs"
 	"github.com/comet-explain/comet/internal/remote"
 	"github.com/comet-explain/comet/internal/wire"
@@ -202,7 +203,7 @@ func TestComputedCountsJobAndShardBlocks(t *testing.T) {
 	sreq := wire.ShardRequest{JobID: "job-x", Lease: "job-x/l0", Spec: "uica@hsw",
 		Config: shardConfigFor(t, s, fastOverrides())}
 	for i, b := range clusterTestBlocks[2:] {
-		sreq.Blocks = append(sreq.Blocks, wire.ShardBlock{Index: i, Seed: int64(i + 1), Block: b})
+		sreq.Blocks = append(sreq.Blocks, wire.ShardBlock{Index: i, Block: b})
 	}
 	resp, raw := postJSON(t, ts.URL+"/v1/shard", sreq)
 	wantStatus(t, "/v1/shard", resp, raw, http.StatusOK)
@@ -438,7 +439,7 @@ func TestFederatedTraceAcrossProcesses(t *testing.T) {
 	// And the tree renders: every process label appears in WriteTree
 	// output, the human surface comet-trace prints.
 	var sb strings.Builder
-	obs.WriteTree(&sb, fed.Spans, 30)
+	inspect.WriteTree(&sb, fed.Spans, 30)
 	rendered := sb.String()
 	for _, proc := range []string{"process=coordinator", "process=" + ts1.URL, "process=" + ts2.URL} {
 		if !strings.Contains(rendered, proc) {

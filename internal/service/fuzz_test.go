@@ -122,7 +122,7 @@ func FuzzHandler(f *testing.F) {
 	predict := wire.PredictRequest{Blocks: []string{testBlock}, Model: "c"}
 	snap := wire.SnapshotConfig(core.ApplyOptions(s.cfg.Base, fastOverrides().Options()...))
 	shard := wire.ShardRequest{JobID: "job-f", Lease: "job-f/l0", Spec: "c@hsw", Config: snap,
-		Blocks: []wire.ShardBlock{{Index: 0, Seed: core.BlockSeed(snap.Seed, 0), Block: testBlock}}}
+		Blocks: []wire.ShardBlock{{Index: 0, Block: testBlock}}}
 	for _, seed := range []struct {
 		pattern    string
 		method, ct uint8

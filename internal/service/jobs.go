@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"github.com/comet-explain/comet/internal/bitset"
-	"github.com/comet-explain/comet/internal/cluster"
 	"github.com/comet-explain/comet/internal/core"
 	"github.com/comet-explain/comet/internal/obs"
 	"github.com/comet-explain/comet/internal/persist"
@@ -247,14 +246,13 @@ func (j *job) summaryLocked() wire.JobSummary {
 	}
 }
 
-// jobManager owns the bounded job queue, the job workers, and the LRU
-// history of finished jobs. With a store attached it also checkpoints
-// every job's envelope and explained blocks.
+// jobManager owns the bounded job queue, the job workers, the LRU
+// history of finished jobs and job-ID minting. What a job does when it
+// runs is the server's (Server.runJob).
 type jobManager struct {
 	queue   chan *job
 	history *lruStore[string, *job]
 	active  sync.Map // id → *job, for jobs not yet in (or evicted from) history
-	ctx     context.Context
 	wg      sync.WaitGroup
 	// closeMu serializes queue sends against the one-time close in
 	// shutdown: submissions hold the read side, so a send can never hit a
@@ -264,36 +262,13 @@ type jobManager struct {
 	seq      atomic.Uint64
 	instance string // random per-process tag so job IDs don't collide across restarts
 
-	// store, when non-nil, receives job envelopes and per-block
-	// explanation records; checkpointEvery is the fsync cadence in
-	// completed blocks, and storeErr counts (never fails on) persistence
-	// errors.
-	store           persist.Store
-	checkpointEvery int
-	storeErr        func(error)
-
-	// cluster, when non-nil, is the coordinator jobs shard through; the
-	// local engine remains the fallback when no worker is ready, so a
-	// coordinator with an empty (or dead) pool degrades to a single node
-	// instead of stalling. Determinism makes the two paths emit
-	// identical bytes.
-	cluster *cluster.Coordinator
-
-	// tracer, log, metrics, and flight are injected by the server; all
-	// are optional (nil tracer records nothing, nil log stays silent, a
-	// nil flight recorder drops records).
-	tracer  *obs.Tracer
-	log     *slog.Logger
-	metrics *metrics
-	flight  *obs.FlightRecorder
-
 	queued  atomic.Int64 // jobs waiting in the queue
 	running atomic.Int64 // jobs currently executing
 }
 
-// newJobManager starts cfg.JobWorkers job workers; cfg has been through
-// Config.withDefaults.
-func newJobManager(ctx context.Context, cfg Config, storeErr func(error)) *jobManager {
+// newJobManager starts cfg.JobWorkers job workers, each handing the jobs
+// it dequeues to run; cfg has been through Config.withDefaults.
+func newJobManager(cfg Config, run func(*job)) *jobManager {
 	tag := make([]byte, 4)
 	if _, err := rand.Read(tag); err != nil {
 		// Fall back to a fixed tag; IDs stay unique within the process
@@ -301,13 +276,9 @@ func newJobManager(ctx context.Context, cfg Config, storeErr func(error)) *jobMa
 		copy(tag, []byte{0xc0, 0x3e, 0x70, 0x01})
 	}
 	m := &jobManager{
-		queue:           make(chan *job, cfg.JobQueueDepth),
-		history:         newLRUStore[string, *job](cfg.JobHistorySize),
-		ctx:             ctx,
-		instance:        hex.EncodeToString(tag),
-		store:           cfg.Store,
-		checkpointEvery: cfg.JobCheckpointEvery,
-		storeErr:        storeErr,
+		queue:    make(chan *job, cfg.JobQueueDepth),
+		history:  newLRUStore[string, *job](cfg.JobHistorySize),
+		instance: hex.EncodeToString(tag),
 	}
 	for w := 0; w < cfg.JobWorkers; w++ {
 		m.wg.Add(1)
@@ -315,19 +286,21 @@ func newJobManager(ctx context.Context, cfg Config, storeErr func(error)) *jobMa
 			defer m.wg.Done()
 			for j := range m.queue {
 				m.queued.Add(-1)
-				m.run(j)
+				m.running.Add(1)
+				run(j)
+				m.running.Add(-1)
 			}
 		}()
 	}
 	return m
 }
 
-// submit enqueues a job, failing fast with errQueueFull when the bounded
-// queue is at capacity (the HTTP layer turns that into 429 backpressure),
-// and on success persists the queued envelope. A new job gets a fresh
-// ID; a job restored from the durable store keeps its persisted one
-// (clients keep polling the ID they were given before the restart).
-func (m *jobManager) submit(j *job) error {
+// enqueue queues a job, failing fast with errQueueFull when the bounded
+// queue is at capacity (the HTTP layer turns that into 429
+// backpressure). A new job gets a fresh ID; a job restored from the
+// durable store keeps its persisted one (clients keep polling the ID
+// they were given before the restart).
+func (m *jobManager) enqueue(j *job) error {
 	m.closeMu.RLock()
 	defer m.closeMu.RUnlock()
 	if m.draining {
@@ -341,26 +314,11 @@ func (m *jobManager) submit(j *job) error {
 	select {
 	case m.queue <- j:
 		m.queued.Add(1)
-		m.flightJob(j, wire.JobQueued)
-		m.persistJob(j)
 		return nil
 	default:
 		m.active.Delete(j.id)
 		return errQueueFull
 	}
-}
-
-// flightJob records one job state transition in the flight recorder —
-// every queue/run/terminal transition leaves a black-box entry whether
-// or not the job's trace is sampled.
-func (m *jobManager) flightJob(j *job, state string) {
-	m.flight.Record(obs.FlightRecord{
-		Kind:  obs.FlightJob,
-		ID:    j.id,
-		State: state,
-		Spec:  j.spec,
-		Trace: j.trace.Trace,
-	})
 }
 
 // get finds a job by ID, live or in history.
@@ -394,18 +352,75 @@ func (m *jobManager) list() []wire.JobSummary {
 	return out
 }
 
-// run executes one corpus job through the shared explanation engine.
-func (m *jobManager) run(j *job) {
-	m.running.Add(1)
-	defer m.running.Add(-1)
+// finish moves a terminal job into the LRU history, where it survives
+// polling until evicted by capacity.
+func (m *jobManager) finish(j *job) {
+	m.history.put(j.id, j)
+	m.active.Delete(j.id)
+}
 
+// shutdown stops accepting jobs and waits (up to ctx) for the job
+// workers to wind down. The server's context — canceled before calling
+// shutdown — makes running jobs skip their remaining blocks and
+// still-queued jobs end canceled. With a store attached, interrupted
+// jobs persist in a resumable state: the next process's Restore picks
+// them up where they stopped.
+func (m *jobManager) shutdown(ctx context.Context) error {
+	m.closeMu.Lock()
+	if m.draining {
+		m.closeMu.Unlock()
+		return nil
+	}
+	m.draining = true
+	close(m.queue)
+	m.closeMu.Unlock()
+	waited := make(chan struct{})
+	go func() {
+		m.wg.Wait()
+		close(waited)
+	}()
+	select {
+	case <-waited:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// submitJob queues a job and records and persists its queued state.
+func (s *Server) submitJob(j *job) error {
+	if err := s.jobs.enqueue(j); err != nil {
+		return err
+	}
+	s.flightJob(j, wire.JobQueued)
+	s.persistJob(j)
+	return nil
+}
+
+// flightJob records one job state transition in the flight recorder —
+// every queue/run/terminal transition leaves a black-box entry whether
+// or not the job's trace is sampled.
+func (s *Server) flightJob(j *job, state string) {
+	s.flight.Record(obs.FlightRecord{
+		Kind:  obs.FlightJob,
+		ID:    j.id,
+		State: state,
+		Spec:  j.spec,
+		Trace: j.trace.Trace,
+	})
+}
+
+// runJob executes one dequeued corpus job: through the cluster in
+// coordinator mode, and through the local engine for whatever the
+// cluster did not emit.
+func (s *Server) runJob(j *job) {
 	// Resume the trace of the request that submitted the job: the
 	// accepting span ended when the 202 was written, and this span picks
 	// the trace back up for the async half. Everything the job does —
 	// local explanation stages, cluster lease dispatches, worker-side
 	// shard handling — parents under it.
 	start := time.Now()
-	ctx, span := m.tracer.Resume(m.ctx, "job.run", j.trace)
+	ctx, span := s.tracer.Resume(s.ctx, "job.run", j.trace)
 	span.Set("job_id", j.id)
 	defer func() {
 		j.mu.Lock()
@@ -417,40 +432,38 @@ func (m *jobManager) run(j *job) {
 		span.SetInt("done", int64(done))
 		span.SetInt("failed", int64(failed))
 		span.End()
-		m.flightJob(j, state)
-		if m.log != nil {
-			attrs := []slog.Attr{
-				slog.String("job_id", j.id),
-				slog.String("spec", j.spec),
-				slog.String("state", state),
-				slog.Int("done", done),
-				slog.Int("failed", failed),
-				slog.Duration("elapsed", time.Since(start)),
-				obs.TraceAttr(j.trace.Trace),
-			}
-			// Quality aggregates: how good the explanations this job
-			// produced actually were, visible without scraping /metrics.
-			if qCount > 0 {
-				attrs = append(attrs,
-					slog.Float64("precision_mean", qPrecSum/float64(qCount)),
-					slog.Float64("precision_min", qPrecMin),
-					slog.Float64("coverage_mean", qCovSum/float64(qCount)),
-					slog.Int64("queries_total", qQueries),
-					slog.Int("uncertified", qUncertified))
-			}
-			m.log.LogAttrs(context.Background(), slog.LevelInfo, "job finished", attrs...)
+		s.flightJob(j, state)
+		attrs := []slog.Attr{
+			slog.String("job_id", j.id),
+			slog.String("spec", j.spec),
+			slog.String("state", state),
+			slog.Int("done", done),
+			slog.Int("failed", failed),
+			slog.Duration("elapsed", time.Since(start)),
+			obs.TraceAttr(j.trace.Trace),
 		}
+		// Quality aggregates: how good the explanations this job produced
+		// actually were, visible without scraping /metrics.
+		if qCount > 0 {
+			attrs = append(attrs,
+				slog.Float64("precision_mean", qPrecSum/float64(qCount)),
+				slog.Float64("precision_min", qPrecMin),
+				slog.Float64("coverage_mean", qCovSum/float64(qCount)),
+				slog.Int64("queries_total", qQueries),
+				slog.Int("uncertified", qUncertified))
+		}
+		s.log.LogAttrs(context.Background(), slog.LevelInfo, "job finished", attrs...)
 	}()
 
-	if m.ctx.Err() != nil {
-		m.finalize(j) // dequeued during shutdown: canceled, resumable
+	if s.ctx.Err() != nil {
+		s.finalize(j) // dequeued during shutdown: canceled, resumable
 		return
 	}
 	j.mu.Lock()
 	j.state = wire.JobRunning
 	j.mu.Unlock()
-	m.flightJob(j, wire.JobRunning)
-	m.persistJob(j)
+	s.flightJob(j, wire.JobRunning)
+	s.persistJob(j)
 
 	// Coordinator mode: shard the job across the cluster. Any dispatch
 	// shortfall — no ready workers, leases abandoned after retries —
@@ -458,12 +471,14 @@ func (m *jobManager) run(j *job) {
 	// finishes exactly those; per-block seeding makes the mixed run
 	// byte-identical to either pure path. Only shutdown ends the job
 	// with blocks missing.
-	if m.cluster != nil {
-		err := m.runCluster(ctx, j)
-		if err == nil || m.ctx.Err() != nil {
-			m.finalize(j)
+	worker := ""
+	if s.coordinator != nil {
+		err := s.runCluster(ctx, j)
+		if err == nil || s.ctx.Err() != nil {
+			s.finalize(j)
 			return
 		}
+		worker = "local"
 	}
 
 	// Resume support (and cluster fallback): indices restored from the
@@ -473,24 +488,32 @@ func (m *jobManager) run(j *job) {
 	// blocks that do run produce exactly what an uninterrupted run would
 	// have.
 	skip := j.doneIndices()
-
-	explainer := core.NewExplainerWithCache(traceModel(ctx, j.entry.model), j.cfg, j.entry.cache)
-	worker := ""
-	if m.cluster != nil {
-		worker = "local"
-	}
-	for res := range explainer.ExplainAll(j.blocks, core.CorpusOptions{
+	s.explainCorpus(ctx, j.entry, j.cfg, j.blocks, core.CorpusOptions{
 		Workers: j.workers,
-		Context: ctx,
 		Skip:    skip.Has,
-	}) {
-		if res.Explanation != nil && m.metrics != nil {
-			m.metrics.observeComputed(j.spec, res.Explanation)
-		}
-		m.record(j, wire.FromCorpusResult(res), worker)
-	}
+	}, func(res wire.CorpusResult) { s.record(j, res, worker) })
+	s.finalize(j)
+}
 
-	m.finalize(j)
+// explainCorpus explains blocks under entry and cfg through the engine
+// and hands each result to emit: the one engine path of corpus jobs and
+// shard leases. Each block runs at core.BlockSeed(cfg.Seed, its corpus
+// index), so a lease's blocks come out byte-identical to the same
+// blocks of a local job, and every explained block counts in
+// comet_explanations_computed_total under the entry's canonical spec.
+// ctx cancels the run (blocks not yet started are skipped) and carries
+// the trace a remote@ model joins.
+func (s *Server) explainCorpus(ctx context.Context, entry *modelEntry, cfg core.Config, blocks []*x86.BasicBlock,
+	opts core.CorpusOptions, emit func(wire.CorpusResult)) {
+	opts.Context = ctx
+	spec := entry.specString()
+	explainer := core.NewExplainerWithCache(traceModel(ctx, entry.model), cfg, entry.cache)
+	for res := range explainer.ExplainAll(blocks, opts) {
+		if res.Explanation != nil {
+			s.metrics.observeComputed(spec, res.Explanation)
+		}
+		emit(wire.FromCorpusResult(res))
+	}
 }
 
 // record appends one completed block to the job and checkpoints it, for
@@ -499,20 +522,20 @@ func (m *jobManager) run(j *job) {
 // record (survives SIGKILL); a failed block rides the envelope
 // persistJob writes at the next state transition. The periodic Sync is
 // the power-loss checkpoint.
-func (m *jobManager) record(j *job, res wire.CorpusResult, worker string) {
+func (s *Server) record(j *job, res wire.CorpusResult, worker string) {
 	done := j.appendResult(res, worker)
-	if m.store == nil {
+	if s.store == nil {
 		return
 	}
 	if res.Explanation != nil {
 		id, snap := persist.BlockExplanationID(j.spec, j.snapshot, res.Index, j.blockTexts()[res.Index])
-		if err := persist.PutExplanation(m.store, id, j.spec, snap, res.Explanation); err != nil {
-			m.storeErr(err)
+		if err := persist.PutExplanation(s.store, id, j.spec, snap, res.Explanation); err != nil {
+			s.storeError(err)
 		}
 	}
-	if done%m.checkpointEvery == 0 {
-		if err := m.store.Sync(); err != nil {
-			m.storeErr(err)
+	if done%s.cfg.JobCheckpointEvery == 0 {
+		if err := s.store.Sync(); err != nil {
+			s.storeError(err)
 		}
 	}
 }
@@ -535,20 +558,20 @@ func (j *job) settleLocked() {
 
 // finalize settles a job's terminal state, persists it, and moves it to
 // history.
-func (m *jobManager) finalize(j *job) {
+func (s *Server) finalize(j *job) {
 	j.mu.Lock()
 	j.settleLocked()
 	if j.notify != nil {
 		j.notify.Broadcast()
 	}
 	j.mu.Unlock()
-	m.persistJob(j)
-	if m.store != nil {
-		if err := m.store.Sync(); err != nil {
-			m.storeErr(err)
+	s.persistJob(j)
+	if s.store != nil {
+		if err := s.store.Sync(); err != nil {
+			s.storeError(err)
 		}
 	}
-	m.finish(j)
+	s.jobs.finish(j)
 }
 
 // doneIndices snapshots the block indices that already have results —
@@ -563,8 +586,8 @@ func (j *job) doneIndices() *bitset.Set {
 // persistJob writes the job's envelope (inputs, current state, failed
 // blocks) to the durable store, superseding the previous envelope
 // record.
-func (m *jobManager) persistJob(j *job) {
-	if m.store == nil {
+func (s *Server) persistJob(j *job) {
+	if s.store == nil {
 		return
 	}
 	texts := j.blockTexts()
@@ -583,49 +606,14 @@ func (m *jobManager) persistJob(j *job) {
 		Failures: j.failures,
 	}
 	j.mu.Unlock()
-	err := m.store.Put(&wire.Record{
+	err := s.store.Put(&wire.Record{
 		V:    wire.RecordVersion,
 		Kind: wire.RecordJob,
-		Key:  persist.JobKey(j.id),
+		Key:  j.id,
 		Spec: j.spec,
 		Job:  env,
 	})
 	if err != nil {
-		m.storeErr(err)
-	}
-}
-
-// finish moves a terminal job into the LRU history, where it survives
-// polling until evicted by capacity.
-func (m *jobManager) finish(j *job) {
-	m.history.put(j.id, j)
-	m.active.Delete(j.id)
-}
-
-// shutdown stops accepting jobs, marks still-queued jobs canceled, and
-// waits (up to ctx) for running jobs to wind down. The manager's own
-// context — canceled by the server before calling shutdown — makes running
-// jobs skip their remaining blocks. With a store attached, interrupted
-// jobs persist in a resumable state: the next process's Restore picks
-// them up where they stopped.
-func (m *jobManager) shutdown(ctx context.Context) error {
-	m.closeMu.Lock()
-	if m.draining {
-		m.closeMu.Unlock()
-		return nil
-	}
-	m.draining = true
-	close(m.queue)
-	m.closeMu.Unlock()
-	waited := make(chan struct{})
-	go func() {
-		m.wg.Wait()
-		close(waited)
-	}()
-	select {
-	case <-waited:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
+		s.storeError(err)
 	}
 }

@@ -40,7 +40,7 @@ func TestBlockLengthLimit(t *testing.T) {
 		"/v1/predict": wire.PredictRequest{Blocks: []string{testBlock, long}, Model: "c"},
 		"/v1/corpus":  wire.CorpusRequest{Blocks: []string{testBlock, long}, Model: "c"},
 		"/v1/shard": wire.ShardRequest{JobID: "job-x", Lease: "job-x/l0", Spec: "c@hsw", Config: snap,
-			Blocks: []wire.ShardBlock{{Index: 0, Seed: 1, Block: long}}},
+			Blocks: []wire.ShardBlock{{Index: 0, Block: long}}},
 	} {
 		resp, raw := postJSON(t, ts.URL+route, body)
 		wantStatus(t, route, resp, raw, http.StatusRequestEntityTooLarge)
@@ -77,7 +77,7 @@ func TestCoverageSamplesLimit(t *testing.T) {
 		"/v1/explain": wire.ExplainRequest{Block: testBlock, Model: "c", Config: over},
 		"/v1/corpus":  wire.CorpusRequest{Blocks: []string{testBlock}, Model: "c", Config: over},
 		"/v1/shard": wire.ShardRequest{JobID: "job-x", Lease: "job-x/l0", Spec: "c@hsw", Config: snap,
-			Blocks: []wire.ShardBlock{{Index: 0, Seed: 1, Block: testBlock}}},
+			Blocks: []wire.ShardBlock{{Index: 0, Block: testBlock}}},
 	} {
 		resp, raw := postJSON(t, ts.URL+route, body)
 		wantStatus(t, route, resp, raw, http.StatusBadRequest)
@@ -148,7 +148,7 @@ func TestWorkersClampedToExplainSlots(t *testing.T) {
 		sreq := wire.ShardRequest{JobID: "job-x", Lease: "job-x/l0", Spec: "peak@hsw",
 			Config: shardConfigFor(t, s, fastOverrides()), Workers: workers}
 		for i, b := range clusterTestBlocks {
-			sreq.Blocks = append(sreq.Blocks, wire.ShardBlock{Index: i, Seed: int64(i + 1), Block: b})
+			sreq.Blocks = append(sreq.Blocks, wire.ShardBlock{Index: i, Block: b})
 		}
 		resp, raw := postJSON(t, ts.URL+"/v1/shard", sreq)
 		wantStatus(t, "/v1/shard", resp, raw, http.StatusOK)

@@ -16,7 +16,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/comet-explain/comet/internal/core"
 	"github.com/comet-explain/comet/internal/costmodel"
 	"github.com/comet-explain/comet/internal/uica"
 	"github.com/comet-explain/comet/internal/wire"
@@ -156,17 +155,14 @@ func TestBinaryShardMatchesJSON(t *testing.T) {
 	jsonSrv.SetReady()
 	binSrv, binTS := newTestServer(t, Config{})
 	binSrv.SetReady()
-	snap := shardConfigFor(t, jsonSrv, fastOverrides())
 	sreq := wire.ShardRequest{
 		JobID:  "job-neg",
 		Lease:  "job-neg/l0",
 		Spec:   "uica@hsw",
-		Config: snap,
+		Config: shardConfigFor(t, jsonSrv, fastOverrides()),
 	}
 	for i, b := range clusterTestBlocks[:3] {
-		sreq.Blocks = append(sreq.Blocks, wire.ShardBlock{
-			Index: i, Seed: core.BlockSeed(snap.Seed, i), Block: b,
-		})
+		sreq.Blocks = append(sreq.Blocks, wire.ShardBlock{Index: i, Block: b})
 	}
 
 	jsonResp, jsonBody := postJSON(t, jsonTS.URL+"/v1/shard", sreq)

@@ -88,7 +88,7 @@ func (s *Server) restoreJob(env *wire.JobEnvelope, sum *RestoreSummary) {
 		j.err = fmt.Sprintf("restore: "+format, args...)
 		// Persist the terminal state so the next restart doesn't pay the
 		// (possibly expensive) resume attempt again.
-		s.jobs.persistJob(j)
+		s.persistJob(j)
 		s.jobs.finish(j)
 		sum.JobsFailed++
 	}
@@ -137,7 +137,7 @@ func (s *Server) restoreJob(env *wire.JobEnvelope, sum *RestoreSummary) {
 		j.settleLocked()
 		j.mu.Unlock()
 		if env.State != j.state {
-			s.jobs.persistJob(j) // settle the envelope's recorded state
+			s.persistJob(j) // settle the envelope's recorded state
 		}
 	case env.State == wire.JobFailed:
 		// A previous restore already declared this job unresumable;
@@ -155,7 +155,7 @@ func (s *Server) restoreJob(env *wire.JobEnvelope, sum *RestoreSummary) {
 			return
 		}
 		j.entry = entry
-		if err := s.jobs.submit(j); err != nil {
+		if err := s.submitJob(j); err != nil {
 			fail("re-enqueueing: %v", err)
 			return
 		}

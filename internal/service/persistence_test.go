@@ -207,7 +207,7 @@ func TestRestoredJobResumesWhereItStopped(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	mustPut(&wire.Record{V: wire.RecordVersion, Kind: wire.RecordJob, Key: persist.JobKey(jobID), Spec: "counting@hsw",
+	mustPut(&wire.Record{V: wire.RecordVersion, Kind: wire.RecordJob, Key: jobID, Spec: "counting@hsw",
 		Job: &wire.JobEnvelope{ID: jobID, State: wire.JobRunning, Spec: "counting@hsw", Blocks: texts, Config: snap, Workers: 1}})
 	id0, snap0 := persist.BlockExplanationID("counting@hsw", snap, 0, texts[0])
 	if err := persist.PutExplanation(seed, id0, "counting@hsw", snap0, marker); err != nil {
@@ -309,7 +309,7 @@ func TestJobBlocksAreContentAddressedExplanations(t *testing.T) {
 	if st.State != wire.JobDone || len(results) != len(srcs) {
 		t.Fatalf("job did not finish cleanly: %+v", st)
 	}
-	rec, ok := store.Get(wire.RecordJob, persist.JobKey(st.ID))
+	rec, ok := store.Get(wire.RecordJob, st.ID)
 	if !ok || rec.Job == nil {
 		t.Fatalf("job %s has no envelope", st.ID)
 	}
@@ -491,7 +491,7 @@ func TestUnresumableJobFailsOnceAndStaysFailed(t *testing.T) {
 			const jobID = "job-dead0001-1"
 
 			seed := openTestStore(t, dir)
-			err := seed.Put(&wire.Record{V: wire.RecordVersion, Kind: wire.RecordJob, Key: persist.JobKey(jobID), Spec: tc.spec,
+			err := seed.Put(&wire.Record{V: wire.RecordVersion, Kind: wire.RecordJob, Key: jobID, Spec: tc.spec,
 				Job: &wire.JobEnvelope{ID: jobID, State: wire.JobRunning, Spec: tc.spec, Blocks: tc.texts,
 					Config: wire.ConfigSnapshot{Epsilon: 0.5, PrecisionThreshold: 0.7, CoverageSamples: 150, BatchSize: 64, Seed: 1}}})
 			if err != nil {

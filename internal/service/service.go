@@ -66,10 +66,11 @@
 //     uninterrupted run. The store is an accelerator, never a
 //     dependency — its failures are counted, not surfaced.
 //   - In coordinator mode (Config.Coordinator / ClusterWorkers), corpus
-//     jobs shard across the worker pool through internal/cluster; leases
-//     carry the original per-block seeds, so distributed results are
-//     byte-identical to local ones, and the local engine remains the
-//     fallback when no worker is ready.
+//     jobs shard across the worker pool through internal/cluster; a
+//     lease names its blocks by corpus index and each block runs at the
+//     seed its index derives, so distributed results are byte-identical
+//     to local ones, and the local engine remains the fallback when no
+//     worker is ready.
 package service
 
 import (
@@ -100,11 +101,16 @@ type Config struct {
 	// Base is the default explanation configuration; zero means
 	// core.DefaultConfig. Request ConfigOverrides overlay it. Its
 	// Parallelism is always 1: each explanation samples and queries a
-	// plain model (uica, C, mca, hwsim) on one goroutine, so the explain
-	// slots bound the CPU explanations use (no explanation byte depends
-	// on it). The price is latency on an idle host: a lone request uses
-	// one core where idle ones could share its uica queries. A
-	// /v1/predict batch fans out over GOMAXPROCS within its one slot.
+	// plain model (uica, C, mca, hwsim) on one goroutine (no explanation
+	// byte depends on it). What bounds the CPU depends on the path:
+	//   - /v1/explain runs one explanation per explain slot;
+	//   - a shard lease holds one slot for up to its workers blocks;
+	//   - a /v1/predict batch fans out over GOMAXPROCS within one slot;
+	//   - corpus jobs take no slot: up to JobWorkers jobs, each running
+	//     up to its workers blocks (at most MaxConcurrentExplains), run
+	//     beside the slots.
+	// The price of one goroutine is latency on an idle host: a lone
+	// request uses one core where idle ones could share its uica queries.
 	Base core.Config
 	// DefaultModel is the model spec used when a request omits "model"
 	// (default "uica").
@@ -368,12 +374,7 @@ func New(cfg Config) *Server {
 		}
 		s.coordinator = cluster.New(cluster.NewPool(cfg.ClusterWorkers, copts), copts)
 	}
-	s.jobs = newJobManager(ctx, cfg, s.storeError)
-	s.jobs.cluster = s.coordinator
-	s.jobs.tracer = s.tracer
-	s.jobs.log = s.log
-	s.jobs.metrics = s.metrics
-	s.jobs.flight = s.flight
+	s.jobs = newJobManager(cfg, s.runJob)
 	// Client-initiated model warm-ups (training, remote handshakes) share
 	// the explain concurrency budget instead of running unbounded.
 	s.models.warmGate = func() (func(), error) {
@@ -1134,7 +1135,7 @@ func (s *Server) submitCorpusJob(w http.ResponseWriter, r *http.Request, j *job,
 		span.Set("spec", j.spec)
 		span.SetInt("blocks", int64(len(blocks)))
 	}
-	if err := s.jobs.submit(j); err != nil {
+	if err := s.submitJob(j); err != nil {
 		if errors.Is(err, errQueueFull) {
 			return errorf(http.StatusTooManyRequests, "%v", err)
 		}

@@ -3,6 +3,7 @@ package service
 import (
 	"errors"
 	"io"
+	"math"
 	"mime"
 	"mime/multipart"
 	"net/http"
@@ -38,6 +39,9 @@ func isUploadContentType(ct string) bool {
 //
 //	POST /v1/corpus?model=uica&arch=hsw&workers=4&stream=true&seed=1&coverage=1000
 //
+// seed, coverage, epsilon, threshold and batch are the fields of the
+// config overrides a JSON request carries inline.
+//
 // Extraction is deterministic, so uploading a binary and running
 // `comet -corpus elf:...` with the same model and config produce
 // byte-identical explanations: on a store-backed server the job writes
@@ -45,9 +49,11 @@ func isUploadContentType(ct string) bool {
 func (s *Server) handleCorpusUpload(w http.ResponseWriter, r *http.Request) error {
 	// A bad parameter is answered before the body is read and decoded.
 	q := r.URL.Query()
-	workers, _ := strconv.Atoi(q.Get("workers"))
-	stream, _ := strconv.ParseBool(q.Get("stream"))
-	j, err := s.prepareCorpusJob(q.Get("model"), q.Get("arch"), uploadOverrides(q), workers, stream)
+	workers, stream, overrides, err := uploadParams(q)
+	if err != nil {
+		return err
+	}
+	j, err := s.prepareCorpusJob(q.Get("model"), q.Get("arch"), overrides, workers, stream)
 	if err != nil {
 		return err
 	}
@@ -101,31 +107,35 @@ func (s *Server) handleCorpusUpload(w http.ResponseWriter, r *http.Request) erro
 	return s.submitCorpusJob(w, r, j, blocks)
 }
 
-// uploadOverrides translates upload query parameters into the config
-// overrides a JSON corpus request would carry inline.
-func uploadOverrides(q url.Values) *wire.ConfigOverrides {
-	var o wire.ConfigOverrides
-	set := false
-	if v, err := strconv.ParseInt(q.Get("seed"), 10, 64); err == nil {
-		o.Seed = v
-		set = true
+// uploadParams parses the upload's numeric and boolean query
+// parameters: the worker count, the stream flag and the config
+// overrides. A malformed value is a 400.
+func uploadParams(q url.Values) (workers int, stream bool, o *wire.ConfigOverrides, err error) {
+	o = &wire.ConfigOverrides{}
+	finite := func(v string) (float64, error) {
+		f, err := strconv.ParseFloat(v, 64)
+		if err == nil && (math.IsNaN(f) || math.IsInf(f, 0)) {
+			err = strconv.ErrSyntax
+		}
+		return f, err
 	}
-	if v, err := strconv.Atoi(q.Get("coverage")); err == nil {
-		o.CoverageSamples = v
-		set = true
+	for _, p := range []struct {
+		name  string
+		parse func(string) error
+	}{
+		{"workers", func(v string) (err error) { workers, err = strconv.Atoi(v); return }},
+		{"stream", func(v string) (err error) { stream, err = strconv.ParseBool(v); return }},
+		{"seed", func(v string) (err error) { o.Seed, err = strconv.ParseInt(v, 10, 64); return }},
+		{"coverage", func(v string) (err error) { o.CoverageSamples, err = strconv.Atoi(v); return }},
+		{"epsilon", func(v string) (err error) { o.Epsilon, err = finite(v); return }},
+		{"threshold", func(v string) (err error) { o.PrecisionThreshold, err = finite(v); return }},
+		{"batch", func(v string) (err error) { o.BatchSize, err = strconv.Atoi(v); return }},
+	} {
+		if v := q.Get(p.name); v != "" && p.parse(v) != nil {
+			return 0, false, nil, errorf(http.StatusBadRequest, "bad %s %q", p.name, v)
+		}
 	}
-	if v, err := strconv.ParseFloat(q.Get("epsilon"), 64); err == nil {
-		o.Epsilon = v
-		set = true
-	}
-	if v, err := strconv.Atoi(q.Get("batch")); err == nil {
-		o.BatchSize = v
-		set = true
-	}
-	if !set {
-		return nil
-	}
-	return &o
+	return workers, stream, o, nil
 }
 
 // readUpload reads the binary body under the MaxUploadBytes cap; an

@@ -196,11 +196,16 @@ func byIndex(t *testing.T, results []wire.CorpusResult) []wire.CorpusResult {
 	return out
 }
 
-// TestUploadParametersCheckedBeforeIngest: a bad ?coverage= or ?model=
-// on a valid ELF upload is refused before the binary is ingested.
+// TestUploadParametersCheckedBeforeIngest: a bad ?coverage= or ?model=,
+// or a malformed ?seed=, ?workers=, ?stream= or ?threshold=, on a valid
+// ELF upload is refused before the binary is ingested.
 func TestUploadParametersCheckedBeforeIngest(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	for _, query := range []string{"?model=c&coverage=10001", "?model=nosuchmodel"} {
+	for _, query := range []string{
+		"?model=c&coverage=10001", "?model=nosuchmodel",
+		"?model=c&seed=abc", "?model=c&workers=two", "?model=c&stream=maybe",
+		"?model=c&threshold=NaN",
+	} {
 		resp, body := uploadBinary(t, ts.URL, query, "application/x-elf", readFixtureELF(t))
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("upload %s: status %d, want 400: %s", query, resp.StatusCode, body)

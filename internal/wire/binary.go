@@ -37,10 +37,13 @@ import (
 //	    explanation's identity, and version-2 peers sample differently.
 //	4 — ConfigOverrides lost Parallelism: the server samples each
 //	    explanation on one goroutine, whatever the client asks.
+//	5 — ShardRequest lost Arch and ShardBlock lost Seed: the spec names
+//	    the target, and a worker derives each block's seed from the
+//	    lease's Config.Seed and the block's corpus index.
 //
 // Peers on different versions reject each other's frames with a 400
 // error; no client falls back to JSON, so a fleet runs one build.
-const BinaryVersion = 4
+const BinaryVersion = 5
 
 // errNoBinary reports a message type without a binary encoding; Call
 // sends such messages as JSON.
@@ -518,13 +521,11 @@ func appendShardRequest(dst []byte, r *ShardRequest) []byte {
 	dst = appendStr(dst, r.JobID)
 	dst = appendStr(dst, r.Lease)
 	dst = appendStr(dst, r.Spec)
-	dst = appendStr(dst, r.Arch)
 	dst = appendSnapshot(dst, &r.Config)
 	dst = appendLen(dst, len(r.Blocks))
 	for i := range r.Blocks {
 		b := &r.Blocks[i]
 		dst = appendInt(dst, b.Index)
-		dst = appendI64(dst, b.Seed)
 		dst = appendStr(dst, b.Block)
 	}
 	return appendInt(dst, r.Workers)
@@ -535,14 +536,12 @@ func decodeShardRequest(d *bdec) *ShardRequest {
 	r.JobID = d.str()
 	r.Lease = d.str()
 	r.Spec = d.str()
-	r.Arch = d.str()
 	decodeSnapshot(d, &r.Config)
-	// A shard block encodes to at least 3 bytes (index, seed, block len).
-	if n := d.length(3); n > 0 {
+	// A shard block encodes to at least 2 bytes (index, block len).
+	if n := d.length(2); n > 0 {
 		r.Blocks = make([]ShardBlock, n)
 		for i := range r.Blocks {
 			r.Blocks[i].Index = d.int_()
-			r.Blocks[i].Seed = d.varint()
 			r.Blocks[i].Block = d.str()
 		}
 	}

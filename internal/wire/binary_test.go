@@ -76,11 +76,11 @@ func sampleMessages() []any {
 		&PredictRequest{},
 		&PredictResponse{Model: "uica", Arch: "hsw", Spec: "uica@hsw",
 			Epsilon: 0.5, Predictions: []float64{1, 2.5, -3.75}},
-		&ShardRequest{JobID: "job-1", Lease: "job-1/l0", Spec: "uica@hsw", Arch: "hsw",
+		&ShardRequest{JobID: "job-1", Lease: "job-1/l0", Spec: "uica@hsw",
 			Config: snap,
 			Blocks: []ShardBlock{
-				{Index: 3, Seed: -9, Block: "add rax, rbx"},
-				{Index: 5, Seed: 11, Block: "pop rcx"},
+				{Index: 3, Block: "add rax, rbx"},
+				{Index: 5, Block: "pop rcx"},
 			},
 			Workers: 2},
 		&ShardResponse{JobID: "job-1", Lease: "job-1/l0",

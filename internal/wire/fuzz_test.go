@@ -214,9 +214,10 @@ func FuzzWireJSON(f *testing.F) {
 }
 
 // TestWriteFuzzSeeds regenerates the committed corpus under
-// testdata/fuzz/ when COMET_WRITE_FUZZ_SEEDS=1; otherwise it verifies
-// the corpus directories are present (so a codec change that forgets to
-// re-run the generator still ships *a* corpus).
+// testdata/fuzz/ when COMET_WRITE_FUZZ_SEEDS=1; otherwise it checks that
+// every committed seed is byte-for-byte the seed the generators produce
+// now, so a codec change that forgets to re-run the generator fails
+// here instead of fuzzing stale frames.
 func TestWriteFuzzSeeds(t *testing.T) {
 	write := os.Getenv("COMET_WRITE_FUZZ_SEEDS") == "1"
 	corpora := map[string][][]byte{
@@ -226,10 +227,25 @@ func TestWriteFuzzSeeds(t *testing.T) {
 	}
 	for name, seeds := range corpora {
 		dir := filepath.Join("testdata", "fuzz", name)
+		want := make(map[string][]byte, len(seeds))
+		for i, seed := range seeds {
+			body := fmt.Sprintf("go test fuzz v1\n[]byte(%s)\n", strconv.Quote(string(seed)))
+			want[fmt.Sprintf("seed-%03d", i)] = []byte(body)
+		}
 		if !write {
 			ents, err := os.ReadDir(dir)
-			if err != nil || len(ents) == 0 {
-				t.Errorf("%s: committed seed corpus missing (regenerate with COMET_WRITE_FUZZ_SEEDS=1)", dir)
+			if err != nil {
+				t.Errorf("%s: %v (regenerate with COMET_WRITE_FUZZ_SEEDS=1)", dir, err)
+				continue
+			}
+			if len(ents) != len(want) {
+				t.Errorf("%s: %d committed seeds, generators give %d (regenerate with COMET_WRITE_FUZZ_SEEDS=1)", dir, len(ents), len(want))
+			}
+			for _, ent := range ents {
+				got, err := os.ReadFile(filepath.Join(dir, ent.Name()))
+				if err != nil || !bytes.Equal(got, want[ent.Name()]) {
+					t.Errorf("%s/%s: stale committed seed (regenerate with COMET_WRITE_FUZZ_SEEDS=1)", dir, ent.Name())
+				}
 			}
 			continue
 		}
@@ -239,10 +255,8 @@ func TestWriteFuzzSeeds(t *testing.T) {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			t.Fatal(err)
 		}
-		for i, seed := range seeds {
-			body := fmt.Sprintf("go test fuzz v1\n[]byte(%s)\n", strconv.Quote(string(seed)))
-			path := filepath.Join(dir, fmt.Sprintf("seed-%03d", i))
-			if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		for file, body := range want {
+			if err := os.WriteFile(filepath.Join(dir, file), body, 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}

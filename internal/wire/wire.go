@@ -437,32 +437,29 @@ type ModelsResponse struct {
 	Warmed []string `json:"warmed,omitempty"`
 }
 
-// ShardBlock is one block of a shard lease: the block's canonical text,
-// its index in the original corpus, and the per-block seed the
-// coordinator derived from the job's base seed (core.BlockSeed). Seeds
-// travel with the lease so any worker — on any machine, at any worker
-// count — produces bytes identical to a single-process run.
+// ShardBlock is one block of a shard lease: the block's canonical text
+// and its index in the original corpus. The index names the block: the
+// worker explains it at core.BlockSeed(Config.Seed, Index), so any
+// worker — on any machine, at any worker count — produces bytes
+// identical to a single-process run.
 type ShardBlock struct {
 	Index int    `json:"index"`
-	Seed  int64  `json:"seed"`
 	Block string `json:"block"`
 }
 
 // ShardRequest is the body of POST /v1/shard: one lease of a sharded
 // corpus job, dispatched by a cluster coordinator to a worker. Spec is
-// the canonical model spec and Config the job's full effective
-// configuration, so the worker reconstructs exactly the computation the
-// coordinator would have run locally.
+// the canonical model spec (its target included) and Config the job's
+// full effective configuration, so the worker reconstructs exactly the
+// computation the coordinator would have run locally.
 type ShardRequest struct {
 	JobID string `json:"job_id"`
 	Lease string `json:"lease"`
 	// Spec is the canonical model spec the job runs under.
 	Spec string `json:"spec"`
-	// Arch fills in the spec's target when it has none ("" = hsw).
-	Arch string `json:"arch,omitempty"`
 	// Config is the job's effective explanation configuration.
 	Config ConfigSnapshot `json:"config"`
-	// Blocks are the leased blocks with their corpus indices and seeds.
+	// Blocks are the leased blocks with their corpus indices.
 	Blocks []ShardBlock `json:"blocks"`
 	// Workers bounds the worker's block-level concurrency for this lease
 	// (0 = the worker's default). Results are identical at any count.

@@ -217,9 +217,9 @@ func TestClusterEnvelopesByteStable(t *testing.T) {
 		}
 	}
 	check("ShardRequest", &ShardRequest{
-		JobID: "job-1", Lease: "job-1/l0", Spec: "uica@hsw", Arch: "hsw",
+		JobID: "job-1", Lease: "job-1/l0", Spec: "uica@hsw",
 		Config: ConfigSnapshot{Epsilon: 0.5, PrecisionThreshold: 0.7, CoverageSamples: 1000, BatchSize: 64, Seed: 7},
-		Blocks: []ShardBlock{{Index: 3, Seed: -12345, Block: "add rcx, rax"}},
+		Blocks: []ShardBlock{{Index: 3, Block: "add rcx, rax"}},
 	}, &ShardRequest{})
 	check("ShardResponse", &ShardResponse{
 		JobID: "job-1", Lease: "job-1/l0",
