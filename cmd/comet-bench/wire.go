@@ -339,7 +339,6 @@ func streamBench(sum *wireSummary, blocks int) error {
 		Config: &wire.ConfigOverrides{
 			CoverageSamples:    10,
 			PrecisionThreshold: 0.5,
-			BatchSize:          16,
 			Seed:               1,
 		},
 		Workers: runtime.GOMAXPROCS(0),

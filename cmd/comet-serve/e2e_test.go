@@ -398,9 +398,6 @@ func TestServeIngestELF(t *testing.T) {
 	}
 
 	// CLI side: the real comet binary extracts the same ELF itself.
-	// -batch 64 matches the server's base batch size; the CLI samples
-	// each block at GOMAXPROCS and the server on one goroutine, which no
-	// byte depends on.
 	cometBin := filepath.Join(t.TempDir(), "comet")
 	build := exec.Command("go", "build", "-race", "-o", cometBin, "../comet")
 	build.Env = os.Environ()
@@ -408,10 +405,10 @@ func TestServeIngestELF(t *testing.T) {
 		t.Fatalf("building comet: %v\n%s", err, out)
 	}
 	cli := exec.Command(cometBin,
-		"-model", "uica", "-arch", "hsw",
+		"-model", "uica",
 		"-corpus", "elf:"+fixture, "-json",
 		"-seed", "1", "-coverage-samples", "150",
-		"-workers", "1", "-batch", "64",
+		"-workers", "1",
 		"-store", cliStore,
 	)
 	var cliOut, cliErr bytes.Buffer

@@ -11,7 +11,7 @@
 //	                        application/octet-stream, or multipart/form-data —
 //	                        whose basic blocks are extracted server-side;
 //	                        ?model=&arch=&workers=&stream=&seed=&coverage=
-//	                        &epsilon=&threshold=&batch= parameterize uploads
+//	                        &epsilon=&threshold= parameterize uploads
 //	                        (a malformed value gets 400), and bodies
 //	                        over -max-upload-bytes are refused with 413)
 //	GET  /v1/jobs           list every known job (including restored ones)
@@ -112,14 +112,12 @@ func main() {
 	var (
 		addr         = flag.String("addr", ":8372", "listen address (host:port; port 0 picks a free port)")
 		defaultModel = flag.String("default-model", "uica", "model spec used when a request omits one")
-		preload      = flag.String("preload", "", "comma-separated model specs to warm at boot (e.g. uica,c@skl,ithemal?train=2000); others warm on first use")
-		preloadArch  = flag.String("preload-arch", "hsw", "default microarchitecture for -preload specs without @target: hsw | skl")
+		preload      = flag.String("preload", "", "comma-separated model specs to warm at boot (e.g. uica,c@skl,ithemal?train=2000; a spec without @target takes the registry default, hsw); others warm on first use")
 		maxModels    = flag.Int("max-models", 0, "distinct model specs warmed before 429 (0 = 64)")
 		allowRestr   = flag.Bool("allow-restricted-specs", false, "let clients resolve restricted specs (remote@<url> dials out, ithemal?load= reads files); enable only on trusted networks")
 		coverage     = flag.Int("coverage-samples", 1000, "default coverage pool size (requests may override)")
 		seed         = flag.Int64("seed", 1, "default explanation seed (requests may override)")
-		explains     = flag.Int("max-explains", 0, "max concurrently computing explain requests (0 = GOMAXPROCS)")
-		queued       = flag.Int("max-queued", 0, "max explain requests waiting for a slot before 429 (0 = 4x max-explains)")
+		explains     = flag.Int("max-explains", 0, "max concurrently computing explain requests (0 = GOMAXPROCS); four times as many may wait before 429")
 		jobWorkers   = flag.Int("job-workers", 1, "corpus jobs executing concurrently")
 		jobQueue     = flag.Int("job-queue", 16, "queued corpus jobs before 429")
 		maxCorpus    = flag.Int("max-corpus-blocks", 10000, "largest corpus a single job may carry")
@@ -138,8 +136,7 @@ func main() {
 		joinURL      = flag.String("join", "", "worker mode: register with this coordinator base URL and keep heartbeating")
 		advertise    = flag.String("advertise", "", "base URL this worker advertises when joining (default: derived from the listen address; required when listening on a wildcard address)")
 		capacity     = flag.Int("capacity", 1, "worker mode: concurrent leases this worker accepts")
-		heartbeat    = flag.Duration("heartbeat", 5*time.Second, "worker mode: heartbeat interval (keep well under the coordinator's -heartbeat-ttl)")
-		heartbeatTTL = flag.Duration("heartbeat-ttl", 15*time.Second, "coordinator: drop a self-registered worker after this long without a heartbeat")
+		heartbeatTTL = flag.Duration("heartbeat-ttl", 15*time.Second, "coordinator: drop a self-registered worker after this long without a heartbeat (workers heartbeat at a third of it)")
 		leaseBlocks  = flag.Int("lease-blocks", 4, "coordinator: blocks per lease")
 		leaseTimeout = flag.Duration("lease-timeout", 5*time.Minute, "coordinator: re-lease a dispatched lease after this long without an answer")
 		leaseRetries = flag.Int("lease-retries", 3, "coordinator: dispatch attempts per lease before its blocks fail")
@@ -210,7 +207,6 @@ func main() {
 		AllowRestrictedSpecs:  *allowRestr,
 		PredictionCacheSize:   *cacheSize,
 		MaxConcurrentExplains: *explains,
-		MaxQueuedExplains:     *queued,
 		JobWorkers:            *jobWorkers,
 		JobQueueDepth:         *jobQueue,
 		MaxCorpusBlocks:       *maxCorpus,
@@ -246,19 +242,13 @@ func main() {
 			sum.Explanations, sum.JobsRestored, sum.JobsResumed, sum.JobsFailed)
 	}
 
-	if *preload != "" {
-		if _, err := wire.ParseArch(*preloadArch); err != nil {
-			fatal(err)
+	for _, spec := range strings.Split(*preload, ",") {
+		if spec = strings.TrimSpace(spec); spec == "" {
+			continue
 		}
-		for _, spec := range strings.Split(*preload, ",") {
-			spec = strings.TrimSpace(spec)
-			if spec == "" {
-				continue
-			}
-			logger.Info("warming model", "spec", spec, "default_arch", *preloadArch)
-			if err := srv.WarmModel(spec, *preloadArch); err != nil {
-				fatal(err)
-			}
+		logger.Info("warming model", "spec", spec)
+		if err := srv.WarmModel(spec, ""); err != nil {
+			fatal(err)
 		}
 	}
 
@@ -309,7 +299,7 @@ func main() {
 		}
 		joinCtx, cancelJoin := context.WithCancel(context.Background())
 		stopJoin = cancelJoin
-		go heartbeatLoop(joinCtx, *joinURL, adv, *capacity, *heartbeat)
+		go cluster.Heartbeat(joinCtx, *joinURL, adv, *capacity)
 	}
 
 	// SIGQUIT is the black-box dump: instead of Go's default stack dump,
@@ -375,60 +365,6 @@ func advertiseURL(flagValue string, ln net.Listener) (string, error) {
 			"component", "serve", "advertise", fmt.Sprintf("%s:%d", host, addr.Port))
 	}
 	return fmt.Sprintf("http://%s", net.JoinHostPort(host, fmt.Sprint(addr.Port))), nil
-}
-
-// heartbeatLoop registers the worker with the coordinator and re-joins
-// every interval — the join call doubles as the heartbeat. Failures are
-// retried forever (the coordinator may simply not be up yet); the first
-// successful join and every reconnection are logged.
-func heartbeatLoop(ctx context.Context, coordinatorURL, advertise string, capacity int, interval time.Duration) {
-	coordinatorURL = wire.BaseURL(coordinatorURL)
-	client := &http.Client{Timeout: 10 * time.Second}
-	joined := false
-	// Failures log on every state change (including before the first
-	// successful join — a coordinator missing -coordinator 404s forever,
-	// and that misconfiguration must not be silent) but never repeat, so
-	// a coordinator that is simply still booting doesn't spam the log.
-	lastFailure := ""
-	fail := func(msg string) {
-		if msg != lastFailure {
-			slog.Warn("cluster join failed; retrying",
-				"component", "serve", "coordinator", coordinatorURL,
-				"error", msg, "interval", interval)
-		}
-		lastFailure = msg
-		joined = false
-	}
-	join := func() {
-		_, err := wire.Call[wire.JoinResponse](ctx, client, coordinatorURL+"/v1/cluster/join", "",
-			&wire.JoinRequest{URL: advertise, Capacity: capacity})
-		if err != nil {
-			msg := err.Error()
-			var se *wire.StatusError
-			if errors.As(err, &se) && se.Code == http.StatusNotFound {
-				msg += " (is the coordinator running with -coordinator?)"
-			}
-			fail(msg)
-			return
-		}
-		if !joined {
-			slog.Info("joined cluster",
-				"component", "serve", "coordinator", coordinatorURL, "advertise", advertise)
-		}
-		joined = true
-		lastFailure = ""
-	}
-	join()
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ticker.C:
-			join()
-		case <-ctx.Done():
-			return
-		}
-	}
 }
 
 func fatal(err error) {

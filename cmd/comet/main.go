@@ -20,7 +20,7 @@
 // generates a synthetic BHive-like corpus of N blocks, and
 // "-corpus elf:PATH" extracts the basic blocks of a real x86-64 ELF
 // binary (deterministically ordered and deduplicated by canonical block
-// text, so -store/-resume keys are stable and match server-side
+// text, so -store keys are stable and match server-side
 // ingestion of the same binary). Results stream as they complete,
 // followed by a throughput and cache summary.
 //
@@ -31,9 +31,9 @@
 // With -store DIR, explanations persist in a durable content-addressed
 // store (see internal/persist): repeated invocations with the same
 // model, config, and block are answered from disk, and an interrupted
-// -corpus run rerun with the same flags — optionally with -resume to
-// report progress — skips every block already stored, producing output
-// identical to an uninterrupted run. Local and -cluster runs share the
+// -corpus run rerun with the same flags reports how many blocks the
+// store already holds and skips them, producing output identical to an
+// uninterrupted run. Local and -cluster runs share the
 // store: either mode serves blocks the other computed. Inspect stores
 // with comet-store.
 //
@@ -41,11 +41,11 @@
 //
 //	echo 'add rcx, rax
 //	mov rdx, rcx
-//	pop rbx' | comet -model uica -arch hsw
+//	pop rbx' | comet -model uica@hsw
 //
 //	comet -model uica -corpus gen:100 -workers 8
 //	comet -model uica -corpus gen:100 -json | jq .explanation.prediction
-//	comet -model uica -corpus gen:100 -store ~/.cache/comet -resume
+//	comet -model uica -corpus gen:100 -store ~/.cache/comet
 //	comet -model uica -corpus elf:/usr/bin/true -workers 8
 //	cat blocks.txt | comet -model uica -corpus -
 package main
@@ -77,7 +77,6 @@ func main() {
 	var (
 		modelSpec   = flag.String("model", "uica", "cost model spec: name[@arch][?key=value&...] (see -list-models)")
 		listModels  = flag.Bool("list-models", false, "list the registered models with their default specs and parameters, then exit")
-		archName    = flag.String("arch", "hsw", "default microarchitecture when -model has no @target: hsw | skl")
 		inPath      = flag.String("in", "", "file with the basic block (default: stdin)")
 		seed        = flag.Int64("seed", 1, "explanation seed")
 		coverage    = flag.Int("coverage-samples", 1000, "coverage pool size")
@@ -90,21 +89,15 @@ func main() {
 		workers     = flag.Int("workers", 0, "corpus mode: concurrent blocks (0 = GOMAXPROCS); with -cluster, the per-lease concurrency hint sent to each worker")
 		clusterTo   = flag.String("cluster", "", "corpus mode: comma-separated comet-serve worker URLs — shard the corpus across them instead of explaining locally (per-block output is byte-identical apart from cache-accounting counters)")
 		leaseN      = flag.Int("lease-blocks", 4, "with -cluster: blocks per lease")
-		batchSize   = flag.Int("batch", 0, "model query batch size (0 = default 64)")
 		noCache     = flag.Bool("no-cache", false, "disable the prediction cache")
 		jsonOut     = flag.Bool("json", false, "emit the comet-serve wire format (one explanation object, or one corpus result per line)")
 		storeDir    = flag.String("store", "", "durable explanation store directory: explanations persist and are reused across invocations")
-		resume      = flag.Bool("resume", false, "with -corpus and -store: report how many blocks the store already holds before resuming the run")
 		showVersion = flag.Bool("version", false, "print the build version and exit")
 	)
 	flag.Parse()
 	if *showVersion {
 		fmt.Println(version.String("comet"))
 		return
-	}
-
-	if *resume && (*storeDir == "" || *corpus == "") {
-		fatal(fmt.Errorf("-resume requires both -corpus and -store"))
 	}
 
 	if *listModels {
@@ -116,19 +109,16 @@ func main() {
 		fatal(fmt.Errorf("-cluster requires -corpus"))
 	}
 
-	// -arch fills in the target when the model targets an arch and the
-	// spec has none, so the same flags address the same model locally
-	// and with -cluster.
+	// A spec without @target takes the registry's default target, the
+	// same one locally and with -cluster.
 	spec, err := comet.ParseModelSpec(*modelSpec)
 	if err != nil {
 		fatal(err)
 	}
-	spec = spec.WithDefaultTarget(*archName)
 	cfg := comet.DefaultConfig()
 	cfg.Seed = *seed
 	cfg.CoverageSamples = *coverage
 	cfg.PrecisionThreshold = *threshold
-	cfg.BatchSize = *batchSize
 	if *noCache {
 		cfg.CacheSize = -1
 	}
@@ -183,7 +173,7 @@ func main() {
 
 	if *corpus != "" {
 		run := corpusRun{spec: spec.String(), cfg: cfg, model: model, store: store,
-			workers: *workers, jsonOut: *jsonOut, resume: *resume}
+			workers: *workers, jsonOut: *jsonOut}
 		if *clusterTo != "" {
 			if run.cluster, err = newClusterTarget(*clusterTo, *leaseN); err != nil {
 				fatal(err)
@@ -342,7 +332,6 @@ type corpusRun struct {
 	store   *persist.Log    // nil without -store
 	workers int
 	jsonOut bool
-	resume  bool
 
 	enc                                     *json.Encoder
 	queries, hits, calls, failed, certified int
@@ -378,7 +367,7 @@ func (r *corpusRun) explain(corpusSpec string) error {
 				return err
 			}
 		}
-		if r.resume {
+		if fromStore > 0 {
 			fmt.Fprintf(os.Stderr, "comet: resuming: %d/%d blocks already in the store\n", fromStore, len(blocks))
 		}
 	}

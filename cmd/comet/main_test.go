@@ -110,12 +110,16 @@ func wantContains(t *testing.T, what, text, sub string) {
 
 // TestCorpusStoreServesRepeatRun: a second -store run over the same
 // corpus is answered entirely from disk, with byte-identical per-block
-// output.
+// output; only a run over a store that holds blocks reports resuming.
 func TestCorpusStoreServesRepeatRun(t *testing.T) {
 	store := t.TempDir()
 	out1, err1 := runComet(t, "-corpus", "gen:8", "-json", "-store", store)
 	wantContains(t, "first run", err1, "store:   0 blocks served from disk, 8 computed and persisted")
+	if strings.Contains(err1, "resuming") {
+		t.Errorf("a run over an empty store reports resuming:\n%s", err1)
+	}
 	out2, err2 := runComet(t, "-corpus", "gen:8", "-json", "-store", store)
+	wantContains(t, "second run", err2, "comet: resuming: 8/8 blocks already in the store")
 	wantContains(t, "second run", err2, "store:   8 blocks served from disk, 0 computed and persisted")
 	sameLines(t, "repeat run", blockLines(t, out2), blockLines(t, out1))
 }
@@ -126,7 +130,7 @@ func TestCorpusStoreServesRepeatRun(t *testing.T) {
 func TestCorpusStoreResume(t *testing.T) {
 	store := t.TempDir()
 	runComet(t, "-corpus", "gen:4", "-json", "-store", store)
-	resumed, errText := runComet(t, "-corpus", "gen:8", "-json", "-store", store, "-resume")
+	resumed, errText := runComet(t, "-corpus", "gen:8", "-json", "-store", store)
 	wantContains(t, "resumed run", errText, "comet: resuming: 4/8 blocks already in the store")
 	wantContains(t, "resumed run", errText, "store:   4 blocks served from disk, 4 computed and persisted")
 	plain, _ := runComet(t, "-corpus", "gen:8", "-json")
@@ -191,7 +195,7 @@ func TestClusterServedFromLocalStore(t *testing.T) {
 func TestClusterResumesLocalStore(t *testing.T) {
 	store := t.TempDir()
 	runComet(t, "-corpus", "gen:4", "-json", "-store", store)
-	clustered, errText := runComet(t, "-corpus", "gen:8", "-json", "-store", store, "-resume", "-cluster", startWorkers(t))
+	clustered, errText := runComet(t, "-corpus", "gen:8", "-json", "-store", store, "-cluster", startWorkers(t))
 	wantContains(t, "cluster run", errText, "comet: resuming: 4/8 blocks already in the store")
 	wantContains(t, "cluster run", errText, "store:   4 blocks served from disk, 4 computed and persisted")
 	if strings.Contains(errText, "cluster: 0 leases dispatched") {

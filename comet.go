@@ -182,9 +182,6 @@ func WithPrecisionThreshold(threshold float64) ExplainOption {
 // WithCoverageSamples sets the request's coverage-pool size.
 func WithCoverageSamples(n int) ExplainOption { return core.WithCoverageSamples(n) }
 
-// WithBatchSize sets the request's model-query batch size.
-func WithBatchSize(n int) ExplainOption { return core.WithBatchSize(n) }
-
 // WithParallelism bounds the goroutines that draw the request's Γ
 // samples and that query a plain model — one without a native
 // PredictBatch, such as uica and hwsim (0 restores the GOMAXPROCS

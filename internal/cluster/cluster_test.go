@@ -559,6 +559,64 @@ func TestDynamicJoinAndExpiry(t *testing.T) {
 	}
 }
 
+// TestHeartbeatKeepsWorkerJoined: a worker heartbeating through
+// Heartbeat paces itself by the TTL its join returns, so it stays
+// dispatchable for several TTLs with no interval of its own, and expires
+// once its context is canceled.
+func TestHeartbeatKeepsWorkerJoined(t *testing.T) {
+	const ttl = 200 * time.Millisecond
+	pool := NewPool(nil, Options{HeartbeatTTL: ttl})
+	coord := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var req wire.JoinRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		id, ttl, err := pool.Join(req.URL, req.Capacity)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		json.NewEncoder(w).Encode(wire.JoinResponse{Worker: id, TTLSeconds: ttl.Seconds()})
+	}))
+	defer coord.Close()
+	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
+	defer worker.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		Heartbeat(ctx, coord.URL, worker.URL, 1)
+	}()
+
+	waitFor := func(what string, ok func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for !ok() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s: %+v", what, pool.Snapshot())
+			}
+			pool.probe(http.DefaultClient)
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	waitFor("the worker to join and turn ready", func() bool { return pool.readyCount() == 1 })
+	for end := time.Now().Add(time.Second); time.Now().Before(end); time.Sleep(10 * time.Millisecond) {
+		if pool.readyCount() != 1 {
+			t.Fatalf("heartbeating worker lapsed: %+v", pool.Snapshot())
+		}
+	}
+
+	cancel()
+	<-done
+	waitFor("the worker to expire", func() bool {
+		ws := pool.Snapshot()
+		return len(ws) == 1 && ws[0].State == "expired"
+	})
+}
+
 // TestRunContextCancel: canceling the run's context stops the scheduler
 // promptly.
 func TestRunContextCancel(t *testing.T) {

@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"sort"
 	"sync"
@@ -77,6 +79,66 @@ func (p *Pool) Join(url string, capacity int) (string, time.Duration, error) {
 	w.capacity = capacity
 	w.lastBeat = time.Now()
 	return url, p.opts.HeartbeatTTL, nil
+}
+
+// joinRetry is how often Heartbeat retries before its first successful
+// join, while it has no TTL to pace itself by.
+const joinRetry = time.Second
+
+// Heartbeat registers a worker that serves at advertise with the
+// coordinator at coordinatorURL and keeps re-joining until ctx is done —
+// the join call doubles as the heartbeat. It re-joins at a third of the
+// HeartbeatTTL each JoinResponse carries, so one lost heartbeat never
+// expires the worker; before the first successful join it retries every
+// joinRetry. Failures are retried forever (the coordinator may simply
+// not be up yet); the first successful join and every reconnection are
+// logged.
+func Heartbeat(ctx context.Context, coordinatorURL, advertise string, capacity int) {
+	coordinatorURL = wire.BaseURL(coordinatorURL)
+	client := &http.Client{Timeout: 10 * time.Second}
+	interval := joinRetry
+	joined := false
+	// Failures log on every state change (including before the first
+	// successful join — a coordinator missing -coordinator 404s forever,
+	// and that misconfiguration must not be silent) but never repeat, so
+	// a coordinator that is simply still booting doesn't spam the log.
+	lastFailure := ""
+	for {
+		jr, err := wire.Call[wire.JoinResponse](ctx, client, coordinatorURL+"/v1/cluster/join", "",
+			&wire.JoinRequest{URL: advertise, Capacity: capacity})
+		switch {
+		case ctx.Err() != nil:
+			return
+		case err != nil:
+			msg := err.Error()
+			var se *wire.StatusError
+			if errors.As(err, &se) && se.Code == http.StatusNotFound {
+				msg += " (is the coordinator running with -coordinator?)"
+			}
+			if msg != lastFailure {
+				slog.Warn("cluster join failed; retrying",
+					"component", "cluster", "coordinator", coordinatorURL,
+					"error", msg, "interval", interval)
+			}
+			lastFailure, joined = msg, false
+		default:
+			if !joined {
+				slog.Info("joined cluster",
+					"component", "cluster", "coordinator", coordinatorURL, "advertise", advertise)
+			}
+			lastFailure, joined = "", true
+			if d := time.Duration(jr.TTLSeconds*float64(time.Second)) / 3; d > 0 {
+				interval = d
+			}
+		}
+		timer := time.NewTimer(interval)
+		select {
+		case <-timer.C:
+		case <-ctx.Done():
+			timer.Stop()
+			return
+		}
+	}
 }
 
 // Size reports how many workers the pool knows (alive or not).

@@ -65,7 +65,8 @@ type Options struct {
 	// re-dispatches spend from the same budget.
 	LeaseRetries int
 	// HeartbeatTTL is how long a dynamic worker stays registered without
-	// a heartbeat (default 15s). Static workers never expire.
+	// a heartbeat (default 15s); Heartbeat re-joins at a third of it.
+	// Static workers never expire.
 	HeartbeatTTL time.Duration
 	// ProbeBackoff is the delay before re-probing a worker that failed a
 	// dispatch or a readiness probe (default 2s).

@@ -57,6 +57,10 @@ type Config struct {
 	// per PredictBatch call (default 64). Models with native batching
 	// (the neural model's padded lockstep forward, a remote model's one
 	// round trip) amortize per-call overhead across the whole batch.
+	// Like Parallelism it schedules work only: the cache misses of a
+	// query set are deduplicated before they are chunked, so cache_hits,
+	// model_calls and every other explanation byte are the same at any
+	// batch size.
 	BatchSize int
 	// CacheSize bounds the shared prediction cache in entries (0 =
 	// default of about a million; negative disables caching). Perturbation

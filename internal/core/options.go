@@ -33,12 +33,6 @@ func WithCoverageSamples(n int) ExplainOption {
 	return func(c *Config) { c.CoverageSamples = n }
 }
 
-// WithBatchSize sets how many perturbed blocks each PredictBatch call
-// carries for this request.
-func WithBatchSize(n int) ExplainOption {
-	return func(c *Config) { c.BatchSize = n }
-}
-
 // WithParallelism bounds the goroutines that draw this request's Γ
 // samples and that query a model without a native PredictBatch (0
 // restores the GOMAXPROCS default). It schedules work only:

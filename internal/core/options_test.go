@@ -95,8 +95,8 @@ func TestExplainContextCancellation(t *testing.T) {
 // TestEffectiveConfig: options overlay and re-normalize the base config.
 func TestEffectiveConfig(t *testing.T) {
 	e := NewExplainer(uica.New(x86.Haswell), Config{})
-	cfg := e.EffectiveConfig(WithEpsilon(0.25), WithSeed(11), WithParallelism(1), WithPrecisionThreshold(0.9), WithBatchSize(16))
-	if cfg.Epsilon != 0.25 || cfg.Seed != 11 || cfg.Parallelism != 1 || cfg.PrecisionThreshold != 0.9 || cfg.BatchSize != 16 {
+	cfg := e.EffectiveConfig(WithEpsilon(0.25), WithSeed(11), WithParallelism(1), WithPrecisionThreshold(0.9))
+	if cfg.Epsilon != 0.25 || cfg.Seed != 11 || cfg.Parallelism != 1 || cfg.PrecisionThreshold != 0.9 {
 		t.Errorf("EffectiveConfig overlay wrong: %+v", cfg)
 	}
 	if cfg.Anchor.PrecisionThreshold != 0.9 {

@@ -19,15 +19,15 @@ import (
 // ExplanationID returns the content address of an explanation artifact
 // as an interned wire.ContentID — hashed once; compared, cached, and
 // single-flighted as 32 fixed bytes. The on-disk store key is its Hex
-// rendering. The hashed identity names no worker count: records written
-// before Γ draws were seeded by index hashed a par= field, so they miss
-// and are recomputed under the current sampling rather than served.
+// rendering. The hashed identity names no worker count and no batch
+// size: records written before Γ draws were seeded by index hashed a
+// par= field, so they miss and are recomputed under the current sampling
+// rather than served; records hashed with a batch= field likewise miss.
 func ExplanationID(spec string, cfg wire.ConfigSnapshot, blockText string) wire.ContentID {
 	h := sha256.New()
-	fmt.Fprintf(h, "comet-explanation-v%d|%s|eps=%g|thr=%g|cov=%d|batch=%d|seed=%d|",
+	fmt.Fprintf(h, "comet-explanation-v%d|%s|eps=%g|thr=%g|cov=%d|seed=%d|",
 		wire.RecordVersion, spec,
-		cfg.Epsilon, cfg.PrecisionThreshold, cfg.CoverageSamples,
-		cfg.BatchSize, cfg.Seed)
+		cfg.Epsilon, cfg.PrecisionThreshold, cfg.CoverageSamples, cfg.Seed)
 	io.WriteString(h, blockText)
 	var id wire.ContentID
 	h.Sum(id[:0])

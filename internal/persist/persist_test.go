@@ -451,25 +451,31 @@ func TestExplanationRoundTrip(t *testing.T) {
 // per-worker streams hashed the worker count (par=) into an
 // explanation's key. Their records hold explanations the current
 // sampling does not compute, so a lookup under today's key must miss
-// and the explanation is recomputed rather than served.
+// and the explanation is recomputed rather than served. Builds that
+// hashed the batch size (batch=) wrote keys the current build never
+// looks up either.
 func TestPerWorkerSamplingRecordsMiss(t *testing.T) {
 	const spec, block = "c@hsw", "add rcx, rax\nmov rdx, rcx"
 	l := mustOpen(t, t.TempDir(), Options{})
 	snap := wire.SnapshotConfig(core.ApplyOptions(core.Config{Seed: 7}))
-	h := sha256.New()
-	fmt.Fprintf(h, "comet-explanation-v%d|%s|eps=%g|thr=%g|cov=%d|batch=%d|par=%d|seed=%d|%s",
-		wire.RecordVersion, spec, snap.Epsilon, snap.PrecisionThreshold, snap.CoverageSamples,
-		snap.BatchSize, 1, snap.Seed, block)
-	var old wire.ContentID
-	h.Sum(old[:0])
-	if err := PutExplanation(l, old, spec, snap, &wire.Explanation{Block: block, Model: "c"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := LookupExplanation(l, old); !ok {
-		t.Fatal("record under the old key not stored")
+	for _, format := range []string{
+		"comet-explanation-v%d|%s|eps=%g|thr=%g|cov=%d|batch=64|par=1|seed=%d|%s",
+		"comet-explanation-v%d|%s|eps=%g|thr=%g|cov=%d|batch=64|seed=%d|%s",
+	} {
+		h := sha256.New()
+		fmt.Fprintf(h, format, wire.RecordVersion, spec,
+			snap.Epsilon, snap.PrecisionThreshold, snap.CoverageSamples, snap.Seed, block)
+		var old wire.ContentID
+		h.Sum(old[:0])
+		if err := PutExplanation(l, old, spec, snap, &wire.Explanation{Block: block, Model: "c"}); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := LookupExplanation(l, old); !ok {
+			t.Fatalf("%s: record under the old key not stored", format)
+		}
 	}
 	if _, ok := LookupExplanation(l, ExplanationID(spec, snap, block)); ok {
-		t.Error("a record keyed with the worker count was served under the current key")
+		t.Error("a record keyed with the worker count or batch size was served under the current key")
 	}
 }
 

@@ -64,7 +64,6 @@ func FuzzHandler(f *testing.F) {
 		DefaultModel:          "c",
 		MaxModelEntries:       1,
 		MaxConcurrentExplains: 1,
-		MaxQueuedExplains:     1,
 		JobQueueDepth:         2,
 		JobHistorySize:        4,
 		MaxCorpusBlocks:       4,

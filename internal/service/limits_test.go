@@ -92,17 +92,19 @@ func TestCoverageSamplesLimit(t *testing.T) {
 }
 
 // TestParallelismOverrideRejected: the config object has no parallelism
-// field, and decoding is strict.
+// or batch_size field, and decoding is strict.
 func TestParallelismOverrideRejected(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	resp, err := http.Post(ts.URL+"/v1/explain", "application/json", strings.NewReader(
-		`{"block":"add rax, rbx","model":"c","config":{"parallelism":4}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("status %d, want 400", resp.StatusCode)
+	for _, field := range []string{"parallelism", "batch_size"} {
+		resp, err := http.Post(ts.URL+"/v1/explain", "application/json", strings.NewReader(
+			`{"block":"add rax, rbx","model":"c","config":{"`+field+`":4}}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", field, resp.StatusCode)
+		}
 	}
 }
 

@@ -2,11 +2,15 @@ package service
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -192,7 +196,6 @@ func TestRestoredJobResumesWhereItStopped(t *testing.T) {
 		Epsilon:            0.5,
 		PrecisionThreshold: 0.7,
 		CoverageSamples:    150,
-		BatchSize:          64,
 		Seed:               1,
 	}
 	// Block 0's persisted explanation carries a marker prediction no
@@ -292,6 +295,80 @@ func TestRestoredJobResumesWhereItStopped(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("resumed job %s not in GET /v1/jobs: %+v", jobID, list.Jobs)
+	}
+}
+
+// TestBatchSizeKeyedStoreRestores: a store written by builds that
+// carried batch_size in every config snapshot and hashed batch= into
+// explanation keys restores cleanly. Its records decode (none is
+// corrupt), its running job resumes, and the job finishes with the
+// bytes of a fresh run: the old explanation record, keyed under the old
+// identity and holding a marker no computation produces, is never
+// served under the current key.
+func TestBatchSizeKeyedStoreRestores(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	const jobID = "job-ba7c0001-1"
+	texts := []string{
+		x86.MustParseBlock(testBlock).String(),
+		x86.MustParseBlock("imul rax, rbx\nimul rax, rcx").String(),
+	}
+	config := func(seed int64) string {
+		return fmt.Sprintf(`{"epsilon":0.5,"precision_threshold":0.7,"coverage_samples":150,"batch_size":64,"seed":%d}`, seed)
+	}
+	quote := func(v any) string {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	seed0 := core.BlockSeed(1, 0)
+	oldKey := sha256.Sum256([]byte(fmt.Sprintf("comet-explanation-v1|counting@hsw|eps=0.5|thr=0.7|cov=150|batch=64|seed=%d|%s", seed0, texts[0])))
+	var segment []byte
+	for _, payload := range []string{
+		`{"v":1,"kind":"explanation","key":"` + hex.EncodeToString(oldKey[:]) + `","spec":"counting@hsw","config":` + config(seed0) +
+			`,"explanation":{"block":` + quote(texts[0]) + `,"model":"counting","prediction":42,"features":[],"precision":1,"coverage":1,"certified":true,"queries":1}}`,
+		`{"v":1,"kind":"job","key":"` + jobID + `","spec":"counting@hsw","job":{"id":"` + jobID + `","state":"running","spec":"counting@hsw","blocks":` +
+			quote(texts) + `,"config":` + config(1) + `,"workers":1}}`,
+	} {
+		var err error
+		if segment, err = wire.AppendFrame(segment, []byte(payload)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "00000001.seg"), segment, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	store := openTestStore(t, dir)
+	t.Cleanup(func() { store.Close() })
+	if st := store.Stats(); st.CorruptRecords != 0 || st.Entries != 2 {
+		t.Fatalf("old records: %+v, want 2 entries and none corrupt", st)
+	}
+	_, ts, sum := startStoreServer(t, store, &countingModel{inner: costmodel.AsBatch(uica.New(x86.Haswell))})
+	if sum.JobsResumed != 1 {
+		t.Fatalf("restore summary %+v, want exactly 1 resumed job", sum)
+	}
+	resumed, st := pollJob(t, ts.URL, jobID)
+	if st.State != wire.JobDone || st.Done != 2 || st.Failed != 0 {
+		t.Fatalf("resumed job did not complete cleanly: %+v", st)
+	}
+
+	freshStore := openTestStore(t, filepath.Join(t.TempDir(), "fresh"))
+	t.Cleanup(func() { freshStore.Close() })
+	_, freshTS, _ := startStoreServer(t, freshStore, &countingModel{inner: costmodel.AsBatch(uica.New(x86.Haswell))})
+	fresh, _ := submitCorpus(t, freshTS.URL, wire.CorpusRequest{
+		Blocks: texts, Model: "counting", Config: fastOverrides(), Workers: 1,
+	})
+	byIndex := func(rs []wire.CorpusResult) string {
+		sort.Slice(rs, func(i, j int) bool { return rs[i].Index < rs[j].Index })
+		return quote(rs)
+	}
+	if got, want := byIndex(resumed), byIndex(fresh); got != want {
+		t.Errorf("resumed job differs from a fresh run:\n got %s\nwant %s", got, want)
 	}
 }
 
@@ -493,7 +570,7 @@ func TestUnresumableJobFailsOnceAndStaysFailed(t *testing.T) {
 			seed := openTestStore(t, dir)
 			err := seed.Put(&wire.Record{V: wire.RecordVersion, Kind: wire.RecordJob, Key: jobID, Spec: tc.spec,
 				Job: &wire.JobEnvelope{ID: jobID, State: wire.JobRunning, Spec: tc.spec, Blocks: tc.texts,
-					Config: wire.ConfigSnapshot{Epsilon: 0.5, PrecisionThreshold: 0.7, CoverageSamples: 150, BatchSize: 64, Seed: 1}}})
+					Config: wire.ConfigSnapshot{Epsilon: 0.5, PrecisionThreshold: 0.7, CoverageSamples: 150, Seed: 1}}})
 			if err != nil {
 				t.Fatal(err)
 			}

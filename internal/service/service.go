@@ -132,11 +132,9 @@ type Config struct {
 	// (costmodel.NewCacheFor).
 	PredictionCacheSize int
 	// MaxConcurrentExplains bounds simultaneously computing explain
-	// requests (0 = GOMAXPROCS).
+	// requests (0 = GOMAXPROCS). Four times as many may wait for a
+	// slot; overflow gets 429.
 	MaxConcurrentExplains int
-	// MaxQueuedExplains bounds explain requests waiting for a slot
-	// beyond the ones computing; overflow gets 429 (0 = 4×concurrent).
-	MaxQueuedExplains int
 	// JobWorkers is the number of corpus jobs executing at once (0 = 1).
 	JobWorkers int
 	// JobQueueDepth bounds queued corpus jobs; overflow gets 429 (0 = 16).
@@ -239,9 +237,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxConcurrentExplains <= 0 {
 		c.MaxConcurrentExplains = runtime.GOMAXPROCS(0)
-	}
-	if c.MaxQueuedExplains <= 0 {
-		c.MaxQueuedExplains = 4 * c.MaxConcurrentExplains
 	}
 	if c.JobWorkers <= 0 {
 		c.JobWorkers = 1
@@ -1036,7 +1031,7 @@ func (s *Server) resolveModel(modelStr, archStr string) (*modelEntry, error) {
 var errOverloaded = errors.New("too many concurrent explain requests")
 
 // acquireExplainSlot takes a computation slot, waiting in a bounded queue.
-// When MaxQueuedExplains callers are already waiting, it fails fast — the
+// When four callers per slot are already waiting, it fails fast — the
 // server sheds load instead of building an unbounded backlog. The wait is
 // interrupted only by server shutdown.
 func (s *Server) acquireExplainSlot() error {
@@ -1045,7 +1040,7 @@ func (s *Server) acquireExplainSlot() error {
 		return nil
 	default:
 	}
-	if s.explainWaiting.Add(1) > int64(s.cfg.MaxQueuedExplains) {
+	if s.explainWaiting.Add(1) > int64(4*s.cfg.MaxConcurrentExplains) {
 		s.explainWaiting.Add(-1)
 		return errOverloaded
 	}

@@ -425,7 +425,7 @@ func TestJobQueueBackpressure(t *testing.T) {
 }
 
 func TestExplainBackpressure(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxConcurrentExplains: 1, MaxQueuedExplains: 1})
+	s, ts := newTestServer(t, Config{MaxConcurrentExplains: 1})
 	gate := newGateModel()
 	s.RegisterModel("gate", x86.Haswell, gate, 0)
 	released := false
@@ -435,11 +435,13 @@ func TestExplainBackpressure(t *testing.T) {
 		}
 	}()
 
+	// One computation slot queues four waiters; the sixth request is shed.
+	const queued = 4
 	type result struct {
 		code int
 		body []byte
 	}
-	results := make(chan result, 3)
+	results := make(chan result, 1+queued)
 	post := func(seed int64) {
 		o := fastOverrides()
 		o.Seed = seed // distinct seeds → distinct keys → no coalescing
@@ -450,24 +452,26 @@ func TestExplainBackpressure(t *testing.T) {
 	}
 	go post(1)
 	<-gate.started // request 1 holds the single computation slot
-	go post(2)
-	// Wait until request 2 occupies the single wait-queue slot.
+	for i := int64(0); i < queued; i++ {
+		go post(2 + i)
+	}
+	// Wait until requests 2–5 fill the derived wait queue.
 	deadline := time.Now().Add(5 * time.Second)
-	for s.explainWaiting.Load() < 1 {
+	for s.explainWaiting.Load() < queued {
 		if time.Now().After(deadline) {
-			t.Fatal("request 2 never queued")
+			t.Fatalf("only %d requests queued, want %d", s.explainWaiting.Load(), queued)
 		}
 		time.Sleep(time.Millisecond)
 	}
-	resp3, body3 := postJSON(t, ts.URL+"/v1/explain", wire.ExplainRequest{
-		Block: testBlock, Model: "gate", Config: &wire.ConfigOverrides{CoverageSamples: 150, Seed: 3},
+	resp6, body6 := postJSON(t, ts.URL+"/v1/explain", wire.ExplainRequest{
+		Block: testBlock, Model: "gate", Config: &wire.ConfigOverrides{CoverageSamples: 150, Seed: 6},
 	})
-	if resp3.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("request 3: status %d, want 429: %s", resp3.StatusCode, body3)
+	if resp6.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("request 6: status %d, want 429: %s", resp6.StatusCode, body6)
 	}
 	close(gate.release)
 	released = true
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 1+queued; i++ {
 		r := <-results
 		if r.code != http.StatusOK {
 			t.Errorf("gated request: status %d: %s", r.code, r.body)

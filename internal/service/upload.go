@@ -129,7 +129,6 @@ func uploadParams(q url.Values) (workers int, stream bool, o *wire.ConfigOverrid
 		{"coverage", func(v string) (err error) { o.CoverageSamples, err = strconv.Atoi(v); return }},
 		{"epsilon", func(v string) (err error) { o.Epsilon, err = finite(v); return }},
 		{"threshold", func(v string) (err error) { o.PrecisionThreshold, err = finite(v); return }},
-		{"batch", func(v string) (err error) { o.BatchSize, err = strconv.Atoi(v); return }},
 	} {
 		if v := q.Get(p.name); v != "" && p.parse(v) != nil {
 			return 0, false, nil, errorf(http.StatusBadRequest, "bad %s %q", p.name, v)

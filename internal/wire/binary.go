@@ -40,10 +40,13 @@ import (
 //	5 — ShardRequest lost Arch and ShardBlock lost Seed: the spec names
 //	    the target, and a worker derives each block's seed from the
 //	    lease's Config.Seed and the block's corpus index.
+//	6 — ConfigOverrides and ConfigSnapshot lost BatchSize: batching
+//	    only groups cache misses into model calls, so no explanation
+//	    byte depends on it.
 //
 // Peers on different versions reject each other's frames with a 400
 // error; no client falls back to JSON, so a fleet runs one build.
-const BinaryVersion = 5
+const BinaryVersion = 6
 
 // errNoBinary reports a message type without a binary encoding; Call
 // sends such messages as JSON.
@@ -419,7 +422,6 @@ func appendOverrides(dst []byte, o *ConfigOverrides) []byte {
 	dst = appendF64(dst, o.Epsilon)
 	dst = appendF64(dst, o.PrecisionThreshold)
 	dst = appendInt(dst, o.CoverageSamples)
-	dst = appendInt(dst, o.BatchSize)
 	return appendI64(dst, o.Seed)
 }
 
@@ -431,7 +433,6 @@ func decodeOverrides(d *bdec) *ConfigOverrides {
 	o.Epsilon = d.f64()
 	o.PrecisionThreshold = d.f64()
 	o.CoverageSamples = d.int_()
-	o.BatchSize = d.int_()
 	o.Seed = d.varint()
 	return o
 }
@@ -440,7 +441,6 @@ func appendSnapshot(dst []byte, s *ConfigSnapshot) []byte {
 	dst = appendF64(dst, s.Epsilon)
 	dst = appendF64(dst, s.PrecisionThreshold)
 	dst = appendInt(dst, s.CoverageSamples)
-	dst = appendInt(dst, s.BatchSize)
 	return appendI64(dst, s.Seed)
 }
 
@@ -448,7 +448,6 @@ func decodeSnapshot(d *bdec, s *ConfigSnapshot) {
 	s.Epsilon = d.f64()
 	s.PrecisionThreshold = d.f64()
 	s.CoverageSamples = d.int_()
-	s.BatchSize = d.int_()
 	s.Seed = d.varint()
 }
 

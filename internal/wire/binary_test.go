@@ -60,7 +60,6 @@ func sampleMessages() []any {
 		Epsilon:            0.5,
 		PrecisionThreshold: 0.95,
 		CoverageSamples:    1000,
-		BatchSize:          64,
 		Seed:               -42,
 	}
 	return []any{
@@ -70,7 +69,7 @@ func sampleMessages() []any {
 		&CorpusResult{Index: 8, Block: "pop rbx", Error: "model exploded"},
 		&ExplainRequest{Block: expl.Block, Model: "c", Arch: "skl",
 			Config: &ConfigOverrides{Epsilon: 0.25, PrecisionThreshold: 0.9,
-				CoverageSamples: 200, BatchSize: 32, Seed: -7}},
+				CoverageSamples: 200, Seed: -7}},
 		&ExplainRequest{Block: "add rax, rbx"},
 		&PredictRequest{Blocks: []string{"add rax, rbx", "pop rcx"}, Model: "uica", Arch: "hsw"},
 		&PredictRequest{},

@@ -85,7 +85,7 @@ func jsonFuzzSeeds(tb testing.TB) [][]byte {
 	rec := &Record{V: RecordVersion, Kind: RecordJob, Key: "job-1", Spec: "uica@hsw",
 		Job: &JobEnvelope{ID: "job-1", State: JobRunning, Spec: "uica@hsw",
 			Blocks:  []string{"add rax, rbx", "pop rcx"},
-			Config:  ConfigSnapshot{Epsilon: 0.5, PrecisionThreshold: 0.95, CoverageSamples: 1000, BatchSize: 64, Seed: -42},
+			Config:  ConfigSnapshot{Epsilon: 0.5, PrecisionThreshold: 0.95, CoverageSamples: 1000, Seed: -42},
 			Workers: 2, Stream: true,
 			Failures: []CorpusResult{{Index: 1, Block: "pop rcx", Error: "nope"}}}}
 	var seeds [][]byte

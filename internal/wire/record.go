@@ -57,7 +57,6 @@ type ConfigSnapshot struct {
 	Epsilon            float64 `json:"epsilon"`
 	PrecisionThreshold float64 `json:"precision_threshold"`
 	CoverageSamples    int     `json:"coverage_samples"`
-	BatchSize          int     `json:"batch_size"`
 	Seed               int64   `json:"seed"`
 }
 
@@ -69,7 +68,6 @@ func SnapshotConfig(cfg core.Config) ConfigSnapshot {
 		Epsilon:            cfg.Epsilon,
 		PrecisionThreshold: cfg.PrecisionThreshold,
 		CoverageSamples:    cfg.CoverageSamples,
-		BatchSize:          cfg.BatchSize,
 		Seed:               cfg.Seed,
 	}
 }
@@ -81,7 +79,6 @@ func (s ConfigSnapshot) Apply(base core.Config) core.Config {
 	base.Epsilon = s.Epsilon
 	base.PrecisionThreshold = s.PrecisionThreshold
 	base.CoverageSamples = s.CoverageSamples
-	base.BatchSize = s.BatchSize
 	base.Seed = s.Seed
 	return core.ApplyOptions(base)
 }

@@ -294,13 +294,13 @@ func FromCorpusResult(r core.CorpusResult) CorpusResult {
 
 // ConfigOverrides carries the per-request explanation hyperparameters the
 // API exposes. Zero values mean "server default". There is no
-// parallelism override: the server samples each explanation on one
-// goroutine, and no explanation byte depends on it.
+// parallelism or batch-size override: the server samples each
+// explanation on one goroutine and batches model queries itself, and no
+// explanation byte depends on either.
 type ConfigOverrides struct {
 	Epsilon            float64 `json:"epsilon,omitempty"`
 	PrecisionThreshold float64 `json:"precision_threshold,omitempty"`
 	CoverageSamples    int     `json:"coverage_samples,omitempty"`
-	BatchSize          int     `json:"batch_size,omitempty"`
 	Seed               int64   `json:"seed,omitempty"`
 }
 
@@ -321,9 +321,6 @@ func (o *ConfigOverrides) Options() []core.ExplainOption {
 	}
 	if o.CoverageSamples > 0 {
 		opts = append(opts, core.WithCoverageSamples(o.CoverageSamples))
-	}
-	if o.BatchSize > 0 {
-		opts = append(opts, core.WithBatchSize(o.BatchSize))
 	}
 	if o.Seed != 0 {
 		opts = append(opts, core.WithSeed(o.Seed))
@@ -489,7 +486,7 @@ type JoinResponse struct {
 	// Worker is the coordinator's id for this worker (its canonical URL).
 	Worker string `json:"worker"`
 	// TTLSeconds is how long the registration lasts without another
-	// heartbeat; workers should re-join at a comfortably shorter interval.
+	// heartbeat; workers re-join at a third of it (cluster.Heartbeat).
 	TTLSeconds float64 `json:"ttl_seconds"`
 }
 

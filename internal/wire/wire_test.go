@@ -162,7 +162,7 @@ func TestConfigOverridesOptions(t *testing.T) {
 	if got.Epsilon != 0.25 || got.CoverageSamples != 42 || got.Seed != 7 {
 		t.Errorf("overrides not applied: %+v", got)
 	}
-	if got.PrecisionThreshold != base.PrecisionThreshold || got.BatchSize != base.BatchSize {
+	if got.PrecisionThreshold != base.PrecisionThreshold {
 		t.Errorf("zero overrides clobbered defaults: %+v", got)
 	}
 }
@@ -218,7 +218,7 @@ func TestClusterEnvelopesByteStable(t *testing.T) {
 	}
 	check("ShardRequest", &ShardRequest{
 		JobID: "job-1", Lease: "job-1/l0", Spec: "uica@hsw",
-		Config: ConfigSnapshot{Epsilon: 0.5, PrecisionThreshold: 0.7, CoverageSamples: 1000, BatchSize: 64, Seed: 7},
+		Config: ConfigSnapshot{Epsilon: 0.5, PrecisionThreshold: 0.7, CoverageSamples: 1000, Seed: 7},
 		Blocks: []ShardBlock{{Index: 3, Block: "add rcx, rax"}},
 	}, &ShardRequest{})
 	check("ShardResponse", &ShardResponse{

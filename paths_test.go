@@ -3,10 +3,10 @@ package comet_test
 // Path independence: an explanation is a pure function of (canonical
 // spec, effective config, canonical block). For generated blocks, the
 // wire JSON must be byte-equal whether the explanation is computed
-// locally or through a remote@ model hop at any sampling parallelism, on
-// a cluster worker via a coordinator lease, or read back from the
-// durable store — the last three exercise the one HTTP client
-// (wire.Call) end to end.
+// locally at any model-query batch size or through a remote@ model hop
+// at any sampling parallelism, on a cluster worker via a coordinator
+// lease, or read back from the durable store — the last three exercise
+// the one HTTP client (wire.Call) end to end.
 
 import (
 	"bytes"
@@ -54,12 +54,14 @@ func TestExplanationPathIndependence(t *testing.T) {
 			cfg.Seed = seed
 			snap := wire.SnapshotConfig(core.ApplyOptions(cfg))
 
-			// explainAll runs every block through an explainer over model
-			// at the per-block seeds a corpus job uses and the given
-			// sampling parallelism, rendering wire JSON.
-			explainAll := func(model comet.CostModel, par int) []*wire.Explanation {
+			// explainAll runs every block through a fresh explainer over
+			// model at the per-block seeds a corpus job uses and the given
+			// batch size and sampling parallelism, rendering wire JSON.
+			explainAll := func(model comet.CostModel, batch, par int) []*wire.Explanation {
 				t.Helper()
-				ex := comet.NewExplainer(model, cfg)
+				c := cfg
+				c.BatchSize = batch
+				ex := comet.NewExplainer(model, c)
 				out := make([]*wire.Explanation, len(texts))
 				for i, text := range texts {
 					e, err := ex.ExplainContext(context.Background(), comet.MustParseBlock(text),
@@ -71,7 +73,14 @@ func TestExplanationPathIndependence(t *testing.T) {
 				}
 				return out
 			}
-			want := explainAll(local.Model, 1)
+			want := explainAll(local.Model, cfg.BatchSize, 1)
+
+			// Batch size only groups cache misses into model calls: from a
+			// fresh cache, even the accounting fields must match.
+			sameCache := map[string][]*wire.Explanation{}
+			for _, batch := range []int{1, 7, 4096} {
+				sameCache[fmt.Sprintf("local, batch size %d", batch)] = explainAll(local.Model, batch, 1)
+			}
 
 			remote, err := comet.DialRemoteModel(ts.URL, comet.RemoteModelOptions{Model: spec})
 			if err != nil {
@@ -80,9 +89,9 @@ func TestExplanationPathIndependence(t *testing.T) {
 			paths := map[string][]*wire.Explanation{}
 			for _, par := range []int{1, 2, 4} {
 				if par != 1 {
-					paths[fmt.Sprintf("local, parallelism %d", par)] = explainAll(local.Model, par)
+					paths[fmt.Sprintf("local, parallelism %d", par)] = explainAll(local.Model, cfg.BatchSize, par)
 				}
-				paths[fmt.Sprintf("remote@, parallelism %d", par)] = explainAll(remote, par)
+				paths[fmt.Sprintf("remote@, parallelism %d", par)] = explainAll(remote, cfg.BatchSize, par)
 			}
 
 			opts := cluster.Options{LeaseBlocks: 2, ProbeBackoff: 10 * time.Millisecond, Tick: 5 * time.Millisecond}
@@ -123,28 +132,35 @@ func TestExplanationPathIndependence(t *testing.T) {
 			}
 			paths["store round trip"] = viaStore
 
-			for name, got := range paths {
-				for i := range texts {
-					w, g := pathJSON(t, want[i]), pathJSON(t, got[i])
-					if !bytes.Equal(g, w) {
-						t.Errorf("%s, block %d: explanation differs from local at parallelism 1:\n got %s\nwant %s", name, i, g, w)
+			compare := func(paths map[string][]*wire.Explanation, accounting bool) {
+				for name, got := range paths {
+					for i := range texts {
+						w, g := pathJSON(t, want[i], accounting), pathJSON(t, got[i], accounting)
+						if !bytes.Equal(g, w) {
+							t.Errorf("%s, block %d: explanation differs from local at parallelism 1:\n got %s\nwant %s", name, i, g, w)
+						}
 					}
 				}
 			}
+			compare(sameCache, true)
+			compare(paths, false)
 		})
 	}
 }
 
-// pathJSON renders an explanation's wire JSON with the cache-accounting
-// fields zeroed: they report how warm the answering process's caches
-// were, not the explanation ("null" when the path produced none).
-func pathJSON(t *testing.T, e *wire.Explanation) []byte {
+// pathJSON renders an explanation's wire JSON ("null" when the path
+// produced none). Without accounting the cache-accounting fields are
+// zeroed: across processes they report how warm the answering process's
+// caches were, not the explanation.
+func pathJSON(t *testing.T, e *wire.Explanation, accounting bool) []byte {
 	t.Helper()
 	if e == nil {
 		return []byte("null")
 	}
 	c := *e
-	c.CacheHits, c.ModelCalls = 0, 0
+	if !accounting {
+		c.CacheHits, c.ModelCalls = 0, 0
+	}
 	b, err := json.Marshal(&c)
 	if err != nil {
 		t.Fatal(err)

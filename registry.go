@@ -215,9 +215,7 @@ func registeredNames() string {
 // registered (directly injected server models are keyed name@arch). A
 // target that parses as an arch is normalized to its wire name
 // ("haswell" → "hsw"); URLs and other targets pass through untouched.
-// Front-ends carrying a default-arch setting (the comet CLI's -arch, the
-// serving API's "arch" field) apply it with this one helper so their
-// defaulting rules cannot drift.
+// The serving API applies its requests' "arch" field with it.
 func (s ModelSpec) WithDefaultTarget(archDefault string) ModelSpec {
 	def, known := LookupModel(s.Name)
 	if s.Target == "" && (!known || def.ArchTarget) {
