@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/comet-explain/comet"
+	"github.com/comet-explain/comet/internal/bhive"
 	"github.com/comet-explain/comet/internal/deps"
 	"github.com/comet-explain/comet/internal/experiments"
 	"github.com/comet-explain/comet/internal/perturb"
@@ -220,6 +221,34 @@ func benchExplainUICA(b *testing.B, parallelism int) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkExplainIthemal measures one explanation of the neural model,
+// the model the paper explains, at core.DefaultConfig on one goroutine
+// (the setting the service explains at). A small spec — default widths,
+// 400 training blocks, 2 epochs — trains before the timer; each op
+// explains the same 10-instruction bhive block from a cold prediction
+// cache. queries/op is the explanation's query count: model time, nearly
+// all of an op, scales with it.
+func BenchmarkExplainIthemal(b *testing.B) {
+	rm, err := comet.ResolveModelString("ithemal@hsw?train=400&epochs=2")
+	if err != nil {
+		b.Fatal(err)
+	}
+	block := bhive.Generate(bhive.Config{N: 6, MinInstrs: 4, MaxInstrs: 10, Seed: 31, SkipLabels: true})[5].Block
+	cfg := comet.DefaultConfig()
+	cfg.Epsilon = rm.Epsilon
+	cfg.Parallelism = 1
+	queries := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e, err := comet.NewExplainer(rm.Model, cfg).Explain(block)
+		if err != nil {
+			b.Fatal(err)
+		}
+		queries += e.Queries
+	}
+	b.ReportMetric(float64(queries)/float64(b.N), "queries/op")
 }
 
 // ---- corpus-scale explanation engine ----------------------------------------

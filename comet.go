@@ -183,10 +183,9 @@ func WithPrecisionThreshold(threshold float64) ExplainOption {
 func WithCoverageSamples(n int) ExplainOption { return core.WithCoverageSamples(n) }
 
 // WithParallelism bounds the goroutines that draw the request's Γ
-// samples and that query a plain model — one without a native
-// PredictBatch, such as uica and hwsim (0 restores the GOMAXPROCS
-// default); C and mca are queried inline. It schedules work only: the
-// explanation is the same at any parallelism.
+// samples and that query the model — uica, hwsim and Ithemal alike (0
+// restores the GOMAXPROCS default); C and mca are queried inline. It
+// schedules work only: the explanation is the same at any parallelism.
 func WithParallelism(n int) ExplainOption { return core.WithParallelism(n) }
 
 // AsBatchModel returns model itself when it already batches natively

@@ -92,7 +92,6 @@ func TestPublicAPIIthemalTinyTrain(t *testing.T) {
 	cfg.Hidden = 12
 	cfg.EmbedDim = 8
 	cfg.Epochs = 2
-	cfg.Workers = 2
 	m := comet.TrainIthemalOnDataset(cfg, 60, 9)
 	block := comet.MustParseBlock("add rax, rbx")
 	if p := m.Predict(block); p <= 0 {
@@ -260,12 +259,11 @@ func TestIthemalSpecMatchesTrainOnDataset(t *testing.T) {
 	}
 	cfg := comet.DefaultIthemalConfig(comet.Haswell)
 	cfg.Epochs = 2
-	cfg.Workers = 1
 	want := comet.TrainIthemalOnDataset(cfg, 100, 42).Predict(block)
-	if got := predict("ithemal@hsw?train=100&epochs=2&workers=1"); got != want {
+	if got := predict("ithemal@hsw?train=100&epochs=2"); got != want {
 		t.Errorf("resolved spec predicts %v, TrainIthemalOnDataset %v", got, want)
 	}
-	if other := predict("ithemal@hsw?train=100&epochs=2&workers=1&data=43"); other == want {
+	if other := predict("ithemal@hsw?train=100&epochs=2&data=43"); other == want {
 		t.Errorf("dataset seed 43 predicts %v too; the block does not tell the datasets apart", other)
 	}
 }

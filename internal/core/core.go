@@ -47,11 +47,11 @@ type Config struct {
 	// coverage estimation (paper: 10k; scale down for speed).
 	CoverageSamples int
 	// Parallelism bounds the goroutines that draw Γ samples for one
-	// explanation, and that query a plain model — one without a native
-	// PredictBatch, such as uica and hwsim (0 = GOMAXPROCS); C and mca
-	// declare costmodel.CheapQuery and are queried inline. It
-	// is a scheduling width only: each draw is seeded from its index, so
-	// explanations do not depend on it.
+	// explanation, and that query the model — uica, hwsim, Ithemal's
+	// lockstep batches and a remote@ model's round trips alike (0 =
+	// GOMAXPROCS); C and mca declare costmodel.CheapQuery and are
+	// queried inline. It is a scheduling width only: each draw is seeded
+	// from its index, so explanations do not depend on it.
 	Parallelism int
 	// BatchSize is how many perturbed blocks are sent to the cost model
 	// per PredictBatch call (default 64). Models with native batching
@@ -159,11 +159,12 @@ func (cfg Config) withDefaults() Config {
 }
 
 // NewExplainer builds an explainer. The model must be safe for concurrent
-// Predict calls; if it implements costmodel.BatchModel its native batch
-// path is used, otherwise queries fan out over cfg.Parallelism workers
-// (inline for a model that declares costmodel.CheapQuery). Its
-// prediction cache comes from costmodel.NewCacheFor: none for a model
-// that declares costmodel.CheapQuery or for a negative cfg.CacheSize.
+// Predict calls; its queries fan out over cfg.Parallelism workers, each
+// through the model's native batch path when it implements
+// costmodel.BatchModel (inline for a model that declares
+// costmodel.CheapQuery). Its prediction cache comes from
+// costmodel.NewCacheFor: none for a model that declares
+// costmodel.CheapQuery or for a negative cfg.CacheSize.
 func NewExplainer(model costmodel.Model, cfg Config) *Explainer {
 	return NewExplainerWithCache(model, cfg, costmodel.NewCacheFor(model, cfg.CacheSize))
 }

@@ -34,7 +34,7 @@ func WithCoverageSamples(n int) ExplainOption {
 }
 
 // WithParallelism bounds the goroutines that draw this request's Γ
-// samples and that query a model without a native PredictBatch (0
+// samples and that query its model, natively batched or not (0
 // restores the GOMAXPROCS default). It schedules work only:
 // every draw is seeded from its index, so the explanation is the same at
 // any parallelism.

@@ -11,7 +11,9 @@ import (
 // because it shares work across the batch: the neural model runs one
 // lockstep pass over every block, and a remote model sends the whole
 // batch in one round trip. A model with no such shared work stays a
-// plain Model; PredictThrough fans its queries out at the caller's bound.
+// plain Model. Either way PredictThrough splits a batch into at most the
+// caller's worker bound of parts, so that bound covers every model's
+// queries, the neural model's included.
 //
 // PredictBatch(blocks)[i] must equal Predict(blocks[i]) exactly — batching
 // is a performance contract, never a numerical one — and implementations
@@ -37,58 +39,66 @@ func AsBatch(model Model) BatchModel {
 	return fanOut{model, 0}
 }
 
-// fanOut adapts a model without a native batch path, fanning out over at
-// most workers goroutines (0 = GOMAXPROCS). It is the one fan-out over a
-// plain model's Predict.
+// fanOut splits a batch over at most workers goroutines (0 = GOMAXPROCS).
+// It is the one fan-out over any model's queries: each goroutine answers
+// one contiguous part through the model's own PredictBatch when it has
+// one, and through Predict block by block otherwise.
 type fanOut struct {
 	Model
 	workers int
 }
 
-// PredictBatch implements BatchModel. Small batches run inline, and
-// workers are capped so each goroutine gets a meaningful slice of work —
-// per-prediction cost can be microseconds (analytical model), where
-// per-goroutine overhead would dominate. A panic in Predict (an
-// AbortQuery, say) is re-raised on the caller's goroutine once every
-// worker has stopped, so the caller's RecoverQuery boundary sees it.
+// PredictBatch implements BatchModel. Parts are capped so each goroutine
+// gets a meaningful slice of work — per-prediction cost can be
+// microseconds (analytical model), where per-goroutine overhead would
+// dominate — and a batch too small for two parts runs inline. A panic in
+// the model (an AbortQuery, say) is re-raised on the caller's goroutine
+// once every part has stopped, so the caller's RecoverQuery boundary
+// sees it.
 func (f fanOut) PredictBatch(blocks []*x86.BasicBlock) []float64 {
-	const minPerWorker = 16
+	const minPerPart = 16
+	parts := f.workers
+	if parts <= 0 {
+		parts = runtime.GOMAXPROCS(0)
+	}
+	if parts = min(parts, (len(blocks)+minPerPart-1)/minPerPart); parts <= 1 {
+		return f.predict(blocks)
+	}
 	out := make([]float64, len(blocks))
-	workers := f.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if max := (len(blocks) + minPerWorker - 1) / minPerWorker; workers > max {
-		workers = max
-	}
-	if workers <= 1 || len(blocks) < 4 {
-		for i, b := range blocks {
-			out[i] = f.Predict(b)
-		}
-		return out
-	}
+	size := (len(blocks) + parts - 1) / parts
 	var (
 		wg      sync.WaitGroup
 		abort   sync.Once
 		aborted any
 	)
-	for w := 0; w < workers; w++ {
+	for start := 0; start < len(blocks); start += size {
+		end := min(start+size, len(blocks))
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			defer func() {
 				if r := recover(); r != nil {
 					abort.Do(func() { aborted = r })
 				}
 			}()
-			for i := w; i < len(blocks); i += workers {
-				out[i] = f.Predict(blocks[i])
-			}
-		}(w)
+			copy(out[start:end], f.predict(blocks[start:end]))
+		}()
 	}
 	wg.Wait()
 	if aborted != nil {
 		panic(aborted)
+	}
+	return out
+}
+
+// predict answers one part on the calling goroutine.
+func (f fanOut) predict(blocks []*x86.BasicBlock) []float64 {
+	if bm, ok := f.Model.(BatchModel); ok {
+		return bm.PredictBatch(blocks)
+	}
+	out := make([]float64, len(blocks))
+	for i, b := range blocks {
+		out[i] = f.Predict(b)
 	}
 	return out
 }

@@ -252,34 +252,89 @@ type peakModel struct {
 	inFlight, peak atomic.Int32
 }
 
-func (m *peakModel) Predict(b *x86.BasicBlock) float64 {
+// enter counts one call in flight until the returned func runs.
+func (m *peakModel) enter() func() {
 	n := m.inFlight.Add(1)
 	for p := m.peak.Load(); n > p && !m.peak.CompareAndSwap(p, n); p = m.peak.Load() {
 	}
 	time.Sleep(100 * time.Microsecond)
-	defer m.inFlight.Add(-1)
+	return func() { m.inFlight.Add(-1) }
+}
+
+func (m *peakModel) Predict(b *x86.BasicBlock) float64 {
+	defer m.enter()()
 	return m.lenModel.Predict(b)
 }
 
-// TestPredictThroughBoundsFanOut: a model without a native batch path is
-// queried by at most workers goroutines at once, whatever GOMAXPROCS is.
+// peakBatchModel is a native BatchModel recording the most PredictBatch
+// calls in flight at once and, through index, the blocks of every call.
+type peakBatchModel struct {
+	peakModel
+	index map[*x86.BasicBlock]int
+	mu    sync.Mutex
+	parts [][]int
+}
+
+func (m *peakBatchModel) PredictBatch(blocks []*x86.BasicBlock) []float64 {
+	defer m.enter()()
+	part := make([]int, len(blocks))
+	for i, b := range blocks {
+		part[i] = m.index[b]
+	}
+	m.mu.Lock()
+	m.parts = append(m.parts, part)
+	m.mu.Unlock()
+	out := make([]float64, len(blocks))
+	for i, b := range blocks {
+		out[i] = m.lenModel.Predict(b)
+	}
+	return out
+}
+
+// TestPredictThroughBoundsFanOut: a model is queried by at most workers
+// goroutines at once, whatever GOMAXPROCS is — a plain model through
+// Predict, a native batch model through PredictBatch calls that each get
+// one contiguous part of the batch.
 func TestPredictThroughBoundsFanOut(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	blocks := make([]*x86.BasicBlock, 128) // distinct, so none dedup away
+	index := make(map[*x86.BasicBlock]int, len(blocks))
 	for i := range blocks {
 		blocks[i] = x86.MustParseBlock(fmt.Sprintf("add rcx, %d", i))
+		index[blocks[i]] = i
 	}
-	for _, workers := range []int{1, 2} {
-		model := &peakModel{}
-		preds := make([]float64, len(blocks))
-		PredictThrough(nil, model, blocks, 0, workers, preds)
-		if p := model.peak.Load(); p > int32(workers) {
-			t.Errorf("workers=%d: %d Predict calls ran at once", workers, p)
-		}
-		for i, b := range blocks {
-			if preds[i] != float64(b.Len())/4 {
-				t.Fatalf("workers=%d: preds[%d] = %v", workers, i, preds[i])
+	for _, workers := range []int{1, 2, 3} {
+		plain, native := &peakModel{}, &peakBatchModel{index: index}
+		for _, m := range []struct {
+			model Model
+			peak  *atomic.Int32
+		}{{plain, &plain.peak}, {native, &native.peak}} {
+			preds := make([]float64, len(blocks))
+			PredictThrough(nil, m.model, blocks, 0, workers, preds)
+			name := fmt.Sprintf("workers=%d, %T", workers, m.model)
+			if p := m.peak.Load(); p > int32(workers) {
+				t.Errorf("%s: %d model calls ran at once", name, p)
 			}
+			for i, b := range blocks {
+				if preds[i] != float64(b.Len())/4 {
+					t.Fatalf("%s: preds[%d] = %v", name, i, preds[i])
+				}
+			}
+		}
+		if len(native.parts) > workers {
+			t.Errorf("workers=%d: %d PredictBatch calls", workers, len(native.parts))
+		}
+		covered := 0
+		for _, part := range native.parts {
+			for j, i := range part {
+				if i != part[0]+j {
+					t.Fatalf("workers=%d: part starting at block %d is not contiguous: %v", workers, part[0], part)
+				}
+			}
+			covered += len(part)
+		}
+		if covered != len(blocks) {
+			t.Errorf("workers=%d: parts cover %d of %d blocks", workers, covered, len(blocks))
 		}
 	}
 }

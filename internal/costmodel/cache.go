@@ -160,13 +160,15 @@ func (c *Cache) Stats() CacheStats {
 // PredictThrough is the one route from a caller to a cost model. It
 // resolves a prediction for every block through the cache (which may be
 // nil) and then the model, issuing at most batch blocks per call (batch
-// <= 0 means one call for all misses): the model's own PredictBatch when
-// it implements BatchModel, otherwise a fan-out over Predict with at most
-// workers goroutines (0 = GOMAXPROCS). Duplicate blocks within the slice
-// are predicted once. Results are written into
-// preds, which must have len(blocks) elements. It returns how many of the
-// queries were answered without a model evaluation (cache hits plus
-// within-batch duplicates) and how many blocks the model actually evaluated.
+// <= 0 means one call for all misses). Each call is split into at most
+// workers contiguous parts (0 = GOMAXPROCS) on as many goroutines, and
+// each part goes to the model's own PredictBatch when it implements
+// BatchModel, otherwise to Predict block by block: workers bounds every
+// model's concurrent queries. Duplicate blocks within the slice are
+// predicted once. Results are written into preds, which must have
+// len(blocks) elements. It returns how many of the queries were answered
+// without a model evaluation (cache hits plus within-batch duplicates)
+// and how many blocks the model actually evaluated.
 //
 // A model that declares CheapQuery skips the key, the dedup, the cache
 // and the batching: every block goes to its Predict, inline on the
@@ -184,10 +186,7 @@ func PredictThrough(cache *Cache, model Model, blocks []*x86.BasicBlock, batch, 
 		}
 		return 0, len(blocks)
 	}
-	bm, native := model.(BatchModel)
-	if !native {
-		bm = fanOut{model, workers}
-	}
+	fan := fanOut{model, workers}
 	// The dedup bookkeeping is pooled: every explanation calls
 	// PredictThrough once per sampling round, and a fresh map plus three
 	// slices per call dominated the query path's allocations. Duplicate
@@ -225,7 +224,7 @@ func PredictThrough(cache *Cache, model Model, blocks []*x86.BasicBlock, batch, 
 	sc.missKeys, sc.missBlocks = missKeys, missBlocks // keep grown buffers
 	for start := 0; start < len(missBlocks); start += batch {
 		end := min(start+batch, len(missBlocks))
-		out := bm.PredictBatch(missBlocks[start:end])
+		out := fan.PredictBatch(missBlocks[start:end])
 		for j, v := range out {
 			key := missKeys[start+j]
 			if cache != nil {

@@ -1,8 +1,6 @@
 package ithemal
 
 import (
-	"sync"
-
 	"github.com/comet-explain/comet/internal/costmodel"
 	"github.com/comet-explain/comet/internal/x86"
 )
@@ -15,44 +13,11 @@ var _ costmodel.BatchModel = (*Model)(nil)
 // across every instruction of every block, the block LSTM across blocks —
 // so each weight row is streamed through the cache once per timestep for
 // the whole batch. Per-block results are bit-identical to Predict: batching
-// reorders no floating-point operation within a block.
-//
-// Large batches are additionally split across cfg.Workers goroutines, each
-// running its chunk in lockstep; chunking is invisible to the results.
+// reorders no floating-point operation within a block. It runs on the
+// caller's goroutine; costmodel.PredictThrough splits a batch across the
+// caller's worker bound.
 func (m *Model) PredictBatch(blocks []*x86.BasicBlock) []float64 {
-	preds := make([]float64, len(blocks))
-	workers := m.cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	const minChunk = 8
-	if workers == 1 || len(blocks) < 2*minChunk {
-		m.predictLockstep(blocks, preds)
-		return preds
-	}
-	chunk := (len(blocks) + workers - 1) / workers
-	if chunk < minChunk {
-		chunk = minChunk
-	}
-	var wg sync.WaitGroup
-	for start := 0; start < len(blocks); start += chunk {
-		end := start + chunk
-		if end > len(blocks) {
-			end = len(blocks)
-		}
-		wg.Add(1)
-		go func(start, end int) {
-			defer wg.Done()
-			m.predictLockstep(blocks[start:end], preds[start:end])
-		}(start, end)
-	}
-	wg.Wait()
-	return preds
-}
-
-// predictLockstep runs the hierarchical forward pass for a chunk of blocks
-// in lockstep, writing predictions into out (len(out) == len(blocks)).
-func (m *Model) predictLockstep(blocks []*x86.BasicBlock, out []float64) {
+	out := make([]float64, len(blocks))
 	// Stage 1 items are instructions: tokenize everything up front.
 	instStart := make([]int, len(blocks)+1)
 	var ids [][]int
@@ -75,7 +40,7 @@ func (m *Model) predictLockstep(blocks []*x86.BasicBlock, out []float64) {
 	}
 	instStart[len(blocks)] = len(ids)
 	if len(ids) == 0 {
-		return // every block empty; Predict returns 0 for those
+		return out // every block empty; Predict returns 0 for those
 	}
 
 	// Token LSTM over all instructions in lockstep. An instruction drops
@@ -111,7 +76,6 @@ func (m *Model) predictLockstep(blocks []*x86.BasicBlock, out []float64) {
 
 	for bi, b := range blocks {
 		if b == nil || b.Len() == 0 {
-			out[bi] = 0
 			continue
 		}
 		pred := m.out.DotRow(0, stage2.H[bi]) + m.bias.W[0]
@@ -120,4 +84,5 @@ func (m *Model) predictLockstep(blocks []*x86.BasicBlock, out []float64) {
 		}
 		out[bi] = pred
 	}
+	return out
 }

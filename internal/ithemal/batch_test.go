@@ -4,32 +4,31 @@ import (
 	"testing"
 
 	"github.com/comet-explain/comet/internal/bhive"
+	"github.com/comet-explain/comet/internal/costmodel"
 	"github.com/comet-explain/comet/internal/x86"
 )
 
-func tinyModel(workers int) *Model {
+func tinyModel() *Model {
 	cfg := DefaultConfig(x86.Haswell)
 	cfg.EmbedDim = 8
 	cfg.Hidden = 12
-	cfg.Workers = workers
 	return New(cfg)
 }
 
 // TestPredictBatchBitIdentical is the batching contract: one padded
 // lockstep forward must reproduce per-block Predict exactly, bit for bit,
-// across blocks of different lengths (padding) and worker chunkings.
+// across blocks of different lengths (padding) and the chunkings
+// costmodel.PredictThrough makes at different worker bounds.
 func TestPredictBatchBitIdentical(t *testing.T) {
 	gen := bhive.Generate(bhive.Config{N: 40, MinInstrs: 1, MaxInstrs: 12, Seed: 11, SkipLabels: true})
 	blocks := make([]*x86.BasicBlock, len(gen))
 	for i, g := range gen {
 		blocks[i] = g.Block
 	}
+	m := tinyModel()
 	for _, workers := range []int{1, 3} {
-		m := tinyModel(workers)
-		batched := m.PredictBatch(blocks)
-		if len(batched) != len(blocks) {
-			t.Fatalf("workers=%d: got %d predictions for %d blocks", workers, len(batched), len(blocks))
-		}
+		batched := make([]float64, len(blocks))
+		costmodel.PredictThrough(nil, m, blocks, 0, workers, batched)
 		for i, b := range blocks {
 			if seq := m.Predict(b); batched[i] != seq {
 				t.Errorf("workers=%d block %d: batched %v != sequential %v", workers, i, batched[i], seq)
@@ -39,7 +38,7 @@ func TestPredictBatchBitIdentical(t *testing.T) {
 }
 
 func TestPredictBatchEmptyAndNilBlocks(t *testing.T) {
-	m := tinyModel(1)
+	m := tinyModel()
 	blocks := []*x86.BasicBlock{
 		x86.MustParseBlock("add rax, rbx"),
 		nil,
@@ -59,7 +58,7 @@ func TestPredictBatchEmptyAndNilBlocks(t *testing.T) {
 }
 
 func TestPredictBatchConcurrentUse(t *testing.T) {
-	m := tinyModel(2)
+	m := tinyModel()
 	gen := bhive.Generate(bhive.Config{N: 10, Seed: 3, SkipLabels: true})
 	blocks := make([]*x86.BasicBlock, len(gen))
 	for i, g := range gen {

@@ -34,7 +34,6 @@ type Config struct {
 	LR        float64
 	Epochs    int
 	BatchSize int
-	Workers   int   // data-parallel workers; 0 = GOMAXPROCS
 	Seed      int64 // weight init and shuffling
 }
 
@@ -79,9 +78,6 @@ func New(cfg Config) *Model {
 			def.Seed = cfg.Seed
 		}
 		cfg = def
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	vocab := buildVocab()
@@ -234,8 +230,9 @@ type TrainResult struct {
 // Train fits the model to the samples. Loss is a normalized squared error,
 // (pred−y)²/(1+y)², which weighs relative error similarly across the wide
 // dynamic range of block costs (0.25 to tens of cycles). Training is
-// data-parallel over cfg.Workers goroutines with deterministic gradient
-// merging; progress (if non-nil) is called after each epoch.
+// data-parallel over GOMAXPROCS goroutines, and the trained weights are
+// the same bits at every GOMAXPROCS; progress (if non-nil) is called
+// after each epoch.
 func (m *Model) Train(samples []Sample, progress func(epoch int, loss float64)) TrainResult {
 	params := m.params()
 	opt := nn.NewAdam(m.cfg.LR, params)
@@ -266,20 +263,18 @@ func (m *Model) Train(samples []Sample, progress func(epoch int, loss float64)) 
 }
 
 // trainBatch computes and applies one batch update, returning the mean
-// normalized loss of the batch.
+// normalized loss of the batch. Samples run on GOMAXPROCS goroutines, but
+// each keeps its gradients at its batch position and they are summed in
+// batch order, so the goroutine count changes no bit of the update.
 func (m *Model) trainBatch(opt *nn.Adam, params []*nn.Param, samples []Sample, batch []int) float64 {
-	workers := m.cfg.Workers
-	if workers > len(batch) {
-		workers = len(batch)
-	}
-	workerGrads := make([]map[*nn.Param][]float64, workers)
-	workerLoss := make([]float64, workers)
+	grads := make([]map[*nn.Param][]float64, len(batch))
+	losses := make([]float64, len(batch))
+	workers := min(runtime.GOMAXPROCS(0), len(batch))
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			acc := make(map[*nn.Param][]float64)
 			for k := w; k < len(batch); k += workers {
 				s := samples[batch[k]]
 				tape := nn.NewTape()
@@ -287,30 +282,19 @@ func (m *Model) trainBatch(opt *nn.Adam, params []*nn.Param, samples []Sample, b
 				scale := 1 / (1 + s.Throughput)
 				loss := tape.MeanSquaredError(tape.ScaleConst(pred, scale), []float64{s.Throughput * scale})
 				tape.Backward(loss)
-				workerLoss[w] += loss.Scalar()
-				for p, g := range tape.Grads {
-					d, ok := acc[p]
-					if !ok {
-						d = make([]float64, len(g))
-						acc[p] = d
-					}
-					for i := range g {
-						d[i] += g[i]
-					}
-				}
+				grads[k], losses[k] = tape.Grads, loss.Scalar()
 			}
-			workerGrads[w] = acc
 		}(w)
 	}
 	wg.Wait()
 
 	total := make(map[*nn.Param][]float64)
-	nn.MergeGrads(total, workerGrads, params)
+	nn.MergeGrads(total, grads, params)
 	nn.ScaleGrads(total, 1/float64(len(batch)))
 	opt.Step(total)
 
 	loss := 0.0
-	for _, l := range workerLoss {
+	for _, l := range losses {
 		loss += l
 	}
 	return loss / float64(len(batch))
@@ -318,24 +302,13 @@ func (m *Model) trainBatch(opt *nn.Adam, params []*nn.Param, samples []Sample, b
 
 // MAPE evaluates the model's mean absolute percentage error on samples.
 func (m *Model) MAPE(samples []Sample) float64 {
-	preds := make([]float64, len(samples))
+	blocks := make([]*x86.BasicBlock, len(samples))
 	actuals := make([]float64, len(samples))
-	var wg sync.WaitGroup
-	workers := m.cfg.Workers
-	if workers < 1 {
-		workers = 1
+	for i, s := range samples {
+		blocks[i], actuals[i] = s.Block, s.Throughput
 	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(samples); i += workers {
-				preds[i] = m.Predict(samples[i].Block)
-				actuals[i] = samples[i].Throughput
-			}
-		}(w)
-	}
-	wg.Wait()
+	preds := make([]float64, len(samples))
+	costmodel.PredictThrough(nil, m, blocks, 0, 0, preds)
 	return stats.MAPE(preds, actuals)
 }
 

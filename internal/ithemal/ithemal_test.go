@@ -2,6 +2,7 @@ package ithemal
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"github.com/comet-explain/comet/internal/bhive"
@@ -16,7 +17,6 @@ func tinyConfig(arch x86.Arch) Config {
 		LR:        5e-3,
 		Epochs:    6,
 		BatchSize: 16,
-		Workers:   4,
 		Seed:      1,
 	}
 }
@@ -120,23 +120,28 @@ func TestTrainingImprovesMAPE(t *testing.T) {
 	}
 }
 
+// TestTrainingDeterministicAcrossWorkerCounts: training runs one goroutine
+// per core, and the trained weights are the same bits at every core count.
 func TestTrainingDeterministicAcrossWorkerCounts(t *testing.T) {
-	samples := trainingSamples(60, 5)
-	cfg1 := tinyConfig(x86.Haswell)
-	cfg1.Epochs = 2
-	cfg1.Workers = 1
-	cfg4 := cfg1
-	cfg4.Workers = 4
-
-	m1 := New(cfg1)
-	m4 := New(cfg4)
-	m1.Train(samples, nil)
-	m4.Train(samples, nil)
-
-	b := samples[0].Block
-	p1, p4 := m1.Predict(b), m4.Predict(b)
-	if math.Abs(p1-p4) > 1e-9 {
-		t.Errorf("training must be deterministic across worker counts: %v vs %v", p1, p4)
+	samples := trainingSamples(64, 5)
+	cfg := DefaultConfig(x86.Haswell)
+	cfg.Epochs = 2
+	train := func(procs int) *Model {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		m := New(cfg)
+		m.Train(samples, nil)
+		return m
+	}
+	want := train(1).params()
+	for _, procs := range []int{2, 3} {
+		for i, p := range train(procs).params() {
+			w := want[i]
+			for j := range p.W {
+				if math.Float64bits(p.W[j]) != math.Float64bits(w.W[j]) {
+					t.Fatalf("GOMAXPROCS %d: %s[%d] = %v, GOMAXPROCS 1 trained %v", procs, p.Name, j, p.W[j], w.W[j])
+				}
+			}
+		}
 	}
 }
 

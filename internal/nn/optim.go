@@ -66,13 +66,13 @@ func (a *Adam) Step(grads map[*Param][]float64) {
 	}
 }
 
-// MergeGrads sums worker gradients into dst, visiting parameters and
-// workers in a fixed order so data-parallel training stays bit-for-bit
-// deterministic.
-func MergeGrads(dst map[*Param][]float64, workers []map[*Param][]float64, params []*Param) {
+// MergeGrads sums per-sample gradients into dst, visiting parameters in
+// params order and samples in batch order, so data-parallel training is
+// bit-for-bit the same at any goroutine count.
+func MergeGrads(dst map[*Param][]float64, samples []map[*Param][]float64, params []*Param) {
 	for _, p := range params {
-		for _, w := range workers {
-			g, ok := w[p]
+		for _, sample := range samples {
+			g, ok := sample[p]
 			if !ok {
 				continue
 			}

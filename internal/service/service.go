@@ -100,9 +100,10 @@ import (
 type Config struct {
 	// Base is the default explanation configuration; zero means
 	// core.DefaultConfig. Request ConfigOverrides overlay it. Its
-	// Parallelism is always 1: each explanation samples and queries a
-	// plain model (uica, C, mca, hwsim) on one goroutine (no explanation
-	// byte depends on it). What bounds the CPU depends on the path:
+	// Parallelism is always 1: each explanation samples and queries its
+	// model — Ithemal and remote@ included — on one goroutine (no
+	// explanation byte depends on it). What bounds the CPU depends on
+	// the path:
 	//   - /v1/explain runs one explanation per explain slot;
 	//   - a shard lease holds one slot for up to its workers blocks;
 	//   - a /v1/predict batch fans out over GOMAXPROCS within one slot;
@@ -110,7 +111,8 @@ type Config struct {
 	//     up to its workers blocks (at most MaxConcurrentExplains), run
 	//     beside the slots.
 	// The price of one goroutine is latency on an idle host: a lone
-	// request uses one core where idle ones could share its uica queries.
+	// request uses one core where idle ones could share its uica or
+	// Ithemal queries.
 	Base core.Config
 	// DefaultModel is the model spec used when a request omits "model"
 	// (default "uica").

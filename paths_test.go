@@ -42,7 +42,7 @@ func TestExplanationPathIndependence(t *testing.T) {
 		_ = srv.Shutdown(context.Background())
 	})
 
-	for _, spec := range []string{"c@hsw", "uica@hsw", "mca@hsw"} {
+	for _, spec := range []string{"c@hsw", "uica@hsw", "mca@hsw", pinnedIthemal} {
 		t.Run(spec, func(t *testing.T) {
 			local, err := comet.ResolveModelString(spec)
 			if err != nil {

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/comet-explain/comet"
 	"github.com/comet-explain/comet/internal/bhive"
 	"github.com/comet-explain/comet/internal/hwsim"
 	"github.com/comet-explain/comet/internal/mca"
@@ -30,7 +31,14 @@ var pinnedPredictions = map[string]string{
 	"hwsim@SKL":    "77a623bcfa76a35f",
 	"depchain@SKL": "b4554b7f6a6236f8",
 	"mca@SKL":      "0925d6852d0936f4",
+	// pinnedIthemal, generated with workers=1 appended when training
+	// still took a worker count: the spec names that one-worker model.
+	"ithemal@HSW": "e236cc44b04a112b",
 }
+
+// pinnedIthemal is a small trained Ithemal spec: one whose predictions
+// moved with the training worker count while there was one.
+const pinnedIthemal = "ithemal@hsw?train=200&epochs=4&hidden=8&embed=8"
 
 // pinnedBlocks is a fixed bhive draw followed by Γ draws from its first
 // blocks: 1,500 dataset blocks and 5,000 perturbations.
@@ -56,9 +64,21 @@ func pinnedBlocks(t *testing.T) []*x86.BasicBlock {
 
 // TestPinnedPredictions pins the predictions of the simulation-based and
 // static models — uica, the hardware-grade simulator, its dependency-chain
-// bound, and mca — over pinnedBlocks on both arches.
+// bound, and mca — over pinnedBlocks on both arches, and those of a small
+// trained Ithemal on Haswell.
 func TestPinnedPredictions(t *testing.T) {
 	blocks := pinnedBlocks(t)
+	check := func(key string, preds []float64) {
+		h := sha256.New()
+		var buf [8]byte
+		for _, p := range preds {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(p))
+			h.Write(buf[:])
+		}
+		if got := hex.EncodeToString(h.Sum(nil))[:16]; got != pinnedPredictions[key] {
+			t.Errorf("%s: prediction hash %s, pinned %s", key, got, pinnedPredictions[key])
+		}
+	}
 	for _, arch := range x86.Arches() {
 		hw := hwsim.New(hwsim.HardwareConfig(arch))
 		models := map[string]func(*x86.BasicBlock) float64{
@@ -74,16 +94,18 @@ func TestPinnedPredictions(t *testing.T) {
 			"mca": mca.New(arch).Predict,
 		}
 		for name, predict := range models {
-			h := sha256.New()
-			var buf [8]byte
-			for _, b := range blocks {
-				binary.LittleEndian.PutUint64(buf[:], math.Float64bits(predict(b)))
-				h.Write(buf[:])
+			preds := make([]float64, len(blocks))
+			for i, b := range blocks {
+				preds[i] = predict(b)
 			}
-			key := name + "@" + arch.String()
-			if got := hex.EncodeToString(h.Sum(nil))[:16]; got != pinnedPredictions[key] {
-				t.Errorf("%s: prediction hash %s, pinned %s", key, got, pinnedPredictions[key])
-			}
+			check(name+"@"+arch.String(), preds)
 		}
 	}
+	neural, err := comet.ResolveModelString(pinnedIthemal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// PredictBatch equals Predict bit for bit (the BatchModel contract),
+	// and is the faster way through 6,500 blocks.
+	check("ithemal@HSW", neural.Model.(comet.BatchCostModel).PredictBatch(blocks))
 }

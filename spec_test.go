@@ -127,7 +127,7 @@ func TestCanonicalSpec(t *testing.T) {
 		}
 	}
 	for _, in := range []string{
-		"gpt", "uica@znver4", "uica?hidden=64", "ithemal?banana=1", "remote",
+		"gpt", "uica@znver4", "uica?hidden=64", "ithemal?banana=1", "ithemal?workers=1", "remote",
 	} {
 		if _, err := CanonicalSpec(MustParseModelSpec(in)); err == nil {
 			t.Errorf("CanonicalSpec(%q): expected error", in)
@@ -144,7 +144,7 @@ func TestRegistryRoundTrip(t *testing.T) {
 		"uica":    "uica",
 		"mca":     "mca",
 		"hwsim":   "hwsim",
-		"ithemal": "ithemal?train=40&epochs=1&hidden=8&embed=8&workers=1",
+		"ithemal": "ithemal?train=40&epochs=1&hidden=8&embed=8",
 		// "remote" needs a live backend; its resolution (and its
 		// round-trip equivalence) is covered by TestRemoteEquivalence.
 	}

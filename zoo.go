@@ -49,14 +49,13 @@ func init() {
 			// it as restricted client input.
 			RestrictedParams: []string{"load"},
 			Defaults: map[string]string{
-				"hidden":  "64",   // LSTM hidden width
-				"embed":   "32",   // token embedding dimension
-				"epochs":  "8",    // training epochs
-				"train":   "1500", // synthetic training-set size
-				"seed":    "1",    // weight init / shuffling seed
-				"data":    "42",   // synthetic dataset seed
-				"workers": "0",    // data-parallel training workers (0 = GOMAXPROCS)
-				"load":    "",     // load a saved model from this path instead of training
+				"hidden": "64",   // LSTM hidden width
+				"embed":  "32",   // token embedding dimension
+				"epochs": "8",    // training epochs
+				"train":  "1500", // synthetic training-set size
+				"seed":   "1",    // weight init / shuffling seed
+				"data":   "42",   // synthetic dataset seed
+				"load":   "",     // load a saved model from this path instead of training
 			},
 		},
 	} {
@@ -93,10 +92,7 @@ func newZooModel(spec ModelSpec) (CostModel, float64, error) {
 
 // newIthemalFromSpec loads or trains the neural model per the spec's
 // parameters. Training is the expensive warm-up path: resolve once and
-// share the instance. Trained weights are deterministic for a fixed
-// worker count (workers > 0); the default workers=0 trains with
-// GOMAXPROCS data-parallel workers, trading run-to-run weight stability
-// for speed, exactly like the pre-registry training paths did.
+// share the instance.
 func newIthemalFromSpec(arch Arch, spec ModelSpec) (*IthemalModel, error) {
 	if path := spec.Param("load", ""); path != "" {
 		m, err := LoadIthemalModelFile(path)
@@ -120,9 +116,6 @@ func newIthemalFromSpec(arch Arch, spec ModelSpec) (*IthemalModel, error) {
 		return nil, err
 	}
 	if cfg.Epochs, err = boundedParam(spec, "epochs", cfg.Epochs, 100); err != nil {
-		return nil, err
-	}
-	if cfg.Workers, err = spec.ParamInt("workers", cfg.Workers); err != nil {
 		return nil, err
 	}
 	if cfg.Seed, err = spec.ParamInt64("seed", cfg.Seed); err != nil {
