@@ -1,6 +1,6 @@
 // Benchmarks regenerating (scaled-down instances of) every table and
 // figure in the paper's evaluation, plus micro-benchmarks of the hot
-// components. Each paper benchmark runs one experiment by its
+// components. BenchmarkExperiments runs each experiment by its
 // experiments.AllIDs id; the comet-bench command produces the full-size
 // numbers (see the README's experiment-harness paragraph).
 package comet_test
@@ -21,8 +21,6 @@ func benchParams() experiments.Params {
 	p := experiments.DefaultParams()
 	p.Blocks = 6
 	p.Seeds = 1
-	p.PerSource = 4
-	p.PerCategory = 2
 	p.SweepBlocks = 4
 	p.CoverageSamples = 150
 	p.TrainBlocks = 150
@@ -34,63 +32,26 @@ func benchParams() experiments.Params {
 // benchSession caches the (tiny) trained models across benchmarks.
 var benchSession = experiments.NewSession(benchParams())
 
-func runExperiment(b *testing.B, id string) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		// Fresh session per iteration except for trained models, which are
-		// architecture-level state the paper also reuses across tables.
-		s := experiments.NewSession(benchParams())
-		if id == "table3" || id == "fig2" || id == "fig3" || id == "fig4" || id == "cases" {
-			s = benchSession
-		}
-		if _, err := s.Run(id); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkExperiments regenerates every table and figure, one
+// sub-benchmark per experiments.AllIDs id.
+func BenchmarkExperiments(b *testing.B) {
+	for _, id := range experiments.AllIDs() {
+		b.Run(id, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				// Fresh session per iteration except for trained models,
+				// which are architecture-level state the paper also reuses
+				// across tables.
+				s := experiments.NewSession(benchParams())
+				if id == "table3" || id == "fig2" || id == "fig3" || id == "fig4" || id == "cases" {
+					s = benchSession
+				}
+				if _, err := s.Run(id); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
-
-// BenchmarkTable2AccuracyHaswell regenerates Table 2 (explanation accuracy
-// of COMET vs the random/fixed baselines over the analytical model C).
-func BenchmarkTable2Accuracy(b *testing.B) { runExperiment(b, "table2") }
-
-// BenchmarkTable3PrecisionCoverage regenerates Table 3 (average precision
-// and coverage of explanations for Ithemal and uiCA on HSW and SKL).
-func BenchmarkTable3PrecisionCoverage(b *testing.B) { runExperiment(b, "table3") }
-
-// BenchmarkFigure2Granularity regenerates Figure 2 (MAPE vs explanation
-// feature granularity on the full test set).
-func BenchmarkFigure2Granularity(b *testing.B) { runExperiment(b, "fig2") }
-
-// BenchmarkFigure3Sources regenerates Figure 3 (the granularity study
-// partitioned by BHive source).
-func BenchmarkFigure3Sources(b *testing.B) { runExperiment(b, "fig3") }
-
-// BenchmarkFigure4Categories regenerates Figure 4 (the granularity study
-// partitioned by BHive category).
-func BenchmarkFigure4Categories(b *testing.B) { runExperiment(b, "fig4") }
-
-// BenchmarkFigure5ThresholdSweep regenerates Figure 5 (accuracy vs the
-// precision threshold 1−δ).
-func BenchmarkFigure5ThresholdSweep(b *testing.B) { runExperiment(b, "fig5") }
-
-// BenchmarkFigure6DeletionSweep regenerates Figure 6 (accuracy vs the
-// instruction-deletion probability p_del).
-func BenchmarkFigure6DeletionSweep(b *testing.B) { runExperiment(b, "fig6") }
-
-// BenchmarkFigure7RetentionSweep regenerates Figure 7 (accuracy and
-// precision vs the explicit dependency-retention probability).
-func BenchmarkFigure7RetentionSweep(b *testing.B) { runExperiment(b, "fig7") }
-
-// BenchmarkFigure8ReplacementScheme regenerates Figure 8 (opcode-only vs
-// whole-instruction replacement).
-func BenchmarkFigure8ReplacementScheme(b *testing.B) { runExperiment(b, "fig8") }
-
-// BenchmarkAppendixFSpaceSize regenerates the Appendix F perturbation-
-// space cardinality estimates.
-func BenchmarkAppendixFSpaceSize(b *testing.B) { runExperiment(b, "appf") }
-
-// BenchmarkCaseStudies regenerates the §6.4 case studies.
-func BenchmarkCaseStudies(b *testing.B) { runExperiment(b, "cases") }
 
 // ---- micro-benchmarks of the hot components ---------------------------------
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math/rand"
 
 	"github.com/comet-explain/comet/internal/analytical"
 	"github.com/comet-explain/comet/internal/bhive"
@@ -16,93 +17,72 @@ import (
 // C's ground truth for one configuration — the machinery behind Table 2
 // and the Appendix E sweeps (Figures 5-8).
 type accuracyRun struct {
-	arch     x86.Arch
-	blocks   []bhive.Block
-	gts      []features.Set
-	probs    map[features.Kind]float64
-	fixedKnd features.Kind
+	arch   x86.Arch
+	blocks []*x86.BasicBlock
+	gts    []features.Set
 }
 
 func newAccuracyRun(p Params, arch x86.Arch, nBlocks int) (*accuracyRun, error) {
-	blocks := bhive.Generate(bhive.Config{
+	r := &accuracyRun{arch: arch, blocks: basicBlocks(bhive.Generate(bhive.Config{
 		N: nBlocks, MinInstrs: 4, MaxInstrs: 10, Seed: p.DatasetSeed, SkipLabels: true,
-	})
+	}))}
 	model := analytical.New(arch)
-	r := &accuracyRun{arch: arch, blocks: blocks}
-	for _, b := range blocks {
-		gt, err := model.GroundTruth(b.Block)
+	for _, b := range r.blocks {
+		gt, err := model.GroundTruth(b)
 		if err != nil {
 			return nil, err
 		}
 		r.gts = append(r.gts, gt)
 	}
-	r.probs = core.KindDistribution(r.gts)
-	r.fixedKnd = core.MostFrequentKind(r.gts)
 	return r, nil
 }
 
-// cometAccuracy runs COMET over the block set with the given config
-// mutator and returns the fraction of accurate explanations; block i
-// runs at core.BlockSeed(seed, i).
-func (r *accuracyRun) cometAccuracy(p Params, seed int64, mutate func(*core.Config)) (float64, error) {
-	model := analytical.New(r.arch)
+// accuracyConfig is the configuration the accuracy studies explain C
+// with: the default search at C's ε, varied by apply when it is set.
+func accuracyConfig(p Params, seed int64, apply func(*core.Config)) core.Config {
 	cfg := core.DefaultConfig()
 	cfg.Epsilon = analytical.Epsilon
 	cfg.CoverageSamples = p.CoverageSamples
 	cfg.Seed = seed
-	if mutate != nil {
-		mutate(&cfg)
+	if apply != nil {
+		apply(&cfg)
 	}
-	blocks := make([]*x86.BasicBlock, len(r.blocks))
-	for i, b := range r.blocks {
-		blocks[i] = b.Block
-	}
-	expls, err := core.NewExplainer(model, cfg).ExplainCorpus(blocks, core.CorpusOptions{})
+	return cfg
+}
+
+// cometAccuracy runs COMET over the block set at accuracyConfig and
+// returns the percentage of accurate explanations; block i runs at
+// core.BlockSeed(seed, i).
+func (r *accuracyRun) cometAccuracy(p Params, seed int64, apply func(*core.Config)) (float64, error) {
+	expls, err := core.NewExplainer(analytical.New(r.arch), accuracyConfig(p, seed, apply)).ExplainCorpus(r.blocks, core.CorpusOptions{})
 	if err != nil {
 		return 0, err
 	}
-	acc := 0
-	for i, expl := range expls {
-		if core.Accurate(expl.Features, r.gts[i]) {
-			acc++
-		}
-	}
-	return 100 * float64(acc) / float64(len(r.blocks)), nil
+	return r.score(func(i int) features.Set { return expls[i].Features }), nil
 }
 
-// randomAccuracy evaluates the random baseline for one seed.
-func (r *accuracyRun) randomAccuracy(seed int64) float64 {
-	rng := newRNG(seed)
-	acc := 0
-	for i, b := range r.blocks {
-		set, err := featuresOf(b.Block)
+// baselineAccuracy scores a baseline that explains each block from its
+// feature set ˆP alone.
+func (r *accuracyRun) baselineAccuracy(explain func(features.Set) features.Set) float64 {
+	return r.score(func(i int) features.Set {
+		feats, err := features.ExtractFromBlock(r.blocks[i], perturb.DefaultConfig().DepOptions)
 		if err != nil {
-			continue
+			return nil
 		}
-		if core.Accurate(core.RandomExplanation(rng, set, r.probs), r.gts[i]) {
-			acc++
-		}
-	}
-	return 100 * float64(acc) / float64(len(r.blocks))
+		return explain(feats)
+	})
 }
 
-// fixedAccuracy evaluates the deterministic fixed baseline.
-func (r *accuracyRun) fixedAccuracy() float64 {
+// score returns the percentage of blocks i whose explanation(i) is
+// accurate against C's ground truth.
+func (r *accuracyRun) score(explanation func(i int) features.Set) float64 {
 	acc := 0
-	for i, b := range r.blocks {
-		set, err := featuresOf(b.Block)
-		if err != nil {
-			continue
-		}
-		if core.Accurate(core.FixedExplanation(set, r.fixedKnd), r.gts[i]) {
+	for i, gt := range r.gts {
+		if core.Accurate(explanation(i), gt) {
 			acc++
 		}
 	}
-	return 100 * float64(acc) / float64(len(r.blocks))
-}
-
-func featuresOf(b *x86.BasicBlock) (features.Set, error) {
-	return features.ExtractFromBlock(b, perturb.DefaultConfig().DepOptions)
+	return 100 * float64(acc) / float64(len(r.gts))
 }
 
 // Table2 reproduces Table 2: explanation accuracy of COMET vs the random
@@ -113,13 +93,14 @@ func (s *Session) Table2() (*Table, error) {
 		ID:     "table2",
 		Title:  "Accuracy of COMET's explanations over the analytical model C",
 		Header: []string{"Explanation", "Acc.(%) over C_HSW", "Acc.(%) over C_SKL"},
+		Rows:   [][]string{{"Random"}, {"Fixed"}, {"COMET"}},
 	}
-	cells := map[string][2]string{}
-	for ai, arch := range x86.Arches() {
+	for _, arch := range x86.Arches() {
 		run, err := newAccuracyRun(p, arch, p.Blocks)
 		if err != nil {
 			return nil, err
 		}
+		probs, fixed := core.KindDistribution(run.gts), core.MostFrequentKind(run.gts)
 		var cometAccs, randAccs []float64
 		for seed := 0; seed < p.Seeds; seed++ {
 			p.logf("table2 %v seed %d/%d...", arch, seed+1, p.Seeds)
@@ -128,19 +109,16 @@ func (s *Session) Table2() (*Table, error) {
 				return nil, err
 			}
 			cometAccs = append(cometAccs, a)
-			randAccs = append(randAccs, run.randomAccuracy(int64(seed+1)))
+			rng := rand.New(rand.NewSource(int64(seed + 1)))
+			randAccs = append(randAccs, run.baselineAccuracy(func(feats features.Set) features.Set {
+				return core.RandomExplanation(rng, feats, probs)
+			}))
 		}
-		set := func(name, val string) {
-			row := cells[name]
-			row[ai] = val
-			cells[name] = row
-		}
-		set("Random", pm(stats.MeanStd(randAccs)))
-		set("Fixed", f2(run.fixedAccuracy()))
-		set("COMET", pm(stats.MeanStd(cometAccs)))
-	}
-	for _, name := range []string{"Random", "Fixed", "COMET"} {
-		t.Rows = append(t.Rows, []string{name, cells[name][0], cells[name][1]})
+		t.Rows[0] = append(t.Rows[0], pm(stats.MeanStd(randAccs)))
+		t.Rows[1] = append(t.Rows[1], f2(run.baselineAccuracy(func(feats features.Set) features.Set {
+			return core.FixedExplanation(feats, fixed)
+		})))
+		t.Rows[2] = append(t.Rows[2], pm(stats.MeanStd(cometAccs)))
 	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("%d blocks (4-10 instrs), %d seeds; paper: 26.56/26.60 random, 72.33/74.0 fixed, 96.90/98.00 COMET", p.Blocks, p.Seeds))

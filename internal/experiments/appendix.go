@@ -1,32 +1,12 @@
 package experiments
 
 import (
-	"fmt"
-
-	"github.com/comet-explain/comet/internal/analytical"
-	"github.com/comet-explain/comet/internal/anchors"
 	"github.com/comet-explain/comet/internal/core"
 	"github.com/comet-explain/comet/internal/costmodel"
 	"github.com/comet-explain/comet/internal/features"
 	"github.com/comet-explain/comet/internal/perturb"
 	"github.com/comet-explain/comet/internal/x86"
 )
-
-func analyticalHSW() costmodel.Model { return analytical.New(x86.Haswell) }
-
-func schemeFromInt(v int) perturb.Scheme {
-	if v == 1 {
-		return perturb.WholeInstruction
-	}
-	return perturb.OpcodeOnly
-}
-
-func boundsFromInt(v int) anchors.BoundKind {
-	if v == 1 {
-		return anchors.HoeffdingBounds
-	}
-	return anchors.KLBounds
-}
 
 // Paper listings used by the case studies and Appendix F.
 const (
@@ -145,40 +125,4 @@ func (s *Session) CaseStudies() (*Table, error) {
 		"paper case 2: Ithemal 23 / uiCA 36 vs actual 39; Ithemal explains with η only, uiCA with {δRAW(3→6), inst4}",
 	)
 	return t, nil
-}
-
-// Run executes one experiment by id ("table2", ..., "appf", "cases").
-func (s *Session) Run(id string) (*Table, error) {
-	switch id {
-	case "table2":
-		return s.Table2()
-	case "table3":
-		return s.Table3()
-	case "fig2":
-		return s.Figure2()
-	case "fig3":
-		return s.Figure3()
-	case "fig4":
-		return s.Figure4()
-	case "fig5":
-		return s.Figure5()
-	case "fig6":
-		return s.Figure6()
-	case "fig7":
-		return s.Figure7()
-	case "fig8":
-		return s.Figure8()
-	case "appf":
-		return s.AppendixF()
-	case "cases":
-		return s.CaseStudies()
-	case "ablate-bounds":
-		return s.AblationBounds()
-	}
-	return nil, fmt.Errorf("experiments: unknown experiment %q (known: %v)", id, AllIDs())
-}
-
-// AllIDs lists every experiment in presentation order.
-func AllIDs() []string {
-	return []string{"table2", "table3", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "appf", "cases", "ablate-bounds"}
 }

@@ -11,9 +11,9 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"strings"
 	"sync"
+	"unicode"
 
 	"github.com/comet-explain/comet"
 	"github.com/comet-explain/comet/internal/bhive"
@@ -33,8 +33,6 @@ import (
 type Params struct {
 	Blocks          int // explanation test-set size
 	Seeds           int // COMET/baseline seeds averaged over
-	PerSource       int // blocks per source partition (Figure 3)
-	PerCategory     int // blocks per category partition (Figure 4)
 	SweepBlocks     int // blocks for the Appendix E sweeps (Figures 5-8)
 	CoverageSamples int // Γ(∅) pool size per explanation
 	TrainBlocks     int // Ithemal training-set size
@@ -49,8 +47,6 @@ func DefaultParams() Params {
 	return Params{
 		Blocks:          24,
 		Seeds:           2,
-		PerSource:       12,
-		PerCategory:     6,
 		SweepBlocks:     20,
 		CoverageSamples: 400,
 		TrainBlocks:     1200,
@@ -65,8 +61,6 @@ func PaperParams() Params {
 	p := DefaultParams()
 	p.Blocks = 200
 	p.Seeds = 5
-	p.PerSource = 100
-	p.PerCategory = 50
 	p.SweepBlocks = 100
 	p.CoverageSamples = 10000
 	p.TrainBlocks = 4000
@@ -94,13 +88,10 @@ type Table struct {
 func (t *Table) Render(w io.Writer) {
 	fmt.Fprintf(w, "== %s: %s ==\n", t.ID, t.Title)
 	widths := make([]int, len(t.Header))
-	for i, h := range t.Header {
-		widths[i] = len(h)
-	}
-	for _, row := range t.Rows {
+	for _, row := range append([][]string{t.Header}, t.Rows...) {
 		for i, cell := range row {
-			if i < len(widths) && len(cell) > widths[i] {
-				widths[i] = len(cell)
+			if i < len(widths) {
+				widths[i] = max(widths[i], displayWidth(cell))
 			}
 		}
 	}
@@ -127,10 +118,57 @@ func (t *Table) Render(w io.Writer) {
 }
 
 func pad(s string, w int) string {
-	if len(s) >= w {
-		return s
+	return s + strings.Repeat(" ", max(0, w-displayWidth(s)))
+}
+
+// displayWidth counts the runes of s that take a column: combining marks
+// (the circumflex of Π̂) sit on the rune before them.
+func displayWidth(s string) int {
+	n := 0
+	for _, r := range s {
+		if !unicode.Is(unicode.Mn, r) {
+			n++
+		}
 	}
-	return s + strings.Repeat(" ", w-len(s))
+	return n
+}
+
+// experimentList is every experiment in presentation order.
+var experimentList = []struct {
+	id  string
+	run func(*Session) (*Table, error)
+}{
+	{"table2", (*Session).Table2},
+	{"table3", (*Session).Table3},
+	{"fig2", (*Session).Figure2},
+	{"fig3", (*Session).Figure3},
+	{"fig4", (*Session).Figure4},
+	{"fig5", (*Session).Figure5},
+	{"fig6", (*Session).Figure6},
+	{"fig7", (*Session).Figure7},
+	{"fig8", (*Session).Figure8},
+	{"appf", (*Session).AppendixF},
+	{"cases", (*Session).CaseStudies},
+	{"ablate-bounds", (*Session).AblationBounds},
+}
+
+// AllIDs lists every experiment in presentation order.
+func AllIDs() []string {
+	ids := make([]string, len(experimentList))
+	for i, e := range experimentList {
+		ids[i] = e.id
+	}
+	return ids
+}
+
+// Run executes one experiment by its AllIDs id.
+func (s *Session) Run(id string) (*Table, error) {
+	for _, e := range experimentList {
+		if e.id == id {
+			return e.run(s)
+		}
+	}
+	return nil, fmt.Errorf("experiments: unknown experiment %q (known: %v)", id, AllIDs())
 }
 
 // Session owns trained models and cached explanation runs. Models
@@ -253,12 +291,7 @@ func (s *Session) explainAll(key string, model costmodel.Model, blocks []bhive.B
 	s.mu.Unlock()
 
 	s.Params.logf("explaining %d blocks with %s/%v...", len(blocks), model.Name(), model.Arch())
-	cfg := s.explainConfig(seed)
-	raw := make([]*x86.BasicBlock, len(blocks))
-	for i, b := range blocks {
-		raw[i] = b.Block
-	}
-	out, err := core.NewExplainer(model, cfg).ExplainCorpus(raw, core.CorpusOptions{})
+	out, err := core.NewExplainer(model, s.explainConfig(seed)).ExplainCorpus(basicBlocks(blocks), core.CorpusOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -289,20 +322,26 @@ func kindPercents(expls []*core.Explanation) (eta, inst, dep float64) {
 	return 100 * eta / n, 100 * inst / n, 100 * dep / n
 }
 
-// mape computes a model's error against the hardware labels of a block set.
+// mapeOf computes a model's error against the hardware labels of a block
+// set, querying it as the explainer does.
 func mapeOf(model costmodel.Model, blocks []bhive.Block) float64 {
-	var preds, actuals []float64
-	for _, b := range blocks {
-		preds = append(preds, model.Predict(b.Block))
-		actuals = append(actuals, b.Throughput[model.Arch()])
+	preds := make([]float64, len(blocks))
+	costmodel.PredictThrough(nil, model, basicBlocks(blocks), 0, 0, preds)
+	actuals := make([]float64, len(blocks))
+	for i, b := range blocks {
+		actuals[i] = b.Throughput[model.Arch()]
 	}
 	return stats.MAPE(preds, actuals)
+}
+
+func basicBlocks(blocks []bhive.Block) []*x86.BasicBlock {
+	out := make([]*x86.BasicBlock, len(blocks))
+	for i, b := range blocks {
+		out[i] = b.Block
+	}
+	return out
 }
 
 func f2(v float64) string    { return fmt.Sprintf("%.2f", v) }
 func f1(v float64) string    { return fmt.Sprintf("%.1f", v) }
 func pm(m, s float64) string { return fmt.Sprintf("%.2f ± %.2f", m, s) }
-
-// newRNG is a tiny helper so every experiment derives independent
-// deterministic randomness.
-func newRNG(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }

@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"unicode"
 
 	"github.com/comet-explain/comet/internal/x86"
 )
@@ -14,8 +15,6 @@ func tinyParams() Params {
 	p := DefaultParams()
 	p.Blocks = 5
 	p.Seeds = 1
-	p.PerSource = 3
-	p.PerCategory = 2
 	p.SweepBlocks = 4
 	p.CoverageSamples = 120
 	p.TrainBlocks = 120
@@ -160,7 +159,7 @@ func TestTableRender(t *testing.T) {
 		ID:     "x",
 		Title:  "demo",
 		Header: []string{"a", "bb"},
-		Rows:   [][]string{{"1", "2"}, {"333", "4"}},
+		Rows:   [][]string{{"1", "2"}, {"333", "4"}, {"β1", "∅"}, {"|Π̂|", "±"}},
 		Notes:  []string{"n"},
 	}
 	var buf bytes.Buffer
@@ -171,6 +170,26 @@ func TestTableRender(t *testing.T) {
 			t.Errorf("rendered table missing %q:\n%s", want, out)
 		}
 	}
+	// The second column starts at one screen column on every line, whatever
+	// bytes the first column's cells take (β, ∅, ± and the combining
+	// circumflex of Π̂ are all one column or less).
+	lines := strings.Split(out, "\n")[1 : len(tab.Rows)+3]
+	for _, line := range lines {
+		last := strings.Fields(line)[1]
+		if col := screenColumns(line[:strings.LastIndex(line, last)]); col != 5 {
+			t.Errorf("second column of %q starts at column %d, want 5:\n%s", line, col, out)
+		}
+	}
+}
+
+func screenColumns(s string) int {
+	n := 0
+	for _, r := range s {
+		if !unicode.Is(unicode.Mn, r) {
+			n++
+		}
+	}
+	return n
 }
 
 func TestSessionCachesIthemal(t *testing.T) {

@@ -132,46 +132,46 @@ func (s *Session) Figure2() (*Table, error) {
 	}, nil
 }
 
-// Figure3 reproduces Figure 3: the granularity study partitioned by BHive
-// source (Clang-like vs OpenBLAS-like blocks).
-func (s *Session) Figure3() (*Table, error) {
-	t := &Table{
-		ID:     "fig3",
-		Title:  "MAPE vs explanation granularity by BHive source partition",
-		Header: append([]string{"Source"}, granularityHeader...),
-	}
-	for _, src := range bhive.Sources() {
-		src := src
-		rows, err := s.granularityRows(func(b bhive.Block) bool { return b.Source == src })
+// partition is one named subset of the shared test set.
+type partition struct {
+	name string
+	keep func(bhive.Block) bool
+}
+
+// partitioned runs the granularity study on each partition of the shared
+// test set, one row per (partition, model) with blocks in it.
+func (s *Session) partitioned(id, title, label string, parts []partition, note string) (*Table, error) {
+	t := &Table{ID: id, Title: title, Header: append([]string{label}, granularityHeader...), Notes: []string{note}}
+	for _, part := range parts {
+		rows, err := s.granularityRows(part.keep)
 		if err != nil {
 			return nil, err
 		}
 		for _, row := range rows {
-			t.Rows = append(t.Rows, append([]string{string(src)}, row...))
+			t.Rows = append(t.Rows, append([]string{part.name}, row...))
 		}
 	}
-	t.Notes = append(t.Notes, "partitions of the shared test set; sample sizes shrink accordingly")
 	return t, nil
+}
+
+// Figure3 reproduces Figure 3: the granularity study partitioned by BHive
+// source (Clang-like vs OpenBLAS-like blocks).
+func (s *Session) Figure3() (*Table, error) {
+	var parts []partition
+	for _, src := range bhive.Sources() {
+		parts = append(parts, partition{string(src), func(b bhive.Block) bool { return b.Source == src }})
+	}
+	return s.partitioned("fig3", "MAPE vs explanation granularity by BHive source partition", "Source",
+		parts, "partitions of the shared test set; sample sizes shrink accordingly")
 }
 
 // Figure4 reproduces Figure 4: the granularity study partitioned by BHive
 // category (Load, Store, Load/Store, Scalar, Vector, Scalar/Vector).
 func (s *Session) Figure4() (*Table, error) {
-	t := &Table{
-		ID:     "fig4",
-		Title:  "MAPE vs explanation granularity by BHive category",
-		Header: append([]string{"Category"}, granularityHeader...),
-	}
+	var parts []partition
 	for _, cat := range bhive.Categories() {
-		cat := cat
-		rows, err := s.granularityRows(func(b bhive.Block) bool { return b.Category == cat })
-		if err != nil {
-			return nil, err
-		}
-		for _, row := range rows {
-			t.Rows = append(t.Rows, append([]string{cat.String()}, row...))
-		}
+		parts = append(parts, partition{cat.String(), func(b bhive.Block) bool { return b.Category == cat }})
 	}
-	t.Notes = append(t.Notes, "partitions of the shared test set; sparse categories may be absent")
-	return t, nil
+	return s.partitioned("fig4", "MAPE vs explanation granularity by BHive category", "Category",
+		parts, "partitions of the shared test set; sparse categories may be absent")
 }

@@ -18,7 +18,6 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
-	"sync"
 
 	"github.com/comet-explain/comet/internal/costmodel"
 	"github.com/comet-explain/comet/internal/nn"
@@ -263,18 +262,23 @@ func (m *Model) Train(samples []Sample, progress func(epoch int, loss float64)) 
 }
 
 // trainBatch computes and applies one batch update, returning the mean
-// normalized loss of the batch. Samples run on GOMAXPROCS goroutines, but
-// each keeps its gradients at its batch position and they are summed in
-// batch order, so the goroutine count changes no bit of the update.
+// normalized loss of the batch. Samples run on GOMAXPROCS goroutines, and
+// each sample's gradients join the batch total in batch order as soon as
+// every earlier sample's have, so the goroutine count changes no bit of
+// the update and about two gradient maps per goroutine are alive at once.
 func (m *Model) trainBatch(opt *nn.Adam, params []*nn.Param, samples []Sample, batch []int) float64 {
-	grads := make([]map[*nn.Param][]float64, len(batch))
-	losses := make([]float64, len(batch))
+	type result struct {
+		grads map[*nn.Param][]float64
+		loss  float64
+	}
+	// Goroutine w runs samples w, w+workers, ... and hands each over on
+	// its own channel, so receiving sample k from out[k%workers] merges in
+	// batch order.
 	workers := min(runtime.GOMAXPROCS(0), len(batch))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
+	out := make([]chan result, workers)
+	for w := range out {
+		out[w] = make(chan result, 1)
+		go func() {
 			for k := w; k < len(batch); k += workers {
 				s := samples[batch[k]]
 				tape := nn.NewTape()
@@ -282,21 +286,20 @@ func (m *Model) trainBatch(opt *nn.Adam, params []*nn.Param, samples []Sample, b
 				scale := 1 / (1 + s.Throughput)
 				loss := tape.MeanSquaredError(tape.ScaleConst(pred, scale), []float64{s.Throughput * scale})
 				tape.Backward(loss)
-				grads[k], losses[k] = tape.Grads, loss.Scalar()
+				out[w] <- result{tape.Grads, loss.Scalar()}
 			}
-		}(w)
+		}()
 	}
-	wg.Wait()
 
 	total := make(map[*nn.Param][]float64)
-	nn.MergeGrads(total, grads, params)
+	loss := 0.0
+	for k := range batch {
+		r := <-out[k%workers]
+		nn.MergeGrads(total, []map[*nn.Param][]float64{r.grads}, params)
+		loss += r.loss
+	}
 	nn.ScaleGrads(total, 1/float64(len(batch)))
 	opt.Step(total)
-
-	loss := 0.0
-	for _, l := range losses {
-		loss += l
-	}
 	return loss / float64(len(batch))
 }
 

@@ -39,8 +39,8 @@ func isUploadContentType(ct string) bool {
 //
 //	POST /v1/corpus?model=uica&arch=hsw&workers=4&stream=true&seed=1&coverage=1000
 //
-// seed, coverage, epsilon, threshold and batch are the fields of the
-// config overrides a JSON request carries inline.
+// seed, coverage, epsilon and threshold are the fields of the config
+// overrides a JSON request carries inline.
 //
 // Extraction is deterministic, so uploading a binary and running
 // `comet -corpus elf:...` with the same model and config produce

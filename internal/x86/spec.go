@@ -208,14 +208,6 @@ func tVec(acc Access, sizes []int, same int) OpTemplate {
 	return OpTemplate{Kinds: []OperandKind{KindReg}, Sizes: sizes, Access: acc, SameSizeAs: same, VecOnly: true}
 }
 
-func tVM(acc Access, regSizes, memSizes []int, same int) OpTemplate {
-	// Vector reg-or-mem template. regSizes and memSizes are merged: the
-	// kind check plus Form.Match size checks keep them consistent enough
-	// for this subset (scalar mem widths only occur with KindMem).
-	sizes := append(append([]int{}, regSizes...), memSizes...)
-	return OpTemplate{Kinds: []OperandKind{KindReg, KindMem}, Sizes: sizes, Access: acc, SameSizeAs: same, VecOnly: true}
-}
-
 func tAddr() OpTemplate {
 	return OpTemplate{Kinds: []OperandKind{KindAddr}, Access: AccR, SameSizeAs: -1}
 }

@@ -28,11 +28,7 @@ import (
 
 func TestExplanationPathIndependence(t *testing.T) {
 	const seed = 7
-	ds := bhive.Generate(bhive.Config{N: 4, MinInstrs: 2, MaxInstrs: 5, Seed: 23, SkipLabels: true})
-	texts := make([]string, len(ds))
-	for i, d := range ds {
-		texts[i] = d.Block.String()
-	}
+	short := bhive.Config{N: 4, MinInstrs: 2, MaxInstrs: 5, Seed: 23, SkipLabels: true}
 
 	srv := service.New(service.Config{})
 	srv.SetReady()
@@ -42,7 +38,26 @@ func TestExplanationPathIndependence(t *testing.T) {
 		_ = srv.Shutdown(context.Background())
 	})
 
-	for _, spec := range []string{"c@hsw", "uica@hsw", "mca@hsw", pinnedIthemal} {
+	for _, tc := range []struct {
+		spec       string
+		blocks     bhive.Config
+		epsilon    float64 // 0: the spec's own ε
+		minQueries int     // some explanation takes more queries than this
+	}{
+		{"c@hsw", short, 0, 0},
+		{"uica@hsw", short, 0, 0},
+		{"mca@hsw", short, 0, 0},
+		// At its own ε of 0.5 the pinned Ithemal certifies each block in
+		// one round of 51 queries; 4-10 instructions at ε 0.05 take the
+		// search through several rounds.
+		{pinnedIthemal, bhive.Config{N: 4, MinInstrs: 4, MaxInstrs: 10, Seed: 7, SkipLabels: true}, 0.05, 51},
+	} {
+		spec := tc.spec
+		ds := bhive.Generate(tc.blocks)
+		texts := make([]string, len(ds))
+		for i, d := range ds {
+			texts[i] = d.Block.String()
+		}
 		t.Run(spec, func(t *testing.T) {
 			local, err := comet.ResolveModelString(spec)
 			if err != nil {
@@ -50,6 +65,9 @@ func TestExplanationPathIndependence(t *testing.T) {
 			}
 			cfg := comet.DefaultConfig()
 			cfg.Epsilon = local.Epsilon
+			if tc.epsilon != 0 {
+				cfg.Epsilon = tc.epsilon
+			}
 			cfg.CoverageSamples = 200
 			cfg.Seed = seed
 			snap := wire.SnapshotConfig(core.ApplyOptions(cfg))
@@ -74,6 +92,13 @@ func TestExplanationPathIndependence(t *testing.T) {
 				return out
 			}
 			want := explainAll(local.Model, cfg.BatchSize, 1)
+			maxQueries := 0
+			for _, e := range want {
+				maxQueries = max(maxQueries, e.Queries)
+			}
+			if maxQueries <= tc.minQueries {
+				t.Errorf("the most queries any explanation took is %d, want more than %d", maxQueries, tc.minQueries)
+			}
 
 			// Batch size only groups cache misses into model calls: from a
 			// fresh cache, even the accounting fields must match.
