@@ -146,19 +146,24 @@ func BenchmarkIthemalPredict(b *testing.B) {
 
 // BenchmarkExplainAnalytical measures a full COMET explanation against the
 // cheap analytical model (search + sampling cost without model cost).
+// queries/op, like every explain benchmark's, is the mean query count.
 func BenchmarkExplainAnalytical(b *testing.B) {
 	block := comet.MustParseBlock("mov rax, rbx\ndiv rcx\nadd rsi, rdi")
 	model := comet.NewAnalyticalModel(comet.Haswell)
 	cfg := comet.DefaultConfig()
 	cfg.Epsilon = comet.AnalyticalEpsilon
 	cfg.CoverageSamples = 300
+	queries := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = int64(i + 1)
-		if _, err := comet.NewExplainer(model, cfg).Explain(block); err != nil {
+		e, err := comet.NewExplainer(model, cfg).Explain(block)
+		if err != nil {
 			b.Fatal(err)
 		}
+		queries += e.Queries
 	}
+	b.ReportMetric(float64(queries)/float64(b.N), "queries/op")
 }
 
 // BenchmarkExplainUICA measures a full explanation against the simulator.
@@ -175,13 +180,17 @@ func benchExplainUICA(b *testing.B, parallelism int) {
 	cfg := comet.DefaultConfig()
 	cfg.CoverageSamples = 300
 	cfg.Parallelism = parallelism
+	queries := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = int64(i + 1)
-		if _, err := comet.NewExplainer(model, cfg).Explain(block); err != nil {
+		e, err := comet.NewExplainer(model, cfg).Explain(block)
+		if err != nil {
 			b.Fatal(err)
 		}
+		queries += e.Queries
 	}
+	b.ReportMetric(float64(queries)/float64(b.N), "queries/op")
 }
 
 // BenchmarkExplainIthemal measures one explanation of the neural model,

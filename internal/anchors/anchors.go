@@ -1,9 +1,10 @@
 // Package anchors implements the beam-search anchor construction of
 // Ribeiro et al. (2018), adapted to COMET's optimization problem (eq. 7 of
 // the paper): among feature sets F ⊆ ˆP with Prec(F) ≥ 1−δ, return the one
-// with maximum coverage. Precision is certified with the KL-LUCB
-// confidence bounds of Kaufmann & Kalyanakrishnan (2013); coverage is
-// estimated empirically on a shared pool of unconstrained perturbations.
+// with maximum coverage. Precision is certified with the KL confidence
+// bounds of Kaufmann & Kalyanakrishnan (2013) at the union-bound level
+// of stats.CertLevel; coverage is estimated empirically on a shared pool
+// of unconstrained perturbations.
 //
 // The package is deliberately independent of basic blocks: a Space exposes
 // candidate features as integer indices plus precision sampling and
@@ -17,6 +18,12 @@ import (
 
 	"github.com/comet-explain/comet/internal/stats"
 )
+
+// CertRule names the rule Search certifies an anchor by: KL (or
+// Hoeffding) bounds at the union-bound level stats.CertLevel. Explanation
+// stores hash it into their keys, so records certified by an earlier rule
+// miss and are recomputed rather than served.
+const CertRule = "union-zeta1.1"
 
 // Space abstracts the domain the anchor search runs over.
 type Space interface {
@@ -44,10 +51,12 @@ const (
 )
 
 // Options tunes the search. Zero values are replaced by defaults matching
-// the paper's setup ("default hyperparameters in the Anchor algorithm").
+// the paper's setup ("default hyperparameters in the Anchor algorithm");
+// only the certification level departs from the Anchors reference code
+// (see stats.CertLevel).
 type Options struct {
 	PrecisionThreshold float64 // 1−δ in the paper; default 0.7
-	Delta              float64 // KL-LUCB confidence; default 0.05
+	Delta              float64 // bound on the chance a search certifies an anchor below PrecisionThreshold (stats.CertLevel); default 0.05
 	BeamWidth          int     // beam size; default 2
 	BatchSize          int     // samples per refinement step; default 50
 	MaxSamplesPerCand  int     // sampling cap per candidate; default 2500
@@ -128,10 +137,9 @@ func Search(space Space, opts Options, rng *rand.Rand) Result {
 	}
 
 	var bestFallback *candidate
-	round := 0
 
 	for size := 1; size <= opts.MaxAnchorSize; size++ {
-		anchorsFound := refine(space, opts, rng, beam, &res.Queries, &round)
+		anchorsFound := refine(space, opts, rng, beam, &res.Queries)
 
 		// Track the best-precision candidate as a fallback.
 		for _, c := range beam {
@@ -217,7 +225,7 @@ func Search(space Space, opts Options, rng *rand.Rand) Result {
 // the level's answer; later (lower-coverage) candidates need no further
 // queries. When nothing certifies, every candidate ends up with a
 // precision estimate, which the beam extension uses.
-func refine(space Space, opts Options, rng *rand.Rand, cands []*candidate, queries *int, round *int) []*candidate {
+func refine(space Space, opts Options, rng *rand.Rand, cands []*candidate, queries *int) []*candidate {
 	nArms := len(cands)
 	order := make([]*candidate, len(cands))
 	copy(order, cands)
@@ -234,16 +242,15 @@ func refine(space Space, opts Options, rng *rand.Rand, cands []*candidate, queri
 			}
 			sample(space, rng, c, batchN, queries)
 			c.batches++
-			*round++
-			// Confidence level per Kaufmann & Kalyanakrishnan: union bound
-			// over arms, growing with the candidate's own exploration
-			// rounds.
-			level := stats.Beta(nArms, c.batches, opts.Delta)
-			lb, ub := bounds(opts.Bounds, c.mean(), c.n, level)
-			if lb >= opts.PrecisionThreshold {
+			// Union bound over this level's arms, the candidate's own
+			// rounds and the search's levels (stats.CertLevel), so a
+			// false certificate has probability at most Delta.
+			level := stats.CertLevel(nArms, c.batches, opts.MaxAnchorSize, opts.Delta)
+			certified, rejected := verdict(opts.Bounds, c.mean(), c.n, level, opts.PrecisionThreshold)
+			if certified {
 				return []*candidate{c}
 			}
-			if ub < opts.PrecisionThreshold {
+			if rejected {
 				break
 			}
 		}
@@ -251,15 +258,20 @@ func refine(space Space, opts Options, rng *rand.Rand, cands []*candidate, queri
 	return nil
 }
 
-// bounds computes the (lower, upper) confidence interval for the selected
-// concentration inequality.
-func bounds(kind BoundKind, phat float64, n int, level float64) (lb, ub float64) {
-	switch kind {
-	case HoeffdingBounds:
-		return stats.HoeffdingLowerBound(phat, n, level), stats.HoeffdingUpperBound(phat, n, level)
-	default:
-		return stats.KLLowerBound(phat, n, level), stats.KLUpperBound(phat, n, level)
+// verdict reports whether a candidate of estimate phat over n draws is
+// certified (its lower confidence bound at level clears thr) or rejected
+// (its upper bound falls below thr), under the selected concentration
+// inequality. The lower bound never exceeds phat and the upper bound never
+// falls below it, so only the bound on thr's side of phat can decide.
+func verdict(kind BoundKind, phat float64, n int, level, thr float64) (certified, rejected bool) {
+	lower, upper := stats.KLLowerBound, stats.KLUpperBound
+	if kind == HoeffdingBounds {
+		lower, upper = stats.HoeffdingLowerBound, stats.HoeffdingUpperBound
 	}
+	if phat >= thr {
+		return lower(phat, n, level) >= thr, false
+	}
+	return false, upper(phat, n, level) < thr
 }
 
 func sample(space Space, rng *rand.Rand, c *candidate, n int, queries *int) {

@@ -1,6 +1,7 @@
 package anchors
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -203,4 +204,73 @@ func TestOptionsDefaults(t *testing.T) {
 	if o.PrecisionThreshold != 0.7 || o.BeamWidth != 2 || o.MaxAnchorSize != 4 {
 		t.Errorf("unexpected defaults: %+v", o)
 	}
+}
+
+// flatSpace has arms of one true precision p whatever their features, so
+// every certificate it yields below the threshold is false. A draw costs
+// one Int63.
+type flatSpace struct {
+	k    int
+	succ int64 // P(rng.Int63() < succ) = p
+}
+
+func (s flatSpace) NumFeatures() int { return s.k }
+
+func (s flatSpace) SamplePrecision(rng *rand.Rand, _ []int, n int) int {
+	succ := 0
+	for i := 0; i < n; i++ {
+		if rng.Int63() < s.succ {
+			succ++
+		}
+	}
+	return succ
+}
+
+func (s flatSpace) Coverage(cand []int) float64 { return 1 / float64(1+len(cand)) }
+
+// TestSearchFalseCertificatesStayBelowDelta runs the search on ten arms
+// whose true precision sits just below the 0.7 threshold, so every
+// certificate is false. The number of searches that certify must stay
+// within the Binomial(runs, Delta) 1−1e-3 quantile. Certifying at
+// ln(1/δ) with no union bound (false rates about 0.11, 0.35 and 0.65 at
+// these precisions) or on the point estimate (1.0) fails it. Dropping only
+// the union over arms (at most 0.007) or only the one over rounds (at most
+// 0.016) keeps the rate below δ, so this test cannot catch either. One arm
+// alone stays below δ even at ln(1/δ), hence ten.
+func TestSearchFalseCertificatesStayBelowDelta(t *testing.T) {
+	const (
+		runs  = 100
+		delta = 0.05
+	)
+	allowed := 0
+	for 1-binomialCDF(allowed, runs, delta) > 1e-3 {
+		allowed++
+	}
+	opts := Options{PrecisionThreshold: 0.7, Delta: delta}
+	for _, p := range []float64{0.66, 0.68, 0.69} {
+		space := flatSpace{k: 10, succ: int64(p * (1 << 63))}
+		falseCerts := 0
+		for i := 0; i < runs; i++ {
+			if Search(space, opts, rand.New(rand.NewSource(int64(i)))).Certified {
+				falseCerts++
+			}
+		}
+		if falseCerts > allowed {
+			t.Errorf("p = %.2f: %d of %d searches certified an arm below the threshold; δ = %.2f allows %d",
+				p, falseCerts, runs, delta, allowed)
+		}
+	}
+}
+
+// binomialCDF returns P(X ≤ k) for X ~ Binomial(n, p), summed in log
+// space.
+func binomialCDF(k, n int, p float64) float64 {
+	lgN, _ := math.Lgamma(float64(n + 1))
+	sum := 0.0
+	for i := 0; i <= k; i++ {
+		lgI, _ := math.Lgamma(float64(i + 1))
+		lgR, _ := math.Lgamma(float64(n - i + 1))
+		sum += math.Exp(lgN - lgI - lgR + float64(i)*math.Log(p) + float64(n-i)*math.Log(1-p))
+	}
+	return sum
 }

@@ -13,12 +13,12 @@ import (
 // intended change to an experiment regenerates the hash it moves.
 var pinnedTables = map[string]string{
 	"table2":        "f0893f695b891b5f",
-	"fig2":          "a0a6be929994aafc",
-	"fig3":          "4ca59f9b5500731c",
-	"fig4":          "d3e3405f32d66a67",
+	"fig2":          "6ae8b41cdd9e62b5",
+	"fig3":          "692bc7cf9db5b790",
+	"fig4":          "b8d1bd18bfd65a6a",
 	"fig5":          "fab02f2519197375",
 	"fig6":          "38dd1304926cb729",
-	"fig7":          "f9393c92ad38e62d",
+	"fig7":          "1b6970187cd34c24",
 	"fig8":          "1eaa71039dd06460",
 	"ablate-bounds": "57cf31b599666787",
 }

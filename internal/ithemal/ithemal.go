@@ -295,7 +295,7 @@ func (m *Model) trainBatch(opt *nn.Adam, params []*nn.Param, samples []Sample, b
 	loss := 0.0
 	for k := range batch {
 		r := <-out[k%workers]
-		nn.MergeGrads(total, []map[*nn.Param][]float64{r.grads}, params)
+		nn.AddGrads(total, r.grads, params)
 		loss += r.loss
 	}
 	nn.ScaleGrads(total, 1/float64(len(batch)))

@@ -269,9 +269,10 @@ func TestMergeGradsDeterministic(t *testing.T) {
 	w1 := map[*Param][]float64{p: {1, 2}}
 	w2 := map[*Param][]float64{p: {10, 20}}
 	dst := map[*Param][]float64{}
-	MergeGrads(dst, []map[*Param][]float64{w1, w2}, []*Param{p})
+	AddGrads(dst, w1, []*Param{p})
+	AddGrads(dst, w2, []*Param{p})
 	if dst[p][0] != 11 || dst[p][1] != 22 {
-		t.Errorf("MergeGrads = %v", dst[p])
+		t.Errorf("AddGrads = %v", dst[p])
 	}
 	ScaleGrads(dst, 0.5)
 	if dst[p][0] != 5.5 {

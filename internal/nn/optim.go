@@ -66,24 +66,22 @@ func (a *Adam) Step(grads map[*Param][]float64) {
 	}
 }
 
-// MergeGrads sums per-sample gradients into dst, visiting parameters in
-// params order and samples in batch order, so data-parallel training is
+// AddGrads adds one sample's gradients into dst, visiting parameters in
+// params order. Adding samples in batch order makes data-parallel training
 // bit-for-bit the same at any goroutine count.
-func MergeGrads(dst map[*Param][]float64, samples []map[*Param][]float64, params []*Param) {
+func AddGrads(dst, sample map[*Param][]float64, params []*Param) {
 	for _, p := range params {
-		for _, sample := range samples {
-			g, ok := sample[p]
-			if !ok {
-				continue
-			}
-			d, ok := dst[p]
-			if !ok {
-				d = make([]float64, len(g))
-				dst[p] = d
-			}
-			for i := range g {
-				d[i] += g[i]
-			}
+		g, ok := sample[p]
+		if !ok {
+			continue
+		}
+		d, ok := dst[p]
+		if !ok {
+			d = make([]float64, len(g))
+			dst[p] = d
+		}
+		for i := range g {
+			d[i] += g[i]
 		}
 	}
 }

@@ -7,7 +7,7 @@
 //
 // Gradients flow into per-tape accumulators (Tape.Grads) rather than into
 // the shared parameters, so data-parallel training can run one tape per
-// sample on any number of goroutines over shared weights. MergeGrads sums
+// sample on any number of goroutines over shared weights. AddGrads sums
 // the tapes' gradients in batch order, so the merged gradient — and the
 // trained weights — are the same bits whatever the goroutine count.
 package nn

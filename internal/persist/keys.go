@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 
+	"github.com/comet-explain/comet/internal/anchors"
 	"github.com/comet-explain/comet/internal/core"
 	"github.com/comet-explain/comet/internal/wire"
 )
@@ -23,11 +24,14 @@ import (
 // size: records written before Γ draws were seeded by index hashed a
 // par= field, so they miss and are recomputed under the current sampling
 // rather than served; records hashed with a batch= field likewise miss.
+// It names the certification rule (anchors.CertRule), which no config
+// carries: records certified by the Anchors default level hashed no
+// cert= field, so they miss too.
 func ExplanationID(spec string, cfg wire.ConfigSnapshot, blockText string) wire.ContentID {
 	h := sha256.New()
-	fmt.Fprintf(h, "comet-explanation-v%d|%s|eps=%g|thr=%g|cov=%d|seed=%d|",
+	fmt.Fprintf(h, "comet-explanation-v%d|%s|eps=%g|thr=%g|cov=%d|seed=%d|cert=%s|",
 		wire.RecordVersion, spec,
-		cfg.Epsilon, cfg.PrecisionThreshold, cfg.CoverageSamples, cfg.Seed)
+		cfg.Epsilon, cfg.PrecisionThreshold, cfg.CoverageSamples, cfg.Seed, anchors.CertRule)
 	io.WriteString(h, blockText)
 	var id wire.ContentID
 	h.Sum(id[:0])

@@ -452,8 +452,9 @@ func TestExplanationRoundTrip(t *testing.T) {
 // explanation's key. Their records hold explanations the current
 // sampling does not compute, so a lookup under today's key must miss
 // and the explanation is recomputed rather than served. Builds that
-// hashed the batch size (batch=) wrote keys the current build never
-// looks up either.
+// hashed the batch size (batch=), or certified at the Anchors default
+// level and so hashed no certification rule (cert=), wrote keys the
+// current build never looks up either.
 func TestPerWorkerSamplingRecordsMiss(t *testing.T) {
 	const spec, block = "c@hsw", "add rcx, rax\nmov rdx, rcx"
 	l := mustOpen(t, t.TempDir(), Options{})
@@ -461,6 +462,7 @@ func TestPerWorkerSamplingRecordsMiss(t *testing.T) {
 	for _, format := range []string{
 		"comet-explanation-v%d|%s|eps=%g|thr=%g|cov=%d|batch=64|par=1|seed=%d|%s",
 		"comet-explanation-v%d|%s|eps=%g|thr=%g|cov=%d|batch=64|seed=%d|%s",
+		"comet-explanation-v%d|%s|eps=%g|thr=%g|cov=%d|seed=%d|%s",
 	} {
 		h := sha256.New()
 		fmt.Fprintf(h, format, wire.RecordVersion, spec,
@@ -475,7 +477,7 @@ func TestPerWorkerSamplingRecordsMiss(t *testing.T) {
 		}
 	}
 	if _, ok := LookupExplanation(l, ExplanationID(spec, snap, block)); ok {
-		t.Error("a record keyed with the worker count or batch size was served under the current key")
+		t.Error("a record keyed with the worker count or batch size, or without the certification rule, was served under the current key")
 	}
 }
 

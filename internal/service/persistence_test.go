@@ -372,6 +372,44 @@ func TestBatchSizeKeyedStoreRestores(t *testing.T) {
 	}
 }
 
+// TestPreviousCertificateRecordsRecomputed: builds that certified
+// anchors at the Anchors default level hashed no certification rule into
+// explanation keys. A store they wrote restores, but its record, holding
+// a marker no computation produces, is never served: /v1/explain
+// recomputes the explanation and answers with the bytes of a server
+// without a store.
+func TestPreviousCertificateRecordsRecomputed(t *testing.T) {
+	req := wire.ExplainRequest{Block: testBlock, Model: "counting", Config: fastOverrides()}
+	text := x86.MustParseBlock(testBlock).String()
+	oldKey := sha256.Sum256([]byte(fmt.Sprintf("comet-explanation-v%d|counting@hsw|eps=0.5|thr=0.7|cov=150|seed=1|%s", wire.RecordVersion, text)))
+	store := openTestStore(t, filepath.Join(t.TempDir(), "store"))
+	t.Cleanup(func() { store.Close() })
+	snap := wire.ConfigSnapshot{Epsilon: 0.5, PrecisionThreshold: 0.7, CoverageSamples: 150, Seed: 1}
+	marker := &wire.Explanation{Block: text, Model: "counting", Prediction: 42, Precision: 1, Coverage: 1, Certified: true, Queries: 1}
+	if err := persist.PutExplanation(store, wire.ContentID(oldKey), "counting@hsw", snap, marker); err != nil {
+		t.Fatal(err)
+	}
+	model := &countingModel{inner: costmodel.AsBatch(uica.New(x86.Haswell))}
+	_, ts, sum := startStoreServer(t, store, model)
+	if sum.Explanations != 1 {
+		t.Fatalf("restored %d explanations, want the old record", sum.Explanations)
+	}
+	resp, got := postJSON(t, ts.URL+"/v1/explain", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("explain: %d: %s", resp.StatusCode, got)
+	}
+	if model.calls.Load() == 0 {
+		t.Error("the old record was served without a model query")
+	}
+
+	fresh, freshTS := newTestServer(t, Config{})
+	fresh.RegisterModel("counting", x86.Haswell, &countingModel{inner: costmodel.AsBatch(uica.New(x86.Haswell))}, 0)
+	_, want := postJSON(t, freshTS.URL+"/v1/explain", req)
+	if !bytes.Equal(got, want) {
+		t.Errorf("explanation differs from a server without a store:\n got %s\nwant %s", got, want)
+	}
+}
+
 // TestJobBlocksAreContentAddressedExplanations: a store-backed job
 // persists each explained block as the explanation record its
 // per-block identity names, so /v1/explain at that block's seed is

@@ -91,7 +91,7 @@ func TestKLBoundCoverage(t *testing.T) {
 			}
 		}
 		phat := float64(succ) / float64(n)
-		level := Beta(1, 1, 0.05)
+		level := CertLevel(1, 1, 1, 0.05)
 		if trueP < KLLowerBound(phat, n, level) || trueP > KLUpperBound(phat, n, level) {
 			misses++
 		}
@@ -101,11 +101,35 @@ func TestKLBoundCoverage(t *testing.T) {
 	}
 }
 
-func TestBetaIncreasesWithRounds(t *testing.T) {
-	if !(Beta(5, 10, 0.05) > Beta(5, 1, 0.05)) {
-		t.Error("β must grow with t")
+func TestCertLevelGrowsWithArmsRoundsAndLevels(t *testing.T) {
+	if l := CertLevel(1, 1, 4, 0.05); math.Abs(l-math.Log(10.5845*4/0.05)) > 1e-12 || l > 6.75 {
+		t.Errorf("CertLevel(1, 1, 4, 0.05) = %v, want ln(ζ(1.1)·4/0.05) ≈ 6.74", l)
 	}
-	if !(Beta(50, 10, 0.05) > Beta(5, 10, 0.05)) {
-		t.Error("β must grow with the number of arms")
+	if !(CertLevel(5, 10, 4, 0.05) > CertLevel(5, 1, 4, 0.05)) {
+		t.Error("the level must grow with the round")
+	}
+	if !(CertLevel(50, 10, 4, 0.05) > CertLevel(5, 10, 4, 0.05)) {
+		t.Error("the level must grow with the number of arms")
+	}
+	if !(CertLevel(5, 10, 4, 0.05) > CertLevel(5, 10, 1, 0.05)) {
+		t.Error("the level must grow with the number of levels")
+	}
+	if !(CertLevel(5, 10, 4, 0.01) > CertLevel(5, 10, 4, 0.05)) {
+		t.Error("the level must grow as δ shrinks")
+	}
+}
+
+// TestZeta11RoundsUp: the round weights t^−1.1/zeta11 may sum to at most
+// 1, so zeta11 must not be below ζ(1.1). ζ(1.1) is summed to n−1 and the
+// tail added by Euler–Maclaurin, whose next term is below 1e-12 here.
+func TestZeta11RoundsUp(t *testing.T) {
+	const s, n = 1.1, 1000
+	zeta := 0.0
+	for k := 1; k < n; k++ {
+		zeta += math.Pow(float64(k), -s)
+	}
+	zeta += math.Pow(n, 1-s)/(s-1) + math.Pow(n, -s)/2 + s*math.Pow(n, -s-1)/12
+	if zeta11 < zeta || zeta11-zeta > 1e-4 {
+		t.Errorf("zeta11 = %v, ζ(1.1) = %.8f: want the nearest 4-decimal value above", zeta11, zeta)
 	}
 }
