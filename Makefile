@@ -106,8 +106,9 @@ bench-baseline:
 # Brief native fuzzing of the frame scanner, the binary decoder, the JSON
 # wire types, the x86 machine-code decoder, the Intel-syntax text parser,
 # the dependency access summary against the dependency graph, the
-# model-spec grammar, ELF extraction, durable-store segment recovery and
-# the cometd HTTP handler (every route row, in process), starting from the
+# model-spec grammar, ELF extraction, durable-store segment recovery, the
+# cometd HTTP handler (every route row, in process) and the anchor
+# search's certification verdict against bisected bounds, starting from the
 # committed corpus in internal/wire/testdata/fuzz and each target's in-test
 # seeds.
 # One -fuzz pattern per invocation: go test rejects multiple fuzz targets
@@ -125,6 +126,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzExtractBytes$$' -fuzztime=30s -fuzzminimizetime=2s ./internal/ingest
 	$(GO) test -run='^$$' -fuzz='^FuzzOpenSegment$$' -fuzztime=30s -fuzzminimizetime=2s ./internal/persist
 	$(GO) test -run='^$$' -fuzz='^FuzzHandler$$' -fuzztime=30s -fuzzminimizetime=2s ./internal/service
+	$(GO) test -run='^$$' -fuzz='^FuzzVerdict$$' -fuzztime=30s -fuzzminimizetime=2s ./internal/anchors
 
 # Go line counts, non-test and test, outside the nested perfbench module
 # and the benchmark's build directory: every change reports its net

@@ -1,10 +1,11 @@
 // Package anchors implements the beam-search anchor construction of
 // Ribeiro et al. (2018), adapted to COMET's optimization problem (eq. 7 of
 // the paper): among feature sets F ⊆ ˆP with Prec(F) ≥ 1−δ, return the one
-// with maximum coverage. Precision is certified with the KL confidence
-// bounds of Kaufmann & Kalyanakrishnan (2013) at the union-bound level
-// of stats.CertLevel; coverage is estimated empirically on a shared pool
-// of unconstrained perturbations.
+// with maximum coverage. A candidate's precision is certified when the
+// KL divergence of Kaufmann & Kalyanakrishnan (2013) between its estimate
+// and the threshold, times its draws, reaches the union-bound level of
+// stats.CertLevel; coverage is estimated empirically on a shared pool of
+// unconstrained perturbations.
 //
 // The package is deliberately independent of basic blocks: a Space exposes
 // candidate features as integer indices plus precision sampling and
@@ -19,10 +20,10 @@ import (
 	"github.com/comet-explain/comet/internal/stats"
 )
 
-// CertRule names the rule Search certifies an anchor by: KL (or
-// Hoeffding) bounds at the union-bound level stats.CertLevel. Explanation
-// stores hash it into their keys, so records certified by an earlier rule
-// miss and are recomputed rather than served.
+// CertRule names the rule Search certifies an anchor by: the KL (or
+// Hoeffding) divergence test at the union-bound level stats.CertLevel.
+// Explanation stores hash it into their keys, so records certified by an
+// earlier rule miss and are recomputed rather than served.
 const CertRule = "union-zeta1.1"
 
 // Space abstracts the domain the anchor search runs over.
@@ -38,15 +39,16 @@ type Space interface {
 }
 
 // BoundKind selects the concentration inequality used to certify
-// precision. KL bounds (the paper's choice, via Kaufmann &
-// Kalyanakrishnan 2013) are tighter near 0 and 1; Hoeffding is the
+// precision, as the divergence D(p̂, thr) that n draws must push to the
+// certification level. KL (the paper's choice, via Kaufmann &
+// Kalyanakrishnan 2013) is tighter near 0 and 1; Hoeffding is the
 // classical alternative kept as an ablation hook.
 type BoundKind int
 
 const (
-	// KLBounds uses Chernoff-information (KL) confidence bounds.
+	// KLBounds uses the Bernoulli KL divergence KL(p̂ ‖ thr).
 	KLBounds BoundKind = iota
-	// HoeffdingBounds uses the distribution-free Hoeffding interval.
+	// HoeffdingBounds uses the distribution-free 2(p̂ − thr)².
 	HoeffdingBounds
 )
 
@@ -91,8 +93,7 @@ type Result struct {
 	Anchor    []int   // selected feature indices (sorted)
 	Precision float64 // empirical precision estimate of the anchor
 	Coverage  float64 // empirical coverage of the anchor
-	Certified bool    // whether the KL lower bound cleared the threshold
-	Queries   int     // total precision samples drawn
+	Certified bool    // whether the precision was certified above the threshold
 }
 
 // candidate tracks the sampling state of one feature subset.
@@ -125,9 +126,8 @@ func key(idxs []int) string {
 func Search(space Space, opts Options, rng *rand.Rand) Result {
 	opts = opts.withDefaults()
 	nf := space.NumFeatures()
-	res := Result{}
 	if nf == 0 {
-		return res
+		return Result{}
 	}
 
 	// Level-1 candidates: every singleton.
@@ -139,7 +139,7 @@ func Search(space Space, opts Options, rng *rand.Rand) Result {
 	var bestFallback *candidate
 
 	for size := 1; size <= opts.MaxAnchorSize; size++ {
-		anchorsFound := refine(space, opts, rng, beam, &res.Queries)
+		anchor := refine(space, opts, rng, beam)
 
 		// Track the best-precision candidate as a fallback.
 		for _, c := range beam {
@@ -149,22 +149,15 @@ func Search(space Space, opts Options, rng *rand.Rand) Result {
 			}
 		}
 
-		if len(anchorsFound) > 0 {
+		if anchor != nil {
 			// Coverage shrinks as anchors grow (Π is monotone), so the
 			// first level with a certified anchor holds the maximum-
 			// coverage one.
-			best := anchorsFound[0]
-			for _, c := range anchorsFound[1:] {
-				if c.coverage > best.coverage {
-					best = c
-				}
-			}
 			return Result{
-				Anchor:    append([]int(nil), best.idxs...),
-				Precision: best.mean(),
-				Coverage:  best.coverage,
+				Anchor:    append([]int(nil), anchor.idxs...),
+				Precision: anchor.mean(),
+				Coverage:  anchor.coverage,
 				Certified: true,
-				Queries:   res.Queries,
 			}
 		}
 		if size == opts.MaxAnchorSize {
@@ -209,46 +202,40 @@ func Search(space Space, opts Options, rng *rand.Rand) Result {
 		beam = next
 	}
 
-	if bestFallback != nil {
-		res.Anchor = append([]int(nil), bestFallback.idxs...)
-		res.Precision = bestFallback.mean()
-		res.Coverage = bestFallback.coverage
+	return Result{
+		Anchor:    append([]int(nil), bestFallback.idxs...),
+		Precision: bestFallback.mean(),
+		Coverage:  bestFallback.coverage,
 	}
-	return res
 }
 
 // refine evaluates candidates in coverage-descending order, sampling each
-// with KL-LUCB bounds until it is certified (lower bound clears the
-// threshold), rejected (upper bound falls below it), or its sample budget
-// is exhausted. Because the outer objective is maximum coverage subject to
-// the precision constraint, the first certified candidate in this order is
-// the level's answer; later (lower-coverage) candidates need no further
-// queries. When nothing certifies, every candidate ends up with a
-// precision estimate, which the beam extension uses.
-func refine(space Space, opts Options, rng *rand.Rand, cands []*candidate, queries *int) []*candidate {
-	nArms := len(cands)
+// in rounds until verdict certifies it (its precision is above the
+// threshold at the confidence level), rejects it (below), or its sample
+// budget is exhausted. Because the outer objective is maximum coverage
+// subject to the precision constraint, the first certified candidate in
+// this order is the level's answer, and refine returns it; later
+// (lower-coverage) candidates need no further queries. When nothing
+// certifies it returns nil, and every candidate ends up with a precision
+// estimate, which the beam extension uses.
+func refine(space Space, opts Options, rng *rand.Rand, cands []*candidate) *candidate {
 	order := make([]*candidate, len(cands))
 	copy(order, cands)
 	sort.SliceStable(order, func(i, j int) bool { return order[i].coverage > order[j].coverage })
 
 	for _, c := range order {
-		batchN := opts.BatchSize
-		for {
-			if c.n >= opts.MaxSamplesPerCand {
-				break
-			}
-			if rem := opts.MaxSamplesPerCand - c.n; batchN > rem {
-				batchN = rem
-			}
-			sample(space, rng, c, batchN, queries)
+		for c.n < opts.MaxSamplesPerCand {
+			n := min(opts.BatchSize, opts.MaxSamplesPerCand-c.n)
+			c.succ += space.SamplePrecision(rng, c.idxs, n)
+			c.n += n
 			c.batches++
 			// Union bound over this level's arms, the candidate's own
 			// rounds and the search's levels (stats.CertLevel), so a
 			// false certificate has probability at most Delta.
-			level := stats.CertLevel(nArms, c.batches, opts.MaxAnchorSize, opts.Delta)
+			level := stats.CertLevel(len(cands), c.batches, opts.MaxAnchorSize, opts.Delta)
 			certified, rejected := verdict(opts.Bounds, c.mean(), c.n, level, opts.PrecisionThreshold)
 			if certified {
-				return []*candidate{c}
+				return c
 			}
 			if rejected {
 				break
@@ -259,24 +246,21 @@ func refine(space Space, opts Options, rng *rand.Rand, cands []*candidate, queri
 }
 
 // verdict reports whether a candidate of estimate phat over n draws is
-// certified (its lower confidence bound at level clears thr) or rejected
-// (its upper bound falls below thr), under the selected concentration
-// inequality. The lower bound never exceeds phat and the upper bound never
-// falls below it, so only the bound on thr's side of phat can decide.
+// certified or rejected at confidence level L against the threshold thr.
+// The confidence interval of the selected inequality is
+// {q : n·D(phat, q) ≤ L}, and D(phat, q) grows as q moves away from phat,
+// so the interval's bound on thr's side clears thr exactly when
+// n·D(phat, thr) reaches L: one divergence evaluation decides. The arm
+// certifies when phat ≥ thr and n·D ≥ L (the closed lower bound reaches
+// thr), and is rejected when phat < thr and n·D > L.
 func verdict(kind BoundKind, phat float64, n int, level, thr float64) (certified, rejected bool) {
-	lower, upper := stats.KLLowerBound, stats.KLUpperBound
+	d := stats.KLBern(phat, thr)
 	if kind == HoeffdingBounds {
-		lower, upper = stats.HoeffdingLowerBound, stats.HoeffdingUpperBound
+		d = 2 * (phat - thr) * (phat - thr)
 	}
+	nd := float64(n) * d
 	if phat >= thr {
-		return lower(phat, n, level) >= thr, false
+		return nd >= level, false
 	}
-	return false, upper(phat, n, level) < thr
-}
-
-func sample(space Space, rng *rand.Rand, c *candidate, n int, queries *int) {
-	succ := space.SamplePrecision(rng, c.idxs, n)
-	c.n += n
-	c.succ += succ
-	*queries += n
+	return false, nd > level
 }

@@ -158,6 +158,17 @@ func (cfg Config) withDefaults() Config {
 	return cfg
 }
 
+// Validate reports a normalized config no search can answer: a precision
+// threshold outside (0, 1]. Above 1 no estimate can reach it, so every
+// candidate would be sampled to its cap for an answer that is never
+// certified.
+func (cfg Config) Validate() error {
+	if t := cfg.PrecisionThreshold; !(t > 0 && t <= 1) {
+		return fmt.Errorf("precision threshold %v is outside (0, 1]", t)
+	}
+	return nil
+}
+
 // NewExplainer builds an explainer. The model must be safe for concurrent
 // Predict calls; its queries fan out over cfg.Parallelism workers, each
 // through the model's native batch path when it implements
@@ -225,6 +236,9 @@ func (e *Explainer) explainWith(ctx context.Context, b *x86.BasicBlock, cfg Conf
 	}
 	if cerr := ctx.Err(); cerr != nil {
 		return nil, cerr
+	}
+	if err := cfg.Validate(); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	defer costmodel.RecoverQuery(&err)
 	t0 := time.Now()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -371,6 +372,21 @@ func TestExplainerRejectsInvalidBlock(t *testing.T) {
 	e := NewExplainer(analytical.New(x86.Haswell), testConfig())
 	if _, err := e.Explain(&x86.BasicBlock{}); err == nil {
 		t.Error("expected error for empty block")
+	}
+}
+
+// TestExplainRejectsThresholdOutsideUnitInterval: a precision threshold
+// outside (0, 1] is an error, not a search that can never certify.
+func TestExplainRejectsThresholdOutsideUnitInterval(t *testing.T) {
+	e := NewExplainer(analytical.New(x86.Haswell), testConfig())
+	b := x86.MustParseBlock("add rcx, rax\nmov rdx, rcx")
+	for _, thr := range []float64{1.5, 1 + 1e-9, -0.2, math.NaN(), math.Inf(1)} {
+		if _, err := e.ExplainContext(context.Background(), b, WithPrecisionThreshold(thr)); err == nil {
+			t.Errorf("threshold %v: no error", thr)
+		}
+	}
+	if err := ApplyOptions(testConfig(), WithPrecisionThreshold(1)).Validate(); err != nil {
+		t.Errorf("threshold 1: %v", err)
 	}
 }
 

@@ -130,11 +130,11 @@ func (s *Session) Figure8() (*Table, error) {
 		}, nil, "paper: opcode-only replacement is more accurate")
 }
 
-// AblationBounds compares the KL-LUCB confidence bounds the paper adopts
-// (Kaufmann & Kalyanakrishnan 2013) against classical Hoeffding bounds: at
-// the same budgets, KL bounds certify anchors with fewer samples because
-// they are tighter near p̂ = 1, which translates into equal-or-better
-// accuracy per query. This design-choice ablation has no direct paper
+// AblationBounds compares the KL test the paper adopts (Kaufmann &
+// Kalyanakrishnan 2013), n·KL(p̂ ‖ thr) against the certification level,
+// with the classical Hoeffding test n·2(p̂ − thr)²: at the same budgets,
+// KL certifies anchors with fewer samples because its bounds are tighter
+// near p̂ = 1, which translates into equal-or-better accuracy per query. This design-choice ablation has no direct paper
 // counterpart.
 func (s *Session) AblationBounds() (*Table, error) {
 	return s.sweep("ablate-bounds", "Ablation: KL-LUCB vs Hoeffding precision bounds", "Bounds",

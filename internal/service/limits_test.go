@@ -64,28 +64,37 @@ func TestBlockLengthLimit(t *testing.T) {
 }
 
 // TestCoverageSamplesLimit: a client config asking for a coverage pool
-// over maxCoverageSamples gets 400 wherever it is compiled — explain and
-// corpus JSON, an upload's ?coverage=, a shard's config snapshot — and
-// one at the limit is served.
+// over maxCoverageSamples, or for a precision threshold outside (0, 1],
+// gets 400 wherever it is compiled — explain and corpus JSON, an
+// upload's ?coverage= or ?threshold=, a shard's config snapshot — and one
+// at the limit is served.
 func TestCoverageSamplesLimit(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	s.SetReady()
-	over := &wire.ConfigOverrides{CoverageSamples: maxCoverageSamples + 1}
-	snap := shardConfigFor(t, s, fastOverrides())
-	snap.CoverageSamples = maxCoverageSamples + 1
-	for route, body := range map[string]any{
-		"/v1/explain": wire.ExplainRequest{Block: testBlock, Model: "c", Config: over},
-		"/v1/corpus":  wire.CorpusRequest{Blocks: []string{testBlock}, Model: "c", Config: over},
-		"/v1/shard": wire.ShardRequest{JobID: "job-x", Lease: "job-x/l0", Spec: "c@hsw", Config: snap,
-			Blocks: []wire.ShardBlock{{Index: 0, Block: testBlock}}},
+	for _, bad := range []struct {
+		name   string
+		config wire.ConfigOverrides
+		query  string
+	}{
+		{"coverage", wire.ConfigOverrides{CoverageSamples: maxCoverageSamples + 1}, "?model=c&coverage=10001"},
+		{"threshold", wire.ConfigOverrides{PrecisionThreshold: 1.5}, "?model=c&threshold=1.5"},
 	} {
-		resp, raw := postJSON(t, ts.URL+route, body)
-		wantStatus(t, route, resp, raw, http.StatusBadRequest)
+		over := &bad.config
+		snap := shardConfigFor(t, s, over)
+		for route, body := range map[string]any{
+			"/v1/explain": wire.ExplainRequest{Block: testBlock, Model: "c", Config: over},
+			"/v1/corpus":  wire.CorpusRequest{Blocks: []string{testBlock}, Model: "c", Config: over},
+			"/v1/shard": wire.ShardRequest{JobID: "job-x", Lease: "job-x/l0", Spec: "c@hsw", Config: snap,
+				Blocks: []wire.ShardBlock{{Index: 0, Block: testBlock}}},
+		} {
+			resp, raw := postJSON(t, ts.URL+route, body)
+			wantStatus(t, bad.name+" "+route, resp, raw, http.StatusBadRequest)
+		}
+		resp, raw := uploadBinary(t, ts.URL, bad.query, "application/octet-stream", readFixtureELF(t))
+		wantStatus(t, bad.name+" upload", resp, raw, http.StatusBadRequest)
 	}
-	resp, raw := uploadBinary(t, ts.URL, "?model=c&coverage=10001", "application/octet-stream", readFixtureELF(t))
-	wantStatus(t, "upload", resp, raw, http.StatusBadRequest)
 
-	resp, raw = postJSON(t, ts.URL+"/v1/explain", wire.ExplainRequest{
+	resp, raw := postJSON(t, ts.URL+"/v1/explain", wire.ExplainRequest{
 		Block: testBlock, Model: "c", Config: &wire.ConfigOverrides{CoverageSamples: maxCoverageSamples},
 	})
 	wantStatus(t, "/v1/explain at the limit", resp, raw, http.StatusOK)

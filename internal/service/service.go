@@ -745,10 +745,14 @@ func requestOptions(entry *modelEntry, o *wire.ConfigOverrides) []core.ExplainOp
 const maxCoverageSamples = 10000
 
 // checkConfig answers 400 to a compiled client config whose coverage
-// pool exceeds maxCoverageSamples, or the server's own base if larger.
+// pool exceeds maxCoverageSamples, or the server's own base if larger,
+// or that core.Config.Validate refuses.
 func (s *Server) checkConfig(cfg core.Config) error {
 	if limit := max(maxCoverageSamples, s.cfg.Base.CoverageSamples); cfg.CoverageSamples > limit {
 		return errorf(http.StatusBadRequest, "coverage_samples %d exceeds the limit of %d", cfg.CoverageSamples, limit)
+	}
+	if err := cfg.Validate(); err != nil {
+		return errorf(http.StatusBadRequest, "%v", err)
 	}
 	return nil
 }

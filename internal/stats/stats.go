@@ -1,8 +1,8 @@
 // Package stats provides the statistical utilities COMET builds on:
 // summary statistics (mean, standard deviation, MAPE), the Bernoulli
-// KL divergence, and the KL confidence bounds of Kaufmann &
-// Kalyanakrishnan (2013) that the anchor search uses to certify
-// explanation precision.
+// KL divergence, and the confidence level at which the anchor search
+// compares it to certify explanation precision (the KL test of Kaufmann
+// & Kalyanakrishnan 2013).
 package stats
 
 import "math"
@@ -74,71 +74,6 @@ func KLBern(p, q float64) float64 {
 	return kl
 }
 
-// KLUpperBound returns the largest q ≥ p̂ with n·KL(p̂ ‖ q) ≤ level: the
-// upper confidence bound of the KL-LUCB procedure.
-func KLUpperBound(phat float64, n int, level float64) float64 {
-	if n == 0 {
-		return 1
-	}
-	budget := level / float64(n)
-	lo, hi := phat, 1.0
-	for i := 0; i < 40; i++ {
-		mid := (lo + hi) / 2
-		if KLBern(phat, mid) > budget {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return lo
-}
-
-// KLLowerBound returns the smallest q ≤ p̂ with n·KL(p̂ ‖ q) ≤ level: the
-// lower confidence bound of the KL-LUCB procedure.
-func KLLowerBound(phat float64, n int, level float64) float64 {
-	if n == 0 {
-		return 0
-	}
-	budget := level / float64(n)
-	lo, hi := 0.0, phat
-	for i := 0; i < 40; i++ {
-		mid := (lo + hi) / 2
-		if KLBern(phat, mid) > budget {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return hi
-}
-
-// HoeffdingLowerBound returns the classical Hoeffding lower confidence
-// bound p̂ − sqrt(level / 2n), clamped to [0, 1]. Kept alongside the KL
-// bounds as an ablation: Hoeffding's interval is far looser near p̂ = 1,
-// which is exactly where anchor certification operates.
-func HoeffdingLowerBound(phat float64, n int, level float64) float64 {
-	if n == 0 {
-		return 0
-	}
-	lb := phat - math.Sqrt(level/(2*float64(n)))
-	if lb < 0 {
-		return 0
-	}
-	return lb
-}
-
-// HoeffdingUpperBound returns p̂ + sqrt(level / 2n), clamped to [0, 1].
-func HoeffdingUpperBound(phat float64, n int, level float64) float64 {
-	if n == 0 {
-		return 1
-	}
-	ub := phat + math.Sqrt(level/(2*float64(n)))
-	if ub > 1 {
-		return 1
-	}
-	return ub
-}
-
 // zeta11 is ζ(1.1) = Σ_{t≥1} t^−1.1 = 10.58444…, rounded up so the round
 // weights t^−1.1/zeta11 sum to at most 1.
 const zeta11 = 10.5845
@@ -146,13 +81,15 @@ const zeta11 = 10.5845
 // CertLevel returns the confidence level L = ln(k·ζ(1.1)·t^1.1·levels/δ)
 // at which an anchor search certifies one of k arms of a beam level after
 // the arm's own t-th sampling round, in a search of at most levels beam
-// levels. An arm certifies when its lower bound (KLLowerBound, or the
-// Hoeffding ablation's) at level L clears the precision threshold.
+// levels. An arm of estimate p̂ over n draws certifies against the
+// precision threshold thr when p̂ ≥ thr and n·KL(p̂‖thr) ≥ L, or
+// n·2(p̂−thr)² ≥ L in the Hoeffding ablation: its lower confidence bound
+// at level L then clears thr.
 //
 // The level keeps the search's false-certification probability at most δ.
 // For one arm after a fixed round of n i.i.d. draws, the Chernoff bound
 // gives P(n·KL(p̂‖p) ≥ L and p̂ > p) ≤ e^−L, and Hoeffding's inequality
-// gives the same tail for its interval. Every arm starts with no draws,
+// gives the same tail for n·2(p̂−p)². Every arm starts with no draws,
 // so its estimate uses only draws made after its level's arms were
 // chosen. A union over the k arms, the rounds (weight t^−1.1/ζ(1.1)) and
 // the levels sums to at most δ.
