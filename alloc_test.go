@@ -16,8 +16,10 @@ import (
 // of an explanation on the motivating block: one evaluation of C, uica,
 // the hardware simulator and mca, one batch of C queries, one Γ draw
 // (fresh, and into a warm buffer), one access summary (what a coverage
-// sample tests containment on) and one prediction-cache key. An explanation runs thousands of each,
-// so a new allocation in any of them is a regression. The race
+// sample tests containment on), one batch of uica queries that all hit
+// the prediction cache, and one string cache key. An explanation runs
+// thousands of each, so a new allocation in any of them is a
+// regression. The race
 // detector allocates on its own and randomly drops sync.Pool entries, so
 // the budgets hold only in normal builds.
 func TestQueryPathAllocBudgets(t *testing.T) {
@@ -43,6 +45,8 @@ func TestQueryPathAllocBudgets(t *testing.T) {
 		batch[i] = block
 	}
 	preds := make([]float64, len(batch))
+	cache := costmodel.NewCache(0)
+	costmodel.PredictThrough(cache, uica, batch, len(batch), 1, preds)
 	budgets := []struct {
 		name string
 		max  float64
@@ -54,6 +58,11 @@ func TestQueryPathAllocBudgets(t *testing.T) {
 		// fan-out and no cache key, at any worker count.
 		{"costmodel.PredictThrough/C", 0, func() {
 			costmodel.PredictThrough(nil, model, batch, len(batch), 2, preds)
+		}},
+		// Every block is cached: a key is the digest of text rendered on
+		// the stack, so a batch of hits builds no key string.
+		{"costmodel.PredictThrough/uica", 0, func() {
+			costmodel.PredictThrough(cache, uica, batch, len(batch), 1, preds)
 		}},
 		// The plans, the ready table, the port table and the iteration
 		// ends live on the stack.
@@ -73,7 +82,7 @@ func TestQueryPathAllocBudgets(t *testing.T) {
 		{"perturb.Sample/preserve", 4, func() { p.Sample(rng, keep) }},
 		// A warm buffer: every draw reuses its block, operands and mapping.
 		{"perturb.SampleInto", 0, func() { p.SampleInto(rng, keep, &warm) }},
-		// The key string itself.
+		// The text form Cache.Get and Cache.Put take: the string itself.
 		{"costmodel.BlockKey", 1, func() { _ = costmodel.BlockKey(block) }},
 	}
 	for _, b := range budgets {

@@ -156,7 +156,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "saved model to %s\n", *saveModel)
 		}
 	}
-	if *epsilon > 0 {
+	if *epsilon != 0 {
 		cfg.Epsilon = *epsilon
 	}
 

@@ -159,6 +159,28 @@ func TestSingleBlockStore(t *testing.T) {
 	wantContains(t, "profile", prof, "artifact-store write")
 }
 
+// TestRejectsInvalidSettings: a negative coverage pool or ε exits with
+// the validation error instead of panicking or falling back to the
+// default.
+func TestRejectsInvalidSettings(t *testing.T) {
+	block := filepath.Join(t.TempDir(), "block.s")
+	if err := os.WriteFile(block, []byte("add rcx, rax\nmov rdx, rcx\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for flag, want := range map[string]string{
+		"-coverage-samples": "coverage samples -5 is below 1",
+		"-epsilon":          "epsilon -5 is not finite and positive",
+	} {
+		cmd := exec.Command(os.Args[0], append(append([]string{}, fastArgs...), "-in", block, flag, "-5")...)
+		cmd.Env = append(os.Environ(), cliEnv+"=1")
+		out, err := cmd.CombinedOutput()
+		if err == nil {
+			t.Errorf("comet %s -5 succeeded:\n%s", flag, out)
+		}
+		wantContains(t, flag, string(out), want)
+	}
+}
+
 // startWorkers runs two in-process comet-serve workers for -cluster.
 func startWorkers(t *testing.T) string {
 	t.Helper()

@@ -86,8 +86,8 @@ type (
 	// BatchCostModel is a cost model that answers many queries per
 	// invocation; PredictBatch must agree with Predict exactly.
 	BatchCostModel = costmodel.BatchModel
-	// PredictionCache is the sharded, canonical-block-keyed prediction
-	// cache shared by corpus runs.
+	// PredictionCache is the sharded prediction cache shared by corpus
+	// runs, keyed by the SHA-256 of a block's canonical text.
 	PredictionCache = costmodel.Cache
 	// PredictionCacheStats snapshots cache effectiveness.
 	PredictionCacheStats = costmodel.CacheStats

@@ -229,11 +229,7 @@ func refine(space Space, opts Options, rng *rand.Rand, cands []*candidate) *cand
 			c.succ += space.SamplePrecision(rng, c.idxs, n)
 			c.n += n
 			c.batches++
-			// Union bound over this level's arms, the candidate's own
-			// rounds and the search's levels (stats.CertLevel), so a
-			// false certificate has probability at most Delta.
-			level := stats.CertLevel(len(cands), c.batches, opts.MaxAnchorSize, opts.Delta)
-			certified, rejected := verdict(opts.Bounds, c.mean(), c.n, level, opts.PrecisionThreshold)
+			certified, rejected := judge(opts, len(cands), c)
 			if certified {
 				return c
 			}
@@ -243,6 +239,15 @@ func refine(space Space, opts Options, rng *rand.Rand, cands []*candidate) *cand
 		}
 	}
 	return nil
+}
+
+// judge decides one of k arms of a beam level after its latest round.
+// The level is a union bound over the level's arms, the candidate's own
+// rounds and the search's levels (stats.CertLevel), so a false
+// certificate has probability at most Delta.
+func judge(opts Options, k int, c *candidate) (certified, rejected bool) {
+	level := stats.CertLevel(k, c.batches, opts.MaxAnchorSize, opts.Delta)
+	return verdict(opts.Bounds, c.mean(), c.n, level, opts.PrecisionThreshold)
 }
 
 // verdict reports whether a candidate of estimate phat over n draws is

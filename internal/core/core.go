@@ -16,6 +16,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -158,13 +159,34 @@ func (cfg Config) withDefaults() Config {
 	return cfg
 }
 
-// Validate reports a normalized config no search can answer: a precision
-// threshold outside (0, 1]. Above 1 no estimate can reach it, so every
-// candidate would be sampled to its cap for an answer that is never
-// certified.
+// Validate reports a normalized config no search can answer. Zero still
+// means "default", so each check refuses only a value a caller set:
+//   - a precision threshold outside (0, 1]: above 1 no estimate can
+//     reach it, so every candidate would be sampled to its cap for an
+//     answer that is never certified;
+//   - an ε that is not finite and positive: no prediction lies in the
+//     ball;
+//   - a coverage pool below one sample;
+//   - a negative beam width, round size, per-candidate cap or anchor
+//     size, under which the search panics or never ends;
+//   - a δ outside (0, 1).
 func (cfg Config) Validate() error {
 	if t := cfg.PrecisionThreshold; !(t > 0 && t <= 1) {
 		return fmt.Errorf("precision threshold %v is outside (0, 1]", t)
+	}
+	if e := cfg.Epsilon; !(e > 0) || math.IsInf(e, 1) {
+		return fmt.Errorf("epsilon %v is not finite and positive", e)
+	}
+	if cfg.CoverageSamples < 1 {
+		return fmt.Errorf("coverage samples %d is below 1", cfg.CoverageSamples)
+	}
+	a := cfg.Anchor
+	if min(a.BeamWidth, a.BatchSize, a.MaxSamplesPerCand, a.MaxAnchorSize) < 0 {
+		return fmt.Errorf("anchor beam width %d, batch size %d, samples per candidate %d or anchor size %d is negative",
+			a.BeamWidth, a.BatchSize, a.MaxSamplesPerCand, a.MaxAnchorSize)
+	}
+	if d := a.Delta; d != 0 && !(d > 0 && d < 1) {
+		return fmt.Errorf("delta %v is outside (0, 1)", d)
 	}
 	return nil
 }

@@ -390,4 +390,43 @@ func TestExplainRejectsThresholdOutsideUnitInterval(t *testing.T) {
 	}
 }
 
+// TestExplainRejectsInvalidSettings: a setting no search can answer is
+// an error from Validate and from Explain, never a panic (a negative
+// coverage pool) or a search that does not end (a negative round size).
+// Zero still means the default.
+func TestExplainRejectsInvalidSettings(t *testing.T) {
+	e := NewExplainer(analytical.New(x86.Haswell), testConfig())
+	b := x86.MustParseBlock("add rcx, rax\nmov rdx, rcx")
+	for _, c := range []struct {
+		name string
+		set  ExplainOption
+	}{
+		{"epsilon", WithEpsilon(-0.5)},
+		{"epsilon/nan", WithEpsilon(math.NaN())},
+		{"epsilon/inf", WithEpsilon(math.Inf(1))},
+		{"coverage_samples", WithCoverageSamples(-5)},
+		{"anchor.batch_size", func(c *Config) { c.Anchor.BatchSize = -5 }},
+		{"anchor.max_samples_per_cand", func(c *Config) { c.Anchor.MaxSamplesPerCand = -5 }},
+		{"anchor.beam_width", func(c *Config) { c.Anchor.BeamWidth = -1 }},
+		{"anchor.max_anchor_size", func(c *Config) { c.Anchor.MaxAnchorSize = -1 }},
+		{"anchor.delta", func(c *Config) { c.Anchor.Delta = 1 }},
+		{"anchor.delta/negative", func(c *Config) { c.Anchor.Delta = -0.05 }},
+		{"anchor.delta/nan", func(c *Config) { c.Anchor.Delta = math.NaN() }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			// Validate first: explaining under a value it accepts may
+			// panic or never return.
+			if err := e.EffectiveConfig(c.set).Validate(); err == nil {
+				t.Fatal("Validate accepted it")
+			}
+			if _, err := e.ExplainContext(context.Background(), b, c.set); err == nil {
+				t.Error("Explain accepted it")
+			}
+		})
+	}
+	if err := ApplyOptions(Config{}).Validate(); err != nil {
+		t.Errorf("zero config: %v", err)
+	}
+}
+
 var _ costmodel.Model = (*analytical.Model)(nil)

@@ -1,19 +1,23 @@
 package costmodel
 
 import (
-	"math/bits"
+	"crypto/sha256"
+	"encoding/binary"
 	"sync"
 	"sync/atomic"
 
 	"github.com/comet-explain/comet/internal/x86"
 )
 
-// Cache is a sharded prediction cache keyed by the canonical text of a
-// basic block. Perturbation draws collide constantly — deleting different
-// subsets of a block, or renaming registers back to the same choice,
-// frequently reproduces a block already queried — so a hit skips the model
-// entirely. Cached values are exact previous predictions of a deterministic
-// model, so caching never changes an explanation, only its cost.
+// Cache is a sharded prediction cache keyed by the SHA-256 of a basic
+// block's canonical text (Key). Perturbation draws collide constantly —
+// deleting different subsets of a block, or renaming registers back to
+// the same choice, frequently reproduces a block already queried — so a
+// hit skips the model entirely. Cached values are exact previous
+// predictions of a deterministic model, so caching never changes an
+// explanation, only its cost. An entry holds the 32-byte digest, never
+// the text, and PredictThrough renders each query's text into a stack
+// buffer: no key string is built per query or kept per entry.
 //
 // The cache is safe for concurrent use; sharding keeps lock contention
 // negligible when a corpus run explains many blocks at once.
@@ -27,7 +31,7 @@ type Cache struct {
 
 type cacheShard struct {
 	mu sync.RWMutex
-	m  map[string]float64
+	m  map[Key]float64
 }
 
 const (
@@ -49,7 +53,7 @@ func NewCache(maxEntries int) *Cache {
 	}
 	c := &Cache{shards: make([]cacheShard, cacheShards), maxPerShard: perShard}
 	for i := range c.shards {
-		c.shards[i].m = make(map[string]float64)
+		c.shards[i].m = make(map[Key]float64)
 	}
 	return c
 }
@@ -64,40 +68,40 @@ func NewCacheFor(model Model, maxEntries int) *Cache {
 	return NewCache(maxEntries)
 }
 
-// BlockKey returns the canonical cache key for a block: its rendered
-// instruction text, which is exactly the information a cost model sees.
+// Key identifies a block in the cache: the SHA-256 of its canonical text,
+// which is exactly the information a cost model sees.
+type Key [32]byte
+
+// KeyOf returns the block's Key. The text is rendered into a stack
+// buffer, so a block of up to 512 bytes of text costs no allocation.
+func KeyOf(b *x86.BasicBlock) Key {
+	var buf [512]byte
+	return sha256.Sum256(b.AppendText(buf[:0]))
+}
+
+// BlockKey returns a block's canonical text, the string form of a cache
+// key that Get and Put take: Get(BlockKey(b)) looks up KeyOf(b).
 func BlockKey(b *x86.BasicBlock) string { return b.String() }
 
-// shardHash is a deterministic, allocation-free hash of a cache key that
-// takes eight bytes per step: every miss hashes its key twice (Get, then
-// Put), so a byte-at-a-time hash showed up in profiles. It is fixed rather
-// than randomly seeded (hash/maphash) so that shard assignment, and with
-// it which entries an eviction drops, is the same on every run.
-func shardHash(key string) uint64 {
-	const mul = 0x9e3779b97f4a7c15
-	h := uint64(len(key)) * mul
-	for ; len(key) >= 8; key = key[8:] {
-		w := uint64(key[0]) | uint64(key[1])<<8 | uint64(key[2])<<16 | uint64(key[3])<<24 |
-			uint64(key[4])<<32 | uint64(key[5])<<40 | uint64(key[6])<<48 | uint64(key[7])<<56
-		h = bits.RotateLeft64((h^w)*mul, 31)
-	}
-	var w uint64
-	for i := 0; i < len(key); i++ {
-		w |= uint64(key[i]) << (8 * i)
-	}
-	h = (h ^ w) * mul
-	return h ^ h>>32
-}
+// shardOf picks a key's shard from the digest's first eight bytes. The
+// digest is fixed rather than randomly seeded (hash/maphash), so shard
+// assignment, and with it which entries an eviction drops, is the same
+// on every run.
+func shardOf(k Key) int { return int(binary.LittleEndian.Uint64(k[:8]) % cacheShards) }
 
-func (c *Cache) shard(key string) *cacheShard {
-	return &c.shards[shardHash(key)%cacheShards]
-}
+func (c *Cache) shard(k Key) *cacheShard { return &c.shards[shardOf(k)] }
 
-// Get returns the cached prediction for key, if present.
-func (c *Cache) Get(key string) (float64, bool) {
-	s := c.shard(key)
+// Get returns the cached prediction for a block's canonical text
+// (BlockKey), if present.
+func (c *Cache) Get(key string) (float64, bool) { return c.get(sha256.Sum256([]byte(key))) }
+
+// Put stores a prediction under a block's canonical text (BlockKey).
+func (c *Cache) Put(key string, pred float64) { c.put(sha256.Sum256([]byte(key)), pred) }
+
+func (c *Cache) get(k Key) (float64, bool) {
+	s := c.shard(k)
 	s.mu.RLock()
-	v, ok := s.m[key]
+	v, ok := s.m[k]
 	s.mu.RUnlock()
 	if ok {
 		c.hits.Add(1)
@@ -107,16 +111,16 @@ func (c *Cache) Get(key string) (float64, bool) {
 	return v, ok
 }
 
-// Put stores a prediction. Concurrent Puts of the same key are idempotent
+// put stores a prediction. Concurrent puts of the same key are idempotent
 // because predictions are deterministic per block.
-func (c *Cache) Put(key string, pred float64) {
-	s := c.shard(key)
+func (c *Cache) put(k Key, pred float64) {
+	s := c.shard(k)
 	s.mu.Lock()
 	if len(s.m) >= c.maxPerShard {
 		c.evictions.Add(uint64(len(s.m)))
-		s.m = make(map[string]float64)
+		s.m = make(map[Key]float64)
 	}
-	s.m[key] = pred
+	s.m[k] = pred
 	s.mu.Unlock()
 }
 
@@ -194,7 +198,7 @@ func PredictThrough(cache *Cache, model Model, blocks []*x86.BasicBlock, batch, 
 	// indices) instead of per-key []int slices.
 	sc := ptScratchPool.Get().(*predictScratch)
 	defer sc.release()
-	pending := sc.pending // canonical key → most recent slot wanting it
+	pending := sc.pending // block key → most recent slot wanting it
 	if cap(sc.next) < len(blocks) {
 		sc.next = make([]int, len(blocks))
 	}
@@ -202,9 +206,9 @@ func PredictThrough(cache *Cache, model Model, blocks []*x86.BasicBlock, batch, 
 	missKeys := sc.missKeys[:0]
 	missBlocks := sc.missBlocks[:0]
 	for i, b := range blocks {
-		key := BlockKey(b)
+		key := KeyOf(b)
 		if cache != nil {
-			if v, ok := cache.Get(key); ok {
+			if v, ok := cache.get(key); ok {
 				preds[i] = v
 				saved++
 				continue
@@ -228,7 +232,7 @@ func PredictThrough(cache *Cache, model Model, blocks []*x86.BasicBlock, batch, 
 		for j, v := range out {
 			key := missKeys[start+j]
 			if cache != nil {
-				cache.Put(key, v)
+				cache.put(key, v)
 			}
 			for slot := pending[key]; slot >= 0; slot = next[slot] {
 				preds[slot] = v
@@ -240,29 +244,26 @@ func PredictThrough(cache *Cache, model Model, blocks []*x86.BasicBlock, batch, 
 
 // predictScratch is PredictThrough's pooled working state.
 type predictScratch struct {
-	pending    map[string]int
+	pending    map[Key]int
 	next       []int
-	missKeys   []string
+	missKeys   []Key
 	missBlocks []*x86.BasicBlock
 }
 
 var ptScratchPool = sync.Pool{
 	New: func() any {
-		return &predictScratch{pending: make(map[string]int, 64)}
+		return &predictScratch{pending: make(map[Key]int, 64)}
 	},
 }
 
 // release clears pointer-bearing state (so pooled scratch never pins
-// blocks or key strings) and returns the scratch to the pool. Scratch
-// that ballooned on a giant batch is dropped rather than pinned.
+// blocks) and returns the scratch to the pool. Scratch that ballooned on
+// a giant batch is dropped rather than pinned.
 func (sc *predictScratch) release() {
 	if len(sc.pending) > 1<<16 || cap(sc.next) > 1<<20 {
 		return
 	}
 	clear(sc.pending)
-	for i := range sc.missKeys {
-		sc.missKeys[i] = ""
-	}
 	for i := range sc.missBlocks {
 		sc.missBlocks[i] = nil
 	}

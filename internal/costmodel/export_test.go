@@ -1,7 +1,7 @@
 package costmodel
 
-// ShardHash and CacheShards expose the cache's shard choice to the
+// ShardOf and CacheShards expose the cache's shard choice to the
 // external tests.
-var ShardHash = shardHash
+var ShardOf = shardOf
 
 const CacheShards = cacheShards

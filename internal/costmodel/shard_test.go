@@ -1,31 +1,33 @@
 package costmodel_test
 
 import (
+	"crypto/sha256"
 	"testing"
 
 	"github.com/comet-explain/comet/internal/bhive"
 	"github.com/comet-explain/comet/internal/costmodel"
 )
 
-// TestShardHashDeterministicAndSpread pins the cache's shard hash. It
-// must not depend on the process: a randomly seeded hash would make
-// eviction, and so cache-hit counts, differ from run to run. It must also
-// spread real block keys over every shard.
+// TestShardHashDeterministicAndSpread pins the cache's shard choice: the
+// first eight bytes of a key's digest. It must not depend on the
+// process: a randomly seeded hash would make eviction, and so cache-hit
+// counts, differ from run to run. It must also spread real block keys
+// over every shard.
 func TestShardHashDeterministicAndSpread(t *testing.T) {
-	for key, want := range map[string]uint64{
-		"":                                    0,
-		"nop":                                 0xa199bb3b949bc29e,
-		"add rcx, rax\nmov rdx, rcx\npop rbx": 0x5adf3469ef760b36,
+	for text, want := range map[string]int{
+		"":                                    35,
+		"nop":                                 43,
+		"add rcx, rax\nmov rdx, rcx\npop rbx": 49,
 	} {
-		if got := costmodel.ShardHash(key); got != want {
-			t.Errorf("ShardHash(%q) = %#x, want %#x", key, got, want)
+		if got := costmodel.ShardOf(sha256.Sum256([]byte(text))); got != want {
+			t.Errorf("ShardOf(%q) = %d, want %d", text, got, want)
 		}
 	}
 
 	const n = 2000
 	counts := make([]int, costmodel.CacheShards)
 	for _, b := range bhive.Generate(bhive.Config{N: n, Seed: 1, SkipLabels: true}) {
-		counts[costmodel.ShardHash(costmodel.BlockKey(b.Block))%costmodel.CacheShards]++
+		counts[costmodel.ShardOf(costmodel.KeyOf(b.Block))]++
 	}
 	mean := n / costmodel.CacheShards
 	for shard, c := range counts {

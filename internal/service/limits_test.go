@@ -64,10 +64,11 @@ func TestBlockLengthLimit(t *testing.T) {
 }
 
 // TestCoverageSamplesLimit: a client config asking for a coverage pool
-// over maxCoverageSamples, or for a precision threshold outside (0, 1],
-// gets 400 wherever it is compiled — explain and corpus JSON, an
-// upload's ?coverage= or ?threshold=, a shard's config snapshot — and one
-// at the limit is served.
+// over maxCoverageSamples, for a precision threshold outside (0, 1], or
+// for a negative ε, threshold or coverage pool gets 400 wherever it is
+// compiled — explain and corpus JSON, an upload's ?coverage=,
+// ?threshold= or ?epsilon=, a shard's config snapshot — and one at the
+// limit is served.
 func TestCoverageSamplesLimit(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	s.SetReady()
@@ -78,6 +79,9 @@ func TestCoverageSamplesLimit(t *testing.T) {
 	}{
 		{"coverage", wire.ConfigOverrides{CoverageSamples: maxCoverageSamples + 1}, "?model=c&coverage=10001"},
 		{"threshold", wire.ConfigOverrides{PrecisionThreshold: 1.5}, "?model=c&threshold=1.5"},
+		{"negative coverage", wire.ConfigOverrides{CoverageSamples: -5}, "?model=c&coverage=-5"},
+		{"negative threshold", wire.ConfigOverrides{PrecisionThreshold: -0.5}, "?model=c&threshold=-0.5"},
+		{"negative epsilon", wire.ConfigOverrides{Epsilon: -0.5}, "?model=c&epsilon=-0.5"},
 	} {
 		over := &bad.config
 		snap := shardConfigFor(t, s, over)

@@ -307,19 +307,20 @@ type ConfigOverrides struct {
 // Options compiles the non-zero overrides down to the library's
 // per-request functional options — the same ExplainOption values a direct
 // comet.ExplainContext caller would pass, so served explanations and
-// library explanations share one configuration path.
+// library explanations share one configuration path. A negative value is
+// passed on, not dropped, so core.Config.Validate refuses it.
 func (o *ConfigOverrides) Options() []core.ExplainOption {
 	if o == nil {
 		return nil
 	}
 	var opts []core.ExplainOption
-	if o.Epsilon > 0 {
+	if o.Epsilon != 0 {
 		opts = append(opts, core.WithEpsilon(o.Epsilon))
 	}
-	if o.PrecisionThreshold > 0 {
+	if o.PrecisionThreshold != 0 {
 		opts = append(opts, core.WithPrecisionThreshold(o.PrecisionThreshold))
 	}
-	if o.CoverageSamples > 0 {
+	if o.CoverageSamples != 0 {
 		opts = append(opts, core.WithCoverageSamples(o.CoverageSamples))
 	}
 	if o.Seed != 0 {
