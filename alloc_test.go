@@ -16,8 +16,9 @@ import (
 // of an explanation on the motivating block: one evaluation of C, uica,
 // the hardware simulator and mca, one batch of C queries, one Γ draw
 // (fresh, and into a warm buffer), one access summary (what a coverage
-// sample tests containment on), one batch of uica queries that all hit
-// the prediction cache, and one string cache key. An explanation runs
+// sample tests containment on), one dependency edge list, one opcode
+// lookup and form match, one batch of uica queries that all hit the
+// prediction cache, and one string cache key. An explanation runs
 // thousands of each, so a new allocation in any of them is a
 // regression. The race
 // detector allocates on its own and randomly drops sync.Pool entries, so
@@ -35,6 +36,7 @@ func TestQueryPathAllocBudgets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	spec, _ := x86.Lookup(block.Instructions[1].Opcode)
 	rng := rand.New(rand.NewSource(1))
 	feats := p.Features()
 	keep := append(feats.Filter(func(f features.Feature) bool { return f.Kind == features.KindDep })[:1], feats[0])
@@ -76,6 +78,18 @@ func TestQueryPathAllocBudgets(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
+		// Edges into a caller's buffer: the block touches no memory, so
+		// no location key is rendered.
+		{"deps.AppendEdges", 0, func() {
+			var buf [16]deps.Edge
+			if _, err := deps.AppendEdges(buf[:0], block, deps.Options{}); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		// Resolving an instruction: the compiled opcode table and the
+		// form masks.
+		{"x86.Lookup", 0, func() { x86.Lookup(block.Instructions[1].Opcode) }},
+		{"x86.Spec.MatchForm", 0, func() { spec.MatchForm(block.Instructions[1].Operands) }},
 		// The instructions, one operand slice, the index mapping and the
 		// block header.
 		{"perturb.Sample", 4, func() { p.Sample(rng, nil) }},

@@ -57,6 +57,32 @@ func BenchmarkExperiments(b *testing.B) {
 
 var motivating = "add rcx, rax\nmov rdx, rcx\npop rbx"
 
+// bhive7 is a 7-instruction bhive block (bhive.Generate with seed 1 and
+// 7 instructions, block 4). Its 9 edges and 14 operands sit near the
+// corpus means of 6.9 instructions, 9.2 edges and 14.6 operands.
+const bhive7 = `movss xmm7, dword ptr [rax + 120]
+mov rdi, qword ptr [rcx + 104]
+sub eax, eax
+and r8, rax
+and rax, rdx
+mov rsi, qword ptr [rdx + 120]
+sub rdx, 81`
+
+// benchBlock names a block a micro-benchmark runs on.
+type benchBlock struct{ name, text string }
+
+// queryBenchBlocks are the blocks of the per-query micro-benchmarks: the
+// paper's motivating block and a corpus-sized one.
+var queryBenchBlocks = []benchBlock{{"motivating", motivating}, {"bhive7", bhive7}}
+
+// benchBlocks runs fn as one sub-benchmark per block.
+func benchBlocks(b *testing.B, blocks []benchBlock, fn func(b *testing.B, block *comet.BasicBlock)) {
+	for _, bb := range blocks {
+		block := comet.MustParseBlock(bb.text)
+		b.Run(bb.name, func(b *testing.B) { fn(b, block) })
+	}
+}
+
 // BenchmarkPerturbSample measures one Γ draw (the inner loop of every
 // precision estimate).
 func BenchmarkPerturbSample(b *testing.B) {
@@ -76,18 +102,19 @@ func BenchmarkPerturbSample(b *testing.B) {
 // BenchmarkPerturbSampleInto measures one Γ draw into a reused buffer,
 // the way the coverage pool and precision sampling draw.
 func BenchmarkPerturbSampleInto(b *testing.B) {
-	block := comet.MustParseBlock(motivating)
-	p, err := comet.NewPerturber(block, comet.DefaultPerturbConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	var res perturb.Result
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.SampleInto(rng, nil, &res)
-	}
+	benchBlocks(b, queryBenchBlocks, func(b *testing.B, block *comet.BasicBlock) {
+		p, err := comet.NewPerturber(block, comet.DefaultPerturbConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(1))
+		var res perturb.Result
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			p.SampleInto(rng, nil, &res)
+		}
+	})
 }
 
 // BenchmarkUICAPredict measures one query to the simulation-based model.
@@ -123,13 +150,14 @@ func BenchmarkMCAPredict(b *testing.B) {
 
 // BenchmarkAnalyticalPredict measures the analytical model C.
 func BenchmarkAnalyticalPredict(b *testing.B) {
-	block := comet.MustParseBlock(motivating)
-	model := comet.NewAnalyticalModel(comet.Haswell)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = model.Predict(block)
-	}
+	benchBlocks(b, queryBenchBlocks, func(b *testing.B, block *comet.BasicBlock) {
+		model := comet.NewAnalyticalModel(comet.Haswell)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			_ = model.Predict(block)
+		}
+	})
 }
 
 // BenchmarkIthemalPredict measures one neural-model query (the dominant
@@ -312,13 +340,15 @@ func BenchmarkDependencyGraph(b *testing.B) {
 // BenchmarkAccessSummary measures the access summary that answers C's
 // and the coverage pool's dependency questions in place of the graph.
 func BenchmarkAccessSummary(b *testing.B) {
-	block := comet.MustParseBlock(depBenchBlock)
-	var buf [16]deps.InstAccess
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := deps.AppendSummary(buf[:0], block, deps.Options{}); err != nil {
-			b.Fatal(err)
+	blocks := []benchBlock{{"casestudy", depBenchBlock}, {"bhive7", bhive7}}
+	benchBlocks(b, blocks, func(b *testing.B, block *comet.BasicBlock) {
+		var buf [16]deps.InstAccess
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := deps.AppendSummary(buf[:0], block, deps.Options{}); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
 }

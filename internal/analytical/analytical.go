@@ -82,8 +82,10 @@ func (m *Model) Predict(b *x86.BasicBlock) float64 {
 	var instBuf [16]float64
 	inst := instBuf[:0]
 	cost := m.CostEta(b.Len())
-	for i, a := range sum {
-		c := x86.FormThroughput(m.arch, a.Spec, a.Form, b.Instructions[i])
+	for i := range sum {
+		a := &sum[i]
+		loads, stores := a.MemUops()
+		c := x86.UopThroughput(x86.SpecPerf(m.arch, a.Spec, b.Instructions[i]).RThru, loads, stores)
 		inst = append(inst, c)
 		cost = max(cost, c)
 	}

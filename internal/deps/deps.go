@@ -10,18 +10,20 @@
 // are built for every (earlier, later) instruction pair that touches a
 // common location, not only adjacent def-use pairs.
 //
-// Two views of the same access rules serve different callers. The Graph
-// labels and sorts every edge for feature extraction, Γ's carrier plan
-// and ground truth. The Summary holds each instruction's reads and writes
-// as location bit masks plus its one memory location: it answers the
-// multigraph's edge question with mask tests for the coverage pool and
-// model C, and gives the hwsim and mca models their per-instruction
-// locations.
+// Two views of one set of access rules serve different callers. The
+// Summary holds each instruction's reads and writes as location bit masks
+// plus its one memory location, computed in one direct pass over the
+// operands: it answers the multigraph's edge question with mask tests
+// for the coverage pool and model C, and gives the hwsim and mca models
+// their per-instruction locations. The Graph is built from the same
+// masks plus one key per memory location; it labels and sorts every edge
+// for feature extraction, Γ's carrier plan and ground truth.
 package deps
 
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 	"strings"
 
@@ -113,97 +115,6 @@ type Options struct {
 	TrackFlags bool
 }
 
-// access is one read or write of a location, as visitAccesses reports it:
-// a memory location still as its MemRef, so that callers needing only
-// location identity never render a key.
-type access struct {
-	kind  LocKind
-	fam   x86.RegFamily // for LocReg
-	mem   x86.MemRef    // for LocMem
-	write bool
-}
-
-// loc returns the access's Loc, rendering the MemRef.LocKey of a memory
-// location.
-func (a access) loc() Loc {
-	if a.kind == LocMem {
-		return Loc{Kind: LocMem, Mem: a.mem.LocKey()}
-	}
-	return Loc{Kind: a.kind, Fam: a.fam}
-}
-
-// visitAccesses calls visit for every location inst reads or writes, in
-// operand order, then implicit registers, stack and flags, and returns the
-// instruction's spec and matched form. A location may be visited more than
-// once. These are the only rules for what an instruction accesses: the
-// dependency graph and the access summary both take them from here.
-func visitAccesses(inst x86.Instruction, opts Options, visit func(a access)) (*x86.Spec, *x86.Form, error) {
-	spec, ok := inst.Spec()
-	if !ok {
-		return nil, nil, fmt.Errorf("deps: unknown opcode %q", inst.Opcode)
-	}
-	form := spec.MatchForm(inst.Operands)
-	if form == nil {
-		return nil, nil, fmt.Errorf("deps: %s does not match any form", inst)
-	}
-	reg := func(f x86.RegFamily, write bool) {
-		visit(access{kind: LocReg, fam: f, write: write})
-	}
-	addrRegs := func(m x86.MemRef) {
-		if !m.Base.IsZero() {
-			reg(m.Base.Family, false)
-		}
-		if !m.Index.IsZero() {
-			reg(m.Index.Family, false)
-		}
-	}
-	for i, op := range inst.Operands {
-		acc := form.Ops[i].Access
-		switch op.Kind {
-		case x86.KindReg:
-			if acc&x86.AccR != 0 {
-				reg(op.Reg.Family, false)
-			}
-			if acc&x86.AccW != 0 {
-				reg(op.Reg.Family, true)
-			}
-		case x86.KindMem:
-			addrRegs(op.Mem)
-			if acc&x86.AccR != 0 {
-				visit(access{kind: LocMem, mem: op.Mem})
-			}
-			if acc&x86.AccW != 0 {
-				visit(access{kind: LocMem, mem: op.Mem, write: true})
-			}
-		case x86.KindAddr:
-			addrRegs(op.Mem)
-		case x86.KindImm:
-			// no locations
-		}
-	}
-	for _, fam := range spec.ImplicitReads {
-		reg(fam, false)
-	}
-	for _, fam := range spec.ImplicitWrites {
-		reg(fam, true)
-	}
-	if spec.StackRead {
-		visit(access{kind: LocStack})
-	}
-	if spec.StackWrite {
-		visit(access{kind: LocStack, write: true})
-	}
-	if opts.TrackFlags {
-		if spec.ReadsFlags {
-			visit(access{kind: LocFlags})
-		}
-		if spec.WritesFlags {
-			visit(access{kind: LocFlags, write: true})
-		}
-	}
-	return spec, form, nil
-}
-
 // Build constructs the dependency multigraph of a block.
 func Build(b *x86.BasicBlock, opts Options) (*Graph, error) {
 	var buf [64]Edge
@@ -219,59 +130,89 @@ func Build(b *x86.BasicBlock, opts Options) (*Graph, error) {
 }
 
 // AppendEdges appends the block's dependency edges to dst in Build's
-// order and returns the extended slice. Blocks are small and the engine
-// builds a graph per perturbation draw, so the work happens in
-// stack-backed buffers with linear scans: beyond growing dst, the only
-// allocations are one key per memory operand.
+// order and returns the extended slice. It takes each instruction's
+// accesses from its summary entry (AppendSummary), so the two views share
+// one set of access rules. Blocks are small and the engine builds a graph
+// per perturbation draw, so the work happens in stack-backed buffers with
+// linear scans: beyond growing dst, the only allocations are one key per
+// distinct memory location.
 func AppendEdges(dst []Edge, b *x86.BasicBlock, opts Options) ([]Edge, error) {
-	var touchBuf [64]touch
-	var locBuf [32]Loc
-	touches, locs := touchBuf[:0], locBuf[:0]
-	for i, inst := range b.Instructions {
-		_, _, err := visitAccesses(inst, opts, func(a access) {
-			l := a.loc()
-			touches = append(touches, touch{loc: l, idx: i, write: a.write})
-			if !slices.Contains(locs, l) {
-				locs = append(locs, l)
-			}
-		})
-		if err != nil {
-			return dst, fmt.Errorf("instruction %d: %w", i+1, err)
+	var sumBuf [32]InstAccess
+	sum, err := AppendSummary(sumBuf[:0], b, opts)
+	if err != nil {
+		return dst, err
+	}
+	var memBuf [16]memKey
+	mems := memBuf[:0]
+	var touched uint64 // every location bit some instruction accesses
+	for i := range sum {
+		a := &sum[i]
+		touched |= a.Reads | a.Writes
+		if (a.Reads|a.Writes)&MemBit != 0 && !hasMemLoc(mems, a.Mem) {
+			mems = append(mems, memKey{a.Mem, memOperand(&b.Instructions[i]).LocKey()})
 		}
 	}
-	// Deterministic location order for reproducible edge lists.
-	slices.SortFunc(locs, locCmp)
+	// Locations in locCmp order: register families, memory by key, the
+	// stack, then flags.
+	slices.SortFunc(mems, func(a, b memKey) int { return strings.Compare(a.key, b.key) })
 
 	start := len(dst)
 	var evBuf [32]locEvent
-	for _, loc := range locs {
-		// The location's accesses in instruction order, one event per
-		// instruction.
-		evs := evBuf[:0]
-		for _, t := range touches {
-			if t.loc != loc {
-				continue
-			}
-			if len(evs) == 0 || evs[len(evs)-1].idx != t.idx {
-				evs = append(evs, locEvent{idx: t.idx})
-			}
-			if t.write {
-				evs[len(evs)-1].wrts = true
-			} else {
-				evs[len(evs)-1].reads = true
-			}
-		}
-		dst = appendAllPairs(dst, loc, evs)
+	for fams := touched &^ (MemBit | StackBit | FlagsBit); fams != 0; fams &= fams - 1 {
+		fam := x86.RegFamily(bits.TrailingZeros64(fams))
+		dst = appendAllPairs(dst, Loc{Kind: LocReg, Fam: fam}, sum.events(evBuf[:0], 1<<fam, MemLoc{}))
+	}
+	for _, m := range mems {
+		dst = appendAllPairs(dst, Loc{Kind: LocMem, Mem: m.key}, sum.events(evBuf[:0], MemBit, m.loc))
+	}
+	if touched&StackBit != 0 {
+		dst = appendAllPairs(dst, Loc{Kind: LocStack}, sum.events(evBuf[:0], StackBit, MemLoc{}))
+	}
+	if touched&FlagsBit != 0 {
+		dst = appendAllPairs(dst, Loc{Kind: LocFlags}, sum.events(evBuf[:0], FlagsBit, MemLoc{}))
 	}
 	slices.SortFunc(dst[start:], edgeCmp)
 	return dst, nil
 }
 
-// touch records that instruction idx reads or writes location loc.
-type touch struct {
-	loc   Loc
-	idx   int
-	write bool
+// events appends to dst the accesses of one location in instruction
+// order, one event per instruction: the location of bit, and for MemBit
+// the memory location mem.
+func (s Summary) events(dst []locEvent, bit uint64, mem MemLoc) []locEvent {
+	for i := range s {
+		a := &s[i]
+		r, w := a.Reads&bit != 0, a.Writes&bit != 0
+		if (r || w) && (bit != MemBit || a.Mem == mem) {
+			dst = append(dst, locEvent{idx: i, reads: r, wrts: w})
+		}
+	}
+	return dst
+}
+
+// memKey is a memory location and its MemRef.LocKey.
+type memKey struct {
+	loc MemLoc
+	key string
+}
+
+func hasMemLoc(mems []memKey, loc MemLoc) bool {
+	for i := range mems {
+		if mems[i].loc == loc {
+			return true
+		}
+	}
+	return false
+}
+
+// memOperand returns the memory operand of an instruction that accesses
+// memory: a matched form has exactly one.
+func memOperand(inst *x86.Instruction) *x86.MemRef {
+	for i := range inst.Operands {
+		if inst.Operands[i].Kind == x86.KindMem {
+			return &inst.Operands[i].Mem
+		}
+	}
+	panic("deps: memory access without a memory operand")
 }
 
 // locEvent records that one instruction reads and/or writes a location.

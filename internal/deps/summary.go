@@ -2,6 +2,7 @@ package deps
 
 import (
 	"fmt"
+	"math/bits"
 
 	"github.com/comet-explain/comet/internal/x86"
 )
@@ -25,6 +26,14 @@ type InstAccess struct {
 	Mem MemLoc
 }
 
+// MemUops returns how many load and store micro-ops the instruction
+// performs, as x86.MemUops counts them: one per stack access and one per
+// read and write of its memory operand.
+func (a *InstAccess) MemUops() (loads, stores int) {
+	const uops = MemBit | StackBit
+	return bits.OnesCount64(a.Reads & uops), bits.OnesCount64(a.Writes & uops)
+}
+
 // Location bits above the register families. The conversion fails to
 // compile if the family table ever reaches MemBit.
 const (
@@ -43,7 +52,7 @@ type MemLoc struct {
 	disp        int64
 }
 
-func memLocOf(m x86.MemRef) MemLoc {
+func memLocOf(m *x86.MemRef) MemLoc {
 	l := MemLoc{base: m.Base.Family, disp: m.Disp}
 	if !m.Index.IsZero() {
 		l.index, l.scale = m.Index.Family, m.Scale
@@ -52,37 +61,87 @@ func memLocOf(m x86.MemRef) MemLoc {
 }
 
 // AppendSummary appends the access summary of b's instructions to dst
-// and returns the extended slice. It takes its accesses from the same
-// rules as AppendEdges and fails on the same blocks with the same
-// errors; beyond growing dst it does not allocate.
+// and returns the extended slice. AppendEdges takes its accesses from the
+// same entries and fails on the same blocks with the same errors; beyond
+// growing dst AppendSummary does not allocate.
 func AppendSummary(dst Summary, b *x86.BasicBlock, opts Options) (Summary, error) {
-	for i, inst := range b.Instructions {
-		var ia InstAccess
-		spec, form, err := visitAccesses(inst, opts, func(a access) {
-			var bit uint64
-			switch a.kind {
-			case LocReg:
-				bit = 1 << a.fam
-			case LocMem:
-				bit, ia.Mem = MemBit, memLocOf(a.mem)
-			case LocStack:
-				bit = StackBit
-			case LocFlags:
-				bit = FlagsBit
-			}
-			if a.write {
-				ia.Writes |= bit
-			} else {
-				ia.Reads |= bit
-			}
-		})
-		if err != nil {
-			return dst, fmt.Errorf("instruction %d: %w", i+1, err)
+	for i := range b.Instructions {
+		dst = append(dst, InstAccess{})
+		if err := setAccess(&dst[len(dst)-1], &b.Instructions[i], opts); err != nil {
+			return dst[:len(dst)-1], fmt.Errorf("instruction %d: %w", i+1, err)
 		}
-		ia.Spec, ia.Form = spec, form
-		dst = append(dst, ia)
 	}
 	return dst, nil
+}
+
+// setAccess resolves inst's spec and form and sets the zero entry ia to
+// what inst reads and writes: its operands as the form accesses them
+// (the base and index registers of a memory or address operand are
+// reads), its implicit registers, the stack, and the flags when opts
+// tracks them. These are the only rules for what an instruction
+// accesses.
+func setAccess(ia *InstAccess, inst *x86.Instruction, opts Options) error {
+	spec, ok := x86.Lookup(inst.Opcode)
+	if !ok {
+		return fmt.Errorf("deps: unknown opcode %q", inst.Opcode)
+	}
+	form := spec.MatchForm(inst.Operands)
+	if form == nil {
+		return fmt.Errorf("deps: %s does not match any form", *inst)
+	}
+	ia.Spec, ia.Form = spec, form
+	for i := range inst.Operands {
+		op, acc := &inst.Operands[i], form.Ops[i].Access
+		var bit uint64
+		switch op.Kind {
+		case x86.KindReg:
+			bit = 1 << op.Reg.Family
+		case x86.KindMem:
+			ia.Reads |= addrRegs(&op.Mem)
+			bit, ia.Mem = MemBit, memLocOf(&op.Mem)
+		case x86.KindAddr:
+			ia.Reads |= addrRegs(&op.Mem)
+		}
+		if acc&x86.AccR != 0 {
+			ia.Reads |= bit
+		}
+		if acc&x86.AccW != 0 {
+			ia.Writes |= bit
+		}
+	}
+	for _, fam := range spec.ImplicitReads {
+		ia.Reads |= 1 << fam
+	}
+	for _, fam := range spec.ImplicitWrites {
+		ia.Writes |= 1 << fam
+	}
+	if spec.StackRead {
+		ia.Reads |= StackBit
+	}
+	if spec.StackWrite {
+		ia.Writes |= StackBit
+	}
+	if opts.TrackFlags {
+		if spec.ReadsFlags {
+			ia.Reads |= FlagsBit
+		}
+		if spec.WritesFlags {
+			ia.Writes |= FlagsBit
+		}
+	}
+	return nil
+}
+
+// addrRegs returns the bits of the registers an address reads.
+func addrRegs(m *x86.MemRef) uint64 {
+	var regs uint64
+	if !m.Base.IsZero() {
+		regs |= 1 << m.Base.Family
+	}
+	if !m.Index.IsZero() {
+		regs |= 1 << m.Index.Family
+	}
+	return regs
 }
 
 // HasHazard reports whether the block's dependency multigraph has an

@@ -97,8 +97,11 @@ func TestSummaryEdgeCases(t *testing.T) {
 
 // FuzzAccessSummary parses arbitrary Intel-syntax text and, for every
 // block the parser accepts, checks the access summary against the
-// dependency graph. Seeded from bhive blocks; wired into
-// `make fuzz-smoke`.
+// dependency graph. The graph takes its accesses from the summary's
+// masks, so this checks the edge assembly — pairing reads and writes
+// per location, memory locations grouped by key, the all-pairs rule —
+// against the mask tests, and that both resolve and fail alike. Seeded
+// from bhive blocks; wired into `make fuzz-smoke`.
 func FuzzAccessSummary(f *testing.F) {
 	for _, d := range bhive.Generate(bhive.Config{N: 24, MinInstrs: 2, MaxInstrs: 12, Seed: 3, SkipLabels: true}) {
 		f.Add(d.Block.String())
@@ -113,4 +116,34 @@ func FuzzAccessSummary(f *testing.F) {
 			checkSummary(t, b, opts)
 		}
 	})
+}
+
+// TestMemUopsMatchForm checks the summary's load and store counts
+// against x86.MemUops on bhive blocks and their Γ draws.
+func TestMemUopsMatchForm(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, d := range bhive.Generate(bhive.Config{N: 40, MinInstrs: 1, MaxInstrs: 16, Seed: 13, SkipLabels: true}) {
+		p, err := perturb.New(d.Block, perturb.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks := []*x86.BasicBlock{d.Block, x86.MustParseBlock("push rax\npop qword ptr [rsp + 8]\nadd qword ptr [rdi], rax")}
+		for k := 0; k < 20; k++ {
+			blocks = append(blocks, p.Sample(rng, nil).Block)
+		}
+		for _, b := range blocks {
+			sum, err := deps.AppendSummary(nil, b, deps.Options{TrackFlags: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range sum {
+				a := &sum[i]
+				loads, stores := a.MemUops()
+				wl, ws := x86.MemUops(a.Spec, a.Form, b.Instructions[i])
+				if loads != wl || stores != ws {
+					t.Fatalf("%v: MemUops %d/%d, x86.MemUops %d/%d", b.Instructions[i], loads, stores, wl, ws)
+				}
+			}
+		}
+	}
 }

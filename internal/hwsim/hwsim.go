@@ -333,7 +333,7 @@ func (s *Simulator) plan(b *x86.BasicBlock, dst []instPlan) ([]instPlan, bool) {
 	for i, a := range sum {
 		inst, spec := b.Instructions[i], a.Spec
 		perf := x86.SpecPerf(s.cfg.Arch, spec, inst)
-		loads, stores := x86.MemUops(spec, a.Form, inst)
+		loads, stores := a.MemUops()
 		// Pure data movement to or from memory has no ALU uop: a store is
 		// store-data (+ store-address), a load is just the load uop.
 		hasCompute := true

@@ -57,10 +57,10 @@ func (m *Model) Predict(b *x86.BasicBlock) float64 {
 	uops := 0
 	pressure := make([]float64, m.params.NumPorts)
 	lat := make([]float64, len(sum))
-	for i, a := range sum {
-		inst := b.Instructions[i]
-		perf := x86.SpecPerf(m.arch, a.Spec, inst)
-		loads, stores := x86.MemUops(a.Spec, a.Form, inst)
+	for i := range sum {
+		a := &sum[i]
+		perf := x86.SpecPerf(m.arch, a.Spec, b.Instructions[i])
+		loads, stores := a.MemUops()
 		hasCompute := true
 		switch a.Spec.Class {
 		case x86.ClassMov, x86.ClassVecMov, x86.ClassPush, x86.ClassPop:

@@ -107,6 +107,8 @@ type Perturber struct {
 	specs   []*x86.Spec
 	cands   [][]candidate
 	opStart []int
+	// ops holds the original operands, instruction by instruction.
+	ops []x86.Operand
 	// The carrier plan. Side 0 of edge k is its source instruction and
 	// side 1 its destination; carriers[carrierStart[2k+side]:
 	// carrierStart[2k+side+1]] are the slots carrying edge k on that side,
@@ -138,9 +140,14 @@ func New(b *x86.BasicBlock, cfg Config) (*Perturber, error) {
 	}
 	p := &Perturber{cfg: cfg, block: b, graph: g, feats: features.Extract(g)}
 	forms := make([]*x86.Form, 0, b.Len())
+	nops := 0
+	for _, inst := range b.Instructions {
+		nops += len(inst.Operands)
+	}
 	// memKeys holds MemRef.LocKey of every memory operand ("" for other
 	// operands), indexed by opStart[i]+operand.
-	var memKeys []string
+	memKeys := make([]string, 0, nops)
+	p.ops = make([]x86.Operand, 0, nops)
 	p.opStart = make([]int, 0, b.Len()+1)
 	for _, inst := range b.Instructions {
 		spec, _ := inst.Spec() // Validate resolved it
@@ -157,6 +164,7 @@ func New(b *x86.BasicBlock, cfg Config) (*Perturber, error) {
 		}
 		p.cands = append(p.cands, cands)
 		p.opStart = append(p.opStart, len(memKeys))
+		p.ops = append(p.ops, inst.Operands...)
 		for _, o := range inst.Operands {
 			key := ""
 			if o.Kind == x86.KindMem {
@@ -320,11 +328,11 @@ func (p *Perturber) SampleInto(rng *rand.Rand, preserve features.Set, res *Resul
 	// instruction's share capped so it cannot grow into its neighbour's.
 	n := p.block.Len()
 	insts := resize(res.insts, n)
-	ops := resize(res.ops, p.opStart[n])
-	for i, inst := range p.block.Instructions {
+	ops := resize(res.ops, len(p.ops))
+	copy(ops, p.ops)
+	for i := range insts {
 		lo, hi := p.opStart[i], p.opStart[i+1]
-		copy(ops[lo:hi], inst.Operands)
-		insts[i] = x86.Instruction{Opcode: inst.Opcode, Operands: ops[lo:hi:hi]}
+		insts[i] = x86.Instruction{Opcode: p.block.Instructions[i].Opcode, Operands: ops[lo:hi:hi]}
 	}
 
 	sc := p.getScratch()
@@ -356,8 +364,8 @@ func (p *Perturber) SampleInto(rng *rand.Rand, preserve features.Set, res *Resul
 	// retained (locked), passively retained, or slated for breaking. Edges
 	// that carry a preserved feature are always locked.
 	lockedSlots := sc.lockedSlots
-	for k, e := range p.graph.Edges {
-		if slices.Contains(sc.preservedDeps, depKey{e.Src, e.Dst, e.Hazard}) {
+	for k := range p.graph.Edges {
+		if e := &p.graph.Edges[k]; len(sc.preservedDeps) > 0 && slices.Contains(sc.preservedDeps, depKey{e.Src, e.Dst, e.Hazard}) {
 			p.lockEdgeSlots(k, lockedSlots)
 			continue
 		}
@@ -546,7 +554,13 @@ func (p *Perturber) breakEdge(sc *scratch, rng *rand.Rand, insts []x86.Instructi
 // the instruction valid. Reports whether the rename was applied.
 func (p *Perturber) renameSlots(sc *scratch, rng *rand.Rand, insts []x86.Instruction, slots []slot, kind deps.LocKind) bool {
 	idx := slots[0].inst
-	sc.savedOps = append(sc.savedOps[:0], insts[idx].Operands...)
+	// A same-bank rename or a displacement slide keeps every template
+	// test but an exact register's, so the instruction stays valid
+	// unless its opcode pins a register.
+	check := sc.specs[idx].PinsReg()
+	if check {
+		sc.savedOps = append(sc.savedOps[:0], insts[idx].Operands...)
+	}
 
 	switch kind {
 	case deps.LocReg:
@@ -588,7 +602,7 @@ func (p *Perturber) renameSlots(sc *scratch, rng *rand.Rand, insts []x86.Instruc
 		return false
 	}
 
-	if sc.specs[idx].MatchForm(insts[idx].Operands) == nil {
+	if check && sc.specs[idx].MatchForm(insts[idx].Operands) == nil {
 		copy(insts[idx].Operands, sc.savedOps) // e.g. renaming a RequireReg operand
 		return false
 	}

@@ -17,13 +17,13 @@ func (inst Instruction) String() string {
 // AppendText appends String's text ("add rcx, rax") to dst.
 func (inst Instruction) AppendText(dst []byte) []byte {
 	dst = append(dst, inst.Opcode...)
-	for i, o := range inst.Operands {
+	for i := range inst.Operands {
 		if i == 0 {
 			dst = append(dst, ' ')
 		} else {
 			dst = append(dst, ", "...)
 		}
-		dst = o.AppendText(dst)
+		dst = inst.Operands[i].appendText(dst)
 	}
 	return dst
 }
@@ -80,11 +80,11 @@ func (b *BasicBlock) String() string {
 
 // AppendText appends String's text to dst.
 func (b *BasicBlock) AppendText(dst []byte) []byte {
-	for i, inst := range b.Instructions {
+	for i := range b.Instructions {
 		if i > 0 {
 			dst = append(dst, '\n')
 		}
-		dst = inst.AppendText(dst)
+		dst = b.Instructions[i].AppendText(dst)
 	}
 	return dst
 }

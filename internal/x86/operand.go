@@ -75,7 +75,10 @@ func (m MemRef) String() string {
 }
 
 // AppendText appends String's text ("[rbp + rax*4 - 8]") to dst.
-func (m MemRef) AppendText(dst []byte) []byte {
+func (m MemRef) AppendText(dst []byte) []byte { return m.appendText(dst) }
+
+// appendText is AppendText without copying the MemRef.
+func (m *MemRef) appendText(dst []byte) []byte {
 	dst = append(dst, '[')
 	empty := true
 	if !m.Base.IsZero() {
@@ -136,15 +139,6 @@ func NewMem(m MemRef, size int) Operand { return Operand{Kind: KindMem, Mem: m, 
 // NewAddr returns a lea-style effective-address operand.
 func NewAddr(m MemRef) Operand { return Operand{Kind: KindAddr, Mem: m, Size: Size64} }
 
-var sizeQualifier = map[int]string{
-	Size8:   "byte ptr",
-	Size16:  "word ptr",
-	Size32:  "dword ptr",
-	Size64:  "qword ptr",
-	Size128: "xmmword ptr",
-	Size256: "ymmword ptr",
-}
-
 var qualifierSize = map[string]int{
 	"byte":    Size8,
 	"word":    Size16,
@@ -161,24 +155,38 @@ func (o Operand) String() string {
 }
 
 // AppendText appends String's text to dst.
-func (o Operand) AppendText(dst []byte) []byte {
+func (o Operand) AppendText(dst []byte) []byte { return o.appendText(dst) }
+
+// appendText is AppendText without copying the operand.
+func (o *Operand) appendText(dst []byte) []byte {
 	switch o.Kind {
 	case KindReg:
 		return append(dst, o.Reg.String()...)
 	case KindImm:
 		return strconv.AppendInt(dst, o.Imm, 10)
 	case KindMem:
-		if q, ok := sizeQualifier[o.Size]; ok {
-			dst = append(dst, q...)
-		} else {
+		switch o.Size {
+		case Size8:
+			dst = append(dst, "byte ptr"...)
+		case Size16:
+			dst = append(dst, "word ptr"...)
+		case Size32:
+			dst = append(dst, "dword ptr"...)
+		case Size64:
+			dst = append(dst, "qword ptr"...)
+		case Size128:
+			dst = append(dst, "xmmword ptr"...)
+		case Size256:
+			dst = append(dst, "ymmword ptr"...)
+		default:
 			dst = append(dst, "size"...)
 			dst = strconv.AppendInt(dst, int64(o.Size), 10)
 			dst = append(dst, " ptr"...)
 		}
 		dst = append(dst, ' ')
-		return o.Mem.AppendText(dst)
+		return o.Mem.appendText(dst)
 	case KindAddr:
-		return o.Mem.AppendText(dst)
+		return o.Mem.appendText(dst)
 	}
 	return append(dst, "<bad operand>"...)
 }

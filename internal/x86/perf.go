@@ -20,6 +20,9 @@ func (a Arch) String() string {
 	return "arch(?)"
 }
 
+// numArches is the number of supported microarchitectures.
+const numArches = 2
+
 // Arches lists the supported microarchitectures.
 func Arches() []Arch { return []Arch{Haswell, Skylake} }
 
@@ -204,12 +207,32 @@ func opcodePerfOverride(a Arch, opcode string, size int, p Perf) Perf {
 	return p
 }
 
+// perfWidths are the first-operand widths each spec's costs are compiled
+// for: none (no operands) and the six operand widths.
+var perfWidths = [...]int{0, Size8, Size16, Size32, Size64, Size128, Size256}
+
+// perfIndex returns size's index in perfWidths, or -1.
+func perfIndex(size int) int {
+	if size == 0 {
+		return 0
+	}
+	if w := widthIndex(size); w >= 0 {
+		return w + 1
+	}
+	return -1
+}
+
 // SpecPerf returns the compute-uop cost on arch a of an instruction
-// whose spec is already resolved.
+// whose spec is already resolved: the class cost with the opcode's
+// adjustments for the width of its first operand. The cost of a
+// canonical opcode at one of perfWidths is compiled into its spec.
 func SpecPerf(a Arch, spec *Spec, inst Instruction) Perf {
 	size := 0
 	if len(inst.Operands) > 0 {
 		size = inst.Operands[0].Size
+	}
+	if w := perfIndex(size); w >= 0 && uint(a) < numArches && inst.Opcode == spec.Name {
+		return spec.perf[a][w]
 	}
 	return opcodePerfOverride(a, inst.Opcode, size, classPerf(a, spec.Class))
 }
@@ -224,14 +247,14 @@ func InstThroughput(a Arch, inst Instruction) float64 {
 	if !ok {
 		return 1
 	}
-	return FormThroughput(a, spec, spec.MatchForm(inst.Operands), inst)
+	loads, stores := MemUops(spec, spec.MatchForm(inst.Operands), inst)
+	return UopThroughput(SpecPerf(a, spec, inst).RThru, loads, stores)
 }
 
-// FormThroughput is InstThroughput for an instruction whose spec and
-// matched form (nil when none matches) are already resolved.
-func FormThroughput(a Arch, spec *Spec, form *Form, inst Instruction) float64 {
-	t := SpecPerf(a, spec, inst).RThru
-	loads, stores := MemUops(spec, form, inst)
+// UopThroughput is InstThroughput for an instruction whose compute uop
+// has reciprocal throughput rthru, next to its load and store uops.
+func UopThroughput(rthru float64, loads, stores int) float64 {
+	t := rthru
 	// A load or store uop binds one of two (load) / one (store-data) ports.
 	if loads > 0 && float64(loads)*0.5 > t {
 		t = float64(loads) * 0.5

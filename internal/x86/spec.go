@@ -1,7 +1,8 @@
 package x86
 
 import (
-	"sort"
+	"math/bits"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -71,6 +72,94 @@ type OpTemplate struct {
 	RequireReg Reg           // if set, operand must be exactly this register
 	VecOnly    bool          // register must be xmm/ymm
 	GPOnly     bool          // register must be general-purpose
+	// kinds and widths are Kinds, VecOnly, GPOnly and Sizes compiled at
+	// init: an operand fits them when its kindBit and widthBit are set.
+	kinds, widths uint8
+}
+
+// Operand classes as kindBit reports them: the operand kinds, with
+// registers split by bank.
+const (
+	kindGP uint8 = 1 << iota
+	kindVec
+	kindOtherReg
+	kindMem
+	kindImm
+	kindAddr
+
+	kindAnyReg = kindGP | kindVec | kindOtherReg
+)
+
+// kindBit returns o's operand class, 0 for an unknown kind.
+func kindBit(o *Operand) uint8 {
+	switch o.Kind {
+	case KindReg:
+		switch {
+		case o.Reg.IsGP():
+			return kindGP
+		case o.Reg.IsVec():
+			return kindVec
+		}
+		return kindOtherReg
+	case KindMem:
+		return kindMem
+	case KindImm:
+		return kindImm
+	case KindAddr:
+		return kindAddr
+	}
+	return 0
+}
+
+// widthIndex returns the index of an operand width among the six the
+// ISA subset uses, from 0 for Size8 to 5 for Size256, or -1.
+func widthIndex(size int) int {
+	if size < Size8 || size > Size256 || size&(size-1) != 0 {
+		return -1
+	}
+	return bits.TrailingZeros(uint(size)) - 3
+}
+
+// widthOther is widthBit's bit for every width outside the six; no
+// template lists such a width, so only a template that allows any width
+// admits it.
+const widthOther uint8 = 1 << 6
+
+// widthBit returns the bit of an operand width.
+func widthBit(size int) uint8 {
+	if w := widthIndex(size); w >= 0 {
+		return 1 << w
+	}
+	return widthOther
+}
+
+// compile sets the template's masks from its declarative fields.
+func (t *OpTemplate) compile() {
+	for _, k := range t.Kinds {
+		if k != KindReg {
+			t.kinds |= kindBit(&Operand{Kind: k})
+			continue
+		}
+		reg := kindAnyReg
+		if t.VecOnly {
+			reg &= kindVec
+		}
+		if t.GPOnly {
+			reg &= kindGP
+		}
+		t.kinds |= reg
+	}
+	if t.Sizes == nil {
+		t.widths = ^uint8(0)
+		return
+	}
+	for _, size := range t.Sizes {
+		bit := widthBit(size)
+		if bit == widthOther {
+			panic("x86: template lists width " + itoa(size))
+		}
+		t.widths |= bit
+	}
 }
 
 // Form is one legal operand arrangement for an opcode.
@@ -78,33 +167,23 @@ type Form struct {
 	Ops []OpTemplate
 	// Check optionally imposes extra constraints that templates cannot
 	// express (e.g. movzx requires the source narrower than the destination).
+	// It may test operand kinds and widths only (see Spec.PinsReg).
 	Check func(ops []Operand) bool
 }
 
 // Match reports whether the operand list satisfies this form.
-func (f Form) Match(ops []Operand) bool {
+func (f *Form) Match(ops []Operand) bool {
 	if len(ops) != len(f.Ops) {
 		return false
 	}
 	memCount := 0
 	for i := range f.Ops {
 		t, o := &f.Ops[i], &ops[i]
-		if !kindAllowed(t.Kinds, o.Kind) {
+		if t.kinds&kindBit(o) == 0 || t.widths&widthBit(o.Size) == 0 {
 			return false
 		}
 		if o.Kind == KindMem {
 			memCount++
-		}
-		if o.Kind == KindReg {
-			if t.VecOnly && !o.Reg.IsVec() {
-				return false
-			}
-			if t.GPOnly && !o.Reg.IsGP() {
-				return false
-			}
-		}
-		if t.Sizes != nil && !sizeAllowed(t.Sizes, o.Size) {
-			return false
 		}
 		if t.SameSizeAs >= 0 && t.SameSizeAs < len(ops) {
 			want := ops[t.SameSizeAs].Size
@@ -141,6 +220,11 @@ type Spec struct {
 	WritesFlags    bool
 	StackRead      bool // pop-like: reads the stack slot
 	StackWrite     bool // push-like: writes the stack slot
+
+	// Compiled at init: whether a form pins a register, and the
+	// compute-uop cost per architecture and perfWidths index.
+	pinsReg bool
+	perf    [numArches][len(perfWidths)]Perf
 }
 
 // MatchForm returns the first form satisfied by ops, or nil.
@@ -153,23 +237,13 @@ func (s *Spec) MatchForm(ops []Operand) *Form {
 	return nil
 }
 
-func kindAllowed(kinds []OperandKind, k OperandKind) bool {
-	for _, kk := range kinds {
-		if kk == k {
-			return true
-		}
-	}
-	return false
-}
-
-func sizeAllowed(sizes []int, s int) bool {
-	for _, ss := range sizes {
-		if ss == s {
-			return true
-		}
-	}
-	return false
-}
+// PinsReg reports whether some form of the opcode requires an exact
+// register (OpTemplate.RequireReg), like a shift count in cl. Every
+// other template test depends on an operand's kind, bank and width only,
+// so renaming a register within its bank and width, or sliding a
+// displacement, cannot change which forms an operand list of an opcode
+// that pins no register matches.
+func (s *Spec) PinsReg() bool { return s.pinsReg }
 
 // ---- template constructors -------------------------------------------------
 
@@ -292,9 +366,12 @@ func scalarMovForms(memSize []int) []Form {
 
 // ---- the opcode table -------------------------------------------------------
 
-var specTable = buildSpecTable()
+// specs lists every opcode's spec, sorted by name and compiled
+// (compileSpecs); specSlots indexes them by name for Lookup.
+var specs, specSlots = compileSpecs(buildSpecs())
 
-func buildSpecTable() map[string]*Spec {
+// buildSpecs returns the opcode table as declared, uncompiled.
+func buildSpecs() []*Spec {
 	var specs []*Spec
 
 	add := func(s *Spec) { specs = append(specs, s) }
@@ -534,31 +611,96 @@ func buildSpecTable() map[string]*Spec {
 		add(&Spec{Name: op.name, Class: op.class, Forms: avxPackedForms()})
 	}
 
-	table := make(map[string]*Spec, len(specs))
-	for _, s := range specs {
-		table[s.Name] = s
+	return specs
+}
+
+// specSlotCount is the size of Lookup's open-addressing table: a power
+// of two over twice the opcode count, so probes stay short and always
+// reach an empty slot.
+const specSlotCount = 512
+
+// maxOpcodeLen bounds the length of every opcode name; a longer name
+// cannot match without a case fold.
+const maxOpcodeLen = 16
+
+// compileSpecs compiles every template's masks and every spec's pinned
+// registers and costs, sorts the specs by name and builds Lookup's
+// table. It panics on a duplicate or over-long name, or a table too
+// small for the opcodes.
+func compileSpecs(list []*Spec) ([]*Spec, *[specSlotCount]*Spec) {
+	if 2*len(list) > specSlotCount {
+		panic("x86: opcode table over half full")
 	}
-	return table
+	slices.SortFunc(list, func(a, b *Spec) int { return strings.Compare(a.Name, b.Name) })
+	var slots [specSlotCount]*Spec
+	for _, s := range list {
+		if len(s.Name) > maxOpcodeLen {
+			panic("x86: opcode name too long: " + s.Name)
+		}
+		for i := range s.Forms {
+			for j := range s.Forms[i].Ops {
+				t := &s.Forms[i].Ops[j]
+				t.compile()
+				s.pinsReg = s.pinsReg || !t.RequireReg.IsZero()
+			}
+		}
+		for _, a := range Arches() {
+			for w, size := range perfWidths {
+				s.perf[a][w] = opcodePerfOverride(a, s.Name, size, classPerf(a, s.Class))
+			}
+		}
+		i := opcodeSlot(s.Name)
+		for ; slots[i] != nil; i = (i + 1) % specSlotCount {
+			if slots[i].Name == s.Name {
+				panic("x86: duplicate opcode " + s.Name)
+			}
+		}
+		slots[i] = s
+	}
+	return list, &slots
+}
+
+// opcodeSlot returns the slot where Lookup's probe for name starts: the
+// 32-bit FNV-1a hash of the name modulo the table size.
+func opcodeSlot(name string) uint32 {
+	h := uint32(2166136261)
+	for i := 0; i < len(name); i++ {
+		h ^= uint32(name[i])
+		h *= 16777619
+	}
+	return h % specSlotCount
+}
+
+// lookupExact returns the spec named exactly name, or nil. The probe
+// compares names, so colliding hashes only lengthen it.
+func lookupExact(name string) *Spec {
+	if len(name) > maxOpcodeLen {
+		return nil
+	}
+	for i := opcodeSlot(name); ; i = (i + 1) % specSlotCount {
+		if s := specSlots[i]; s == nil || s.Name == name {
+			return s
+		}
+	}
 }
 
 // Lookup returns the spec for an opcode mnemonic, case-insensitively.
 func Lookup(opcode string) (*Spec, bool) {
 	// Canonical opcodes are lower-case: try them as they are before
 	// paying for the case fold.
-	if s, ok := specTable[opcode]; ok {
+	if s := lookupExact(opcode); s != nil {
 		return s, true
 	}
-	s, ok := specTable[strings.ToLower(opcode)]
-	return s, ok
+	s := lookupExact(strings.ToLower(opcode))
+	return s, s != nil
 }
 
 // Opcodes returns all known opcode mnemonics in sorted order.
 func Opcodes() []string {
-	names := make([]string, 0, len(specTable))
-	for name := range specTable {
-		names = append(names, name)
+	names := make([]string, len(specs))
+	for i, s := range specs {
+		names[i] = s.Name
 	}
-	sort.Strings(names)
 	return names
 }
 
@@ -580,10 +722,9 @@ func ReplacementCandidates(inst Instruction) []string {
 	candMu.Unlock()
 	if !ok {
 		var names []string
-		for _, name := range Opcodes() {
-			spec := specTable[name]
+		for _, spec := range specs {
 			if spec.MatchForm(inst.Operands) != nil {
-				names = append(names, name)
+				names = append(names, spec.Name)
 			}
 		}
 		candMu.Lock()
